@@ -106,11 +106,10 @@ std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
 
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg,
-                                                      std::optional<std::int64_t> param,
-                                                      bool shared_state) {
+                                                      std::optional<std::int64_t> param) {
   if (param && !info.make_proc_param)
     throw std::invalid_argument("protocol " + info.name + " takes no parameter");
-  if (!param && shared_state && info.make_procs) return info.make_procs(cfg);
+  if (!param && info.make_procs) return info.make_procs(cfg);
   std::vector<std::unique_ptr<IProcess>> procs;
   procs.reserve(static_cast<std::size_t>(cfg.t));
   for (int i = 0; i < cfg.t; ++i)

@@ -30,8 +30,9 @@ struct ProtocolInfo {
       make_proc_param;
   // Whole-run factory for protocols whose processes share run-scoped state
   // (Protocol D's agreement merge cache -- a pure memoization shared by the
-  // t sibling processes of ONE run, never across runs or threads).  When
-  // set, make_processes uses this instead of t make_proc calls.
+  // t sibling processes of ONE run, never across runs, and safe to serve
+  // from any thread).  When set, make_processes uses this instead of t
+  // make_proc calls.
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
 };
 
@@ -43,18 +44,13 @@ const ProtocolInfo& find_protocol(const std::string& name);
 
 // Instantiate the full process vector for a run.  `param` selects the
 // parameterized factory (make_proc_param) when set; protocols without one
-// reject a param loudly rather than silently ignoring it.
-// `shared_state` selects whether the whole-run factory (make_procs) may be
-// used.  The live thread substrate passes false: run-scoped shared caches
-// (Protocol D's merge cache) assume single-threaded, ascending-id serving,
-// and the cache-free processes are pinned metric-identical anyway
-// (protocol_d_test), so independent construction is the thread-safe and
-// observably-equal choice.
+// reject a param loudly rather than silently ignoring it.  Every backend
+// builds through here, so run-shared state (make_procs) is the same on the
+// simulator, the round pool, and both live substrates.
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg);
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg,
-                                                      std::optional<std::int64_t> param,
-                                                      bool shared_state = true);
+                                                      std::optional<std::int64_t> param);
 
 }  // namespace dowork

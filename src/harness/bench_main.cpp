@@ -15,13 +15,11 @@ namespace dowork::harness {
 
 namespace {
 
-void print_usage(const char* argv0, const std::string& fixed_experiment) {
-  std::printf("usage: %s [options]\n", argv0);
-  if (fixed_experiment.empty())
-    std::printf(
-        "  --experiment NAMES  experiment(s) to run: one name, a comma-separated\n"
-        "                      list, or 'all'; see --list\n");
+void print_usage(const char* argv0) {
   std::printf(
+      "usage: %s [options]\n"
+      "  --experiment NAMES  experiment(s) to run: one name, a comma-separated\n"
+      "                      list, or 'all'; see --list\n"
       "  --jobs N            worker threads (default: hardware concurrency)\n"
       "  --json PATH         write the machine-readable report to PATH ('-' = stdout)\n"
       "  --filter SUBSTR     only run scenarios whose id contains SUBSTR\n"
@@ -41,7 +39,8 @@ void print_usage(const char* argv0, const std::string& fixed_experiment) {
       "                      (machine-dependent; breaks byte-identity across runs)\n"
       "  --list              list experiments and exit\n"
       "  --quiet             suppress the tables\n"
-      "  --help              this text\n");
+      "  --help              this text\n",
+      argv0);
 }
 
 void list_experiments() {
@@ -60,12 +59,11 @@ void list_experiments() {
 
 }  // namespace
 
-int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
+int bench_main(int argc, char** argv) {
   // Socket-substrate workers re-execute this very binary; a worker argv
   // never looks like a bench invocation, so the hook is a no-op otherwise.
   if (int code = substrate::maybe_socket_worker(argc, argv); code >= 0) return code;
   BenchOptions opt;
-  opt.experiment = fixed_experiment;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -76,11 +74,6 @@ int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
       return argv[++i];
     };
     if (arg == "--experiment") {
-      if (!fixed_experiment.empty()) {
-        std::fprintf(stderr, "%s: this binary is pinned to experiment '%s'\n", argv[0],
-                     fixed_experiment.c_str());
-        return 2;
-      }
       opt.experiment = next();
     } else if (arg == "--jobs") {
       const char* value = next();
@@ -135,11 +128,11 @@ int bench_main(int argc, char** argv, const std::string& fixed_experiment) {
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
-      print_usage(argv[0], fixed_experiment);
+      print_usage(argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg.c_str());
-      print_usage(argv[0], fixed_experiment);
+      print_usage(argv[0]);
       return 2;
     }
   }

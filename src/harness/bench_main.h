@@ -1,10 +1,6 @@
-// Shared CLI driver for the benchmark executables.
-//
-// The unified `dowork_bench` binary and the thin per-experiment wrappers
-// (bench_protocol_a, bench_checkpoint_sweep, ...) all funnel into
-// bench_main(): parse flags, expand experiments to scenarios, fan out on the
-// ParallelScenarioRunner, print paper-style tables, optionally write the
-// deterministic JSON report.
+// The `dowork_bench` CLI driver: parse flags, expand experiments to
+// scenarios, fan out on the ParallelScenarioRunner, print paper-style
+// tables, optionally write the deterministic JSON report.
 #pragma once
 
 #include <string>
@@ -14,8 +10,7 @@
 namespace dowork::harness {
 
 struct BenchOptions {
-  // Experiment names to run: one name, a comma-separated list, or "all";
-  // empty = the fixed experiment of a wrapper binary.
+  // Experiment names to run: one name, a comma-separated list, or "all".
   std::string experiment;
   int jobs = 0;           // 0 = hardware concurrency
   std::string json_path;  // empty = no JSON output
@@ -44,10 +39,8 @@ struct BenchOptions {
 // --filter SUBSTR, --backend sim|live|socket, --transport uds|tcp,
 // --sim-threads N, --timing, --list, --quiet, --help).  Socket-substrate
 // worker re-executions (substrate::maybe_socket_worker) are intercepted
-// before flag parsing, so every bench binary can serve as its own worker
-// image.
-// `fixed_experiment` pins a wrapper binary to its experiment (its
-// --experiment flag is rejected).  Returns the process exit code.
-int bench_main(int argc, char** argv, const std::string& fixed_experiment = "");
+// before flag parsing, so the bench binary can serve as its own worker
+// image.  Returns the process exit code.
+int bench_main(int argc, char** argv);
 
 }  // namespace dowork::harness

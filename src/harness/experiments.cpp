@@ -599,9 +599,9 @@ std::vector<Scenario> related_models_scenarios() {
 //   * Protocol D's message bill is (4f+2)t^2: its adversary uses a fixed
 //     budget of f = 16 crashes so the sweep measures the t^2 growth rather
 //     than drowning in an O(t^3) worst case.
-//   * Protocol D stops at t = 8192: the agreement merge cache's suffix
-//     table is O(t*n) bits (~570 MB at t = 16384), so the top tier is
-//     A/B-only until ROADMAP's sparse-state scale_xl item shrinks it.
+//   * Protocol D stops at t = 8192: its merge cache is now O(n + t) bits,
+//     but the t = 16384/D row waits for a per-layer profile of the t = 8192
+//     row (ROADMAP item 1) to say what it would cost.
 std::vector<Scenario> scale_scenarios() {
   std::vector<Scenario> out;
   for (int t : {64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}) {

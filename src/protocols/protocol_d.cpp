@@ -5,99 +5,38 @@
 namespace dowork {
 
 bool AgreeMergeCache::fold(int self, const Round& round, int phase,
-                           const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                           DynBitset& tn) {
-  return lane_for_this_thread().fold(self, round, phase, seen, sn, tn);
-}
-
-AgreeMergeCache::Lane& AgreeMergeCache::lane_for_this_thread() {
-  // A handful of pool threads at most: linear search under the table mutex
-  // beats a hash map here, and the fold itself then runs lock-free on the
-  // caller's own lane.
-  const std::thread::id me = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (auto& entry : lanes_) {
-    if (entry.first == me) return *entry.second;
-  }
-  lanes_.emplace_back(me, std::make_unique<Lane>());
-  return *lanes_.back().second;
-}
-
-bool AgreeMergeCache::Lane::fold(int self, const Round& round, int phase,
-                                 const std::vector<const AgreeMsg*>& seen, DynBitset& sn,
-                                 DynBitset& tn) {
-  const int t = static_cast<int>(seen.size());
-  if (seen[static_cast<std::size_t>(self)] != nullptr) return false;  // never hears itself
-  if (!active_ || round_ != round) {
-    // New round: pin the collective view from this (lane-lowest) requester --
-    // its own slot stays undefined, a later requester's prefix advance pins
-    // it -- and build the suffix folds.  Requesters below the pinning self
-    // can never hit the fast path (their own slot check below rejects them),
-    // so the suffix table is only built above it: the serial lane pays the
-    // classic full build, shard lanes only their own id range.  All buffers
-    // are reused round over round, so a generation costs at most t view
-    // merges and no steady-state allocation.
-    active_ = true;
-    round_ = round;
-    phase_ = phase;
-    msgs_.assign(seen.begin(), seen.end());
-    defined_.assign(static_cast<std::size_t>(t), 1);
-    defined_[static_cast<std::size_t>(self)] = 0;
-    if (suffix_sn_.size() != static_cast<std::size_t>(t) + 1) {
-      suffix_sn_.resize(static_cast<std::size_t>(t) + 1);
-      suffix_tn_.resize(static_cast<std::size_t>(t) + 1);
-    }
-    suffix_base_ = self;
-    suffix_sn_[static_cast<std::size_t>(t)] = DynBitset(sn.size(), true);  // AND identity
-    suffix_tn_[static_cast<std::size_t>(t)] = DynBitset(tn.size());        // OR identity
-    for (int j = t - 1; j > suffix_base_; --j) {
-      suffix_sn_[static_cast<std::size_t>(j)] = suffix_sn_[static_cast<std::size_t>(j) + 1];
-      suffix_tn_[static_cast<std::size_t>(j)] = suffix_tn_[static_cast<std::size_t>(j) + 1];
-      if (const AgreeMsg* m = msgs_[static_cast<std::size_t>(j)]) {
-        suffix_sn_[static_cast<std::size_t>(j)] &= m->s_left;
-        suffix_tn_[static_cast<std::size_t>(j)] |= m->t_alive;
+                           const std::vector<const AgreeMsg*>& seen, const AgreeMsg* own,
+                           DynBitset& sn, DynBitset& tn) {
+  const std::size_t me = static_cast<std::size_t>(self);
+  if (seen[me] != nullptr) return false;  // never hears itself
+  std::shared_ptr<const Fold> shared;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!current_ || current_->round != round) {
+      // First requester of the round: its seen-set, with its own message in
+      // its own slot, becomes the round's table.
+      auto built = std::make_shared<Fold>();
+      built->round = round;
+      built->phase = phase;
+      built->msgs = seen;
+      built->msgs[me] = own;
+      built->sn = DynBitset(sn.size(), true);  // AND identity
+      built->tn = DynBitset(tn.size());        // OR identity
+      for (const AgreeMsg* m : built->msgs) {
+        if (!m) continue;
+        built->sn &= m->s_left;
+        built->tn |= m->t_alive;
       }
+      current_ = std::move(built);
     }
-    prefix_sn_ = DynBitset(sn.size(), true);
-    prefix_tn_ = DynBitset(tn.size());
-    prefix_end_ = 0;
-  } else {
-    if (phase_ != phase) return false;
-    // The cached folds only apply if this requester merges exactly the
-    // pinned set: verify entry-for-entry before touching anything.
-    // Undefined slots below `self` are fine (pinned during the prefix
-    // advance); at or above `self` they would sit inside the suffix fold,
-    // which cannot happen when this lane's requesters arrive in ascending id
-    // order -- and the same check is what rejects a requester below the
-    // pinning self (whose slot, the lane's only undefined one, lies at
-    // suffix_base_ >= self), so the trimmed suffix table is never read below
-    // suffix_base_ + 1.
-    for (int i = 0; i < t; ++i) {
-      if (i == self) continue;
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (defined_[si]) {
-        if (msgs_[si] != seen[si]) return false;
-      } else if (i >= self) {
-        return false;
-      }
-    }
+    shared = current_;
   }
-  for (int i = prefix_end_; i < self; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    if (!defined_[si]) {
-      defined_[si] = 1;
-      msgs_[si] = seen[si];
-    }
-    if (const AgreeMsg* m = msgs_[si]) {
-      prefix_sn_ &= m->s_left;
-      prefix_tn_ |= m->t_alive;
-    }
+  if (shared->phase != phase) return false;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (shared->msgs[i] != (i == me ? own : seen[i])) return false;
   }
-  if (self > prefix_end_) prefix_end_ = self;
-  sn &= prefix_sn_;
-  sn &= suffix_sn_[static_cast<std::size_t>(self) + 1];
-  tn |= prefix_tn_;
-  tn |= suffix_tn_[static_cast<std::size_t>(self) + 1];
+  sn &= shared->sn;
+  tn |= shared->tn;
   return true;
 }
 
@@ -158,13 +97,18 @@ Action ProtocolDProcess::agree_broadcast(bool done) {
     if (bits.test(static_cast<std::size_t>(self_))) bits.reset(static_cast<std::size_t>(self_));
     audience_ = make_recipient_bits(std::move(bits));
   }
-  if (audience_->count > 0)
-    a.sends.push_back(
-        Outgoing{audience_, MsgKind::kAgreement, std::make_shared<AgreeMsg>(phase_, sn_, tn_, done)});
+  if (audience_->count > 0) {
+    auto msg = std::make_shared<AgreeMsg>(phase_, sn_, tn_, done);
+    last_sent_ = msg;
+    a.sends.push_back(Outgoing{audience_, MsgKind::kAgreement, std::move(msg)});
+  } else {
+    last_sent_.reset();
+  }
   return a;
 }
 
 void ProtocolDProcess::finish_agree(const Round& now) {
+  last_sent_.reset();  // the done broadcast is never folded back in
   const std::uint64_t old_alive = t_alive_.count();
   s_ = sn_;
   t_alive_ = tn_;
@@ -277,9 +221,10 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   bool removed_any = false;
   if (!adopted) {
     // The common case -- every recipient folding the same collective round
-    // view -- hits the run-shared prefix/suffix cache in O(1) merges; any
-    // deviation (cut broadcast, phase skew, no cache) merges the long way.
-    if (!merge_cache_ || !merge_cache_->fold(self_, ctx.round, phase_, seen_, sn_, tn_)) {
+    // view -- hits the run-shared fold in two merges; any deviation (cut
+    // broadcast, phase skew, no cache) merges the long way.
+    if (!merge_cache_ ||
+        !merge_cache_->fold(self_, ctx.round, phase_, seen_, last_sent_.get(), sn_, tn_)) {
       for (int i = 0; i < t_; ++i) {
         const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
         if (!msg) continue;

@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "core/work.h"
@@ -49,73 +48,60 @@ struct AgreeMsg final : Payload {
 };
 
 // Run-scoped memoization of the agreement merge.  Every recipient of an
-// agreement round folds the SAME collective broadcast set (minus its own
-// message) into its views: sn &= AND over senders of s_left, tn |= OR of
-// t_alive.  Doing that independently costs Theta(t^2) view merges per round
-// -- the dominant memory traffic of the D scale rows once the broadcast
-// ledger removed the per-pair envelope churn.  The cache computes
-// "everyone except me" with prefix/suffix folds over the round's pinned
-// sender->message table: O(t) merges to build per round, O(1) merges per
-// recipient to apply.
+// agreement round folds the SAME collective broadcast set into its views:
+// sn &= AND over senders of s_left, tn |= OR of t_alive.  Doing that
+// independently costs Theta(t^2) view merges per round -- the dominant
+// memory traffic of the D scale rows once the broadcast ledger removed the
+// per-pair envelope churn.  The cache folds the round once and shares it:
+// O(t) merges to build, two merges per recipient to apply.
+//
+// One fold serves everyone because a process's own message is idempotent
+// in its own view: agree_broadcast sends the sender's current (sn_, tn_),
+// and nothing touches either until the next fold, so sn_ &= own.s_left and
+// tn_ |= own.t_alive change nothing -- "everyone except me" equals
+// "everyone".  The first requester of a round therefore builds the
+// sender->message table from its seen-set with its own last broadcast in
+// its own slot, and folds all of it.
 //
 // Why results are bit-identical: AND/OR are associative and commutative,
 // so regrouping the fold cannot change a bit, and fold() applies it only
-// after verifying the requester's seen-set matches the pinned collective
-// view entry-for-entry (any deviation -- a crash-cut broadcast that missed
-// this recipient, an early arrival from a skewed phase boundary, a silent
-// sender -- returns false and the caller merges the long way).  The cache
-// is shared by the t sibling processes of ONE run and is invisible to every
-// metric, message, and decision; protocol_d_test pins cache and cache-free
-// runs to identical metrics.
+// after checking that the requester's seen-set plus its own message match
+// the table pointer for pointer.  Any deviation -- a crash-cut broadcast
+// that missed this recipient, an early arrival from a skewed phase
+// boundary, a network drop, a different phase -- returns false and the
+// caller merges the long way.  Pointer equality means the same message:
+// every pointer compared in one round belongs to a payload that was alive
+// when the round began, the requesters keep theirs alive through the
+// check, and the own message is held by a shared_ptr for exactly that
+// reason (a record whose whole audience the network drops frees its
+// payload at commit).  The cache is shared by the t sibling processes of
+// ONE run and is invisible to every metric, message, and decision;
+// protocol_d_test pins cache and cache-free runs to identical metrics.
 //
-// Threading: the round-parallel core (sim/round_pool.h) evaluates recipients
-// on several threads, so one fold state cannot be shared -- requesters from
-// different shards would interleave their prefix advances.  Instead the
-// cache keeps one *lane* of fold state per serving thread, created on first
-// use: the pool hands each thread a run of ascending-id recipients, so every
-// lane independently sees the serial cache's access pattern over its own id
-// range and pins its own collective view from its lowest requester.  Lanes
-// never touch each other's state (the lane table itself is the only
-// mutex-guarded structure), the per-lane fast path is lock-free, and a lane
-// that sees requesters out of ascending order merely falls back to the naive
-// merge -- the validation makes misuse slow, never wrong.  The serial
-// simulator exercises exactly one lane, which behaves byte-for-byte like the
-// pre-lane cache; protocol_d_test's sharded-round tests pin the
-// serving-thread-change cases.
-//
-// Memory: a lane's suffix folds are built only above its pinning (lowest)
-// requester, so lane k of a k-sharded round stores the top 1/k-ish of the
-// suffix table and the lanes together cost ~ln(k) serial tables, not k.
+// Threading: the fold is built under one mutex and then only read (a new
+// round replaces it, never edits it), so recipients served from any thread,
+// in any order, hit the same fast path.  Memory: one table of t pointers
+// plus one n-bit and one t-bit fold.
 class AgreeMergeCache {
  public:
-  // Folds the collective view of `round` minus `self` into (sn, tn) exactly
-  // as the naive loop over `seen` would; returns false (views untouched)
-  // when `seen` deviates from the pinned collective view.
+  // Folds the collective view of `round` into (sn, tn) exactly as the naive
+  // loop over `seen` would, given that `own` (the requester's last
+  // broadcast, null if it sent none) carries the requester's current
+  // (sn, tn); returns false (views untouched) when `seen` plus `own`
+  // deviate from the round's table.
   bool fold(int self, const Round& round, int phase, const std::vector<const AgreeMsg*>& seen,
-            DynBitset& sn, DynBitset& tn);
+            const AgreeMsg* own, DynBitset& sn, DynBitset& tn);
 
  private:
-  // One serving thread's complete fold state; the pre-lane cache's fields,
-  // verbatim, plus the suffix trim base.
-  struct Lane {
-    bool fold(int self, const Round& round, int phase, const std::vector<const AgreeMsg*>& seen,
-              DynBitset& sn, DynBitset& tn);
-
-    bool active_ = false;
-    Round round_;
-    int phase_ = 0;
-    std::vector<const AgreeMsg*> msgs_;  // pinned collective view, by sender
-    std::vector<std::uint8_t> defined_;  // msgs_[i] pinned (undefined = a past requester's own slot)
-    std::vector<DynBitset> suffix_sn_, suffix_tn_;  // [j] = fold over senders in [j, t)
-    int suffix_base_ = 0;  // suffix entries valid for j > suffix_base_ (= this round's pinning self)
-    DynBitset prefix_sn_, prefix_tn_;  // fold over senders in [0, prefix_end_)
-    int prefix_end_ = 0;
+  struct Fold {
+    Round round;
+    int phase = 0;
+    std::vector<const AgreeMsg*> msgs;  // by sender; null = silent
+    DynBitset sn, tn;                   // AND / OR over every message in msgs
   };
 
-  Lane& lane_for_this_thread();
-
-  std::mutex lanes_mu_;  // guards the lane table only, never lane contents
-  std::vector<std::pair<std::thread::id, std::unique_ptr<Lane>>> lanes_;
+  std::mutex mu_;  // guards current_, which is replaced (never mutated) per round
+  std::shared_ptr<const Fold> current_;
 };
 
 class ProtocolDProcess final : public IProcess {
@@ -185,6 +171,10 @@ class ProtocolDProcess final : public IProcess {
   // t = 1024, where an iteration stashes ~t messages).
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> early_retained_;
+  // This agreement phase's latest broadcast (null before the first and
+  // after a round that sent none), the own slot of the shared fold.  Owned,
+  // not raw: the network may drop the whole audience and free the record.
+  std::shared_ptr<const AgreeMsg> last_sent_;
   std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = merge manually
 
   // Revert path.  The paper's case-2 bounds assume Protocol A runs over the

@@ -35,9 +35,9 @@
 //
 // Run-shared protocol state is the one thing the pool cannot make
 // data-independent by fiat: Protocol D's AgreeMergeCache serves fold
-// requests from whichever thread evaluates the recipient, so it keeps
-// per-serving-thread lanes (protocol_d.h) -- pure memoization either way,
-// pinned equal by protocol_d_test.
+// requests from whichever thread evaluates the recipient, so it builds each
+// round's fold once under a mutex and shares it read-only (protocol_d.h)
+// -- pure memoization either way, pinned equal by protocol_d_test.
 #pragma once
 
 #include <condition_variable>
@@ -96,8 +96,7 @@ class RoundPool final : public StepExecutor {
   void eval_shard(Shard& shard);
   // Claims shards off next_shard_ until none remain; called by workers and
   // the dispatching thread alike (monotone claiming order, so a thread that
-  // serves several shards serves them in ascending id order -- what keeps
-  // AgreeMergeCache lanes on their fast path).
+  // serves several shards serves them in ascending id order).
   void drain_shards();
 
   const std::size_t min_steps_per_shard_;

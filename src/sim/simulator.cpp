@@ -286,17 +286,25 @@ void Simulator::step_round(const Round& r) {
     // watchdog), then commit on this thread in the order it returned.
     // Nothing observable happens between an on_round return and its commit
     // in the serial path, so "evaluate all, then commit in ascending id
-    // order" is byte-identical to the in-place loop below.
+    // order" is byte-identical to the in-place loop below -- provided the
+    // adversary cannot see an evaluated process before its commit, which is
+    // why each step's announced progress is held from before evaluation.
     live_steps_.clear();
+    if (held_progress_.empty()) held_progress_.assign(procs_.size(), kNotHeld);
     for (int p : step_list_) {
-      queued_[static_cast<std::size_t>(p)] = 0;
-      if (state_[static_cast<std::size_t>(p)] == ProcState::kAlive) live_steps_.push_back(p);
+      const std::size_t sp = static_cast<std::size_t>(p);
+      queued_[sp] = 0;
+      if (state_[sp] != ProcState::kAlive) continue;
+      live_steps_.push_back(p);
+      held_progress_[sp] = procs_[sp]->known_done_units();
     }
     if (!live_steps_.empty()) {
       ready_.clear();
       executor_->run_steps(*this, r, live_steps_, ready_);  // may throw AbortRun
-      for (StepExecutor::Ready& rd : ready_)
+      for (StepExecutor::Ready& rd : ready_) {
+        held_progress_[static_cast<std::size_t>(rd.proc)] = kNotHeld;
         commit_step(static_cast<std::size_t>(rd.proc), r, next_r, std::move(rd.action));
+      }
     }
     metrics_.max_concurrent_workers =
         std::max(metrics_.max_concurrent_workers, metrics_.work_total - workers_before);

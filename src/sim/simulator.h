@@ -48,6 +48,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -203,8 +204,13 @@ class Simulator final : public SimObservable, public StepEval {
     return metrics_.messages_by_proc[static_cast<std::size_t>(proc)];
   }
   std::uint64_t total_units_done() const override { return metrics_.work_total; }
+  // On the executor path a process is evaluated before its commit, so until
+  // then the adversary reads the value held from before evaluation -- what
+  // the serial loop shows for a process not yet stepped.
   std::int64_t announced_progress(int proc) const override {
-    return procs_[static_cast<std::size_t>(proc)]->known_done_units();
+    const std::size_t p = static_cast<std::size_t>(proc);
+    if (!held_progress_.empty() && held_progress_[p] != kNotHeld) return held_progress_[p];
+    return procs_[p]->known_done_units();
   }
   // Network visibility (observable.h): this round's ledger plus every
   // latency-held record, counted in records.
@@ -261,6 +267,10 @@ class Simulator final : public SimObservable, public StepEval {
   StepExecutor* executor_ = nullptr;
   std::vector<int> live_steps_;                // executor path: alive step subset; reused
   std::vector<StepExecutor::Ready> ready_;     // executor path: evaluated steps; reused
+  // Executor path: each live step's known_done_units() from before the
+  // round's evaluation, held until that step commits (kNotHeld otherwise).
+  static constexpr std::int64_t kNotHeld = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> held_progress_;
 
   std::vector<ProcState> state_;
   int alive_ = 0;

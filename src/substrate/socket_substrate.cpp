@@ -129,10 +129,10 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
   DoAllConfig cfg{n, t};
   std::unique_ptr<IProcess> proc;
   try {
-    // Same deterministic construction as the coordinator's model run;
-    // shared_state=false for the same reason as the thread substrate
-    // (registry.h) -- and here the siblings are in other address spaces.
-    auto procs = make_processes(find_protocol(protocol), cfg, param, /*shared_state=*/false);
+    // Same deterministic construction as the coordinator's model run; any
+    // run-shared state (D's merge cache) serves just this one process here,
+    // since the siblings live in other address spaces.
+    auto procs = make_processes(find_protocol(protocol), cfg, param);
     proc = std::move(procs.at(static_cast<std::size_t>(self)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dowork socket worker %d: bad setup: %s\n", self, e.what());

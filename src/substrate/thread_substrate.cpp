@@ -170,10 +170,7 @@ LiveRunResult run_live_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
   sim_opts.n_units = cfg.n;
   sim_opts.net = opts.net;
 
-  // shared_state=false: run-shared caches (Protocol D's AgreeMergeCache)
-  // assume single-threaded ascending-id serving; registry.h documents why
-  // the cache-free construction is observably identical.
-  auto procs = make_processes(info, cfg, opts.protocol_param, /*shared_state=*/false);
+  auto procs = make_processes(info, cfg, opts.protocol_param);
   auto hold = std::make_unique<LiveRun>(std::move(procs), std::move(faults), sim_opts, cfg.t, live);
   hold->sim.set_step_executor(&hold->executor);
 

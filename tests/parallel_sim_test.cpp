@@ -28,6 +28,8 @@
 
 #include "core/runner.h"
 #include "fuzz/generator.h"
+#include "fuzz/trace.h"
+#include "harness/fault_spec.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
 
@@ -227,6 +229,44 @@ TEST(ParallelSimTest, RandomFaultScheduleIsThreadCountInvariant) {
                         "seed " + std::to_string(seed) + " threads " + std::to_string(threads));
       EXPECT_EQ(got.violation, base.violation);
     }
+  }
+}
+
+// Adaptive adversaries read announced_progress at each commit.  The executor
+// path evaluates the whole round first, so without the held pre-evaluation
+// values the jammer saw later processes' post-step progress and jammed
+// differently.  Minimal reproducer from `dowork_fuzz --seed 2 --cases 5300
+// --parallel-diff 2` (case 5252, run seed 248697620): serial did 8 units of
+// work, the pool 12.  Serial, RoundPool(1) and a genuinely sharded
+// RoundPool(2) must agree on every metric and on the whole decision trace.
+TEST(ParallelSimTest, AdaptiveAdversarySeesSerialProgressOnTheExecutorPath) {
+  const DoAllConfig cfg{4, 4};
+  const harness::FaultSpec spec =
+      harness::FaultSpec::parse("adaptive:jammer(crashes=0,jam=8,seed=512927)");
+  struct Leg {
+    RunMetrics metrics;
+    fuzz::Trace trace;
+  };
+  auto run_leg = [&](int pool_threads) {  // 0 = the serial in-place loop
+    Leg leg;
+    Simulator::Options opts;
+    opts.strict_one_op = true;
+    opts.n_units = cfg.n;
+    Simulator sim(make_processes(find_protocol("B"), cfg),
+                  std::make_unique<fuzz::RecordingFaults>(spec.make(), &leg.trace), opts);
+    RoundPool pool(std::max(pool_threads, 1), /*min_steps_per_shard=*/1);
+    if (pool_threads > 0) sim.set_step_executor(&pool);
+    leg.metrics = sim.run();
+    return leg;
+  };
+  const Leg serial = run_leg(0);
+  EXPECT_EQ(serial.metrics.work_total, 8u);
+  EXPECT_FALSE(serial.trace.message_faults.empty());
+  for (int threads : {1, 2}) {
+    const Leg pooled = run_leg(threads);
+    const std::string label = "RoundPool(" + std::to_string(threads) + ")";
+    expect_metrics_eq(pooled.metrics, serial.metrics, label);
+    EXPECT_EQ(pooled.trace, serial.trace) << label;
   }
 }
 

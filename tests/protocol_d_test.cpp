@@ -226,14 +226,13 @@ TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolDRandom, ::testing::Range(0u, 25u));
 
-// --- the merge cache when the serving thread changes ------------------------
+// --- the one-fold contract ---------------------------------------------------
 //
-// The round-parallel core (sim/round_pool.h) evaluates recipients on several
-// threads, so AgreeMergeCache keeps per-serving-thread lanes.  These tests
-// pin the contract directly: each lane independently reproduces the naive
-// fold over its own ascending-id range, and a requester below a lane's
-// pinning self falls back (returns false) instead of reading a suffix entry
-// the lane never built.
+// AgreeMergeCache builds one fold per round from its first requester and
+// serves it to every requester whose seen-set plus own message match the
+// table pointer for pointer, from any thread, in any order.  These tests pin
+// the contract directly: every matching requester gets exactly the naive
+// merge, and every deviation returns false with the views untouched.
 
 // One synthetic agreement round: t messages with distinct views, sender 6
 // silent (a crashed broadcaster every recipient agrees is silent).
@@ -265,6 +264,15 @@ struct FoldFixture {
     return seen;
   }
 
+  const AgreeMsg* own(int self) const { return table[static_cast<std::size_t>(self)]; }
+
+  // A requester's views before the merge: its own last broadcast carries
+  // them, which is what ProtocolDProcess guarantees at every fold.
+  void start_views(int self, DynBitset& sn, DynBitset& tn) const {
+    sn = own(self)->s_left;
+    tn = own(self)->t_alive;
+  }
+
   // The naive merge the cache must reproduce bit for bit.
   void naive(int self, DynBitset& sn, DynBitset& tn) const {
     for (int i = 0; i < t; ++i) {
@@ -275,60 +283,70 @@ struct FoldFixture {
       }
     }
   }
+
+  // Serves `self` from `cache` and checks the result against naive; returns
+  // whether the fast path was taken.
+  bool serve(AgreeMergeCache& cache, int self) const {
+    DynBitset sn, tn, want_sn, want_tn;
+    start_views(self, sn, tn);
+    start_views(self, want_sn, want_tn);
+    if (!cache.fold(self, Round{7u}, 1, seen_for(self), own(self), sn, tn)) return false;
+    naive(self, want_sn, want_tn);
+    EXPECT_EQ(sn, want_sn) << "self " << self;
+    EXPECT_EQ(tn, want_tn) << "self " << self;
+    return true;
+  }
 };
 
-TEST(ProtocolDParallel, MergeCacheLanesMatchNaiveAcrossServingThreads) {
+TEST(ProtocolDParallel, MergeCacheOneFoldMatchesNaiveInAnyOrder) {
   const FoldFixture fx;
+  std::vector<int> ascending, descending;
+  for (int self = 0; self < FoldFixture::t; ++self)
+    if (fx.own(self) != nullptr) ascending.push_back(self);
+  descending.assign(ascending.rbegin(), ascending.rend());
+  for (const std::vector<int>& order : {ascending, descending}) {
+    AgreeMergeCache cache;
+    for (int self : order) EXPECT_TRUE(fx.serve(cache, self)) << "self " << self;
+  }
+  // Two serving threads interleaved (even ids here, odd ids there): whoever
+  // builds the fold, everyone gets it.
   AgreeMergeCache cache;
-  const Round round{7u};
-  // Shard the recipients like the pool would: [0,6) on this thread, [6,12)
-  // on a second -- each lane pins its own view from its lowest requester and
-  // serves ascending ids.  Every fold must hit the fast path and match the
-  // naive merge exactly.
-  auto serve = [&](int lo, int hi, std::vector<int>& fell_back) {
-    for (int self = lo; self < hi; ++self) {
-      DynBitset sn(fx.n, true), tn(fx.t);
-      DynBitset want_sn(fx.n, true), want_tn(fx.t);
-      if (!cache.fold(self, round, 1, fx.seen_for(self), sn, tn)) {
-        fell_back.push_back(self);
-        continue;
-      }
-      fx.naive(self, want_sn, want_tn);
-      EXPECT_EQ(sn, want_sn) << "self " << self;
-      EXPECT_EQ(tn, want_tn) << "self " << self;
-    }
+  std::vector<int> fell_back_even, fell_back_odd;
+  auto serve_parity = [&](int parity, std::vector<int>& fell_back) {
+    for (int self : ascending)
+      if (self % 2 == parity && !fx.serve(cache, self)) fell_back.push_back(self);
   };
-  std::vector<int> fb_low, fb_high;
-  std::thread high([&] { serve(6, FoldFixture::t, fb_high); });
-  serve(0, 6, fb_low);
-  high.join();
-  EXPECT_TRUE(fb_low.empty());
-  EXPECT_TRUE(fb_high.empty());
+  std::thread odd([&] { serve_parity(1, fell_back_odd); });
+  serve_parity(0, fell_back_even);
+  odd.join();
+  EXPECT_TRUE(fell_back_even.empty());
+  EXPECT_TRUE(fell_back_odd.empty());
 }
 
-TEST(ProtocolDParallel, MergeCacheRequesterBelowLanePinFallsBack) {
+TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
   const FoldFixture fx;
   AgreeMergeCache cache;
-  const Round round{7u};
-  // This lane's first requester is 5: its slot is the lane's undefined one
-  // and the suffix table exists only above it.
-  DynBitset sn(fx.n, true), tn(fx.t);
-  ASSERT_TRUE(cache.fold(5, round, 1, fx.seen_for(5), sn, tn));
-  // A lower id on the SAME thread (out of ascending order -- the pool never
-  // does this, but the cache must stay safe if a caller does) returns false
-  // with the views untouched.
-  DynBitset sn2(fx.n, true), tn2(fx.t);
-  const DynBitset sn2_before = sn2, tn2_before = tn2;
-  EXPECT_FALSE(cache.fold(2, round, 1, fx.seen_for(2), sn2, tn2));
-  EXPECT_EQ(sn2, sn2_before);
-  EXPECT_EQ(tn2, tn2_before);
-  // Higher ids keep working, and still match naive.
-  DynBitset sn3(fx.n, true), tn3(fx.t);
-  DynBitset want_sn(fx.n, true), want_tn(fx.t);
-  ASSERT_TRUE(cache.fold(9, round, 1, fx.seen_for(9), sn3, tn3));
-  fx.naive(9, want_sn, want_tn);
-  EXPECT_EQ(sn3, want_sn);
-  EXPECT_EQ(tn3, want_tn);
+  ASSERT_TRUE(fx.serve(cache, 0));  // builds the round's table
+  const AgreeMsg extra(1, DynBitset(fx.n), DynBitset(fx.t, true), false);
+  auto expect_fallback = [&](const char* why, std::vector<const AgreeMsg*> seen,
+                             const AgreeMsg* own, int phase) {
+    DynBitset sn, tn;
+    fx.start_views(3, sn, tn);
+    const DynBitset sn_before = sn, tn_before = tn;
+    EXPECT_FALSE(cache.fold(3, Round{7u}, phase, seen, own, sn, tn)) << why;
+    EXPECT_EQ(sn, sn_before) << why;
+    EXPECT_EQ(tn, tn_before) << why;
+  };
+  std::vector<const AgreeMsg*> cut = fx.seen_for(3);
+  cut[5] = nullptr;  // sender 5's broadcast was cut before reaching 3
+  expect_fallback("missing sender", cut, fx.own(3), 1);
+  std::vector<const AgreeMsg*> early = fx.seen_for(3);
+  early[6] = &extra;  // an arrival the table does not have
+  expect_fallback("extra arrival", early, fx.own(3), 1);
+  expect_fallback("phase mismatch", fx.seen_for(3), fx.own(3), 2);
+  expect_fallback("null own message", fx.seen_for(3), nullptr, 1);
+  // The deviations left the table alone: the matching requester still hits.
+  EXPECT_TRUE(fx.serve(cache, 3));
 }
 
 // End to end: the cache under a genuinely sharded simulator round must stay

@@ -187,27 +187,5 @@ TEST(SubstrateTest, BackendNames) {
   EXPECT_STREQ(to_string(Backend::kThread), "thread");
 }
 
-TEST(SubstrateTest, ProtocolDCacheFreeConstructionIsObservablyIdentical) {
-  // The live backend builds D without the run-shared agreement merge cache
-  // (registry.h); the cache is a pure memoization, so the sim run with and
-  // without it must agree on every metric -- this is what licenses comparing
-  // a shared-cache sim leg against a cache-free live leg.
-  const ProtocolInfo& info = find_protocol("D");
-  DoAllConfig cfg;
-  cfg.n = 64;
-  cfg.t = 8;
-  const FaultSpec spec = FaultSpec::cascade(2, 3, 1);
-  Simulator::Options so;
-  so.strict_one_op = true;
-  so.n_units = cfg.n;
-  Simulator with_cache(make_processes(info, cfg, std::nullopt, /*shared_state=*/true),
-                       spec.make(), so);
-  Simulator cache_free(make_processes(info, cfg, std::nullopt, /*shared_state=*/false),
-                       spec.make(), so);
-  const RunMetrics a = with_cache.run();
-  const RunMetrics b = cache_free.run();
-  EXPECT_EQ(compare_metrics(a, b), "");
-}
-
 }  // namespace
 }  // namespace dowork::substrate
