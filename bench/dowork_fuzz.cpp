@@ -8,10 +8,13 @@
 // The campaign exits 0 iff no case violated a bound or an invariant; the
 // JSON report (--json) is byte-identical at any --jobs value.  See
 // docs/FUZZING.md for the trace format and the replay workflow.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -33,19 +36,14 @@ int usage(int code) {
       "                  (plants deliberate violations; default 100)\n"
       "  --json FILE     write the deterministic campaign report\n"
       "  --trace-dir DIR write violation traces (original + shrunk reproducer)\n"
-      "  --differential [thread|socket]\n"
-      "                  run every sync case on both the simulator and a live\n"
-      "                  substrate -- worker threads (default) or worker OS\n"
-      "                  processes over localhost sockets, where crashes are\n"
-      "                  real SIGKILLs; any metric divergence fails the case\n"
-      "                  (divergences are reported unshrunk, with a trace of\n"
-      "                  the clean simulator leg attached)\n"
-      "  --parallel-diff [N]\n"
-      "                  run every sync case twice on the simulator -- with\n"
-      "                  round-parallel evaluation (--sim-threads N, default\n"
-      "                  8) and serial -- and fail the case on any decision\n"
-      "                  or outcome divergence (the serial leg is the\n"
-      "                  oracle); exclusive with --differential\n"
+      "  --diff pool|socket\n"
+      "                  run every sync case twice, recorded: on a live leg --\n"
+      "                  the in-process round pool, or worker OS processes\n"
+      "                  over localhost sockets where crashes are real\n"
+      "                  SIGKILLs -- and serially on the simulator (the\n"
+      "                  oracle); any decision or outcome divergence fails\n"
+      "                  the case (divergences are reported unshrunk, with\n"
+      "                  the serial leg's trace attached)\n"
       "  --quiet         suppress the progress meter\n"
       "exit status: 0 iff every case satisfied its bounds and invariants\n"
       "\n"
@@ -93,17 +91,47 @@ int replay_mode(const std::string& file, bool frozen) {
   return 1;
 }
 
+// Checked decimal parse of a flag's value (std::stoi would throw outside
+// main's try and abort): the whole token must be an integer in [lo, hi],
+// else print what was wrong and exit 2.
+long long parse_int(const std::string& flag, const std::string& text, long long lo,
+                    long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr, "dowork_fuzz: %s wants an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), lo, hi, text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+// The same for the 64-bit seed, which strtoll cannot span.
+std::uint64_t parse_seed(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || text[0] == '-' || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "dowork_fuzz: --seed wants an unsigned integer, got '%s'\n",
+                 text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Socket-substrate workers re-execute this very binary (differential
-  // socket campaigns fork them via /proc/self/exe); a worker argv never
-  // looks like a fuzz invocation, so the hook is a no-op otherwise.
+  // Socket-substrate workers re-execute this very binary (--diff socket
+  // campaigns fork them via /proc/self/exe); a worker argv never looks like
+  // a fuzz invocation, so the hook is a no-op otherwise.
   if (int code = dowork::substrate::maybe_socket_worker(argc, argv); code >= 0) return code;
   dowork::fuzz::CampaignOptions opts;
   std::string json_file;
   std::string replay_file;
   bool rerun = false;
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -115,34 +143,27 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--cases") {
-      opts.cases = std::stoi(value());
+      opts.cases = static_cast<int>(parse_int(arg, value(), 1, kIntMax));
     } else if (arg == "--seed") {
-      opts.seed = std::stoull(value());
+      opts.seed = parse_seed(value());
     } else if (arg == "--jobs") {
-      opts.jobs = std::stoi(value());
+      opts.jobs = static_cast<int>(parse_int(arg, value(), 0, kIntMax));
     } else if (arg == "--tighten") {
-      opts.tighten_pct = std::stoi(value());
+      opts.tighten_pct = static_cast<int>(parse_int(arg, value(), 1, kIntMax));
     } else if (arg == "--json") {
       json_file = value();
     } else if (arg == "--trace-dir") {
       opts.trace_dir = value();
-    } else if (arg == "--differential") {
-      opts.differential = true;
-      // Optional backend name: consume the next token only when it names a
-      // live substrate (so `--differential --json f` still works).
-      if (i + 1 < argc && std::strcmp(argv[i + 1], "socket") == 0) {
-        opts.differential_socket = true;
-        ++i;
-      } else if (i + 1 < argc && std::strcmp(argv[i + 1], "thread") == 0) {
-        ++i;
-      }
-    } else if (arg == "--parallel-diff") {
-      // Optional thread count: consume the next token only when it is a
-      // bare positive integer (so `--parallel-diff --json f` still works).
-      opts.parallel_diff = 8;
-      if (i + 1 < argc && argv[i + 1][0] >= '1' && argv[i + 1][0] <= '9' &&
-          std::strspn(argv[i + 1], "0123456789") == std::strlen(argv[i + 1])) {
-        opts.parallel_diff = std::stoi(argv[++i]);
+    } else if (arg == "--diff") {
+      const std::string leg = value();
+      if (leg == "pool") {
+        opts.diff = dowork::fuzz::CampaignOptions::Diff::kPool;
+      } else if (leg == "socket") {
+        opts.diff = dowork::fuzz::CampaignOptions::Diff::kSocket;
+      } else {
+        std::fprintf(stderr, "dowork_fuzz: --diff wants 'pool' or 'socket', got '%s'\n",
+                     leg.c_str());
+        return 2;
       }
     } else if (arg == "--quiet") {
       opts.quiet = true;
@@ -160,16 +181,6 @@ int main(int argc, char** argv) {
 
   try {
     if (!replay_file.empty()) return replay_mode(replay_file, /*frozen=*/!rerun);
-    if (opts.cases <= 0 || opts.tighten_pct <= 0) {
-      std::fprintf(stderr, "dowork_fuzz: --cases and --tighten must be positive\n");
-      return 2;
-    }
-    if (opts.differential && opts.parallel_diff > 1) {
-      std::fprintf(stderr,
-                   "dowork_fuzz: --differential and --parallel-diff are exclusive "
-                   "(each needs its own oracle leg)\n");
-      return 2;
-    }
     const dowork::fuzz::CampaignResult result = dowork::fuzz::run_campaign(opts);
     if (!json_file.empty()) {
       std::ofstream out(json_file);

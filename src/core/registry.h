@@ -46,7 +46,7 @@ const ProtocolInfo& find_protocol(const std::string& name);
 // parameterized factory (make_proc_param) when set; protocols without one
 // reject a param loudly rather than silently ignoring it.  Every backend
 // builds through here, so run-shared state (make_procs) is the same on the
-// simulator, the round pool, and both live substrates.
+// simulator, the round pool, and the socket substrate's workers.
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg);
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,

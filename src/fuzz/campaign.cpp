@@ -61,6 +61,19 @@ void write_file(const std::filesystem::path& path, const std::string& content) {
   out << content;
 }
 
+// The pool leg's evaluation threads: enough shards that a round's results
+// cross threads, few enough that a 2-core runner with --jobs 2 keeps up.
+constexpr int kPoolDiffThreads = 4;
+
+const char* diff_name(CampaignOptions::Diff diff) {
+  switch (diff) {
+    case CampaignOptions::Diff::kNone: return "none";
+    case CampaignOptions::Diff::kPool: return "pool";
+    case CampaignOptions::Diff::kSocket: return "socket";
+  }
+  return "?";
+}
+
 }  // namespace
 
 CampaignResult run_campaign(const CampaignOptions& opts) {
@@ -71,31 +84,30 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   const std::vector<harness::Scenario> cases = generate_cases(gen, opts.cases);
 
   // One trace slot per case; worker threads write disjoint slots, the
-  // wrapped scenarios are otherwise pure data.  Differential mode flips
-  // every sync case to the two-backend substrate and skips the recorder
-  // (campaign.h); the trace is recovered per-violation below.
+  // wrapped scenarios are otherwise pure data.  In diff mode every sync
+  // case's first run is its live leg; `diffed` marks them, and
+  // serial_traces holds their serial (oracle) legs.
   std::vector<Trace> traces(cases.size());
-  std::vector<bool> flipped(cases.size(), false);
-  // Parallel-diff bookkeeping: which cases run the threaded-vs-serial pair,
-  // plus the serial (oracle) leg's traces.
-  std::vector<bool> pd(cases.size(), false);
+  std::vector<bool> diffed(cases.size(), false);
   std::vector<Trace> serial_traces(cases.size());
   std::vector<harness::Scenario> wrapped;
   wrapped.reserve(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (opts.differential && cases[i].substrate == harness::Substrate::kSync) {
-      harness::Scenario d = cases[i];
-      d.substrate = harness::Substrate::kDifferential;
-      if (opts.differential_socket) d.params["socket"] = 1;
-      wrapped.push_back(std::move(d));
-      flipped[i] = true;
-    } else {
-      wrapped.push_back(with_recording(cases[i], &traces[i]));
-      if (opts.parallel_diff > 1 && cases[i].substrate == harness::Substrate::kSync) {
-        wrapped.back().sim_threads = opts.parallel_diff;
-        pd[i] = true;
-      }
-    }
+    wrapped.push_back(with_recording(cases[i], &traces[i]));
+    if (opts.diff == CampaignOptions::Diff::kNone ||
+        cases[i].substrate != harness::Substrate::kSync)
+      continue;
+    // The pool leg alternates the pool's two modes: even cases shard over
+    // the --sim-threads pool, odd cases run as live rows on the supervised
+    // pool (every round dispatched, one shard per step).  The trace header
+    // was taken above, so it still names the generated case.
+    if (opts.diff == CampaignOptions::Diff::kSocket)
+      wrapped.back().force_backend = harness::Scenario::ForceBackend::kSocket;
+    else if (i % 2 == 0)
+      wrapped.back().sim_threads = kPoolDiffThreads;
+    else
+      wrapped.back().substrate = harness::Substrate::kLive;
+    diffed[i] = true;
   }
 
   harness::ParallelScenarioRunner runner(opts.jobs);
@@ -110,7 +122,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   for (std::size_t i = 0; i < result.rows.size(); ++i)
     fill_outcome(result.rows[i], &traces[i]);
 
-  if (opts.parallel_diff > 1) {
+  if (opts.diff != CampaignOptions::Diff::kNone) {
     // Second pass: the serial oracle legs, recorded.  Same fan-out/slot
     // discipline, so the report stays byte-identical at any --jobs.  The
     // comparison is whole-trace: identical decision streams AND identical
@@ -118,7 +130,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     std::vector<harness::Scenario> oracle;
     std::vector<std::size_t> oracle_idx;
     for (std::size_t i = 0; i < cases.size(); ++i) {
-      if (!pd[i]) continue;
+      if (!diffed[i]) continue;
       oracle.push_back(with_recording(cases[i], &serial_traces[i]));
       oracle_idx.push_back(i);
     }
@@ -130,10 +142,9 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
       if (result.rows[i].ok) {
         const bool outcomes_match = traces[i].outcome == serial_traces[i].outcome;
         result.rows[i].ok = false;
-        result.rows[i].violation =
-            "parallel-diff divergence: sim_threads=" + std::to_string(opts.parallel_diff) +
-            " leg differs from the serial leg (" +
-            (outcomes_match ? "decision streams" : "outcome") + ")";
+        result.rows[i].violation = std::string("diff divergence: ") + diff_name(opts.diff) +
+                                   " leg differs from the serial leg (" +
+                                   (outcomes_match ? "decision streams" : "outcome") + ")";
       }
     }
   }
@@ -147,28 +158,11 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     v.row = result.rows[i];
     ShrinkOptions shrink_opts;
     shrink_opts.tighten_pct = opts.tighten_pct;
-    if (flipped[i]) {
-      // Recover a trace by re-running the simulator leg alone, recorded.
-      // A reproduced failure is not substrate-specific (the oracles judge
-      // the sim leg's metrics either way) and shrinks like any other; a
-      // clean re-run means the two backends diverged, so the case is its
-      // own minimal reproducer and the clean sim-leg trace rides along
-      // for inspection (replaying it succeeds -- the divergence lives
-      // between the backends, not inside either leg).
-      RecordedRun sim = run_recorded(cases[i], "fuzz_diff");
-      v.trace = sim.trace;
-      if (!sim.row.ok) {
-        v.shrunk = shrink(cases[i], shrink_opts);
-      } else {
-        v.shrunk.minimal = cases[i];
-        v.shrunk.row = result.rows[i];
-        v.shrunk.trace = sim.trace;
-      }
-    } else if (pd[i]) {
+    if (diffed[i]) {
       // The serial oracle leg already ran, recorded.  A failure it
-      // reproduces is not a parallelism bug and shrinks normally (the
+      // reproduces is not a backend bug and shrinks normally (the
       // shrinker's candidates replay serial legs); a clean serial leg means
-      // the round pool diverged, so the case is its own minimal reproducer
+      // the live leg diverged, so the case is its own minimal reproducer
       // and the clean serial trace rides along for inspection.
       v.trace = serial_traces[i];
       if (!serial_traces[i].outcome.ok) {
@@ -217,12 +211,9 @@ std::string CampaignResult::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"campaign\": {\"seed\": " << options.seed << ", \"cases\": " << options.cases
-      << ", \"tighten_pct\": " << options.tighten_pct
-      << (options.differential ? ", \"differential\": true" : "")
-      << (options.differential && options.differential_socket
-              ? ", \"differential_socket\": true"
-              : "");
-  if (options.parallel_diff > 1) out << ", \"parallel_diff\": " << options.parallel_diff;
+      << ", \"tighten_pct\": " << options.tighten_pct;
+  if (options.diff != CampaignOptions::Diff::kNone)
+    out << ", \"diff\": \"" << diff_name(options.diff) << "\"";
   out << "},\n";
   out << "  \"summary\": {\"ok\": "
       << rows.size() - violations.size() << ", \"violations\": " << violations.size()
@@ -275,11 +266,8 @@ std::string CampaignResult::summary_table() const {
   std::ostringstream out;
   out << "fuzz campaign: seed " << options.seed << ", " << options.cases << " cases";
   if (options.tighten_pct != 100) out << ", bounds tightened to " << options.tighten_pct << "%";
-  if (options.differential)
-    out << ", differential (sim vs "
-        << (options.differential_socket ? "socket" : "live") << " substrate)";
-  if (options.parallel_diff > 1)
-    out << ", parallel-diff (sim_threads=" << options.parallel_diff << " vs serial)";
+  if (options.diff != CampaignOptions::Diff::kNone)
+    out << ", diff (" << diff_name(options.diff) << " leg vs serial simulator)";
   out << "\n";
   for (const auto& [protocol, ps] : stats)
     out << "  " << protocol << ": " << ps.ok << "/" << ps.cases << " ok\n";

@@ -33,36 +33,28 @@ struct CampaignOptions {
   // execution) and caseNNNNN.shrunk.trace (the minimal reproducer) for
   // every violation.  Created if missing.
   std::string trace_dir;
-  // Run every sync case on BOTH backends -- the simulator and the live
-  // thread substrate (src/substrate/differential.h) -- and fail the case on
-  // any metric divergence, on top of the usual bound/invariant oracles
-  // (which judge the simulator leg's metrics, exactly as in plain mode).
-  // Differential cases cannot carry the decision recorder (one trace cannot
-  // serve two legs), so on violation the simulator leg is re-run alone,
-  // recorded: if it reproduces the failure the case shrinks normally; if it
-  // comes back clean the failure is a genuine substrate divergence, which
-  // is reported unshrunk (the shrinker's candidates replay single legs
-  // only) with a trace of the clean simulator leg attached for inspection.
-  bool differential = false;
-  // With differential: the non-oracle leg is the socket-process substrate
-  // (one worker OS process per protocol process, crashes as real SIGKILLs)
-  // instead of the thread substrate.  Everything else -- oracles, shrink
-  // policy, divergence reporting -- is identical; a socket-leg abort
-  // (watchdog, worker death) surfaces as a divergence like any other
-  // metric mismatch.  Ignored without differential.
-  bool differential_socket = false;
-  // > 1: run every sync case TWICE on the simulator -- once with
-  // round-parallel evaluation (RunOptions::sim_threads = parallel_diff) and
-  // once serial -- and fail the case if the two executions differ in any
-  // recorded decision or outcome field (the serial leg is the oracle; the
-  // round pool promises byte-identity, sim/round_pool.h).  Unlike
-  // --differential both legs are recordable, so the comparison covers the
-  // full decision traces, not just metrics.  A case whose threaded leg
-  // fails an oracle that the serial leg also fails shrinks normally (the
-  // bug is not parallelism); a genuine divergence is reported unshrunk (the
-  // shrinker replays serial legs only) with the serial-leg trace attached.
-  // Mutually exclusive with differential.
-  int parallel_diff = 0;
+  // Oracle-diff mode (dowork_fuzz --diff pool|socket): run every sync case
+  // twice, both runs recorded -- once on a live leg, once serially on the
+  // simulator (the oracle) -- and fail the case if the two executions
+  // differ in any recorded decision or outcome field, on top of the usual
+  // bound/invariant oracles (which judge the live leg's row).
+  //   kPool:   the leg runs on the round pool, which promises byte-identity
+  //            (sim/round_pool.h): even cases shard each round over the
+  //            unsupervised pool (RunOptions::sim_threads), odd cases run
+  //            on the supervised live pool (run_live_do_all, deterministic
+  //            schedule) and report substrate "live".
+  //   kSocket: the leg runs on the socket-process substrate, one worker OS
+  //            process per protocol process with crashes as real SIGKILLs;
+  //            a socket-leg abort (watchdog, worker death) surfaces as an
+  //            outcome divergence.
+  // The decision recorder wraps the injector of the simulator that commits
+  // -- on the socket backend the coordinator's -- so both legs yield whole
+  // traces.  A case whose leg fails an oracle that the serial leg also
+  // fails shrinks normally (the bug is not the backend); a genuine
+  // divergence is reported unshrunk (the shrinker replays serial legs
+  // only) with the serial-leg trace attached.
+  enum class Diff : std::uint8_t { kNone, kPool, kSocket };
+  Diff diff = Diff::kNone;
   // Suppress the progress meter (stderr).
   bool quiet = false;
 };

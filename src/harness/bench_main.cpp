@@ -23,12 +23,11 @@ void print_usage(const char* argv0) {
       "  --jobs N            worker threads (default: hardware concurrency)\n"
       "  --json PATH         write the machine-readable report to PATH ('-' = stdout)\n"
       "  --filter SUBSTR     only run scenarios whose id contains SUBSTR\n"
-      "  --backend WHICH     execution backend for sync scenarios: 'sim' (default),\n"
-      "                      'live' (thread substrate), or 'socket' (one worker OS\n"
-      "                      process per protocol process over localhost sockets);\n"
-      "                      both live backends use the deterministic schedule, so\n"
-      "                      report rows are identical to sim's, with real\n"
-      "                      units/sec under --timing\n"
+      "  --backend WHICH     execution backend for sync scenarios: 'sim' (default)\n"
+      "                      or 'socket' (one worker OS process per protocol\n"
+      "                      process over localhost sockets, deterministic\n"
+      "                      schedule: report rows are identical to sim's, with\n"
+      "                      real units/sec under --timing)\n"
       "  --transport WHICH   socket-backend transport: 'uds' (default) or 'tcp'\n"
       "                      (127.0.0.1); requires --backend socket\n"
       "  --sim-threads N     round-parallel evaluation inside each simulator run\n"
@@ -51,7 +50,7 @@ void list_experiments() {
       if (s.substrate == Substrate::kSync) { any_sync = true; break; }
     // The marker is a trailing column, so `--list | awk '{print $1}'` style
     // scripting keeps seeing the names: experiments with sync scenarios
-    // accept --backend live|socket.
+    // accept --backend socket.
     std::printf("%-20s %-40s %zu scenarios%s\n", e.name.c_str(), e.title.c_str(),
                 scenarios.size(), any_sync ? "  [--backend capable]" : "");
   }
@@ -90,15 +89,19 @@ int bench_main(int argc, char** argv) {
       opt.filter = next();
     } else if (arg == "--backend") {
       const std::string value = next();
-      if (value == "live") {
-        opt.backend = Scenario::ForceBackend::kLive;
-      } else if (value == "socket") {
+      if (value == "socket") {
         opt.backend = Scenario::ForceBackend::kSocket;
       } else if (value == "sim") {
         opt.backend = Scenario::ForceBackend::kNone;
+      } else if (value == "live") {
+        std::fprintf(stderr,
+                     "%s: --backend live was removed; use --sim-threads N, which runs sync "
+                     "scenarios on the in-process round pool with the same report bytes\n",
+                     argv[0]);
+        return 2;
       } else {
-        std::fprintf(stderr, "%s: --backend wants 'sim', 'live' or 'socket', got '%s'\n",
-                     argv[0], value.c_str());
+        std::fprintf(stderr, "%s: --backend wants 'sim' or 'socket', got '%s'\n", argv[0],
+                     value.c_str());
         return 2;
       }
     } else if (arg == "--transport") {
@@ -139,6 +142,13 @@ int bench_main(int argc, char** argv) {
 
   if (opt.transport_tcp && opt.backend != Scenario::ForceBackend::kSocket) {
     std::fprintf(stderr, "%s: --transport requires --backend socket\n", argv[0]);
+    return 2;
+  }
+  if (opt.sim_threads > 1 && opt.backend == Scenario::ForceBackend::kSocket) {
+    std::fprintf(stderr,
+                 "%s: --sim-threads does not apply to --backend socket (it shards "
+                 "simulator runs, and socket rows run on worker processes)\n",
+                 argv[0]);
     return 2;
   }
   if (opt.list_only) {
@@ -209,8 +219,7 @@ int bench_main(int argc, char** argv) {
         }
     if (opt.sim_threads > 1)
       for (Scenario& s : scenarios)
-        if (s.substrate == Substrate::kSync && s.force_backend == Scenario::ForceBackend::kNone)
-          s.sim_threads = opt.sim_threads;
+        if (s.substrate == Substrate::kSync) s.sim_threads = opt.sim_threads;
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ScenarioResult> rows = runner.run(e->name, scenarios);
     const double secs =

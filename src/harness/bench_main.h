@@ -18,12 +18,11 @@ struct BenchOptions {
   bool list_only = false;
   bool quiet = false;   // suppress tables (JSON/e2e timing only)
   bool timing = false;  // include the machine-dependent "timing" JSON key
-  // --backend live|socket: execute every sync scenario on a live substrate
-  // (deterministic barrier schedule) instead of the simulator -- worker
-  // threads for live, worker OS processes over localhost sockets for
-  // socket.  The deterministic report is byte-identical on every backend by
-  // the oracle contract -- CI diffs the JSONs -- and --timing additionally
-  // carries units_per_sec.
+  // --backend socket: execute every sync scenario on worker OS processes
+  // over localhost sockets (deterministic schedule) instead of the
+  // simulator.  The deterministic report is byte-identical on either
+  // backend by the oracle contract -- CI diffs the JSONs -- and --timing
+  // additionally carries units_per_sec.
   Scenario::ForceBackend backend = Scenario::ForceBackend::kNone;
   // --transport tcp: the socket backend speaks TCP over 127.0.0.1 instead
   // of the default Unix-domain sockets.  Only meaningful with
@@ -32,11 +31,12 @@ struct BenchOptions {
   // --sim-threads N: round-parallel evaluation inside each simulator run
   // (RoundPool).  Orthogonal to --jobs (scenarios x threads-within-a-run);
   // byte-identical reports at any value, by the ordered-commit contract.
+  // Rejected with --backend socket, which runs no simulator.
   int sim_threads = 1;
 };
 
 // Parses argv (flags: --experiment NAME[,NAME...], --jobs N, --json PATH,
-// --filter SUBSTR, --backend sim|live|socket, --transport uds|tcp,
+// --filter SUBSTR, --backend sim|socket, --transport uds|tcp,
 // --sim-threads N, --timing, --list, --quiet, --help).  Socket-substrate
 // worker re-executions (substrate::maybe_socket_worker) are intercepted
 // before flag parsing, so the bench binary can serve as its own worker

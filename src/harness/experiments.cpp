@@ -661,14 +661,16 @@ std::vector<Scenario> sim_microbench_scenarios() {
   return out;
 }
 
-// --- differential / live_throughput: the live thread substrate --------------
+// --- differential / live_throughput: the live backends ----------------------
 
 // The simulator as differential oracle (src/substrate/differential.h): the
-// deterministic groups run every case on both backends and fail the row on
-// any metric divergence; the free groups surrender the commit order to the
-// OS scheduler -- no equality oracle exists there, so each row asserts its
-// paper bounds and the verifier instead.  Free rows are nondeterministic by
-// design: keep this family out of byte-identity comparisons.
+// deterministic groups run every case on the simulator and a live backend
+// (det/: the supervised round pool) and fail the row on any metric
+// divergence; the free groups surrender the commit order to the OS
+// scheduler (free/: the pool's free schedule) -- no equality oracle exists
+// there, so each row asserts its paper bounds and the verifier instead.
+// Free rows are nondeterministic by design: keep this family out of
+// byte-identity comparisons.
 std::vector<Scenario> differential_scenarios() {
   std::vector<Scenario> out;
   for (int t : {16, 64}) {
@@ -713,7 +715,7 @@ std::vector<Scenario> differential_scenarios() {
   // protocol process (params["socket"] = 1), so crashes are real SIGKILLs
   // and the barrier crosses a kernel socket.  Group names deliberately use
   // "det-tN"/"free-tN" (no slash after det/free): --filter det/ and
-  // --filter free/ keep selecting the thread rows only, --filter socket/
+  // --filter free/ keep selecting the pool rows only, --filter socket/
   // selects exactly these.
   for (int t : {16, 64}) {
     const std::string ts = "socket/det-t" + std::to_string(t);
@@ -765,10 +767,10 @@ std::vector<Scenario> differential_scenarios() {
   return out;
 }
 
-// Real units/sec on the thread substrate next to the same shapes' simulated
-// rows: sim/live scenario pairs whose deterministic row data is
-// byte-identical (the oracle contract); the live rows additionally carry
-// units_per_sec in the --timing section.
+// Real units/sec on the supervised round pool next to the same shapes'
+// serial simulated rows: sim/live scenario pairs whose deterministic row
+// data is byte-identical (the oracle contract); the live rows additionally
+// carry units_per_sec in the --timing section.
 std::vector<Scenario> live_throughput_scenarios() {
   std::vector<Scenario> out;
   for (int t : {16, 64}) {
@@ -934,16 +936,16 @@ const std::vector<ExperimentInfo>& all_experiments() {
        sim_microbench_scenarios},
       {"differential", "Differential oracle (substrate equivalence)",
        "Identical (protocol, shape, FaultSpec, seed) cases on the simulator and a live "
-       "substrate -- worker threads (det/, free/) and worker OS processes over localhost "
-       "sockets (socket/): metric-for-metric equality under the deterministic barrier "
+       "backend -- the in-process round pool (det/, free/) and worker OS processes over "
+       "localhost sockets (socket/): metric-for-metric equality under the deterministic "
        "schedule (scripted and adaptive adversaries, A/B/C/D at t=16,64, crashes as real "
        "SIGKILLs on the socket legs), and paper bounds + verifier under the free "
        "schedule where the OS scheduler is a real adversary.",
        differential_scenarios},
-      {"live_throughput", "Live substrate throughput (no paper table)",
-       "Real units/sec on the thread substrate beside the same shapes' simulated rows "
-       "(A/B/D, failure-free and cascade): deterministic row data is byte-identical "
-       "across backends; --timing carries wall-clock and units_per_sec.",
+      {"live_throughput", "Live backend throughput (no paper table)",
+       "Real units/sec on the supervised round pool beside the same shapes' serial "
+       "simulated rows (A/B/D, failure-free and cascade): deterministic row data is "
+       "byte-identical across backends; --timing carries wall-clock and units_per_sec.",
        live_throughput_scenarios},
       {"wan_latency", "Network realism: latency (outside the paper's model)",
        "A/B under uniform per-broadcast uplink delay (sync: whole extra rounds; async: "

@@ -77,15 +77,15 @@ RunOptions sync_run_options(const Scenario& s, int rep) {
   opts.net = s.faults.net;
   opts.net.seed += static_cast<std::uint64_t>(rep);
   // Round-parallel evaluation: only the plain simulator path consults this
-  // (the live substrate runs its own executor), so forwarding it
+  // (the live backends run their own executors), so forwarding it
   // unconditionally is safe.
   opts.sim_threads = s.sim_threads;
   return opts;
 }
 
-// Live-substrate knobs the scenario's params can set: the socket backend's
+// Live-backend knobs the scenario's params can set: the socket backend's
 // transport (params["transport_tcp"] = 1 picks TCP over the UDS default).
-// Harmless on the thread backend, which ignores the transport field.
+// Harmless on the pool, which ignores the transport field.
 substrate::LiveOptions scenario_live_options(const Scenario& s) {
   substrate::LiveOptions live;
   if (s.param_or("transport_tcp", 0) == 1) live.transport = substrate::Transport::kTcp;
@@ -96,16 +96,12 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
   switch (s.substrate) {
     case Substrate::kSync: {
       const RunOptions opts = sync_run_options(s, rep);
-      if (s.force_backend != Scenario::ForceBackend::kNone) {
-        // CLI backend override: same protocol, injector and verifier on a
-        // live substrate's deterministic barrier schedule -- row data must
-        // come out byte-identical to the simulator path below, whether the
-        // workers are threads (kLive) or OS processes (kSocket).
-        substrate::LiveRunResult r =
-            s.force_backend == Scenario::ForceBackend::kSocket
-                ? substrate::run_socket_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                               opts, scenario_live_options(s))
-                : substrate::run_live_do_all(s.protocol, s.cfg, make_injector(s, rep), opts);
+      if (s.force_backend == Scenario::ForceBackend::kSocket) {
+        // CLI backend override: same protocol, injector and verifier on
+        // worker OS processes under the deterministic schedule -- row data
+        // must come out byte-identical to the simulator path below.
+        substrate::LiveRunResult r = substrate::run_socket_do_all(
+            s.protocol, s.cfg, make_injector(s, rep), opts, scenario_live_options(s));
         fill_sync_metrics(r.run.metrics, row);
         row.ok = r.run.ok();
         row.violation = r.run.violation;
@@ -122,9 +118,9 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       substrate::LiveOptions live = scenario_live_options(s);
       if (s.param_or("free_sched", 0) == 1)
         live.schedule = substrate::LiveOptions::Schedule::kFree;
-      // params["socket"] = 1 moves the row from worker threads to worker OS
+      // params["socket"] = 1 moves the row from the round pool to worker OS
       // processes; everything else (schedule, kill-point census, verifier)
-      // is substrate-independent.
+      // is backend-independent.
       substrate::LiveRunResult r =
           s.param_or("socket", 0) == 1
               ? substrate::run_socket_do_all(s.protocol, s.cfg, make_injector(s, rep),
@@ -139,23 +135,20 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       // deterministic schedule; free-schedule rows are nondeterministic
       // anyway (that is their point), so the columns are safe either way.
       if (r.run.metrics.crashes) {
-        row.extra.emplace_back("kill_send", std::to_string(r.stats.kills_send_commit));
-        row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills_mid_broadcast));
-        row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills_round_barrier));
+        row.extra.emplace_back("kill_send", std::to_string(r.stats.kills.send_commit));
+        row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills.mid_broadcast));
+        row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills.round_barrier));
       }
       return;
     }
     case Substrate::kDifferential: {
       substrate::DiffOptions opts;
       opts.run = sync_run_options(s, rep);
+      opts.live = scenario_live_options(s);
       // params["socket"] = 1 makes the non-oracle leg the socket-process
-      // substrate instead of the thread substrate; the simulator stays the
+      // substrate instead of the round pool; the simulator stays the
       // oracle either way.
-      if (s.param_or("socket", 0) == 1) {
-        opts.live_backend = substrate::Backend::kSocket;
-        if (s.param_or("transport_tcp", 0) == 1)
-          opts.transport = substrate::Transport::kTcp;
-      }
+      if (s.param_or("socket", 0) == 1) opts.live_backend = substrate::Backend::kSocket;
       substrate::DiffResult d = substrate::run_differential(
           find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); }, opts);
       // The row reports the sim leg's metrics (either leg would do: a

@@ -25,6 +25,16 @@ const Round& never() { return never_round(); }
 
 }  // namespace
 
+void KillCensus::count(ProcState state, KillPoint kp) {
+  if (state != ProcState::kCrashed) return;
+  switch (kp) {
+    case KillPoint::kSendCommit: ++send_commit; break;
+    case KillPoint::kMidBroadcast: ++mid_broadcast; break;
+    case KillPoint::kRoundBarrier: ++round_barrier; break;
+    case KillPoint::kNone: break;
+  }
+}
+
 Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
                      std::unique_ptr<FaultInjector> faults, Options options)
     : procs_(std::move(processes)),
@@ -204,9 +214,10 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
     retire(p, ProcState::kCrashed);
     ++metrics_.crashes;
     if (executor_ != nullptr) {
-      // Classify the kill point for the live backend (simulator.h
-      // documents the taxonomy) so the worker thread actually stops where
-      // the adversary's plan cut the execution.
+      // Classify the kill point for the executor (simulator.h documents
+      // the taxonomy): the socket substrate stops the worker process where
+      // the adversary's plan cut the execution, and every executor counts
+      // it in its KillCensus.
       KillPoint kp = KillPoint::kRoundBarrier;
       if (total > 0) kp = deliver < total ? KillPoint::kMidBroadcast : KillPoint::kSendCommit;
       executor_->on_retire(static_cast<int>(p), ProcState::kCrashed, kp);
@@ -431,7 +442,7 @@ RunMetrics Simulator::run() {
     try {
       step_round(r);
     } catch (AbortRun& abort) {
-      // Structured degradation (the thread substrate's watchdog): record
+      // Structured degradation (an executor's watchdog): record
       // the reason and return normally with partial metrics -- the verifier
       // turns it into a violation, never a hang or a crash.  Executors
       // throw before handing back any step, so the aborted round committed

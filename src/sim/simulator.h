@@ -68,8 +68,8 @@ enum class ProcState : std::uint8_t { kAlive, kCrashed, kTerminated };
 // Thrown by a StepExecutor to end the run with a structured outcome instead
 // of crashing or hanging: Simulator::run catches it, stamps
 // RunMetrics::aborted / aborted_reason, and returns normally (the verifier
-// then reports the reason as the violation).  The thread substrate's
-// watchdog throws it when a worker misses its round deadline.  Executors
+// then reports the reason as the violation).  The live executors'
+// watchdogs throw it when a step misses its round deadline.  Executors
 // may only throw before handing back any evaluated step, so an aborted
 // round commits nothing.
 struct AbortRun {
@@ -80,13 +80,26 @@ struct AbortRun {
   std::string detail;
 };
 
-// How a committed CrashPlan stopped a process, as the live backend
-// classifies its kill points (DESIGN.md "Execution substrates"): a crash
+// How a committed CrashPlan stopped a process, as the live backends
+// classify their kill points (DESIGN.md "Execution substrates"): a crash
 // whose delivery cut stops short of the flattened send sequence is a
 // mid-broadcast kill, a crash that let every send through (or had none to
 // cut on a sending round) is a send-commit kill, and a crash on a round
-// with no sends at all stops the thread at the round barrier.
+// with no sends at all stops the process at the round barrier.
 enum class KillPoint : std::uint8_t { kNone, kSendCommit, kMidBroadcast, kRoundBarrier };
+
+// Crashes by kill point: the census every executor keeps in on_retire.  It
+// is derived from the committed plan, so under the deterministic schedule
+// every backend counts the same numbers for the same case.
+struct KillCensus {
+  std::uint64_t send_commit = 0;
+  std::uint64_t mid_broadcast = 0;
+  std::uint64_t round_barrier = 0;
+
+  // Counts one retirement; terminations (and kNone) count nothing.
+  void count(ProcState state, KillPoint kp);
+  std::uint64_t total() const { return send_commit + mid_broadcast + round_barrier; }
+};
 
 // The evaluation half of one step: runs process p's on_round against the
 // current round's inbox, exactly once, without committing anything.
@@ -106,11 +119,12 @@ class StepEval {
 
 // Executor hook for the round's evaluation phase.  The default (no
 // executor) is the serial in-place path, byte-identical to the historical
-// simulator; the thread substrate (src/substrate/) installs one that fans
-// evaluations out to per-process worker threads.  Commits always run on the
-// simulator's own thread, in the order the executor returns -- ascending
-// process id reproduces the serial interleaving exactly (the equivalence
-// argument lives in DESIGN.md "Execution substrates").
+// simulator; RoundPool (round_pool.h) fans evaluations out to a worker pool
+// and the socket substrate (src/substrate/) to worker OS processes.
+// Commits always run on the simulator's own thread, in the order the
+// executor returns -- ascending process id reproduces the serial
+// interleaving exactly (the equivalence argument lives in DESIGN.md
+// "Execution substrates").
 class StepExecutor {
  public:
   virtual ~StepExecutor() = default;

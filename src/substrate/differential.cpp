@@ -87,11 +87,8 @@ DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
   DiffResult result;
   result.sim = run_do_all(info, cfg, make_injector(), opts.run);
 
-  LiveOptions live;
+  LiveOptions live = opts.live;
   live.schedule = LiveOptions::Schedule::kDeterministic;
-  live.watchdog_ms = opts.watchdog_ms;
-  live.join_grace_ms = opts.join_grace_ms;
-  live.transport = opts.transport;
   result.live = opts.live_backend == Backend::kSocket
                     ? run_socket_do_all(info, cfg, make_injector(), opts.run, live)
                     : run_live_do_all(info, cfg, make_injector(), opts.run, live);

@@ -1,22 +1,20 @@
-// The simulator as differential-testing oracle (the headline of ROADMAP
-// item 4): run the identical (protocol, shape, FaultSpec, seed) case on
-// both execution substrates and compare.
+// The simulator as differential-testing oracle: run the identical
+// (protocol, shape, FaultSpec, seed) case on the simulator and on a live
+// backend and compare.
 //
 // Two modes, matching the two live schedules:
 //
-//   * Deterministic barrier schedule -- the live backend commits in
-//     ascending process id, reproducing the simulator's serial
-//     interleaving, so EVERY deterministic RunMetrics field must match the
-//     sim run field for field (compare_metrics reports the first
-//     divergence).  A mismatch is a bug in one of the substrates, never
-//     acceptable noise.
+//   * Deterministic schedule -- the live backend commits in ascending
+//     process id, reproducing the simulator's serial interleaving, so EVERY
+//     deterministic RunMetrics field must match the sim run field for field
+//     (compare_metrics reports the first divergence).  A mismatch is a bug
+//     in one of the backends, never acceptable noise.
 //   * Free schedule -- commits land in completion order, the OS scheduler
 //     is a real adversary, and metric equality is not expected; callers
 //     assert only the paper bounds (src/harness/bounds.h) and the verifier.
 //
 // run_differential drives the deterministic mode end to end; the harness's
-// `differential` experiment family and dowork_fuzz --differential are built
-// on it.
+// `differential` experiment family is built on it.
 #pragma once
 
 #include <functional>
@@ -30,33 +28,30 @@ namespace dowork::substrate {
 // Field-for-field comparison of two runs' deterministic metrics.  Returns
 // "" when equal, else a human-readable first-divergence description
 // ("messages_total: sim=96 live=94").  Wall-clock and LiveStats fields are
-// substrate-specific and never compared.
+// backend-specific and never compared.
 std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live);
 
 struct DiffOptions {
   RunOptions run;
-  // Watchdog/join settings for the live leg (schedule is forced to
-  // deterministic; that's the mode with an equality oracle).
-  std::uint64_t watchdog_ms = 10'000;
-  std::uint64_t join_grace_ms = 2'000;
-  // Which live substrate supplies the non-oracle leg: worker threads
-  // (default) or worker OS processes over localhost sockets
-  // (socket_substrate.h); transport applies to the latter only.
-  Backend live_backend = Backend::kThread;
-  Transport transport = Transport::kUds;
+  // The live leg's options; its schedule is forced to deterministic, the
+  // mode with an equality oracle.  transport applies to kSocket only.
+  LiveOptions live;
+  // Which live backend supplies the non-oracle leg: the supervised round
+  // pool or worker OS processes over localhost sockets.
+  Backend live_backend = Backend::kPool;
 };
 
 struct DiffResult {
   RunResult sim;        // the oracle leg
-  LiveRunResult live;   // the live-substrate leg (thread or socket)
+  LiveRunResult live;   // the live leg (pool or socket)
   std::string divergence;  // "" = metric-for-metric equal and both legs verified
   bool ok() const { return divergence.empty(); }
 };
 
-// Runs the case on the simulator, then on the thread substrate under the
-// deterministic barrier schedule, and checks: sim leg verifies, live leg
-// verifies, metrics equal.  The injector factory is called once per leg and
-// must produce independent injectors with identical deterministic behavior
+// Runs the case on the simulator, then on the live backend under the
+// deterministic schedule, and checks: sim leg verifies, live leg verifies,
+// metrics equal.  The injector factory is called once per leg and must
+// produce independent injectors with identical deterministic behavior
 // (every FaultSpec::make satisfies this -- specs are pure descriptions and
 // adaptive strategies derive their choices from seed + observed state,
 // which the deterministic schedule makes identical across legs).

@@ -634,16 +634,11 @@ void SocketExecutor::run_steps(StepEval& eval, const Round& round, const std::ve
 void SocketExecutor::on_retire(int proc, ProcState state, KillPoint kp) {
   Conn& c = conns_[static_cast<std::size_t>(proc)];
   c.model_dead = true;
+  stats_.kills.count(state, kp);
   if (state != ProcState::kCrashed) {
     // Voluntary termination: clean shutdown frame; the worker exits 0.
     if (c.fd >= 0 && !c.eof) write_all(c.fd, wire::encode_exit());
     return;
-  }
-  switch (kp) {
-    case KillPoint::kSendCommit: ++stats_.kills_send_commit; break;
-    case KillPoint::kMidBroadcast: ++stats_.kills_mid_broadcast; break;
-    case KillPoint::kRoundBarrier: ++stats_.kills_round_barrier; break;
-    case KillPoint::kNone: break;
   }
   if (kp == KillPoint::kMidBroadcast && c.fd >= 0 && !c.eof) {
     // Tear offsets cycle through the frame header and into the body so the
@@ -701,12 +696,6 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
                                 std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
                                 const LiveOptions& live) {
   cfg.validate();
-  Simulator::Options sim_opts;
-  sim_opts.strict_one_op = info.strict_one_op && opts.enforce_strict;
-  sim_opts.max_stepped_rounds = opts.max_stepped_rounds;
-  sim_opts.n_units = cfg.n;
-  sim_opts.net = opts.net;
-
   SocketExecutor executor(info, cfg, opts.protocol_param, live);
   LiveRunResult result;
   const auto start = Clock::now();
@@ -716,7 +705,7 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
     proxies.reserve(static_cast<std::size_t>(cfg.t));
     for (int p = 0; p < cfg.t; ++p)
       proxies.push_back(std::make_unique<SocketProxyProcess>(&executor, p));
-    Simulator sim(std::move(proxies), std::move(faults), sim_opts);
+    Simulator sim(std::move(proxies), std::move(faults), simulator_options(info, cfg, opts));
     sim.set_step_executor(&executor);
     result.run.metrics = sim.run();
   } catch (AbortRun& abort) {

@@ -1,8 +1,8 @@
 // The socket-process substrate (ROADMAP item 2): the same IProcess protocol
 // objects, each running in its OWN OS PROCESS, speaking the length-prefixed
 // wire format (substrate/wire.h) over localhost Unix-domain or TCP sockets
-// to a coordinator that implements the thread substrate's deterministic
-// round barrier.
+// to a coordinator that implements the simulator's deterministic round
+// barrier across a process boundary.
 //
 // Topology per run: the coordinator keeps the real Simulator + the
 // unmodified FaultSpec/adversary/verifier stack; its process objects are

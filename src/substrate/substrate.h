@@ -1,26 +1,22 @@
-// The execution-substrate abstraction (ROADMAP item 4): the same IProcess
-// protocol objects, runnable on two backends.
+// The live execution backends: the same IProcess protocol objects, run
+// beside the deterministic Simulator (src/sim/) on two executors.
 //
-//   * Backend::kSim    -- the deterministic synchronous Simulator
-//                         (src/sim/), behind a thin adapter.
-//   * Backend::kThread -- the live ThreadSubstrate: one worker thread per
-//                         process over the in-process channel fabric
-//                         (substrate/fabric.h), with real kill-point fault
-//                         injection (a crashed process's thread actually
-//                         stops) and a watchdog supervisor that turns a
-//                         hung worker into a structured abort instead of a
+//   * Backend::kPool   -- run_live_do_all: the in-process RoundPool
+//                         (sim/round_pool.h) under supervision, with the
+//                         free commit schedule and a watchdog that turns a
+//                         hung step into a structured abort instead of a
 //                         hung run.
 //   * Backend::kSocket -- the SocketSubstrate
 //                         (substrate/socket_substrate.h): one worker OS
 //                         process per protocol process over localhost
-//                         UDS/TCP, crash = SIGKILL at the same kill-point
+//                         UDS/TCP, crash = SIGKILL at the kill-point
 //                         taxonomy, process-grade supervision (connect/
 //                         accept/read deadlines, waitpid reaping).
 //
-// All backends drive the identical protocol code, fault injectors and
-// verifier; under the deterministic barrier schedule the live backends'
-// metrics match the simulator's field for field, which is what makes the
-// sim a differential-testing oracle (substrate/differential.h).
+// Both drive the identical protocol code, fault injectors and verifier;
+// under the deterministic schedule their metrics match the simulator's
+// field for field, which is what makes the sim a differential-testing
+// oracle (substrate/differential.h).
 #pragma once
 
 #include <cstdint>
@@ -31,20 +27,19 @@
 
 namespace dowork::substrate {
 
-enum class Backend : std::uint8_t { kSim, kThread, kSocket };
+enum class Backend : std::uint8_t { kPool, kSocket };
 
 // Which localhost transport the socket backend speaks.  UDS is the default
 // (lower per-frame latency, no port allocation); TCP exercises the same
 // framing over a real INET stack (127.0.0.1, TCP_NODELAY).
 enum class Transport : std::uint8_t { kUds, kTcp };
 
-const char* to_string(Backend b);
 const char* to_string(Transport t);
 
 struct LiveOptions {
-  // kDeterministic: the supervisor commits evaluated steps in ascending
-  // process id, reproducing the simulator's serial interleaving exactly --
-  // every metric and adversary decision matches the sim run for run.
+  // kDeterministic: evaluated steps commit in ascending process id,
+  // reproducing the simulator's serial interleaving exactly -- every metric
+  // and adversary decision matches the sim run for run.
   // kFree: steps commit in completion order, so the OS scheduler becomes a
   // real nondeterministic adversary; only the paper bounds and the
   // verifier's invariants are meaningful assertions there.
@@ -56,12 +51,12 @@ struct LiveOptions {
   // aborts it with a structured RunMetrics::aborted_reason.
   std::uint64_t watchdog_ms = 10'000;
 
-  // Teardown grace: how long join-all waits for workers to exit after
-  // cancellation before declaring them leaked (a worker ignoring the
-  // cooperative cancel token; see run_cancelled() in fabric.h).  The socket
-  // backend uses the same budget for its waitpid reap before escalating to
-  // SIGKILL (processes, unlike threads, can always be reaped -- the socket
-  // backend never leaks).
+  // Teardown grace: how long the pool waits for its workers to exit after
+  // cancellation before declaring them leaked (a step ignoring the
+  // cooperative cancel token; see run_cancelled() in sim/round_pool.h).
+  // The socket backend uses the same budget for its waitpid reap before
+  // escalating to SIGKILL (processes, unlike threads, can always be reaped
+  // -- the socket backend never leaks).
   std::uint64_t join_grace_ms = 2'000;
 
   // Socket backend only: transport and the setup deadline covering worker
@@ -70,18 +65,15 @@ struct LiveOptions {
   std::uint64_t spawn_timeout_ms = 10'000;
 };
 
-// What the live backend measured beyond the shared RunMetrics: the first
-// real-hardware throughput numbers (units/sec next to simulated-round
-// metrics), the kill-point census, and the teardown outcome.
+// What a live backend measured beyond the shared RunMetrics: real-hardware
+// throughput (units/sec next to simulated-round metrics), the kill-point
+// census, and the teardown outcome.
 struct LiveStats {
   double wall_seconds = 0;
   double units_per_sec = 0;  // work_total / wall_seconds (0 when no work)
-  // Crashes by kill point (simulator.h documents the taxonomy).
-  std::uint64_t kills_send_commit = 0;
-  std::uint64_t kills_mid_broadcast = 0;
-  std::uint64_t kills_round_barrier = 0;
-  int threads = 0;      // workers spawned (threads or, on kSocket, processes)
-  bool leaked = false;  // join-all gave up on a worker (its run is pinned)
+  KillCensus kills;          // crashes by kill point (simulator.h)
+  int threads = 0;           // pool threads, or worker processes on kSocket
+  bool leaked = false;       // teardown gave up on a worker (its run is pinned)
 };
 
 struct LiveRunResult {
@@ -90,27 +82,14 @@ struct LiveRunResult {
 };
 
 // Live counterpart of run_do_all (core/runner.h): same protocol
-// instantiation (minus run-shared caches -- registry.h documents why),
-// same fault injector and verifier, executed on the thread substrate.
+// instantiation, fault injector and verifier, executed on a supervised
+// RoundPool of max(2, hardware threads) workers.  The pool's thread count
+// is measured, not configured; RunOptions::sim_threads does not apply.
 LiveRunResult run_live_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
                               const LiveOptions& live = {});
 LiveRunResult run_live_do_all(const std::string& protocol, const DoAllConfig& cfg,
                               std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
                               const LiveOptions& live = {});
-
-// Uniform backend interface for callers that select at runtime.  run() has
-// run_do_all's contract on either backend; last_live_stats() reports the
-// most recent live run's stats (zeroes on the sim backend).
-class ISubstrate {
- public:
-  virtual ~ISubstrate() = default;
-  virtual const char* name() const = 0;
-  virtual RunResult run(const ProtocolInfo& info, const DoAllConfig& cfg,
-                        std::unique_ptr<FaultInjector> faults, const RunOptions& opts) = 0;
-  virtual LiveStats last_live_stats() const = 0;
-};
-
-std::unique_ptr<ISubstrate> make_substrate(Backend backend, LiveOptions live = {});
 
 }  // namespace dowork::substrate

@@ -1,8 +1,8 @@
 // The fuzzing subsystem end to end (src/fuzz/): generator determinism and
 // validity, trace round-trip and record/replay bit-identity, campaign
-// determinism across --jobs, and the planted-violation path -- a tightened
-// bound produces a violation whose shrunk reproducer still fails the same
-// way and replays bit-identically.
+// determinism across --jobs, the --diff pool|socket oracle modes, and the
+// planted-violation path -- a tightened bound produces a violation whose
+// shrunk reproducer still fails the same way and replays bit-identically.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +15,7 @@
 #include "fuzz/trace.h"
 #include "harness/bounds.h"
 #include "harness/scenario.h"
+#include "substrate/socket_substrate.h"
 
 namespace dowork::fuzz {
 namespace {
@@ -147,73 +148,75 @@ TEST(FuzzCampaignTest, SmokeCampaignIsCleanAndJobsIndependent) {
   EXPECT_EQ(parallel.to_json(), serial.to_json());
 }
 
-TEST(FuzzCampaignTest, DifferentialModeRunsSyncCasesOnBothBackends) {
-  // --differential flips every sync case to the two-backend substrate; the
-  // oracle contract (src/substrate/differential.h) says the legs agree
-  // metric for metric, so a healthy campaign stays clean and every flipped
-  // row reports the "differential" substrate.
-  CampaignOptions opts;
-  opts.cases = 24;
-  opts.seed = 42;
-  opts.quiet = true;
-  opts.jobs = 2;
-  opts.differential = true;
-  const CampaignResult result = run_campaign(opts);
-  EXPECT_TRUE(result.clean());
-  ASSERT_EQ(result.rows.size(), 24u);
-  int flipped = 0;
-  for (const ScenarioResult& row : result.rows) {
-    EXPECT_TRUE(row.ok) << row.id << ": " << row.violation;
-    if (row.substrate == "differential") ++flipped;
-    else EXPECT_EQ(row.substrate, "async") << row.id;
-  }
-  EXPECT_GT(flipped, 0);
-  EXPECT_NE(result.to_json().find("\"differential\": true"), std::string::npos);
-}
-
-TEST(FuzzCampaignTest, ParallelDiffModeIsCleanAndJobsIndependent) {
-  // --parallel-diff runs every sync case under the round pool and serial,
+TEST(FuzzCampaignTest, PoolDiffModeIsCleanAndJobsIndependent) {
+  // --diff pool runs every sync case under the round pool and serially,
   // comparing whole decision traces; the pool's byte-identity contract
   // (sim/round_pool.h) says a healthy campaign stays clean, and the report
-  // must stay byte-identical across --jobs like every other mode.
+  // must stay byte-identical across --jobs like every other mode.  Odd
+  // cases take the supervised pool, so some rows report substrate "live".
   CampaignOptions opts;
   opts.cases = 40;
   opts.seed = 42;
   opts.quiet = true;
   opts.jobs = 1;
-  opts.parallel_diff = 4;
+  opts.diff = CampaignOptions::Diff::kPool;
   const CampaignResult serial = run_campaign(opts);
   EXPECT_TRUE(serial.clean());
   ASSERT_EQ(serial.rows.size(), 40u);
-  for (const ScenarioResult& row : serial.rows)
+  int supervised = 0;
+  for (const ScenarioResult& row : serial.rows) {
     EXPECT_TRUE(row.ok) << row.id << ": " << row.violation;
-  EXPECT_NE(serial.to_json().find("\"parallel_diff\": 4"), std::string::npos);
+    if (row.substrate == "live") ++supervised;
+  }
+  EXPECT_GT(supervised, 0);
+  EXPECT_NE(serial.to_json().find("\"diff\": \"pool\""), std::string::npos);
 
   opts.jobs = 8;
   const CampaignResult parallel = run_campaign(opts);
   EXPECT_EQ(parallel.to_json(), serial.to_json());
 }
 
-TEST(FuzzCampaignTest, ParallelDiffModeShrinksSeriallyReproducedViolations) {
-  // A tightened bound fails both legs the same way: that is not a
-  // parallelism finding, so the case shrinks through the normal pipeline
-  // (with the serial oracle leg's trace) instead of being reported as a
-  // divergence.
+TEST(FuzzCampaignTest, SocketDiffModeIsClean) {
+  // --diff socket runs every sync case on worker OS processes and serially
+  // on the simulator.  The recorder sits in the coordinator's injector, so
+  // the socket leg yields a whole trace too, and the oracle contract
+  // (src/substrate/differential.h) says it matches the serial one.
+  CampaignOptions opts;
+  opts.cases = 12;
+  opts.seed = 42;
+  opts.quiet = true;
+  opts.jobs = 2;
+  opts.diff = CampaignOptions::Diff::kSocket;
+  const CampaignResult result = run_campaign(opts);
+  EXPECT_TRUE(result.clean());
+  ASSERT_EQ(result.rows.size(), 12u);
+  int sync = 0;
+  for (const ScenarioResult& row : result.rows) {
+    EXPECT_TRUE(row.ok) << row.id << ": " << row.violation;
+    if (row.substrate == "sync") ++sync;
+  }
+  EXPECT_GT(sync, 0);
+  EXPECT_NE(result.to_json().find("\"diff\": \"socket\""), std::string::npos);
+}
+
+// A tightened bound fails both legs the same way: that is not a backend
+// finding, so the case shrinks through the normal pipeline (with the
+// serial oracle leg's trace) instead of being reported as a divergence.
+void expect_serially_reproduced_violations_shrink(CampaignOptions::Diff diff) {
   CampaignOptions opts;
   opts.cases = 24;
   opts.seed = 42;
   opts.tighten_pct = 40;
   opts.quiet = true;
   opts.jobs = 2;
-  opts.parallel_diff = 4;
+  opts.diff = diff;
   const CampaignResult result = run_campaign(opts);
   ASSERT_FALSE(result.clean()) << "40% bounds should plant violations";
   bool checked_one = false;
   for (const CampaignViolation& v : result.violations) {
     if (v.row.substrate != "sync") continue;
     EXPECT_TRUE(is_bound_violation(v.row.violation)) << v.row.violation;
-    EXPECT_EQ(v.row.violation.find("parallel-diff divergence"), std::string::npos)
-        << v.row.violation;
+    EXPECT_EQ(v.row.violation.find("diff divergence"), std::string::npos) << v.row.violation;
     EXPECT_TRUE(is_bound_violation(v.shrunk.row.violation)) << v.shrunk.row.violation;
     const Trace reparsed = Trace::parse(v.trace.to_string());
     EXPECT_EQ(reparsed.substrate, "sync");
@@ -224,32 +227,12 @@ TEST(FuzzCampaignTest, ParallelDiffModeShrinksSeriallyReproducedViolations) {
   EXPECT_TRUE(checked_one) << "no sync-substrate violation in the campaign";
 }
 
-TEST(FuzzCampaignTest, DifferentialModeShrinksSimReproducedViolations) {
-  // A tightened bound fails the differential row on the sim leg's metrics;
-  // the campaign re-runs the simulator alone, reproduces the violation, and
-  // the normal shrink/replay pipeline takes over from there.
-  CampaignOptions opts;
-  opts.cases = 24;
-  opts.seed = 42;
-  opts.tighten_pct = 40;
-  opts.quiet = true;
-  opts.jobs = 2;
-  opts.differential = true;
-  const CampaignResult result = run_campaign(opts);
-  ASSERT_FALSE(result.clean()) << "40% bounds should plant violations";
-  bool checked_one = false;
-  for (const CampaignViolation& v : result.violations) {
-    if (v.row.substrate != "differential") continue;
-    EXPECT_TRUE(is_bound_violation(v.row.violation)) << v.row.violation;
-    EXPECT_TRUE(is_bound_violation(v.shrunk.row.violation)) << v.shrunk.row.violation;
-    // The recovered trace is the sim leg's and replays bit-identically.
-    const Trace reparsed = Trace::parse(v.trace.to_string());
-    EXPECT_EQ(reparsed.substrate, "sync");
-    EXPECT_EQ(outcome_of(replay(reparsed, /*frozen=*/true)), reparsed.outcome);
-    checked_one = true;
-    break;
-  }
-  EXPECT_TRUE(checked_one) << "no differential-substrate violation in the campaign";
+TEST(FuzzCampaignTest, PoolDiffModeShrinksSeriallyReproducedViolations) {
+  expect_serially_reproduced_violations_shrink(CampaignOptions::Diff::kPool);
+}
+
+TEST(FuzzCampaignTest, SocketDiffModeShrinksSeriallyReproducedViolations) {
+  expect_serially_reproduced_violations_shrink(CampaignOptions::Diff::kSocket);
 }
 
 TEST(FuzzShrinkTest, PlantedViolationShrinksAndReplays) {
@@ -295,3 +278,11 @@ TEST(FuzzShrinkTest, ShrinkRejectsAPassingCase) {
 
 }  // namespace
 }  // namespace dowork::fuzz
+
+// Worker re-entry shim: the --diff socket campaigns re-execute this binary
+// as their worker processes, which must run the worker loop, not the suite.
+int main(int argc, char** argv) {
+  if (int code = dowork::substrate::maybe_socket_worker(argc, argv); code >= 0) return code;
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

@@ -5,8 +5,8 @@
 //     (ascending id, whatever thread evaluated what), genuine cross-thread
 //     evaluation (a gated eval that cannot finish until two shards run
 //     concurrently -- also the TSan workout), the inline small-round path,
-//     and the abort contract (first failure in shard order, nothing
-//     appended).
+//     the abort contract (first failure in shard order, nothing appended),
+//     and the supervised pool's free schedule, watchdog and cancel token.
 //   * ParallelSimTest -- the real simulator serial vs --sim-threads {2,4,8}:
 //     metric-for-metric and report-byte equality over fuzz-generator-sampled
 //     (protocol x shape x FaultSpec) cases, and targeted Protocol D runs
@@ -32,6 +32,7 @@
 #include "harness/fault_spec.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
+#include "substrate/substrate.h"
 
 namespace dowork {
 namespace {
@@ -161,6 +162,173 @@ TEST(RoundPoolTest, AbortSurfacesFirstFailureInShardOrderWithNothingAppended) {
   EXPECT_EQ(out.size(), steps.size());
 }
 
+// --- the supervised pool: free schedule and watchdog ------------------------
+
+// Step `sleeper` sleeps before returning; the `wedged` steps block until
+// their worker's run is cancelled (the cooperative contract for stuck
+// protocol code).  Every other step returns at once.
+class SlowEval final : public StepEval {
+ public:
+  Action eval_step(int proc) override {
+    if (proc == sleeper) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    if (wedged.count(proc))
+      while (!run_cancelled()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Action::none();
+  }
+
+  int sleeper = -1;
+  std::set<int> wedged;
+};
+
+std::vector<int> procs_of(const std::vector<StepExecutor::Ready>& out) {
+  std::vector<int> procs;
+  for (const StepExecutor::Ready& r : out) procs.push_back(r.proc);
+  return procs;
+}
+
+TEST(RoundPoolTest, FreeScheduleReturnsInCompletionOrder) {
+  // The smallest supervised pool, two workers: one sleeps on step 0 while
+  // the other claims and finishes every later step, so the free schedule
+  // hands step 0 back last.
+  SlowEval eval;
+  eval.sleeper = 0;
+  const std::vector<int> steps = iota_steps(4);
+  substrate::LiveOptions live;
+  live.schedule = substrate::LiveOptions::Schedule::kFree;
+  RoundPool pool(1, live);
+  EXPECT_EQ(pool.threads(), 2);
+  std::vector<StepExecutor::Ready> out;
+  pool.run_steps(eval, Round{1u}, steps, out);
+  ASSERT_EQ(out.size(), steps.size());
+  EXPECT_EQ(out.back().proc, 0);
+  std::vector<int> sorted = procs_of(out);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, steps);
+}
+
+TEST(RoundPoolTest, DeterministicScheduleKeepsAscendingOrder) {
+  // The same round on a supervised pool with the deterministic schedule:
+  // ascending id whatever the completion order.
+  SlowEval eval;
+  eval.sleeper = 0;
+  const std::vector<int> steps = iota_steps(4);
+  substrate::LiveOptions live;
+  live.schedule = substrate::LiveOptions::Schedule::kDeterministic;
+  RoundPool pool(1, live);
+  std::vector<StepExecutor::Ready> out;
+  pool.run_steps(eval, Round{1u}, steps, out);
+  EXPECT_EQ(procs_of(out), steps);
+}
+
+TEST(RoundPoolTest, WedgedOneStepRoundTripsTheWatchdog) {
+  // A one-step round is still dispatched, so the calling thread keeps the
+  // deadline while the wedged step holds its worker.  The abort names the
+  // proc, appends nothing, and the cancelled worker joins at shutdown.
+  // The stalled worker reads eval and steps until it notices the cancel,
+  // so both are declared before (and outlive) the pool.
+  SlowEval eval;
+  eval.wedged = {5};
+  const std::vector<int> steps = {5};
+  substrate::LiveOptions live;
+  live.watchdog_ms = 100;
+  RoundPool pool(2, live);
+  std::vector<StepExecutor::Ready> out;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    pool.run_steps(eval, Round{7u}, steps, out);
+    FAIL() << "expected the watchdog to abort the round";
+  } catch (const AbortRun& abort) {
+    EXPECT_NE(abort.reason.find("first stalled: proc 5"), std::string::npos) << abort.reason;
+    EXPECT_EQ(abort.detail, "cause=watchdog proc=5 missing=1 round=7 deadline_ms=100");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(pool.shutdown());  // the wedge honored the cancel: no leak
+}
+
+TEST(RoundPoolTest, WatchdogCountsTheStepsAWedgeHoldsBack) {
+  // Two workers claim steps in ascending order: step 0 finishes, steps 1
+  // and 2 wedge both workers, so step 3 is never claimed.  The abort names
+  // the first stalled proc and counts all three unfinished steps.
+  SlowEval eval;
+  eval.wedged = {1, 2};
+  const std::vector<int> steps = iota_steps(4);
+  substrate::LiveOptions live;
+  live.watchdog_ms = 500;
+  RoundPool pool(2, live);
+  std::vector<StepExecutor::Ready> out;
+  try {
+    pool.run_steps(eval, Round{3u}, steps, out);
+    FAIL() << "expected the watchdog to abort the round";
+  } catch (const AbortRun& abort) {
+    EXPECT_EQ(abort.detail, "cause=watchdog proc=1 missing=3 round=3 deadline_ms=500");
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(pool.shutdown());
+}
+
+TEST(RoundPoolTest, SupervisedPoolEvaluatesOffTheCallingThread) {
+  // Unsupervised, a one-step round runs inline; supervised, even that step
+  // goes to a worker so the caller is free to keep the deadline.
+  RecordingEval eval;
+  substrate::LiveOptions live;
+  RoundPool pool(2, live);
+  std::vector<StepExecutor::Ready> out;
+  pool.run_steps(eval, Round{1u}, {3}, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].proc, 3);
+  ASSERT_EQ(eval.threads.size(), 1u);
+  EXPECT_NE(*eval.threads.begin(), std::this_thread::get_id());
+}
+
+TEST(RoundPoolTest, ShutdownReportsALeakWhenAStepIgnoresCancellation) {
+  // The step sleeps past both the deadline and the join grace without
+  // polling run_cancelled(): shutdown must give up on its worker and say
+  // so.  The detached worker still touches the pool, the eval and the step
+  // list, so all three stay pinned (reachable from statics) for the rest
+  // of the process.
+  static SlowEval* const eval = new SlowEval;
+  eval->sleeper = 0;
+  static const std::vector<int>* const steps = new std::vector<int>{0};
+  substrate::LiveOptions live;
+  live.watchdog_ms = 20;
+  live.join_grace_ms = 20;
+  static RoundPool* const pool = new RoundPool(2, live);
+  std::vector<StepExecutor::Ready> out;
+  EXPECT_THROW(pool->run_steps(*eval, Round{1u}, *steps, out), AbortRun);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(pool->shutdown());
+  EXPECT_FALSE(pool->shutdown());  // idempotent
+}
+
+TEST(RoundPoolTest, OnRetireCountsTheKillCensus) {
+  RoundPool pool(1);
+  pool.on_retire(0, ProcState::kCrashed, KillPoint::kSendCommit);
+  pool.on_retire(1, ProcState::kCrashed, KillPoint::kMidBroadcast);
+  pool.on_retire(2, ProcState::kCrashed, KillPoint::kMidBroadcast);
+  pool.on_retire(3, ProcState::kCrashed, KillPoint::kRoundBarrier);
+  pool.on_retire(4, ProcState::kTerminated, KillPoint::kNone);
+  EXPECT_EQ(pool.kills().send_commit, 1u);
+  EXPECT_EQ(pool.kills().mid_broadcast, 2u);
+  EXPECT_EQ(pool.kills().round_barrier, 1u);
+  EXPECT_EQ(pool.kills().total(), 4u);
+}
+
+TEST(RoundPoolTest, RunCancelledFalseOutsideWorkers) {
+  // The main thread (and the serial simulator) never has a token.
+  EXPECT_FALSE(run_cancelled());
+}
+
+TEST(RoundPoolTest, RunCancelledTracksInstalledToken) {
+  CancelToken token;
+  detail::set_cancel_token(&token);
+  EXPECT_FALSE(run_cancelled());
+  token.cancel();
+  EXPECT_TRUE(run_cancelled());
+  detail::set_cancel_token(nullptr);
+  EXPECT_FALSE(run_cancelled());
+}
+
 // --- the real simulator: serial vs sharded, byte for byte -------------------
 
 void expect_metrics_eq(const RunMetrics& a, const RunMetrics& b, const std::string& label) {
@@ -235,8 +403,9 @@ TEST(ParallelSimTest, RandomFaultScheduleIsThreadCountInvariant) {
 // Adaptive adversaries read announced_progress at each commit.  The executor
 // path evaluates the whole round first, so without the held pre-evaluation
 // values the jammer saw later processes' post-step progress and jammed
-// differently.  Minimal reproducer from `dowork_fuzz --seed 2 --cases 5300
-// --parallel-diff 2` (case 5252, run seed 248697620): serial did 8 units of
+// differently.  Minimal reproducer from the seed-2 pool-vs-serial fuzz
+// campaign (now `dowork_fuzz --seed 2 --cases 5300 --diff pool`; case 5252,
+// run seed 248697620): serial did 8 units of
 // work, the pool 12.  Serial, RoundPool(1) and a genuinely sharded
 // RoundPool(2) must agree on every metric and on the whole decision trace.
 TEST(ParallelSimTest, AdaptiveAdversarySeesSerialProgressOnTheExecutorPath) {

@@ -22,7 +22,6 @@
 #include "harness/fault_spec.h"
 #include "substrate/differential.h"
 #include "substrate/socket_substrate.h"
-#include "substrate/thread_substrate.h"
 
 namespace dowork::substrate {
 namespace {
@@ -38,7 +37,7 @@ void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, 
   cfg.t = t;
   DiffOptions opts;
   opts.live_backend = Backend::kSocket;
-  opts.transport = transport;
+  opts.live.transport = transport;
   DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); }, opts);
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string() << " transport " << to_string(transport);
@@ -94,10 +93,10 @@ TEST(SocketSubstrateTest, TcpTransportMatchesToo) {
   expect_socket_differential_ok("B", 64, 8, chunk_cascade(64, 8), Transport::kTcp);
 }
 
-TEST(SocketSubstrateTest, KillPointCensusMatchesThreadSubstrate) {
+TEST(SocketSubstrateTest, KillPointCensusMatchesRoundPool) {
   // The census is plan-derived, so under the deterministic schedule the
-  // socket backend must classify every SIGKILL exactly as the thread
-  // backend classifies its simulated kills -- same case, same counts.
+  // socket backend must classify every SIGKILL exactly as the round pool
+  // classifies its simulated kills -- same case, same counts.
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
@@ -119,17 +118,15 @@ TEST(SocketSubstrateTest, KillPointCensusMatchesThreadSubstrate) {
   std::uint64_t send_commit = 0, mid_broadcast = 0, round_barrier = 0;
   for (const FaultSpec& spec : cases) {
     LiveRunResult sock = run_socket_do_all("B", cfg, spec.make());
-    LiveRunResult thr = run_live_do_all("B", cfg, spec.make());
+    LiveRunResult pool = run_live_do_all("B", cfg, spec.make());
     ASSERT_EQ(sock.run.violation, "") << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_send_commit, thr.stats.kills_send_commit) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_mid_broadcast, thr.stats.kills_mid_broadcast) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills_send_commit + sock.stats.kills_mid_broadcast +
-                  sock.stats.kills_round_barrier,
-              sock.run.metrics.crashes)
-        << spec.to_string();
-    send_commit += sock.stats.kills_send_commit;
-    mid_broadcast += sock.stats.kills_mid_broadcast;
-    round_barrier += sock.stats.kills_round_barrier;
+    EXPECT_EQ(sock.stats.kills.send_commit, pool.stats.kills.send_commit) << spec.to_string();
+    EXPECT_EQ(sock.stats.kills.mid_broadcast, pool.stats.kills.mid_broadcast) << spec.to_string();
+    EXPECT_EQ(sock.stats.kills.round_barrier, pool.stats.kills.round_barrier) << spec.to_string();
+    EXPECT_EQ(sock.stats.kills.total(), sock.run.metrics.crashes) << spec.to_string();
+    send_commit += sock.stats.kills.send_commit;
+    mid_broadcast += sock.stats.kills.mid_broadcast;
+    round_barrier += sock.stats.kills.round_barrier;
   }
   // Between them the cases exercise every kill-point class as a real
   // signal: full SIGKILL, torn-frame SIGKILL, and barrier SIGKILL.
@@ -159,7 +156,7 @@ TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
     opts.live_backend = Backend::kSocket;
     DiffResult d = run_differential("B", c, [&] { return spec.make(); }, opts);
     ASSERT_EQ(d.divergence, "") << "nth=" << nth;
-    saw_mid_broadcast = d.live.stats.kills_mid_broadcast > 0;
+    saw_mid_broadcast = d.live.stats.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
 }

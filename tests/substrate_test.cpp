@@ -1,25 +1,30 @@
-// The live thread substrate against the simulator as differential oracle
-// (src/substrate/): metric-for-metric equality under the deterministic
-// barrier schedule across protocols and adversaries, paper bounds under the
-// free schedule, kill-point accounting, and clean join-all teardown.
+// The supervised round pool (run_live_do_all, src/substrate/substrate.h)
+// against the simulator as differential oracle: metric-for-metric equality
+// under the deterministic schedule across protocols and adversaries, paper
+// bounds under the free schedule, kill-point accounting, and clean join-all
+// teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runner.h"
 #include "harness/bounds.h"
 #include "harness/fault_spec.h"
 #include "substrate/differential.h"
-#include "substrate/thread_substrate.h"
 
 namespace dowork::substrate {
 namespace {
 
 using harness::FaultSpec;
 
-// One differential case: sim leg, live deterministic leg, field-for-field
+// One differential case: sim leg, pool deterministic leg, field-for-field
 // equal metrics and both legs verified.
 void expect_differential_ok(const std::string& protocol, std::int64_t n, int t,
                             const FaultSpec& spec) {
@@ -30,7 +35,7 @@ void expect_differential_ok(const std::string& protocol, std::int64_t n, int t,
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string();
   EXPECT_FALSE(d.live.stats.leaked);
-  EXPECT_EQ(d.live.stats.threads, t);
+  EXPECT_GE(d.live.stats.threads, 2);  // at least two evaluating workers
 }
 
 FaultSpec chunk_cascade(std::int64_t n, int t) {
@@ -86,8 +91,7 @@ TEST(SubstrateTest, KillPointCensusMatchesCrashCount) {
   LiveRunResult r = run_live_do_all("B", cfg, spec.make());
   ASSERT_EQ(r.run.violation, "");
   EXPECT_GT(r.run.metrics.crashes, 0u);
-  EXPECT_EQ(r.stats.kills_send_commit + r.stats.kills_mid_broadcast + r.stats.kills_round_barrier,
-            r.run.metrics.crashes);
+  EXPECT_EQ(r.stats.kills.total(), r.run.metrics.crashes);
   EXPECT_FALSE(r.stats.leaked);
 }
 
@@ -110,9 +114,20 @@ TEST(SubstrateTest, MidBroadcastKillsCutDeliveries) {
     e.plan.deliver_prefix = 1;
     LiveRunResult r = run_live_do_all("B", cfg, FaultSpec::scheduled({e}).make());
     ASSERT_EQ(r.run.violation, "") << "nth=" << nth;
-    saw_mid_broadcast = r.stats.kills_mid_broadcast > 0;
+    saw_mid_broadcast = r.stats.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
+}
+
+TEST(SubstrateTest, PoolThreadCountIsMeasured) {
+  // The live pool sizes itself from the machine, never from a knob: one
+  // worker per hardware thread, and two at the least.
+  DoAllConfig cfg;
+  cfg.n = 64;
+  cfg.t = 8;
+  LiveRunResult r = run_live_do_all("A", cfg, FaultSpec::none().make());
+  ASSERT_EQ(r.run.violation, "");
+  EXPECT_EQ(r.stats.threads, std::max(2, static_cast<int>(std::thread::hardware_concurrency())));
 }
 
 TEST(SubstrateTest, ThroughputIsMeasured) {
@@ -157,34 +172,67 @@ TEST(SubstrateTest, FreeScheduleSatisfiesPaperBounds) {
   expect_free_schedule_within_bounds("D", 64, 8, FaultSpec::cascade(2, 3, 1), 3);
 }
 
-TEST(SubstrateTest, SimSubstrateAdapterMatchesRunDoAll) {
+// Every process retires in round 0; process 0 sleeps first.
+class RetireProcess final : public IProcess {
+ public:
+  explicit RetireProcess(bool slow) : slow_(slow) {}
+  Action on_round(const RoundContext&, const InboxView&) override {
+    if (slow_) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    Action a;
+    a.terminate = true;
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return now; }
+
+ private:
+  bool slow_;
+};
+
+// Never crashes anyone; logs the process of every commit, in commit order.
+class CommitLog final : public FaultInjector {
+ public:
+  explicit CommitLog(std::vector<int>* order) : order_(order) {}
+  std::optional<CrashPlan> inspect(int proc, const Round&, const Action&,
+                                   const SimSnapshot&) override {
+    order_->push_back(proc);
+    return std::nullopt;
+  }
+
+ private:
+  std::vector<int>* order_;
+};
+
+std::vector<int> commit_order(LiveOptions::Schedule schedule) {
+  ProtocolInfo info;
+  info.name = "slow_first_fixture";
+  info.sequential = false;
+  info.strict_one_op = false;
+  info.make_proc = [](const DoAllConfig&, int self) -> std::unique_ptr<IProcess> {
+    return std::make_unique<RetireProcess>(self == 0);
+  };
   DoAllConfig cfg;
-  cfg.n = 64;
-  cfg.t = 8;
-  const FaultSpec spec = chunk_cascade(cfg.n, cfg.t);
-  auto sub = make_substrate(Backend::kSim);
-  EXPECT_STREQ(sub->name(), "sim");
-  RunResult via_adapter = sub->run(find_protocol("B"), cfg, spec.make(), RunOptions{});
-  RunResult direct = run_do_all("B", cfg, spec.make());
-  EXPECT_EQ(compare_metrics(direct.metrics, via_adapter.metrics), "");
-  EXPECT_EQ(sub->last_live_stats().threads, 0);
+  cfg.n = 4;
+  cfg.t = 4;
+  LiveOptions live;
+  live.schedule = schedule;
+  std::vector<int> order;
+  const LiveRunResult r =
+      run_live_do_all(info, cfg, std::make_unique<CommitLog>(&order), RunOptions{}, live);
+  EXPECT_FALSE(r.run.metrics.aborted) << r.run.metrics.aborted_reason;
+  return order;
 }
 
-TEST(SubstrateTest, ThreadSubstrateAdapterReportsLiveStats) {
-  DoAllConfig cfg;
-  cfg.n = 64;
-  cfg.t = 8;
-  auto sub = make_substrate(Backend::kThread);
-  EXPECT_STREQ(sub->name(), "thread");
-  RunResult r = sub->run(find_protocol("B"), cfg, FaultSpec::none().make(), RunOptions{});
-  EXPECT_EQ(r.violation, "");
-  EXPECT_EQ(sub->last_live_stats().threads, 8);
-  EXPECT_GT(sub->last_live_stats().units_per_sec, 0.0);
-}
-
-TEST(SubstrateTest, BackendNames) {
-  EXPECT_STREQ(to_string(Backend::kSim), "sim");
-  EXPECT_STREQ(to_string(Backend::kThread), "thread");
+TEST(SubstrateTest, FreeScheduleCommitsASlowLowIdStepLast) {
+  // The live pool's workers claim one step apiece, so while one sleeps on
+  // process 0 the others commit 1..3: under the free schedule process 0
+  // commits last, under the deterministic one it still commits first.
+  const std::vector<int> ascending = {0, 1, 2, 3};
+  EXPECT_EQ(commit_order(LiveOptions::Schedule::kDeterministic), ascending);
+  std::vector<int> free = commit_order(LiveOptions::Schedule::kFree);
+  ASSERT_EQ(free.size(), ascending.size());
+  EXPECT_EQ(free.back(), 0);
+  std::sort(free.begin(), free.end());
+  EXPECT_EQ(free, ascending);
 }
 
 }  // namespace

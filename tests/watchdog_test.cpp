@@ -1,7 +1,8 @@
-// Watchdog supervision (src/substrate/thread_substrate.cpp): a
-// deliberately-wedged process must produce a structured abort within the
-// round deadline -- never a hung run -- and teardown must join every worker
-// (no thread leak) when the wedge honors cooperative cancellation.
+// Watchdog supervision on the live round pool (run_live_do_all over
+// sim/round_pool.h): a deliberately-wedged process must produce a
+// structured abort within the round deadline -- never a hung run -- and
+// teardown must join every worker (no thread leak) when the wedge honors
+// cooperative cancellation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,8 +10,8 @@
 #include <thread>
 
 #include "harness/fault_spec.h"
-#include "substrate/fabric.h"
-#include "substrate/thread_substrate.h"
+#include "sim/round_pool.h"
+#include "substrate/substrate.h"
 
 namespace dowork::substrate {
 namespace {
@@ -72,12 +73,16 @@ TEST(WatchdogTest, WedgedWorkerAbortsStructurally) {
       << r.run.metrics.aborted_reason;
   EXPECT_NE(r.run.metrics.aborted_reason.find("proc 2"), std::string::npos)
       << r.run.metrics.aborted_reason;
+  EXPECT_EQ(r.run.metrics.abort_detail.rfind("cause=watchdog proc=2 missing=", 0), 0u)
+      << r.run.metrics.abort_detail;
+  EXPECT_NE(r.run.metrics.abort_detail.find(" deadline_ms=200"), std::string::npos)
+      << r.run.metrics.abort_detail;
   EXPECT_NE(r.run.violation.find("aborted"), std::string::npos) << r.run.violation;
 
   // The cooperative wedge honors cancellation: every worker joined, nothing
   // leaked, and the whole run finished well under CTest scale.
   EXPECT_FALSE(r.stats.leaked);
-  EXPECT_EQ(r.stats.threads, 4);
+  EXPECT_GE(r.stats.threads, 2);
   EXPECT_LT(elapsed, std::chrono::seconds(60));
 }
 
