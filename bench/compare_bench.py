@@ -2,50 +2,40 @@
 """Diff two dowork_bench --timing JSON reports row by row.
 
 Usage:
-    bench/compare_bench.py BASELINE.json CURRENT.json [--threshold X] [--timing]
+    bench/compare_bench.py [BASELINE.json] CURRENT.json [--threshold X]
 
-Rows (repetitions) are matched by (experiment, id, rep); per-row wall_ms
-deltas are printed for every row present in both files, followed by the
-group and total deltas.  Rows missing from either side are listed but never
-fail the comparison (the sweep may legitimately grow).
+A report is one dowork_bench document or a JSON array of them.  Each
+document's rows[i] is joined with its timing.rows[i] (the two must agree on
+id and rep), so every repetition carries its experiment, group, protocol,
+wall_ms, units_per_sec (live rows only) and abort state.  Rows are matched
+across the two reports by (experiment, id, rep).
 
-With --threshold X the exit status is 1 when any matched row is more than X
-times slower than its baseline (and at least 1 ms absolute, so sub-ms rows
-cannot trip on scheduler noise).  Without it the script always exits 0.
-CI runs this advisorily against the committed BENCH_scale.json with a
-generous threshold; the numbers are machine-dependent by nature, so treat a
-failure as a prompt to look, not proof of a regression.
+With two reports the script prints, in order:
+  * the matched rows: wall_ms on both sides and, where both sides measured
+    it, units/s;
+  * group, protocol and experiment rollups, summed over the matched rows
+    only -- both sides always sum the same rows, so a filtered CURRENT
+    diffs cleanly against a full-sweep BASELINE;
+  * the rows present on only one side (listed, never a failure: sweeps
+    legitimately grow);
+  * the abort census of CURRENT (below).
+Every ratio reads the same way: greater than 1 is better (baseline /
+current for milliseconds, current / baseline for units/s).
 
-With --timing the comparison switches from per-repetition rows to the
-reports' timing.groups (and timing.per_protocol, when both sides carry it):
-for every group present in both files it prints baseline ms, current ms and
-the speedup ratio (baseline / current, so > 1 is faster).  This is how the
-DESIGN.md perf-trajectory claims are reproduced from two committed
-BENCH_scale.json artifacts.  Per-protocol rollups and totals are compared
-per experiment, for exactly those experiments whose group sets match on
-both sides -- so a multi-experiment baseline array diffs usefully against a
-single-experiment candidate.  --threshold applies to groups in this mode
-(a group is a regression when current > X * baseline and >= 1 ms slower).
+With one report the script prints only that report's abort census: per
+experiment, the rows that ended in a structured abort (a watchdog firing,
+a worker dying, ...), bucketed by the cause= key of their abort_detail
+extra (an abort without one counts as "unknown"), then each aborted row.
+The census needs only the deterministic rows, so a report generated
+without --timing works; CI runs it to triage a failed socket-row step.
 
-With --throughput the comparison reads only the rows carrying a
-units_per_sec field (live-substrate repetitions; src/substrate/) and diffs
-real throughput in its own table -- higher is better, ratio is current /
-baseline.  Simulated rows have no units_per_sec and are ignored here, so a
-baseline that predates the live backend diffs cleanly: its live rows are
-listed as new throughput rows instead of polluting the wall_ms
-added/removed lists.  --threshold in this mode fails rows whose throughput
-dropped by more than X times.
-
-With --aborts the script takes a SINGLE report (no current argument) and
-switches from timing to supervision: it counts, per experiment, the rows
-that ended in a structured abort (a watchdog firing, a live worker dying
-unexpectedly, ...), bucketed by the cause= key of their machine-readable
-abort_detail extra, and lists each aborted row.  Live-substrate rows carry
-abort_detail whenever the run aborted (src/substrate/); pure-simulator
-reports simply count zero.  This mode needs only the deterministic "rows"
-section, so it works on reports generated without --timing.  Exit status is
-0 when no row aborted, 1 otherwise -- CI uses it as the hang-regression
-guard's triage step.
+Exit status is 1 when CURRENT has an aborted row, or, under --threshold X,
+when a matched row is more than X times slower than its baseline and at
+least 1 ms slower (so sub-ms rows cannot trip on scheduler noise), or its
+units/s fell by more than X times.  Otherwise 0.  Timing is machine-
+dependent by nature, so CI runs the diff advisorily against the committed
+BENCH_scale.json: treat a breach as a prompt to look, not proof of a
+regression.
 """
 
 import argparse
@@ -53,286 +43,154 @@ import json
 import sys
 
 
-def load_timing_sections(path):
+def abort_of(row):
+    """(cause, detail) for a row whose run aborted, else None."""
+    detail = row.get("extra", {}).get("abort_detail")
+    violation = row.get("violation", "")
+    if detail is None and not violation.startswith("run aborted:"):
+        return None
+    for pair in (detail or "").split():
+        if pair.startswith("cause="):
+            return pair[len("cause="):], detail
+    return "unknown", detail or violation
+
+
+def load(path, need_timing):
+    """{(experiment, id, rep): row} over every document of one report."""
     with open(path, "rb") as f:
         doc = json.load(f)
-    docs = doc if isinstance(doc, list) else [doc]
-    groups = {}
-    per_protocol = {}
-    totals = {}
-    for d in docs:
-        timing = d.get("timing")
-        if timing is None:
-            sys.exit(f"{path}: no 'timing' section -- generate with --timing")
-        exp = d.get("experiment", "?")
-        totals[exp] = timing.get("total_ms", 0.0)
-        for group, ms in timing.get("groups", {}).items():
-            groups[(exp, group)] = ms
-        for proto, ms in timing.get("per_protocol", {}).items():
-            per_protocol[(exp, proto)] = ms
-    return groups, per_protocol, totals
-
-
-def compare_timing(args):
-    base_groups, base_protos, base_totals = load_timing_sections(args.baseline)
-    cur_groups, cur_protos, cur_totals = load_timing_sections(args.current)
-
-    regressions = []
-
-    def table(title, base, cur):
-        # Groups present in only one artifact are reported as added/removed
-        # rather than failing (or being silently swallowed when nothing
-        # matches): a bench JSON that gains a new experiment family must
-        # still diff cleanly against an old baseline.
-        matched = sorted(set(base) & set(cur))
-        removed = sorted(set(base) - set(cur))
-        added = sorted(set(cur) - set(base))
-        if not matched and not removed and not added:
-            return
-        print(f"-- {title} --")
-        if matched:
-            width = max(len("/".join(k)) for k in matched)
-            print(f"{'key':<{width}}  {'base ms':>10}  {'cur ms':>10}  speedup")
-            for key in matched:
-                b, c = base[key], cur[key]
-                speedup = b / c if c > 0 else float("inf")
-                name = "/".join(key)
-                print(f"{name:<{width}}  {b:>10.2f}  {c:>10.2f}  {speedup:6.2f}x")
-                if (args.threshold is not None and b > 0 and c / b > args.threshold
-                        and c - b >= 1.0):
-                    regressions.append((name, b, c, c / b))
-        for key in removed:
-            print(f"removed (only in baseline): {'/'.join(key)}")
-        for key in added:
-            print(f"added (only in current):    {'/'.join(key)}")
-
-    table("timing.groups", base_groups, cur_groups)
-
-    # Per-protocol sums and totals are only meaningful when both sides timed
-    # the same row set -- a filtered run against a full sweep would print
-    # ratios that are purely the filter.  That judgment is per EXPERIMENT,
-    # not global: a [scale, live_throughput] baseline diffed against a
-    # scale-only candidate must still roll up scale's per_protocol/totals
-    # (live_throughput's absence is already reported as a removed experiment
-    # below), and the missing experiment's disjoint per_protocol keys must
-    # not leak into the rollup as removed protocols.
-    def exp_groups(groups, exp):
-        return {g for e, g in groups if e == exp}
-
-    shared = sorted(set(base_totals) & set(cur_totals))
-    comparable = {e for e in shared
-                  if exp_groups(base_groups, e) == exp_groups(cur_groups, e)}
-    table("timing.per_protocol",
-          {k: v for k, v in base_protos.items() if k[0] in comparable},
-          {k: v for k, v in cur_protos.items() if k[0] in comparable})
-    for exp in shared:
-        if exp in comparable:
-            b, c = base_totals[exp], cur_totals[exp]
-            print(f"total[{exp}]: {b:.1f} ms -> {c:.1f} ms "
-                  f"({b / c if c else float('inf'):.2f}x speedup)")
-        else:
-            print(f"(group sets differ for {exp}: "
-                  "skipping per_protocol/total comparison)")
-    for exp in sorted(set(base_totals) - set(cur_totals)):
-        print(f"experiment removed (only in baseline): {exp}")
-    for exp in sorted(set(cur_totals) - set(base_totals)):
-        print(f"experiment added (only in current):    {exp}")
-
-    if regressions:
-        print(f"\n{len(regressions)} group(s) slower than {args.threshold}x baseline:")
-        for name, b, c, ratio in regressions:
-            print(f"  {name}: {b:.2f} ms -> {c:.2f} ms ({ratio:.2f}x)")
-        return 1
-    return 0
-
-
-def load_throughput(path):
-    """(experiment, id, rep) -> units_per_sec, for rows that carry it."""
-    with open(path, "rb") as f:
-        doc = json.load(f)
-    docs = doc if isinstance(doc, list) else [doc]
     rows = {}
-    for d in docs:
-        timing = d.get("timing")
-        if timing is None:
-            sys.exit(f"{path}: no 'timing' section -- generate with --timing")
+    for d in doc if isinstance(doc, list) else [doc]:
         exp = d.get("experiment", "?")
-        for t in timing.get("rows", []):
-            if "units_per_sec" in t:
-                rows[(exp, t["id"], t.get("rep", 0))] = t["units_per_sec"]
+        det = d.get("rows")
+        if det is None:
+            sys.exit(f"{path}: no 'rows' section -- not a dowork_bench report")
+        timing = (d.get("timing") or {}).get("rows")
+        if timing is None:
+            if need_timing:
+                sys.exit(f"{path}: {exp} has no 'timing' section -- "
+                         "generate with dowork_bench --timing")
+            timing = [{}] * len(det)
+        if len(timing) != len(det):
+            sys.exit(f"{path}: {exp} has {len(det)} rows but "
+                     f"{len(timing)} timing rows")
+        for r, t in zip(det, timing):
+            if t and (t["id"], t["rep"]) != (r["id"], r["rep"]):
+                sys.exit(f"{path}: {exp} timing row {t['id']} rep {t['rep']} "
+                         f"does not match row {r['id']} rep {r['rep']}")
+            rows[(exp, r["id"], r["rep"])] = {
+                "experiment": exp, "group": r["group"], "protocol": r["protocol"],
+                "wall_ms": t.get("wall_ms"), "units_per_sec": t.get("units_per_sec"),
+                "abort": abort_of(r)}
     return rows
 
 
-def compare_throughput(args):
-    base = load_throughput(args.baseline)
-    cur = load_throughput(args.current)
+def better(base, cur):
+    """base / cur: > 1 means cur is smaller (pass rates swapped)."""
+    if cur > 0:
+        return base / cur
+    return 1.0 if base == 0 else float("inf")
 
+
+def name(key):
+    return "/".join(map(str, key))
+
+
+def diff(base, cur, threshold):
+    """Print the matched-row table, rollups and one-sided rows; return the
+    number of threshold breaches."""
     matched = sorted(set(base) & set(cur))
-    retired = sorted(set(base) - set(cur))
-    new = sorted(set(cur) - set(base))
-    if not base and not cur:
-        print("(no units_per_sec rows on either side)")
-        return 0
-
     regressions = []
-    width = max((len("/".join(map(str, k))) for k in matched), default=20)
-    print(f"{'row':<{width}}  {'base u/s':>12}  {'cur u/s':>12}  ratio")
+    if matched:
+        width = max(len(name(k)) for k in matched)
+        print(f"{'row':<{width}}  {'base ms':>10}  {'cur ms':>10}  {'delta':>9}"
+              f"  speedup  [{'base u/s':>12}  {'cur u/s':>12}  speedup]")
     for key in matched:
         b, c = base[key], cur[key]
-        ratio = c / b if b > 0 else float("inf")
-        name = "/".join(map(str, key))
-        print(f"{name:<{width}}  {b:>12.1f}  {c:>12.1f}  {ratio:5.2f}x")
-        if (args.threshold is not None and b > 0
-                and (c == 0 or b / c > args.threshold)):
-            regressions.append((name, b, c))
-    # One-sided rows are expected, not errors: the live backend is newer
-    # than most committed baselines, and sweeps legitimately grow.
-    for key in retired:
-        print(f"throughput row retired (only in baseline): {'/'.join(map(str, key))}")
-    for key in new:
-        print(f"new throughput row (no baseline yet):      {'/'.join(map(str, key))}")
+        bm, cm = b["wall_ms"], c["wall_ms"]
+        line = (f"{name(key):<{width}}  {bm:>10.3f}  {cm:>10.3f}  {cm - bm:>+9.3f}"
+                f"  {better(bm, cm):6.2f}x")
+        slow = threshold is not None and cm > threshold * bm and cm - bm >= 1.0
+        bu, cu = b["units_per_sec"], c["units_per_sec"]
+        if bu is not None and cu is not None:
+            line += f"  [{bu:>12.1f}  {cu:>12.1f}  {better(cu, bu):6.2f}x]"
+            slow = slow or (threshold is not None and bu > threshold * cu)
+        print(line)
+        if slow:
+            regressions.append(line)
+
+    for level, fields in (("group", ("experiment", "group")),
+                          ("protocol", ("experiment", "protocol")),
+                          ("experiment", ("experiment",))):
+        sums = {}
+        for key in matched:
+            k = name(base[key][f] for f in fields)
+            b, c = sums.get(k, (0.0, 0.0))
+            sums[k] = (b + base[key]["wall_ms"], c + cur[key]["wall_ms"])
+        if not sums:
+            continue
+        width = max(len(k) for k in sums)
+        print(f"\n{'per ' + level:<{width}}  {'base ms':>10}  {'cur ms':>10}  speedup")
+        for k, (b, c) in sums.items():
+            print(f"{k:<{width}}  {b:>10.3f}  {c:>10.3f}  {better(b, c):6.2f}x")
+
+    for key in sorted(set(base) - set(cur)):
+        print(f"only in baseline: {name(key)}")
+    for key in sorted(set(cur) - set(base)):
+        print(f"only in current:  {name(key)}")
 
     if regressions:
-        print(f"\n{len(regressions)} row(s) with throughput down more than "
-              f"{args.threshold}x:")
-        for name, b, c in regressions:
-            print(f"  {name}: {b:.1f} u/s -> {c:.1f} u/s")
-        return 1
-    return 0
+        print(f"\n{len(regressions)} row(s) more than {threshold}x slower "
+              "(or lower units/s) than baseline:")
+        for line in regressions:
+            print(f"  {line}")
+    return len(regressions)
 
 
-def list_aborts(path):
-    """Per-experiment abort-row census over one report's deterministic rows."""
-    with open(path, "rb") as f:
-        doc = json.load(f)
-    docs = doc if isinstance(doc, list) else [doc]
-    totals = {}    # experiment -> row count
-    causes = {}    # experiment -> {cause -> count}
-    aborted = []   # (experiment, id, rep, detail)
-    for d in docs:
-        exp = d.get("experiment", "?")
-        rows = d.get("rows")
-        if rows is None:
-            sys.exit(f"{path}: no 'rows' section -- not a dowork_bench report")
-        for r in rows:
-            totals[exp] = totals.get(exp, 0) + 1
-            detail = r.get("extra", {}).get("abort_detail")
-            # abort_detail is authoritative when present; the violation text
-            # catches aborted rows from before the detail column existed.
-            if detail is None and not r.get("violation", "").startswith("run aborted:"):
-                continue
-            cause = "unknown"
-            for pair in (detail or "").split():
-                if pair.startswith("cause="):
-                    cause = pair[len("cause="):]
-                    break
-            causes.setdefault(exp, {})[cause] = causes.get(exp, {}).get(cause, 0) + 1
-            aborted.append((exp, r.get("id", "?"), r.get("rep", 0),
-                            detail or r.get("violation", "")))
+def census(rows):
+    """Print the per-experiment abort census; return the aborted-row count."""
+    totals, causes, aborted = {}, {}, []
+    for key, row in rows.items():
+        exp = key[0]
+        totals[exp] = totals.get(exp, 0) + 1
+        if row["abort"] is None:
+            continue
+        cause, detail = row["abort"]
+        buckets = causes.setdefault(exp, {})
+        buckets[cause] = buckets.get(cause, 0) + 1
+        aborted.append(f"  {exp}/{key[1]} rep {key[2]}: {detail}")
     for exp in sorted(totals):
         buckets = causes.get(exp, {})
-        if not buckets:
-            print(f"{exp}: 0/{totals[exp]} rows aborted")
-            continue
-        summary = ", ".join(f"{cause}={n}" for cause, n in sorted(buckets.items()))
-        print(f"{exp}: {sum(buckets.values())}/{totals[exp]} rows aborted ({summary})")
-    for exp, row_id, rep, detail in aborted:
-        print(f"  {exp}/{row_id} rep {rep}: {detail}")
-    return 1 if aborted else 0
-
-
-def load(path):
-    with open(path, "rb") as f:
-        doc = json.load(f)
-    docs = doc if isinstance(doc, list) else [doc]
-    rows = {}
-    totals = {}
-    for d in docs:
-        timing = d.get("timing")
-        if timing is None:
-            sys.exit(f"{path}: no 'timing' section -- generate with --timing")
-        exp = d.get("experiment", "?")
-        totals[exp] = timing.get("total_ms", 0.0)
-        # wall_ms lives in the timing section, keyed like the rows.
-        for t in timing.get("rows", []):
-            key = (exp, t["id"], t.get("rep", 0))
-            rows[key] = t["wall_ms"]
-        if "rows" not in timing:
-            # Older reports carry only per-group timing; fall back to groups.
-            # A *present but empty* rows list is not the old format -- it is a
-            # run whose filter matched nothing, and inventing group-keyed
-            # pseudo-rows for it would silently compare nothing against the
-            # other side's per-repetition rows.
-            for group, ms in timing.get("groups", {}).items():
-                rows[(exp, group, 0)] = ms
-    return rows, totals
+        summary = ", ".join(f"{c}={n}" for c, n in sorted(buckets.items()))
+        print(f"{exp}: {sum(buckets.values())}/{totals[exp]} rows aborted"
+              + (f" ({summary})" if summary else ""))
+    for line in aborted:
+        print(line)
+    return len(aborted)
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline")
-    ap.add_argument("current", nargs="?", default=None)
-    ap.add_argument("--threshold", type=float, default=None,
-                    help="fail (exit 1) when a row is more than X times slower")
-    ap.add_argument("--aborts", action="store_true",
-                    help="census of structured abort rows in a SINGLE report "
-                         "(no current argument), bucketed by abort_detail cause=")
-    ap.add_argument("--timing", action="store_true",
-                    help="diff timing.groups/per_protocol and print speedup ratios "
-                         "instead of matching per-repetition rows")
-    ap.add_argument("--throughput", action="store_true",
-                    help="diff only the live-substrate units_per_sec rows, in "
-                         "their own table (higher is better)")
+    ap = argparse.ArgumentParser(
+        usage="%(prog)s [BASELINE] CURRENT [--threshold X]",
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("reports", nargs="+", metavar="REPORT", help=argparse.SUPPRESS)
+    ap.add_argument("--threshold", type=float, default=None, metavar="X",
+                    help="exit 1 when a matched row is more than X times slower "
+                         "(and >= 1 ms slower) or its units/s fell more than X times")
     args = ap.parse_args()
+    if len(args.reports) > 2:
+        ap.error("at most two reports: [BASELINE] CURRENT")
 
-    if args.timing and args.throughput:
-        ap.error("--timing and --throughput are mutually exclusive")
-    if args.aborts:
-        if args.timing or args.throughput:
-            ap.error("--aborts is exclusive with --timing/--throughput")
-        if args.current is not None:
-            ap.error("--aborts reads a single report; drop the second argument")
-        return list_aborts(args.baseline)
-    if args.current is None:
-        ap.error("the comparison modes need both BASELINE and CURRENT reports")
-    if args.throughput:
-        return compare_throughput(args)
-    if args.timing:
-        return compare_timing(args)
-
-    base_rows, base_totals = load(args.baseline)
-    cur_rows, cur_totals = load(args.current)
-
-    matched = sorted(set(base_rows) & set(cur_rows))
-    only_base = sorted(set(base_rows) - set(cur_rows))
-    only_cur = sorted(set(cur_rows) - set(base_rows))
-
-    regressions = []
-    width = max((len("/".join(map(str, k))) for k in matched), default=20)
-    print(f"{'row':<{width}}  {'base ms':>10}  {'cur ms':>10}  {'delta':>8}  ratio")
-    for key in matched:
-        b, c = base_rows[key], cur_rows[key]
-        ratio = c / b if b > 0 else float("inf")
-        name = "/".join(map(str, key))
-        print(f"{name:<{width}}  {b:>10.2f}  {c:>10.2f}  {c - b:>+8.2f}  {ratio:5.2f}x")
-        if args.threshold is not None and ratio > args.threshold and c - b >= 1.0:
-            regressions.append((name, b, c, ratio))
-
-    for exp in sorted(set(base_totals) & set(cur_totals)):
-        b, c = base_totals[exp], cur_totals[exp]
-        print(f"total[{exp}]: {b:.1f} ms -> {c:.1f} ms "
-              f"({c / b if b else float('inf'):.2f}x)")
-    for key in only_base:
-        print(f"only in baseline: {'/'.join(map(str, key))}")
-    for key in only_cur:
-        print(f"only in current:  {'/'.join(map(str, key))}")
-
-    if regressions:
-        print(f"\n{len(regressions)} row(s) slower than {args.threshold}x baseline:")
-        for name, b, c, ratio in regressions:
-            print(f"  {name}: {b:.2f} ms -> {c:.2f} ms ({ratio:.2f}x)")
-        return 1
-    return 0
+    failed = 0
+    if len(args.reports) == 2:
+        base = load(args.reports[0], need_timing=True)
+        cur = load(args.reports[1], need_timing=True)
+        failed = diff(base, cur, args.threshold)
+        print()
+    else:
+        cur = load(args.reports[0], need_timing=False)
+    failed += census(cur)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,46 +1,58 @@
 #!/usr/bin/env python3
 """Tests for bench/compare_bench.py (stdlib unittest, no dependencies).
 
-Covers both comparison modes and their edge cases: per-repetition rows with
-and without --threshold (including the 1 ms absolute guard against
-scheduler noise on sub-ms rows), --timing group diffs with added/removed
-groups, the old-format groups fallback, the present-but-empty timing.rows
-case, and the missing-timing-section error.  Run directly or via CTest
+Covers the one mode end to end: the matched-row diff and its --threshold
+(on wall_ms, with the 1 ms absolute guard, and on units/s), one-sided
+rows, multi-document arrays, the rows/timing.rows join, rollups summed
+over matched rows only, the missing-timing error, the abort census (alone
+for one report, after the diff for two), the rejected legacy flags, and a
+self-diff of the committed BENCH_scale.json.  Run directly or via CTest
 (compare_bench_test).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import unittest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "compare_bench.py")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SCRIPT = os.path.join(HERE, "compare_bench.py")
+COMMITTED = os.path.join(HERE, os.pardir, "BENCH_scale.json")
 
 
-def report(experiment, rows=None, groups=None, per_protocol=None, total=0.0,
-           omit_rows=False, omit_timing=False):
-    """One dowork_bench --timing JSON document."""
-    doc = {"experiment": experiment}
-    if omit_timing:
-        return doc
-    timing = {"total_ms": total}
-    if not omit_rows:
-        # Row tuples: (id, rep, wall_ms) or (id, rep, wall_ms, units_per_sec)
-        # -- the 4-tuple form is a live-substrate repetition.
-        timing["rows"] = []
-        for row in (rows or []):
-            entry = {"id": row[0], "rep": row[1], "wall_ms": row[2]}
-            if len(row) > 3:
-                entry["units_per_sec"] = row[3]
-            timing["rows"].append(entry)
-    if groups is not None:
-        timing["groups"] = groups
-    if per_protocol is not None:
-        timing["per_protocol"] = per_protocol
-    doc["timing"] = timing
+def row(row_id, wall_ms, rep=0, ups=None, violation="", extra=None):
+    """One repetition; group and protocol follow the bench's id layout
+    (<group>/<faults>, the group ending in the protocol)."""
+    parts = row_id.split("/")
+    return {"id": row_id, "rep": rep, "group": "/".join(parts[:-1]),
+            "protocol": parts[-2], "violation": violation, "extra": extra or {},
+            "wall_ms": wall_ms, "units_per_sec": ups}
+
+
+def report(experiment, rows, timed=True):
+    """One dowork_bench document, with the --timing section unless timed
+    is False."""
+    keys = ("id", "group", "protocol", "rep", "violation", "extra")
+    doc = {"experiment": experiment, "rows": [{k: r[k] for k in keys} for r in rows]}
+    if timed:
+        timing = []
+        for r in rows:
+            t = {"id": r["id"], "rep": r["rep"], "wall_ms": r["wall_ms"]}
+            if r["units_per_sec"] is not None:
+                t["units_per_sec"] = r["units_per_sec"]
+            timing.append(t)
+        doc["timing"] = {"rows": timing}
     return doc
+
+
+def rollup(stdout, key):
+    """(base ms, cur ms, speedup) of one rollup line."""
+    m = re.search(rf"^{re.escape(key)} +([\d.]+) +([\d.]+) +([\d.]+)x$", stdout, re.M)
+    assert m, f"no rollup line for {key!r} in:\n{stdout}"
+    return tuple(float(g) for g in m.groups())
 
 
 class CompareBenchTest(unittest.TestCase):
@@ -54,322 +66,196 @@ class CompareBenchTest(unittest.TestCase):
             json.dump(doc, f)
         return path
 
-    def run_compare(self, base, cur, *flags):
-        return subprocess.run(
-            [sys.executable, SCRIPT, base, cur, *flags],
-            capture_output=True, text=True)
+    def run_script(self, *args):
+        return subprocess.run([sys.executable, SCRIPT, *args],
+                              capture_output=True, text=True)
 
-    # --- per-repetition row mode -------------------------------------------
+    def diff(self, base_rows, cur_rows, *flags, experiment="scale"):
+        base = self.write("b.json", report(experiment, base_rows))
+        cur = self.write("c.json", report(experiment, cur_rows))
+        return self.run_script(base, cur, *flags)
 
-    def test_matched_rows_within_threshold_pass(self):
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 10.0)], total=10.0))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 12.0)], total=12.0))
-        r = self.run_compare(base, cur, "--threshold", "2.0")
+    # --- two reports: the row diff -----------------------------------------
+
+    def test_matched_rows_print_speedups_and_rollups(self):
+        r = self.diff([row("t=64/A/none", 20.0), row("t=64/B/none", 10.0)],
+                      [row("t=64/A/none", 10.0), row("t=64/B/none", 10.0)],
+                      "--threshold", "2.0")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("t=64/A", r.stdout)
-        self.assertIn("total[scale]", r.stdout)
+        # One convention: > 1 is better, so a row that halved reads 2.00x.
+        self.assertRegex(r.stdout, r"scale/t=64/A/none/0 +20\.000 +10\.000 +-10\.000 +2\.00x")
+        self.assertEqual(rollup(r.stdout, "scale/t=64/A"), (20.0, 10.0, 2.0))
+        self.assertEqual(rollup(r.stdout, "scale/B"), (10.0, 10.0, 1.0))
+        self.assertEqual(rollup(r.stdout, "scale"), (30.0, 20.0, 1.5))
+        self.assertIn("scale: 0/2 rows aborted", r.stdout)
 
     def test_row_regression_fails_threshold(self):
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 10.0)]))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 35.0)]))
-        r = self.run_compare(base, cur, "--threshold", "2.0")
-        self.assertEqual(r.returncode, 1)
-        self.assertIn("slower than 2.0x baseline", r.stdout)
+        r = self.diff([row("t=64/A/none", 10.0)], [row("t=64/A/none", 35.0)],
+                      "--threshold", "2.0")
+        self.assertEqual(r.returncode, 1, r.stdout)
+        self.assertIn("1 row(s) more than 2.0x slower", r.stdout)
 
     def test_sub_millisecond_rows_cannot_trip_threshold(self):
         # 10x slower but the absolute delta is under 1 ms: scheduler noise,
         # not a regression.
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 0.05)]))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 0.5)]))
-        r = self.run_compare(base, cur, "--threshold", "2.0")
+        r = self.diff([row("t=64/A/none", 0.05)], [row("t=64/A/none", 0.5)],
+                      "--threshold", "2.0")
         self.assertEqual(r.returncode, 0, r.stdout)
 
-    def test_without_threshold_always_exits_zero(self):
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 1.0)]))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 100.0)]))
-        r = self.run_compare(base, cur)
+    def test_without_threshold_slow_rows_exit_zero(self):
+        r = self.diff([row("t=64/A/none", 1.0)], [row("t=64/A/none", 100.0)])
         self.assertEqual(r.returncode, 0, r.stdout)
 
-    def test_unmatched_rows_are_listed_but_never_fail(self):
-        base = self.write("b.json", report(
-            "scale", rows=[("t=64/A", 0, 5.0), ("t=64/B", 0, 5.0)]))
-        cur = self.write("c.json", report(
-            "scale", rows=[("t=64/A", 0, 5.0), ("t=128/A", 0, 99.0)]))
-        r = self.run_compare(base, cur, "--threshold", "1.1")
-        self.assertEqual(r.returncode, 0, r.stdout)
-        self.assertIn("only in baseline: scale/t=64/B", r.stdout)
-        self.assertIn("only in current:  scale/t=128/A", r.stdout)
+    def test_units_per_sec_diff_and_threshold(self):
+        base = [row("sim/t=16/A/none", 5.0), row("live/t=16/A/none", 9.0, ups=1000.0)]
+        up = self.diff(base, [row("sim/t=16/A/none", 5.0),
+                              row("live/t=16/A/none", 9.0, ups=2000.0)],
+                       "--threshold", "1.5", experiment="live_throughput")
+        self.assertEqual(up.returncode, 0, up.stdout + up.stderr)
+        self.assertRegex(up.stdout, r"live/t=16/A/none/0 .*1\.00x +\[ +1000\.0 +2000\.0 +2\.00x\]")
+        self.assertNotRegex(up.stdout, r"sim/t=16/A/none/0 .*\[")
+        # Same wall clock, but throughput fell 3x: a breach under 2x.
+        down = self.diff([row("live/t=16/A/none", 9.0, ups=3000.0)],
+                         [row("live/t=16/A/none", 9.0, ups=1000.0)],
+                         "--threshold", "2.0", experiment="live_throughput")
+        self.assertEqual(down.returncode, 1, down.stdout)
+        self.assertIn("(or lower units/s)", down.stdout)
 
-    def test_old_format_without_rows_falls_back_to_groups(self):
-        base = self.write("b.json", report(
-            "scale", omit_rows=True, groups={"t=64": 10.0}))
-        cur = self.write("c.json", report(
-            "scale", omit_rows=True, groups={"t=64": 12.0}))
-        r = self.run_compare(base, cur, "--threshold", "2.0")
+    def test_one_sided_rows_are_listed_but_never_fail(self):
+        r = self.diff([row("t=64/A/none", 5.0), row("t=64/B/none", 5.0)],
+                      [row("t=64/A/none", 5.0), row("t=128/A/none", 99.0)],
+                      "--threshold", "1.1")
+        self.assertEqual(r.returncode, 0, r.stdout)
+        self.assertIn("only in baseline: scale/t=64/B/none/0", r.stdout)
+        self.assertIn("only in current:  scale/t=128/A/none/0", r.stdout)
+
+    def test_list_of_documents_is_accepted(self):
+        docs = [report("scale", [row("t=64/A/none", 1.0)]),
+                report("protocol_a", [row("n=16t/A/none", 2.0)])]
+        base = self.write("b.json", docs)
+        cur = self.write("c.json", docs)
+        r = self.run_script(base, cur, "--threshold", "1.5")
+        self.assertEqual(r.returncode, 0, r.stdout)
+        self.assertEqual(rollup(r.stdout, "protocol_a"), (2.0, 2.0, 1.0))
+        self.assertEqual(rollup(r.stdout, "scale"), (1.0, 1.0, 1.0))
+
+    def test_filtered_current_rolls_up_over_matched_rows_only(self):
+        # A CI step may re-time one row against the committed full sweep:
+        # every rollup must sum the same rows on both sides, not the whole
+        # baseline against the filtered current.
+        base = self.write("b.json", [
+            report("scale", [row("t=64/A/none", 10.0), row("t=64/B/none", 30.0),
+                             row("t=128/A/none", 40.0)]),
+            report("live_throughput", [row("live/t=16/A/none", 5.0, ups=10.0)]),
+        ])
+        cur = self.write("c.json", report("scale", [row("t=64/A/none", 5.0)]))
+        r = self.run_script(base, cur)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("scale/t=64/0", r.stdout)
+        self.assertEqual(rollup(r.stdout, "scale/t=64/A"), (10.0, 5.0, 2.0))
+        self.assertEqual(rollup(r.stdout, "scale/A"), (10.0, 5.0, 2.0))
+        self.assertEqual(rollup(r.stdout, "scale"), (10.0, 5.0, 2.0))
+        self.assertNotRegex(r.stdout, r"^(scale/t=64/B|scale/B|live_throughput) ")
+        self.assertIn("only in baseline: scale/t=128/A/none/0", r.stdout)
+        self.assertIn("only in baseline: live_throughput/live/t=16/A/none/0", r.stdout)
 
-    def test_empty_rows_list_is_not_the_old_format(self):
-        # A run whose filter matched nothing has rows == []; it must not
-        # fabricate group-keyed pseudo-rows that silently compare nothing
-        # against the other side's real per-repetition rows.
-        base = self.write("b.json", report(
-            "scale", rows=[("t=64/A", 0, 5.0)], groups={"t=64": 5.0}))
-        cur = self.write("c.json", report(
-            "scale", rows=[], groups={"t=64": 5.0}))
-        r = self.run_compare(base, cur)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("only in baseline: scale/t=64/A", r.stdout)
-        self.assertNotIn("only in current", r.stdout)
-
-    def test_missing_timing_section_is_an_error(self):
-        base = self.write("b.json", report("scale", omit_timing=True))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 1.0)]))
-        r = self.run_compare(base, cur)
+    def test_missing_timing_on_a_two_report_diff_is_an_error(self):
+        base = self.write("b.json", report("scale", [row("t=64/A/none", 1.0)], timed=False))
+        cur = self.write("c.json", report("scale", [row("t=64/A/none", 1.0)]))
+        r = self.run_script(base, cur)
         self.assertNotEqual(r.returncode, 0)
         self.assertIn("no 'timing' section", r.stderr)
 
-    def test_list_of_documents_is_accepted(self):
-        base = self.write("b.json", [
-            report("scale", rows=[("t=64/A", 0, 1.0)], total=1.0),
-            report("protocol_a", rows=[("n=16t/A", 0, 2.0)], total=2.0),
-        ])
-        cur = self.write("c.json", [
-            report("scale", rows=[("t=64/A", 0, 1.0)], total=1.0),
-            report("protocol_a", rows=[("n=16t/A", 0, 2.0)], total=2.0),
-        ])
-        r = self.run_compare(base, cur, "--threshold", "1.5")
-        self.assertEqual(r.returncode, 0, r.stdout)
-        self.assertIn("total[protocol_a]", r.stdout)
+    def test_timing_rows_must_match_rows_by_id_and_rep(self):
+        doc = report("scale", [row("t=64/A/none", 1.0), row("t=64/B/none", 1.0)])
+        doc["timing"]["rows"].reverse()
+        path = self.write("c.json", doc)
+        r = self.run_script(path, path)
+        self.assertNotEqual(r.returncode, 0)
+        self.assertIn("does not match row t=64/A/none rep 0", r.stderr)
 
-    # --- --timing group mode ------------------------------------------------
+    def test_aborted_row_in_current_fails_the_diff(self):
+        aborted = row("t=64/A/none", 1.0, violation="run aborted: watchdog",
+                      extra={"abort_detail": "cause=watchdog proc=3 round=7"})
+        fails = self.diff([row("t=64/A/none", 1.0)], [aborted])
+        self.assertEqual(fails.returncode, 1, fails.stdout)
+        self.assertIn("scale: 1/1 rows aborted (watchdog=1)", fails.stdout)
+        # An abort that only the baseline had is history, not a failure.
+        passes = self.diff([aborted], [row("t=64/A/none", 1.0)])
+        self.assertEqual(passes.returncode, 0, passes.stdout)
 
-    def test_timing_mode_prints_speedups_and_totals(self):
-        base = self.write("b.json", report(
-            "scale", rows=[], groups={"t=64": 20.0, "t=128": 40.0},
-            per_protocol={"A": 30.0}, total=60.0))
-        cur = self.write("c.json", report(
-            "scale", rows=[], groups={"t=64": 10.0, "t=128": 20.0},
-            per_protocol={"A": 15.0}, total=30.0))
-        r = self.run_compare(base, cur, "--timing")
+    def test_committed_artifact_diffs_cleanly_against_itself(self):
+        r = self.run_script(COMMITTED, COMMITTED, "--threshold", "1.0")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("timing.groups", r.stdout)
-        self.assertIn("2.00x", r.stdout)
-        self.assertIn("timing.per_protocol", r.stdout)
-        self.assertIn("total[scale]: 60.0 ms -> 30.0 ms (2.00x speedup)", r.stdout)
-
-    def test_timing_mode_threshold_regression_fails(self):
-        base = self.write("b.json", report("scale", rows=[], groups={"t=64": 10.0}))
-        cur = self.write("c.json", report("scale", rows=[], groups={"t=64": 50.0}))
-        r = self.run_compare(base, cur, "--timing", "--threshold", "2.0")
-        self.assertEqual(r.returncode, 1, r.stdout)
-        self.assertIn("slower than 2.0x baseline", r.stdout)
-
-    def test_timing_mode_added_and_removed_groups(self):
-        # Group sets differing must report added/removed and skip the
-        # per-protocol/total comparison (the ratios would only measure the
-        # filter), never fail.
-        base = self.write("b.json", report(
-            "scale", rows=[], groups={"t=64": 10.0, "t=128": 20.0},
-            per_protocol={"A": 15.0}, total=30.0))
-        cur = self.write("c.json", report(
-            "scale", rows=[], groups={"t=64": 10.0, "t=256": 40.0},
-            per_protocol={"A": 25.0}, total=50.0))
-        r = self.run_compare(base, cur, "--timing", "--threshold", "1.1")
-        self.assertEqual(r.returncode, 0, r.stdout)
-        self.assertIn("removed (only in baseline): scale/t=128", r.stdout)
-        self.assertIn("added (only in current):    scale/t=256", r.stdout)
-        self.assertIn("skipping per_protocol/total comparison", r.stdout)
-        self.assertNotIn("timing.per_protocol", r.stdout)
-
-    # --- --throughput mode --------------------------------------------------
-
-    def test_throughput_mode_matches_only_units_per_sec_rows(self):
-        # Sim rows (wall_ms only) are invisible to --throughput; live rows
-        # diff by units_per_sec with current/baseline ratio.
-        base = self.write("b.json", report("live_throughput", rows=[
-            ("sim/t=16/A", 0, 5.0), ("live/t=16/A", 0, 9.0, 1000.0)]))
-        cur = self.write("c.json", report("live_throughput", rows=[
-            ("sim/t=16/A", 0, 6.0), ("live/t=16/A", 0, 8.0, 2000.0)]))
-        r = self.run_compare(base, cur, "--throughput")
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("live/t=16/A", r.stdout)
-        self.assertIn("2.00x", r.stdout)
-        self.assertNotIn("sim/t=16/A", r.stdout)
-
-    def test_throughput_mode_lists_new_live_rows_instead_of_added_removed(self):
-        # A baseline that predates the live backend diffs cleanly: the live
-        # rows land in the throughput table as new, and nothing fails.
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 5.0)]))
-        cur = self.write("c.json", report("scale", rows=[
-            ("t=64/A", 0, 5.0), ("live/t=64/A", 0, 9.0, 1234.5)]))
-        r = self.run_compare(base, cur, "--throughput", "--threshold", "1.1")
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("new throughput row (no baseline yet):      scale/live/t=64/A",
-                      r.stdout)
+        with open(COMMITTED) as f:
+            docs = json.load(f)
+        n_rows = sum(len(d["rows"]) for d in docs)
+        ratios = re.findall(r"(\d+\.\d+)x", r.stdout)
+        # Every row, every units/s column and every rollup reads 1.00x.
+        self.assertGreater(len(ratios), n_rows)
+        self.assertEqual(set(ratios), {"1.00"})
         self.assertNotIn("only in", r.stdout)
 
-    def test_throughput_mode_threshold_fails_on_drop(self):
-        base = self.write("b.json", report("live_throughput", rows=[
-            ("live/t=16/A", 0, 9.0, 3000.0)]))
-        cur = self.write("c.json", report("live_throughput", rows=[
-            ("live/t=16/A", 0, 9.0, 1000.0)]))
-        r = self.run_compare(base, cur, "--throughput", "--threshold", "2.0")
-        self.assertEqual(r.returncode, 1, r.stdout)
-        self.assertIn("throughput down more than 2.0x", r.stdout)
+    # --- one report: the abort census --------------------------------------
 
-    def test_throughput_mode_without_any_live_rows(self):
-        base = self.write("b.json", report("scale", rows=[("t=64/A", 0, 5.0)]))
-        cur = self.write("c.json", report("scale", rows=[("t=64/A", 0, 5.0)]))
-        r = self.run_compare(base, cur, "--throughput")
+    def census(self, doc):
+        return self.run_script(self.write("r.json", doc))
+
+    def test_census_of_a_clean_report_exits_zero(self):
+        r = self.census(report("differential", [row("socket/det-t16/A/none", 1.0)],
+                               timed=False))
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("no units_per_sec rows on either side", r.stdout)
+        self.assertEqual(r.stdout, "differential: 0/1 rows aborted\n")
 
-    def test_timing_and_throughput_are_mutually_exclusive(self):
-        base = self.write("b.json", report("scale", rows=[]))
-        cur = self.write("c.json", report("scale", rows=[]))
-        r = self.run_compare(base, cur, "--timing", "--throughput")
-        self.assertNotEqual(r.returncode, 0)
-        self.assertIn("mutually exclusive", r.stderr)
-
-    def test_timing_mode_rolls_up_matching_experiment_from_wider_baseline(self):
-        # The committed baseline may be a [scale, live_throughput] array
-        # while the candidate (e.g. the scale_d_perf CI step) re-times only
-        # scale.  The per_protocol/total rollup must still happen for scale
-        # -- whose group sets match exactly -- instead of being skipped
-        # because live_throughput's groups (and its disjoint per_protocol
-        # keys) make the GLOBAL group sets differ.
-        base = self.write("b.json", [
-            report("scale", rows=[], groups={"t=64": 20.0},
-                   per_protocol={"A": 12.0, "D": 8.0}, total=20.0),
-            report("live_throughput", rows=[], groups={"live": 5.0},
-                   per_protocol={"live/A": 5.0}, total=5.0),
-        ])
-        cur = self.write("c.json", report(
-            "scale", rows=[], groups={"t=64": 10.0},
-            per_protocol={"A": 6.0, "D": 4.0}, total=10.0))
-        r = self.run_compare(base, cur, "--timing")
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("timing.per_protocol", r.stdout)
-        self.assertIn("scale/A", r.stdout)
-        self.assertIn("total[scale]: 20.0 ms -> 10.0 ms (2.00x speedup)",
-                      r.stdout)
-        # The absent experiment is reported once, as removed -- its
-        # per_protocol keys must not surface as removed protocol rows.
-        self.assertIn("experiment removed (only in baseline): live_throughput",
-                      r.stdout)
-        self.assertNotIn("live/A", r.stdout)
-
-    def test_timing_mode_group_set_check_is_per_experiment(self):
-        # Two shared experiments, one timed identically and one filtered
-        # differently: the first rolls up, the second is skipped by name.
-        base = self.write("b.json", [
-            report("scale", rows=[], groups={"t=64": 10.0},
-                   per_protocol={"A": 10.0}, total=10.0),
-            report("wan_latency", rows=[], groups={"p50": 4.0},
-                   per_protocol={"B": 4.0}, total=4.0),
-        ])
-        cur = self.write("c.json", [
-            report("scale", rows=[], groups={"t=64": 5.0},
-                   per_protocol={"A": 5.0}, total=5.0),
-            report("wan_latency", rows=[], groups={"p99": 6.0},
-                   per_protocol={"B": 6.0}, total=6.0),
-        ])
-        r = self.run_compare(base, cur, "--timing")
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("scale/A", r.stdout)
-        self.assertIn("total[scale]", r.stdout)
-        self.assertIn(
-            "(group sets differ for wan_latency: "
-            "skipping per_protocol/total comparison)", r.stdout)
-        self.assertNotIn("total[wan_latency]", r.stdout)
-        self.assertNotIn("wan_latency/B", r.stdout)
-
-    def test_timing_mode_added_experiment_is_reported(self):
-        base = self.write("b.json", [report("scale", rows=[], groups={"t=64": 1.0})])
-        cur = self.write("c.json", [
-            report("scale", rows=[], groups={"t=64": 1.0}),
-            report("wan_latency", rows=[], groups={"p2p": 2.0}),
-        ])
-        r = self.run_compare(base, cur, "--timing")
-        self.assertEqual(r.returncode, 0, r.stdout)
-        self.assertIn("experiment added (only in current):    wan_latency", r.stdout)
-
-    # --- abort census mode -------------------------------------------------
-
-    def run_aborts(self, path, *flags):
-        return subprocess.run(
-            [sys.executable, SCRIPT, path, "--aborts", *flags],
-            capture_output=True, text=True)
-
-    @staticmethod
-    def deterministic_report(experiment, rows):
-        """A report with only the deterministic 'rows' section (no --timing):
-        rows is a list of (id, rep, violation, extra) tuples."""
-        return {"experiment": experiment,
-                "rows": [{"id": i, "rep": rep, "violation": v, "extra": extra}
-                         for i, rep, v, extra in rows]}
-
-    def test_aborts_clean_report_exits_zero(self):
-        path = self.write("r.json", self.deterministic_report(
-            "differential", [("socket/det-t16/A", 0, "", {})]))
-        r = self.run_aborts(path)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("differential: 0/1 rows aborted", r.stdout)
-
-    def test_aborts_buckets_by_cause_and_exits_one(self):
-        path = self.write("r.json", self.deterministic_report("differential", [
-            ("socket/det-t16/A", 0, "run aborted: worker hang",
-             {"abort_detail": "cause=watchdog proc=3 round=7"}),
-            ("socket/det-t16/B", 0, "run aborted: worker hang",
-             {"abort_detail": "cause=watchdog proc=1 round=2"}),
-            ("socket/det-t16/C", 0, "run aborted: worker 4 exited",
-             {"abort_detail": "cause=worker-eof pid=123 round=5"}),
-            ("socket/det-t16/D", 0, "", {}),
-        ]))
-        r = self.run_aborts(path)
+    def test_census_buckets_by_cause_and_exits_one(self):
+        r = self.census(report("differential", [
+            row("socket/det-t16/A/none", 1.0, violation="run aborted: worker hang",
+                extra={"abort_detail": "cause=watchdog proc=3 round=7"}),
+            row("socket/det-t16/B/none", 1.0, violation="run aborted: worker hang",
+                extra={"abort_detail": "cause=watchdog proc=1 round=2"}),
+            row("socket/det-t16/C/none", 1.0, violation="run aborted: worker 4 exited",
+                extra={"abort_detail": "cause=worker-eof pid=123 round=5"}),
+            # Rows without the abort_detail column still carry the "run
+            # aborted:" violation prefix; they bucket as unknown.
+            row("socket/det-t16/D/none", 1.0, violation="run aborted: watchdog"),
+            row("socket/det-t16/E/none", 1.0),
+        ], timed=False))
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("differential: 3/4 rows aborted "
-                      "(watchdog=2, worker-eof=1)", r.stdout)
-        self.assertIn("differential/socket/det-t16/A rep 0: "
+        self.assertIn("differential: 4/5 rows aborted "
+                      "(unknown=1, watchdog=2, worker-eof=1)", r.stdout)
+        self.assertIn("differential/socket/det-t16/A/none rep 0: "
                       "cause=watchdog proc=3 round=7", r.stdout)
+        self.assertIn("differential/socket/det-t16/D/none rep 0: "
+                      "run aborted: watchdog", r.stdout)
 
-    def test_aborts_detail_free_abort_rows_count_as_unknown(self):
-        # Rows from before the abort_detail column existed still carry the
-        # "run aborted:" violation prefix; they bucket as unknown.
-        path = self.write("r.json", self.deterministic_report(
-            "live_throughput",
-            [("live/t=16/A", 1, "run aborted: watchdog", {})]))
-        r = self.run_aborts(path)
-        self.assertEqual(r.returncode, 1)
-        self.assertIn("live_throughput: 1/1 rows aborted (unknown=1)", r.stdout)
-
-    def test_aborts_accepts_multi_experiment_arrays(self):
-        path = self.write("r.json", [
-            self.deterministic_report("smoke", [("sync/A", 0, "", {})]),
-            self.deterministic_report("differential", [
-                ("socket/det-t16/A", 0, "run aborted: spawn",
-                 {"abort_detail": "cause=spawn proc=2 errno=11"})]),
+    def test_census_accepts_multi_experiment_arrays(self):
+        r = self.census([
+            report("smoke", [row("sync/A/none", 1.0)]),
+            report("differential", [row("socket/det-t16/A/none", 1.0,
+                                        violation="run aborted: spawn",
+                                        extra={"abort_detail": "cause=spawn proc=2"})]),
         ])
-        r = self.run_aborts(path)
         self.assertEqual(r.returncode, 1)
         self.assertIn("smoke: 0/1 rows aborted", r.stdout)
         self.assertIn("differential: 1/1 rows aborted (spawn=1)", r.stdout)
 
-    def test_aborts_rejects_a_second_report(self):
-        path = self.write("r.json", self.deterministic_report("smoke", []))
-        other = self.write("o.json", self.deterministic_report("smoke", []))
-        r = subprocess.run([sys.executable, SCRIPT, path, other, "--aborts"],
-                           capture_output=True, text=True)
-        self.assertNotEqual(r.returncode, 0)
-        self.assertIn("single report", r.stderr)
+    # --- command line -------------------------------------------------------
 
-    def test_comparison_modes_still_require_both_reports(self):
-        path = self.write("r.json", self.deterministic_report("smoke", []))
-        r = subprocess.run([sys.executable, SCRIPT, path],
-                           capture_output=True, text=True)
-        self.assertNotEqual(r.returncode, 0)
-        self.assertIn("BASELINE and CURRENT", r.stderr)
+    def test_help_lists_only_threshold_and_legacy_flags_are_rejected(self):
+        r = self.run_script("--help")
+        self.assertEqual(r.returncode, 0)
+        options = r.stdout.split("options:")[-1]
+        self.assertEqual(set(re.findall(r"--[a-z-]+", options)), {"--help", "--threshold"})
+        path = self.write("r.json", report("smoke", []))
+        for flag in ("--timing", "--throughput", "--aborts"):
+            bad = self.run_script(path, path, flag)
+            self.assertEqual(bad.returncode, 2, flag)
+            self.assertIn("unrecognized arguments", bad.stderr)
+
+    def test_more_than_two_reports_is_an_error(self):
+        path = self.write("r.json", report("smoke", []))
+        r = self.run_script(path, path, path)
+        self.assertEqual(r.returncode, 2)
+        self.assertIn("at most two reports", r.stderr)
 
 
 if __name__ == "__main__":

@@ -257,48 +257,17 @@ std::string to_json(const std::string& experiment, const std::vector<ScenarioRes
   out += ']';
   if (include_timing) {
     // Machine-dependent by design; excluded from the determinism contract
-    // (see report.h).  Groups are keyed, not positional, so consumers can
-    // join on the aggregates; the per-repetition rows are what
-    // bench/compare_bench.py matches across two reports to print wall_ms
-    // deltas (the tracked perf trajectory seeded by BENCH_scale.json).
-    double total = 0;
-    for (const ScenarioResult& r : rows) total += r.wall_ms;
-    out += ",\"timing\":{\"total_ms\":" + format_ms(total) + ",\"groups\":{";
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (i) out += ',';
-      out += '"' + json_escape(groups[i].group) + "\":" + format_ms(groups[i].wall_ms);
-    }
-    // Per-protocol rollup (first-occurrence order): total_ms alone misleads
-    // across sweeps whose protocol mix varies by tier -- the scale family
-    // drops C_batch past t = 256 (its n + t <= 440 deadline cap), so a
-    // cross-tier total silently compares different protocol sets.  Summing
-    // per protocol gives comparable curves.
-    std::vector<std::pair<std::string, double>> per_protocol;
-    for (const ScenarioResult& r : rows) {
-      bool found = false;
-      for (auto& [proto, ms] : per_protocol)
-        if (proto == r.protocol) {
-          ms += r.wall_ms;
-          found = true;
-          break;
-        }
-      if (!found) per_protocol.emplace_back(r.protocol, r.wall_ms);
-    }
-    out += "},\"per_protocol\":{";
-    for (std::size_t i = 0; i < per_protocol.size(); ++i) {
-      if (i) out += ',';
-      out += '"' + json_escape(per_protocol[i].first) + "\":" + format_ms(per_protocol[i].second);
-    }
-    out += "},\"rows\":[";
+    // (see report.h).  Positional: timing.rows[i] is rows[i]'s wall clock,
+    // carrying its id and rep so bench/compare_bench.py can check the join.
+    // Every rollup (group, protocol, experiment) is derived there.
+    out += ",\"timing\":{\"rows\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (i) out += ',';
       out += "{\"id\":\"" + json_escape(rows[i].id) +
              "\",\"rep\":" + std::to_string(rows[i].rep) +
              ",\"wall_ms\":" + format_ms(rows[i].wall_ms);
       // Live-substrate repetitions additionally report real throughput
-      // (work units per wall-clock second, measured by src/substrate/);
-      // bench/compare_bench.py --timing diffs these in their own
-      // throughput table so live rows never pollute the wall_ms deltas.
+      // (work units per wall-clock second, measured by src/substrate/).
       if (rows[i].units_per_sec > 0)
         out += ",\"units_per_sec\":" + format_ms(rows[i].units_per_sec);
       out += '}';

@@ -21,7 +21,7 @@ struct GroupAggregate {
   std::int64_t n = 0;
   int t = 0;
   MetricsAggregate metrics;
-  double wall_ms = 0;  // summed over the group's rows; tables/timing only
+  double wall_ms = 0;  // summed over the group's rows; the table's ms column
   // Extra columns, reduced across the group's rows: the union of keys in
   // first-occurrence order; numeric/round-formatted values reduce to their
   // max, yes/NO flags to NO-if-any-NO, anything else must agree ("mixed"
@@ -39,12 +39,11 @@ std::string render_table(const std::vector<GroupAggregate>& groups);
 // Deterministic JSON document: {"experiment", "rows": [...], "aggregates":
 // [...]} with no timestamps or machine-dependent fields, so --jobs 1 and
 // --jobs N produce byte-identical output.  With include_timing, a trailing
-// "timing" key is appended ({"total_ms", "groups": {group: ms},
-// "per_protocol": {protocol: ms}, "rows": [{id, rep, wall_ms}]}) -- the one
-// machine-dependent section, used for perf artifacts like BENCH_scale.json;
-// CI's determinism diff runs without it and stays byte-exact.  per_protocol
-// sums wall_ms by protocol so cross-tier comparisons survive sweeps whose
-// protocol mix varies by tier (the scale family drops C_batch past t=256).
+// "timing" key is appended ({"rows": [{id, rep, wall_ms[, units_per_sec]}]},
+// timing.rows[i] measuring rows[i]) -- the one machine-dependent section,
+// used for perf artifacts like BENCH_scale.json; CI's determinism diff runs
+// without it and stays byte-exact.  Group, protocol and experiment sums are
+// not emitted: bench/compare_bench.py derives them from the rows.
 std::string to_json(const std::string& experiment, const std::vector<ScenarioResult>& rows,
                     bool include_timing = false);
 

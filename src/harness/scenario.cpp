@@ -53,7 +53,7 @@ void fill_sync_metrics(const RunMetrics& m, ScenarioResult& row) {
   if (m.net_delayed) row.extra.emplace_back("net_delayed", std::to_string(m.net_delayed));
   // Aborted runs (watchdog fires, worker process dies unexpectedly, ...)
   // carry the machine-readable "key=value ..." detail string so tooling
-  // (compare_bench.py --aborts) can bucket them by cause without parsing
+  // (compare_bench.py's abort census) can bucket them by cause without parsing
   // prose.  Absent on every healthy row.
   if (m.aborted && !m.abort_detail.empty())
     row.extra.emplace_back("abort_detail", m.abort_detail);

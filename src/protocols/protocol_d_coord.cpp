@@ -149,7 +149,6 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     tn_.set(static_cast<std::size_t>(self_));
     resume_at_ = agr_entry_ + Round{kResumeAt};
     responded_ = false;
-    in_fallback_ = false;
     iter_ = 0;
     if (coordinator() == self_) {
       phase_kind_ = PhaseKind::kAgrCoord;
@@ -191,7 +190,6 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
       // No final view: the coordinator must have died.  Fall back to the
       // broadcast agreement (grace 2 so listening adopters can answer).
       phase_kind_ = PhaseKind::kAgrFallback;
-      in_fallback_ = true;
       u_ = t_alive_;
       sn_ = s_;
       tn_ = DynBitset(static_cast<std::size_t>(t_));

@@ -68,11 +68,8 @@ class ProtocolDCoordProcess final : public IProcess {
   // for the same O(t)-no-allocation reason as in protocol_d.h.
   std::vector<std::shared_ptr<const AgreeMsg>> seen_;
   Round agr_entry_;        // R
-  bool report_sent_ = false;
-  bool final_broadcast_ = false;
   bool responded_ = false;
   int iter_ = 0;           // fallback iteration counter
-  bool in_fallback_ = false;
   Round resume_at_;        // next work-phase entry round
 
   std::unique_ptr<ProtocolAProcess> revert_;

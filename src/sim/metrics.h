@@ -63,7 +63,7 @@ struct RunMetrics {
   // Machine-readable companion to aborted_reason: space-separated
   // "key=value" pairs (cause=..., plus whatever the substrate knows --
   // stalled proc, killed pid, last round reached, socket errno) so fuzz
-  // reports and compare_bench.py --aborts can bucket abort causes without
+  // reports and compare_bench.py's abort census can bucket causes without
   // parsing prose.  Empty when the run was not aborted.
   std::string abort_detail;
 

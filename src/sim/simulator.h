@@ -76,7 +76,7 @@ struct AbortRun {
   std::string reason;
   // Machine-readable "key=value ..." companion, copied to
   // RunMetrics::abort_detail (may be empty).  By convention the first pair
-  // is cause=<bucket>; compare_bench.py --aborts groups on it.
+  // is cause=<bucket>; compare_bench.py's abort census groups on it.
   std::string detail;
 };
 

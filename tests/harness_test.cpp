@@ -353,8 +353,35 @@ TEST(Report, TimingSectionIsOptInAndRowsStayClean) {
   EXPECT_EQ(plain.find("ms"), std::string::npos);
   // ...and the opt-in form only APPENDS the timing section: the
   // deterministic prefix is byte-identical.
-  ASSERT_NE(timed.find("\"timing\":{\"total_ms\":"), std::string::npos);
-  EXPECT_EQ(timed.compare(0, plain.size() - 2, plain, 0, plain.size() - 2), 0);
+  const std::string prefix = plain.substr(0, plain.size() - 1);  // drop the closing '}'
+  ASSERT_EQ(timed.compare(0, prefix.size(), prefix), 0);
+  // The section is per-row measurements and nothing else:
+  // {"rows":[{"id","rep","wall_ms"[,"units_per_sec"]}...]}, timing.rows[i]
+  // carrying rows[i]'s id and rep -- the positional join
+  // bench/compare_bench.py checks before deriving every rollup.
+  const auto is_decimal = [](const std::string& s) {
+    return !s.empty() && s.find_first_not_of("0123456789.") == std::string::npos;
+  };
+  const std::string section = timed.substr(prefix.size());
+  const std::string open = ",\"timing\":{\"rows\":[";
+  ASSERT_EQ(section.compare(0, open.size(), open), 0) << section;
+  std::size_t pos = open.size();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string head = std::string(i ? "," : "") + "{\"id\":\"" +
+                             json_escape(rows[i].id) + "\",\"rep\":" +
+                             std::to_string(rows[i].rep) + ",\"wall_ms\":";
+    ASSERT_EQ(section.compare(pos, head.size(), head), 0) << "timing row " << i;
+    const std::size_t close = section.find('}', pos + head.size());
+    ASSERT_NE(close, std::string::npos);
+    const std::string fields = section.substr(pos + head.size(), close - pos - head.size());
+    const std::string ups = ",\"units_per_sec\":";
+    const std::size_t split = fields.find(ups);
+    EXPECT_TRUE(is_decimal(fields.substr(0, split)) &&
+                (split == std::string::npos || is_decimal(fields.substr(split + ups.size()))))
+        << "unexpected timing fields in row " << i << ": " << fields;
+    pos = close + 1;
+  }
+  EXPECT_EQ(section.substr(pos), "]}}");
 }
 
 // --- golden JSON: the simulator optimisations must be unobservable ----------
