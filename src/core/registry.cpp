@@ -72,7 +72,7 @@ const std::vector<ProtocolInfo>& all_protocols() {
         },
         .make_proc_param = {},
         // The run's t processes share one agreement merge cache (a pure
-        // memoization of the round's collective view fold -- protocol_d.h
+        // memoization of each round's ledger read -- protocol_d.h
         // documents why results are bit-identical with and without it).
         .make_procs = [](const DoAllConfig& cfg) {
           auto cache = std::make_shared<AgreeMergeCache>();

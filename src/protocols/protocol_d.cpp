@@ -4,40 +4,64 @@
 
 namespace dowork {
 
-bool AgreeMergeCache::fold(int self, const Round& round, int phase,
-                           const std::vector<const AgreeMsg*>& seen, const AgreeMsg* own,
-                           DynBitset& sn, DynBitset& tn) {
-  const std::size_t me = static_cast<std::size_t>(self);
-  if (seen[me] != nullptr) return false;  // never hears itself
-  std::shared_ptr<const Fold> shared;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!current_ || current_->round != round) {
-      // First requester of the round: its seen-set, with its own message in
-      // its own slot, becomes the round's table.
-      auto built = std::make_shared<Fold>();
-      built->round = round;
-      built->phase = phase;
-      built->msgs = seen;
-      built->msgs[me] = own;
-      built->sn = DynBitset(sn.size(), true);  // AND identity
-      built->tn = DynBitset(tn.size());        // OR identity
-      for (const AgreeMsg* m : built->msgs) {
-        if (!m) continue;
-        built->sn &= m->s_left;
-        built->tn |= m->t_alive;
-      }
-      current_ = std::move(built);
+std::shared_ptr<const AgreeMergeCache::Index> AgreeMergeCache::index(
+    const Round& round, const std::vector<DeliveryRecord>& records, int t) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (current_ && current_->round == round && current_->records == &records) return current_;
+  auto idx = std::make_shared<Index>();
+  idx->round = round;
+  idx->records = &records;
+  const std::size_t procs = static_cast<std::size_t>(t);
+  idx->msgs.assign(procs, nullptr);
+  idx->senders = DynBitset(procs);
+  for (const DeliveryRecord& rec : records) {
+    const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
+    if (m == nullptr) continue;
+    idx->phase_lo = std::min(idx->phase_lo, m->phase);
+    idx->phase_hi = std::max(idx->phase_hi, m->phase);
+    const std::size_t from = static_cast<std::size_t>(rec.from);
+    if (idx->senders.test(from)) idx->one_per_sender = false;
+    idx->senders.set(from);
+    idx->msgs[from] = m;
+  }
+  if (idx->foldable()) fold(*idx, records, procs);
+  current_ = idx;
+  return idx;
+}
+
+void AgreeMergeCache::fold(Index& idx, const std::vector<DeliveryRecord>& records,
+                           std::size_t procs) {
+  idx.eligible = DynBitset(procs, true);
+  DynBitset reached;
+  for (const DeliveryRecord& rec : records) {
+    const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
+    if (m == nullptr) continue;
+    // A sender stays eligible unless it hears itself; everyone else must be
+    // among the recipients this record actually reached.
+    const std::size_t from = static_cast<std::size_t>(rec.from);
+    const bool keep = idx.eligible.test(from) && !rec.delivers_to(rec.from);
+    const RecipientBits* aud = rec.to.shared_bits().get();
+    if (aud && rec.cut >= aud->count && aud->bits.size() == procs) {
+      idx.eligible &= aud->bits;  // D's uncut broadcast
+    } else {
+      if (reached.size() == 0) reached = DynBitset(procs);
+      reached.reset_all();
+      rec.to.mark_prefix(reached, rec.cut);
+      idx.eligible &= reached;
     }
-    shared = current_;
+    if (keep)
+      idx.eligible.set(from);
+    else
+      idx.eligible.reset(from);
+    if (idx.sn.size() == 0) {
+      idx.sn = m->s_left;
+      idx.tn = m->t_alive;
+    } else {
+      idx.sn &= m->s_left;
+      idx.tn |= m->t_alive;
+    }
+    if (m->done && (idx.done_lo < 0 || rec.from < idx.done_lo)) idx.done_lo = rec.from;
   }
-  if (shared->phase != phase) return false;
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (shared->msgs[i] != (i == me ? own : seen[i])) return false;
-  }
-  sn &= shared->sn;
-  tn |= shared->tn;
-  return true;
 }
 
 ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
@@ -46,7 +70,6 @@ ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
   cfg.validate();
   s_ = DynBitset(static_cast<std::size_t>(n_), true);
   t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
-  seen_.assign(static_cast<std::size_t>(t_), nullptr);
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
 
@@ -153,8 +176,6 @@ void ProtocolDProcess::finish_agree(const Round& now) {
   grace_ = 1;  // later phases absorb the <=1 round skew from done-adoption
   phase_kind_ = PhaseKind::kWork;
   work_entered_ = false;
-  std::fill(seen_.begin(), seen_.end(), nullptr);
-  early_retained_.clear();
 }
 
 Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
@@ -178,20 +199,19 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     return a;
   }
 
-  // Stash this phase's agreement messages (they may arrive one round early
-  // when a peer finished the previous agreement before us).  Early arrivals
-  // land while we are still in the work phase and must outlive the recycled
-  // round ledger, so their payloads are retained; agreement-round arrivals
-  // are consumed before this call returns (see the seen_ comment in the
-  // header).
-  for (const Msg& msg : inbox) {
-    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
-      seen_[static_cast<std::size_t>(msg.from)] = m;
-      if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
-    }
-  }
+  // The round's ledger index, when this process can use one: a ledger-mode
+  // inbox (envelope views come from wrappers and socket workers) and a
+  // run-shared cache.
+  std::shared_ptr<const AgreeMergeCache::Index> idx;
+  if (merge_cache_ && !inbox.empty())
+    if (const std::vector<DeliveryRecord>* recs = inbox.records())
+      idx = merge_cache_->index(ctx.round, *recs, t_);
 
   if (phase_kind_ == PhaseKind::kWork) {
+    // Early arrivals of this phase (a peer finished the previous agreement
+    // first) are stashed for the agreement phase; a ledger carrying no
+    // record of this phase has none to stash.
+    if (!inbox.empty() && (!idx || idx->carries(phase_))) walk(inbox);
     if (!work_entered_) {
       work_entered_ = true;
       enter_work_phase(ctx.round);
@@ -208,43 +228,20 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
 
   // Agreement phase, receive-check for iteration iter_ (peers' iteration-k
   // broadcasts arrive one simulator round after they were sent).
-  bool adopted = false;
-  for (int i = 0; i < t_; ++i) {
-    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
-    if (msg && msg->done) {
-      sn_ = msg->s_left;
-      tn_ = msg->t_alive;
-      adopted = true;
-      break;
-    }
-  }
+  const bool served =
+      idx && early_retained_.empty() && idx->serves(self_, phase_, last_sent_.get());
+  if (merge_cache_) merge_cache_->count(served);
   bool removed_any = false;
-  if (!adopted) {
-    // The common case -- every recipient folding the same collective round
-    // view -- hits the run-shared fold in two merges; any deviation (cut
-    // broadcast, phase skew, no cache) merges the long way.
-    if (!merge_cache_ ||
-        !merge_cache_->fold(self_, ctx.round, phase_, seen_, last_sent_.get(), sn_, tn_)) {
-      for (int i = 0; i < t_; ++i) {
-        const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
-        if (!msg) continue;
-        sn_ &= msg->s_left;
-        tn_ |= msg->t_alive;
-      }
-    }
-    if (iter_ >= grace_) {
-      for (int i = 0; i < t_; ++i) {
-        if (i != self_ && u_.test(static_cast<std::size_t>(i)) &&
-            !seen_[static_cast<std::size_t>(i)]) {
-          u_.reset(static_cast<std::size_t>(i));  // silent => crashed
-          removed_any = true;
-        }
-      }
-      if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
-    }
+  bool adopted = false;
+  if (served) {
+    adopted = receive_served(*idx, removed_any);
+  } else {
+    walk(inbox);
+    adopted = receive_walked(removed_any);
+    std::fill(seen_.begin(), seen_.end(), nullptr);
+    early_retained_.clear();
   }
-  std::fill(seen_.begin(), seen_.end(), nullptr);
-  early_retained_.clear();
+  if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
   const bool stable = !removed_any && iter_ >= grace_;
   ++iter_;
 
@@ -255,6 +252,69 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     return a;
   }
   return agree_broadcast(false);
+}
+
+void ProtocolDProcess::walk(const InboxView& inbox) {
+  // Early arrivals land while we are still in the work phase and must
+  // outlive the recycled round ledger, so their payloads are retained;
+  // agreement-round arrivals are consumed before on_round returns (see the
+  // seen_ comment in the header).
+  if (seen_.empty()) seen_.assign(static_cast<std::size_t>(t_), nullptr);
+  for (const Msg& msg : inbox) {
+    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
+      seen_[static_cast<std::size_t>(msg.from)] = m;
+      if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
+    }
+  }
+}
+
+bool ProtocolDProcess::receive_walked(bool& removed_any) {
+  for (int i = 0; i < t_; ++i) {
+    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
+    if (msg && msg->done) {
+      sn_ = msg->s_left;
+      tn_ = msg->t_alive;
+      return true;
+    }
+  }
+  for (int i = 0; i < t_; ++i) {
+    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
+    if (!msg) continue;
+    sn_ &= msg->s_left;
+    tn_ |= msg->t_alive;
+  }
+  if (iter_ >= grace_) {
+    for (int i = 0; i < t_; ++i) {
+      if (i != self_ && u_.test(static_cast<std::size_t>(i)) &&
+          !seen_[static_cast<std::size_t>(i)]) {
+        u_.reset(static_cast<std::size_t>(i));  // silent => crashed
+        removed_any = true;
+      }
+    }
+  }
+  return false;
+}
+
+bool ProtocolDProcess::receive_served(const AgreeMergeCache::Index& idx, bool& removed_any) {
+  // The walk would have stashed exactly idx.msgs minus our own slot.
+  if (idx.done_lo >= 0) {
+    const AgreeMsg& msg = *idx.msgs[static_cast<std::size_t>(idx.done_lo)];
+    sn_ = msg.s_left;
+    tn_ = msg.t_alive;
+    return true;
+  }
+  sn_ &= idx.sn;  // includes our own message, a no-op in our own view
+  tn_ |= idx.tn;
+  if (iter_ >= grace_) {
+    // Silent => crashed: u_ &= senders + {self}.
+    const std::size_t me = static_cast<std::size_t>(self_);
+    const bool self_in = u_.test(me);
+    const std::uint64_t before = u_.count();
+    u_ &= idx.senders;
+    if (self_in) u_.set(me);
+    removed_any = u_.count() != before;
+  }
+  return false;
 }
 
 Round ProtocolDProcess::next_wake(const Round& now) const {

@@ -24,6 +24,8 @@
 // the <=1 round of skew left by done-adoption (the paper's "grace round").
 #pragma once
 
+#include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -47,61 +49,95 @@ struct AgreeMsg final : Payload {
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
-// Run-scoped memoization of the agreement merge.  Every recipient of an
-// agreement round folds the SAME collective broadcast set into its views:
-// sn &= AND over senders of s_left, tn |= OR of t_alive.  Doing that
-// independently costs Theta(t^2) view merges per round -- the dominant
-// memory traffic of the D scale rows once the broadcast ledger removed the
-// per-pair envelope churn.  The cache folds the round once and shares it:
-// O(t) merges to build, two merges per recipient to apply.
+// Run-scoped memoization of an agreement round's receive.  Every recipient
+// of an agreement round reads the SAME broadcast ledger: walked one by one,
+// that is Theta(t) inbox entries and view merges per recipient, Theta(t^2)
+// per round -- the dominant cost of the D scale rows.  The round's first
+// requester instead indexes the ledger once (O(records) under one mutex)
+// into an immutable Index, and every recipient whose receive the index
+// provably reproduces skips its walk: two merges, a bitset AND for silence
+// detection, or a table lookup for done-adoption.
 //
 // One fold serves everyone because a process's own message is idempotent
 // in its own view: agree_broadcast sends the sender's current (sn_, tn_),
-// and nothing touches either until the next fold, so sn_ &= own.s_left and
-// tn_ |= own.t_alive change nothing -- "everyone except me" equals
-// "everyone".  The first requester of a round therefore builds the
-// sender->message table from its seen-set with its own last broadcast in
-// its own slot, and folds all of it.
+// and nothing touches either until the next receive, so sn_ &= own.s_left
+// and tn_ |= own.t_alive change nothing -- "everyone except me" equals
+// "everyone", provided the ledger's record from me carries exactly my
+// last_sent_ (Index::serves compares the pointers).
 //
-// Why results are bit-identical: AND/OR are associative and commutative,
-// so regrouping the fold cannot change a bit, and fold() applies it only
-// after checking that the requester's seen-set plus its own message match
-// the table pointer for pointer.  Any deviation -- a crash-cut broadcast
-// that missed this recipient, an early arrival from a skewed phase
-// boundary, a network drop, a different phase -- returns false and the
-// caller merges the long way.  Pointer equality means the same message:
-// every pointer compared in one round belongs to a payload that was alive
-// when the round began, the requesters keep theirs alive through the
-// check, and the own message is held by a shared_ptr for exactly that
-// reason (a record whose whole audience the network drops frees its
-// payload at commit).  The cache is shared by the t sibling processes of
-// ONE run and is invisible to every metric, message, and decision;
-// protocol_d_test pins cache and cache-free runs to identical metrics.
+// The model boundary: a recipient only uses records its own delivery
+// predicate admits.  The index therefore marks a recipient *eligible* when
+// every agreement record from another sender delivers_to it -- so crash
+// prefix cuts and audiences rewritten by the network count -- and no record
+// delivers to its own sender.  For an eligible recipient whose phase is the
+// single phase of every agreement record, the walk would stash exactly
+// the index's sender table minus its own slot, so AND/OR regrouping (both
+// associative and commutative) gives the same bits.  Everything else walks
+// as before: envelope inboxes (socket workers), cut-out or dropped
+// recipients, mixed-phase ledgers, two records from one sender, early
+// arrivals already stashed, an own message missing from the ledger, and
+// processes built without a cache.  protocol_d_test pins cache and
+// cache-free runs to identical metrics, and pins that a crash-free run
+// serves every agreement receive.
 //
-// Threading: the fold is built under one mutex and then only read (a new
+// Threading: the index is built under one mutex and then only read (a new
 // round replaces it, never edits it), so recipients served from any thread,
-// in any order, hit the same fast path.  Memory: one table of t pointers
-// plus one n-bit and one t-bit fold.
+// in any order, take the same path.  It holds raw pointers into the ledger,
+// dereferenced only during its own round.  Memory: one table of t pointers,
+// two t-bit sets and one n-bit and one t-bit fold.
 class AgreeMergeCache {
  public:
-  // Folds the collective view of `round` into (sn, tn) exactly as the naive
-  // loop over `seen` would, given that `own` (the requester's last
-  // broadcast, null if it sent none) carries the requester's current
-  // (sn, tn); returns false (views untouched) when `seen` plus `own`
-  // deviate from the round's table.
-  bool fold(int self, const Round& round, int phase, const std::vector<const AgreeMsg*>& seen,
-            const AgreeMsg* own, DynBitset& sn, DynBitset& tn);
-
- private:
-  struct Fold {
+  struct Index {
     Round round;
-    int phase = 0;
-    std::vector<const AgreeMsg*> msgs;  // by sender; null = silent
+    const std::vector<DeliveryRecord>* records = nullptr;
+    // Range of the agreement records' phases; lo > hi when there are none.
+    int phase_lo = std::numeric_limits<int>::max();
+    int phase_hi = std::numeric_limits<int>::min();
+    bool one_per_sender = true;
+    std::vector<const AgreeMsg*> msgs;  // by sender (the last record's); null = silent
+    DynBitset senders;                  // non-null slots of msgs
+    // The rest is filled only when foldable(): one phase, one record per
+    // sender.
+    DynBitset eligible;                 // see the class comment
     DynBitset sn, tn;                   // AND / OR over every message in msgs
+    int done_lo = -1;                   // lowest sender whose message is done; -1 = none
+
+    // True when some agreement record carries `phase`; a work-phase
+    // process stashes nothing otherwise.
+    bool carries(int phase) const { return phase_lo <= phase && phase <= phase_hi; }
+    bool foldable() const { return phase_lo == phase_hi && one_per_sender; }
+    // True when the agreement receive of `self` in `phase`, whose latest
+    // broadcast is `own` (null if none) and who has stashed no early
+    // arrivals, may be served from the index instead of walking.  Its own
+    // slot is then never the done_lo adoptee: own is not a done message
+    // (finish_agree drops it), and the check keeps that explicit.
+    bool serves(int self, int phase, const AgreeMsg* own) const {
+      return foldable() && phase_lo == phase && eligible.test(static_cast<std::size_t>(self)) &&
+             msgs[static_cast<std::size_t>(self)] == own && done_lo != self;
+    }
   };
 
+  // The index of `records`, the ledger delivered at `round` to a run of t
+  // processes; built by the round's first requester, shared by the rest.
+  std::shared_ptr<const Index> index(const Round& round,
+                                     const std::vector<DeliveryRecord>& records, int t);
+
+  // Agreement receives served from the index / walked, counted by the
+  // processes for tests (relaxed: read after the run).
+  void count(bool served) {
+    (served ? served_ : walked_).fetch_add(1, std::memory_order_relaxed);
+  }
+  std::uint64_t served() const { return served_.load(std::memory_order_relaxed); }
+  std::uint64_t walked() const { return walked_.load(std::memory_order_relaxed); }
+
+ private:
+  // Fills the foldable index's eligible set, AND/OR fold and done_lo.
+  static void fold(Index& idx, const std::vector<DeliveryRecord>& records, std::size_t procs);
+
   std::mutex mu_;  // guards current_, which is replaced (never mutated) per round
-  std::shared_ptr<const Fold> current_;
+  std::shared_ptr<const Index> current_;
+  std::atomic<std::uint64_t> served_{0};
+  std::atomic<std::uint64_t> walked_{0};
 };
 
 class ProtocolDProcess final : public IProcess {
@@ -131,6 +167,12 @@ class ProtocolDProcess final : public IProcess {
   void enter_work_phase(const Round& now);
   void enter_agree_phase(const Round& now);
   Action agree_broadcast(bool done);
+  // Stashes this phase's agreement messages from `inbox` into seen_.
+  void walk(const InboxView& inbox);
+  // The agreement receive-check, from the walked seen_ or from the index;
+  // returns whether a done view was adopted and sets removed_any.
+  bool receive_walked(bool& removed_any);
+  bool receive_served(const AgreeMergeCache::Index& idx, bool& removed_any);
   void finish_agree(const Round& now);
 
   std::int64_t n_;
@@ -161,21 +203,25 @@ class ProtocolDProcess final : public IProcess {
   int iter_ = 0;
   int grace_ = 0;
   bool done_ = false;
-  // This phase's broadcasts, indexed by sender (null = silent); a flat
-  // array instead of a map keeps the per-iteration bookkeeping O(t) with no
-  // node allocation.  Raw pointers: during an agreement round the inbox owns
-  // the payloads for the whole on_round call and seen_ is consumed and
-  // cleared before returning; only messages that arrive *early* -- while we
-  // are still in the work phase -- outlive their inbox, and those are kept
-  // alive by early_retained_ (refcount churn per message was measurable at
-  // t = 1024, where an iteration stashes ~t messages).
+  // This phase's broadcasts, indexed by sender (null = silent), filled by
+  // the inbox walk; a flat array instead of a map keeps the per-iteration
+  // bookkeeping O(t) with no node allocation.  Allocated on the first walk:
+  // a process served from the merge cache's index never walks, and t
+  // pointers per process is t^2 pointers per run.  Raw pointers: during an
+  // agreement round the inbox owns the payloads for the whole on_round call
+  // and seen_ is consumed and cleared before returning; only messages that
+  // arrive *early* -- while we are still in the work phase -- outlive their
+  // inbox, and those are kept alive by early_retained_ (refcount churn per
+  // message was measurable at t = 1024, where an iteration stashes ~t
+  // messages).
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> early_retained_;
   // This agreement phase's latest broadcast (null before the first and
-  // after a round that sent none), the own slot of the shared fold.  Owned,
-  // not raw: the network may drop the whole audience and free the record.
+  // after a round that sent none), the own slot of the cache's index.
+  // Owned, not raw: the pointer comparison in Index::serves must not be
+  // fooled by a freed record (the network may drop the whole audience).
   std::shared_ptr<const AgreeMsg> last_sent_;
-  std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = merge manually
+  std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = always walk
 
   // Revert path.  The paper's case-2 bounds assume Protocol A runs over the
   // surviving processes only, so the embedded instance uses rank-in-T ids;

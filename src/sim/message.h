@@ -313,6 +313,15 @@ class InboxView {
   // diagnostics (protocols iterate instead).
   std::size_t count() const;
 
+  // The whole round's shared record vector in ledger mode (every
+  // recipient's view reads the same one), null for envelope views.  For
+  // memoization only: a process may index the round's records once on
+  // behalf of all recipients (Protocol D's AgreeMergeCache), keyed by
+  // round, but uses only the records its own delivers_to admits, and
+  // retains nothing from the vector past the round -- the ledger is
+  // recycled like the view itself (process.h's inbox reuse contract).
+  const std::vector<DeliveryRecord>* records() const { return recs_; }
+
   class const_iterator {
    public:
     using value_type = Msg;

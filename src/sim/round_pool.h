@@ -47,10 +47,11 @@
 //     the run's storage (run_live_do_all).
 //
 // Run-shared protocol state is the one thing the pool cannot make
-// data-independent by fiat: Protocol D's AgreeMergeCache serves fold
-// requests from whichever thread evaluates the recipient, so it builds each
-// round's fold once under a mutex and shares it read-only (protocol_d.h)
-// -- pure memoization either way, pinned equal by protocol_d_test.
+// data-independent by fiat: Protocol D's AgreeMergeCache serves agreement
+// receives from whichever thread evaluates the recipient, so it indexes
+// each round's ledger once under a mutex and shares the index read-only
+// (protocol_d.h) -- pure memoization either way, pinned equal by
+// protocol_d_test.
 #pragma once
 
 #include <atomic>

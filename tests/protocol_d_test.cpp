@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 
 #include "core/runner.h"
@@ -170,52 +173,100 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ProtocolDRandom : public ::testing::TestWithParam<unsigned> {};
 
+// Runs D on the simulator, with the run-shared merge cache or without it
+// (every process walks its inbox), serially or on a RoundPool of `threads`
+// (min_steps_per_shard = 1, so even t = 12 rounds genuinely shard).
+RunMetrics run_d(const DoAllConfig& cfg, std::shared_ptr<AgreeMergeCache> cache,
+                 std::unique_ptr<FaultInjector> faults, NetSpec net = {}, int threads = 1) {
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < cfg.t; ++i)
+    procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+  Simulator::Options opts;
+  opts.strict_one_op = true;
+  opts.n_units = cfg.n;
+  opts.net = std::move(net);
+  Simulator sim(std::move(procs), std::move(faults), opts);
+  RoundPool pool(threads, 1);
+  if (threads > 1) sim.set_step_executor(&pool);
+  return sim.run();
+}
+
+void expect_same_metrics(const RunMetrics& a, const RunMetrics& b, const std::string& why) {
+  EXPECT_EQ(a.work_total, b.work_total) << why;
+  EXPECT_EQ(a.messages_total, b.messages_total) << why;
+  EXPECT_EQ(a.last_retire_round, b.last_retire_round) << why;
+  EXPECT_EQ(a.available_processor_steps, b.available_processor_steps) << why;
+  EXPECT_EQ(a.messages_by_kind, b.messages_by_kind) << why;
+  EXPECT_EQ(a.crashes, b.crashes) << why;
+  EXPECT_EQ(a.terminated, b.terminated) << why;
+  EXPECT_EQ(a.stepped_rounds, b.stepped_rounds) << why;
+  EXPECT_EQ(a.fast_forward_jumps, b.fast_forward_jumps) << why;
+  EXPECT_EQ(a.max_concurrent_workers, b.max_concurrent_workers) << why;
+  EXPECT_EQ(a.net_dropped, b.net_dropped) << why;
+  EXPECT_EQ(a.net_blocked, b.net_blocked) << why;
+  EXPECT_EQ(a.net_delayed, b.net_delayed) << why;
+  EXPECT_EQ(a.unit_multiplicity, b.unit_multiplicity) << why;
+  EXPECT_EQ(a.work_by_proc, b.work_by_proc) << why;
+  EXPECT_EQ(a.messages_by_proc, b.messages_by_proc) << why;
+  EXPECT_EQ(a.all_retired, b.all_retired) << why;
+  EXPECT_EQ(a.deadlocked, b.deadlocked) << why;
+  EXPECT_EQ(a.hit_round_cap, b.hit_round_cap) << why;
+}
+
+// Crashes landing in work rounds AND mid-agreement-broadcast (half the
+// audience cut), so both receive paths are exercised.
+std::unique_ptr<FaultInjector> cut_crashes() {
+  return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
+      {2, 3, CrashPlan{false, 0}},
+      {5, 9, CrashPlan{true, 5}},
+      {7, 11, CrashPlan{true, 2}},
+  });
+}
+
 // The run-shared AgreeMergeCache is a pure memoization: with and without
-// it, every metric of the run -- work, messages, rounds, per-process and
-// per-unit breakdowns -- must be identical, including under mid-broadcast
-// prefix cuts (which force some recipients onto the slow merge path) and
-// random schedules.
+// it, every metric of the run must be identical -- under mid-broadcast
+// prefix cuts (cut-out recipients walk), network weather (drops and
+// partitions rewrite audiences, latency mixes rounds and phases in one
+// ledger), random schedules, and on the round pool.
 TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
   const DoAllConfig cfg{96, 12};
-  auto run_with = [&](bool cached, std::unique_ptr<FaultInjector> faults) {
-    auto cache = cached ? std::make_shared<AgreeMergeCache>() : nullptr;
-    std::vector<std::unique_ptr<IProcess>> procs;
-    for (int i = 0; i < cfg.t; ++i)
-      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
-    Simulator::Options opts;
-    opts.strict_one_op = true;
-    opts.n_units = cfg.n;
-    return run_simulation(std::move(procs), std::move(faults), opts);
-  };
-  auto faults = [] {
-    // Crashes landing in work rounds AND mid-agreement-broadcast (half the
-    // audience cut), so both merge paths are exercised.
-    return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
-        {2, 3, CrashPlan{false, 0}},
-        {5, 9, CrashPlan{true, 5}},
-        {7, 11, CrashPlan{true, 2}},
-    });
-  };
-  RunMetrics with = run_with(true, faults());
-  RunMetrics without = run_with(false, faults());
-  EXPECT_EQ(with.work_total, without.work_total);
-  EXPECT_EQ(with.messages_total, without.messages_total);
-  EXPECT_EQ(with.last_retire_round, without.last_retire_round);
-  EXPECT_EQ(with.stepped_rounds, without.stepped_rounds);
-  EXPECT_EQ(with.crashes, without.crashes);
-  EXPECT_EQ(with.unit_multiplicity, without.unit_multiplicity);
-  EXPECT_EQ(with.work_by_proc, without.work_by_proc);
-  EXPECT_EQ(with.messages_by_proc, without.messages_by_proc);
-  EXPECT_EQ(with.messages_by_kind, without.messages_by_kind);
+  auto cache = std::make_shared<AgreeMergeCache>();
+  expect_same_metrics(run_d(cfg, cache, cut_crashes()), run_d(cfg, nullptr, cut_crashes()),
+                      "prefix cuts");
+  // Both receive paths ran.
+  EXPECT_GT(cache->served(), 0u);
+  EXPECT_GT(cache->walked(), 0u);
+
+  NetSpec net;
+  net.lat_min = 1;
+  net.lat_max = 2;
+  net.drop = 0.02;
+  net.partitions = {PartitionWindow{4, 9, 5}};
+  net.seed = 3;
+  expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), net),
+                      run_d(cfg, nullptr, cut_crashes(), net), "net=(drop,lat,part)");
+
+  expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, 2),
+                      run_d(cfg, nullptr, cut_crashes()), "RoundPool, sim_threads 2");
 
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    RunMetrics a = run_with(true, std::make_unique<RandomFaults>(0.05, 11, seed));
-    RunMetrics b = run_with(false, std::make_unique<RandomFaults>(0.05, 11, seed));
-    EXPECT_EQ(a.work_total, b.work_total) << "seed " << seed;
-    EXPECT_EQ(a.messages_total, b.messages_total) << "seed " << seed;
-    EXPECT_EQ(a.last_retire_round, b.last_retire_round) << "seed " << seed;
-    EXPECT_EQ(a.work_by_proc, b.work_by_proc) << "seed " << seed;
+    expect_same_metrics(
+        run_d(cfg, std::make_shared<AgreeMergeCache>(),
+              std::make_unique<RandomFaults>(0.05, 11, seed)),
+        run_d(cfg, nullptr, std::make_unique<RandomFaults>(0.05, 11, seed)),
+        "seed " + std::to_string(seed));
   }
+}
+
+// The fast path cannot switch off silently: in a crash-free run every
+// agreement receive is served from the ledger index.
+TEST(ProtocolD, CrashFreeRunServesEveryAgreementReceive) {
+  const DoAllConfig cfg{64 * 16, 64};
+  auto cache = std::make_shared<AgreeMergeCache>();
+  const RunMetrics m = run_d(cfg, cache, std::make_unique<NoFaults>());
+  EXPECT_TRUE(m.all_retired);
+  EXPECT_EQ(cache->served(), 64u);  // one agreement iteration each
+  EXPECT_EQ(cache->walked(), 0u);
 }
 
 TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
@@ -228,166 +279,217 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolDRandom, ::testing::Range(0u, 25u));
 
 // --- the one-fold contract ---------------------------------------------------
 //
-// AgreeMergeCache builds one fold per round from its first requester and
-// serves it to every requester whose seen-set plus own message match the
-// table pointer for pointer, from any thread, in any order.  These tests pin
-// the contract directly: every matching requester gets exactly the naive
-// merge, and every deviation returns false with the views untouched.
-
-// One synthetic agreement round: t messages with distinct views, sender 6
-// silent (a crashed broadcaster every recipient agrees is silent).
-struct FoldFixture {
+// AgreeMergeCache indexes each round's broadcast ledger once and serves
+// every eligible agreement receive from the index, from any thread, in any
+// order.  These tests drive real processes through a hand-built ledger: t
+// processes do their one work unit (n = t) in round 0 and broadcast their
+// iteration-0 views in round 1; the test assembles round 2's ledger from
+// those broadcasts, optionally bent into a shape, and delivers it to each
+// recipient twice -- to the cached process and to a cache-free twin that
+// always walks.  The two must act identically (the action carries the
+// merged views, the done flag, and the silence-pruned audience); the cache's
+// counters say which path the cached process took.
+struct LedgerFixture {
   static constexpr int t = 12;
-  static constexpr std::size_t n = 48;
-  std::vector<std::unique_ptr<AgreeMsg>> owned;
-  std::vector<const AgreeMsg*> table;  // by sender; null = silent
+  static constexpr int silent = 6;  // crashed before broadcasting
+  const DoAllConfig cfg{t, t};
+  std::shared_ptr<AgreeMergeCache> cache = std::make_shared<AgreeMergeCache>();
+  std::vector<std::unique_ptr<ProtocolDProcess>> cached, twins;
+  std::vector<DeliveryRecord> ledger;  // delivered in round 2
+  const Round sent{1u};
 
-  FoldFixture() {
-    table.assign(t, nullptr);
+  // `early_to` (if >= 0) also receives an early phase-1 arrival from sender
+  // 9 in round 1, while still in its work phase.
+  explicit LedgerFixture(int early_to = -1) {
     for (int i = 0; i < t; ++i) {
-      if (i == 6) continue;
-      DynBitset s(n, true);
-      s.reset(static_cast<std::size_t>(i));      // each sender knows unit i done
-      s.reset(static_cast<std::size_t>(i + 12));
-      DynBitset tv(t);
-      tv.set(static_cast<std::size_t>(i));       // and believes itself alive
-      tv.set(static_cast<std::size_t>((i + 1) % t));
-      owned.push_back(std::make_unique<AgreeMsg>(1, std::move(s), std::move(tv), false));
-      table[static_cast<std::size_t>(i)] = owned.back().get();
+      cached.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+      twins.push_back(std::make_unique<ProtocolDProcess>(cfg, i));
     }
-  }
-
-  // What recipient `self` hears: everyone's message but its own.
-  std::vector<const AgreeMsg*> seen_for(int self) const {
-    std::vector<const AgreeMsg*> seen = table;
-    seen[static_cast<std::size_t>(self)] = nullptr;
-    return seen;
-  }
-
-  const AgreeMsg* own(int self) const { return table[static_cast<std::size_t>(self)]; }
-
-  // A requester's views before the merge: its own last broadcast carries
-  // them, which is what ProtocolDProcess guarantees at every fold.
-  void start_views(int self, DynBitset& sn, DynBitset& tn) const {
-    sn = own(self)->s_left;
-    tn = own(self)->t_alive;
-  }
-
-  // The naive merge the cache must reproduce bit for bit.
-  void naive(int self, DynBitset& sn, DynBitset& tn) const {
+    std::vector<DeliveryRecord> early;
+    if (early_to >= 0)
+      early.push_back(DeliveryRecord{9, MsgKind::kAgreement, 1, early_to,
+                                     view(DynBitset(t, true), 9, false)});
     for (int i = 0; i < t; ++i) {
-      if (i == self) continue;
-      if (const AgreeMsg* m = table[static_cast<std::size_t>(i)]) {
-        sn &= m->s_left;
-        tn |= m->t_alive;
+      if (i == silent) continue;
+      for (auto* procs : {&cached, &twins}) {
+        ProtocolDProcess& p = *(*procs)[static_cast<std::size_t>(i)];
+        p.on_round(RoundContext{Round{0u}, i}, InboxView{});
+        const bool has_early = i == early_to;
+        Action a = p.on_round(RoundContext{Round{1u}, i},
+                              InboxView(early, Round{0u}, i, has_early));
+        if (procs != &cached) continue;
+        Outgoing& o = a.sends.at(0);
+        const std::size_t cut = o.to.size();
+        ledger.push_back(DeliveryRecord{i, o.kind, cut, std::move(o.to), std::move(o.payload)});
       }
     }
   }
 
-  // Serves `self` from `cache` and checks the result against naive; returns
-  // whether the fast path was taken.
-  bool serve(AgreeMergeCache& cache, int self) const {
-    DynBitset sn, tn, want_sn, want_tn;
-    start_views(self, sn, tn);
-    start_views(self, want_sn, want_tn);
-    if (!cache.fold(self, Round{7u}, 1, seen_for(self), own(self), sn, tn)) return false;
-    naive(self, want_sn, want_tn);
-    EXPECT_EQ(sn, want_sn) << "self " << self;
-    EXPECT_EQ(tn, want_tn) << "self " << self;
-    return true;
+  // A hand-built phase-1 message from `from`: S as given, T = {from}.
+  static std::shared_ptr<const AgreeMsg> view(DynBitset s, int from, bool done, int phase = 1) {
+    DynBitset tv(t);
+    tv.set(static_cast<std::size_t>(from));
+    return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(tv), done);
+  }
+
+  DeliveryRecord& record_of(int from) {
+    for (DeliveryRecord& r : ledger)
+      if (r.from == from) return r;
+    throw std::logic_error("no record");
+  }
+  const AgreeMsg& msg_of(int from) {
+    return *detail::payload_as<AgreeMsg>(record_of(from).payload.get());
+  }
+
+  std::vector<int> recipients() const {
+    std::vector<int> out;
+    for (int i = 0; i < t; ++i)
+      if (i != silent) out.push_back(i);
+    return out;
+  }
+
+  Action deliver(int self, bool twin) {
+    bool any = false;
+    for (const DeliveryRecord& r : ledger) any = any || r.delivers_to(self);
+    ProtocolDProcess& p = *(twin ? twins : cached)[static_cast<std::size_t>(self)];
+    return p.on_round(RoundContext{Round{2u}, self}, InboxView(ledger, sent, self, any));
+  }
+
+  // Delivers to `self`'s cached process and its twin, expects identical
+  // actions, and returns whether the cached process walked.
+  bool expect_matches_twin(int self, const std::string& why) {
+    const std::uint64_t walked_before = cache->walked();
+    const Action got = deliver(self, false);
+    const bool walked = cache->walked() != walked_before;
+    expect_same_action(got, deliver(self, true), why + ", self " + std::to_string(self));
+    return walked;
+  }
+
+  static void expect_same_action(const Action& got, const Action& want, const std::string& why) {
+    EXPECT_EQ(got.terminate, want.terminate) << why;
+    ASSERT_EQ(got.sends.size(), want.sends.size()) << why;
+    for (std::size_t k = 0; k < got.sends.size(); ++k) {
+      const auto* g = detail::payload_as<AgreeMsg>(got.sends[k].payload.get());
+      const auto* w = detail::payload_as<AgreeMsg>(want.sends[k].payload.get());
+      ASSERT_TRUE(g != nullptr && w != nullptr) << why;
+      EXPECT_EQ(g->phase, w->phase) << why;
+      EXPECT_EQ(g->s_left, w->s_left) << why;
+      EXPECT_EQ(g->t_alive, w->t_alive) << why;
+      EXPECT_EQ(g->done, w->done) << why;
+      EXPECT_EQ(got.sends[k].to.shared_bits()->bits, want.sends[k].to.shared_bits()->bits) << why;
+    }
   }
 };
 
 TEST(ProtocolDParallel, MergeCacheOneFoldMatchesNaiveInAnyOrder) {
-  const FoldFixture fx;
-  std::vector<int> ascending, descending;
-  for (int self = 0; self < FoldFixture::t; ++self)
-    if (fx.own(self) != nullptr) ascending.push_back(self);
-  descending.assign(ascending.rbegin(), ascending.rend());
-  for (const std::vector<int>& order : {ascending, descending}) {
-    AgreeMergeCache cache;
-    for (int self : order) EXPECT_TRUE(fx.serve(cache, self)) << "self " << self;
+  for (bool descending : {false, true}) {
+    LedgerFixture fx;
+    std::vector<int> order = fx.recipients();
+    if (descending) std::reverse(order.begin(), order.end());
+    for (int self : order) EXPECT_FALSE(fx.expect_matches_twin(self, "serial order"));
+    EXPECT_EQ(fx.cache->served(), order.size());
   }
   // Two serving threads interleaved (even ids here, odd ids there): whoever
-  // builds the fold, everyone gets it.
-  AgreeMergeCache cache;
-  std::vector<int> fell_back_even, fell_back_odd;
-  auto serve_parity = [&](int parity, std::vector<int>& fell_back) {
-    for (int self : ascending)
-      if (self % 2 == parity && !fx.serve(cache, self)) fell_back.push_back(self);
+  // builds the index, everyone is served the naive result.
+  LedgerFixture fx;
+  std::vector<Action> got(LedgerFixture::t);
+  auto serve_parity = [&](int parity) {
+    for (int self : fx.recipients())
+      if (self % 2 == parity) got[static_cast<std::size_t>(self)] = fx.deliver(self, false);
   };
-  std::thread odd([&] { serve_parity(1, fell_back_odd); });
-  serve_parity(0, fell_back_even);
+  std::thread odd([&] { serve_parity(1); });
+  serve_parity(0);
   odd.join();
-  EXPECT_TRUE(fell_back_even.empty());
-  EXPECT_TRUE(fell_back_odd.empty());
+  for (int self : fx.recipients())
+    LedgerFixture::expect_same_action(got[static_cast<std::size_t>(self)], fx.deliver(self, true),
+                                      "two threads, self " + std::to_string(self));
+  EXPECT_EQ(fx.cache->served(), fx.recipients().size());
+  EXPECT_EQ(fx.cache->walked(), 0u);
 }
 
+// Every ledger shape the index cannot reproduce for a recipient makes
+// exactly that recipient walk; everyone else is still served, and every
+// recipient acts as its cache-free twin.
 TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
-  const FoldFixture fx;
-  AgreeMergeCache cache;
-  ASSERT_TRUE(fx.serve(cache, 0));  // builds the round's table
-  const AgreeMsg extra(1, DynBitset(fx.n), DynBitset(fx.t, true), false);
-  auto expect_fallback = [&](const char* why, std::vector<const AgreeMsg*> seen,
-                             const AgreeMsg* own, int phase) {
-    DynBitset sn, tn;
-    fx.start_views(3, sn, tn);
-    const DynBitset sn_before = sn, tn_before = tn;
-    EXPECT_FALSE(cache.fold(3, Round{7u}, phase, seen, own, sn, tn)) << why;
-    EXPECT_EQ(sn, sn_before) << why;
-    EXPECT_EQ(tn, tn_before) << why;
+  struct Shape {
+    const char* name;
+    int early_to;
+    std::function<void(LedgerFixture&)> bend;
+    std::vector<int> walkers;  // empty = every recipient
   };
-  std::vector<const AgreeMsg*> cut = fx.seen_for(3);
-  cut[5] = nullptr;  // sender 5's broadcast was cut before reaching 3
-  expect_fallback("missing sender", cut, fx.own(3), 1);
-  std::vector<const AgreeMsg*> early = fx.seen_for(3);
-  early[6] = &extra;  // an arrival the table does not have
-  expect_fallback("extra arrival", early, fx.own(3), 1);
-  expect_fallback("phase mismatch", fx.seen_for(3), fx.own(3), 2);
-  expect_fallback("null own message", fx.seen_for(3), nullptr, 1);
-  // The deviations left the table alone: the matching requester still hits.
-  EXPECT_TRUE(fx.serve(cache, 3));
+  const std::vector<Shape> shapes = {
+      {"prefix cut", -1,
+       [](LedgerFixture& fx) { fx.record_of(5).cut = 4; },  // reaches 0..3 only
+       {4, 7, 8, 9, 10, 11}},
+      {"network-dropped recipient", -1,
+       [](LedgerFixture& fx) {
+         DeliveryRecord& r = fx.record_of(5);
+         DynBitset bits = r.to.shared_bits()->bits;
+         bits.reset(8);
+         r.to = make_recipient_bits(std::move(bits));
+         r.cut = r.to.size();
+       },
+       {8}},
+      {"mixed phases", -1,
+       [](LedgerFixture& fx) {
+         const AgreeMsg& m = fx.msg_of(5);
+         fx.record_of(5).payload = std::make_shared<AgreeMsg>(2, m.s_left, m.t_alive, false);
+       },
+       {}},
+      {"duplicate sender", -1,
+       [](LedgerFixture& fx) {
+         DeliveryRecord dup = fx.record_of(3);
+         dup.payload = LedgerFixture::view(DynBitset(LedgerFixture::t), 3, false);
+         fx.ledger.push_back(std::move(dup));
+       },
+       {}},
+      {"self-addressed record", -1,
+       [](LedgerFixture& fx) {
+         DeliveryRecord& r = fx.record_of(4);
+         DynBitset bits = r.to.shared_bits()->bits;
+         bits.set(4);
+         r.to = make_recipient_bits(std::move(bits));
+         r.cut = r.to.size();
+       },
+       {4}},
+      {"early stash", 2, [](LedgerFixture&) {}, {2}},
+      {"own message missing", -1,
+       [](LedgerFixture& fx) {
+         std::erase_if(fx.ledger, [](const DeliveryRecord& r) { return r.from == 3; });
+       },
+       {3}},
+      // Done views from 2 and 9: their own slots no longer match, so they
+      // walk; everyone else is served and adopts 2's view.
+      {"done adoption", -1,
+       [](LedgerFixture& fx) {
+         for (int from : {2, 9}) {
+           DynBitset s(LedgerFixture::t);
+           s.set(static_cast<std::size_t>(from));
+           fx.record_of(from).payload = LedgerFixture::view(std::move(s), from, true);
+         }
+       },
+       {2, 9}},
+  };
+  for (const Shape& shape : shapes) {
+    LedgerFixture fx(shape.early_to);
+    shape.bend(fx);
+    const std::vector<int> want = shape.walkers.empty() ? fx.recipients() : shape.walkers;
+    std::vector<int> walked;
+    for (int self : fx.recipients())
+      if (fx.expect_matches_twin(self, shape.name)) walked.push_back(self);
+    EXPECT_EQ(walked, want) << shape.name;
+  }
 }
 
 // End to end: the cache under a genuinely sharded simulator round must stay
-// observably invisible -- cached + sharded vs naive + serial, identical
-// metrics -- including the mid-broadcast cuts that force slow-path merges.
+// observably invisible -- cached + sharded vs walking + serial, identical
+// metrics -- including the mid-broadcast cuts that force walks.
 TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
   const DoAllConfig cfg{96, 12};
-  auto faults = [] {
-    return std::make_unique<ScheduledFaults>(std::vector<ScheduledFaults::Entry>{
-        {2, 3, CrashPlan{false, 0}},
-        {5, 9, CrashPlan{true, 5}},
-        {7, 11, CrashPlan{true, 2}},
-    });
-  };
-  auto run_with = [&](bool cached, int threads) {
-    auto cache = cached ? std::make_shared<AgreeMergeCache>() : nullptr;
-    std::vector<std::unique_ptr<IProcess>> procs;
-    for (int i = 0; i < cfg.t; ++i)
-      procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
-    Simulator::Options opts;
-    opts.strict_one_op = true;
-    opts.n_units = cfg.n;
-    Simulator sim(std::move(procs), faults(), opts);
-    // min_steps_per_shard = 1 so even t = 12 rounds genuinely shard.
-    RoundPool pool(threads, 1);
-    if (threads > 1) sim.set_step_executor(&pool);
-    return sim.run();
-  };
-  const RunMetrics naive_serial = run_with(false, 1);
-  for (int threads : {2, 4}) {
-    const RunMetrics cached_sharded = run_with(true, threads);
-    EXPECT_EQ(cached_sharded.work_total, naive_serial.work_total) << threads;
-    EXPECT_EQ(cached_sharded.messages_total, naive_serial.messages_total) << threads;
-    EXPECT_EQ(cached_sharded.last_retire_round, naive_serial.last_retire_round) << threads;
-    EXPECT_EQ(cached_sharded.stepped_rounds, naive_serial.stepped_rounds) << threads;
-    EXPECT_EQ(cached_sharded.crashes, naive_serial.crashes) << threads;
-    EXPECT_EQ(cached_sharded.unit_multiplicity, naive_serial.unit_multiplicity) << threads;
-    EXPECT_EQ(cached_sharded.work_by_proc, naive_serial.work_by_proc) << threads;
-    EXPECT_EQ(cached_sharded.messages_by_proc, naive_serial.messages_by_proc) << threads;
-    EXPECT_EQ(cached_sharded.messages_by_kind, naive_serial.messages_by_kind) << threads;
-  }
+  const RunMetrics walking_serial = run_d(cfg, nullptr, cut_crashes());
+  for (int threads : {2, 4})
+    expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, threads),
+                        walking_serial, std::to_string(threads) + " threads");
 }
 
 }  // namespace
