@@ -36,7 +36,7 @@ struct ProtocolInfo {
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
 };
 
-// All registered protocols (baselines, A, B, C, C_batch, naive_C, D).
+// All registered protocols (baselines, A, B, C, C_batch, naive_C, D, D_coord).
 const std::vector<ProtocolInfo>& all_protocols();
 
 // Lookup by name; throws std::invalid_argument for unknown names.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "protocols/protocol_d.h"
 #include "sim/simulator.h"
 
 namespace dowork {
@@ -29,18 +30,12 @@ void DynamicConfig::validate() const {
 
 DynamicDProcess::DynamicDProcess(const DynamicConfig& cfg, int self) : cfg_(cfg), self_(self) {
   cfg_.validate();
-  known_.assign(static_cast<std::size_t>(cfg_.max_units), 0);
-  done_.assign(static_cast<std::size_t>(cfg_.max_units), 0);
+  known_ = DynBitset(static_cast<std::size_t>(cfg_.max_units));
+  done_ = known_;
   agreed_known_ = known_;
-  agreed_done_ = done_;
-  t_alive_.assign(static_cast<std::size_t>(cfg_.t), 1);
+  agreed_done_ = known_;
+  t_alive_ = DynBitset(static_cast<std::size_t>(cfg_.t), true);
   grace_ = 0;
-}
-
-std::uint64_t DynamicDProcess::count(const std::vector<std::uint8_t>& bits) const {
-  std::uint64_t c = 0;
-  for (std::uint8_t b : bits) c += b;
-  return c;
 }
 
 void DynamicDProcess::absorb_arrivals(const Round& now) {
@@ -48,34 +43,21 @@ void DynamicDProcess::absorb_arrivals(const Round& now) {
          Round{cfg_.arrivals[next_arrival_].round} <= now) {
     const Arrival& a = cfg_.arrivals[next_arrival_];
     if (a.proc == self_)
-      for (std::int64_t u : a.units) known_[static_cast<std::size_t>(u - 1)] = 1;
+      for (std::int64_t u : a.units) known_.set(static_cast<std::size_t>(u - 1));
     ++next_arrival_;
   }
 }
 
 void DynamicDProcess::enter_work_phase(const Round& now) {
-  std::vector<std::int64_t> outstanding;
-  for (std::int64_t u = 1; u <= cfg_.max_units; ++u) {
-    std::size_t i = static_cast<std::size_t>(u - 1);
-    if (agreed_known_[i] && !agreed_done_[i]) outstanding.push_back(u);
-  }
-  const std::uint64_t alive = std::max<std::uint64_t>(1, count(t_alive_));
-  const std::int64_t w = std::max<std::int64_t>(
-      1, ceil_div(static_cast<std::int64_t>(outstanding.size()),
-                  static_cast<std::int64_t>(alive)));
-  my_slice_.clear();
+  DynBitset outstanding = agreed_known_;
+  outstanding.and_not(agreed_done_);
+  // A phase lasts at least one round even with nothing to do, so an idle
+  // system keeps cycling through agreements that gossip fresh arrivals.
+  const std::int64_t w =
+      std::max<std::int64_t>(1, work_slice(outstanding, t_alive_, self_, my_slice_));
   slice_pos_ = 0;
-  if (t_alive_[static_cast<std::size_t>(self_)]) {
-    std::int64_t rank = 0;
-    for (int i = 0; i < self_; ++i) rank += t_alive_[static_cast<std::size_t>(i)];
-    const std::int64_t from = rank * w;
-    const std::int64_t to =
-        std::min<std::int64_t>(from + w, static_cast<std::int64_t>(outstanding.size()));
-    for (std::int64_t k = from; k < to; ++k)
-      my_slice_.push_back(outstanding[static_cast<std::size_t>(k)]);
-  }
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-  for (std::int64_t u : my_slice_) done_[static_cast<std::size_t>(u - 1)] = 1;
+  for (std::int64_t u : my_slice_) done_.set(static_cast<std::size_t>(u - 1));
 }
 
 Action DynamicDProcess::agree_broadcast(bool finished) {
@@ -87,9 +69,8 @@ Action DynamicDProcess::agree_broadcast(bool finished) {
   payload->t_alive = tn_;
   payload->past_horizon = agree_past_horizon_;
   payload->finished = finished;
-  DynBitset bits(static_cast<std::size_t>(cfg_.t));
-  for (int i = 0; i < cfg_.t; ++i)
-    if (i != self_ && u_[static_cast<std::size_t>(i)]) bits.set(static_cast<std::size_t>(i));
+  DynBitset bits = u_;
+  bits.reset(static_cast<std::size_t>(self_));
   if (bits.any())
     a.sends.push_back(
         Outgoing{make_recipient_bits(std::move(bits)), MsgKind::kAgreement, std::move(payload)});
@@ -100,14 +81,12 @@ void DynamicDProcess::finish_agree() {
   // The agreed view becomes both the working view and the basis for the next
   // phase's (common) slice computation; local arrivals since the broadcast
   // stay in known_ for the next gossip round.
-  for (std::size_t k = 0; k < known_.size(); ++k) {
-    known_[k] |= kn_[k];
-    done_[k] |= dn_[k];
-  }
+  known_ |= kn_;
+  done_ |= dn_;
   agreed_known_ = kn_;
   agreed_done_ = dn_;
   t_alive_ = tn_;
-  if (!t_alive_[static_cast<std::size_t>(self_)]) {
+  if (!t_alive_.test(static_cast<std::size_t>(self_))) {
     terminated_ = true;
     phase_kind_ = PhaseKind::kFinished;
     return;
@@ -151,8 +130,8 @@ Action DynamicDProcess::on_round(const RoundContext& ctx, const InboxView& inbox
     }
     phase_kind_ = PhaseKind::kAgree;
     u_ = t_alive_;
-    tn_.assign(static_cast<std::size_t>(cfg_.t), 0);
-    tn_[static_cast<std::size_t>(self_)] = 1;
+    tn_ = DynBitset(static_cast<std::size_t>(cfg_.t));
+    tn_.set(static_cast<std::size_t>(self_));
     kn_ = known_;
     dn_ = done_;
     agree_entry_round_ = ctx.round;
@@ -176,17 +155,15 @@ Action DynamicDProcess::on_round(const RoundContext& ctx, const InboxView& inbox
   bool removed_any = false;
   if (!adopted) {
     for (const auto& [i, msg] : seen_) {
-      for (std::size_t k = 0; k < kn_.size(); ++k) {
-        kn_[k] |= msg->known[k];
-        dn_[k] |= msg->done[k];
-      }
-      for (std::size_t k = 0; k < tn_.size(); ++k) tn_[k] |= msg->t_alive[k];
+      kn_ |= msg->known;
+      dn_ |= msg->done;
+      tn_ |= msg->t_alive;
       agree_past_horizon_ = agree_past_horizon_ && msg->past_horizon;
     }
     if (iter_ >= grace_) {
       for (int i = 0; i < cfg_.t; ++i) {
-        if (i != self_ && u_[static_cast<std::size_t>(i)] && seen_.find(i) == seen_.end()) {
-          u_[static_cast<std::size_t>(i)] = 0;
+        if (i != self_ && u_.test(static_cast<std::size_t>(i)) && seen_.find(i) == seen_.end()) {
+          u_.reset(static_cast<std::size_t>(i));
           removed_any = true;
         }
       }

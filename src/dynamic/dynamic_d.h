@@ -17,6 +17,10 @@
 // Semantics of failure: work that arrived at a site that crashes before the
 // site's next agreement broadcast is lost with the site, exactly as a real
 // job queue on a reclaimed workstation would be; clients must resubmit.
+//
+// Only the lattice differs from Protocol D: the work slice is D's work_slice
+// (protocols/protocol_d.h) over the agreed known \ done, and the views are
+// DynBitsets like D's.  The receive-check merges this lattice, so it is local.
 #pragma once
 
 #include <map>
@@ -26,6 +30,7 @@
 #include "sim/fault_injector.h"
 #include "sim/metrics.h"
 #include "sim/process.h"
+#include "util/bitset.h"
 
 namespace dowork {
 
@@ -48,9 +53,9 @@ struct DynamicConfig {
 
 struct DynAgreeMsg final : Payload {
   int phase;
-  std::vector<std::uint8_t> known;
-  std::vector<std::uint8_t> done;
-  std::vector<std::uint8_t> t_alive;
+  DynBitset known;    // units known to exist, indexed unit-1
+  DynBitset done;     // units performed, indexed unit-1
+  DynBitset t_alive;  // processes believed correct
   bool past_horizon;  // AND-merged: every participant entered past the horizon
   bool finished;      // sender has decided this phase's final view
 };
@@ -70,19 +75,18 @@ class DynamicDProcess final : public IProcess {
   void enter_work_phase(const Round& now);
   Action agree_broadcast(bool finished);
   void finish_agree();
-  std::uint64_t count(const std::vector<std::uint8_t>& bits) const;
 
   DynamicConfig cfg_;
   int self_;
 
   PhaseKind phase_kind_ = PhaseKind::kWork;
   int phase_ = 1;
-  std::vector<std::uint8_t> known_, done_, t_alive_;
+  DynBitset known_, done_, t_alive_;
   // Slices and phase lengths must be computed from the *agreed* view only:
   // fresh local arrivals are not yet common knowledge and would desynchronize
   // the phase structure (different W at different sites).  They are gossiped
   // in the next agreement and become workable one phase later.
-  std::vector<std::uint8_t> agreed_known_, agreed_done_;
+  DynBitset agreed_known_, agreed_done_;
   std::size_t next_arrival_ = 0;  // index into cfg_.arrivals
 
   std::vector<std::int64_t> my_slice_;
@@ -90,7 +94,7 @@ class DynamicDProcess final : public IProcess {
   Round work_end_;
   bool work_entered_ = false;
 
-  std::vector<std::uint8_t> u_, tn_, kn_, dn_;
+  DynBitset u_, tn_, kn_, dn_;
   bool agree_past_horizon_ = false;
   Round agree_entry_round_;
   int iter_ = 0;

@@ -4,6 +4,94 @@
 
 namespace dowork {
 
+std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, int self,
+                        std::vector<std::int64_t>& slice) {
+  const std::int64_t left = static_cast<std::int64_t>(outstanding.count());
+  const std::uint64_t procs = std::max<std::uint64_t>(1, alive.count());
+  const std::int64_t w = ceil_div(left, static_cast<std::int64_t>(procs));
+  slice.clear();
+  if (alive.test(static_cast<std::size_t>(self))) {
+    const std::int64_t rank =
+        static_cast<std::int64_t>(alive.count_prefix(static_cast<std::size_t>(self)));
+    const std::int64_t from = rank * w;
+    const std::int64_t to = std::min<std::int64_t>(from + w, left);
+    if (from < to) {
+      std::size_t i = outstanding.select(static_cast<std::uint64_t>(from));
+      for (std::int64_t k = from; k < to; ++k, i = outstanding.find_next(i + 1))
+        slice.push_back(static_cast<std::int64_t>(i) + 1);
+    }
+  }
+  return w;
+}
+
+bool agree_receive(const std::vector<const AgreeMsg*>& seen, int self, bool past_grace,
+                   DynBitset& sn, DynBitset& tn, DynBitset& u, bool& removed_any) {
+  for (const AgreeMsg* msg : seen) {
+    if (msg && msg->done) {
+      sn = msg->s_left;
+      tn = msg->t_alive;
+      return true;
+    }
+  }
+  for (const AgreeMsg* msg : seen) {
+    if (!msg) continue;
+    sn &= msg->s_left;
+    tn |= msg->t_alive;
+  }
+  if (past_grace) {
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      if (static_cast<int>(i) != self && u.test(i) && !seen[i]) {
+        u.reset(i);  // silent => crashed
+        removed_any = true;
+      }
+    }
+  }
+  return false;
+}
+
+RevertToA::RevertToA(const DynBitset& s, const DynBitset& alive, int self, const Round& start)
+    : self_(self), id_to_rank_(alive.size(), -1) {
+  std::vector<std::int64_t> units;
+  for (std::size_t i = s.find_next(0); i < s.size(); i = s.find_next(i + 1))
+    units.push_back(static_cast<std::int64_t>(i) + 1);
+  for (std::size_t i = alive.find_next(0); i < alive.size(); i = alive.find_next(i + 1)) {
+    id_to_rank_[i] = static_cast<int>(rank_to_id_.size());
+    rank_to_id_.push_back(static_cast<int>(i));
+  }
+  DoAllConfig sub{static_cast<std::int64_t>(units.size()), static_cast<int>(rank_to_id_.size())};
+  a_ = std::make_unique<ProtocolAProcess>(sub, id_to_rank_[static_cast<std::size_t>(self)], start,
+                                          std::move(units));
+}
+
+Action RevertToA::on_round(const RoundContext& ctx, const InboxView& inbox) {
+  std::vector<Envelope> translated;
+  for (const Msg& msg : inbox) {
+    if (msg.from < 0 || id_to_rank_[static_cast<std::size_t>(msg.from)] < 0)
+      continue;  // stale pre-revert traffic
+    translated.push_back(Envelope{id_to_rank_[static_cast<std::size_t>(msg.from)], self_,
+                                  msg.kind, msg.sent_round(), msg.payload()});
+  }
+  Action a = a_->on_round(ctx, translated);
+  // The embedded Protocol A addresses rank-space ranges; map them back to
+  // real ids (generally non-contiguous, so ranges become bit sets).
+  const int t = static_cast<int>(id_to_rank_.size());
+  for (Outgoing& o : a.sends) o.to = remap_recipients(o.to, rank_to_id_, t);
+  return a;
+}
+
+PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset& alive, int self,
+                   const Round& now) {
+  const bool in_t = alive.test(static_cast<std::size_t>(self));
+  if (old_alive > 2 * std::max<std::uint64_t>(1, alive.count()) && s.any() && in_t) {
+    // More than half the processes died this phase: hand the leftovers to
+    // Protocol A (work-optimal regardless of failure pattern) rather than
+    // risk the adaptive-adversary lower bound.
+    return {PhaseEnd::Kind::kRevert, std::make_unique<RevertToA>(s, alive, self, now + Round{1})};
+  }
+  if (s.none() || !in_t) return {PhaseEnd::Kind::kTerminate, nullptr};
+  return {PhaseEnd::Kind::kNextPhase, nullptr};
+}
+
 std::shared_ptr<const AgreeMergeCache::Index> AgreeMergeCache::index(
     const Round& round, const std::vector<DeliveryRecord>& records, int t) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -74,28 +162,8 @@ ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
 }
 
 void ProtocolDProcess::enter_work_phase(const Round& now) {
-  // Figure 4 line 5: among the units still outstanding, take the slice of
-  // ceil(|S|/|T|) whose gradeS-rank matches our gradeT-rank.  The slice is
-  // located by rank directly in the bitset (select + find_next) instead of
-  // materializing all |S| outstanding units: every process re-derives the
-  // partition each phase, which made the O(n) flattening the second-largest
-  // cost of the t = 1024 scale row.
-  const std::int64_t left = static_cast<std::int64_t>(s_.count());
-  const std::uint64_t alive = std::max<std::uint64_t>(1, t_alive_.count());
-  const std::int64_t w = ceil_div(left, static_cast<std::int64_t>(alive));
-  my_slice_.clear();
+  const std::int64_t w = work_slice(s_, t_alive_, self_, my_slice_);
   slice_pos_ = 0;
-  if (t_alive_.test(static_cast<std::size_t>(self_))) {
-    const std::int64_t rank =
-        static_cast<std::int64_t>(t_alive_.count_prefix(static_cast<std::size_t>(self_)));
-    const std::int64_t from = rank * w;
-    const std::int64_t to = std::min<std::int64_t>(from + w, left);
-    if (from < to) {
-      std::size_t i = s_.select(static_cast<std::uint64_t>(from));
-      for (std::int64_t k = from; k < to; ++k, i = s_.find_next(i + 1))
-        my_slice_.push_back(static_cast<std::int64_t>(i) + 1);
-    }
-  }
   // Everyone spends exactly ceil(|S|/|T|) rounds in the phase (line 7) so the
   // agreement phases stay aligned.
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
@@ -135,41 +203,11 @@ void ProtocolDProcess::finish_agree(const Round& now) {
   const std::uint64_t old_alive = t_alive_.count();
   s_ = sn_;
   t_alive_ = tn_;
-  const std::uint64_t new_alive = std::max<std::uint64_t>(1, t_alive_.count());
-
-  if (old_alive > 2 * new_alive) {
-    // Figure 4 lines 11-13: more than half the processes died this phase;
-    // hand the leftovers to Protocol A (work-optimal regardless of failure
-    // pattern) rather than risking the adaptive-adversary lower bound.
-    std::vector<std::int64_t> units;
-    for (std::size_t i = s_.find_next(0); i < s_.size(); i = s_.find_next(i + 1))
-      units.push_back(static_cast<std::int64_t>(i) + 1);
-    if (units.empty() || !t_alive_.test(static_cast<std::size_t>(self_))) {
-      terminated_ = true;
-      phase_kind_ = PhaseKind::kFinished;
-      return;
-    }
-    // Renumber the agreed survivors 0..|T|-1 so Protocol A's deadlines scale
-    // with the survivor count (Theorem 4.1 case 2 applies Theorem 2.3 with
-    // t/2 processes); the wrapper translates ids on the wire.
-    rank_to_id_.clear();
-    id_to_rank_.assign(static_cast<std::size_t>(t_), -1);
-    for (int i = 0; i < t_; ++i) {
-      if (t_alive_.test(static_cast<std::size_t>(i))) {
-        id_to_rank_[static_cast<std::size_t>(i)] = static_cast<int>(rank_to_id_.size());
-        rank_to_id_.push_back(i);
-      }
-    }
-    DoAllConfig sub{static_cast<std::int64_t>(units.size()),
-                    static_cast<int>(rank_to_id_.size())};
-    revert_ = std::make_unique<ProtocolAProcess>(
-        sub, id_to_rank_[static_cast<std::size_t>(self_)], now + Round{1}, std::move(units));
-    phase_kind_ = PhaseKind::kRevertA;
-    return;
-  }
-  if (s_.none() || !t_alive_.test(static_cast<std::size_t>(self_))) {
-    terminated_ = true;
-    phase_kind_ = PhaseKind::kFinished;
+  PhaseEnd end = end_phase(old_alive, s_, t_alive_, self_, now);
+  if (end.kind != PhaseEnd::Kind::kNextPhase) {
+    revert_ = std::move(end.revert);
+    terminated_ = !revert_;
+    phase_kind_ = revert_ ? PhaseKind::kRevertA : PhaseKind::kFinished;
     return;
   }
   ++phase_;
@@ -184,20 +222,7 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     a.terminate = true;
     return a;
   }
-  if (phase_kind_ == PhaseKind::kRevertA) {
-    std::vector<Envelope> translated;
-    for (const Msg& msg : inbox) {
-      if (msg.from < 0 || id_to_rank_[static_cast<std::size_t>(msg.from)] < 0)
-        continue;  // stale pre-revert traffic
-      translated.push_back(Envelope{id_to_rank_[static_cast<std::size_t>(msg.from)], self_,
-                                    msg.kind, msg.sent_round(), msg.payload()});
-    }
-    Action a = revert_->on_round(ctx, translated);
-    // The embedded Protocol A addresses rank-space ranges; map them back to
-    // real ids (generally non-contiguous, so ranges become bit sets).
-    for (Outgoing& o : a.sends) o.to = remap_recipients(o.to, rank_to_id_, t_);
-    return a;
-  }
+  if (phase_kind_ == PhaseKind::kRevertA) return revert_->on_round(ctx, inbox);
 
   // The round's ledger index, when this process can use one: a ledger-mode
   // inbox (envelope views come from wrappers and socket workers) and a
@@ -237,7 +262,7 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     adopted = receive_served(*idx, removed_any);
   } else {
     walk(inbox);
-    adopted = receive_walked(removed_any);
+    adopted = agree_receive(seen_, self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
     std::fill(seen_.begin(), seen_.end(), nullptr);
     early_retained_.clear();
   }
@@ -266,33 +291,6 @@ void ProtocolDProcess::walk(const InboxView& inbox) {
       if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
     }
   }
-}
-
-bool ProtocolDProcess::receive_walked(bool& removed_any) {
-  for (int i = 0; i < t_; ++i) {
-    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
-    if (msg && msg->done) {
-      sn_ = msg->s_left;
-      tn_ = msg->t_alive;
-      return true;
-    }
-  }
-  for (int i = 0; i < t_; ++i) {
-    const AgreeMsg* msg = seen_[static_cast<std::size_t>(i)];
-    if (!msg) continue;
-    sn_ &= msg->s_left;
-    tn_ |= msg->t_alive;
-  }
-  if (iter_ >= grace_) {
-    for (int i = 0; i < t_; ++i) {
-      if (i != self_ && u_.test(static_cast<std::size_t>(i)) &&
-          !seen_[static_cast<std::size_t>(i)]) {
-        u_.reset(static_cast<std::size_t>(i));  // silent => crashed
-        removed_any = true;
-      }
-    }
-  }
-  return false;
 }
 
 bool ProtocolDProcess::receive_served(const AgreeMergeCache::Index& idx, bool& removed_any) {

@@ -22,6 +22,9 @@
 // iteration-k broadcasts, which land one round later.  Later phases allow
 // one grace iteration before declaring silent processes faulty, absorbing
 // the <=1 round of skew left by done-adoption (the paper's "grace round").
+//
+// The phase core below (work_slice, agree_receive, end_phase, RevertToA) is
+// shared with the coordinator variant and the dynamic-workload extension.
 #pragma once
 
 #include <atomic>
@@ -48,6 +51,65 @@ struct AgreeMsg final : Payload {
   AgreeMsg(int ph, DynBitset s, DynBitset t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
+
+// --- The phase core shared by D, D_coord and dynamic D --------------------
+
+// Figure 4 line 5: among the outstanding units (unit u -> bit u-1) in
+// increasing order, cut into blocks of w = ceil(|S|/|T|) (|T| at least 1),
+// the block whose index is self's rank in `alive`; empty when self is not in
+// `alive`.  Writes the block's unit ids into `slice` and returns w.  The
+// block is located by rank directly in the bitset (select + find_next)
+// instead of materializing all |S| outstanding units: every process
+// re-derives the partition each phase, which made the O(n) flattening the
+// second-largest cost of the t = 1024 scale row.
+std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, int self,
+                        std::vector<std::int64_t>& slice);
+
+// One iteration of the agreement receive-check (Figure 4 lines 15-19) over
+// `seen`, the phase's messages indexed by sender (null = silent): adopt the
+// lowest sender's done view into (sn, tn) and return true; otherwise fold
+// every view in (S by AND, T by OR) and, once past_grace, drop from u each
+// silent member other than self (silent => crashed), setting removed_any.
+// This is the one seam at which a walked receive decides the (S, T) that
+// D's survivors agree on; D's served path reproduces it from the ledger
+// index (see AgreeMergeCache).
+bool agree_receive(const std::vector<const AgreeMsg*>& seen, int self, bool past_grace,
+                   DynBitset& sn, DynBitset& tn, DynBitset& u, bool& removed_any);
+
+// Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
+// The paper's case-2 bounds assume it runs over the agreed survivors only, so
+// the embedded instance uses rank-in-T ids (its deadlines scale with |T|:
+// Theorem 4.1 case 2 applies Theorem 2.3 with t/2 processes); on_round
+// translates between ranks and real process ids in both directions.
+class RevertToA {
+ public:
+  // Protocol A over the agreed (s, alive) -- self must be in alive --
+  // starting at round `start`.
+  RevertToA(const DynBitset& s, const DynBitset& alive, int self, const Round& start);
+
+  Action on_round(const RoundContext& ctx, const InboxView& inbox);
+  Round next_wake(const Round& now) const { return a_->next_wake(now); }
+
+ private:
+  int self_;
+  std::vector<int> rank_to_id_;
+  std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
+  std::unique_ptr<ProtocolAProcess> a_;
+};
+
+// The decision at the end of an agreement phase that agreed on (s, alive),
+// where old_alive processes were believed correct when it began (Figure 4
+// lines 9-13): terminate when s is empty or self is outside alive; else
+// revert to Protocol A from round now + 1 when more than half were lost
+// (old_alive > 2 max(1, |alive|)); else start the next work phase.  The one
+// seam where D and D_coord decide "revert exactly when a phase lost more
+// than half".
+struct PhaseEnd {
+  enum class Kind { kNextPhase, kTerminate, kRevert } kind;
+  std::unique_ptr<RevertToA> revert;  // set for kRevert only
+};
+PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset& alive, int self,
+                   const Round& now);
 
 // Run-scoped memoization of an agreement round's receive.  Every recipient
 // of an agreement round reads the SAME broadcast ledger: walked one by one,
@@ -169,9 +231,9 @@ class ProtocolDProcess final : public IProcess {
   Action agree_broadcast(bool done);
   // Stashes this phase's agreement messages from `inbox` into seen_.
   void walk(const InboxView& inbox);
-  // The agreement receive-check, from the walked seen_ or from the index;
-  // returns whether a done view was adopted and sets removed_any.
-  bool receive_walked(bool& removed_any);
+  // The agreement receive-check from the index (the walked one is
+  // agree_receive over seen_); returns whether a done view was adopted and
+  // sets removed_any.
   bool receive_served(const AgreeMergeCache::Index& idx, bool& removed_any);
   void finish_agree(const Round& now);
 
@@ -184,7 +246,7 @@ class ProtocolDProcess final : public IProcess {
   DynBitset s_;  // outstanding units (unit u -> s_[u-1])
   DynBitset t_alive_;
 
-  // Work-phase state.
+  // Work-phase state (the slice comes from work_slice).
   std::vector<std::int64_t> my_slice_;
   std::size_t slice_pos_ = 0;
   Round work_end_;  // round at which the agreement phase starts
@@ -223,12 +285,7 @@ class ProtocolDProcess final : public IProcess {
   std::shared_ptr<const AgreeMsg> last_sent_;
   std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = always walk
 
-  // Revert path.  The paper's case-2 bounds assume Protocol A runs over the
-  // surviving processes only, so the embedded instance uses rank-in-T ids;
-  // the wrapper translates between ranks and real process ids on the wire.
-  std::unique_ptr<ProtocolAProcess> revert_;
-  std::vector<int> rank_to_id_;
-  std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
+  std::unique_ptr<RevertToA> revert_;  // set once phase_kind_ is kRevertA
   bool terminated_ = false;
 };
 

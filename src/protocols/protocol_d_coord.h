@@ -25,6 +25,11 @@
 // Failure-free cost per agreement phase: (t-1) reports + (t-1) final-view
 // messages = 2(t-1), at a constant number of extra (message-free) rounds
 // relative to the broadcast variant -- the trade the paper describes.
+//
+// Only who the agreement messages go to differs from Protocol D; the rest is
+// D's phase core (protocol_d.h): work_slice cuts each work phase's slice,
+// the fallback's receive-check is agree_receive with grace 2, and end_phase
+// with its RevertToA wrapper decides terminate, next phase or revert.
 #pragma once
 
 #include "protocols/protocol_d.h"
@@ -46,7 +51,9 @@ class ProtocolDCoordProcess final : public IProcess {
 
   int coordinator() const;  // lowest-id process believed alive
   void enter_work_phase(const Round& now);
-  Action broadcast_view(bool done);
+  // Sends (sn_, tn_, done) to every member of `who` except self.
+  Action broadcast_view(const DynBitset& who, bool done);
+  void clear_seen();
   void finish_phase(const Round& now);
 
   std::int64_t n_;
@@ -64,17 +71,17 @@ class ProtocolDCoordProcess final : public IProcess {
 
   // Agreement state.
   DynBitset u_, tn_, sn_;
-  // This phase's messages, indexed by sender (null = silent); flat array
-  // for the same O(t)-no-allocation reason as in protocol_d.h.
-  std::vector<std::shared_ptr<const AgreeMsg>> seen_;
+  // This phase's messages, indexed by sender (null = silent), as
+  // agree_receive reads them; held_ keeps their payloads alive, since the
+  // coordinator's reports and the awaited final view span several rounds.
+  std::vector<const AgreeMsg*> seen_;
+  std::vector<std::shared_ptr<const Payload>> held_;
   Round agr_entry_;        // R
   bool responded_ = false;
   int iter_ = 0;           // fallback iteration counter
   Round resume_at_;        // next work-phase entry round
 
-  std::unique_ptr<ProtocolAProcess> revert_;
-  std::vector<int> rank_to_id_;
-  std::vector<int> id_to_rank_;
+  std::unique_ptr<RevertToA> revert_;  // set once phase_kind_ is kRevertA
   bool terminated_ = false;
 };
 

@@ -118,6 +118,11 @@ class DynBitset {
     detail::or_words(w_.data(), o.w_.data(), w_.size());
     return *this;
   }
+  // Set difference (this &= ~o); sizes must match.
+  DynBitset& and_not(const DynBitset& o) {
+    for (std::size_t i = 0; i < w_.size(); ++i) w_[i] &= ~o.w_[i];
+    return *this;
+  }
 
   friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
 

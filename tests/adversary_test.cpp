@@ -253,9 +253,11 @@ TEST(AdversarySearch, AdaptiveWorstCaseDominatesScriptedAndRespectsBounds) {
       harness::ParallelScenarioRunner(2).run("adversary_search", scenarios);
   for (const harness::ScenarioResult& row : rows) {
     EXPECT_TRUE(row.ok) << row.id << ": " << row.violation;
-    for (const auto& [key, value] : row.extra)
-      if (key.rfind("bound_margin_", 0) == 0)
+    for (const auto& [key, value] : row.extra) {
+      if (key.rfind("bound_margin_", 0) == 0) {
         EXPECT_LE(std::stoi(value), 100) << row.id << " " << key;
+      }
+    }
   }
   const std::vector<harness::GroupAggregate> groups = harness::aggregate(rows);
   auto effort_of = [&](const std::string& group) -> std::uint64_t {

@@ -52,9 +52,11 @@ TEST(Byzantine, GeneralCrashReachingNobodyDecidesDefault) {
   EXPECT_TRUE(r.general_crashed);
   EXPECT_TRUE(r.agreement);
   // Nobody heard 5: all survivors decide the default 0.
-  for (int i = 1; i < cfg.n_procs; ++i)
-    if (r.decisions[static_cast<std::size_t>(i)])
+  for (int i = 1; i < cfg.n_procs; ++i) {
+    if (r.decisions[static_cast<std::size_t>(i)]) {
       EXPECT_EQ(*r.decisions[static_cast<std::size_t>(i)], 0);
+    }
+  }
 }
 
 TEST(Byzantine, SenderCascadeCrashesKeepAgreement) {

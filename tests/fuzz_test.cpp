@@ -53,9 +53,12 @@ TEST(FuzzGeneratorTest, EveryCaseIsValidAndRoundTrips) {
         << s.id;
     EXPECT_GE(s.cfg.t, 2) << s.id;
     EXPECT_EQ(s.repetitions, 1) << s.id;
-    if (s.protocol == "C" || s.protocol == "C_batch")
+    if (s.protocol == "C" || s.protocol == "C_batch") {
       EXPECT_LE(s.cfg.n + s.cfg.t, harness::kCRoundBudget) << s.id;
-    if (s.protocol == "D") EXPECT_EQ(s.cfg.n % s.cfg.t, 0) << s.id;
+    }
+    if (s.protocol == "D") {
+      EXPECT_EQ(s.cfg.n % s.cfg.t, 0) << s.id;
+    }
     // Exactly one bound policy: crash-only cases assert, weather/jam cases
     // report margins only.
     const bool asserts = s.params.count("assert_bounds") != 0;

@@ -52,7 +52,9 @@ TEST_P(GroupLayoutSweep, GroupsPartitionTheProcesses) {
   // Group size is ceil(sqrt(t)): s^2 >= t > (s-1)^2.
   int s = g.group_size();
   EXPECT_GE(s * s, t);
-  if (s > 1) EXPECT_LT((s - 1) * (s - 1), t);
+  if (s > 1) {
+    EXPECT_LT((s - 1) * (s - 1), t);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, GroupLayoutSweep,

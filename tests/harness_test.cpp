@@ -416,8 +416,13 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // protocol_c was captured from the pre-two-tier-Round binary (PR 3): its
 // rows' exact exponential round counts pin that promoted deadlines still
 // compare, format and order exactly as the flat 512-bit representation did.
+// protocol_d and dynamic were captured before D_coord and dynamic D were
+// moved onto Protocol D's shared phase core (work slice, agreement receive,
+// revert-to-A wrapper): they pin D's T5b revert, D_coord's coordinator-dies
+// fallback and the dynamic extension's byte-packed views.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
-                         ::testing::Values("smoke", "checkpoint_sweep", "protocol_c"),
+                         ::testing::Values("smoke", "checkpoint_sweep", "protocol_c",
+                                           "protocol_d", "dynamic"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -47,6 +47,11 @@ TEST(ProtocolDCoord, WorkerCrashIsAbsorbedByTheCoordinator) {
   RunResult r = run_do_all("D_coord", cfg, std::make_unique<ScheduledFaults>(std::move(entries)));
   ASSERT_TRUE(r.ok()) << r.violation;
   EXPECT_LE(r.metrics.work_total, 64u + 8u);
+  // Exact figures pin the phase machinery it shares with Protocol D (work
+  // slice, terminate-or-revert decision) against drift.
+  EXPECT_EQ(r.metrics.work_total, 66u);
+  EXPECT_EQ(r.metrics.messages_total, 25u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{26u});
 }
 
 TEST(ProtocolDCoord, CoordinatorCrashBeforeFinalTriggersFallback) {
@@ -60,6 +65,10 @@ TEST(ProtocolDCoord, CoordinatorCrashBeforeFinalTriggersFallback) {
   EXPECT_EQ(r.metrics.crashes, 1u);
   // Fallback pays broadcast-agreement messages.
   EXPECT_GT(r.metrics.messages_total, 2u * 7u);
+  // Exact figures pin the fallback's shared receive check (grace 2).
+  EXPECT_EQ(r.metrics.work_total, 72u);
+  EXPECT_EQ(r.metrics.messages_total, 250u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{28u});
 }
 
 TEST(ProtocolDCoord, CoordinatorCrashMidFinalBroadcastStaysConsistent) {
@@ -72,6 +81,9 @@ TEST(ProtocolDCoord, CoordinatorCrashMidFinalBroadcastStaysConsistent) {
   RunResult r = run_do_all("D_coord", cfg, std::make_unique<ScheduledFaults>(std::move(entries)));
   ASSERT_TRUE(r.ok()) << r.violation;
   EXPECT_EQ(r.metrics.crashes, 1u);
+  EXPECT_EQ(r.metrics.work_total, 64u);
+  EXPECT_EQ(r.metrics.messages_total, 115u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{16u});
 }
 
 TEST(ProtocolDCoord, MajorityLossRevertsToProtocolA) {
@@ -81,6 +93,26 @@ TEST(ProtocolDCoord, MajorityLossRevertsToProtocolA) {
   RunResult r = run_do_all("D_coord", cfg, std::make_unique<ScheduledFaults>(std::move(entries)));
   ASSERT_TRUE(r.ok()) << r.violation;
   EXPECT_GT(r.metrics.messages_of(MsgKind::kCheckpoint), 0u);  // Protocol A traffic
+  // Exact figures pin the shared revert wrapper (rank translation, start
+  // round) -- no experiment row runs D_coord's revert.
+  EXPECT_EQ(r.metrics.work_total, 77u);
+  EXPECT_EQ(r.metrics.messages_total, 16u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{63u});
+}
+
+TEST(ProtocolDCoord, RevertedRunTakesOverOnProtocolASchedule) {
+  // As above, then process 0 -- rank 0 of the survivors, so the embedded
+  // Protocol A's first worker -- dies after the revert; the takeover's
+  // round depends on the shared revert wrapper's start round.
+  DoAllConfig cfg{64, 8};
+  std::vector<ScheduledFaults::Entry> entries;
+  for (int p = 1; p < 6; ++p) entries.push_back({p, 2, CrashPlan{true, 0}});
+  entries.push_back({0, 12, CrashPlan{true, 0}});
+  RunResult r = run_do_all("D_coord", cfg, std::make_unique<ScheduledFaults>(std::move(entries)));
+  ASSERT_TRUE(r.ok()) << r.violation;
+  EXPECT_EQ(r.metrics.work_total, 79u);
+  EXPECT_EQ(r.metrics.messages_total, 11u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{108u});
 }
 
 struct SweepCase {

@@ -114,6 +114,22 @@ TEST(ProtocolD, RevertsToProtocolAWhenMajorityDies) {
   EXPECT_GT(m.messages_of(MsgKind::kCheckpoint), 0u);
 }
 
+TEST(ProtocolD, RevertedRunTakesOverOnProtocolASchedule) {
+  // As above, then process 5 -- rank 0 of the survivors, so the embedded
+  // Protocol A's first worker -- dies after the revert.  The takeover's
+  // round depends on RevertToA's start round and rank translation; the
+  // figures were captured before the revert wrapper was shared.
+  DoAllConfig cfg{64, 8};
+  std::vector<ScheduledFaults::Entry> entries;
+  for (int p = 0; p < 5; ++p) entries.push_back({p, 2, CrashPlan{true, 0}});
+  entries.push_back({5, 12, CrashPlan{true, 0}});
+  RunResult r = run_do_all("D", cfg, std::make_unique<ScheduledFaults>(std::move(entries)));
+  ASSERT_TRUE(r.ok()) << r.violation;
+  EXPECT_EQ(r.metrics.work_total, 75u);
+  EXPECT_EQ(r.metrics.messages_total, 35u);
+  EXPECT_EQ(r.metrics.last_retire_round, Round{102u});
+}
+
 TEST(ProtocolD, GracefulDegradationRoundsGrowLinearlyInF) {
   DoAllConfig cfg{240, 8};
   std::uint64_t prev_rounds = 0;
@@ -128,6 +144,79 @@ TEST(ProtocolD, GracefulDegradationRoundsGrowLinearlyInF) {
     EXPECT_LE(rounds, u((f + 1) * 30 + 6 * f + 6));
     prev_rounds = rounds;
   }
+}
+
+// --- the phase core D shares with D_coord and dynamic D ----------------------
+
+DynBitset bits(std::size_t n, std::initializer_list<std::size_t> on) {
+  DynBitset b(n);
+  for (std::size_t i : on) b.set(i);
+  return b;
+}
+
+TEST(ProtocolDPhaseCore, WorkSliceCutsOutstandingByRankInT) {
+  // Outstanding units 2, 3, 5, 7, 8 over T = {0, 2, 3}: w = ceil(5/3) = 2.
+  const DynBitset s = bits(8, {1, 2, 4, 6, 7});
+  const DynBitset alive = bits(4, {0, 2, 3});
+  std::vector<std::int64_t> slice{99};
+  EXPECT_EQ(work_slice(s, alive, 0, slice), 2);
+  EXPECT_EQ(slice, (std::vector<std::int64_t>{2, 3}));
+  EXPECT_EQ(work_slice(s, alive, 2, slice), 2);
+  EXPECT_EQ(slice, (std::vector<std::int64_t>{5, 7}));
+  EXPECT_EQ(work_slice(s, alive, 3, slice), 2);
+  EXPECT_EQ(slice, (std::vector<std::int64_t>{8}));
+  work_slice(s, alive, 1, slice);  // outside T: no slice
+  EXPECT_TRUE(slice.empty());
+  // Dynamic D's outstanding set is known \ done; with nothing outstanding
+  // w is 0 (dynamic D stretches the phase to one round itself).
+  DynBitset known = bits(8, {1, 4});
+  known.and_not(bits(8, {1, 4, 5}));
+  EXPECT_TRUE(known.none());
+  EXPECT_EQ(work_slice(known, alive, 0, slice), 0);
+  EXPECT_TRUE(slice.empty());
+}
+
+TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) {
+  const AgreeMsg a(1, bits(6, {0, 1, 2}), bits(4, {1}), false);
+  const AgreeMsg b(1, bits(6, {1, 2, 3}), bits(4, {2}), false);
+  const AgreeMsg d2(1, bits(6, {5}), bits(4, {0, 2}), true);
+  const AgreeMsg d3(1, bits(6, {4}), bits(4, {3}), true);
+  // Self is 0; process 3 is silent.
+  std::vector<const AgreeMsg*> seen{nullptr, &a, &b, nullptr};
+  DynBitset sn(6, true), tn = bits(4, {0}), u(4, true);
+  bool removed = false;
+  EXPECT_FALSE(agree_receive(seen, 0, /*past_grace=*/false, sn, tn, u, removed));
+  EXPECT_EQ(sn, bits(6, {1, 2}));
+  EXPECT_EQ(tn, bits(4, {0, 1, 2}));
+  EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
+  EXPECT_EQ(u, DynBitset(4, true));
+  EXPECT_FALSE(agree_receive(seen, 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_TRUE(removed);
+  EXPECT_EQ(u, bits(4, {0, 1, 2}));  // self stays, though it sent itself nothing
+  // Two done views: the lowest sender's is adopted whole, nothing merged.
+  seen = {nullptr, &a, &d2, &d3};
+  removed = false;
+  EXPECT_TRUE(agree_receive(seen, 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_EQ(sn, d2.s_left);
+  EXPECT_EQ(tn, d2.t_alive);
+  EXPECT_FALSE(removed);
+}
+
+TEST(ProtocolDPhaseCore, EndPhaseRevertsExactlyWhenMoreThanHalfWereLost) {
+  const DynBitset left = bits(16, {3, 5});
+  const DynBitset alive = bits(8, {1, 4, 6});  // |T| = 3
+  PhaseEnd end = end_phase(7, left, alive, 4, Round{10});  // 7 > 2 * 3
+  EXPECT_EQ(end.kind, PhaseEnd::Kind::kRevert);
+  EXPECT_NE(end.revert, nullptr);
+  end = end_phase(6, left, alive, 4, Round{10});  // exactly half: no revert
+  EXPECT_EQ(end.kind, PhaseEnd::Kind::kNextPhase);
+  EXPECT_EQ(end.revert, nullptr);
+  // A revert with nothing left, or for a process outside the agreed T,
+  // terminates, as does any phase that leaves S empty.
+  EXPECT_EQ(end_phase(7, DynBitset(16), alive, 4, Round{10}).kind, PhaseEnd::Kind::kTerminate);
+  EXPECT_EQ(end_phase(7, left, alive, 0, Round{10}).kind, PhaseEnd::Kind::kTerminate);
+  EXPECT_EQ(end_phase(3, DynBitset(16), alive, 4, Round{10}).kind, PhaseEnd::Kind::kTerminate);
+  EXPECT_EQ(end_phase(3, left, alive, 0, Round{10}).kind, PhaseEnd::Kind::kTerminate);
 }
 
 struct SweepCase {
