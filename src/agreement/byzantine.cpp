@@ -53,20 +53,17 @@ class ByzantineProcess final : public IProcess {
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
     // Adopt values and strip piggybacks before handing mail to the inner
-    // protocol (as materialized envelopes: the inner process sees a plain
-    // vector-backed InboxView).
-    std::vector<Envelope> inner_mail;
+    // protocol (as records of its own, each addressed to self alone).
+    std::vector<DeliveryRecord> inner_mail;
     for (const Msg& msg : inbox) {
       if (const auto* v = msg.as<ValueMsg>()) {
         value_ = v->value;
         continue;
       }
-      if (const auto* pv = msg.as<ValuedPayload>()) {
-        value_ = pv->value;
-        inner_mail.push_back(Envelope{msg.from, self_, msg.kind, msg.sent_round(), pv->inner});
-        continue;
-      }
-      inner_mail.push_back(Envelope{msg.from, self_, msg.kind, msg.sent_round(), msg.payload()});
+      const auto* pv = msg.as<ValuedPayload>();
+      if (pv) value_ = pv->value;
+      inner_mail.push_back(DeliveryRecord{msg.from, msg.kind, 1, self_,
+                                          pv ? pv->inner : msg.payload(), msg.sent_round()});
     }
 
     Action out;
@@ -82,7 +79,7 @@ class ByzantineProcess final : public IProcess {
     }
 
     if (inner_ && !inner_done_ && ctx.round >= Round{1}) {
-      Action a = inner_->on_round(ctx, inner_mail);
+      Action a = inner_->on_round(ctx, InboxView(inner_mail, self_, !inner_mail.empty()));
       if (a.terminate) inner_done_ = true;  // the wrapper decides later
       if (a.work) {
         // Performing unit j = informing process j-1 of the current value.

@@ -124,7 +124,7 @@ std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPart
 
 // True when a received checkpoint tells `self` that all work is complete
 // ("(t)" or a direct "(t, g_self)").  Takes the non-owning message view;
-// Envelope converts implicitly.
+// a DeliveryRecord converts implicitly.
 bool is_completion_notice(const GroupLayout& layout, const WorkPartition& part, int self,
                           const Msg& msg);
 

@@ -50,7 +50,7 @@ bool agree_receive(const std::vector<const AgreeMsg*>& seen, int self, bool past
 }
 
 RevertToA::RevertToA(const DynBitset& s, const DynBitset& alive, int self, const Round& start)
-    : self_(self), id_to_rank_(alive.size(), -1) {
+    : id_to_rank_(alive.size(), -1) {
   std::vector<std::int64_t> units;
   for (std::size_t i = s.find_next(0); i < s.size(); i = s.find_next(i + 1))
     units.push_back(static_cast<std::int64_t>(i) + 1);
@@ -58,20 +58,22 @@ RevertToA::RevertToA(const DynBitset& s, const DynBitset& alive, int self, const
     id_to_rank_[i] = static_cast<int>(rank_to_id_.size());
     rank_to_id_.push_back(static_cast<int>(i));
   }
+  rank_ = id_to_rank_[static_cast<std::size_t>(self)];
   DoAllConfig sub{static_cast<std::int64_t>(units.size()), static_cast<int>(rank_to_id_.size())};
-  a_ = std::make_unique<ProtocolAProcess>(sub, id_to_rank_[static_cast<std::size_t>(self)], start,
-                                          std::move(units));
+  a_ = std::make_unique<ProtocolAProcess>(sub, rank_, start, std::move(units));
 }
 
 Action RevertToA::on_round(const RoundContext& ctx, const InboxView& inbox) {
-  std::vector<Envelope> translated;
+  // The embedded A reads rank-space mail: each message becomes one record
+  // addressed to our rank.
+  std::vector<DeliveryRecord> translated;
   for (const Msg& msg : inbox) {
     if (msg.from < 0 || id_to_rank_[static_cast<std::size_t>(msg.from)] < 0)
       continue;  // stale pre-revert traffic
-    translated.push_back(Envelope{id_to_rank_[static_cast<std::size_t>(msg.from)], self_,
-                                  msg.kind, msg.sent_round(), msg.payload()});
+    translated.push_back(DeliveryRecord{id_to_rank_[static_cast<std::size_t>(msg.from)], msg.kind,
+                                        1, rank_, msg.payload(), msg.sent_round()});
   }
-  Action a = a_->on_round(ctx, translated);
+  Action a = a_->on_round(ctx, InboxView(translated, rank_, !translated.empty()));
   // The embedded Protocol A addresses rank-space ranges; map them back to
   // real ids (generally non-contiguous, so ranges become bit sets).
   const int t = static_cast<int>(id_to_rank_.size());
@@ -224,13 +226,10 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   }
   if (phase_kind_ == PhaseKind::kRevertA) return revert_->on_round(ctx, inbox);
 
-  // The round's ledger index, when this process can use one: a ledger-mode
-  // inbox (envelope views come from wrappers and socket workers) and a
-  // run-shared cache.
+  // The round's ledger index, when this process has a run-shared cache and
+  // mail (a non-empty view always has a record vector).
   std::shared_ptr<const AgreeMergeCache::Index> idx;
-  if (merge_cache_ && !inbox.empty())
-    if (const std::vector<DeliveryRecord>* recs = inbox.records())
-      idx = merge_cache_->index(ctx.round, *recs, t_);
+  if (merge_cache_ && !inbox.empty()) idx = merge_cache_->index(ctx.round, *inbox.records(), t_);
 
   if (phase_kind_ == PhaseKind::kWork) {
     // Early arrivals of this phase (a peer finished the previous agreement

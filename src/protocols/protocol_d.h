@@ -91,7 +91,7 @@ class RevertToA {
   Round next_wake(const Round& now) const { return a_->next_wake(now); }
 
  private:
-  int self_;
+  int rank_ = -1;  // self's id in the embedded A
   std::vector<int> rank_to_id_;
   std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
   std::unique_ptr<ProtocolAProcess> a_;
@@ -135,12 +135,20 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // single phase of every agreement record, the walk would stash exactly
 // the index's sender table minus its own slot, so AND/OR regrouping (both
 // associative and commutative) gives the same bits.  Everything else walks
-// as before: envelope inboxes (socket workers), cut-out or dropped
-// recipients, mixed-phase ledgers, two records from one sender, early
-// arrivals already stashed, an own message missing from the ledger, and
-// processes built without a cache.  protocol_d_test pins cache and
-// cache-free runs to identical metrics, and pins that a crash-free run
-// serves every agreement receive.
+// as before: cut-out or dropped recipients, mixed-phase ledgers, two
+// records from one sender, early arrivals already stashed, an own message
+// missing from the ledger (a socket worker's one-recipient mailbox never
+// carries one), and processes built without a cache.  protocol_d_test pins
+// cache and cache-free runs to identical metrics, and pins that a
+// crash-free run serves every agreement receive.
+//
+// Keying: an index is identified by (round, record vector address).  That
+// is sound because, within one round, each record vector a cache-sharing
+// process reads is a single vector, never refilled or replaced at the same
+// address: the simulator's ledger, or a socket worker's mailbox (each
+// worker hosts one process).  The wrappers that build their own records
+// (revert-to-A, the Byzantine layer) wrap only A, B and C, which build no
+// index.
 //
 // Threading: the index is built under one mutex and then only read (a new
 // round replaces it, never edits it), so recipients served from any thread,

@@ -49,30 +49,17 @@ bool RecipientSet::within(int t) const {
 
 std::size_t InboxView::count() const {
   std::size_t c = 0;
-  if (recs_) {
+  if (recs_)
     for (const DeliveryRecord& r : *recs_)
       if (r.delivers_to(self_)) ++c;
-    return c;
-  }
-  return envs_ ? envs_->size() : 0;
+  return c;
 }
 
 void InboxView::const_iterator::seek() {
-  if (v_ == nullptr) return;
-  if (v_->recs_) {
-    const std::vector<DeliveryRecord>& recs = *v_->recs_;
-    while (i_ < recs.size() && !recs[i_].delivers_to(v_->self_)) ++i_;
-    if (i_ < recs.size()) {
-      const DeliveryRecord& r = recs[i_];
-      cur_ = Msg{};
-      cur_.from = r.from;
-      cur_.kind = r.kind;
-      cur_.sent_round_ptr = v_->sent_rounds_ ? &(*v_->sent_rounds_)[i_] : v_->sent_round_;
-      cur_.payload_ptr = &r.payload;
-    }
-    return;
-  }
-  if (v_->envs_ && i_ < v_->envs_->size()) cur_ = Msg((*v_->envs_)[i_]);
+  if (v_ == nullptr || v_->recs_ == nullptr) return;
+  const std::vector<DeliveryRecord>& recs = *v_->recs_;
+  while (i_ < recs.size() && !recs[i_].delivers_to(v_->self_)) ++i_;
+  if (i_ < recs.size()) cur_ = Msg(recs[i_]);
 }
 
 Outgoing broadcast(const std::vector<int>& recipients, MsgKind kind,

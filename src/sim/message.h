@@ -57,10 +57,10 @@ namespace detail {
 bool same_payload_type(const std::type_info& a, const std::type_info& b);
 
 // The one shared implementation of exact-dynamic-type payload downcasting
-// (Envelope::as and Msg::as delegate here): a typeinfo-pointer fast path
-// (statically linked typeinfos are unique per type, so this is one vtable
-// load + compare), then the fold-proof out-of-line comparison -- a
-// misfolded fast path can only cost the call, never a wrong answer.
+// (Msg::as and Protocol D's ledger index delegate here): a typeinfo-pointer
+// fast path (statically linked typeinfos are unique per type, so this is
+// one vtable load + compare), then the fold-proof out-of-line comparison --
+// a misfolded fast path can only cost the call, never a wrong answer.
 template <typename T>
 const T* payload_as(const Payload* p) {
   static_assert(std::is_final_v<T>, "as<T> matches exact dynamic types only");
@@ -217,43 +217,21 @@ struct Outgoing {
   std::shared_ptr<const Payload> payload;
 };
 
-// A delivered message in owning form.  The simulator's own delivery no
-// longer materializes these (recipients read ledger records through Msg
-// views); Envelope remains the storable representation used by protocol
-// wrappers that translate mail before re-dispatching it (Protocol D's
-// revert-to-A id translation, the Byzantine layer's payload unwrapping) and
-// by tests that hand-craft inboxes.
-struct Envelope {
-  int from = -1;
-  int to = -1;
-  MsgKind kind = MsgKind::kOther;
-  Round sent_round;  // round in which the sender emitted it
-  std::shared_ptr<const Payload> payload;
-
-  // Convenience downcast; returns nullptr if the payload has a different
-  // dynamic type.  Exact-type matching (every payload struct is final, and
-  // receipt code always asks for the concrete type), so this is a typeid
-  // comparison -- see detail::payload_as -- rather than a dynamic_cast
-  // graph walk.
-  template <typename T>
-  const T* as() const {
-    return detail::payload_as<T>(payload.get());
-  }
-};
-
-// One ledger record: a send as the simulator committed it.  `cut` is the
-// number of recipients (in ascending audience order) the message actually
-// reached -- equal to to.size() for an uncut send, smaller when the fault
-// injector killed the sender mid-broadcast (CrashPlan::deliver_prefix).
-// All records of one round share their sent round (stored once, ledger-wide)
-// -- messages live exactly one round, so per-record rounds would be t copies
-// of the same value.
+// One message, the only message type: a send as the simulator committed
+// it, with the round it was sent in.  `cut` is the number of recipients (in
+// ascending audience order) the message actually reached -- equal to
+// to.size() for an uncut send, smaller when the fault injector killed the
+// sender mid-broadcast (CrashPlan::deliver_prefix).  Protocol wrappers that
+// translate mail (Protocol D's revert-to-A, the Byzantine layer) and socket
+// workers build their own records, each addressed to its one recipient with
+// cut = 1.
 struct DeliveryRecord {
   int from = -1;
   MsgKind kind = MsgKind::kOther;
   std::size_t cut = 0;
   RecipientSet to;
   std::shared_ptr<const Payload> payload;
+  Round sent;  // round in which the sender emitted it
 
   bool delivers_to(int id) const {
     return to.contains(id) && (cut >= to.size() || to.rank_of(id) < cut);
@@ -266,26 +244,30 @@ struct DeliveryRecord {
 struct Msg {
   int from = -1;
   MsgKind kind = MsgKind::kOther;
-  const Round* sent_round_ptr = nullptr;
-  const std::shared_ptr<const Payload>* payload_ptr = nullptr;
+  const DeliveryRecord* rec = nullptr;
 
   Msg() = default;
-  Msg(const Envelope& e)  // NOLINT(runtime/explicit)
-      : from(e.from), kind(e.kind), sent_round_ptr(&e.sent_round), payload_ptr(&e.payload) {}
+  Msg(const DeliveryRecord& r)  // NOLINT(runtime/explicit)
+      : from(r.from), kind(r.kind), rec(&r) {}
 
-  const Round& sent_round() const { return *sent_round_ptr; }
+  const Round& sent_round() const { return rec->sent; }
   // The owning reference; copy it to keep the payload alive past on_round.
-  const std::shared_ptr<const Payload>& payload() const { return *payload_ptr; }
+  const std::shared_ptr<const Payload>& payload() const { return rec->payload; }
 
+  // Convenience downcast; returns nullptr if the payload has a different
+  // dynamic type.  Exact-type matching (every payload struct is final, and
+  // receipt code always asks for the concrete type), so this is a typeid
+  // comparison -- see detail::payload_as -- rather than a dynamic_cast
+  // graph walk.
   template <typename T>
   const T* as() const {
-    return detail::payload_as<T>(payload_ptr->get());
+    return detail::payload_as<T>(rec->payload.get());
   }
 };
 
-// The inbox a process reads in on_round: a lazy view over the round's
-// broadcast ledger filtered to "records that deliver to me", or (wrapper /
-// test mode) over a materialized vector<Envelope>.  Iteration yields every
+// The inbox a process reads in on_round: a lazy view over a record vector
+// (the simulator's round ledger, or a wrapper's or socket worker's own
+// records) filtered to "records that deliver to me".  Iteration yields every
 // message sent to the process in the previous round, in emission order
 // (senders in step order, each sender's sends in Action order) -- exactly
 // the order the envelope-based delivery produced.  Guarantees:
@@ -296,30 +278,28 @@ struct Msg {
 class InboxView {
  public:
   InboxView() = default;
-  InboxView(const std::vector<Envelope>& envelopes)  // NOLINT(runtime/explicit)
-      : envs_(&envelopes), any_(!envelopes.empty()) {}
-  // Ledger mode.  `sent_round` is the shared sent round of every record;
-  // when the delivery plane mixes in latency-delayed records (the network
-  // path, sim/network_model.h) it passes `per_record_rounds` -- aligned
-  // index-for-index with `records` -- and each message reports its own
-  // sent round instead.
-  InboxView(const std::vector<DeliveryRecord>& records, const Round& sent_round, int self,
-            bool any, const std::vector<Round>* per_record_rounds = nullptr)
-      : recs_(&records), sent_round_(&sent_round), sent_rounds_(per_record_rounds),
-        self_(self), any_(any) {}
+  // `any` says whether some record delivers to `self` (the simulator
+  // precomputes it per round); with it false the view is empty without a
+  // scan.
+  InboxView(const std::vector<DeliveryRecord>& records, int self, bool any)
+      : recs_(&records), self_(self), any_(any) {}
 
   bool empty() const { return !any_; }
   // Number of messages in the view; O(ledger records), for tests and
   // diagnostics (protocols iterate instead).
   std::size_t count() const;
 
-  // The whole round's shared record vector in ledger mode (every
-  // recipient's view reads the same one), null for envelope views.  For
-  // memoization only: a process may index the round's records once on
-  // behalf of all recipients (Protocol D's AgreeMergeCache), keyed by
-  // round, but uses only the records its own delivers_to admits, and
-  // retains nothing from the vector past the round -- the ledger is
-  // recycled like the view itself (process.h's inbox reuse contract).
+  // The whole record vector behind the view (on the simulator, every
+  // recipient's view reads the same ledger); null only for the default,
+  // empty view.  For memoization only: a process may index the round's
+  // records once on behalf of all recipients (Protocol D's
+  // AgreeMergeCache), keyed by (round, vector address), but uses only the
+  // records its own delivers_to admits, and retains nothing from the
+  // vector past the round -- the vector is recycled like the view itself
+  // (process.h's inbox reuse contract).  The key holds because, within one
+  // round, each record vector a cache-sharing process reads is a single
+  // vector, never refilled or replaced at the same address (AgreeMergeCache
+  // lists the vectors that reach it).
   const std::vector<DeliveryRecord>* records() const { return recs_; }
 
   class const_iterator {
@@ -363,16 +343,9 @@ class InboxView {
 
  private:
   friend class const_iterator;
-  std::size_t limit() const {
-    if (recs_) return recs_->size();
-    if (envs_) return envs_->size();
-    return 0;
-  }
+  std::size_t limit() const { return recs_ ? recs_->size() : 0; }
 
   const std::vector<DeliveryRecord>* recs_ = nullptr;
-  const std::vector<Envelope>* envs_ = nullptr;
-  const Round* sent_round_ = nullptr;
-  const std::vector<Round>* sent_rounds_ = nullptr;  // per-record, network path
   int self_ = -1;
   bool any_ = false;
 };

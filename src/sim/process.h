@@ -60,12 +60,13 @@ class IProcess {
   // the previous round (empty view otherwise), in emission order; iterate
   // it as `for (const Msg& m : inbox)`.
   //
-  // Inbox reuse contract: the view reads the simulator's round ledger,
-  // which is recycled the moment the round's deliveries are consumed.  A
-  // process that wants to keep a payload beyond the call must copy the
-  // Msg's owning reference via Msg::payload() (cheap -- payloads are
-  // refcount-shared, never cloned); it must not retain Msg values, raw
-  // payload pointers, or iterators into the view itself.
+  // Inbox reuse contract: the view reads the simulator's round ledger, or a
+  // wrapper's or socket worker's own records, which are recycled the
+  // moment the round's deliveries are consumed.  A process that wants to
+  // keep a payload beyond the call must copy the Msg's owning reference via
+  // Msg::payload() (cheap -- payloads are refcount-shared, never cloned);
+  // it must not retain Msg values, raw payload pointers, or iterators into
+  // the view itself.
   virtual Action on_round(const RoundContext& ctx, const InboxView& inbox) = 0;
 
   // Earliest round >= `now` at which the process wants to be scheduled if it

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -146,8 +147,7 @@ void Simulator::validate_strict(int proc, const Action& a) const {
 Action Simulator::eval_one(std::size_t p, const Round& r) {
   RoundContext ctx{r, static_cast<int>(p)};
   const bool has_mail = mail_bits_.test(p);
-  InboxView inbox(arriving_, arriving_round_, static_cast<int>(p), has_mail,
-                  net_active_ ? &arriving_sent_rounds_ : nullptr);
+  InboxView inbox(arriving_, static_cast<int>(p), has_mail);
   return procs_[p]->on_round(ctx, inbox);
 }
 
@@ -200,7 +200,7 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
     if (!o.to.within(static_cast<int>(procs_.size())))
       throw std::logic_error("send to nonexistent process " + std::to_string(o.to.lowest()));
     metrics_.messages_by_kind[static_cast<std::size_t>(o.kind)] += cut;
-    DeliveryRecord rec{static_cast<int>(p), o.kind, cut, std::move(o.to), std::move(o.payload)};
+    DeliveryRecord rec{static_cast<int>(p), o.kind, cut, std::move(o.to), std::move(o.payload), r};
     if (net_active_)
       commit_record(std::move(rec), r);
     else
@@ -235,7 +235,7 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
 void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
   // Decision order per network_model.h: adversary hook, partition filter,
   // loss draws, latency draw.  Emission accounting already happened in
-  // step_proc -- the network eats deliveries, not the sender's bill.
+  // commit_step -- the network eats deliveries, not the sender's bill.
   std::uint64_t extra_delay = 0;
   const std::size_t members = std::min(rec.cut, rec.to.size());
   if (wants_msg_faults_) {
@@ -284,7 +284,7 @@ void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
   }
   ++metrics_.net_delayed;
   Round due = r + Round{extra_delay + 1};  // normal delivery is r + 1
-  future_[std::move(due)].push_back(DelayedRecord{std::move(rec), r});
+  future_[std::move(due)].push_back(std::move(rec));
   ++future_count_;
 }
 
@@ -377,19 +377,14 @@ RunMetrics Simulator::run() {
     ++epoch_;
     arriving_.swap(ledger_);
     ledger_.clear();
-    std::swap(arriving_round_, ledger_round_);
     if (net_active_) {
-      // Ledger records all share the swap-in sent round; latency-held
-      // records due exactly now join them with their own sent rounds.
-      // (Delivery rounds are never skipped: the loop advances one round at
-      // a time and fast-forward clamps its jump to the earliest due bucket.)
-      arriving_sent_rounds_.assign(arriving_.size(), arriving_round_);
+      // Latency-held records due exactly now join the ledger's records,
+      // each carrying its own sent round.  (Delivery rounds are never
+      // skipped: the loop advances one round at a time and fast-forward
+      // clamps its jump to the earliest due bucket.)
       for (auto it = future_.begin(); it != future_.end() && it->first == r;) {
-        for (DelayedRecord& d : it->second) {
-          arriving_.push_back(std::move(d.rec));
-          arriving_sent_rounds_.push_back(std::move(d.sent));
-          --future_count_;
-        }
+        future_count_ -= it->second.size();
+        std::move(it->second.begin(), it->second.end(), std::back_inserter(arriving_));
         it = future_.erase(it);
       }
     }
@@ -437,7 +432,6 @@ RunMetrics Simulator::run() {
     // Crash-decision point 2: the round is about to step (delivery is done,
     // so inbox sizes are observable).  cur_round_ backs rounds_elapsed().
     cur_round_ = r;
-    ledger_round_ = r;  // sends emitted below carry this round
     faults_->on_round_start(r);
     try {
       step_round(r);

@@ -30,9 +30,9 @@
 //     by comparing against wake_[p] and state_[p].
 //   * Delivery is a broadcast ledger, not per-pair envelopes: each send is
 //     recorded ONCE (DeliveryRecord: audience + moved payload reference +
-//     the crash prefix cut), so a round costs O(broadcasts + unicasts)
-//     regardless of fan-out -- zero per-recipient allocation or shared_ptr
-//     refcount traffic.  Recipients read the ledger lazily through
+//     the crash prefix cut + sent round), so a round costs
+//     O(broadcasts + unicasts) regardless of fan-out -- zero per-recipient
+//     allocation or shared_ptr refcount traffic.  Recipients read the ledger lazily through
 //     InboxView (message.h documents the iteration-order and prefix-cut
 //     guarantees); per-recipient mail membership is precomputed into a
 //     bitset (word-level ORs of shared audience sets) to drive the step
@@ -288,28 +288,19 @@ class Simulator final : public SimObservable, public StepEval {
 
   std::vector<ProcState> state_;
   int alive_ = 0;
-  // The delivery plane: sends of the round being stepped land in ledger_;
-  // at the next round's delivery the buffers swap and arriving_ holds the
-  // records recipients view through InboxView for exactly one round.  Both
-  // keep their capacity round over round.  arriving_round_ is the shared
-  // sent round of every arriving record; mail_bits_ marks the (post-cut)
-  // recipients, driving the step list and O(1) inbox-emptiness.
+  // The delivery plane: sends of the round being stepped land in ledger_,
+  // each record stamped with its sent round; at the next round's delivery
+  // the buffers swap and arriving_ holds the records recipients view
+  // through InboxView for exactly one round.  Both keep their capacity
+  // round over round.  mail_bits_ marks the (post-cut) recipients, driving
+  // the step list and O(1) inbox-emptiness.
   std::vector<DeliveryRecord> ledger_;
   std::vector<DeliveryRecord> arriving_;
-  Round ledger_round_;
-  Round arriving_round_;
   // Network plane (populated only when net_active_): records a latency draw
-  // or adversarial message fault holds back, keyed by delivery round, each
-  // with its own sent round; arriving_sent_rounds_ mirrors arriving_
-  // index-for-index so InboxView can report per-record sent rounds.  The
-  // no-net path never touches any of it.
-  struct DelayedRecord {
-    DeliveryRecord rec;
-    Round sent;
-  };
-  std::map<Round, std::vector<DelayedRecord>> future_;
+  // or adversarial message fault holds back, keyed by delivery round.  The
+  // no-net path never touches it.
+  std::map<Round, std::vector<DeliveryRecord>> future_;
   std::uint64_t future_count_ = 0;
-  std::vector<Round> arriving_sent_rounds_;
   NetworkModel net_model_;
   Rng net_rng_{0};
   bool net_active_ = false;        // net model live or injector faults messages

@@ -156,7 +156,10 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
                            {self, proc->next_wake(Round{0}), proc->known_done_units()})))
       return 4;
 
-    std::vector<Envelope> mail;
+    // The round's mailbox: one record per delivered frame, addressed to
+    // self.  It is this process's whole ledger, so D's merge cache may
+    // index it like the simulator's.
+    std::vector<DeliveryRecord> mail;
     wire::FrameReader reader;
     char buf[65536];
     for (;;) {
@@ -179,7 +182,7 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
             for (;;) ::pause();
           if (self == exit_proc) ::_exit(7);
           const RoundContext ctx{wire::decode_step(body), self};
-          const Action action = proc->on_round(ctx, InboxView(mail));
+          const Action action = proc->on_round(ctx, InboxView(mail, self, !mail.empty()));
           Round next = ctx.round;
           ++next;
           if (!write_all(fd, wire::encode_reply(action, proc->next_wake(next),

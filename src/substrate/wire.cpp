@@ -341,16 +341,17 @@ HelloMsg decode_hello(std::string_view body) {
   return h;
 }
 
-Envelope decode_deliver(std::string_view body, int self) {
+DeliveryRecord decode_deliver(std::string_view body, int self) {
   BodyReader r(body);
-  Envelope e;
-  e.from = r.i32();
-  e.to = self;
-  e.kind = r.kind();
-  e.sent_round = r.round();
-  e.payload = r.payload();
+  DeliveryRecord rec;
+  rec.from = r.i32();
+  rec.kind = r.kind();
+  rec.sent = r.round();
+  rec.payload = r.payload();
   r.expect_end();
-  return e;
+  rec.to = self;
+  rec.cut = 1;
+  return rec;
 }
 
 Round decode_step(std::string_view body) {

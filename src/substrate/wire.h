@@ -79,9 +79,9 @@ std::string encode_exit();
 // Body decoders (the body is everything after the type byte).  All throw
 // WireError on truncation or invalid tags.
 HelloMsg decode_hello(std::string_view body);
-// `self` fills Envelope::to -- the wire does not repeat the recipient id
-// the coordinator already addressed the frame by.
-Envelope decode_deliver(std::string_view body, int self);
+// Returns a record addressed to `self` alone (cut = 1) -- the wire does not
+// repeat the recipient id the coordinator already addressed the frame by.
+DeliveryRecord decode_deliver(std::string_view body, int self);
 Round decode_step(std::string_view body);
 ReplyMsg decode_reply(std::string_view body);
 std::uint32_t decode_kill(std::string_view body);

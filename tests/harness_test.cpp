@@ -419,10 +419,15 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // protocol_d and dynamic were captured before D_coord and dynamic D were
 // moved onto Protocol D's shared phase core (work slice, agreement receive,
 // revert-to-A wrapper): they pin D's T5b revert, D_coord's coordinator-dies
-// fallback and the dynamic extension's byte-packed views.
+// fallback and the dynamic extension's byte-packed views.  wan_latency,
+// lossy_link, partition_heal and byzantine were captured before the sent
+// round moved into DeliveryRecord: they pin the latency-delayed record path
+// (records arriving with their own sent rounds), loss- and
+// partition-rewritten audiences, and the Byzantine layer's mail wrapper.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
                          ::testing::Values("smoke", "checkpoint_sweep", "protocol_c",
-                                           "protocol_d", "dynamic"),
+                                           "protocol_d", "dynamic", "wan_latency",
+                                           "lossy_link", "partition_heal", "byzantine"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

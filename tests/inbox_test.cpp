@@ -104,13 +104,14 @@ TEST(RecipientSet, RemapTranslatesMembers) {
 // --- InboxView over the ledger ----------------------------------------------
 
 DeliveryRecord record(int from, MsgKind kind, RecipientSet to, int tag,
-                      std::size_t cut = SIZE_MAX) {
+                      std::size_t cut = SIZE_MAX, Round sent = Round{0}) {
   DeliveryRecord r;
   r.from = from;
   r.kind = kind;
   r.cut = std::min(cut, to.size());
   r.to = std::move(to);
   r.payload = std::make_shared<TagPayload>(tag);
+  r.sent = std::move(sent);
   return r;
 }
 
@@ -121,30 +122,28 @@ std::vector<int> tags_seen(const InboxView& v) {
 }
 
 TEST(InboxView, FiltersRecordsToRecipientInEmissionOrder) {
-  Round sent{41};
   std::vector<DeliveryRecord> ledger;
-  ledger.push_back(record(0, MsgKind::kCheckpoint, IdRange{1, 4}, 100));
+  ledger.push_back(record(0, MsgKind::kCheckpoint, IdRange{1, 4}, 100, SIZE_MAX, Round{41}));
   ledger.push_back(record(2, MsgKind::kOther, 5, 200));            // unicast, not for 1
   ledger.push_back(record(3, MsgKind::kPollReply, 1, 300));        // spillover unicast for 1
   ledger.push_back(record(4, MsgKind::kAgreement, bits_of({1, 5}, 6), 400));
 
-  InboxView v1(ledger, sent, /*self=*/1, /*any=*/true);
+  InboxView v1(ledger, /*self=*/1, /*any=*/true);
   EXPECT_FALSE(v1.empty());
   EXPECT_EQ(v1.count(), 3u);
   // Broadcasts and unicasts interleave exactly in emission order.
   EXPECT_EQ(tags_seen(v1), (std::vector<int>{100, 300, 400}));
-  // Msg metadata reflects the record and the ledger-wide sent round.
+  // Msg metadata reflects the record, its sent round included.
   Msg first = v1.front();
   EXPECT_EQ(first.from, 0);
   EXPECT_EQ(first.kind, MsgKind::kCheckpoint);
   EXPECT_EQ(first.sent_round(), Round{41});
 
-  InboxView v5(ledger, sent, /*self=*/5, /*any=*/true);
+  InboxView v5(ledger, /*self=*/5, /*any=*/true);
   EXPECT_EQ(tags_seen(v5), (std::vector<int>{200, 400}));
 }
 
 TEST(InboxView, PrefixCutHidesHigherIdRecipients) {
-  Round sent{7};
   std::vector<DeliveryRecord> ledger;
   // Broadcast to {1,2,3,4} cut at 2: only 1 and 2 (ascending order) see it.
   ledger.push_back(record(0, MsgKind::kOther, IdRange{1, 5}, 1, /*cut=*/2));
@@ -152,7 +151,7 @@ TEST(InboxView, PrefixCutHidesHigherIdRecipients) {
   ledger.push_back(record(1, MsgKind::kOther, bits_of({2, 4, 6}, 7), 2, /*cut=*/1));
 
   auto count_for = [&](int self) {
-    return InboxView(ledger, sent, self, true).count();
+    return InboxView(ledger, self, true).count();
   };
   EXPECT_EQ(count_for(1), 1u);
   EXPECT_EQ(count_for(2), 2u);
@@ -162,12 +161,11 @@ TEST(InboxView, PrefixCutHidesHigherIdRecipients) {
 }
 
 TEST(InboxView, EmptyFastPathSkipsTheLedger) {
-  Round sent{0};
   std::vector<DeliveryRecord> ledger;
   ledger.push_back(record(0, MsgKind::kOther, 3, 9));
   // `any` is the simulator's precomputed mail-membership bit; with it false
   // the view is empty without a ledger scan (begin() == end() immediately).
-  InboxView v(ledger, sent, /*self=*/5, /*any=*/false);
+  InboxView v(ledger, /*self=*/5, /*any=*/false);
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.begin(), v.end());
 
@@ -176,18 +174,25 @@ TEST(InboxView, EmptyFastPathSkipsTheLedger) {
   EXPECT_EQ(def.begin(), def.end());
 }
 
-TEST(InboxView, EnvelopeBackedViewForWrappers) {
-  // Protocol wrappers (Protocol D's revert, the Byzantine layer) translate
-  // mail into materialized envelopes and re-wrap them.
-  std::vector<Envelope> envs;
-  envs.push_back(Envelope{4, 1, MsgKind::kValue, Round{9}, std::make_shared<TagPayload>(77)});
-  InboxView v(envs);
+TEST(InboxView, WrapperBuiltRecordsKeepTheirSentRounds) {
+  // Protocol wrappers (Protocol D's revert, the Byzantine layer) and socket
+  // workers build their own records: one per message, addressed to the one
+  // recipient with cut = 1, each stamped with its sender's send round --
+  // which need not agree across senders (a latency-delayed record arrives
+  // beside on-time ones).
+  std::vector<DeliveryRecord> mail;
+  mail.push_back(
+      DeliveryRecord{4, MsgKind::kValue, 1, 1, std::make_shared<TagPayload>(77), Round{9}});
+  mail.push_back(
+      DeliveryRecord{2, MsgKind::kOther, 1, 1, std::make_shared<TagPayload>(78), Round{6}});
+  InboxView v(mail, /*self=*/1, /*any=*/true);
   EXPECT_FALSE(v.empty());
-  EXPECT_EQ(v.count(), 1u);
-  Msg m = v.front();
-  EXPECT_EQ(m.from, 4);
-  EXPECT_EQ(m.sent_round(), Round{9});
-  EXPECT_EQ(m.as<TagPayload>()->tag, 77);
+  EXPECT_EQ(v.count(), 2u);
+  const std::vector<std::pair<int, Round>> want = {{4, Round{9}}, {2, Round{6}}};
+  std::vector<std::pair<int, Round>> got;
+  for (const Msg& m : v) got.emplace_back(m.from, m.sent_round());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(v.front().as<TagPayload>()->tag, 77);
 }
 
 // --- allocation contract -----------------------------------------------------

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "async/protocol_a_async.h"
 #include "core/runner.h"
 #include "harness/fault_spec.h"
+#include "sim/simulator.h"
 
 namespace dowork {
 namespace {
@@ -246,6 +249,82 @@ TEST(SyncNetwork, ObservableSeesPartitionsAndInFlightMessages) {
   EXPECT_TRUE(r.ok()) << r.violation;
   EXPECT_TRUE(saw_split);
   EXPECT_GT(max_in_flight, 0u);
+}
+
+// --- per-record sent rounds ------------------------------------------------
+
+// Sends one unicast to process 2 in round `send_at`, then terminates.
+class OneShotSender final : public IProcess {
+ public:
+  explicit OneShotSender(std::uint64_t send_at) : send_at_(send_at) {}
+  Action on_round(const RoundContext&, const InboxView&) override {
+    Action a;
+    a.sends.push_back(Outgoing{2, MsgKind::kOther, std::make_shared<Payload>()});
+    a.terminate = true;
+    return a;
+  }
+  Round next_wake(const Round& now) const override {
+    return now < Round{send_at_} ? Round{send_at_} : now;
+  }
+
+ private:
+  std::uint64_t send_at_;
+};
+
+// Purely reactive; logs (sender, sent round) of every message it reads into
+// caller-owned storage and terminates once it has read `expect` of them.
+class SentRoundLog final : public IProcess {
+ public:
+  SentRoundLog(std::vector<std::pair<int, Round>>* log, std::size_t expect)
+      : log_(log), expect_(expect) {}
+  Action on_round(const RoundContext&, const InboxView& inbox) override {
+    for (const Msg& m : inbox) log_->emplace_back(m.from, m.sent_round());
+    Action a;
+    a.terminate = log_->size() >= expect_;
+    return a;
+  }
+  Round next_wake(const Round&) const override { return never_round(); }
+
+ private:
+  std::vector<std::pair<int, Round>>* log_;
+  std::size_t expect_;
+};
+
+// Holds every record from process 0 back `delay` extra rounds.
+class DelayFromZero final : public FaultInjector {
+ public:
+  explicit DelayFromZero(std::uint64_t delay) : delay_(delay) {}
+  std::optional<CrashPlan> inspect(int, const Round&, const Action&,
+                                   const SimSnapshot&) override {
+    return std::nullopt;
+  }
+  std::optional<MessageFault> on_message(int from, const Round&, const DeliveryRecord&) override {
+    if (from != 0) return std::nullopt;
+    return MessageFault{false, delay_};
+  }
+  bool wants_message_faults() const override { return true; }
+
+ private:
+  std::uint64_t delay_;
+};
+
+TEST(SyncNetwork, DelayedAndOnTimeMessagesKeepTheirOwnSentRounds) {
+  // Process 0 sends in round 0, held two extra rounds; process 1 sends in
+  // round 2 on time.  Both land in process 2's round-3 inbox, and each
+  // message reports the round its sender emitted it in.
+  std::vector<std::pair<int, Round>> log;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  procs.push_back(std::make_unique<OneShotSender>(0));
+  procs.push_back(std::make_unique<OneShotSender>(2));
+  procs.push_back(std::make_unique<SentRoundLog>(&log, 2));
+  Simulator sim(std::move(procs), std::make_unique<DelayFromZero>(2), Simulator::Options{});
+  const RunMetrics m = sim.run();
+  EXPECT_TRUE(m.all_retired);
+  EXPECT_EQ(m.net_delayed, 1u);
+  // One inbox: the on-time ledger record first, then the delayed one.
+  const std::vector<std::pair<int, Round>> want = {{1, Round{2}}, {0, Round{0}}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(m.last_retire_round, Round{3});
 }
 
 // --- adversarial message faults (decision point 4) --------------------------

@@ -147,24 +147,24 @@ TEST(PlanEdge, EmptySubchunksStillCheckpointed) {
 TEST(CompletionNotice, RecognizesOnlyTrueCompletions) {
   GroupLayout layout = GroupLayout::for_sqrt(9);
   WorkPartition part = WorkPartition::for_protocol_a(36, 9);
-  auto env_partial = [&](int c) {
-    Envelope e;
-    e.from = 0;
-    e.payload = std::make_shared<CkptPartial>(c);
-    return e;
+  auto rec_partial = [&](int c) {
+    DeliveryRecord r;
+    r.from = 0;
+    r.payload = std::make_shared<CkptPartial>(c);
+    return r;
   };
-  auto env_full = [&](int c, int g) {
-    Envelope e;
-    e.from = 0;
-    e.payload = std::make_shared<CkptFull>(c, g);
-    return e;
+  auto rec_full = [&](int c, int g) {
+    DeliveryRecord r;
+    r.from = 0;
+    r.payload = std::make_shared<CkptFull>(c, g);
+    return r;
   };
   // self = 4 is in group 1.
-  EXPECT_TRUE(is_completion_notice(layout, part, 4, env_partial(9)));
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, env_partial(8)));
-  EXPECT_TRUE(is_completion_notice(layout, part, 4, env_full(9, 1)));
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, env_full(9, 2)));  // echo form
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, env_full(3, 1)));
+  EXPECT_TRUE(is_completion_notice(layout, part, 4, rec_partial(9)));
+  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_partial(8)));
+  EXPECT_TRUE(is_completion_notice(layout, part, 4, rec_full(9, 1)));
+  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_full(9, 2)));  // echo form
+  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_full(3, 1)));
 }
 
 }  // namespace

@@ -385,6 +385,7 @@ struct LedgerFixture {
   std::shared_ptr<AgreeMergeCache> cache = std::make_shared<AgreeMergeCache>();
   std::vector<std::unique_ptr<ProtocolDProcess>> cached, twins;
   std::vector<DeliveryRecord> ledger;  // delivered in round 2
+  std::vector<std::vector<DeliveryRecord>> mailboxes;  // per recipient; empty = read the ledger
   const Round sent{1u};
 
   // `early_to` (if >= 0) also receives an early phase-1 arrival from sender
@@ -397,7 +398,7 @@ struct LedgerFixture {
     std::vector<DeliveryRecord> early;
     if (early_to >= 0)
       early.push_back(DeliveryRecord{9, MsgKind::kAgreement, 1, early_to,
-                                     view(DynBitset(t, true), 9, false)});
+                                     view(DynBitset(t, true), 9, false), Round{0u}});
     for (int i = 0; i < t; ++i) {
       if (i == silent) continue;
       for (auto* procs : {&cached, &twins}) {
@@ -405,11 +406,12 @@ struct LedgerFixture {
         p.on_round(RoundContext{Round{0u}, i}, InboxView{});
         const bool has_early = i == early_to;
         Action a = p.on_round(RoundContext{Round{1u}, i},
-                              InboxView(early, Round{0u}, i, has_early));
+                              InboxView(early, i, has_early));
         if (procs != &cached) continue;
         Outgoing& o = a.sends.at(0);
         const std::size_t cut = o.to.size();
-        ledger.push_back(DeliveryRecord{i, o.kind, cut, std::move(o.to), std::move(o.payload)});
+        ledger.push_back(
+            DeliveryRecord{i, o.kind, cut, std::move(o.to), std::move(o.payload), sent});
       }
     }
   }
@@ -437,11 +439,27 @@ struct LedgerFixture {
     return out;
   }
 
+  // Re-delivers the ledger the way socket workers receive it: each
+  // recipient reads its own mailbox of the records that reach it, each
+  // re-addressed to it alone (cut = 1), so no mailbox carries its owner's
+  // record.  All mailboxes live through the round, so the merge cache
+  // sees one vector per address.
+  void split_into_mailboxes() {
+    mailboxes.assign(t, {});
+    for (int self = 0; self < t; ++self)
+      for (const DeliveryRecord& r : ledger)
+        if (r.delivers_to(self))
+          mailboxes[static_cast<std::size_t>(self)].push_back(
+              DeliveryRecord{r.from, r.kind, 1, self, r.payload, r.sent});
+  }
+
   Action deliver(int self, bool twin) {
+    const std::vector<DeliveryRecord>& recs =
+        mailboxes.empty() ? ledger : mailboxes[static_cast<std::size_t>(self)];
     bool any = false;
-    for (const DeliveryRecord& r : ledger) any = any || r.delivers_to(self);
+    for (const DeliveryRecord& r : recs) any = any || r.delivers_to(self);
     ProtocolDProcess& p = *(twin ? twins : cached)[static_cast<std::size_t>(self)];
-    return p.on_round(RoundContext{Round{2u}, self}, InboxView(ledger, sent, self, any));
+    return p.on_round(RoundContext{Round{2u}, self}, InboxView(recs, self, any));
   }
 
   // Delivers to `self`'s cached process and its twin, expects identical
@@ -558,6 +576,9 @@ TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
          }
        },
        {2, 9}},
+      // A socket worker's mailbox: indexable, but it never carries the
+      // owner's own record, so everyone walks.
+      {"one-recipient mailbox", 2, [](LedgerFixture& fx) { fx.split_into_mailboxes(); }, {}},
   };
   for (const Shape& shape : shapes) {
     LedgerFixture fx(shape.early_to);
@@ -567,6 +588,8 @@ TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
     for (int self : fx.recipients())
       if (fx.expect_matches_twin(self, shape.name)) walked.push_back(self);
     EXPECT_EQ(walked, want) << shape.name;
+    EXPECT_EQ(fx.cache->walked(), want.size()) << shape.name;
+    EXPECT_EQ(fx.cache->served(), fx.recipients().size() - want.size()) << shape.name;
   }
 }
 

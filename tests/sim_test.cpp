@@ -403,7 +403,7 @@ TEST(PayloadSharing, ReceivedPayloadsAreImmutable) {
                                const CountedPayload*>);
   static_assert(std::is_same_v<std::remove_cvref_t<decltype(std::declval<const Msg&>().payload())>,
                                std::shared_ptr<const Payload>>);
-  static_assert(std::is_same_v<decltype(Envelope::payload), std::shared_ptr<const Payload>>);
+  static_assert(std::is_same_v<decltype(DeliveryRecord::payload), std::shared_ptr<const Payload>>);
   SUCCEED();
 }
 

@@ -105,11 +105,13 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
     auto [type, body] =
         read_one(encode_deliver(/*from=*/2, c.kind, Round{10}, c.payload.get()), false);
     ASSERT_EQ(type, FrameType::kDeliver);
-    const Envelope e = decode_deliver(body, /*self=*/6);
+    const DeliveryRecord e = decode_deliver(body, /*self=*/6);
     EXPECT_EQ(e.from, 2);
-    EXPECT_EQ(e.to, 6);
+    // Addressed to the receiving worker alone.
+    EXPECT_EQ(e.to.size(), 1u);
+    EXPECT_TRUE(e.delivers_to(6));
     EXPECT_EQ(e.kind, c.kind);
-    EXPECT_EQ(e.sent_round, Round{10});
+    EXPECT_EQ(e.sent, Round{10});
     if (c.payload == nullptr) {
       EXPECT_EQ(e.payload, nullptr);
       continue;
@@ -124,8 +126,8 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   const auto full = std::make_shared<CkptFull>(13, 5);
   auto [type, body] =
       read_one(encode_deliver(0, MsgKind::kCheckpoint, Round{1}, full.get()), false);
-  const Envelope e = decode_deliver(body, 3);
-  const auto* got = e.as<CkptFull>();
+  const DeliveryRecord e = decode_deliver(body, 3);
+  const auto* got = Msg(e).as<CkptFull>();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->c, 13);
   EXPECT_EQ(got->g, 5);
@@ -138,8 +140,8 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   alive.set(7);
   const auto agree = std::make_shared<AgreeMsg>(2, s, alive, false);
   auto [t2, b2] = read_one(encode_deliver(1, MsgKind::kAgreement, Round{4}, agree.get()), false);
-  const Envelope e2 = decode_deliver(b2, 0);
-  const auto* ga = e2.as<AgreeMsg>();
+  const DeliveryRecord e2 = decode_deliver(b2, 0);
+  const auto* ga = Msg(e2).as<AgreeMsg>();
   ASSERT_NE(ga, nullptr);
   EXPECT_EQ(ga->phase, 2);
   EXPECT_EQ(ga->done, false);
