@@ -1,7 +1,10 @@
 // One-call run harness: instantiate a protocol, execute it under a fault
-// injector, verify the outcome, and return the metrics.
+// injector on the chosen executor, verify the outcome, and return the
+// metrics.  run_do_all is the only entry point that runs a registry
+// protocol, whichever backend evaluates its rounds.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,9 +16,67 @@
 
 namespace dowork {
 
+// Which executor evaluates the run's rounds (DESIGN.md "Execution
+// substrates").  Under the deterministic schedule all three produce
+// byte-identical metrics; only RunStats tells them apart.
+//   * kSim    -- the simulator: the serial loop, or the unsupervised
+//                RoundPool when RunOptions::sim_threads > 1;
+//   * kPool   -- the simulator on a supervised RoundPool (sim/round_pool.h)
+//                with the LiveOptions schedule and watchdog;
+//   * kSocket -- one worker OS process per protocol process over localhost
+//                sockets (substrate/socket_substrate.h).
+enum class Backend : std::uint8_t { kSim, kPool, kSocket };
+
+// Which localhost transport the socket backend speaks.  UDS is the default
+// (lower per-frame latency, no port allocation); TCP exercises the same
+// framing over a real INET stack (127.0.0.1, TCP_NODELAY).
+enum class Transport : std::uint8_t { kUds, kTcp };
+
+const char* to_string(Transport t);
+
+// Supervision knobs of the live backends (kPool, kSocket); kSim ignores them.
+struct LiveOptions {
+  // kDeterministic: evaluated steps commit in ascending process id,
+  // reproducing the simulator's serial interleaving exactly -- every metric
+  // and adversary decision matches the sim run for run.
+  // kFree: steps commit in completion order, so the OS scheduler becomes a
+  // real nondeterministic adversary; only the paper bounds and the
+  // verifier's invariants are meaningful assertions there.
+  enum class Schedule : std::uint8_t { kDeterministic, kFree };
+  Schedule schedule = Schedule::kDeterministic;
+
+  // Per-round deadline: if a stepped round's evaluations have not all come
+  // back within this wall-clock budget, the watchdog cancels the run and
+  // aborts it with a structured RunMetrics::aborted_reason.
+  std::uint64_t watchdog_ms = 10'000;
+
+  // Teardown grace: how long the pool waits for its workers to exit after
+  // cancellation before declaring them leaked (a step ignoring the
+  // cooperative cancel token; see run_cancelled() in sim/round_pool.h).
+  // The socket backend uses the same budget for its waitpid reap before
+  // escalating to SIGKILL (processes, unlike threads, can always be reaped
+  // -- the socket backend never leaks).
+  std::uint64_t join_grace_ms = 2'000;
+
+  // Socket backend only: transport and the setup deadline covering worker
+  // spawn + connect + hello (bounded retry with backoff inside it).
+  Transport transport = Transport::kUds;
+  std::uint64_t spawn_timeout_ms = 10'000;
+};
+
+// What the run measured beyond the deterministic RunMetrics: wall clock,
+// real-hardware throughput and the executor's teardown outcome.
+struct RunStats {
+  double wall_seconds = 0;   // the whole run: setup, rounds and teardown
+  double units_per_sec = 0;  // work_total / wall_seconds (0 when no work)
+  int threads = 0;           // evaluating threads, or worker processes on kSocket
+  bool leaked = false;       // teardown gave up on a pool worker (its run is pinned)
+};
+
 struct RunResult {
   RunMetrics metrics;
   std::string violation;  // empty = verified OK
+  RunStats stats;
   bool ok() const { return violation.empty(); }
 };
 
@@ -30,11 +91,14 @@ struct RunOptions {
   // Network weather, forwarded to Simulator::Options verbatim (the default
   // no-op spec keeps the run bit-for-bit crash-only).
   NetSpec net;
-  // Round-parallel evaluation: shard each round's step list over this many
-  // threads (RoundPool).  1 = the classic serial loop; any value yields
-  // byte-identical results (see round_pool.h), so this is purely a
-  // wall-clock knob for big single runs.
+  // kSim only -- round-parallel evaluation: shard each round's step list
+  // over this many threads (RoundPool).  1 = the classic serial loop; any
+  // value yields byte-identical results (see round_pool.h), so this is
+  // purely a wall-clock knob for big single runs.  The supervised pool
+  // sizes itself from the machine instead.
   int sim_threads = 1;
+  Backend backend = Backend::kSim;
+  LiveOptions live;  // kPool and kSocket only
 };
 
 // The Simulator::Options every backend derives from one run's options.

@@ -101,12 +101,15 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     // the --sim-threads pool, odd cases run as live rows on the supervised
     // pool (every round dispatched, one shard per step).  The trace header
     // was taken above, so it still names the generated case.
-    if (opts.diff == CampaignOptions::Diff::kSocket)
-      wrapped.back().force_backend = harness::Scenario::ForceBackend::kSocket;
-    else if (i % 2 == 0)
-      wrapped.back().sim_threads = kPoolDiffThreads;
-    else
-      wrapped.back().substrate = harness::Substrate::kLive;
+    harness::Scenario& leg = wrapped.back();
+    if (opts.diff == CampaignOptions::Diff::kSocket) {
+      leg.backend = Backend::kSocket;
+    } else if (i % 2 == 0) {
+      leg.sim_threads = kPoolDiffThreads;
+    } else {
+      leg.substrate = harness::Substrate::kLive;
+      leg.backend = Backend::kPool;
+    }
     diffed[i] = true;
   }
 

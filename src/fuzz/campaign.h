@@ -41,7 +41,7 @@ struct CampaignOptions {
   //   kPool:   the leg runs on the round pool, which promises byte-identity
   //            (sim/round_pool.h): even cases shard each round over the
   //            unsupervised pool (RunOptions::sim_threads), odd cases run
-  //            on the supervised live pool (run_live_do_all, deterministic
+  //            on the supervised live pool (Backend::kPool, deterministic
   //            schedule) and report substrate "live".
   //   kSocket: the leg runs on the socket-process substrate, one worker OS
   //            process per protocol process with crashes as real SIGKILLs;

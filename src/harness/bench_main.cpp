@@ -90,9 +90,9 @@ int bench_main(int argc, char** argv) {
     } else if (arg == "--backend") {
       const std::string value = next();
       if (value == "socket") {
-        opt.backend = Scenario::ForceBackend::kSocket;
+        opt.backend = Backend::kSocket;
       } else if (value == "sim") {
-        opt.backend = Scenario::ForceBackend::kNone;
+        opt.backend = Backend::kSim;
       } else if (value == "live") {
         std::fprintf(stderr,
                      "%s: --backend live was removed; use --sim-threads N, which runs sync "
@@ -140,11 +140,11 @@ int bench_main(int argc, char** argv) {
     }
   }
 
-  if (opt.transport_tcp && opt.backend != Scenario::ForceBackend::kSocket) {
+  if (opt.transport_tcp && opt.backend != Backend::kSocket) {
     std::fprintf(stderr, "%s: --transport requires --backend socket\n", argv[0]);
     return 2;
   }
-  if (opt.sim_threads > 1 && opt.backend == Scenario::ForceBackend::kSocket) {
+  if (opt.sim_threads > 1 && opt.backend == Backend::kSocket) {
     std::fprintf(stderr,
                  "%s: --sim-threads does not apply to --backend socket (it shards "
                  "simulator runs, and socket rows run on worker processes)\n",
@@ -211,10 +211,10 @@ int bench_main(int argc, char** argv) {
       }
       filter_matched_any = true;
     }
-    if (opt.backend != Scenario::ForceBackend::kNone)
+    if (opt.backend != Backend::kSim)
       for (Scenario& s : scenarios)
         if (s.substrate == Substrate::kSync) {
-          s.force_backend = opt.backend;
+          s.backend = opt.backend;
           if (opt.transport_tcp) s.params["transport_tcp"] = 1;
         }
     if (opt.sim_threads > 1)

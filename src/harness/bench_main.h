@@ -22,8 +22,9 @@ struct BenchOptions {
   // over localhost sockets (deterministic schedule) instead of the
   // simulator.  The deterministic report is byte-identical on either
   // backend by the oracle contract -- CI diffs the JSONs -- and --timing
-  // additionally carries units_per_sec.
-  Scenario::ForceBackend backend = Scenario::ForceBackend::kNone;
+  // additionally carries units_per_sec.  Sets Scenario::backend on every
+  // kSync scenario; kLive and kDifferential rows keep their own backend.
+  Backend backend = Backend::kSim;
   // --transport tcp: the socket backend speaks TCP over 127.0.0.1 instead
   // of the default Unix-domain sockets.  Only meaningful with
   // --backend socket (rejected otherwise, to catch typos).

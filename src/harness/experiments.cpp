@@ -680,6 +680,7 @@ std::vector<Scenario> differential_scenarios() {
     auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kDifferential;
+      s.backend = Backend::kPool;
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
@@ -699,6 +700,7 @@ std::vector<Scenario> differential_scenarios() {
     auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
+      s.backend = Backend::kPool;
       s.params["free_sched"] = 1;
       s.params["assert_bounds"] = 1;
       for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
@@ -714,7 +716,7 @@ std::vector<Scenario> differential_scenarios() {
   }
   // Socket-process legs of the same oracle: identical shapes and
   // adversaries, but the non-oracle leg runs one worker OS process per
-  // protocol process (params["socket"] = 1), so crashes are real SIGKILLs
+  // protocol process (Backend::kSocket), so crashes are real SIGKILLs
   // and the barrier crosses a kernel socket.  Group names deliberately use
   // "det-tN"/"free-tN" (no slash after det/free): --filter det/ and
   // --filter free/ keep selecting the pool rows only, --filter socket/
@@ -725,7 +727,7 @@ std::vector<Scenario> differential_scenarios() {
                    FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + name, proto, n, t, std::move(faults));
       s.substrate = Substrate::kDifferential;
-      s.params["socket"] = 1;
+      s.backend = Backend::kSocket;
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
@@ -742,7 +744,7 @@ std::vector<Scenario> differential_scenarios() {
     {
       Scenario s = sync_scenario(ts + "/B-tcp", "B", n, t, chunk_cascade(n, t));
       s.substrate = Substrate::kDifferential;
-      s.params["socket"] = 1;
+      s.backend = Backend::kSocket;
       s.params["transport_tcp"] = 1;
       out.push_back(std::move(s));
     }
@@ -752,7 +754,7 @@ std::vector<Scenario> differential_scenarios() {
     auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
-      s.params["socket"] = 1;
+      s.backend = Backend::kSocket;
       s.params["free_sched"] = 1;
       s.params["assert_bounds"] = 1;
       for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
@@ -786,7 +788,10 @@ std::vector<Scenario> live_throughput_scenarios() {
         for (const FaultSpec& faults : {FaultSpec::none(), cascade}) {
           Scenario s = sync_scenario(backend + "/t=" + std::to_string(t) + "/" + proto, proto,
                                      n, t, faults);
-          if (live) s.substrate = Substrate::kLive;
+          if (live) {
+            s.substrate = Substrate::kLive;
+            s.backend = Backend::kPool;
+          }
           out.push_back(std::move(s));
         }
       }

@@ -9,7 +9,6 @@
 #include "dynamic/dynamic_d.h"
 #include "sharedmem/write_all.h"
 #include "substrate/differential.h"
-#include "substrate/socket_substrate.h"
 #include "util/strings.h"
 
 namespace dowork::harness {
@@ -76,81 +75,38 @@ RunOptions sync_run_options(const Scenario& s, int rep) {
   // seeded crash adversaries, repetition r re-seeds the weather.
   opts.net = s.faults.net;
   opts.net.seed += static_cast<std::uint64_t>(rep);
-  // Round-parallel evaluation: only the plain simulator path consults this
-  // (the live backends run their own executors), so forwarding it
-  // unconditionally is safe.
+  // Each backend reads only its own knobs: sim_threads the simulator,
+  // the live options the pool and the socket workers.
   opts.sim_threads = s.sim_threads;
+  opts.backend = s.backend;
+  if (s.param_or("free_sched", 0) == 1) opts.live.schedule = LiveOptions::Schedule::kFree;
+  if (s.param_or("transport_tcp", 0) == 1) opts.live.transport = Transport::kTcp;
   return opts;
-}
-
-// Live-backend knobs the scenario's params can set: the socket backend's
-// transport (params["transport_tcp"] = 1 picks TCP over the UDS default).
-// Harmless on the pool, which ignores the transport field.
-substrate::LiveOptions scenario_live_options(const Scenario& s) {
-  substrate::LiveOptions live;
-  if (s.param_or("transport_tcp", 0) == 1) live.transport = substrate::Transport::kTcp;
-  return live;
 }
 
 void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
   switch (s.substrate) {
-    case Substrate::kSync: {
-      const RunOptions opts = sync_run_options(s, rep);
-      if (s.force_backend == Scenario::ForceBackend::kSocket) {
-        // CLI backend override: same protocol, injector and verifier on
-        // worker OS processes under the deterministic schedule -- row data
-        // must come out byte-identical to the simulator path below.
-        substrate::LiveRunResult r = substrate::run_socket_do_all(
-            s.protocol, s.cfg, make_injector(s, rep), opts, scenario_live_options(s));
-        fill_sync_metrics(r.run.metrics, row);
-        row.ok = r.run.ok();
-        row.violation = r.run.violation;
-        row.units_per_sec = r.stats.units_per_sec;
-        return;
-      }
-      RunResult r = run_do_all(s.protocol, s.cfg, make_injector(s, rep), opts);
+    case Substrate::kSync:
+    case Substrate::kLive: {
+      RunResult r = run_do_all(s.protocol, s.cfg, make_injector(s, rep), sync_run_options(s, rep));
       fill_sync_metrics(r.metrics, row);
       row.ok = r.ok();
       row.violation = r.violation;
-      return;
-    }
-    case Substrate::kLive: {
-      substrate::LiveOptions live = scenario_live_options(s);
-      if (s.param_or("free_sched", 0) == 1)
-        live.schedule = substrate::LiveOptions::Schedule::kFree;
-      // params["socket"] = 1 moves the row from the round pool to worker OS
-      // processes; everything else (schedule, kill-point census, verifier)
-      // is backend-independent.
-      substrate::LiveRunResult r =
-          s.param_or("socket", 0) == 1
-              ? substrate::run_socket_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                             sync_run_options(s, rep), live)
-              : substrate::run_live_do_all(s.protocol, s.cfg, make_injector(s, rep),
-                                           sync_run_options(s, rep), live);
-      fill_sync_metrics(r.run.metrics, row);
-      row.ok = r.run.ok();
-      row.violation = r.run.violation;
-      row.units_per_sec = r.stats.units_per_sec;
+      if (s.backend != Backend::kSim) row.units_per_sec = r.stats.units_per_sec;
       // The kill-point census is plan-derived, hence deterministic under the
       // deterministic schedule; free-schedule rows are nondeterministic
       // anyway (that is their point), so the columns are safe either way.
-      if (r.run.metrics.crashes) {
-        row.extra.emplace_back("kill_send", std::to_string(r.stats.kills.send_commit));
-        row.extra.emplace_back("kill_midbcast", std::to_string(r.stats.kills.mid_broadcast));
-        row.extra.emplace_back("kill_barrier", std::to_string(r.stats.kills.round_barrier));
+      if (s.substrate == Substrate::kLive && r.metrics.crashes) {
+        row.extra.emplace_back("kill_send", std::to_string(r.metrics.kills.send_commit));
+        row.extra.emplace_back("kill_midbcast", std::to_string(r.metrics.kills.mid_broadcast));
+        row.extra.emplace_back("kill_barrier", std::to_string(r.metrics.kills.round_barrier));
       }
       return;
     }
     case Substrate::kDifferential: {
-      substrate::DiffOptions opts;
-      opts.run = sync_run_options(s, rep);
-      opts.live = scenario_live_options(s);
-      // params["socket"] = 1 makes the non-oracle leg the socket-process
-      // substrate instead of the round pool; the simulator stays the
-      // oracle either way.
-      if (s.param_or("socket", 0) == 1) opts.live_backend = substrate::Backend::kSocket;
       substrate::DiffResult d = substrate::run_differential(
-          find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); }, opts);
+          find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); },
+          sync_run_options(s, rep));
       // The row reports the sim leg's metrics (either leg would do: a
       // divergence fails the row before anyone reads them).
       fill_sync_metrics(d.sim.metrics, row);

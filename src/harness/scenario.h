@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/runner.h"
 #include "core/work.h"
 #include "harness/fault_spec.h"
 
@@ -24,13 +25,12 @@ namespace dowork::harness {
 // Which simulation substrate executes the scenario.  kSync covers every
 // registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord); the
 // others are the paper's model variants with their own simulators -- except
-// the last two, which are *execution* substrates over the same registry
-// protocols: kLive runs the scenario on a live backend (src/substrate/:
-// the supervised round pool, or with params["socket"] = 1 one worker OS
-// process per process; params["free_sched"] = 1 selects the free commit
-// schedule), and kDifferential runs it on the simulator AND a live backend
-// under the deterministic schedule and fails the row on any metric
-// divergence (the simulator as oracle).
+// the last two, which run the same registry protocols on the live backend
+// Scenario::backend names (src/substrate/): kLive is a kSync row that also
+// reports the kill-point census (params["free_sched"] = 1 selects the free
+// commit schedule), and kDifferential runs the case on the simulator AND
+// the live backend under the deterministic schedule and fails the row on
+// any metric divergence (the simulator as oracle).
 enum class Substrate : std::uint8_t {
   kSync, kByzantine, kAsync, kSharedMem, kDynamic, kLive, kDifferential
 };
@@ -88,16 +88,15 @@ struct Scenario {
   // recorder or to replace it with a frozen-trace replayer.  Never set by
   // the experiment registry, so every registered scenario is pure data.
   std::function<std::unique_ptr<FaultInjector>(std::uint64_t rep)> injector_override;
-  // CLI hook (dowork_bench --backend socket): execute this kSync scenario
-  // on the socket-process substrate (one worker OS process per protocol
-  // process; params["transport_tcp"] = 1 selects TCP over the default UDS)
-  // under the deterministic schedule instead of the simulator.  Row data is
-  // byte-identical on every backend (the oracle contract), which is exactly
-  // what the CI sim-vs-socket JSON diff checks; only the timing section's
-  // units_per_sec betrays the backend.  dowork_fuzz --diff socket sets it
-  // on its live leg.  Never set by the experiment registry.
-  enum class ForceBackend : std::uint8_t { kNone, kSocket };
-  ForceBackend force_backend = ForceBackend::kNone;
+  // Which executor runs the registry protocol (RunOptions::backend): the
+  // simulator by default.  kLive and kDifferential registry rows name
+  // their live backend (kPool or kSocket; params["transport_tcp"] = 1
+  // selects TCP over the default UDS).  dowork_bench --backend socket and
+  // dowork_fuzz --diff socket move kSync rows onto the socket backend; row
+  // data is byte-identical on every backend (the oracle contract, checked
+  // by the CI sim-vs-socket JSON diff) and only the timing section's
+  // units_per_sec betrays it.
+  Backend backend = Backend::kSim;
   // CLI hook (dowork_bench --sim-threads N): round-parallel evaluation for
   // this kSync scenario's simulator runs (RunOptions::sim_threads).  Byte-
   // identical row data at any value -- the round pool's ordered-commit
@@ -150,10 +149,11 @@ struct ScenarioResult {
   // optional "timing" section only (to_json must be asked for it), never in
   // the deterministic row data that CI byte-compares across --jobs values.
   double wall_ms = 0;
-  // Live-backend throughput (work units per wall-clock second), measured
-  // by src/substrate/ when the repetition ran on a live backend; 0 on pure
-  // simulator rows.  Machine-dependent like wall_ms: it rides in the
-  // JSON report's timing section only, never in the deterministic row data.
+  // Live-backend throughput (work units per wall-clock second over the
+  // whole run, RunStats::units_per_sec), copied when the repetition ran on
+  // a live backend; 0 on simulator rows.  Machine-dependent like wall_ms:
+  // it rides in the JSON report's timing section only, never in the
+  // deterministic row data.
   double units_per_sec = 0;
   // Ordered extra columns: paper bounds, per-kind message counts, substrate
   // specifics (APS, reads/writes, lost units, ...).

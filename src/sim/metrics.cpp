@@ -5,6 +5,15 @@
 
 namespace dowork {
 
+void KillCensus::count(KillPoint kp) {
+  switch (kp) {
+    case KillPoint::kSendCommit: ++send_commit; break;
+    case KillPoint::kMidBroadcast: ++mid_broadcast; break;
+    case KillPoint::kRoundBarrier: ++round_barrier; break;
+    case KillPoint::kNone: break;
+  }
+}
+
 bool RunMetrics::all_units_done() const {
   for (std::uint64_t m : unit_multiplicity)
     if (m == 0) return false;

@@ -12,6 +12,27 @@
 
 namespace dowork {
 
+// How a committed CrashPlan stopped a process (DESIGN.md "Execution
+// substrates"): a crash whose delivery cut stops short of the flattened
+// send sequence is a mid-broadcast kill, a crash that let every send
+// through (or had none to cut on a sending round) is a send-commit kill,
+// and a crash on a round with no sends at all stops the process at the
+// round barrier.  The socket substrate kills
+// its worker processes at exactly these points.
+enum class KillPoint : std::uint8_t { kNone, kSendCommit, kMidBroadcast, kRoundBarrier };
+
+// Crashes by kill point, counted by the simulator at every crash commit.
+// It is derived from the committed plan, so every backend counts the same
+// numbers for the same case under the deterministic schedule.
+struct KillCensus {
+  std::uint64_t send_commit = 0;
+  std::uint64_t mid_broadcast = 0;
+  std::uint64_t round_barrier = 0;
+
+  void count(KillPoint kp);  // kNone counts nothing
+  std::uint64_t total() const { return send_commit + mid_broadcast + round_barrier; }
+};
+
 struct RunMetrics {
   // --- the paper's measures -------------------------------------------------
   std::uint64_t work_total = 0;     // units performed, counting multiplicity
@@ -31,6 +52,7 @@ struct RunMetrics {
   // --- breakdowns -----------------------------------------------------------
   std::array<std::uint64_t, 8> messages_by_kind{};  // indexed by MsgKind
   std::uint64_t crashes = 0;
+  KillCensus kills;  // the crashes above, by kill point
   std::uint64_t terminated = 0;
   std::uint64_t stepped_rounds = 0;      // rounds actually simulated (not skipped)
   std::uint64_t fast_forward_jumps = 0;  // idle stretches skipped

@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "substrate/substrate.h"
+#include "core/runner.h"
 
 namespace dowork {
 
@@ -26,8 +26,8 @@ RoundPool::RoundPool(int threads, std::size_t min_steps_per_shard)
   start_workers(std::max(1, threads) - 1);
 }
 
-RoundPool::RoundPool(int threads, const substrate::LiveOptions& live)
-    : free_schedule_(live.schedule == substrate::LiveOptions::Schedule::kFree),
+RoundPool::RoundPool(int threads, const LiveOptions& live)
+    : free_schedule_(live.schedule == LiveOptions::Schedule::kFree),
       watchdog_ms_(std::max<std::uint64_t>(1, live.watchdog_ms)),
       join_grace_ms_(live.join_grace_ms) {
   start_workers(std::max(2, threads));

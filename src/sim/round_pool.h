@@ -1,7 +1,8 @@
 // Round-parallel evaluation pool: shard one round's step list over a fixed
 // worker pool, byte-identical to the serial simulator.  It is the one
 // in-process executor: `--sim-threads N` runs on it, and so do the live
-// rows (run_live_do_all), which add the free schedule and the watchdog.
+// rows (run_do_all with Backend::kPool), which add the free schedule and
+// the watchdog.
 //
 // Within a synchronous round every process's work is independent by
 // construction -- all sends land next round, and the adversary's decision
@@ -44,7 +45,7 @@
 //     token and throws AbortRun before anything is appended.  A worker
 //     that ignores the token cannot be joined: shutdown() waits out
 //     join_grace_ms, detaches it and reports the leak, and the caller pins
-//     the run's storage (run_live_do_all).
+//     the run's storage (substrate::run_pool).
 //
 // Run-shared protocol state is the one thing the pool cannot make
 // data-independent by fiat: Protocol D's AgreeMergeCache serves agreement
@@ -66,9 +67,7 @@
 
 namespace dowork {
 
-namespace substrate {
-struct LiveOptions;
-}  // namespace substrate
+struct LiveOptions;  // core/runner.h
 
 // Cooperative cancellation flag, shared by every worker of one pool.  A
 // std::thread cannot be killed from outside, so the watchdog publishes
@@ -107,7 +106,7 @@ class RoundPool final : public StepExecutor {
   // (watchdog_ms) and the teardown grace (join_grace_ms) from `live`.  The
   // calling thread evaluates nothing, so `threads` workers are spawned, and
   // never fewer than two: one wedged step must leave another evaluating.
-  RoundPool(int threads, const substrate::LiveOptions& live);
+  RoundPool(int threads, const LiveOptions& live);
   ~RoundPool() override;
 
   RoundPool(const RoundPool&) = delete;
@@ -128,11 +127,9 @@ class RoundPool final : public StepExecutor {
   void run_steps(StepEval& eval, const Round& round, const std::vector<int>& steps,
                  std::vector<Ready>& out) override;
 
-  // A retired process simply never appears in a later step list; the pool
-  // only counts the crash in its kill-point census.
-  void on_retire(int, ProcState state, KillPoint kp) override { kills_.count(state, kp); }
-
-  const KillCensus& kills() const { return kills_; }
+  // A retired process simply never appears in a later step list (the
+  // simulator itself counts the kill-point census).
+  void on_retire(int, ProcState, KillPoint) override {}
 
   // Stops and joins the workers; true when every one joined.  A supervised
   // pool waits at most join_grace_ms and detaches a worker that is still
@@ -170,7 +167,6 @@ class RoundPool final : public StepExecutor {
   std::uint64_t watchdog_ms_ = 0;
   std::uint64_t join_grace_ms_ = 0;
   CancelToken cancel_;
-  KillCensus kills_;
   bool shut_down_ = false;
   bool leaked_ = false;
 

@@ -26,16 +26,6 @@ const Round& never() { return never_round(); }
 
 }  // namespace
 
-void KillCensus::count(ProcState state, KillPoint kp) {
-  if (state != ProcState::kCrashed) return;
-  switch (kp) {
-    case KillPoint::kSendCommit: ++send_commit; break;
-    case KillPoint::kMidBroadcast: ++mid_broadcast; break;
-    case KillPoint::kRoundBarrier: ++round_barrier; break;
-    case KillPoint::kNone: break;
-  }
-}
-
 Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
                      std::unique_ptr<FaultInjector> faults, Options options)
     : procs_(std::move(processes)),
@@ -213,15 +203,13 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
   if (plan) {
     retire(p, ProcState::kCrashed);
     ++metrics_.crashes;
-    if (executor_ != nullptr) {
-      // Classify the kill point for the executor (simulator.h documents
-      // the taxonomy): the socket substrate stops the worker process where
-      // the adversary's plan cut the execution, and every executor counts
-      // it in its KillCensus.
-      KillPoint kp = KillPoint::kRoundBarrier;
-      if (total > 0) kp = deliver < total ? KillPoint::kMidBroadcast : KillPoint::kSendCommit;
-      executor_->on_retire(static_cast<int>(p), ProcState::kCrashed, kp);
-    }
+    // Classify the kill point (metrics.h documents the taxonomy) for the
+    // census and for the executor: the socket substrate stops the worker
+    // process where the adversary's plan cut the execution.
+    KillPoint kp = KillPoint::kRoundBarrier;
+    if (total > 0) kp = deliver < total ? KillPoint::kMidBroadcast : KillPoint::kSendCommit;
+    metrics_.kills.count(kp);
+    if (executor_ != nullptr) executor_->on_retire(static_cast<int>(p), ProcState::kCrashed, kp);
   } else if (a.terminate) {
     retire(p, ProcState::kTerminated);
     ++metrics_.terminated;

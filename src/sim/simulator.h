@@ -80,27 +80,6 @@ struct AbortRun {
   std::string detail;
 };
 
-// How a committed CrashPlan stopped a process, as the live backends
-// classify their kill points (DESIGN.md "Execution substrates"): a crash
-// whose delivery cut stops short of the flattened send sequence is a
-// mid-broadcast kill, a crash that let every send through (or had none to
-// cut on a sending round) is a send-commit kill, and a crash on a round
-// with no sends at all stops the process at the round barrier.
-enum class KillPoint : std::uint8_t { kNone, kSendCommit, kMidBroadcast, kRoundBarrier };
-
-// Crashes by kill point: the census every executor keeps in on_retire.  It
-// is derived from the committed plan, so under the deterministic schedule
-// every backend counts the same numbers for the same case.
-struct KillCensus {
-  std::uint64_t send_commit = 0;
-  std::uint64_t mid_broadcast = 0;
-  std::uint64_t round_barrier = 0;
-
-  // Counts one retirement; terminations (and kNone) count nothing.
-  void count(ProcState state, KillPoint kp);
-  std::uint64_t total() const { return send_commit + mid_broadcast + round_barrier; }
-};
-
 // The evaluation half of one step: runs process p's on_round against the
 // current round's inbox, exactly once, without committing anything.
 // Implemented by Simulator; handed to the StepExecutor so worker threads

@@ -1,9 +1,7 @@
 #include "substrate/differential.h"
 
 #include <cstddef>
-#include <utility>
-
-#include "substrate/socket_substrate.h"
+#include <stdexcept>
 
 namespace dowork::substrate {
 
@@ -49,6 +47,14 @@ std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live) {
              "]: sim=" + std::to_string(sim.messages_by_kind[k]) +
              " live=" + std::to_string(live.messages_by_kind[k]);
   if (!(d = diff_u64("crashes", sim.crashes, live.crashes)).empty()) return d;
+  if (!(d = diff_u64("kills.send_commit", sim.kills.send_commit, live.kills.send_commit)).empty())
+    return d;
+  if (!(d = diff_u64("kills.mid_broadcast", sim.kills.mid_broadcast, live.kills.mid_broadcast))
+           .empty())
+    return d;
+  if (!(d = diff_u64("kills.round_barrier", sim.kills.round_barrier, live.kills.round_barrier))
+           .empty())
+    return d;
   if (!(d = diff_u64("terminated", sim.terminated, live.terminated)).empty()) return d;
   if (!(d = diff_u64("stepped_rounds", sim.stepped_rounds, live.stepped_rounds)).empty()) return d;
   if (!(d = diff_u64("fast_forward_jumps", sim.fast_forward_jumps, live.fast_forward_jumps))
@@ -83,30 +89,32 @@ std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live) {
 }
 
 DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts) {
+                            const InjectorFactory& make_injector, const RunOptions& opts) {
+  if (opts.backend == Backend::kSim)
+    throw std::invalid_argument("run_differential: the live leg needs Backend::kPool or kSocket");
   DiffResult result;
-  result.sim = run_do_all(info, cfg, make_injector(), opts.run);
+  RunOptions oracle = opts;
+  oracle.backend = Backend::kSim;
+  result.sim = run_do_all(info, cfg, make_injector(), oracle);
 
-  LiveOptions live = opts.live;
-  live.schedule = LiveOptions::Schedule::kDeterministic;
-  result.live = opts.live_backend == Backend::kSocket
-                    ? run_socket_do_all(info, cfg, make_injector(), opts.run, live)
-                    : run_live_do_all(info, cfg, make_injector(), opts.run, live);
+  RunOptions live = opts;
+  live.live.schedule = LiveOptions::Schedule::kDeterministic;
+  result.live = run_do_all(info, cfg, make_injector(), live);
 
   if (!result.sim.ok()) {
     result.divergence = "sim leg failed verification: " + result.sim.violation;
     return result;
   }
-  if (!result.live.run.ok()) {
-    result.divergence = "live leg failed verification: " + result.live.run.violation;
+  if (!result.live.ok()) {
+    result.divergence = "live leg failed verification: " + result.live.violation;
     return result;
   }
-  result.divergence = compare_metrics(result.sim.metrics, result.live.run.metrics);
+  result.divergence = compare_metrics(result.sim.metrics, result.live.metrics);
   return result;
 }
 
 DiffResult run_differential(const std::string& protocol, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts) {
+                            const InjectorFactory& make_injector, const RunOptions& opts) {
   return run_differential(find_protocol(protocol), cfg, make_injector, opts);
 }
 

@@ -21,34 +21,25 @@
 #include <memory>
 #include <string>
 
-#include "substrate/substrate.h"
+#include "core/runner.h"
 
 namespace dowork::substrate {
 
-// Field-for-field comparison of two runs' deterministic metrics.  Returns
-// "" when equal, else a human-readable first-divergence description
-// ("messages_total: sim=96 live=94").  Wall-clock and LiveStats fields are
-// backend-specific and never compared.
+// Field-for-field comparison of two runs' deterministic metrics, the kill
+// census included.  Returns "" when equal, else a human-readable
+// first-divergence description ("messages_total: sim=96 live=94").
+// RunStats (wall clock, threads) is backend-specific and never compared.
 std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live);
 
-struct DiffOptions {
-  RunOptions run;
-  // The live leg's options; its schedule is forced to deterministic, the
-  // mode with an equality oracle.  transport applies to kSocket only.
-  LiveOptions live;
-  // Which live backend supplies the non-oracle leg: the supervised round
-  // pool or worker OS processes over localhost sockets.
-  Backend live_backend = Backend::kPool;
-};
-
 struct DiffResult {
-  RunResult sim;        // the oracle leg
-  LiveRunResult live;   // the live leg (pool or socket)
+  RunResult sim;   // the oracle leg
+  RunResult live;  // the live leg (pool or socket)
   std::string divergence;  // "" = metric-for-metric equal and both legs verified
   bool ok() const { return divergence.empty(); }
 };
 
-// Runs the case on the simulator, then on the live backend under the
+// Runs the case on the simulator, then on the live backend opts.backend
+// names (kPool or kSocket; kSim throws std::invalid_argument) under the
 // deterministic schedule, and checks: sim leg verifies, live leg verifies,
 // metrics equal.  The injector factory is called once per leg and must
 // produce independent injectors with identical deterministic behavior
@@ -58,8 +49,8 @@ struct DiffResult {
 using InjectorFactory = std::function<std::unique_ptr<FaultInjector>()>;
 
 DiffResult run_differential(const ProtocolInfo& info, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts = {});
+                            const InjectorFactory& make_injector, const RunOptions& opts);
 DiffResult run_differential(const std::string& protocol, const DoAllConfig& cfg,
-                            const InjectorFactory& make_injector, const DiffOptions& opts = {});
+                            const InjectorFactory& make_injector, const RunOptions& opts);
 
 }  // namespace dowork::substrate

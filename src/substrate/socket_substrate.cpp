@@ -263,14 +263,12 @@ class SocketExecutor final : public StepExecutor {
         conns_(static_cast<std::size_t>(cfg.t)),
         outbox_(static_cast<std::size_t>(cfg.t)),
         actions_(static_cast<std::size_t>(cfg.t)),
-        pending_(static_cast<std::size_t>(cfg.t), 0) {
-    stats_.threads = cfg.t;
-  }
+        pending_(static_cast<std::size_t>(cfg.t), 0) {}
 
   ~SocketExecutor() override { shutdown(); }
 
   // Spawns the workers and collects their hellos.  Throws AbortRun on a
-  // setup failure (run_socket_do_all degrades it into aborted metrics).
+  // setup failure (run_socket degrades it into aborted metrics).
   void start();
   // Reaps every worker: kExit to the live ones, waitpid with the join
   // grace, SIGKILL for stragglers.  Processes are always reapable, so the
@@ -286,8 +284,6 @@ class SocketExecutor final : public StepExecutor {
   void post_step(int p, const Round& round, const InboxView& inbox);
   const Round& wake_of(int p) const { return conns_[static_cast<std::size_t>(p)].wake; }
   std::int64_t known_of(int p) const { return conns_[static_cast<std::size_t>(p)].known; }
-
-  const LiveStats& stats() const { return stats_; }
 
  private:
   void spawn_workers(const std::string& addr);
@@ -308,7 +304,6 @@ class SocketExecutor final : public StepExecutor {
   DoAllConfig cfg_;
   std::optional<std::int64_t> param_;
   LiveOptions opts_;
-  LiveStats stats_{};
 
   int listen_fd_ = -1;
   std::string uds_path_;
@@ -637,7 +632,6 @@ void SocketExecutor::run_steps(StepEval& eval, const Round& round, const std::ve
 void SocketExecutor::on_retire(int proc, ProcState state, KillPoint kp) {
   Conn& c = conns_[static_cast<std::size_t>(proc)];
   c.model_dead = true;
-  stats_.kills.count(state, kp);
   if (state != ProcState::kCrashed) {
     // Voluntary termination: clean shutdown frame; the worker exits 0.
     if (c.fd >= 0 && !c.eof) write_all(c.fd, wire::encode_exit());
@@ -690,18 +684,15 @@ void SocketExecutor::shutdown() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
   if (!uds_path_.empty()) ::unlink(uds_path_.c_str());
-  stats_.leaked = false;
 }
 
 }  // namespace
 
-LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
-                                std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
-                                const LiveOptions& live) {
-  cfg.validate();
-  SocketExecutor executor(info, cfg, opts.protocol_param, live);
-  LiveRunResult result;
-  const auto start = Clock::now();
+RunMetrics run_socket(const ProtocolInfo& info, const DoAllConfig& cfg,
+                      std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
+                      RunStats& stats) {
+  SocketExecutor executor(info, cfg, opts.protocol_param, opts.live);
+  RunMetrics metrics;
   try {
     executor.start();
     std::vector<std::unique_ptr<IProcess>> proxies;
@@ -710,31 +701,18 @@ LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg
       proxies.push_back(std::make_unique<SocketProxyProcess>(&executor, p));
     Simulator sim(std::move(proxies), std::move(faults), simulator_options(info, cfg, opts));
     sim.set_step_executor(&executor);
-    result.run.metrics = sim.run();
+    metrics = sim.run();
   } catch (AbortRun& abort) {
     // Setup failure (spawn/accept/hello): same structured degradation as a
     // mid-run watchdog abort -- mid-run AbortRuns are caught by sim.run()
     // itself and never reach here.
-    result.run.metrics.aborted = true;
-    result.run.metrics.aborted_reason = std::move(abort.reason);
-    result.run.metrics.abort_detail = std::move(abort.detail);
+    metrics.aborted = true;
+    metrics.aborted_reason = std::move(abort.reason);
+    metrics.abort_detail = std::move(abort.detail);
   }
   executor.shutdown();
-  const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-
-  result.stats = executor.stats();
-  result.stats.wall_seconds = secs;
-  if (secs > 0 && result.run.metrics.work_total > 0)
-    result.stats.units_per_sec = static_cast<double>(result.run.metrics.work_total) / secs;
-
-  result.run.violation = verify_run(info, cfg, result.run.metrics);
-  return result;
-}
-
-LiveRunResult run_socket_do_all(const std::string& protocol, const DoAllConfig& cfg,
-                                std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
-                                const LiveOptions& live) {
-  return run_socket_do_all(find_protocol(protocol), cfg, std::move(faults), opts, live);
+  stats.threads = cfg.t;
+  return metrics;
 }
 
 int maybe_socket_worker(int argc, char** argv) {

@@ -29,21 +29,20 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
-#include "substrate/substrate.h"
+#include "core/runner.h"
 
 namespace dowork::substrate {
 
-// Socket counterpart of run_live_do_all (substrate.h): same protocol
-// instantiation, fault injector and verifier, executed across real OS
-// processes.  LiveOptions::transport picks UDS (default) or TCP.
-LiveRunResult run_socket_do_all(const ProtocolInfo& info, const DoAllConfig& cfg,
-                                std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
-                                const LiveOptions& live = {});
-LiveRunResult run_socket_do_all(const std::string& protocol, const DoAllConfig& cfg,
-                                std::unique_ptr<FaultInjector> faults, const RunOptions& opts = {},
-                                const LiveOptions& live = {});
+// run_do_all's kSocket body (core/runner.h): the protocol roster runs
+// across real OS processes, one per protocol process, supervised as above.
+// opts.live.transport picks UDS (default) or TCP.  A setup failure (spawn,
+// accept, hello) comes back as aborted metrics, like a mid-run abort.
+// Fills stats.threads (the worker count); processes are always reaped, so
+// stats.leaked stays false.
+RunMetrics run_socket(const ProtocolInfo& info, const DoAllConfig& cfg,
+                      std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
+                      RunStats& stats);
 
 // Worker re-entry hook.  Workers are spawned as `/proc/self/exe
 // --dowork-socket-worker ...` (fork + exec -- a bare fork from the

@@ -424,10 +424,14 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // round moved into DeliveryRecord: they pin the latency-delayed record path
 // (records arriving with their own sent rounds), loss- and
 // partition-rewritten audiences, and the Byzantine layer's mail wrapper.
+// live_throughput was captured before run_do_all became the one entry point
+// for every backend: it pins the kLive rows' "live" label, their kill_*
+// columns (now read from the simulator's census) and the sim/live pairing.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
                          ::testing::Values("smoke", "checkpoint_sweep", "protocol_c",
                                            "protocol_d", "dynamic", "wan_latency",
-                                           "lossy_link", "partition_heal", "byzantine"),
+                                           "lossy_link", "partition_heal", "byzantine",
+                                           "live_throughput"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "core/runner.h"
 #include "sim/round_pool.h"
+#include "substrate/differential.h"
 
 namespace dowork {
 namespace {
@@ -280,28 +281,6 @@ RunMetrics run_d(const DoAllConfig& cfg, std::shared_ptr<AgreeMergeCache> cache,
   return sim.run();
 }
 
-void expect_same_metrics(const RunMetrics& a, const RunMetrics& b, const std::string& why) {
-  EXPECT_EQ(a.work_total, b.work_total) << why;
-  EXPECT_EQ(a.messages_total, b.messages_total) << why;
-  EXPECT_EQ(a.last_retire_round, b.last_retire_round) << why;
-  EXPECT_EQ(a.available_processor_steps, b.available_processor_steps) << why;
-  EXPECT_EQ(a.messages_by_kind, b.messages_by_kind) << why;
-  EXPECT_EQ(a.crashes, b.crashes) << why;
-  EXPECT_EQ(a.terminated, b.terminated) << why;
-  EXPECT_EQ(a.stepped_rounds, b.stepped_rounds) << why;
-  EXPECT_EQ(a.fast_forward_jumps, b.fast_forward_jumps) << why;
-  EXPECT_EQ(a.max_concurrent_workers, b.max_concurrent_workers) << why;
-  EXPECT_EQ(a.net_dropped, b.net_dropped) << why;
-  EXPECT_EQ(a.net_blocked, b.net_blocked) << why;
-  EXPECT_EQ(a.net_delayed, b.net_delayed) << why;
-  EXPECT_EQ(a.unit_multiplicity, b.unit_multiplicity) << why;
-  EXPECT_EQ(a.work_by_proc, b.work_by_proc) << why;
-  EXPECT_EQ(a.messages_by_proc, b.messages_by_proc) << why;
-  EXPECT_EQ(a.all_retired, b.all_retired) << why;
-  EXPECT_EQ(a.deadlocked, b.deadlocked) << why;
-  EXPECT_EQ(a.hit_round_cap, b.hit_round_cap) << why;
-}
-
 // Crashes landing in work rounds AND mid-agreement-broadcast (half the
 // audience cut), so both receive paths are exercised.
 std::unique_ptr<FaultInjector> cut_crashes() {
@@ -320,8 +299,10 @@ std::unique_ptr<FaultInjector> cut_crashes() {
 TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
   const DoAllConfig cfg{96, 12};
   auto cache = std::make_shared<AgreeMergeCache>();
-  expect_same_metrics(run_d(cfg, cache, cut_crashes()), run_d(cfg, nullptr, cut_crashes()),
-                      "prefix cuts");
+  EXPECT_EQ(substrate::compare_metrics(run_d(cfg, cache, cut_crashes()),
+                                       run_d(cfg, nullptr, cut_crashes())),
+            "")
+      << "prefix cuts";
   // Both receive paths ran.
   EXPECT_GT(cache->served(), 0u);
   EXPECT_GT(cache->walked(), 0u);
@@ -332,18 +313,25 @@ TEST(ProtocolD, MergeCacheIsObservablyInvisible) {
   net.drop = 0.02;
   net.partitions = {PartitionWindow{4, 9, 5}};
   net.seed = 3;
-  expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), net),
-                      run_d(cfg, nullptr, cut_crashes(), net), "net=(drop,lat,part)");
+  EXPECT_EQ(substrate::compare_metrics(
+                run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), net),
+                run_d(cfg, nullptr, cut_crashes(), net)),
+            "")
+      << "net=(drop,lat,part)";
 
-  expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, 2),
-                      run_d(cfg, nullptr, cut_crashes()), "RoundPool, sim_threads 2");
+  EXPECT_EQ(substrate::compare_metrics(
+                run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, 2),
+                run_d(cfg, nullptr, cut_crashes())),
+            "")
+      << "RoundPool, sim_threads 2";
 
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    expect_same_metrics(
-        run_d(cfg, std::make_shared<AgreeMergeCache>(),
-              std::make_unique<RandomFaults>(0.05, 11, seed)),
-        run_d(cfg, nullptr, std::make_unique<RandomFaults>(0.05, 11, seed)),
-        "seed " + std::to_string(seed));
+    EXPECT_EQ(substrate::compare_metrics(
+                  run_d(cfg, std::make_shared<AgreeMergeCache>(),
+                        std::make_unique<RandomFaults>(0.05, 11, seed)),
+                  run_d(cfg, nullptr, std::make_unique<RandomFaults>(0.05, 11, seed))),
+              "")
+        << "seed " << seed;
   }
 }
 
@@ -600,8 +588,11 @@ TEST(ProtocolDParallel, MergeCacheInvisibleUnderShardedRounds) {
   const DoAllConfig cfg{96, 12};
   const RunMetrics walking_serial = run_d(cfg, nullptr, cut_crashes());
   for (int threads : {2, 4})
-    expect_same_metrics(run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, threads),
-                        walking_serial, std::to_string(threads) + " threads");
+    EXPECT_EQ(substrate::compare_metrics(
+                  run_d(cfg, std::make_shared<AgreeMergeCache>(), cut_crashes(), {}, threads),
+                  walking_serial),
+              "")
+        << threads << " threads";
 }
 
 }  // namespace

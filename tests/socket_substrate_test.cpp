@@ -28,6 +28,14 @@ namespace {
 
 using harness::FaultSpec;
 
+// Options for one run on the socket backend.
+RunOptions socket_options(Transport transport = Transport::kUds) {
+  RunOptions opts;
+  opts.backend = Backend::kSocket;
+  opts.live.transport = transport;
+  return opts;
+}
+
 // One differential case with the socket backend as the non-oracle leg.
 void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, int t,
                                    const FaultSpec& spec,
@@ -35,10 +43,8 @@ void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, 
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  DiffOptions opts;
-  opts.live_backend = Backend::kSocket;
-  opts.live.transport = transport;
-  DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); }, opts);
+  DiffResult d =
+      run_differential(protocol, cfg, [&] { return spec.make(); }, socket_options(transport));
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string() << " transport " << to_string(transport);
   EXPECT_FALSE(d.live.stats.leaked);
@@ -94,9 +100,10 @@ TEST(SocketSubstrateTest, TcpTransportMatchesToo) {
 }
 
 TEST(SocketSubstrateTest, KillPointCensusMatchesRoundPool) {
-  // The census is plan-derived, so under the deterministic schedule the
-  // socket backend must classify every SIGKILL exactly as the round pool
-  // classifies its simulated kills -- same case, same counts.
+  // The census is plan-derived and counted by the simulator, so under the
+  // deterministic schedule the socket run (whose SIGKILLs land where the
+  // census says) must count exactly what the round pool's run counts --
+  // same case, same counts.
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
@@ -117,16 +124,19 @@ TEST(SocketSubstrateTest, KillPointCensusMatchesRoundPool) {
     }
   std::uint64_t send_commit = 0, mid_broadcast = 0, round_barrier = 0;
   for (const FaultSpec& spec : cases) {
-    LiveRunResult sock = run_socket_do_all("B", cfg, spec.make());
-    LiveRunResult pool = run_live_do_all("B", cfg, spec.make());
-    ASSERT_EQ(sock.run.violation, "") << spec.to_string();
-    EXPECT_EQ(sock.stats.kills.send_commit, pool.stats.kills.send_commit) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills.mid_broadcast, pool.stats.kills.mid_broadcast) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills.round_barrier, pool.stats.kills.round_barrier) << spec.to_string();
-    EXPECT_EQ(sock.stats.kills.total(), sock.run.metrics.crashes) << spec.to_string();
-    send_commit += sock.stats.kills.send_commit;
-    mid_broadcast += sock.stats.kills.mid_broadcast;
-    round_barrier += sock.stats.kills.round_barrier;
+    RunOptions pool_opts;
+    pool_opts.backend = Backend::kPool;
+    const RunResult sock = run_do_all("B", cfg, spec.make(), socket_options());
+    const RunResult pool = run_do_all("B", cfg, spec.make(), pool_opts);
+    ASSERT_EQ(sock.violation, "") << spec.to_string();
+    const KillCensus& k = sock.metrics.kills;
+    EXPECT_EQ(k.send_commit, pool.metrics.kills.send_commit) << spec.to_string();
+    EXPECT_EQ(k.mid_broadcast, pool.metrics.kills.mid_broadcast) << spec.to_string();
+    EXPECT_EQ(k.round_barrier, pool.metrics.kills.round_barrier) << spec.to_string();
+    EXPECT_EQ(k.total(), sock.metrics.crashes) << spec.to_string();
+    send_commit += k.send_commit;
+    mid_broadcast += k.mid_broadcast;
+    round_barrier += k.round_barrier;
   }
   // Between them the cases exercise every kill-point class as a real
   // signal: full SIGKILL, torn-frame SIGKILL, and barrier SIGKILL.
@@ -152,11 +162,9 @@ TEST(SocketSubstrateTest, MidBroadcastKillLeavesARecoverableTornFrame) {
     e.plan.deliver_prefix = 1;
     const FaultSpec spec = FaultSpec::scheduled({e});
     DoAllConfig c = cfg;
-    DiffOptions opts;
-    opts.live_backend = Backend::kSocket;
-    DiffResult d = run_differential("B", c, [&] { return spec.make(); }, opts);
+    DiffResult d = run_differential("B", c, [&] { return spec.make(); }, socket_options());
     ASSERT_EQ(d.divergence, "") << "nth=" << nth;
-    saw_mid_broadcast = d.live.stats.kills.mid_broadcast > 0;
+    saw_mid_broadcast = d.live.metrics.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
 }
@@ -170,20 +178,20 @@ TEST(SocketSubstrateTest, HungWorkerDegradesIntoAStructuredAbort) {
   DoAllConfig cfg;
   cfg.n = 16;
   cfg.t = 4;
-  LiveOptions live;
-  live.watchdog_ms = 300;
+  RunOptions opts = socket_options();
+  opts.live.watchdog_ms = 300;
   const auto start = std::chrono::steady_clock::now();
-  LiveRunResult r = run_socket_do_all("B", cfg, FaultSpec::none().make(), RunOptions{}, live);
+  const RunResult r = run_do_all("B", cfg, FaultSpec::none().make(), opts);
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
-  EXPECT_TRUE(r.run.metrics.aborted);
-  EXPECT_NE(r.run.metrics.aborted_reason.find("watchdog"), std::string::npos)
-      << r.run.metrics.aborted_reason;
-  EXPECT_EQ(r.run.metrics.abort_detail.rfind("cause=watchdog", 0), 0u)
-      << r.run.metrics.abort_detail;
-  EXPECT_NE(r.run.metrics.abort_detail.find("proc=2"), std::string::npos)
-      << r.run.metrics.abort_detail;
-  EXPECT_NE(r.run.violation.find("aborted"), std::string::npos) << r.run.violation;
+  EXPECT_TRUE(r.metrics.aborted);
+  EXPECT_NE(r.metrics.aborted_reason.find("watchdog"), std::string::npos)
+      << r.metrics.aborted_reason;
+  EXPECT_EQ(r.metrics.abort_detail.rfind("cause=watchdog", 0), 0u)
+      << r.metrics.abort_detail;
+  EXPECT_NE(r.metrics.abort_detail.find("proc=2"), std::string::npos)
+      << r.metrics.abort_detail;
+  EXPECT_NE(r.violation.find("aborted"), std::string::npos) << r.violation;
   EXPECT_FALSE(r.stats.leaked);  // SIGKILL + blocking waitpid: always reapable
   EXPECT_LT(elapsed, std::chrono::seconds(60));
 }
@@ -196,12 +204,12 @@ TEST(SocketSubstrateTest, UnexpectedWorkerExitIsAStructuredAbortNotACrash) {
   DoAllConfig cfg;
   cfg.n = 16;
   cfg.t = 4;
-  LiveRunResult r = run_socket_do_all("B", cfg, FaultSpec::none().make());
-  EXPECT_TRUE(r.run.metrics.aborted);
-  EXPECT_EQ(r.run.metrics.abort_detail.rfind("cause=worker-eof", 0), 0u)
-      << r.run.metrics.abort_detail;
-  EXPECT_NE(r.run.metrics.abort_detail.find("proc=1"), std::string::npos)
-      << r.run.metrics.abort_detail;
+  const RunResult r = run_do_all("B", cfg, FaultSpec::none().make(), socket_options());
+  EXPECT_TRUE(r.metrics.aborted);
+  EXPECT_EQ(r.metrics.abort_detail.rfind("cause=worker-eof", 0), 0u)
+      << r.metrics.abort_detail;
+  EXPECT_NE(r.metrics.abort_detail.find("proc=1"), std::string::npos)
+      << r.metrics.abort_detail;
   EXPECT_FALSE(r.stats.leaked);
 }
 
@@ -211,10 +219,10 @@ TEST(SocketSubstrateTest, CleanRunControl) {
   DoAllConfig cfg;
   cfg.n = 16;
   cfg.t = 4;
-  LiveRunResult r = run_socket_do_all("B", cfg, FaultSpec::none().make());
-  EXPECT_EQ(r.run.violation, "");
-  EXPECT_FALSE(r.run.metrics.aborted);
-  EXPECT_TRUE(r.run.metrics.abort_detail.empty());
+  const RunResult r = run_do_all("B", cfg, FaultSpec::none().make(), socket_options());
+  EXPECT_EQ(r.violation, "");
+  EXPECT_FALSE(r.metrics.aborted);
+  EXPECT_TRUE(r.metrics.abort_detail.empty());
   EXPECT_EQ(r.stats.threads, 4);
   EXPECT_FALSE(r.stats.leaked);
   EXPECT_GT(r.stats.units_per_sec, 0.0);
@@ -226,11 +234,10 @@ TEST(SocketSubstrateTest, FreeScheduleVerifiesUnderRealProcesses) {
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
-  LiveOptions live;
-  live.schedule = LiveOptions::Schedule::kFree;
-  LiveRunResult r =
-      run_socket_do_all("B", cfg, chunk_cascade(64, 8).make(), RunOptions{}, live);
-  EXPECT_EQ(r.run.violation, "");
+  RunOptions opts = socket_options();
+  opts.live.schedule = LiveOptions::Schedule::kFree;
+  const RunResult r = run_do_all("B", cfg, chunk_cascade(64, 8).make(), opts);
+  EXPECT_EQ(r.violation, "");
   EXPECT_FALSE(r.stats.leaked);
 }
 

@@ -1,5 +1,5 @@
-// The supervised round pool (run_live_do_all, src/substrate/substrate.h)
-// against the simulator as differential oracle: metric-for-metric equality
+// The supervised round pool (run_do_all with Backend::kPool,
+// src/substrate/substrate.h) against the simulator as differential oracle: metric-for-metric equality
 // under the deterministic schedule across protocols and adversaries, paper
 // bounds under the free schedule, kill-point accounting, and clean join-all
 // teardown.
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,14 @@ namespace {
 
 using harness::FaultSpec;
 
+// Options for one run on the supervised pool.
+RunOptions pool_options(LiveOptions::Schedule schedule = LiveOptions::Schedule::kDeterministic) {
+  RunOptions opts;
+  opts.backend = Backend::kPool;
+  opts.live.schedule = schedule;
+  return opts;
+}
+
 // One differential case: sim leg, pool deterministic leg, field-for-field
 // equal metrics and both legs verified.
 void expect_differential_ok(const std::string& protocol, std::int64_t n, int t,
@@ -31,7 +40,7 @@ void expect_differential_ok(const std::string& protocol, std::int64_t n, int t,
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); });
+  DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); }, pool_options());
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
                               << spec.to_string();
   EXPECT_FALSE(d.live.stats.leaked);
@@ -71,6 +80,16 @@ TEST(SubstrateTest, DifferentialLargerShape) {
   expect_differential_ok("B", 256, 16, chunk_cascade(256, 16));
 }
 
+TEST(SubstrateTest, DifferentialRejectsTheSimulatorAsItsLiveLeg) {
+  // The oracle leg is always the simulator; a kSim live leg would compare
+  // the simulator with itself.
+  DoAllConfig cfg;
+  cfg.n = 16;
+  cfg.t = 4;
+  EXPECT_THROW(run_differential("B", cfg, [] { return FaultSpec::none().make(); }, RunOptions{}),
+               std::invalid_argument);
+}
+
 TEST(SubstrateTest, CompareMetricsReportsFirstDivergence) {
   RunMetrics a;
   a.work_total = 10;
@@ -81,6 +100,9 @@ TEST(SubstrateTest, CompareMetricsReportsFirstDivergence) {
   b = a;
   b.work_by_proc = {1, 2};
   EXPECT_NE(compare_metrics(a, b), "");
+  b = a;
+  b.kills.count(KillPoint::kMidBroadcast);
+  EXPECT_EQ(compare_metrics(a, b), "kills.mid_broadcast: sim=0 live=1");
 }
 
 TEST(SubstrateTest, KillPointCensusMatchesCrashCount) {
@@ -88,10 +110,10 @@ TEST(SubstrateTest, KillPointCensusMatchesCrashCount) {
   cfg.n = 64;
   cfg.t = 8;
   const FaultSpec spec = chunk_cascade(cfg.n, cfg.t);
-  LiveRunResult r = run_live_do_all("B", cfg, spec.make());
-  ASSERT_EQ(r.run.violation, "");
-  EXPECT_GT(r.run.metrics.crashes, 0u);
-  EXPECT_EQ(r.stats.kills.total(), r.run.metrics.crashes);
+  RunResult r = run_do_all("B", cfg, spec.make(), pool_options());
+  ASSERT_EQ(r.violation, "");
+  EXPECT_GT(r.metrics.crashes, 0u);
+  EXPECT_EQ(r.metrics.kills.total(), r.metrics.crashes);
   EXPECT_FALSE(r.stats.leaked);
 }
 
@@ -112,9 +134,9 @@ TEST(SubstrateTest, MidBroadcastKillsCutDeliveries) {
     e.on_nth_action = nth;
     e.plan.work_completes = true;
     e.plan.deliver_prefix = 1;
-    LiveRunResult r = run_live_do_all("B", cfg, FaultSpec::scheduled({e}).make());
-    ASSERT_EQ(r.run.violation, "") << "nth=" << nth;
-    saw_mid_broadcast = r.stats.kills.mid_broadcast > 0;
+    RunResult r = run_do_all("B", cfg, FaultSpec::scheduled({e}).make(), pool_options());
+    ASSERT_EQ(r.violation, "") << "nth=" << nth;
+    saw_mid_broadcast = r.metrics.kills.mid_broadcast > 0;
   }
   EXPECT_TRUE(saw_mid_broadcast);
 }
@@ -125,8 +147,8 @@ TEST(SubstrateTest, PoolThreadCountIsMeasured) {
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
-  LiveRunResult r = run_live_do_all("A", cfg, FaultSpec::none().make());
-  ASSERT_EQ(r.run.violation, "");
+  RunResult r = run_do_all("A", cfg, FaultSpec::none().make(), pool_options());
+  ASSERT_EQ(r.violation, "");
   EXPECT_EQ(r.stats.threads, std::max(2, static_cast<int>(std::thread::hardware_concurrency())));
 }
 
@@ -134,8 +156,8 @@ TEST(SubstrateTest, ThroughputIsMeasured) {
   DoAllConfig cfg;
   cfg.n = 64;
   cfg.t = 8;
-  LiveRunResult r = run_live_do_all("B", cfg, FaultSpec::none().make());
-  ASSERT_EQ(r.run.violation, "");
+  RunResult r = run_do_all("B", cfg, FaultSpec::none().make(), pool_options());
+  ASSERT_EQ(r.violation, "");
   EXPECT_GT(r.stats.wall_seconds, 0.0);
   EXPECT_GT(r.stats.units_per_sec, 0.0);
 }
@@ -148,12 +170,11 @@ void expect_free_schedule_within_bounds(const std::string& protocol, std::int64_
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  LiveOptions live;
-  live.schedule = LiveOptions::Schedule::kFree;
-  LiveRunResult r = run_live_do_all(protocol, cfg, spec.make(), RunOptions{}, live);
-  ASSERT_EQ(r.run.violation, "") << protocol << " free schedule";
+  RunResult r =
+      run_do_all(protocol, cfg, spec.make(), pool_options(LiveOptions::Schedule::kFree));
+  ASSERT_EQ(r.violation, "") << protocol << " free schedule";
   EXPECT_FALSE(r.stats.leaked);
-  const RunMetrics& m = r.run.metrics;
+  const RunMetrics& m = r.metrics;
   for (const auto& [key, val] : harness::paper_bounds(protocol, n, t, crash_budget)) {
     const auto bound = static_cast<std::uint64_t>(val);
     if (key.rfind("bound_work", 0) == 0) {
@@ -213,12 +234,10 @@ std::vector<int> commit_order(LiveOptions::Schedule schedule) {
   DoAllConfig cfg;
   cfg.n = 4;
   cfg.t = 4;
-  LiveOptions live;
-  live.schedule = schedule;
   std::vector<int> order;
-  const LiveRunResult r =
-      run_live_do_all(info, cfg, std::make_unique<CommitLog>(&order), RunOptions{}, live);
-  EXPECT_FALSE(r.run.metrics.aborted) << r.run.metrics.aborted_reason;
+  const RunResult r =
+      run_do_all(info, cfg, std::make_unique<CommitLog>(&order), pool_options(schedule));
+  EXPECT_FALSE(r.metrics.aborted) << r.metrics.aborted_reason;
   return order;
 }
 

@@ -1,5 +1,5 @@
-// Watchdog supervision on the live round pool (run_live_do_all over
-// sim/round_pool.h): a deliberately-wedged process must produce a
+// Watchdog supervision on the live round pool (run_do_all with
+// Backend::kPool over sim/round_pool.h): a deliberately-wedged process must produce a
 // structured abort within the round deadline -- never a hung run -- and
 // teardown must join every worker (no thread leak) when the wedge honors
 // cooperative cancellation.
@@ -9,11 +9,11 @@
 #include <memory>
 #include <thread>
 
+#include "core/runner.h"
 #include "harness/fault_spec.h"
 #include "sim/round_pool.h"
-#include "substrate/substrate.h"
 
-namespace dowork::substrate {
+namespace dowork {
 namespace {
 
 // Spins inside on_round forever; a std::thread cannot be killed from
@@ -52,32 +52,38 @@ ProtocolInfo wedge_protocol(int wedged_proc) {
   return info;
 }
 
+// Options for a supervised-pool run with a 200 ms round deadline.
+RunOptions watched_pool() {
+  RunOptions opts;
+  opts.backend = Backend::kPool;
+  opts.live.watchdog_ms = 200;
+  return opts;
+}
+
 TEST(WatchdogTest, WedgedWorkerAbortsStructurally) {
   DoAllConfig cfg;
   cfg.n = 4;
   cfg.t = 4;
-  LiveOptions live;
-  live.watchdog_ms = 200;
-  live.join_grace_ms = 10'000;
+  RunOptions opts = watched_pool();
+  opts.live.join_grace_ms = 10'000;
 
   const auto start = std::chrono::steady_clock::now();
-  LiveRunResult r =
-      run_live_do_all(wedge_protocol(/*wedged_proc=*/2), cfg, harness::FaultSpec::none().make(),
-                      RunOptions{}, live);
+  const RunResult r =
+      run_do_all(wedge_protocol(/*wedged_proc=*/2), cfg, harness::FaultSpec::none().make(), opts);
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   // Structured degradation, not a hang: aborted metrics, the reason naming
   // the watchdog and the stalled process, and the verifier surfacing it.
-  EXPECT_TRUE(r.run.metrics.aborted);
-  EXPECT_NE(r.run.metrics.aborted_reason.find("watchdog"), std::string::npos)
-      << r.run.metrics.aborted_reason;
-  EXPECT_NE(r.run.metrics.aborted_reason.find("proc 2"), std::string::npos)
-      << r.run.metrics.aborted_reason;
-  EXPECT_EQ(r.run.metrics.abort_detail.rfind("cause=watchdog proc=2 missing=", 0), 0u)
-      << r.run.metrics.abort_detail;
-  EXPECT_NE(r.run.metrics.abort_detail.find(" deadline_ms=200"), std::string::npos)
-      << r.run.metrics.abort_detail;
-  EXPECT_NE(r.run.violation.find("aborted"), std::string::npos) << r.run.violation;
+  EXPECT_TRUE(r.metrics.aborted);
+  EXPECT_NE(r.metrics.aborted_reason.find("watchdog"), std::string::npos)
+      << r.metrics.aborted_reason;
+  EXPECT_NE(r.metrics.aborted_reason.find("proc 2"), std::string::npos)
+      << r.metrics.aborted_reason;
+  EXPECT_EQ(r.metrics.abort_detail.rfind("cause=watchdog proc=2 missing=", 0), 0u)
+      << r.metrics.abort_detail;
+  EXPECT_NE(r.metrics.abort_detail.find(" deadline_ms=200"), std::string::npos)
+      << r.metrics.abort_detail;
+  EXPECT_NE(r.violation.find("aborted"), std::string::npos) << r.violation;
 
   // The cooperative wedge honors cancellation: every worker joined, nothing
   // leaked, and the whole run finished well under CTest scale.
@@ -91,11 +97,9 @@ TEST(WatchdogTest, HealthyRunNeverTripsTheWatchdog) {
   DoAllConfig cfg;
   cfg.n = 4;
   cfg.t = 4;
-  LiveOptions live;
-  live.watchdog_ms = 200;
-  LiveRunResult r = run_live_do_all(wedge_protocol(/*wedged_proc=*/-1), cfg,
-                                    harness::FaultSpec::none().make(), RunOptions{}, live);
-  EXPECT_FALSE(r.run.metrics.aborted);
+  const RunResult r = run_do_all(wedge_protocol(/*wedged_proc=*/-1), cfg,
+                                 harness::FaultSpec::none().make(), watched_pool());
+  EXPECT_FALSE(r.metrics.aborted);
   EXPECT_FALSE(r.stats.leaked);
 }
 
@@ -105,15 +109,13 @@ TEST(WatchdogTest, AbortCommitsNothingFromTheStalledRound) {
   DoAllConfig cfg;
   cfg.n = 4;
   cfg.t = 2;
-  LiveOptions live;
-  live.watchdog_ms = 200;
-  LiveRunResult r = run_live_do_all(wedge_protocol(/*wedged_proc=*/0), cfg,
-                                    harness::FaultSpec::none().make(), RunOptions{}, live);
-  EXPECT_TRUE(r.run.metrics.aborted);
-  EXPECT_EQ(r.run.metrics.work_total, 0u);
-  EXPECT_EQ(r.run.metrics.messages_total, 0u);
+  const RunResult r = run_do_all(wedge_protocol(/*wedged_proc=*/0), cfg,
+                                 harness::FaultSpec::none().make(), watched_pool());
+  EXPECT_TRUE(r.metrics.aborted);
+  EXPECT_EQ(r.metrics.work_total, 0u);
+  EXPECT_EQ(r.metrics.messages_total, 0u);
   EXPECT_FALSE(r.stats.leaked);
 }
 
 }  // namespace
-}  // namespace dowork::substrate
+}  // namespace dowork
