@@ -44,6 +44,7 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
   wake_.assign(t, Round{});
   queued_.assign(t, 0);
   heap_has_.assign(t, 0);
+  heap_key_.assign(t, Round{});
   heap_.reserve(t + 16);
   metrics_.work_by_proc.assign(t, 0);
   metrics_.messages_by_proc.assign(t, 0);
@@ -74,8 +75,7 @@ void Simulator::reschedule(std::size_t p, const Round& now) {
   if (w == now) {
     // Fast path for the overwhelmingly common answer "step me again next
     // round" (every active process): a plain list instead of heap traffic.
-    // Any previous heap entry for p turns stale (it no longer matches
-    // wake_[p] when popped).
+    // Any previous heap entry for p turns dead (heap_has_ is cleared).
     wake_[p] = std::move(w);
     heap_has_[p] = 0;
     if (!queued_[p]) {
@@ -84,31 +84,38 @@ void Simulator::reschedule(std::size_t p, const Round& now) {
     }
     return;
   }
-  // Unchanged wake with its entry still queued: nothing to do.  (The entry
-  // cannot have been consumed or gone stale -- due entries pop only in the
-  // round they fire, after which the re-queried wake necessarily moves
-  // forward, and staleness requires wake_[p] to have changed.)  This is what
-  // keeps a passive process cheap when every broadcast lands in its inbox:
-  // its deadline is re-announced each step but queued only once.
-  if (heap_has_[p] && w == wake_[p]) return;
-  wake_[p] = w;
-  // Purely reactive processes (wake == never) are woken by mail alone and
-  // carry no heap entry; everyone else gets a fresh entry.
-  if (w != never()) {
-    heap_.push_back(WakeEntry{std::move(w), static_cast<int>(p)});
-    std::push_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
+  // p's live entry, if any, only has to be a lower bound on its wake: a
+  // deadline re-armed later (a passive Protocol B process re-arms on every
+  // checkpoint it receives) just updates the cache, and peek_min_wake
+  // re-keys the entry once it reaches the top.  A fresh entry is pushed
+  // only when p has none or its wake moved before the entry's key; the
+  // old entry is then dead (its key no longer matches heap_key_[p]).
+  // Purely reactive processes (wake == never) with no entry get none.
+  if (!(heap_has_[p] && heap_key_[p] <= w) && w != never()) {
+    heap_key_[p] = w;
+    heap_.push_back(WakeEntry{w, static_cast<int>(p)});
+    std::push_heap(heap_.begin(), heap_.end(), WakeLater{});
     heap_has_[p] = 1;
-  } else {
-    heap_has_[p] = 0;
   }
+  wake_[p] = std::move(w);
 }
 
 const Round* Simulator::peek_min_wake() {
   while (!heap_.empty()) {
     const WakeEntry& top = heap_.front();
     const std::size_t p = static_cast<std::size_t>(top.proc);
-    if (state_[p] == ProcState::kAlive && wake_[p] == top.wake) return &top.wake;
-    std::pop_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
+    const bool live =
+        state_[p] == ProcState::kAlive && heap_has_[p] && top.wake == heap_key_[p];
+    if (live && top.wake == wake_[p]) return &top.wake;
+    std::pop_heap(heap_.begin(), heap_.end(), WakeLater{});
+    if (live && wake_[p] != never()) {
+      // A lower bound below the cached wake: re-key it once, in place.
+      heap_key_[p] = wake_[p];
+      heap_.back().wake = wake_[p];
+      std::push_heap(heap_.begin(), heap_.end(), WakeLater{});
+      continue;
+    }
+    if (live) heap_has_[p] = 0;  // re-armed to never: mail-only from here on
     heap_.pop_back();
   }
   return nullptr;
@@ -403,8 +410,9 @@ RunMetrics Simulator::run() {
     while (const Round* min_wake = peek_min_wake()) {
       if (*min_wake > r) break;
       const int p = heap_.front().proc;
-      std::pop_heap(heap_.begin(), heap_.end(), &Simulator::wake_later);
+      std::pop_heap(heap_.begin(), heap_.end(), WakeLater{});
       heap_.pop_back();
+      heap_has_[static_cast<std::size_t>(p)] = 0;
       if (!queued_[static_cast<std::size_t>(p)]) {
         queued_[static_cast<std::size_t>(p)] = 1;
         step_list_.push_back(p);

@@ -26,8 +26,13 @@
 //     in the common case (Round's inline tier; see util/round.h, which also
 //     keeps a WakeEntry at 24 bytes instead of 72).  Fast-forward peeks the
 //     heap instead of rescanning every process.
-//     Stale heap entries (wake changed, process retired) are dropped on pop
-//     by comparing against wake_[p] and state_[p].
+//     Each live process has at most one live heap entry, keyed at a lower
+//     bound on its cached wake: a deadline re-armed later only updates
+//     wake_[p], and the entry is re-keyed once when it reaches the top, so
+//     the heap stays O(t) however often timeouts move (Protocol B's
+//     message-relative timeouts move on every checkpoint received).  Dead
+//     entries (process retired, entry superseded by an earlier wake) are
+//     dropped when they reach the top.
 //   * Delivery is a broadcast ledger, not per-pair envelopes: each send is
 //     recorded ONCE (DeliveryRecord: audience + moved payload reference +
 //     the crash prefix cut + sent round), so a round costs
@@ -215,16 +220,21 @@ class Simulator final : public SimObservable, public StepEval {
   }
 
  private:
-  // One lazy min-heap entry; stale when wake != wake_[proc] or the process
-  // has retired (checked on pop, never eagerly removed).
+  // One lazy min-heap entry.  It is p's live entry while p is alive,
+  // heap_has_[p] is set and wake == heap_key_[p]; its key is then a lower
+  // bound on wake_[p].  Any other entry is dead and is dropped when it
+  // reaches the top, never eagerly removed.
   struct WakeEntry {
     Round wake;
     int proc;
   };
   // Min-heap order for std::push_heap/pop_heap (which build max-heaps, hence
-  // the inversion).  Ties pop in arbitrary order: all due entries of a round
-  // are collected and the step list is sorted by process id afterwards.
-  static bool wake_later(const WakeEntry& a, const WakeEntry& b) { return b.wake < a.wake; }
+  // the inversion); a stateless functor so both inline it.  Ties pop in
+  // arbitrary order: all due entries of a round are collected and the step
+  // list is sorted by process id afterwards.
+  struct WakeLater {
+    bool operator()(const WakeEntry& a, const WakeEntry& b) const { return b.wake < a.wake; }
+  };
 
   void step_round(const Round& r);
   // One step, split at the evaluation/commit boundary so an executor can
@@ -246,11 +256,17 @@ class Simulator final : public SimObservable, public StepEval {
   void retire(std::size_t p, ProcState to);
   // Re-queries next_wake(now) for p (clamped forward to `now`) and updates
   // the cache.  "Run again next round" answers go straight onto next_step_
-  // (no heap traffic -- the common case for active processes); wake == never
-  // means mail-only, no entry at all; everything else is heap-queued.
+  // (no heap traffic -- the common case for active processes).  Otherwise
+  // p's live entry is kept while its key is at or before the new wake (a
+  // lower bound); a push happens only when p has no live entry or the wake
+  // moved before the entry's key.  wake == never with no live entry means
+  // mail-only: no entry at all.
   void reschedule(std::size_t p, const Round& now);
-  // Min wake over live processes as of the heap top, dropping stale entries;
-  // never_round() when no live process has a timer.
+  // Exact min wake over live processes, or null when no live process has a
+  // timer.  Drops dead entries; a live entry keyed below its process's wake
+  // is re-keyed to that wake (or dropped at never) and sifted down, so the
+  // top is returned only once its key equals wake_[p] -- the minimum the
+  // per-process scan would compute.
   const Round* peek_min_wake();
 
   std::vector<std::unique_ptr<IProcess>> procs_;
@@ -291,11 +307,12 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<std::uint64_t> consumed_epoch_;
   std::uint64_t epoch_ = 0;
   std::vector<Round> wake_;                   // cached next_wake per process
-  std::vector<WakeEntry> heap_;               // lazy min-heap over wake_
+  std::vector<WakeEntry> heap_;               // lazy min-heap, <= 1 live entry per p
   std::vector<int> step_list_;                // processes to step this round; reused
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
-  std::vector<std::uint8_t> heap_has_;        // heap holds an entry == wake_[p]
+  std::vector<std::uint8_t> heap_has_;        // p has a live heap entry
+  std::vector<Round> heap_key_;               // its key, a lower bound on wake_[p]
   Round cur_round_;                           // round being stepped (observable)
   RunMetrics metrics_;
   bool ran_ = false;

@@ -427,11 +427,15 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // live_throughput was captured before run_do_all became the one entry point
 // for every backend: it pins the kLive rows' "live" label, their kill_*
 // columns (now read from the simulator's census) and the sim/live pairing.
+// adversary_search was captured before a re-armed timeout kept its wake-queue
+// entry as a lower bound: adaptive adversaries read committed state between
+// steps, so it pins the step order of A, B, C and D under them, C's promoted
+// (>2^64) deadlines through fast-forward included.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
                          ::testing::Values("smoke", "checkpoint_sweep", "protocol_c",
                                            "protocol_d", "dynamic", "wan_latency",
                                            "lossy_link", "partition_heal", "byzantine",
-                                           "live_throughput"),
+                                           "live_throughput", "adversary_search"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -280,6 +280,250 @@ TEST(Simulator, RunTwiceThrows) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
+// --- wake queue vs a brute-force scheduler ----------------------------------
+
+using StepLog = std::vector<std::pair<Round, int>>;
+
+// A seeded deadline script.  Each step draws the process's next deadline D
+// (next_wake answers max(D, now), the contract in process.h) and may name a
+// random peer to mail.  The simulator and the brute-force loop below drive
+// identical copies, so both see the same decisions if they step the same
+// processes in the same rounds.
+struct DeadlineScript {
+  struct Move {
+    int mail_to = -1;
+    bool terminate = false;
+  };
+
+  // Without `mail_only` no deadline is ever never, so the run cannot
+  // deadlock and ends with every process retired.
+  DeadlineScript(std::uint64_t seed, int self, int t, bool mail_only)
+      : rng(seed),
+        self(self),
+        t(t),
+        mail_only(mail_only),
+        steps_left(static_cast<int>(rng.uniform(20, 120))) {
+    draw(Round{0});
+  }
+
+  // `next` is the round the simulator re-queries next_wake at.
+  void draw(const Round& next) {
+    const std::uint64_t kind = rng.uniform(0, 19);
+    if (kind < 5) {
+      deadline = next;  // run again
+    } else if (kind < 10) {
+      deadline = next + Round{rng.uniform(1, 40)};  // later
+    } else if (kind < 16) {
+      // Earlier than the current deadline, but still at least `next`.
+      if (deadline != never_round() && deadline > next) {
+        const Round gap = deadline - next;
+        const std::uint64_t span = gap.fits_u64() ? gap.to_u64_saturating() - 1 : 1000;
+        deadline = next + Round{rng.uniform(0, span)};
+      } else {
+        deadline = next;
+      }
+    } else if (kind < 19) {
+      deadline = mail_only ? never_round() : next + Round{rng.uniform(50, 90)};
+    } else {
+      Round big = Round::pow2(64);  // at or past 2^64: the promoted tier
+      if (big < next) big = next;
+      deadline = big + Round{rng.uniform(0, 40)};
+    }
+  }
+
+  Move step(const Round& r) {
+    Move m;
+    if (--steps_left == 0) {
+      m.terminate = true;
+      return m;
+    }
+    if (rng.uniform(0, 2) == 0) {
+      m.mail_to = static_cast<int>(rng.uniform(0, static_cast<std::uint64_t>(t) - 2));
+      if (m.mail_to >= self) ++m.mail_to;
+    }
+    draw(r + Round{1});
+    return m;
+  }
+
+  Rng rng;
+  int self;
+  int t;
+  bool mail_only;
+  int steps_left;
+  Round deadline = never_round();
+};
+
+class ScriptedProcess final : public IProcess {
+ public:
+  ScriptedProcess(DeadlineScript script, StepLog* log) : s_(std::move(script)), log_(log) {}
+  Action on_round(const RoundContext& ctx, const InboxView&) override {
+    log_->emplace_back(ctx.round, ctx.self);
+    const DeadlineScript::Move m = s_.step(ctx.round);
+    Action a;
+    if (m.mail_to >= 0)
+      a.sends.push_back(Outgoing{m.mail_to, MsgKind::kOther, std::make_shared<IntPayload>(0)});
+    a.terminate = m.terminate;
+    return a;
+  }
+  Round next_wake(const Round& now) const override {
+    return s_.deadline > now ? s_.deadline : now;
+  }
+
+ private:
+  DeadlineScript s_;
+  StepLog* log_;
+};
+
+struct BruteForceRun {
+  StepLog log;
+  bool all_retired = false;
+  bool deadlocked = false;
+  std::uint64_t stepped_rounds = 0;
+  std::uint64_t fast_forward_jumps = 0;
+};
+
+// The scheduler the wake queue must be indistinguishable from: every round
+// scans every live process, steps those with mail or a deadline at or before
+// the round in ascending id order, and -- with no mail in flight and nobody
+// due next round -- jumps to the minimum deadline.
+BruteForceRun brute_force(std::vector<DeadlineScript> s) {
+  const std::size_t t = s.size();
+  BruteForceRun out;
+  std::vector<bool> alive(t, true);
+  std::vector<bool> mail(t, false);
+  std::size_t alive_n = t;
+  Round r = 0;
+  while (true) {
+    std::vector<bool> next_mail(t, false);
+    bool sent = false;
+    for (std::size_t p = 0; p < t; ++p) {
+      if (!alive[p] || !(mail[p] || s[p].deadline <= r)) continue;
+      out.log.emplace_back(r, static_cast<int>(p));
+      const DeadlineScript::Move m = s[p].step(r);
+      if (m.mail_to >= 0) {
+        next_mail[static_cast<std::size_t>(m.mail_to)] = true;
+        sent = true;
+      }
+      if (m.terminate) {
+        alive[p] = false;
+        --alive_n;
+      }
+    }
+    ++out.stepped_rounds;
+    if (alive_n == 0) {
+      out.all_retired = true;
+      return out;
+    }
+    mail.swap(next_mail);
+    r += Round{1};
+    bool due = sent;
+    const Round* min = nullptr;
+    for (std::size_t p = 0; p < t; ++p) {
+      if (!alive[p] || s[p].deadline == never_round()) continue;
+      if (s[p].deadline <= r) due = true;
+      if (min == nullptr || s[p].deadline < *min) min = &s[p].deadline;
+    }
+    if (due) continue;
+    if (min == nullptr) {
+      out.deadlocked = true;
+      return out;
+    }
+    ++out.fast_forward_jumps;
+    r = *min;
+  }
+}
+
+TEST(WakeQueue, MatchesBruteForceSchedulerOnRandomDeadlines) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const int t = static_cast<int>(2 + seed % 23);
+    std::vector<DeadlineScript> scripts;
+    for (int p = 0; p < t; ++p)
+      scripts.emplace_back(seed * 1000 + static_cast<std::uint64_t>(p), p, t, seed % 2 == 0);
+    const BruteForceRun want = brute_force(scripts);
+
+    StepLog got;
+    std::vector<std::unique_ptr<IProcess>> procs;
+    for (const DeadlineScript& s : scripts)
+      procs.push_back(std::make_unique<ScriptedProcess>(s, &got));
+    const RunMetrics m = run_simulation(std::move(procs), std::make_unique<NoFaults>(), {});
+
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", t " + std::to_string(t));
+    const std::size_t common = std::min(got.size(), want.log.size());
+    std::size_t i = 0;
+    while (i < common && got[i] == want.log[i]) ++i;
+    ASSERT_EQ(i, want.log.size())
+        << "first divergence at step " << i << ": simulator "
+        << (i < got.size() ? to_string(got[i].first) + "/p" + std::to_string(got[i].second) : "-")
+        << ", brute force "
+        << (i < want.log.size()
+                ? to_string(want.log[i].first) + "/p" + std::to_string(want.log[i].second)
+                : "-");
+    ASSERT_EQ(got.size(), want.log.size());
+    EXPECT_EQ(m.all_retired, want.all_retired);
+    EXPECT_EQ(m.deadlocked, want.deadlocked);
+    EXPECT_EQ(m.stepped_rounds, want.stepped_rounds);
+    EXPECT_EQ(m.fast_forward_jumps, want.fast_forward_jumps);
+  }
+}
+
+// Mails process 1 every round for `rounds` rounds, then terminates.
+class Pinger final : public IProcess {
+ public:
+  explicit Pinger(std::uint64_t rounds) : rounds_(rounds) {}
+  Action on_round(const RoundContext& ctx, const InboxView&) override {
+    Action a;
+    a.sends.push_back(Outgoing{1, MsgKind::kOther, std::make_shared<IntPayload>(0)});
+    a.terminate = ctx.round + Round{1} >= Round{rounds_};
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return now; }
+
+ private:
+  std::uint64_t rounds_;
+};
+
+// Protocol B's passive shape: every message received re-arms a timeout
+// further out; the timeout firing ends the process.
+class RearmingTimeout final : public IProcess {
+ public:
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    steps.push_back(ctx.round);
+    Action a;
+    if (inbox.empty()) {
+      a.terminate = true;
+    } else {
+      deadline_ = ctx.round + Round{100};
+    }
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return deadline_ > now ? deadline_ : now; }
+
+  std::vector<Round> steps;
+
+ private:
+  Round deadline_ = Round{50};
+};
+
+TEST(WakeQueue, TimeoutRearmedLaterOnEveryMailFiresOnceAtTheFinalDeadline) {
+  constexpr std::uint64_t kMails = 10'000;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  procs.push_back(std::make_unique<Pinger>(kMails));
+  auto passive = std::make_unique<RearmingTimeout>();
+  RearmingTimeout* rx = passive.get();
+  procs.push_back(std::move(passive));
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), {});
+  const RunMetrics m = sim.run();
+  ASSERT_TRUE(m.all_retired);
+  // Mail in rounds 1..kMails, then the last re-armed deadline: the ones
+  // armed before it (the first at 50, inside the mail stretch) never fire.
+  std::vector<Round> want;
+  for (std::uint64_t r = 1; r <= kMails; ++r) want.emplace_back(r);
+  want.emplace_back(kMails + 100);
+  EXPECT_EQ(rx->steps, want);
+  EXPECT_EQ(m.stepped_rounds, kMails + 2);
+  EXPECT_EQ(m.fast_forward_jumps, 1u);
+}
+
 TEST(FaultInjector, WorkCascadeCrashesSequentially) {
   // Three workers working in parallel; cascade kills each after 2 units,
   // at most 2 crashes.
