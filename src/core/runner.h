@@ -58,10 +58,8 @@ struct LiveOptions {
   // -- the socket backend never leaks).
   std::uint64_t join_grace_ms = 2'000;
 
-  // Socket backend only: transport and the setup deadline covering worker
-  // spawn + connect + hello (bounded retry with backoff inside it).
+  // Socket backend only: the transport between coordinator and workers.
   Transport transport = Transport::kUds;
-  std::uint64_t spawn_timeout_ms = 10'000;
 };
 
 // What the run measured beyond the deterministic RunMetrics: wall clock,

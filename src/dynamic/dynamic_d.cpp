@@ -154,20 +154,15 @@ Action DynamicDProcess::on_round(const RoundContext& ctx, const InboxView& inbox
   }
   bool removed_any = false;
   if (!adopted) {
+    DynBitset heard(static_cast<std::size_t>(cfg_.t));
     for (const auto& [i, msg] : seen_) {
+      heard.set(static_cast<std::size_t>(i));
       kn_ |= msg->known;
       dn_ |= msg->done;
       tn_ |= msg->t_alive;
       agree_past_horizon_ = agree_past_horizon_ && msg->past_horizon;
     }
-    if (iter_ >= grace_) {
-      for (int i = 0; i < cfg_.t; ++i) {
-        if (i != self_ && u_.test(static_cast<std::size_t>(i)) && seen_.find(i) == seen_.end()) {
-          u_.reset(static_cast<std::size_t>(i));
-          removed_any = true;
-        }
-      }
-    }
+    if (iter_ >= grace_) removed_any = drop_silent(u_, heard, self_);
   }
   seen_.clear();
   const bool stable = !removed_any && iter_ >= grace_;

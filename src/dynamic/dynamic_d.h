@@ -20,7 +20,8 @@
 //
 // Only the lattice differs from Protocol D: the work slice is D's work_slice
 // (protocols/protocol_d.h) over the agreed known \ done, and the views are
-// DynBitsets like D's.  The receive-check merges this lattice, so it is local.
+// DynBitsets like D's.  The receive-check merges this lattice, so its merge is
+// local, but it drops silent processes by D's drop_silent.
 #pragma once
 
 #include <map>

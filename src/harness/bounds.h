@@ -3,9 +3,11 @@
 // Until the fuzzing PR these formulas lived inline in experiments.cpp, once
 // per family that asserted them; the fuzzer generates thousands of random
 // shapes, so the formulas become a shared, unit-tested oracle instead: the
-// adversary_search tournament, the protocol_a/protocol_b families and the
-// fuzz campaign all attach exactly these (key, value) bound params, and
+// experiment families attach these (key, value) bound params through
+// experiments.cpp's add_paper_bounds, as does the fuzz campaign, and
 // scenario.cpp's assert_bounds checks the measured row against them.
+// bounds_test pins every registered row that states one of these keys to
+// this oracle's value.
 //
 // Keys are load-bearing: assert_bounds dispatches on the "bound_work*" /
 // "bound_msgs*" / "bound_rounds*" prefix, and the key strings appear

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string_view>
 
 #include "adversary/strategies.h"
 #include "fuzz/generator.h"
@@ -26,6 +28,23 @@ Scenario sync_scenario(std::string group, std::string protocol, std::int64_t n, 
 }
 
 std::uint64_t u(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
+// Sets s's bound params from the audited bound library (harness/bounds.h:
+// Theorems 2.3, 2.8, 3.8 and 4.1) at s's protocol and shape, against the
+// crash budget of its faults: the params named in `keys`, or all of them
+// when `keys` is empty.  Throws std::logic_error for a key the library does
+// not emit, so a misspelt key cannot silently drop a bound.
+void add_paper_bounds(Scenario& s, std::initializer_list<std::string_view> keys = {}) {
+  std::size_t copied = 0;
+  for (const auto& [key, value] :
+       paper_bounds(s.protocol, s.cfg.n, s.cfg.t, fuzz::crash_budget_of(s.faults))) {
+    if (keys.size() > 0 && std::find(keys.begin(), keys.end(), key) == keys.end()) continue;
+    s.params[key] = value;
+    ++copied;
+  }
+  if (keys.size() > 0 && copied != keys.size())
+    throw std::logic_error("add_paper_bounds: no such bound key for protocol " + s.protocol);
+}
 
 // The worst-case adversary the seed benches used for the sequential
 // protocols: a takeover cascade crashing each active worker one chunk in,
@@ -80,10 +99,7 @@ std::vector<Scenario> protocol_bounds_scenarios(const std::string& proto) {
     const std::int64_t n = 16 * t;
     const std::string group = "t=" + std::to_string(t);
     auto add = [&](Scenario s) {
-      // Theorem 2.3 / 2.8 bounds from the shared audited library
-      // (harness/bounds.h): same keys and values the inline params carried.
-      for (const auto& [key, value] : paper_bounds(proto, n, t, t - 1))
-        s.params[key] = value;
+      add_paper_bounds(s);  // Theorem 2.3 / 2.8
       out.push_back(std::move(s));
     };
     for (std::int64_t units : {std::int64_t{1}, ceil_div(n, t), ceil_div(n, int_sqrt_ceil(t))}) {
@@ -132,9 +148,7 @@ std::vector<Scenario> protocol_d_scenarios() {
         entries.push_back({p, u(1 + 2 * p), CrashPlan{true, 0}});
       Scenario s = sync_scenario("T5/t=" + std::to_string(t) + "/f=" + std::to_string(f), "D",
                                  n, t, FaultSpec::scheduled(std::move(entries)));
-      s.params["bound_work_2n"] = 2 * n;
-      s.params["bound_msgs"] = (4 * static_cast<std::int64_t>(f) + 2) * t * t;
-      s.params["bound_rounds"] = (f + 1) * (n / t) + 4 * f + 2;
+      add_paper_bounds(s);
       out.push_back(std::move(s));
     }
   }
@@ -144,7 +158,7 @@ std::vector<Scenario> protocol_d_scenarios() {
     for (int p = 0; p < f; ++p) entries.push_back({p, u(3 + 5 * p), CrashPlan{true, 0}});
     Scenario s = sync_scenario("F4/f=" + std::to_string(f), "D", 4096, 16,
                                FaultSpec::scheduled(std::move(entries)));
-    s.params["bound_rounds"] = (f + 1) * 256 + 4 * f + 2;
+    add_paper_bounds(s, {"bound_rounds"});
     out.push_back(std::move(s));
   }
   // T5b: majority loss in phase 1 reverts to Protocol A (case 2).
@@ -181,9 +195,7 @@ std::vector<Scenario> time_a_vs_b_scenarios() {
     for (const char* proto : {"A", "B"}) {
       Scenario s = sync_scenario("t=" + std::to_string(t) + "/" + proto, proto, n, t,
                                  FaultSpec::cascade(1, t - 1, 0));
-      s.params["bound_rounds"] = std::string(proto) == "A"
-                                     ? n * t + 3 * static_cast<std::int64_t>(t) * t
-                                     : 3 * n + 8 * t;
+      add_paper_bounds(s, {"bound_rounds"});
       out.push_back(std::move(s));
     }
   }
@@ -250,10 +262,9 @@ std::vector<Scenario> adversary_search_scenarios() {
                             FaultSpec scripted) {
       // The tournament's oracle is the shared audited bound library
       // (harness/bounds.h) -- the same formulas the fuzz campaign asserts.
-      const auto bounds = paper_bounds(proto, n, t, budget);
       auto fill = [&](Scenario s) {
         s.params["assert_bounds"] = 1;
-        for (const auto& [key, value] : bounds) s.params[key] = value;
+        add_paper_bounds(s);
         out.push_back(std::move(s));
       };
       fill(sync_scenario(ts + "/" + proto + "/scripted", proto, n, t, std::move(scripted)));
@@ -293,13 +304,11 @@ std::vector<Scenario> adversary_search_scenarios() {
   // here measures degradation, not a refutation.
   for (int t : {16, 64}) {
     const std::int64_t n = 16 * t;
-    const std::int64_t s_ = int_sqrt_ceil(t);
     for (const char* proto : {"A", "B"}) {
       Scenario s = sync_scenario("net/t=" + std::to_string(t) + "/" + proto + "/jammer", proto,
                                  n, t, FaultSpec::adaptive("jammer", 0, /*seed=*/1, /*jam=*/t));
       s.params["report_bounds"] = 1;
-      s.params["bound_work_3n"] = 3 * n;
-      s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
+      add_paper_bounds(s, {"bound_work_3n", "bound_msgs"});
       out.push_back(std::move(s));
     }
   }
@@ -348,14 +357,6 @@ std::vector<Scenario> wan_latency_scenarios() {
   const std::int64_t n = 256;
   const int t = 16;
   const std::int64_t s_ = int_sqrt_ceil(t);
-  auto bounds = [&](Scenario& s, const char* proto) {
-    s.params["report_bounds"] = 1;
-    s.params["bound_work_3n"] = 3 * n;
-    s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
-    s.params["bound_rounds"] = std::string(proto) == "A"
-                                   ? n * t + 3 * static_cast<std::int64_t>(t) * t
-                                   : 3 * n + 8 * t;
-  };
   // Sync: every broadcast pays an extra uniform uplink delay in whole
   // rounds; composed with the worst-case cascade to show crash + net
   // weather in one spec.
@@ -364,12 +365,14 @@ std::vector<Scenario> wan_latency_scenarios() {
       Scenario s = sync_scenario(
           std::string("sync/") + proto + "/lat=1.." + std::to_string(hi), proto, n, t,
           FaultSpec::none().with_net(NetSpec::latency(1, hi, u(hi))));
-      bounds(s, proto);
+      s.params["report_bounds"] = 1;
+      add_paper_bounds(s);
       out.push_back(std::move(s));
     }
     Scenario s = sync_scenario(std::string("sync/") + proto + "/cascade+lat", proto, n, t,
                                chunk_cascade(n, t).with_net(NetSpec::latency(1, 4, 5)));
-    bounds(s, proto);
+    s.params["report_bounds"] = 1;
+    add_paper_bounds(s);
     out.push_back(std::move(s));
   }
   // Async: the latency component replaces the substrate's delay knobs, so
@@ -397,7 +400,6 @@ std::vector<Scenario> lossy_link_scenarios() {
   std::vector<Scenario> out;
   const std::int64_t n = 256;
   const int t = 16;
-  const std::int64_t s_ = int_sqrt_ceil(t);
   for (const char* proto : {"A", "B"}) {
     for (int pct : {1, 5, 10}) {
       // Four seeded repetitions: rep r draws the weather from seed + r,
@@ -406,8 +408,7 @@ std::vector<Scenario> lossy_link_scenarios() {
           std::string("sync/") + proto + "/drop=" + std::to_string(pct) + "%", proto, n, t,
           FaultSpec::none().with_net(NetSpec::lossy(pct / 100.0, u(pct))), /*reps=*/4);
       s.params["report_bounds"] = 1;
-      s.params["bound_work_3n"] = 3 * n;
-      s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
+      add_paper_bounds(s, {"bound_work_3n", "bound_msgs"});
       out.push_back(std::move(s));
     }
     // Crash cascade and link loss composed: the adversary the paper allows
@@ -416,8 +417,7 @@ std::vector<Scenario> lossy_link_scenarios() {
                                chunk_cascade(n, t).with_net(NetSpec::lossy(0.05, 11)),
                                /*reps=*/4);
     s.params["report_bounds"] = 1;
-    s.params["bound_work_3n"] = 3 * n;
-    s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
+    add_paper_bounds(s, {"bound_work_3n", "bound_msgs"});
     out.push_back(std::move(s));
   }
   return out;
@@ -427,7 +427,6 @@ std::vector<Scenario> partition_heal_scenarios() {
   std::vector<Scenario> out;
   const std::int64_t n = 256;
   const int t = 16;
-  const std::int64_t s_ = int_sqrt_ceil(t);
   // Windows are in stepped rounds; Protocol A's first takeover deadline is
   // ~n/t rounds in, so the early window hides the initial checkpoints and
   // the late window tests recovery after real progress.
@@ -447,11 +446,7 @@ std::vector<Scenario> partition_heal_scenarios() {
           std::string("sync/") + proto + "/" + cut.name, proto, n, t,
           FaultSpec::none().with_net(NetSpec::partition(cut.windows, 0)));
       s.params["report_bounds"] = 1;
-      s.params["bound_work_3n"] = 3 * n;
-      s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
-      s.params["bound_rounds"] = std::string(proto) == "A"
-                                     ? n * t + 3 * static_cast<std::int64_t>(t) * t
-                                     : 3 * n + 8 * t;
+      add_paper_bounds(s);
       out.push_back(std::move(s));
     }
   }
@@ -608,30 +603,25 @@ std::vector<Scenario> scale_scenarios() {
   std::vector<Scenario> out;
   for (int t : {64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}) {
     const std::int64_t n = 16 * t;
-    const std::int64_t s_ = int_sqrt_ceil(t);
     for (const char* proto : {"A", "B"}) {
       Scenario s = sync_scenario("t=" + std::to_string(t) + "/" + proto, proto, n, t,
                                  chunk_cascade(n, t));
-      s.params["bound_work_3n"] = 3 * n;
-      s.params["bound_msgs"] = (std::string(proto) == "A" ? 9 : 10) * t * s_;
+      add_paper_bounds(s, {"bound_work_3n", "bound_msgs"});
       out.push_back(std::move(s));
     }
     if (t <= 8192) {
       const int f = std::min(t / 2 - 1, 16);
       Scenario s = sync_scenario("t=" + std::to_string(t) + "/D", "D", n, t,
                                  FaultSpec::cascade(2, f, 0));
-      s.params["bound_work_2n"] = 2 * n;
-      s.params["bound_msgs"] = (4 * static_cast<std::int64_t>(f) + 2) * t * t;
+      add_paper_bounds(s, {"bound_work_2n", "bound_msgs"});
       out.push_back(std::move(s));
     }
     if (t <= 256) {
       const std::int64_t cn = 440 - t;  // 512-bit deadline budget: n + t <= 440
-      const std::int64_t T = pow2_ceil(t);
-      const std::int64_t L = std::max(1, log2_of_pow2(T));
       Scenario s = sync_scenario("t=" + std::to_string(t) + "/C_batch", "C_batch", cn, t,
                                  FaultSpec::cascade(1, t - 1, 0));
       s.params["bound_work_n_2t"] = cn + 2 * t;
-      s.params["bound_msgs"] = cn + 8 * T * L;
+      add_paper_bounds(s, {"bound_msgs"});
       out.push_back(std::move(s));
     }
   }
@@ -697,22 +687,21 @@ std::vector<Scenario> differential_scenarios() {
   }
   for (int t : {16, 64}) {
     const std::string ts = "free/t=" + std::to_string(t);
-    auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
+    auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
       s.backend = Backend::kPool;
       s.params["free_sched"] = 1;
       s.params["assert_bounds"] = 1;
-      for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
-        s.params[key] = value;
+      add_paper_bounds(s);
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
     const int f = std::max(1, t / 2 - 1);
-    add("A", n, t - 1, chunk_cascade(n, t));
-    add("B", n, t - 1, chunk_cascade(n, t));
-    add("C", 4 * t, t - 1, chunk_cascade(4 * t, t));
-    add("D", n, f, FaultSpec::cascade(2, f, 0));
+    add("A", n, chunk_cascade(n, t));
+    add("B", n, chunk_cascade(n, t));
+    add("C", 4 * t, chunk_cascade(4 * t, t));
+    add("D", n, FaultSpec::cascade(2, f, 0));
   }
   // Socket-process legs of the same oracle: identical shapes and
   // adversaries, but the non-oracle leg runs one worker OS process per
@@ -751,22 +740,21 @@ std::vector<Scenario> differential_scenarios() {
   }
   for (int t : {16, 64}) {
     const std::string ts = "socket/free-t" + std::to_string(t);
-    auto add = [&](const char* proto, std::int64_t n, int budget, FaultSpec faults) {
+    auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
       Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
       s.substrate = Substrate::kLive;
       s.backend = Backend::kSocket;
       s.params["free_sched"] = 1;
       s.params["assert_bounds"] = 1;
-      for (const auto& [key, value] : paper_bounds(proto, n, t, budget))
-        s.params[key] = value;
+      add_paper_bounds(s);
       out.push_back(std::move(s));
     };
     const std::int64_t n = 16 * t;
     const int f = std::max(1, t / 2 - 1);
-    add("A", n, t - 1, chunk_cascade(n, t));
-    add("B", n, t - 1, chunk_cascade(n, t));
-    add("C", 4 * t, t - 1, chunk_cascade(4 * t, t));
-    add("D", n, f, FaultSpec::cascade(2, f, 0));
+    add("A", n, chunk_cascade(n, t));
+    add("B", n, chunk_cascade(n, t));
+    add("C", 4 * t, chunk_cascade(4 * t, t));
+    add("D", n, FaultSpec::cascade(2, f, 0));
   }
   return out;
 }

@@ -24,28 +24,59 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
   return w;
 }
 
-bool agree_receive(const std::vector<const AgreeMsg*>& seen, int self, bool past_grace,
-                   DynBitset& sn, DynBitset& tn, DynBitset& u, bool& removed_any) {
-  for (const AgreeMsg* msg : seen) {
-    if (msg && msg->done) {
-      sn = msg->s_left;
-      tn = msg->t_alive;
-      return true;
-    }
-  }
-  for (const AgreeMsg* msg : seen) {
+void AgreeFold::merge_into(DynBitset& sn_out, DynBitset& tn_out) const {
+  if (sn.size() == 0) return;
+  sn_out &= sn;
+  tn_out |= tn;
+}
+
+AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
+  AgreeFold f;
+  f.heard = DynBitset(by_sender.size());
+  for (std::size_t i = 0; i < by_sender.size(); ++i) {
+    const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
-    sn &= msg->s_left;
-    tn |= msg->t_alive;
+    f.heard.set(i);
+    if (f.sn.size() == 0) {
+      f.sn = msg->s_left;
+      f.tn = msg->t_alive;
+    } else {
+      f.sn &= msg->s_left;
+      f.tn |= msg->t_alive;
+    }
+    if (msg->done && !f.done) f.done = msg;
   }
-  if (past_grace) {
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      if (static_cast<int>(i) != self && u.test(i) && !seen[i]) {
-        u.reset(i);  // silent => crashed
-        removed_any = true;
-      }
+  return f;
+}
+
+void stash_views(const InboxView& inbox, int phase, std::vector<const AgreeMsg*>& by_sender,
+                 std::vector<std::shared_ptr<const Payload>>* retained) {
+  for (const Msg& msg : inbox) {
+    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase) {
+      by_sender[static_cast<std::size_t>(msg.from)] = m;
+      if (retained) retained->push_back(msg.payload());
     }
   }
+}
+
+bool drop_silent(DynBitset& u, const DynBitset& heard, int self) {
+  const std::size_t me = static_cast<std::size_t>(self);
+  const bool self_in = u.test(me);
+  const std::uint64_t before = u.count();
+  u &= heard;
+  if (self_in) u.set(me);
+  return u.count() != before;
+}
+
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, DynBitset& sn, DynBitset& tn,
+                   DynBitset& u, bool& removed_any) {
+  if (fold.done) {
+    sn = fold.done->s_left;
+    tn = fold.done->t_alive;
+    return true;
+  }
+  fold.merge_into(sn, tn);
+  if (past_grace && drop_silent(u, fold.heard, self)) removed_any = true;
   return false;
 }
 
@@ -103,29 +134,29 @@ std::shared_ptr<const AgreeMergeCache::Index> AgreeMergeCache::index(
   idx->records = &records;
   const std::size_t procs = static_cast<std::size_t>(t);
   idx->msgs.assign(procs, nullptr);
-  idx->senders = DynBitset(procs);
   for (const DeliveryRecord& rec : records) {
     const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
     if (m == nullptr) continue;
     idx->phase_lo = std::min(idx->phase_lo, m->phase);
     idx->phase_hi = std::max(idx->phase_hi, m->phase);
     const std::size_t from = static_cast<std::size_t>(rec.from);
-    if (idx->senders.test(from)) idx->one_per_sender = false;
-    idx->senders.set(from);
+    if (idx->msgs[from] != nullptr) idx->one_per_sender = false;
     idx->msgs[from] = m;
   }
-  if (idx->foldable()) fold(*idx, records, procs);
+  if (idx->foldable()) {
+    mark_eligible(*idx, records, procs);
+    idx->fold = fold_views(idx->msgs);
+  }
   current_ = idx;
   return idx;
 }
 
-void AgreeMergeCache::fold(Index& idx, const std::vector<DeliveryRecord>& records,
-                           std::size_t procs) {
+void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord>& records,
+                                    std::size_t procs) {
   idx.eligible = DynBitset(procs, true);
   DynBitset reached;
   for (const DeliveryRecord& rec : records) {
-    const auto* m = detail::payload_as<AgreeMsg>(rec.payload.get());
-    if (m == nullptr) continue;
+    if (detail::payload_as<AgreeMsg>(rec.payload.get()) == nullptr) continue;
     // A sender stays eligible unless it hears itself; everyone else must be
     // among the recipients this record actually reached.
     const std::size_t from = static_cast<std::size_t>(rec.from);
@@ -143,14 +174,6 @@ void AgreeMergeCache::fold(Index& idx, const std::vector<DeliveryRecord>& record
       idx.eligible.set(from);
     else
       idx.eligible.reset(from);
-    if (idx.sn.size() == 0) {
-      idx.sn = m->s_left;
-      idx.tn = m->t_alive;
-    } else {
-      idx.sn &= m->s_left;
-      idx.tn |= m->t_alive;
-    }
-    if (m->done && (idx.done_lo < 0 || rec.from < idx.done_lo)) idx.done_lo = rec.from;
   }
 }
 
@@ -258,10 +281,11 @@ Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbo
   bool removed_any = false;
   bool adopted = false;
   if (served) {
-    adopted = receive_served(*idx, removed_any);
+    // The walk would have stashed exactly idx->msgs minus our own slot.
+    adopted = agree_receive(idx->fold, self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
   } else {
     walk(inbox);
-    adopted = agree_receive(seen_, self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
+    adopted = agree_receive(fold_views(seen_), self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
     std::fill(seen_.begin(), seen_.end(), nullptr);
     early_retained_.clear();
   }
@@ -284,34 +308,7 @@ void ProtocolDProcess::walk(const InboxView& inbox) {
   // agreement-round arrivals are consumed before on_round returns (see the
   // seen_ comment in the header).
   if (seen_.empty()) seen_.assign(static_cast<std::size_t>(t_), nullptr);
-  for (const Msg& msg : inbox) {
-    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
-      seen_[static_cast<std::size_t>(msg.from)] = m;
-      if (phase_kind_ == PhaseKind::kWork) early_retained_.push_back(msg.payload());
-    }
-  }
-}
-
-bool ProtocolDProcess::receive_served(const AgreeMergeCache::Index& idx, bool& removed_any) {
-  // The walk would have stashed exactly idx.msgs minus our own slot.
-  if (idx.done_lo >= 0) {
-    const AgreeMsg& msg = *idx.msgs[static_cast<std::size_t>(idx.done_lo)];
-    sn_ = msg.s_left;
-    tn_ = msg.t_alive;
-    return true;
-  }
-  sn_ &= idx.sn;  // includes our own message, a no-op in our own view
-  tn_ |= idx.tn;
-  if (iter_ >= grace_) {
-    // Silent => crashed: u_ &= senders + {self}.
-    const std::size_t me = static_cast<std::size_t>(self_);
-    const bool self_in = u_.test(me);
-    const std::uint64_t before = u_.count();
-    u_ &= idx.senders;
-    if (self_in) u_.set(me);
-    removed_any = u_.count() != before;
-  }
-  return false;
+  stash_views(inbox, phase_, seen_, phase_kind_ == PhaseKind::kWork ? &early_retained_ : nullptr);
 }
 
 Round ProtocolDProcess::next_wake(const Round& now) const {

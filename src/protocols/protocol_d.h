@@ -23,7 +23,8 @@
 // one grace iteration before declaring silent processes faulty, absorbing
 // the <=1 round of skew left by done-adoption (the paper's "grace round").
 //
-// The phase core below (work_slice, agree_receive, end_phase, RevertToA) is
+// The phase core below (work_slice, the AgreeFold receive -- fold_views,
+// stash_views, drop_silent, agree_receive -- end_phase and RevertToA) is
 // shared with the coordinator variant and the dynamic-workload extension.
 #pragma once
 
@@ -65,16 +66,41 @@ struct AgreeMsg final : Payload {
 std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, int self,
                         std::vector<std::int64_t>& slice);
 
+// The one fold of an agreement phase's views (paper Section 4): the AND of
+// S, the OR of T and the senders heard over every view -- done views
+// included -- plus the lowest sender's done view.  `sn`/`tn` are empty when
+// no view was folded, and then merge_into changes nothing.
+struct AgreeFold {
+  DynBitset sn, tn;
+  DynBitset heard;                 // senders whose slot holds a view
+  const AgreeMsg* done = nullptr;  // lowest sender's done view; null = none
+
+  // sn &= S, tn |= T (a no-op for an empty fold).
+  void merge_into(DynBitset& sn_out, DynBitset& tn_out) const;
+};
+
+// The fold of `by_sender`, a phase's views indexed by sender (null = silent).
+AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender);
+
+// Stashes every view of `phase` in `inbox` into by_sender[from] (a later
+// record from the same sender replaces an earlier one); when `retained` is
+// non-null, also keeps each stashed payload alive there.
+void stash_views(const InboxView& inbox, int phase, std::vector<const AgreeMsg*>& by_sender,
+                 std::vector<std::shared_ptr<const Payload>>* retained);
+
+// The silence rule: drops from u every member other than self that is not
+// in `heard` (silent => crashed); returns whether any was dropped.
+bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
+
 // One iteration of the agreement receive-check (Figure 4 lines 15-19) over
-// `seen`, the phase's messages indexed by sender (null = silent): adopt the
-// lowest sender's done view into (sn, tn) and return true; otherwise fold
-// every view in (S by AND, T by OR) and, once past_grace, drop from u each
-// silent member other than self (silent => crashed), setting removed_any.
-// This is the one seam at which a walked receive decides the (S, T) that
-// D's survivors agree on; D's served path reproduces it from the ledger
-// index (see AgreeMergeCache).
-bool agree_receive(const std::vector<const AgreeMsg*>& seen, int self, bool past_grace,
-                   DynBitset& sn, DynBitset& tn, DynBitset& u, bool& removed_any);
+// the fold of the phase's views: adopt the fold's done view into (sn, tn) and
+// return true; otherwise merge the fold in (S by AND, T by OR) and, once
+// past_grace, drop_silent from u, setting removed_any.  The one seam at
+// which D's survivors decide the (S, T) they agree on: a walked receive
+// passes the fold of its own inbox, a served one the ledger index's fold
+// (see AgreeMergeCache); D_coord's fallback passes the fold of its stash.
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, DynBitset& sn, DynBitset& tn,
+                   DynBitset& u, bool& removed_any);
 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
 // The paper's case-2 bounds assume it runs over the agreed survivors only, so
@@ -117,8 +143,8 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // per round -- the dominant cost of the D scale rows.  The round's first
 // requester instead indexes the ledger once (O(records) under one mutex)
 // into an immutable Index, and every recipient whose receive the index
-// provably reproduces skips its walk: two merges, a bitset AND for silence
-// detection, or a table lookup for done-adoption.
+// provably reproduces skips its walk and runs agree_receive on the index's
+// fold instead of on the fold of its own stash.
 //
 // One fold serves everyone because a process's own message is idempotent
 // in its own view: agree_broadcast sends the sender's current (sn_, tn_),
@@ -134,11 +160,12 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // delivers to its own sender.  For an eligible recipient whose phase is the
 // single phase of every agreement record, the walk would stash exactly
 // the index's sender table minus its own slot, so AND/OR regrouping (both
-// associative and commutative) gives the same bits.  Everything else walks
-// as before: cut-out or dropped recipients, mixed-phase ledgers, two
-// records from one sender, early arrivals already stashed, an own message
-// missing from the ledger (a socket worker's one-recipient mailbox never
-// carries one), and processes built without a cache.  protocol_d_test pins
+// associative and commutative) gives the same bits, and the heard set
+// differs only in the own slot, which drop_silent never drops.  Everything
+// else walks as before: cut-out or dropped recipients, mixed-phase ledgers,
+// two records from one sender, early arrivals already stashed, an own
+// message missing from the ledger (a socket worker's one-recipient mailbox
+// never carries one), and processes built without a cache.  protocol_d_test pins
 // cache and cache-free runs to identical metrics, and pins that a
 // crash-free run serves every agreement receive.
 //
@@ -165,12 +192,10 @@ class AgreeMergeCache {
     int phase_hi = std::numeric_limits<int>::min();
     bool one_per_sender = true;
     std::vector<const AgreeMsg*> msgs;  // by sender (the last record's); null = silent
-    DynBitset senders;                  // non-null slots of msgs
     // The rest is filled only when foldable(): one phase, one record per
     // sender.
-    DynBitset eligible;                 // see the class comment
-    DynBitset sn, tn;                   // AND / OR over every message in msgs
-    int done_lo = -1;                   // lowest sender whose message is done; -1 = none
+    DynBitset eligible;  // see the class comment
+    AgreeFold fold;      // fold_views(msgs)
 
     // True when some agreement record carries `phase`; a work-phase
     // process stashes nothing otherwise.
@@ -179,11 +204,11 @@ class AgreeMergeCache {
     // True when the agreement receive of `self` in `phase`, whose latest
     // broadcast is `own` (null if none) and who has stashed no early
     // arrivals, may be served from the index instead of walking.  Its own
-    // slot is then never the done_lo adoptee: own is not a done message
+    // slot is then never the fold's done adoptee: own is not a done message
     // (finish_agree drops it), and the check keeps that explicit.
     bool serves(int self, int phase, const AgreeMsg* own) const {
       return foldable() && phase_lo == phase && eligible.test(static_cast<std::size_t>(self)) &&
-             msgs[static_cast<std::size_t>(self)] == own && done_lo != self;
+             msgs[static_cast<std::size_t>(self)] == own && (own == nullptr || fold.done != own);
     }
   };
 
@@ -201,8 +226,9 @@ class AgreeMergeCache {
   std::uint64_t walked() const { return walked_.load(std::memory_order_relaxed); }
 
  private:
-  // Fills the foldable index's eligible set, AND/OR fold and done_lo.
-  static void fold(Index& idx, const std::vector<DeliveryRecord>& records, std::size_t procs);
+  // Fills the foldable index's eligible set.
+  static void mark_eligible(Index& idx, const std::vector<DeliveryRecord>& records,
+                            std::size_t procs);
 
   std::mutex mu_;  // guards current_, which is replaced (never mutated) per round
   std::shared_ptr<const Index> current_;
@@ -239,10 +265,6 @@ class ProtocolDProcess final : public IProcess {
   Action agree_broadcast(bool done);
   // Stashes this phase's agreement messages from `inbox` into seen_.
   void walk(const InboxView& inbox);
-  // The agreement receive-check from the index (the walked one is
-  // agree_receive over seen_); returns whether a done view was adopted and
-  // sets removed_any.
-  bool receive_served(const AgreeMergeCache::Index& idx, bool& removed_any);
   void finish_agree(const Round& now);
 
   std::int64_t n_;

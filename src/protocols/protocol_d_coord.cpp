@@ -74,12 +74,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
   }
   if (phase_kind_ == PhaseKind::kRevertA) return revert_->on_round(ctx, inbox);
 
-  for (const Msg& msg : inbox) {
-    if (const auto* m = msg.as<AgreeMsg>(); m != nullptr && m->phase == phase_) {
-      seen_[static_cast<std::size_t>(msg.from)] = m;
-      held_.push_back(msg.payload());
-    }
-  }
+  stash_views(inbox, phase_, seen_, &held_);
 
   if (phase_kind_ == PhaseKind::kWork) {
     if (!work_entered_) {
@@ -113,11 +108,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
   if (phase_kind_ == PhaseKind::kAgrCoord) {
     if (ctx.round < agr_entry_ + Round{kCollectAt}) return Action::none();
     // Finalize: merge every report seen and broadcast the final view.
-    for (const AgreeMsg* msg : seen_) {
-      if (!msg) continue;
-      sn_ &= msg->s_left;
-      tn_ |= msg->t_alive;
-    }
+    fold_views(seen_).merge_into(sn_, tn_);
     clear_seen();
     Action a = broadcast_view(t_alive_, true);
     phase_kind_ = PhaseKind::kAgrListen;  // wait out the fallback window
@@ -126,14 +117,12 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
   }
 
   if (phase_kind_ == PhaseKind::kAgrAwait) {
-    for (const AgreeMsg* msg : seen_) {
-      if (msg && msg->done) {
-        sn_ = msg->s_left;
-        tn_ = msg->t_alive;
-        clear_seen();
-        phase_kind_ = PhaseKind::kAgrListen;
-        return Action::none();
-      }
+    if (const AgreeMsg* final_view = fold_views(seen_).done) {
+      sn_ = final_view->s_left;
+      tn_ = final_view->t_alive;
+      clear_seen();
+      phase_kind_ = PhaseKind::kAgrListen;
+      return Action::none();
     }
     if (ctx.round >= agr_entry_ + Round{kFallbackAt}) {
       // No final view: the coordinator must have died.  Fall back to the
@@ -183,7 +172,8 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
 
   // kAgrFallback: pipelined broadcast agreement with grace 2.
   bool removed_any = false;
-  const bool adopted = agree_receive(seen_, self_, iter_ >= 2, sn_, tn_, u_, removed_any);
+  const bool adopted =
+      agree_receive(fold_views(seen_), self_, iter_ >= 2, sn_, tn_, u_, removed_any);
   clear_seen();
   const bool stable = !removed_any && iter_ >= 2;
   ++iter_;

@@ -28,8 +28,10 @@
 //
 // Only who the agreement messages go to differs from Protocol D; the rest is
 // D's phase core (protocol_d.h): work_slice cuts each work phase's slice,
-// the fallback's receive-check is agree_receive with grace 2, and end_phase
-// with its RevertToA wrapper decides terminate, next phase or revert.
+// stash_views keeps the inbox's views, the coordinator merge and the await
+// adoption read their fold_views, the fallback's receive-check is
+// agree_receive with grace 2, and end_phase with its RevertToA wrapper
+// decides terminate, next phase or revert.
 #pragma once
 
 #include "protocols/protocol_d.h"
@@ -72,7 +74,7 @@ class ProtocolDCoordProcess final : public IProcess {
   // Agreement state.
   DynBitset u_, tn_, sn_;
   // This phase's messages, indexed by sender (null = silent), as
-  // agree_receive reads them; held_ keeps their payloads alive, since the
+  // fold_views reads them; held_ keeps their payloads alive, since the
   // coordinator's reports and the awaited final view span several rounds.
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> held_;

@@ -32,6 +32,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr const char* kWorkerFlag = "--dowork-socket-worker";
+// The setup deadline: the coordinator waits this long for every worker's
+// spawn, connect and hello, and a worker retries its connect (with backoff)
+// for as long.
+constexpr std::uint64_t kSetupTimeoutMs = 10'000;
 
 // --- low-level socket helpers ----------------------------------------------
 
@@ -139,7 +143,7 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
     return 2;
   }
 
-  const int fd = connect_with_retry(addr, 10'000);
+  const int fd = connect_with_retry(addr, kSetupTimeoutMs);
   if (fd < 0) {
     std::fprintf(stderr, "dowork socket worker %d: connect failed (%s)\n", self, addr.c_str());
     return 3;
@@ -407,7 +411,7 @@ void SocketExecutor::start() {
 
   // Accept + hello under the setup deadline.  Connections identify
   // themselves by the proc id in their kHello, so accept order is free.
-  const auto deadline = Clock::now() + std::chrono::milliseconds(opts_.spawn_timeout_ms);
+  const auto deadline = Clock::now() + std::chrono::milliseconds(kSetupTimeoutMs);
   struct PendingConn {
     int fd;
     wire::FrameReader reader;
@@ -429,7 +433,7 @@ void SocketExecutor::start() {
       }
       for (const PendingConn& pc : pending) ::close(pc.fd);
       abort_run("socket substrate: " + std::to_string(cfg_.t - hellos) + " worker(s) missed the " +
-                    std::to_string(opts_.spawn_timeout_ms) + "ms setup deadline",
+                    std::to_string(kSetupTimeoutMs) + "ms setup deadline",
                 "cause=spawn-timeout missing=" + std::to_string(cfg_.t - hellos) +
                     " dead_children=" + std::to_string(dead));
     }

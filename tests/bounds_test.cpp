@@ -9,6 +9,9 @@
 #include <map>
 #include <string>
 
+#include "fuzz/generator.h"
+#include "harness/experiments.h"
+
 namespace dowork::harness {
 namespace {
 
@@ -143,6 +146,30 @@ TEST(BoundsTest, HasPaperBoundsMatchesTheAuditedSet) {
   EXPECT_FALSE(has_paper_bounds("naive_C"));
   EXPECT_FALSE(has_paper_bounds("A_async"));  // mapped to A by the fuzzer, not audited
   EXPECT_FALSE(has_paper_bounds(""));
+}
+
+TEST(BoundsTest, EveryRegisteredBoundParamCarriesTheOraclesValue) {
+  // The experiment families state Theorems 2.3, 2.8, 3.8 and 4.1 only
+  // through this oracle: on every sync, live or differential row of an
+  // audited protocol, each param that paper_bounds also emits (at the row's
+  // shape and the crash budget of its faults) carries paper_bounds' value.
+  int checked = 0;
+  for (const ExperimentInfo& e : all_experiments()) {
+    for (const Scenario& s : e.scenarios()) {
+      if (s.substrate != Substrate::kSync && s.substrate != Substrate::kLive &&
+          s.substrate != Substrate::kDifferential)
+        continue;
+      if (!has_paper_bounds(s.protocol)) continue;
+      const int budget = fuzz::crash_budget_of(s.faults);
+      for (const auto& [key, value] : paper_bounds(s.protocol, s.cfg.n, s.cfg.t, budget)) {
+        const auto it = s.params.find(key);
+        if (it == s.params.end()) continue;
+        ++checked;
+        EXPECT_EQ(it->second, value) << e.name << " " << s.id << " " << key;
+      }
+    }
+  }
+  EXPECT_GE(checked, 935);  // every family that states one of these bounds
 }
 
 }  // namespace

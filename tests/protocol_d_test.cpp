@@ -186,21 +186,50 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   std::vector<const AgreeMsg*> seen{nullptr, &a, &b, nullptr};
   DynBitset sn(6, true), tn = bits(4, {0}), u(4, true);
   bool removed = false;
-  EXPECT_FALSE(agree_receive(seen, 0, /*past_grace=*/false, sn, tn, u, removed));
+  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, sn, tn, u, removed));
   EXPECT_EQ(sn, bits(6, {1, 2}));
   EXPECT_EQ(tn, bits(4, {0, 1, 2}));
   EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
   EXPECT_EQ(u, DynBitset(4, true));
-  EXPECT_FALSE(agree_receive(seen, 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
   EXPECT_TRUE(removed);
   EXPECT_EQ(u, bits(4, {0, 1, 2}));  // self stays, though it sent itself nothing
   // Two done views: the lowest sender's is adopted whole, nothing merged.
   seen = {nullptr, &a, &d2, &d3};
   removed = false;
-  EXPECT_TRUE(agree_receive(seen, 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_TRUE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
   EXPECT_EQ(sn, d2.s_left);
   EXPECT_EQ(tn, d2.t_alive);
   EXPECT_FALSE(removed);
+}
+
+TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
+  const AgreeMsg a(1, bits(6, {0, 1, 2}), bits(4, {1}), false);
+  const AgreeMsg d2(1, bits(6, {1, 5}), bits(4, {0, 2}), true);
+  const AgreeMsg d3(1, bits(6, {1, 4}), bits(4, {3}), true);
+  const AgreeFold f = fold_views({nullptr, &a, &d3, &d2, nullptr});
+  EXPECT_EQ(f.done, &d3);  // the lowest done sender, not the first stashed
+  // Done views are folded too: D_coord's coordinator merges every report.
+  EXPECT_EQ(f.sn, bits(6, {1}));
+  EXPECT_EQ(f.tn, bits(4, {0, 1, 2, 3}));
+  EXPECT_EQ(f.heard, bits(5, {1, 2, 3}));
+  DynBitset sn(6, true), tn = bits(4, {0});
+  f.merge_into(sn, tn);
+  EXPECT_EQ(sn, bits(6, {1}));
+  EXPECT_EQ(tn, bits(4, {0, 1, 2, 3}));
+
+  // No views: nothing heard, no done view, and the merge changes nothing.
+  const AgreeFold none = fold_views({nullptr, nullptr, nullptr, nullptr});
+  EXPECT_EQ(none.done, nullptr);
+  EXPECT_TRUE(none.heard.none());
+  EXPECT_EQ(none.heard.size(), 4u);
+  none.merge_into(sn, tn);
+  EXPECT_EQ(sn, bits(6, {1}));
+  EXPECT_EQ(tn, bits(4, {0, 1, 2, 3}));
+  DynBitset u(4, true);
+  EXPECT_TRUE(drop_silent(u, none.heard, 2));  // all silent: only self stays
+  EXPECT_EQ(u, bits(4, {2}));
+  EXPECT_FALSE(drop_silent(u, none.heard, 2));
 }
 
 TEST(ProtocolDPhaseCore, EndPhaseRevertsExactlyWhenMoreThanHalfWereLost) {
