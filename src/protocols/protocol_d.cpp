@@ -24,27 +24,59 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
   return w;
 }
 
-void AgreeFold::merge_into(DynBitset& sn_out, DynBitset& tn_out) const {
-  if (sn.size() == 0) return;
-  sn_out &= sn;
-  tn_out |= tn;
+namespace {
+
+// held := held AND fold (intersect) or held OR fold, sharing by content:
+// the fold's object when the result equals it, the held one when the result
+// equals that, a fresh object only when the result is neither.
+void merge_shared(SharedBits& held, const SharedBits& fold, bool intersect) {
+  if (held == fold) return;
+  // a AND b equals a when a is a subset of b; a OR b when b is a subset of a.
+  const auto yields = [intersect](const DynBitset& a, const DynBitset& b) {
+    return intersect ? a.is_subset_of(b) : b.is_subset_of(a);
+  };
+  if (yields(*fold, *held)) {
+    held = fold;
+  } else if (!yields(*held, *fold)) {
+    DynBitset merged = *held;
+    if (intersect)
+      merged &= *fold;
+    else
+      merged |= *fold;
+    held = share_bits(std::move(merged));
+  }
+}
+
+}  // namespace
+
+void AgreeFold::merge_into(SharedBits& sn_held, SharedBits& tn_held) const {
+  if (!sn) return;
+  merge_shared(sn_held, sn, /*intersect=*/true);
+  merge_shared(tn_held, tn, /*intersect=*/false);
 }
 
 AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
   AgreeFold f;
   f.heard = DynBitset(by_sender.size());
+  DynBitset sn, tn;
+  bool folded = false;
   for (std::size_t i = 0; i < by_sender.size(); ++i) {
     const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
     f.heard.set(i);
-    if (f.sn.size() == 0) {
-      f.sn = msg->s_left;
-      f.tn = msg->t_alive;
+    if (!folded) {
+      sn = *msg->s_left;
+      tn = *msg->t_alive;
+      folded = true;
     } else {
-      f.sn &= msg->s_left;
-      f.tn |= msg->t_alive;
+      sn &= *msg->s_left;
+      tn |= *msg->t_alive;
     }
     if (msg->done && !f.done) f.done = msg;
+  }
+  if (folded) {
+    f.sn = share_bits(std::move(sn));
+    f.tn = share_bits(std::move(tn));
   }
   return f;
 }
@@ -68,8 +100,8 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self) {
   return u.count() != before;
 }
 
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, DynBitset& sn, DynBitset& tn,
-                   DynBitset& u, bool& removed_any) {
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SharedBits& sn,
+                   SharedBits& tn, DynBitset& u, bool& removed_any) {
   if (fold.done) {
     sn = fold.done->s_left;
     tn = fold.done->t_alive;
@@ -181,26 +213,32 @@ ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
                                    std::shared_ptr<AgreeMergeCache> merge_cache)
     : n_(cfg.n), t_(cfg.t), self_(self), merge_cache_(std::move(merge_cache)) {
   cfg.validate();
-  s_ = DynBitset(static_cast<std::size_t>(n_), true);
-  t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
+  s_ = share_bits(DynBitset(static_cast<std::size_t>(n_), true));
+  t_alive_ = share_bits(DynBitset(static_cast<std::size_t>(t_), true));
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
 
 void ProtocolDProcess::enter_work_phase(const Round& now) {
-  const std::int64_t w = work_slice(s_, t_alive_, self_, my_slice_);
+  const std::int64_t w = work_slice(*s_, *t_alive_, self_, my_slice_);
   slice_pos_ = 0;
   // Everyone spends exactly ceil(|S|/|T|) rounds in the phase (line 7) so the
   // agreement phases stay aligned.
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
   // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-  for (std::int64_t u : my_slice_) s_.reset(static_cast<std::size_t>(u - 1));
+  // S may be shared, so the slice comes off a private copy, made only when
+  // there is a slice to remove.
+  if (my_slice_.empty()) return;
+  DynBitset s = *s_;
+  for (std::int64_t u : my_slice_) s.reset(static_cast<std::size_t>(u - 1));
+  s_ = share_bits(std::move(s));
 }
 
 void ProtocolDProcess::enter_agree_phase(const Round&) {
-  u_ = t_alive_;
+  u_ = *t_alive_;
   audience_.reset();  // u_ changed; the shared audience set is stale
-  tn_ = DynBitset(static_cast<std::size_t>(t_));
-  tn_.set(static_cast<std::size_t>(self_));
+  DynBitset tn(static_cast<std::size_t>(t_));
+  tn.set(static_cast<std::size_t>(self_));
+  tn_ = share_bits(std::move(tn));
   sn_ = s_;
   iter_ = 0;
   done_ = false;
@@ -225,10 +263,10 @@ Action ProtocolDProcess::agree_broadcast(bool done) {
 
 void ProtocolDProcess::finish_agree(const Round& now) {
   last_sent_.reset();  // the done broadcast is never folded back in
-  const std::uint64_t old_alive = t_alive_.count();
+  const std::uint64_t old_alive = t_alive_->count();
   s_ = sn_;
   t_alive_ = tn_;
-  PhaseEnd end = end_phase(old_alive, s_, t_alive_, self_, now);
+  PhaseEnd end = end_phase(old_alive, *s_, *t_alive_, self_, now);
   if (end.kind != PhaseEnd::Kind::kNextPhase) {
     revert_ = std::move(end.revert);
     terminated_ = !revert_;

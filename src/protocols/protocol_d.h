@@ -44,12 +44,20 @@ namespace dowork {
 // Views are word-packed (util/bitset.h): an agreement iteration merges up
 // to t of these per recipient, so the packing is what keeps the scale
 // sweep's t = 1024 shape affordable.
+//
+// Ownership: the views are immutable and shared (SharedBits).  A broadcast
+// aliases the sender's current (sn_, tn_) instead of copying n + t bits,
+// and a process whose merge leaves a view unchanged -- or equal to the
+// fold it merged -- keeps aliasing that object (AgreeFold::merge_into).  A
+// view is copied only on write: by a merge that yields new bits, and by
+// enter_work_phase's S \ S'.  Theorem 4.1's agreement property is then
+// also a memory property: survivors that agree hold one (S, T).
 struct AgreeMsg final : Payload {
-  int phase;          // work/agreement phase number, 1-based
-  DynBitset s_left;   // outstanding units, indexed unit-1
-  DynBitset t_alive;  // processes believed correct
+  int phase;           // work/agreement phase number, 1-based
+  SharedBits s_left;   // outstanding units, indexed unit-1
+  SharedBits t_alive;  // processes believed correct
   bool done;
-  AgreeMsg(int ph, DynBitset s, DynBitset t, bool d)
+  AgreeMsg(int ph, SharedBits s, SharedBits t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
@@ -68,15 +76,20 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
 
 // The one fold of an agreement phase's views (paper Section 4): the AND of
 // S, the OR of T and the senders heard over every view -- done views
-// included -- plus the lowest sender's done view.  `sn`/`tn` are empty when
-// no view was folded, and then merge_into changes nothing.
+// included -- plus the lowest sender's done view.  `sn`/`tn` are built once
+// per fold and null when no view was folded; then merge_into changes
+// nothing.
 struct AgreeFold {
-  DynBitset sn, tn;
+  SharedBits sn, tn;
   DynBitset heard;                 // senders whose slot holds a view
   const AgreeMsg* done = nullptr;  // lowest sender's done view; null = none
 
-  // sn &= S, tn |= T (a no-op for an empty fold).
-  void merge_into(DynBitset& sn_out, DynBitset& tn_out) const;
+  // sn_held &= sn, tn_held |= tn, sharing by content: when the result
+  // equals the fold's view the holder takes the fold's object, when it
+  // equals the held view the holder keeps its own, and only otherwise is
+  // the AND/OR allocated.  Every served recipient merges the same fold, so
+  // a served round leaves its survivors on one S and one T object.
+  void merge_into(SharedBits& sn_held, SharedBits& tn_held) const;
 };
 
 // The fold of `by_sender`, a phase's views indexed by sender (null = silent).
@@ -99,8 +112,8 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
 // which D's survivors decide the (S, T) they agree on: a walked receive
 // passes the fold of its own inbox, a served one the ledger index's fold
 // (see AgreeMergeCache); D_coord's fallback passes the fold of its stash.
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, DynBitset& sn, DynBitset& tn,
-                   DynBitset& u, bool& removed_any);
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SharedBits& sn,
+                   SharedBits& tn, DynBitset& u, bool& removed_any);
 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
 // The paper's case-2 bounds assume it runs over the agreed survivors only, so
@@ -181,7 +194,10 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // round replaces it, never edits it), so recipients served from any thread,
 // in any order, take the same path.  It holds raw pointers into the ledger,
 // dereferenced only during its own round.  Memory: one table of t pointers,
-// two t-bit sets and one n-bit and one t-bit fold.
+// two t-bit sets and one n-bit and one t-bit fold -- and the fold's views
+// are the objects served recipients adopt (AgreeFold::merge_into), so a
+// served round's survivors hold one S and one T between them instead of
+// one n-bit copy each.
 class AgreeMergeCache {
  public:
   struct Index {
@@ -254,7 +270,7 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(s_.size() - s_.count());
+    return static_cast<std::int64_t>(s_->size() - s_->count());
   }
 
  private:
@@ -273,8 +289,10 @@ class ProtocolDProcess final : public IProcess {
 
   PhaseKind phase_kind_ = PhaseKind::kWork;
   int phase_ = 1;
-  DynBitset s_;  // outstanding units (unit u -> s_[u-1])
-  DynBitset t_alive_;
+  // The agreed views, shared and immutable (see AgreeMsg): after an
+  // agreement phase every survivor that agreed aliases the same objects.
+  SharedBits s_;  // outstanding units (unit u -> bit u-1)
+  SharedBits t_alive_;
 
   // Work-phase state (the slice comes from work_slice).
   std::vector<std::int64_t> my_slice_;
@@ -283,9 +301,9 @@ class ProtocolDProcess final : public IProcess {
   bool work_entered_ = false;
 
   // Agreement-phase state (pipelined; see header comment).
-  DynBitset u_;   // not yet known faulty this phase
-  DynBitset tn_;  // T being accumulated
-  DynBitset sn_;  // S being intersected
+  DynBitset u_;    // not yet known faulty this phase
+  SharedBits tn_;  // T being accumulated; each broadcast aliases it
+  SharedBits sn_;  // S being intersected; each broadcast aliases it
   // The broadcast audience (u_ minus self) as the shared immutable set the
   // ledger records alias (sim/message.h).  Rebuilt lazily whenever u_
   // changes; between changes -- every iteration of a stable agreement --

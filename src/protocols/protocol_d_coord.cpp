@@ -13,21 +13,31 @@ constexpr std::uint64_t kResumeAt = 8;    // next work phase at R + 8
 ProtocolDCoordProcess::ProtocolDCoordProcess(const DoAllConfig& cfg, int self)
     : n_(cfg.n), t_(cfg.t), self_(self) {
   cfg.validate();
-  s_ = DynBitset(static_cast<std::size_t>(n_), true);
-  t_alive_ = DynBitset(static_cast<std::size_t>(t_), true);
+  s_ = share_bits(DynBitset(static_cast<std::size_t>(n_), true));
+  t_alive_ = share_bits(DynBitset(static_cast<std::size_t>(t_), true));
   seen_.assign(static_cast<std::size_t>(t_), nullptr);
 }
 
 int ProtocolDCoordProcess::coordinator() const {
-  const std::size_t first = t_alive_.find_next(0);
-  return first < t_alive_.size() ? static_cast<int>(first) : 0;
+  const std::size_t first = t_alive_->find_next(0);
+  return first < t_alive_->size() ? static_cast<int>(first) : 0;
 }
 
 void ProtocolDCoordProcess::enter_work_phase(const Round& now) {
-  const std::int64_t w = work_slice(s_, t_alive_, self_, my_slice_);
+  const std::int64_t w = work_slice(*s_, *t_alive_, self_, my_slice_);
   slice_pos_ = 0;
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-  for (std::int64_t u : my_slice_) s_.reset(static_cast<std::size_t>(u - 1));
+  if (my_slice_.empty()) return;
+  DynBitset s = *s_;  // copy on write, as in Protocol D
+  for (std::int64_t u : my_slice_) s.reset(static_cast<std::size_t>(u - 1));
+  s_ = share_bits(std::move(s));
+}
+
+void ProtocolDCoordProcess::reset_views() {
+  sn_ = s_;
+  DynBitset tn(static_cast<std::size_t>(t_));
+  tn.set(static_cast<std::size_t>(self_));
+  tn_ = share_bits(std::move(tn));
 }
 
 Action ProtocolDCoordProcess::broadcast_view(const DynBitset& who, bool done) {
@@ -50,10 +60,10 @@ void ProtocolDCoordProcess::clear_seen() {
 }
 
 void ProtocolDCoordProcess::finish_phase(const Round& now) {
-  const std::uint64_t old_alive = t_alive_.count();
+  const std::uint64_t old_alive = t_alive_->count();
   s_ = sn_;
   t_alive_ = tn_;
-  PhaseEnd end = end_phase(old_alive, s_, t_alive_, self_, now);
+  PhaseEnd end = end_phase(old_alive, *s_, *t_alive_, self_, now);
   if (end.kind != PhaseEnd::Kind::kNextPhase) {
     revert_ = std::move(end.revert);
     terminated_ = !revert_;
@@ -88,9 +98,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     }
     // Agreement entry at R = work_end_.
     agr_entry_ = ctx.round;
-    sn_ = s_;
-    tn_ = DynBitset(static_cast<std::size_t>(t_));
-    tn_.set(static_cast<std::size_t>(self_));
+    reset_views();
     resume_at_ = agr_entry_ + Round{kResumeAt};
     responded_ = false;
     iter_ = 0;
@@ -110,7 +118,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     // Finalize: merge every report seen and broadcast the final view.
     fold_views(seen_).merge_into(sn_, tn_);
     clear_seen();
-    Action a = broadcast_view(t_alive_, true);
+    Action a = broadcast_view(*t_alive_, true);
     phase_kind_ = PhaseKind::kAgrListen;  // wait out the fallback window
     responded_ = true;                    // the final broadcast already went out
     return a;
@@ -128,13 +136,11 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
       // No final view: the coordinator must have died.  Fall back to the
       // broadcast agreement (grace 2 so listening adopters can answer).
       phase_kind_ = PhaseKind::kAgrFallback;
-      u_ = t_alive_;
-      sn_ = s_;
-      tn_ = DynBitset(static_cast<std::size_t>(t_));
-      tn_.set(static_cast<std::size_t>(self_));
+      u_ = *t_alive_;
+      reset_views();
       iter_ = 0;
       clear_seen();
-      return broadcast_view(t_alive_, false);
+      return broadcast_view(*t_alive_, false);
     }
     return Action::none();
   }
@@ -148,7 +154,7 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     clear_seen();
     if (fallback_heard && !responded_) {
       responded_ = true;
-      return broadcast_view(t_alive_, true);
+      return broadcast_view(*t_alive_, true);
     }
     if (ctx.round >= resume_at_) {
       finish_phase(ctx.round);

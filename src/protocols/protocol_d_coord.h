@@ -53,6 +53,8 @@ class ProtocolDCoordProcess final : public IProcess {
 
   int coordinator() const;  // lowest-id process believed alive
   void enter_work_phase(const Round& now);
+  // Starts a view exchange from this phase's S: sn_ = s_, tn_ = {self}.
+  void reset_views();
   // Sends (sn_, tn_, done) to every member of `who` except self.
   Action broadcast_view(const DynBitset& who, bool done);
   void clear_seen();
@@ -64,15 +66,16 @@ class ProtocolDCoordProcess final : public IProcess {
 
   PhaseKind phase_kind_ = PhaseKind::kWork;
   int phase_ = 1;
-  DynBitset s_, t_alive_;  // word-packed views, as in protocol_d.h
+  SharedBits s_, t_alive_;  // shared immutable views, as in protocol_d.h
 
   std::vector<std::int64_t> my_slice_;
   std::size_t slice_pos_ = 0;
   Round work_end_;  // == this phase's agreement entry round R
   bool work_entered_ = false;
 
-  // Agreement state.
-  DynBitset u_, tn_, sn_;
+  // Agreement state; broadcasts alias sn_ and tn_.
+  DynBitset u_;
+  SharedBits tn_, sn_;
   // This phase's messages, indexed by sender (null = silent), as
   // fold_views reads them; held_ keeps their payloads alive, since the
   // coordinator's reports and the awaited final view span several rounds.

@@ -110,8 +110,8 @@ void Writer::payload(const Payload* p) {
   } else if (const auto* m = detail::payload_as<AgreeMsg>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kAgree));
     i32(m->phase);
-    bitset(m->s_left);
-    bitset(m->t_alive);
+    bitset(*m->s_left);
+    bitset(*m->t_alive);
     u8(m->done ? 1 : 0);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kBaselineCkpt));
@@ -237,8 +237,8 @@ std::shared_ptr<const Payload> BodyReader::payload() {
       return std::make_shared<PollReplyC>();
     case PayloadTag::kAgree: {
       const int phase = i32();
-      DynBitset s = bitset();
-      DynBitset t = bitset();
+      SharedBits s = share_bits(bitset());
+      SharedBits t = share_bits(bitset());
       const bool done = u8() != 0;
       return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);
     }

@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace dowork {
@@ -124,6 +126,16 @@ class DynBitset {
     return *this;
   }
 
+  // True when every set bit of this is set in o (this & ~o is empty);
+  // sizes must match.  Protocol D's shared-view merge asks it to learn
+  // whether an AND or OR would reproduce one operand, so it can alias that
+  // operand instead of allocating the result.
+  bool is_subset_of(const DynBitset& o) const {
+    for (std::size_t i = 0; i < w_.size(); ++i)
+      if (w_[i] & ~o.w_[i]) return false;
+    return true;
+  }
+
   friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
 
   // Raw word access for serialization (the socket substrate's wire codec
@@ -146,5 +158,13 @@ class DynBitset {
   std::size_t n_ = 0;
   std::vector<std::uint64_t> w_;
 };
+
+// An immutable view shared by reference: Protocol D's agreed (S, T) are
+// held and broadcast this way, so survivors that agree alias one object and
+// a change allocates a fresh one (copy on write, never mutation in place).
+using SharedBits = std::shared_ptr<const DynBitset>;
+inline SharedBits share_bits(DynBitset b) {
+  return std::make_shared<const DynBitset>(std::move(b));
+}
 
 }  // namespace dowork

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -155,6 +156,10 @@ DynBitset bits(std::size_t n, std::initializer_list<std::size_t> on) {
   return b;
 }
 
+SharedBits shared(std::size_t n, std::initializer_list<std::size_t> on) {
+  return share_bits(bits(n, on));
+}
+
 TEST(ProtocolDPhaseCore, WorkSliceCutsOutstandingByRankInT) {
   // Outstanding units 2, 3, 5, 7, 8 over T = {0, 2, 3}: w = ceil(5/3) = 2.
   const DynBitset s = bits(8, {1, 2, 4, 6, 7});
@@ -178,17 +183,18 @@ TEST(ProtocolDPhaseCore, WorkSliceCutsOutstandingByRankInT) {
 }
 
 TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) {
-  const AgreeMsg a(1, bits(6, {0, 1, 2}), bits(4, {1}), false);
-  const AgreeMsg b(1, bits(6, {1, 2, 3}), bits(4, {2}), false);
-  const AgreeMsg d2(1, bits(6, {5}), bits(4, {0, 2}), true);
-  const AgreeMsg d3(1, bits(6, {4}), bits(4, {3}), true);
+  const AgreeMsg a(1, shared(6, {0, 1, 2}), shared(4, {1}), false);
+  const AgreeMsg b(1, shared(6, {1, 2, 3}), shared(4, {2}), false);
+  const AgreeMsg d2(1, shared(6, {5}), shared(4, {0, 2}), true);
+  const AgreeMsg d3(1, shared(6, {4}), shared(4, {3}), true);
   // Self is 0; process 3 is silent.
   std::vector<const AgreeMsg*> seen{nullptr, &a, &b, nullptr};
-  DynBitset sn(6, true), tn = bits(4, {0}), u(4, true);
+  SharedBits sn = share_bits(DynBitset(6, true)), tn = shared(4, {0});
+  DynBitset u(4, true);
   bool removed = false;
   EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, sn, tn, u, removed));
-  EXPECT_EQ(sn, bits(6, {1, 2}));
-  EXPECT_EQ(tn, bits(4, {0, 1, 2}));
+  EXPECT_EQ(*sn, bits(6, {1, 2}));
+  EXPECT_EQ(*tn, bits(4, {0, 1, 2}));
   EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
   EXPECT_EQ(u, DynBitset(4, true));
   EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
@@ -198,25 +204,25 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   seen = {nullptr, &a, &d2, &d3};
   removed = false;
   EXPECT_TRUE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
-  EXPECT_EQ(sn, d2.s_left);
-  EXPECT_EQ(tn, d2.t_alive);
+  EXPECT_EQ(*sn, *d2.s_left);
+  EXPECT_EQ(*tn, *d2.t_alive);
   EXPECT_FALSE(removed);
 }
 
 TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
-  const AgreeMsg a(1, bits(6, {0, 1, 2}), bits(4, {1}), false);
-  const AgreeMsg d2(1, bits(6, {1, 5}), bits(4, {0, 2}), true);
-  const AgreeMsg d3(1, bits(6, {1, 4}), bits(4, {3}), true);
+  const AgreeMsg a(1, shared(6, {0, 1, 2}), shared(4, {1}), false);
+  const AgreeMsg d2(1, shared(6, {1, 5}), shared(4, {0, 2}), true);
+  const AgreeMsg d3(1, shared(6, {1, 4}), shared(4, {3}), true);
   const AgreeFold f = fold_views({nullptr, &a, &d3, &d2, nullptr});
   EXPECT_EQ(f.done, &d3);  // the lowest done sender, not the first stashed
   // Done views are folded too: D_coord's coordinator merges every report.
-  EXPECT_EQ(f.sn, bits(6, {1}));
-  EXPECT_EQ(f.tn, bits(4, {0, 1, 2, 3}));
+  EXPECT_EQ(*f.sn, bits(6, {1}));
+  EXPECT_EQ(*f.tn, bits(4, {0, 1, 2, 3}));
   EXPECT_EQ(f.heard, bits(5, {1, 2, 3}));
-  DynBitset sn(6, true), tn = bits(4, {0});
+  SharedBits sn = share_bits(DynBitset(6, true)), tn = shared(4, {0});
   f.merge_into(sn, tn);
-  EXPECT_EQ(sn, bits(6, {1}));
-  EXPECT_EQ(tn, bits(4, {0, 1, 2, 3}));
+  EXPECT_EQ(*sn, bits(6, {1}));
+  EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
 
   // No views: nothing heard, no done view, and the merge changes nothing.
   const AgreeFold none = fold_views({nullptr, nullptr, nullptr, nullptr});
@@ -224,12 +230,81 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_TRUE(none.heard.none());
   EXPECT_EQ(none.heard.size(), 4u);
   none.merge_into(sn, tn);
-  EXPECT_EQ(sn, bits(6, {1}));
-  EXPECT_EQ(tn, bits(4, {0, 1, 2, 3}));
+  EXPECT_EQ(*sn, bits(6, {1}));
+  EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
   DynBitset u(4, true);
   EXPECT_TRUE(drop_silent(u, none.heard, 2));  // all silent: only self stays
   EXPECT_EQ(u, bits(4, {2}));
   EXPECT_FALSE(drop_silent(u, none.heard, 2));
+}
+
+// merge_into shares by content: S is the AND, T the OR, and each side ends
+// on the fold's object, on the held object, or on a fresh one holding the
+// exact result -- never on a copy of an operand it could have aliased.
+TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) {
+  const auto fold_of = [](SharedBits s, SharedBits t) {
+    AgreeFold f;
+    f.sn = std::move(s);
+    f.tn = std::move(t);
+    return f;
+  };
+  // The fold's S is within the held S (AND = fold) and the held T within
+  // the fold's T (OR = fold): both adopt the fold's objects.
+  {
+    const AgreeFold f = fold_of(shared(70, {1, 64}), shared(5, {0, 2, 4}));
+    SharedBits sn = shared(70, {1, 2, 64, 69}), tn = shared(5, {2});
+    f.merge_into(sn, tn);
+    EXPECT_EQ(sn, f.sn);
+    EXPECT_EQ(tn, f.tn);
+  }
+  // The held S is within the fold's (AND = held) and the fold's T within
+  // the held T (OR = held): both keep their own objects.
+  {
+    const AgreeFold f = fold_of(shared(70, {1, 2, 64, 69}), shared(5, {2}));
+    const SharedBits own_s = shared(70, {1, 64}), own_t = shared(5, {0, 2, 4});
+    SharedBits sn = own_s, tn = own_t;
+    f.merge_into(sn, tn);
+    EXPECT_EQ(sn, own_s);
+    EXPECT_EQ(tn, own_t);
+  }
+  // Neither contains the other: fresh objects with exactly the AND and OR,
+  // the operands untouched.
+  {
+    const AgreeFold f = fold_of(shared(70, {1, 64, 69}), shared(5, {0, 2}));
+    const SharedBits own_s = shared(70, {2, 64, 69}), own_t = shared(5, {2, 3});
+    SharedBits sn = own_s, tn = own_t;
+    f.merge_into(sn, tn);
+    EXPECT_NE(sn, own_s);
+    EXPECT_NE(sn, f.sn);
+    EXPECT_NE(tn, own_t);
+    EXPECT_NE(tn, f.tn);
+    EXPECT_EQ(*sn, bits(70, {64, 69}));
+    EXPECT_EQ(*tn, bits(5, {0, 2, 3}));
+    EXPECT_EQ(*own_s, bits(70, {2, 64, 69}));
+    EXPECT_EQ(*f.sn, bits(70, {1, 64, 69}));
+    EXPECT_EQ(*own_t, bits(5, {2, 3}));
+    EXPECT_EQ(*f.tn, bits(5, {0, 2}));
+  }
+  // Equal content in distinct objects: the fold's objects win, so every
+  // holder that merges one fold converges on one object.
+  {
+    const AgreeFold f = fold_of(shared(70, {3}), shared(5, {1}));
+    SharedBits sn = shared(70, {3}), tn = shared(5, {1});
+    f.merge_into(sn, tn);
+    EXPECT_EQ(sn, f.sn);
+    EXPECT_EQ(tn, f.tn);
+  }
+  // An empty fold changes nothing, not even the objects held.
+  {
+    const AgreeFold none = fold_views({nullptr, nullptr});
+    EXPECT_EQ(none.sn, nullptr);
+    EXPECT_EQ(none.tn, nullptr);
+    const SharedBits own_s = shared(70, {5}), own_t = shared(5, {4});
+    SharedBits sn = own_s, tn = own_t;
+    none.merge_into(sn, tn);
+    EXPECT_EQ(sn, own_s);
+    EXPECT_EQ(tn, own_t);
+  }
 }
 
 TEST(ProtocolDPhaseCore, EndPhaseRevertsExactlyWhenMoreThanHalfWereLost) {
@@ -375,6 +450,69 @@ TEST(ProtocolD, CrashFreeRunServesEveryAgreementReceive) {
   EXPECT_EQ(cache->walked(), 0u);
 }
 
+// Forwards to a process and records the views of every agreement
+// broadcast it sends, with the round; the recorded SharedBits keep each
+// view alive, so equal pointers mean one object, never a reused address.
+class ViewRecorder final : public IProcess {
+ public:
+  struct Sent {
+    Round round;
+    int phase;
+    SharedBits s, t;
+  };
+  ViewRecorder(std::unique_ptr<IProcess> inner, std::vector<Sent>& out)
+      : inner_(std::move(inner)), out_(out) {}
+
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    Action a = inner_->on_round(ctx, inbox);
+    for (const Outgoing& o : a.sends)
+      if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
+        out_.push_back(Sent{ctx.round, m->phase, m->s_left, m->t_alive});
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
+  std::int64_t known_done_units() const override { return inner_->known_done_units(); }
+
+ private:
+  std::unique_ptr<IProcess> inner_;
+  std::vector<Sent>& out_;
+};
+
+// Theorem 4.1's agreement, held once: every served receive merges the one
+// fold, so from the second agreement iteration on every survivor
+// broadcasts the same S (and T) object rather than an n-bit copy of its own.
+TEST(ProtocolD, ServedSurvivorsBroadcastOneSharedView) {
+  const DoAllConfig cfg{64 * 16, 64};
+  auto cache = std::make_shared<AgreeMergeCache>();
+  std::vector<ViewRecorder::Sent> sent;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < cfg.t; ++i)
+    procs.push_back(
+        std::make_unique<ViewRecorder>(std::make_unique<ProtocolDProcess>(cfg, i, cache), sent));
+  Simulator::Options opts;
+  opts.strict_one_op = true;
+  opts.n_units = cfg.n;
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), opts);
+  ASSERT_TRUE(sim.run().all_retired);
+  EXPECT_EQ(cache->walked(), 0u);
+
+  // Each phase's first broadcast round is iteration 0, whose views are
+  // every process's own S \ S'; every later round must carry one view.
+  // (The serial simulator records sends in round order.)
+  std::map<int, Round> first_round;
+  for (const auto& m : sent) first_round.emplace(m.phase, m.round);
+  std::map<Round, std::pair<SharedBits, SharedBits>> view_of_round;
+  std::size_t later = 0;
+  for (const auto& m : sent) {
+    if (m.round == first_round.at(m.phase)) continue;
+    ++later;
+    const auto& [s, t] = view_of_round.try_emplace(m.round, m.s, m.t).first->second;
+    EXPECT_EQ(m.s, s) << "round " << to_string(m.round);
+    EXPECT_EQ(m.t, t) << "round " << to_string(m.round);
+  }
+  EXPECT_EQ(later, static_cast<std::size_t>(cfg.t));  // everyone's done broadcast
+}
+
 TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
   DoAllConfig cfg{120, 12};
   RunResult r = run_do_all("D", cfg, std::make_unique<RandomFaults>(0.05, 11, GetParam()));
@@ -437,7 +575,8 @@ struct LedgerFixture {
   static std::shared_ptr<const AgreeMsg> view(DynBitset s, int from, bool done, int phase = 1) {
     DynBitset tv(t);
     tv.set(static_cast<std::size_t>(from));
-    return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(tv), done);
+    return std::make_shared<AgreeMsg>(phase, share_bits(std::move(s)), share_bits(std::move(tv)),
+                                      done);
   }
 
   DeliveryRecord& record_of(int from) {
@@ -497,8 +636,8 @@ struct LedgerFixture {
       const auto* w = detail::payload_as<AgreeMsg>(want.sends[k].payload.get());
       ASSERT_TRUE(g != nullptr && w != nullptr) << why;
       EXPECT_EQ(g->phase, w->phase) << why;
-      EXPECT_EQ(g->s_left, w->s_left) << why;
-      EXPECT_EQ(g->t_alive, w->t_alive) << why;
+      EXPECT_EQ(*g->s_left, *w->s_left) << why;
+      EXPECT_EQ(*g->t_alive, *w->t_alive) << why;
       EXPECT_EQ(g->done, w->done) << why;
       EXPECT_EQ(got.sends[k].to.shared_bits()->bits, want.sends[k].to.shared_bits()->bits) << why;
     }

@@ -1,6 +1,8 @@
-// Tests for util/: the table printer, number formatting, and the seeded RNG.
+// Tests for util/: the table printer, number formatting, the seeded RNG and
+// the bitset's subset test.
 #include <gtest/gtest.h>
 
+#include "util/bitset.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -87,6 +89,25 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng child2 = b.fork();
   for (int i = 0; i < 20; ++i)
     EXPECT_EQ(child.uniform(0, 1 << 30), child2.uniform(0, 1 << 30));
+}
+
+TEST(DynBitset, IsSubsetOf) {
+  // 70 bits: one full word and a ragged 6-bit tail word.
+  auto bits = [](std::initializer_list<std::size_t> on) {
+    DynBitset b(70);
+    for (std::size_t i : on) b.set(i);
+    return b;
+  };
+  const DynBitset a = bits({0, 63, 64, 69});
+  EXPECT_TRUE(a.is_subset_of(a));  // equal sets
+  EXPECT_TRUE(a.is_subset_of(bits({0, 63, 64, 69})));
+  EXPECT_TRUE(bits({63, 69}).is_subset_of(a));  // strict subset
+  EXPECT_FALSE(a.is_subset_of(bits({63, 69})));
+  EXPECT_FALSE(bits({1}).is_subset_of(a));  // a non-subset, in the full word
+  EXPECT_FALSE(bits({68}).is_subset_of(a));  // ... and in the tail word
+  EXPECT_TRUE(DynBitset(70).is_subset_of(a));
+  EXPECT_TRUE(DynBitset(70, true).is_subset_of(DynBitset(70, true)));
+  EXPECT_FALSE(DynBitset(70, true).is_subset_of(a));
 }
 
 }  // namespace

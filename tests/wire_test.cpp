@@ -98,7 +98,7 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
       {std::make_shared<OrdinaryC>(view), MsgKind::kOrdinary},
       {std::make_shared<PollC>(), MsgKind::kPoll},
       {std::make_shared<PollReplyC>(), MsgKind::kPollReply},
-      {std::make_shared<AgreeMsg>(3, s, alive, true), MsgKind::kAgreement},
+      {std::make_shared<AgreeMsg>(3, share_bits(s), share_bits(alive), true), MsgKind::kAgreement},
       {std::make_shared<BaselineCkpt>(77), MsgKind::kCheckpoint},
   };
   for (const Case& c : cases) {
@@ -138,19 +138,19 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   s.set(69);
   DynBitset alive(70);
   alive.set(7);
-  const auto agree = std::make_shared<AgreeMsg>(2, s, alive, false);
+  const auto agree = std::make_shared<AgreeMsg>(2, share_bits(s), share_bits(alive), false);
   auto [t2, b2] = read_one(encode_deliver(1, MsgKind::kAgreement, Round{4}, agree.get()), false);
   const DeliveryRecord e2 = decode_deliver(b2, 0);
   const auto* ga = Msg(e2).as<AgreeMsg>();
   ASSERT_NE(ga, nullptr);
   EXPECT_EQ(ga->phase, 2);
   EXPECT_EQ(ga->done, false);
-  ASSERT_EQ(ga->s_left.size(), 70u);
-  EXPECT_TRUE(ga->s_left.test(0));
-  EXPECT_TRUE(ga->s_left.test(63));
-  EXPECT_TRUE(ga->s_left.test(69));
-  EXPECT_FALSE(ga->s_left.test(1));
-  EXPECT_TRUE(ga->t_alive.test(7));
+  ASSERT_EQ(ga->s_left->size(), 70u);
+  EXPECT_TRUE(ga->s_left->test(0));
+  EXPECT_TRUE(ga->s_left->test(63));
+  EXPECT_TRUE(ga->s_left->test(69));
+  EXPECT_FALSE(ga->s_left->test(1));
+  EXPECT_TRUE(ga->t_alive->test(7));
 }
 
 TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
@@ -175,8 +175,9 @@ TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
   b.sends.push_back({RecipientSet{3}, MsgKind::kPollReply, std::make_shared<PollReplyC>()});
   b.sends.push_back(
       {RecipientSet{IdRange{4, 9}}, MsgKind::kCheckpoint, std::make_shared<CkptPartial>(2)});
+  const SharedBits all = share_bits(everyone);
   b.sends.push_back({RecipientSet{make_recipient_bits(everyone)}, MsgKind::kAgreement,
-                     std::make_shared<AgreeMsg>(1, everyone, everyone, false)});
+                     std::make_shared<AgreeMsg>(1, all, all, false)});
   auto [type1, body1] = read_one(encode_reply(b, Round{9}, 0), false);
   ReplyMsg m1 = decode_reply(body1);
   EXPECT_TRUE(m1.action.terminate);
