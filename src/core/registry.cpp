@@ -73,13 +73,17 @@ const std::vector<ProtocolInfo>& all_protocols() {
         .make_proc_param = {},
         // The run's t processes share one agreement merge cache (a pure
         // memoization of each round's ledger read -- protocol_d.h
-        // documents why results are bit-identical with and without it).
+        // documents why results are bit-identical with and without it)
+        // and start from one (S, T).
         .make_procs = [](const DoAllConfig& cfg) {
           auto cache = std::make_shared<AgreeMergeCache>();
+          const SharedBits all_units = share_bits(DynBitset(static_cast<std::size_t>(cfg.n), true));
+          const SharedBits all_procs = share_bits(DynBitset(static_cast<std::size_t>(cfg.t), true));
           std::vector<std::unique_ptr<IProcess>> procs;
           procs.reserve(static_cast<std::size_t>(cfg.t));
           for (int i = 0; i < cfg.t; ++i)
-            procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache));
+            procs.push_back(
+                std::make_unique<ProtocolDProcess>(cfg, i, cache, all_units, all_procs));
           return procs;
         }});
     v.push_back(ProtocolInfo{

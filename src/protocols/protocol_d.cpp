@@ -26,32 +26,45 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
 
 namespace {
 
+// held := held AND fold (intersect) or held OR fold, given the result is not
+// fold's content: the held object when the result equals it, a fresh one
+// otherwise.
+void keep_or_merge(SharedBits& held, const SharedBits& fold, bool intersect) {
+  // a AND b equals a when a is a subset of b; a OR b when b is a subset of a.
+  if (intersect ? held->is_subset_of(*fold) : fold->is_subset_of(*held)) return;
+  DynBitset merged = *held;
+  if (intersect)
+    merged &= *fold;
+  else
+    merged |= *fold;
+  held = share_bits(std::move(merged));
+}
+
 // held := held AND fold (intersect) or held OR fold, sharing by content:
 // the fold's object when the result equals it, the held one when the result
 // equals that, a fresh object only when the result is neither.
 void merge_shared(SharedBits& held, const SharedBits& fold, bool intersect) {
   if (held == fold) return;
-  // a AND b equals a when a is a subset of b; a OR b when b is a subset of a.
-  const auto yields = [intersect](const DynBitset& a, const DynBitset& b) {
-    return intersect ? a.is_subset_of(b) : b.is_subset_of(a);
-  };
-  if (yields(*fold, *held)) {
+  if (intersect ? fold->is_subset_of(*held) : held->is_subset_of(*fold))
     held = fold;
-  } else if (!yields(*held, *fold)) {
-    DynBitset merged = *held;
-    if (intersect)
-      merged &= *fold;
-    else
-      merged |= *fold;
-    held = share_bits(std::move(merged));
-  }
+  else
+    keep_or_merge(held, fold, intersect);
 }
 
 }  // namespace
 
-void AgreeFold::merge_into(SharedBits& sn_held, SharedBits& tn_held) const {
+void AgreeFold::merge_into(SView& sn_held, SharedBits& tn_held) const {
   if (!sn) return;
-  merge_shared(sn_held, sn, /*intersect=*/true);
+  // The AND equals the fold when the fold is within the held view: within
+  // its base and clear of its cut.
+  if ((sn_held.base == sn || sn->is_subset_of(*sn_held.base)) &&
+      sn->count_range(sn_held.lo, sn_held.hi) == 0) {
+    sn_held = SView(sn);
+  } else {
+    SharedBits held = sn_held.flattened().base;
+    keep_or_merge(held, sn, /*intersect=*/true);
+    sn_held = SView(std::move(held));
+  }
   merge_shared(tn_held, tn, /*intersect=*/false);
 }
 
@@ -59,25 +72,27 @@ AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
   AgreeFold f;
   f.heard = DynBitset(by_sender.size());
   DynBitset sn, tn;
-  bool folded = false;
+  const DynBitset* last_base = nullptr;
   for (std::size_t i = 0; i < by_sender.size(); ++i) {
     const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
     f.heard.set(i);
-    if (!folded) {
-      sn = *msg->s_left;
+    const DynBitset* base = msg->s_left.base.get();
+    if (!last_base) {
+      sn = *base;
       tn = *msg->t_alive;
-      folded = true;
     } else {
-      sn &= *msg->s_left;
+      if (base != last_base) sn &= *base;
       tn |= *msg->t_alive;
     }
+    last_base = base;
     if (msg->done && !f.done) f.done = msg;
   }
-  if (folded) {
-    f.sn = share_bits(std::move(sn));
-    f.tn = share_bits(std::move(tn));
-  }
+  if (!last_base) return f;
+  for (const AgreeMsg* msg : by_sender)
+    if (msg && msg->s_left.cut()) sn.reset_range(msg->s_left.lo, msg->s_left.hi);
+  f.sn = share_bits(std::move(sn));
+  f.tn = share_bits(std::move(tn));
   return f;
 }
 
@@ -100,8 +115,8 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self) {
   return u.count() != before;
 }
 
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SharedBits& sn,
-                   SharedBits& tn, DynBitset& u, bool& removed_any) {
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SView& sn, SharedBits& tn,
+                   DynBitset& u, bool& removed_any) {
   if (fold.done) {
     sn = fold.done->s_left;
     tn = fold.done->t_alive;
@@ -210,27 +225,28 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
 }
 
 ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
-                                   std::shared_ptr<AgreeMergeCache> merge_cache)
+                                   std::shared_ptr<AgreeMergeCache> merge_cache,
+                                   SharedBits all_units, SharedBits all_procs)
     : n_(cfg.n), t_(cfg.t), self_(self), merge_cache_(std::move(merge_cache)) {
   cfg.validate();
-  s_ = share_bits(DynBitset(static_cast<std::size_t>(n_), true));
-  t_alive_ = share_bits(DynBitset(static_cast<std::size_t>(t_), true));
+  s_ = all_units ? std::move(all_units) : share_bits(DynBitset(static_cast<std::size_t>(n_), true));
+  t_alive_ =
+      all_procs ? std::move(all_procs) : share_bits(DynBitset(static_cast<std::size_t>(t_), true));
   grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
 }
 
 void ProtocolDProcess::enter_work_phase(const Round& now) {
-  const std::int64_t w = work_slice(*s_, *t_alive_, self_, my_slice_);
+  const std::int64_t w = work_slice(*s_.base, *t_alive_, self_, my_slice_);  // s_ is uncut
   slice_pos_ = 0;
   // Everyone spends exactly ceil(|S|/|T|) rounds in the phase (line 7) so the
   // agreement phases stay aligned.
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
   // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-  // S may be shared, so the slice comes off a private copy, made only when
-  // there is a slice to remove.
-  if (my_slice_.empty()) return;
-  DynBitset s = *s_;
-  for (std::int64_t u : my_slice_) s.reset(static_cast<std::size_t>(u - 1));
-  s_ = share_bits(std::move(s));
+  // The slice is a run of consecutive members of S, so S \ S' is the shared
+  // S with the slice's position range cut (see SView).
+  if (!my_slice_.empty())
+    s_ = SView(s_.base, static_cast<std::size_t>(my_slice_.front() - 1),
+               static_cast<std::size_t>(my_slice_.back()));
 }
 
 void ProtocolDProcess::enter_agree_phase(const Round&) {
@@ -264,9 +280,9 @@ Action ProtocolDProcess::agree_broadcast(bool done) {
 void ProtocolDProcess::finish_agree(const Round& now) {
   last_sent_.reset();  // the done broadcast is never folded back in
   const std::uint64_t old_alive = t_alive_->count();
-  s_ = sn_;
+  s_ = sn_.flattened();  // a cut survives only when no view was heard
   t_alive_ = tn_;
-  PhaseEnd end = end_phase(old_alive, *s_, *t_alive_, self_, now);
+  PhaseEnd end = end_phase(old_alive, *s_.base, *t_alive_, self_, now);
   if (end.kind != PhaseEnd::Kind::kNextPhase) {
     revert_ = std::move(end.revert);
     terminated_ = !revert_;

@@ -45,19 +45,49 @@ namespace dowork {
 // to t of these per recipient, so the packing is what keeps the scale
 // sweep's t = 1024 shape affordable.
 //
-// Ownership: the views are immutable and shared (SharedBits).  A broadcast
-// aliases the sender's current (sn_, tn_) instead of copying n + t bits,
-// and a process whose merge leaves a view unchanged -- or equal to the
-// fold it merged -- keeps aliasing that object (AgreeFold::merge_into).  A
-// view is copied only on write: by a merge that yields new bits, and by
-// enter_work_phase's S \ S'.  Theorem 4.1's agreement property is then
-// also a memory property: survivors that agree hold one (S, T).
+// An S view: the immutable shared `base` with the positions [lo, hi)
+// cleared.  Figure 4 line 8's S \ S' is one: the slice work_slice assigns
+// is a block of consecutive ranks in S, so every member of S inside
+// [first unit - 1, last unit) belongs to the slice, and the view is the
+// phase's shared S plus that range instead of a private n-bit copy.
+// Outside iteration 0 the range is empty.
+struct SView {
+  SharedBits base;
+  std::size_t lo = 0, hi = 0;
+
+  SView() = default;
+  SView(SharedBits b) : base(std::move(b)) {}  // implicit: the uncut view of b
+  SView(SharedBits b, std::size_t l, std::size_t h) : base(std::move(b)), lo(l), hi(h) {}
+
+  bool cut() const { return lo < hi; }
+  std::size_t size() const { return base->size(); }
+  std::uint64_t count() const { return base->count() - base->count_range(lo, hi); }
+  // The view's bits as one bitset.
+  DynBitset flat() const {
+    DynBitset b = *base;
+    b.reset_range(lo, hi);
+    return b;
+  }
+  // The same view with an empty range: base itself when nothing is cut.
+  SView flattened() const { return cut() ? SView(share_bits(flat())) : *this; }
+};
+
+// Ownership: the views are immutable and shared.  A broadcast aliases the
+// sender's current (sn_, tn_) instead of copying n + t bits, and a process
+// whose merge leaves a view unchanged -- or equal to the fold it merged --
+// keeps aliasing that object (AgreeFold::merge_into).  No view is copied on
+// write in iteration 0: enter_work_phase's S \ S' records its cut on the
+// shared S, so a phase's iteration-0 views are t cuts of one base.  A view
+// is copied only by a merge that yields new bits, and flattened only when a
+// process ends its agreement with a cut still standing (it heard no view).
+// Theorem 4.1's agreement property is then also a memory property:
+// survivors that agree hold one (S, T).
 struct AgreeMsg final : Payload {
   int phase;           // work/agreement phase number, 1-based
-  SharedBits s_left;   // outstanding units, indexed unit-1
+  SView s_left;        // outstanding units, indexed unit-1
   SharedBits t_alive;  // processes believed correct
   bool done;
-  AgreeMsg(int ph, SharedBits s, SharedBits t, bool d)
+  AgreeMsg(int ph, SView s, SharedBits t, bool d)
       : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
 };
 
@@ -77,7 +107,7 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
 // The one fold of an agreement phase's views (paper Section 4): the AND of
 // S, the OR of T and the senders heard over every view -- done views
 // included -- plus the lowest sender's done view.  `sn`/`tn` are built once
-// per fold and null when no view was folded; then merge_into changes
+// per fold, flat, and null when no view was folded; then merge_into changes
 // nothing.
 struct AgreeFold {
   SharedBits sn, tn;
@@ -88,11 +118,18 @@ struct AgreeFold {
   // equals the fold's view the holder takes the fold's object, when it
   // equals the held view the holder keeps its own, and only otherwise is
   // the AND/OR allocated.  Every served recipient merges the same fold, so
-  // a served round leaves its survivors on one S and one T object.
-  void merge_into(SharedBits& sn_held, SharedBits& tn_held) const;
+  // a served round leaves its survivors on one S and one T object.  A cut
+  // held S is asked first in its cut form (sn within base, and missing the
+  // range), so the common iteration-0 merge adopts the fold without
+  // flattening; only otherwise is it flattened before the rule above.
+  void merge_into(SView& sn_held, SharedBits& tn_held) const;
 };
 
 // The fold of `by_sender`, a phase's views indexed by sender (null = silent).
+// The AND of cut views is (AND of the bases) \ (union of the ranges): each
+// base is ANDed once -- a base equal to the previous view's is skipped --
+// and the ranges are cleared after, so iteration 0's t cuts of one shared S
+// fold into one n-bit copy instead of t ANDs.
 AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender);
 
 // Stashes every view of `phase` in `inbox` into by_sender[from] (a later
@@ -112,8 +149,8 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
 // which D's survivors decide the (S, T) they agree on: a walked receive
 // passes the fold of its own inbox, a served one the ledger index's fold
 // (see AgreeMergeCache); D_coord's fallback passes the fold of its stash.
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SharedBits& sn,
-                   SharedBits& tn, DynBitset& u, bool& removed_any);
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SView& sn, SharedBits& tn,
+                   DynBitset& u, bool& removed_any);
 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
 // The paper's case-2 bounds assume it runs over the agreed survivors only, so
@@ -254,8 +291,12 @@ class AgreeMergeCache {
 
 class ProtocolDProcess final : public IProcess {
  public:
+  // `all_units` (n bits, all set) and `all_procs` (t bits, all set) are the
+  // starting (S, T); a run passes one pair to every process, so its t
+  // processes start on one S and one T.  Null builds a private pair.
   ProtocolDProcess(const DoAllConfig& cfg, int self,
-                   std::shared_ptr<AgreeMergeCache> merge_cache = nullptr);
+                   std::shared_ptr<AgreeMergeCache> merge_cache = nullptr,
+                   SharedBits all_units = nullptr, SharedBits all_procs = nullptr);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
@@ -270,7 +311,7 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(s_->size() - s_->count());
+    return static_cast<std::int64_t>(s_.size() - s_.count());
   }
 
  private:
@@ -291,7 +332,8 @@ class ProtocolDProcess final : public IProcess {
   int phase_ = 1;
   // The agreed views, shared and immutable (see AgreeMsg): after an
   // agreement phase every survivor that agreed aliases the same objects.
-  SharedBits s_;  // outstanding units (unit u -> bit u-1)
+  // s_ is uncut between phases and cut by this process's slice during one.
+  SView s_;  // outstanding units (unit u -> bit u-1)
   SharedBits t_alive_;
 
   // Work-phase state (the slice comes from work_slice).
@@ -303,7 +345,7 @@ class ProtocolDProcess final : public IProcess {
   // Agreement-phase state (pipelined; see header comment).
   DynBitset u_;    // not yet known faulty this phase
   SharedBits tn_;  // T being accumulated; each broadcast aliases it
-  SharedBits sn_;  // S being intersected; each broadcast aliases it
+  SView sn_;       // S being intersected; each broadcast aliases it
   // The broadcast audience (u_ minus self) as the shared immutable set the
   // ledger records alias (sim/message.h).  Rebuilt lazily whenever u_
   // changes; between changes -- every iteration of a stable agreement --

@@ -24,13 +24,12 @@ int ProtocolDCoordProcess::coordinator() const {
 }
 
 void ProtocolDCoordProcess::enter_work_phase(const Round& now) {
-  const std::int64_t w = work_slice(*s_, *t_alive_, self_, my_slice_);
+  const std::int64_t w = work_slice(*s_.base, *t_alive_, self_, my_slice_);  // s_ is uncut
   slice_pos_ = 0;
   work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-  if (my_slice_.empty()) return;
-  DynBitset s = *s_;  // copy on write, as in Protocol D
-  for (std::int64_t u : my_slice_) s.reset(static_cast<std::size_t>(u - 1));
-  s_ = share_bits(std::move(s));
+  if (!my_slice_.empty())  // S \ S' as a cut of the shared S, as in Protocol D
+    s_ = SView(s_.base, static_cast<std::size_t>(my_slice_.front() - 1),
+               static_cast<std::size_t>(my_slice_.back()));
 }
 
 void ProtocolDCoordProcess::reset_views() {
@@ -61,9 +60,9 @@ void ProtocolDCoordProcess::clear_seen() {
 
 void ProtocolDCoordProcess::finish_phase(const Round& now) {
   const std::uint64_t old_alive = t_alive_->count();
-  s_ = sn_;
+  s_ = sn_.flattened();  // a cut survives only when no view was heard
   t_alive_ = tn_;
-  PhaseEnd end = end_phase(old_alive, *s_, *t_alive_, self_, now);
+  PhaseEnd end = end_phase(old_alive, *s_.base, *t_alive_, self_, now);
   if (end.kind != PhaseEnd::Kind::kNextPhase) {
     revert_ = std::move(end.revert);
     terminated_ = !revert_;

@@ -66,7 +66,8 @@ class ProtocolDCoordProcess final : public IProcess {
 
   PhaseKind phase_kind_ = PhaseKind::kWork;
   int phase_ = 1;
-  SharedBits s_, t_alive_;  // shared immutable views, as in protocol_d.h
+  SView s_;  // shared immutable views, as in protocol_d.h
+  SharedBits t_alive_;
 
   std::vector<std::int64_t> my_slice_;
   std::size_t slice_pos_ = 0;
@@ -75,7 +76,8 @@ class ProtocolDCoordProcess final : public IProcess {
 
   // Agreement state; broadcasts alias sn_ and tn_.
   DynBitset u_;
-  SharedBits tn_, sn_;
+  SharedBits tn_;
+  SView sn_;
   // This phase's messages, indexed by sender (null = silent), as
   // fold_views reads them; held_ keeps their payloads alive, since the
   // coordinator's reports and the awaited final view span several rounds.

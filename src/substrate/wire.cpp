@@ -52,9 +52,10 @@ class Writer {
     }
   }
 
-  void bitset(const DynBitset& b) {
+  // b with the positions [lo, hi) cleared (a cut S view), word by word.
+  void bitset(const DynBitset& b, std::size_t lo = 0, std::size_t hi = 0) {
     u64(b.size());
-    for (std::size_t i = 0; i < b.word_count(); ++i) u64(b.word(i));
+    for (std::size_t i = 0; i < b.word_count(); ++i) u64(b.word_without(i, lo, hi));
   }
 
   void recipients(const RecipientSet& to) {
@@ -110,7 +111,7 @@ void Writer::payload(const Payload* p) {
   } else if (const auto* m = detail::payload_as<AgreeMsg>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kAgree));
     i32(m->phase);
-    bitset(*m->s_left);
+    bitset(*m->s_left.base, m->s_left.lo, m->s_left.hi);
     bitset(*m->t_alive);
     u8(m->done ? 1 : 0);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {
@@ -237,7 +238,7 @@ std::shared_ptr<const Payload> BodyReader::payload() {
       return std::make_shared<PollReplyC>();
     case PayloadTag::kAgree: {
       const int phase = i32();
-      SharedBits s = share_bits(bitset());
+      SView s(share_bits(bitset()));  // uncut
       SharedBits t = share_bits(bitset());
       const bool done = u8() != 0;
       return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);

@@ -70,6 +70,25 @@ class DynBitset {
     return c;
   }
 
+  // Number of set bits at positions in [lo, hi) (lo <= hi <= size()), and
+  // clearing them: word by word, the two edge words masked.  Protocol D's S
+  // views are a shared S with one such range cleared (protocol_d.h).
+  std::uint64_t count_range(std::size_t lo, std::size_t hi) const {
+    std::uint64_t c = 0;
+    for_range(lo, hi, [&](std::size_t wi, std::uint64_t m) {
+      c += static_cast<std::uint64_t>(std::popcount(w_[wi] & m));
+    });
+    return c;
+  }
+  void reset_range(std::size_t lo, std::size_t hi) {
+    for_range(lo, hi, [&](std::size_t wi, std::uint64_t m) { w_[wi] &= ~m; });
+  }
+  // Word i with the positions in [lo, hi) cleared (the wire codec writes a
+  // cut view this way, with no n-bit temporary).
+  std::uint64_t word_without(std::size_t i, std::size_t lo, std::size_t hi) const {
+    return w_[i] & ~range_mask(i, lo, hi);
+  }
+
   bool none() const {
     for (std::uint64_t w : w_)
       if (w) return false;
@@ -151,6 +170,22 @@ class DynBitset {
   }
 
  private:
+  // The bits of word wi that lie in [lo, hi); zero when the word is outside.
+  static std::uint64_t range_mask(std::size_t wi, std::size_t lo, std::size_t hi) {
+    const std::size_t first = wi * 64;
+    if (lo >= hi || hi <= first || lo >= first + 64) return 0;
+    const std::uint64_t below_lo = lo > first ? (std::uint64_t{1} << (lo - first)) - 1 : 0;
+    const std::uint64_t from_hi = hi < first + 64 ? ~std::uint64_t{0} << (hi - first) : 0;
+    return ~(below_lo | from_hi);
+  }
+  // Calls f(word index, mask of that word's bits in [lo, hi)) for every word
+  // the range touches.
+  template <typename F>
+  void for_range(std::size_t lo, std::size_t hi, F&& f) const {
+    if (lo >= hi) return;
+    for (std::size_t wi = lo / 64; wi <= (hi - 1) / 64; ++wi) f(wi, range_mask(wi, lo, hi));
+  }
+
   void mask_tail() {
     if (n_ % 64 && !w_.empty()) w_.back() &= (std::uint64_t{1} << (n_ % 64)) - 1;
   }

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
+#include "core/registry.h"
 #include "core/runner.h"
 #include "sim/round_pool.h"
 #include "substrate/differential.h"
@@ -189,11 +191,12 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   const AgreeMsg d3(1, shared(6, {4}), shared(4, {3}), true);
   // Self is 0; process 3 is silent.
   std::vector<const AgreeMsg*> seen{nullptr, &a, &b, nullptr};
-  SharedBits sn = share_bits(DynBitset(6, true)), tn = shared(4, {0});
+  SView sn = share_bits(DynBitset(6, true));
+  SharedBits tn = shared(4, {0});
   DynBitset u(4, true);
   bool removed = false;
   EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, sn, tn, u, removed));
-  EXPECT_EQ(*sn, bits(6, {1, 2}));
+  EXPECT_EQ(sn.flat(), bits(6, {1, 2}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2}));
   EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
   EXPECT_EQ(u, DynBitset(4, true));
@@ -204,7 +207,7 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   seen = {nullptr, &a, &d2, &d3};
   removed = false;
   EXPECT_TRUE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
-  EXPECT_EQ(*sn, *d2.s_left);
+  EXPECT_EQ(sn.flat(), d2.s_left.flat());
   EXPECT_EQ(*tn, *d2.t_alive);
   EXPECT_FALSE(removed);
 }
@@ -219,9 +222,10 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_EQ(*f.sn, bits(6, {1}));
   EXPECT_EQ(*f.tn, bits(4, {0, 1, 2, 3}));
   EXPECT_EQ(f.heard, bits(5, {1, 2, 3}));
-  SharedBits sn = share_bits(DynBitset(6, true)), tn = shared(4, {0});
+  SView sn = share_bits(DynBitset(6, true));
+  SharedBits tn = shared(4, {0});
   f.merge_into(sn, tn);
-  EXPECT_EQ(*sn, bits(6, {1}));
+  EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
 
   // No views: nothing heard, no done view, and the merge changes nothing.
@@ -230,7 +234,7 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_TRUE(none.heard.none());
   EXPECT_EQ(none.heard.size(), 4u);
   none.merge_into(sn, tn);
-  EXPECT_EQ(*sn, bits(6, {1}));
+  EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
   DynBitset u(4, true);
   EXPECT_TRUE(drop_silent(u, none.heard, 2));  // all silent: only self stays
@@ -252,9 +256,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   // the fold's T (OR = fold): both adopt the fold's objects.
   {
     const AgreeFold f = fold_of(shared(70, {1, 64}), shared(5, {0, 2, 4}));
-    SharedBits sn = shared(70, {1, 2, 64, 69}), tn = shared(5, {2});
+    SView sn = shared(70, {1, 2, 64, 69});
+    SharedBits tn = shared(5, {2});
     f.merge_into(sn, tn);
-    EXPECT_EQ(sn, f.sn);
+    EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
   // The held S is within the fold's (AND = held) and the fold's T within
@@ -262,9 +267,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   {
     const AgreeFold f = fold_of(shared(70, {1, 2, 64, 69}), shared(5, {2}));
     const SharedBits own_s = shared(70, {1, 64}), own_t = shared(5, {0, 2, 4});
-    SharedBits sn = own_s, tn = own_t;
+    SView sn = own_s;
+    SharedBits tn = own_t;
     f.merge_into(sn, tn);
-    EXPECT_EQ(sn, own_s);
+    EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
   // Neither contains the other: fresh objects with exactly the AND and OR,
@@ -272,13 +278,14 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   {
     const AgreeFold f = fold_of(shared(70, {1, 64, 69}), shared(5, {0, 2}));
     const SharedBits own_s = shared(70, {2, 64, 69}), own_t = shared(5, {2, 3});
-    SharedBits sn = own_s, tn = own_t;
+    SView sn = own_s;
+    SharedBits tn = own_t;
     f.merge_into(sn, tn);
-    EXPECT_NE(sn, own_s);
-    EXPECT_NE(sn, f.sn);
+    EXPECT_NE(sn.base, own_s);
+    EXPECT_NE(sn.base, f.sn);
     EXPECT_NE(tn, own_t);
     EXPECT_NE(tn, f.tn);
-    EXPECT_EQ(*sn, bits(70, {64, 69}));
+    EXPECT_EQ(sn.flat(), bits(70, {64, 69}));
     EXPECT_EQ(*tn, bits(5, {0, 2, 3}));
     EXPECT_EQ(*own_s, bits(70, {2, 64, 69}));
     EXPECT_EQ(*f.sn, bits(70, {1, 64, 69}));
@@ -289,9 +296,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   // holder that merges one fold converges on one object.
   {
     const AgreeFold f = fold_of(shared(70, {3}), shared(5, {1}));
-    SharedBits sn = shared(70, {3}), tn = shared(5, {1});
+    SView sn = shared(70, {3});
+    SharedBits tn = shared(5, {1});
     f.merge_into(sn, tn);
-    EXPECT_EQ(sn, f.sn);
+    EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
   // An empty fold changes nothing, not even the objects held.
@@ -300,11 +308,123 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     EXPECT_EQ(none.sn, nullptr);
     EXPECT_EQ(none.tn, nullptr);
     const SharedBits own_s = shared(70, {5}), own_t = shared(5, {4});
-    SharedBits sn = own_s, tn = own_t;
+    SView sn = own_s;
+    SharedBits tn = own_t;
     none.merge_into(sn, tn);
-    EXPECT_EQ(sn, own_s);
+    EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
+}
+
+// The naive AND of the views' materialized S, for checking cut folds.
+DynBitset naive_and(const std::vector<const AgreeMsg*>& views) {
+  DynBitset out;
+  for (const AgreeMsg* m : views) {
+    if (!m) continue;
+    if (out.size() == 0)
+      out = m->s_left.flat();
+    else
+      out &= m->s_left.flat();
+  }
+  return out;
+}
+
+// fold_views over cut views: one shared base cut by disjoint slices (the
+// iteration-0 shape), bases mixed with and without cuts, and a cut that
+// covers no set bit -- each fold equals the naive AND of the flat views.
+TEST(ProtocolDPhaseCore, FoldViewsOverCutViewsMatchesTheNaiveAnd) {
+  DynBitset s(130, true);
+  s.reset(3);
+  s.reset(100);
+  const SharedBits base = share_bits(s);
+  const SharedBits t1 = shared(4, {1});
+  const auto cut = [&](SharedBits b, std::size_t lo, std::size_t hi) {
+    return std::make_shared<AgreeMsg>(1, SView(std::move(b), lo, hi), t1, false);
+  };
+  {  // one base: four slices, one crossing the 63/64 word edge
+    const auto a = cut(base, 0, 40), b = cut(base, 40, 70), c = cut(base, 70, 128),
+               d = cut(base, 128, 130);
+    const std::vector<const AgreeMsg*> views{a.get(), b.get(), nullptr, c.get(), d.get()};
+    const AgreeFold f = fold_views(views);
+    EXPECT_EQ(*f.sn, naive_and(views));
+    EXPECT_TRUE(f.sn->none());
+    const std::vector<const AgreeMsg*> two{nullptr, b.get(), d.get()};
+    EXPECT_EQ(*fold_views(two).sn, naive_and(two));
+    EXPECT_EQ(fold_views(two).sn->count(), 128u - 30u - 2u);
+  }
+  {  // mixed bases, alternating, cut and uncut
+    DynBitset other(130, true);
+    other.reset(64);
+    other.reset(129);
+    const SharedBits base2 = share_bits(other);
+    const auto a = cut(base, 5, 9), b = cut(base2, 60, 66), c = cut(base, 120, 125);
+    const auto d = std::make_shared<AgreeMsg>(1, SView(base2), t1, false);
+    const std::vector<const AgreeMsg*> views{a.get(), b.get(), c.get(), d.get()};
+    EXPECT_EQ(*fold_views(views).sn, naive_and(views));
+  }
+  {  // a cut over positions that are already clear changes nothing
+    const auto a = cut(base, 3, 4), b = cut(base, 100, 101);
+    const std::vector<const AgreeMsg*> views{a.get(), b.get()};
+    EXPECT_EQ(*fold_views(views).sn, naive_and(views));
+    EXPECT_EQ(*fold_views(views).sn, s);
+  }
+}
+
+// merge_into with a cut held S: when the fold is within the base and clear
+// of the cut, the holder adopts the fold's object without flattening;
+// otherwise it flattens and holds the exact AND.
+TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
+  AgreeFold f;
+  f.sn = shared(70, {1, 64, 69});
+  f.tn = shared(5, {0});
+  const SharedBits base = shared(70, {1, 2, 30, 64, 69});
+  {  // the cut [20, 40) holds none of the fold: adopt
+    SView sn(base, 20, 40);
+    SharedBits tn = shared(5, {1});
+    f.merge_into(sn, tn);
+    EXPECT_EQ(sn.base, f.sn);
+    EXPECT_FALSE(sn.cut());
+    EXPECT_EQ(*tn, bits(5, {0, 1}));
+  }
+  {  // the cut [60, 66) removes 64 from the held view: flatten, exact AND
+    SView sn(base, 60, 66);
+    SharedBits tn = shared(5, {0});
+    f.merge_into(sn, tn);
+    EXPECT_NE(sn.base, f.sn);
+    EXPECT_NE(sn.base, base);
+    EXPECT_FALSE(sn.cut());
+    EXPECT_EQ(*sn.base, bits(70, {1, 69}));
+    EXPECT_EQ(*base, bits(70, {1, 2, 30, 64, 69}));  // the shared base is untouched
+  }
+  {  // the fold's own object, cut so that it misses one of its bits: flatten
+    SView sn(f.sn, 0, 2);
+    SharedBits tn = shared(5, {0});
+    f.merge_into(sn, tn);
+    EXPECT_NE(sn.base, f.sn);
+    EXPECT_EQ(*sn.base, bits(70, {64, 69}));
+  }
+}
+
+// A done view is adopted whole, cut included, and the cut reads as the
+// bits it stands for.
+TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsACutDoneView) {
+  const SharedBits base = shared(70, {1, 2, 64, 65, 69});
+  const AgreeMsg a(1, shared(70, {1, 2, 64}), shared(4, {1}), false);
+  const AgreeMsg d(1, SView(base, 60, 65), shared(4, {0, 2}), true);
+  SView sn = share_bits(DynBitset(70, true));
+  SharedBits tn = shared(4, {3});
+  DynBitset u(4, true);
+  bool removed = false;
+  EXPECT_TRUE(
+      agree_receive(fold_views({nullptr, &a, &d, nullptr}), 3, true, sn, tn, u, removed));
+  EXPECT_EQ(sn.base, base);
+  EXPECT_EQ(sn.lo, 60u);
+  EXPECT_EQ(sn.hi, 65u);
+  EXPECT_EQ(sn.flat(), bits(70, {1, 2, 65, 69}));
+  EXPECT_EQ(sn.count(), 4u);
+  EXPECT_EQ(sn.flattened().base->count(), 4u);
+  EXPECT_EQ(tn, d.t_alive);
+  EXPECT_FALSE(removed);
 }
 
 TEST(ProtocolDPhaseCore, EndPhaseRevertsExactlyWhenMoreThanHalfWereLost) {
@@ -451,14 +571,18 @@ TEST(ProtocolD, CrashFreeRunServesEveryAgreementReceive) {
 }
 
 // Forwards to a process and records the views of every agreement
-// broadcast it sends, with the round; the recorded SharedBits keep each
-// view alive, so equal pointers mean one object, never a reused address.
+// broadcast it sends, with the round, the sender and its known_done_units()
+// after the step; the recorded views keep each base alive, so equal
+// pointers mean one object, never a reused address.
 class ViewRecorder final : public IProcess {
  public:
   struct Sent {
     Round round;
+    int from;
     int phase;
-    SharedBits s, t;
+    SView s;
+    SharedBits t;
+    std::int64_t known_done;
   };
   ViewRecorder(std::unique_ptr<IProcess> inner, std::vector<Sent>& out)
       : inner_(std::move(inner)), out_(out) {}
@@ -467,7 +591,8 @@ class ViewRecorder final : public IProcess {
     Action a = inner_->on_round(ctx, inbox);
     for (const Outgoing& o : a.sends)
       if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
-        out_.push_back(Sent{ctx.round, m->phase, m->s_left, m->t_alive});
+        out_.push_back(
+            Sent{ctx.round, ctx.self, m->phase, m->s_left, m->t_alive, inner_->known_done_units()});
     return a;
   }
   Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
@@ -478,27 +603,51 @@ class ViewRecorder final : public IProcess {
   std::vector<Sent>& out_;
 };
 
-// Theorem 4.1's agreement, held once: every served receive merges the one
-// fold, so from the second agreement iteration on every survivor
-// broadcasts the same S (and T) object rather than an n-bit copy of its own.
-TEST(ProtocolD, ServedSurvivorsBroadcastOneSharedView) {
-  const DoAllConfig cfg{64 * 16, 64};
-  auto cache = std::make_shared<AgreeMergeCache>();
+// Runs `procs`, each wrapped in a ViewRecorder, on the serial simulator and
+// returns every agreement broadcast in send order (the serial simulator
+// records sends in round order).
+std::vector<ViewRecorder::Sent> record_views(const DoAllConfig& cfg,
+                                             std::vector<std::unique_ptr<IProcess>> procs,
+                                             std::unique_ptr<FaultInjector> faults) {
   std::vector<ViewRecorder::Sent> sent;
-  std::vector<std::unique_ptr<IProcess>> procs;
-  for (int i = 0; i < cfg.t; ++i)
-    procs.push_back(
-        std::make_unique<ViewRecorder>(std::make_unique<ProtocolDProcess>(cfg, i, cache), sent));
+  std::vector<std::unique_ptr<IProcess>> wrapped;
+  for (auto& p : procs) wrapped.push_back(std::make_unique<ViewRecorder>(std::move(p), sent));
   Simulator::Options opts;
   opts.strict_one_op = true;
   opts.n_units = cfg.n;
-  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), opts);
-  ASSERT_TRUE(sim.run().all_retired);
+  Simulator sim(std::move(wrapped), std::move(faults), opts);
+  EXPECT_TRUE(sim.run().all_retired);
+  return sent;
+}
+
+// Each sender's first broadcast of each phase: its iteration-0 view S \ S'.
+std::vector<ViewRecorder::Sent> iteration_zero(const std::vector<ViewRecorder::Sent>& sent) {
+  std::set<std::pair<int, int>> seen;
+  std::vector<ViewRecorder::Sent> out;
+  for (const auto& m : sent)
+    if (seen.emplace(m.from, m.phase).second) out.push_back(m);
+  return out;
+}
+
+// Theorem 4.1's agreement, held once: every served receive merges the one
+// fold, so from the second agreement iteration on every survivor
+// broadcasts the same S (and T) object rather than an n-bit copy of its own;
+// and iteration 0's views are the phase's one S, each cut by its sender's
+// slice.
+TEST(ProtocolD, ServedSurvivorsBroadcastOneSharedView) {
+  const DoAllConfig cfg{64 * 16, 64};
+  auto cache = std::make_shared<AgreeMergeCache>();
+  const SharedBits all_units = share_bits(DynBitset(static_cast<std::size_t>(cfg.n), true));
+  const SharedBits all_procs = share_bits(DynBitset(static_cast<std::size_t>(cfg.t), true));
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < cfg.t; ++i)
+    procs.push_back(std::make_unique<ProtocolDProcess>(cfg, i, cache, all_units, all_procs));
+  const std::vector<ViewRecorder::Sent> sent =
+      record_views(cfg, std::move(procs), std::make_unique<NoFaults>());
   EXPECT_EQ(cache->walked(), 0u);
 
   // Each phase's first broadcast round is iteration 0, whose views are
   // every process's own S \ S'; every later round must carry one view.
-  // (The serial simulator records sends in round order.)
   std::map<int, Round> first_round;
   for (const auto& m : sent) first_round.emplace(m.phase, m.round);
   std::map<Round, std::pair<SharedBits, SharedBits>> view_of_round;
@@ -506,11 +655,71 @@ TEST(ProtocolD, ServedSurvivorsBroadcastOneSharedView) {
   for (const auto& m : sent) {
     if (m.round == first_round.at(m.phase)) continue;
     ++later;
-    const auto& [s, t] = view_of_round.try_emplace(m.round, m.s, m.t).first->second;
-    EXPECT_EQ(m.s, s) << "round " << to_string(m.round);
+    const auto& [s, t] = view_of_round.try_emplace(m.round, m.s.base, m.t).first->second;
+    EXPECT_EQ(m.s.base, s) << "round " << to_string(m.round);
+    EXPECT_EQ(m.s.lo, m.s.hi) << "round " << to_string(m.round);
     EXPECT_EQ(m.t, t) << "round " << to_string(m.round);
   }
   EXPECT_EQ(later, static_cast<std::size_t>(cfg.t));  // everyone's done broadcast
+
+  // Iteration 0: one base per phase, cut by exactly the sender's slice.
+  const std::vector<ViewRecorder::Sent> zero = iteration_zero(sent);
+  EXPECT_EQ(zero.size(), static_cast<std::size_t>(cfg.t));
+  std::map<int, SharedBits> base_of_phase;
+  std::vector<std::int64_t> slice;
+  for (const auto& m : zero) {
+    EXPECT_EQ(m.round, first_round.at(m.phase));
+    EXPECT_EQ(m.s.base, base_of_phase.try_emplace(m.phase, m.s.base).first->second)
+        << "phase " << m.phase << ", from " << m.from;
+    work_slice(*m.s.base, *all_procs, m.from, slice);
+    ASSERT_FALSE(slice.empty());
+    EXPECT_EQ(m.s.lo, static_cast<std::size_t>(slice.front() - 1)) << "from " << m.from;
+    EXPECT_EQ(m.s.hi, static_cast<std::size_t>(slice.back())) << "from " << m.from;
+  }
+  EXPECT_EQ(base_of_phase.at(1), all_units);
+}
+
+// The registry builds a D run's starting (S, T) once: phase 1's iteration-0
+// views all cut the same S object.
+TEST(ProtocolD, RegistryProcessesStartFromOneST) {
+  const DoAllConfig cfg{8 * 16, 8};
+  const std::vector<ViewRecorder::Sent> zero = iteration_zero(record_views(
+      cfg, make_processes(find_protocol("D"), cfg), std::make_unique<NoFaults>()));
+  ASSERT_EQ(zero.size(), static_cast<std::size_t>(cfg.t));
+  for (const auto& m : zero) {
+    EXPECT_EQ(m.s.base, zero.front().s.base) << "from " << m.from;
+    EXPECT_TRUE(m.s.cut()) << "from " << m.from;
+  }
+}
+
+// known_done_units() reads the cut form; it must count exactly the units
+// outside a materialized S \ S' -- at work entry, and in every phase of a
+// run whose crashes leave later phases an uneven S.
+TEST(ProtocolD, KnownDoneUnitsCountsTheMaterializedCut) {
+  const DoAllConfig cfg{64, 8};
+  for (int i = 0; i < cfg.t; ++i) {
+    ProtocolDProcess p(cfg, i);
+    p.on_round(RoundContext{Round{0u}, i}, InboxView{});  // enters the work phase
+    DynBitset s(static_cast<std::size_t>(cfg.n), true);
+    std::vector<std::int64_t> slice;
+    work_slice(s, DynBitset(static_cast<std::size_t>(cfg.t), true), i, slice);
+    for (std::int64_t unit : slice) s.reset(static_cast<std::size_t>(unit - 1));
+    EXPECT_EQ(p.known_done_units(), cfg.n - static_cast<std::int64_t>(s.count()))
+        << "process " << i;
+  }
+
+  const DoAllConfig big{96, 12};
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < big.t; ++i) procs.push_back(std::make_unique<ProtocolDProcess>(big, i));
+  const std::vector<ViewRecorder::Sent> zero =
+      iteration_zero(record_views(big, std::move(procs), cut_crashes()));
+  std::set<int> phases;
+  for (const auto& m : zero) {
+    phases.insert(m.phase);
+    EXPECT_EQ(m.known_done, big.n - static_cast<std::int64_t>(m.s.flat().count()))
+        << "phase " << m.phase << ", from " << m.from;
+  }
+  EXPECT_GT(phases.size(), 1u);
 }
 
 TEST_P(ProtocolDRandom, RandomSchedulesAlwaysComplete) {
@@ -636,7 +845,7 @@ struct LedgerFixture {
       const auto* w = detail::payload_as<AgreeMsg>(want.sends[k].payload.get());
       ASSERT_TRUE(g != nullptr && w != nullptr) << why;
       EXPECT_EQ(g->phase, w->phase) << why;
-      EXPECT_EQ(*g->s_left, *w->s_left) << why;
+      EXPECT_EQ(g->s_left.flat(), w->s_left.flat()) << why;
       EXPECT_EQ(*g->t_alive, *w->t_alive) << why;
       EXPECT_EQ(g->done, w->done) << why;
       EXPECT_EQ(got.sends[k].to.shared_bits()->bits, want.sends[k].to.shared_bits()->bits) << why;

@@ -1,6 +1,8 @@
 // Tests for util/: the table printer, number formatting, the seeded RNG and
-// the bitset's subset test.
+// the bitset's subset test and range operations.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -108,6 +110,47 @@ TEST(DynBitset, IsSubsetOf) {
   EXPECT_TRUE(DynBitset(70).is_subset_of(a));
   EXPECT_TRUE(DynBitset(70, true).is_subset_of(DynBitset(70, true)));
   EXPECT_FALSE(DynBitset(70, true).is_subset_of(a));
+}
+
+// count_range / reset_range / word_without against a bit-by-bit reference
+// over every range that matters: empty, inside one word, across bits 63/64,
+// ending at size(), and over a ragged 70-bit tail.
+TEST(DynBitset, RangeOpsMatchBitByBit) {
+  DynBitset full(200);
+  for (std::size_t i = 0; i < 200; i += 3) full.set(i);
+  full.set(63);
+  full.set(64);
+  DynBitset ragged(70, true);
+  ragged.reset(65);
+  struct Case {
+    const DynBitset* b;
+    std::size_t lo, hi;
+  };
+  const std::vector<Case> cases = {
+      {&full, 0, 0},    {&full, 17, 17},  {&full, 200, 200},  // empty
+      {&full, 3, 40},   {&full, 64, 70},                      // inside one word
+      {&full, 60, 64},  {&full, 63, 65},  {&full, 64, 128},   // at the 63/64 edge
+      {&full, 10, 150}, {&full, 0, 200},  {&full, 150, 200},  // spanning, to size()
+      {&ragged, 0, 70}, {&ragged, 60, 70}, {&ragged, 64, 70}, {&ragged, 66, 69},
+  };
+  for (const Case& c : cases) {
+    const DynBitset& b = *c.b;
+    std::uint64_t want = 0;
+    DynBitset cleared = b;
+    for (std::size_t i = c.lo; i < c.hi; ++i) {
+      want += b.test(i) ? 1 : 0;
+      cleared.reset(i);
+    }
+    SCOPED_TRACE(::testing::Message() << "[" << c.lo << ", " << c.hi << ") of " << b.size());
+    EXPECT_EQ(b.count_range(c.lo, c.hi), want);
+    DynBitset got = b;
+    got.reset_range(c.lo, c.hi);
+    EXPECT_EQ(got, cleared);
+    for (std::size_t w = 0; w < b.word_count(); ++w)
+      EXPECT_EQ(b.word_without(w, c.lo, c.hi), cleared.word(w)) << "word " << w;
+  }
+  EXPECT_EQ(full.count_range(0, 200), full.count());
+  EXPECT_EQ(ragged.count_range(0, 70), 69u);
 }
 
 }  // namespace

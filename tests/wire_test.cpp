@@ -145,12 +145,35 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   ASSERT_NE(ga, nullptr);
   EXPECT_EQ(ga->phase, 2);
   EXPECT_EQ(ga->done, false);
-  ASSERT_EQ(ga->s_left->size(), 70u);
-  EXPECT_TRUE(ga->s_left->test(0));
-  EXPECT_TRUE(ga->s_left->test(63));
-  EXPECT_TRUE(ga->s_left->test(69));
-  EXPECT_FALSE(ga->s_left->test(1));
+  ASSERT_EQ(ga->s_left.base->size(), 70u);
+  EXPECT_TRUE(ga->s_left.base->test(0));
+  EXPECT_TRUE(ga->s_left.base->test(63));
+  EXPECT_TRUE(ga->s_left.base->test(69));
+  EXPECT_FALSE(ga->s_left.base->test(1));
   EXPECT_TRUE(ga->t_alive->test(7));
+}
+
+// A cut S view goes on the wire as the bitset it stands for: the same
+// frame bytes as its flat equivalent, decoded uncut.
+TEST(WireTest, CutAgreeViewEncodesAsItsFlatEquivalent) {
+  DynBitset base(130, true);  // three words, a ragged tail
+  base.reset(5);
+  const SharedBits alive = share_bits(DynBitset(9, true));
+  for (const auto& [lo, hi] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 0}, {10, 20}, {60, 70}, {64, 128}, {100, 130}}) {
+    const SView cut(share_bits(base), lo, hi);
+    const AgreeMsg as_cut(3, cut, alive, false);
+    const AgreeMsg as_flat(3, share_bits(cut.flat()), alive, false);
+    const std::string frame = encode_deliver(2, MsgKind::kAgreement, Round{7}, &as_cut);
+    EXPECT_EQ(frame, encode_deliver(2, MsgKind::kAgreement, Round{7}, &as_flat))
+        << "[" << lo << ", " << hi << ")";
+    auto [type, body] = read_one(frame, false);
+    const DeliveryRecord rec = decode_deliver(body, 0);
+    const auto* got = Msg(rec).as<AgreeMsg>();
+    ASSERT_NE(got, nullptr);
+    EXPECT_FALSE(got->s_left.cut());
+    EXPECT_EQ(*got->s_left.base, cut.flat());
+  }
 }
 
 TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
