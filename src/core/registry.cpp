@@ -108,16 +108,20 @@ std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
   return make_processes(info, cfg, std::nullopt);
 }
 
+std::unique_ptr<IProcess> make_process(const ProtocolInfo& info, const DoAllConfig& cfg, int self,
+                                       std::optional<std::int64_t> param) {
+  if (param && !info.make_proc_param)
+    throw std::invalid_argument("protocol " + info.name + " takes no parameter");
+  return param ? info.make_proc_param(cfg, self, *param) : info.make_proc(cfg, self);
+}
+
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg,
                                                       std::optional<std::int64_t> param) {
-  if (param && !info.make_proc_param)
-    throw std::invalid_argument("protocol " + info.name + " takes no parameter");
   if (!param && info.make_procs) return info.make_procs(cfg);
   std::vector<std::unique_ptr<IProcess>> procs;
   procs.reserve(static_cast<std::size_t>(cfg.t));
-  for (int i = 0; i < cfg.t; ++i)
-    procs.push_back(param ? info.make_proc_param(cfg, i, *param) : info.make_proc(cfg, i));
+  for (int i = 0; i < cfg.t; ++i) procs.push_back(make_process(info, cfg, i, param));
   return procs;
 }
 

@@ -32,7 +32,7 @@ struct ProtocolInfo {
   // (Protocol D's agreement merge cache -- a pure memoization shared by the
   // t sibling processes of ONE run, never across runs, and safe to serve
   // from any thread).  When set, make_processes uses this instead of t
-  // make_proc calls.
+  // make_proc calls; make_process (one process alone) never does.
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
 };
 
@@ -42,11 +42,18 @@ const std::vector<ProtocolInfo>& all_protocols();
 // Lookup by name; throws std::invalid_argument for unknown names.
 const ProtocolInfo& find_protocol(const std::string& name);
 
-// Instantiate the full process vector for a run.  `param` selects the
-// parameterized factory (make_proc_param) when set; protocols without one
-// reject a param loudly rather than silently ignoring it.  Every backend
-// builds through here, so run-shared state (make_procs) is the same on the
-// simulator, the round pool, and the socket substrate's workers.
+// Instantiate process `self` of a run.  `param` selects the parameterized
+// factory (make_proc_param) when set; protocols without one reject a param
+// loudly rather than silently ignoring it.  A socket worker builds its one
+// process through here: run-shared state (make_procs) has no siblings to
+// serve in a worker's address space.
+std::unique_ptr<IProcess> make_process(const ProtocolInfo& info, const DoAllConfig& cfg, int self,
+                                       std::optional<std::int64_t> param);
+
+// Instantiate the full process vector for a run: make_procs when set and
+// no param is given, else make_process for each self.  The simulator and
+// the round pool build through here, so run-shared state is the same on
+// both.
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,
                                                       const DoAllConfig& cfg);
 std::vector<std::unique_ptr<IProcess>> make_processes(const ProtocolInfo& info,

@@ -134,7 +134,6 @@ Action DynamicDProcess::on_round(const RoundContext& ctx, const InboxView& inbox
     tn_.set(static_cast<std::size_t>(self_));
     kn_ = known_;
     dn_ = done_;
-    agree_entry_round_ = ctx.round;
     agree_past_horizon_ = ctx.round >= Round{cfg_.horizon};
     iter_ = 0;
     return agree_broadcast(false);

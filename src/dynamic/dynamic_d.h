@@ -97,7 +97,6 @@ class DynamicDProcess final : public IProcess {
 
   DynBitset u_, tn_, kn_, dn_;
   bool agree_past_horizon_ = false;
-  Round agree_entry_round_;
   int iter_ = 0;
   int grace_ = 0;
   std::map<int, std::shared_ptr<const DynAgreeMsg>> seen_;

@@ -224,43 +224,53 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
   }
 }
 
-ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
-                                   std::shared_ptr<AgreeMergeCache> merge_cache,
-                                   SharedBits all_units, SharedBits all_procs)
-    : n_(cfg.n), t_(cfg.t), self_(self), merge_cache_(std::move(merge_cache)) {
+DPhaseLoop::DPhaseLoop(const DoAllConfig& cfg, int self, SharedBits all_units,
+                       SharedBits all_procs)
+    : self_(self) {
   cfg.validate();
-  s_ = all_units ? std::move(all_units) : share_bits(DynBitset(static_cast<std::size_t>(n_), true));
-  t_alive_ =
-      all_procs ? std::move(all_procs) : share_bits(DynBitset(static_cast<std::size_t>(t_), true));
-  grace_ = 0;  // phase 1 starts in lockstep: no grace iteration needed
+  s_ = all_units ? std::move(all_units)
+                 : share_bits(DynBitset(static_cast<std::size_t>(cfg.n), true));
+  t_ = all_procs ? std::move(all_procs)
+                 : share_bits(DynBitset(static_cast<std::size_t>(cfg.t), true));
 }
 
-void ProtocolDProcess::enter_work_phase(const Round& now) {
-  const std::int64_t w = work_slice(*s_.base, *t_alive_, self_, my_slice_);  // s_ is uncut
-  slice_pos_ = 0;
-  // Everyone spends exactly ceil(|S|/|T|) rounds in the phase (line 7) so the
-  // agreement phases stay aligned.
-  work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-  // Line 8: S := S \ S' -- if we live to broadcast, the slice was performed.
-  // The slice is a run of consecutive members of S, so S \ S' is the shared
-  // S with the slice's position range cut (see SView).
-  if (!my_slice_.empty())
-    s_ = SView(s_.base, static_cast<std::size_t>(my_slice_.front() - 1),
-               static_cast<std::size_t>(my_slice_.back()));
+Action DPhaseLoop::retired_round(const RoundContext& ctx, const InboxView& inbox) {
+  if (revert_) return revert_->on_round(ctx, inbox);
+  Action a;
+  a.terminate = true;
+  return a;
 }
 
-void ProtocolDProcess::enter_agree_phase(const Round&) {
-  u_ = *t_alive_;
+std::optional<Action> DPhaseLoop::work_round(const Round& now) {
+  if (!work_entered_) {
+    work_entered_ = true;
+    const std::int64_t w = work_slice(*s_.base, *t_, self_, slice_);  // s_ is uncut
+    cursor_ = 0;
+    work_end_ = now + Round{static_cast<std::uint64_t>(w)};
+    // The slice is a run of consecutive members of S, so S \ S' is the
+    // shared S with the slice's position range cut.
+    if (!slice_.empty())
+      s_ = SView(s_.base, static_cast<std::size_t>(slice_.front() - 1),
+                 static_cast<std::size_t>(slice_.back()));
+  }
+  if (now >= work_end_) return std::nullopt;
+  Action a;
+  if (cursor_ < slice_.size()) a.work = slice_[cursor_++];
+  return a;
+}
+
+void DPhaseLoop::start_agree() {
+  agreeing_ = true;
+  u_ = *t_;
   audience_.reset();  // u_ changed; the shared audience set is stale
-  DynBitset tn(static_cast<std::size_t>(t_));
+  DynBitset tn(t_->size());
   tn.set(static_cast<std::size_t>(self_));
   tn_ = share_bits(std::move(tn));
   sn_ = s_;
   iter_ = 0;
-  done_ = false;
 }
 
-Action ProtocolDProcess::agree_broadcast(bool done) {
+Action DPhaseLoop::broadcast(bool done) {
   Action a;
   if (!audience_) {
     DynBitset bits = u_;
@@ -277,83 +287,86 @@ Action ProtocolDProcess::agree_broadcast(bool done) {
   return a;
 }
 
-void ProtocolDProcess::finish_agree(const Round& now) {
-  last_sent_.reset();  // the done broadcast is never folded back in
-  const std::uint64_t old_alive = t_alive_->count();
-  s_ = sn_.flattened();  // a cut survives only when no view was heard
-  t_alive_ = tn_;
-  PhaseEnd end = end_phase(old_alive, *s_.base, *t_alive_, self_, now);
-  if (end.kind != PhaseEnd::Kind::kNextPhase) {
-    revert_ = std::move(end.revert);
-    terminated_ = !revert_;
-    phase_kind_ = revert_ ? PhaseKind::kRevertA : PhaseKind::kFinished;
-    return;
-  }
-  ++phase_;
-  grace_ = 1;  // later phases absorb the <=1 round skew from done-adoption
-  phase_kind_ = PhaseKind::kWork;
-  work_entered_ = false;
+bool DPhaseLoop::receive(const AgreeFold& fold, int grace) {
+  const bool past_grace = iter_ >= grace;
+  bool removed_any = false;
+  const bool adopted = agree_receive(fold, self_, past_grace, sn_, tn_, u_, removed_any);
+  if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
+  ++iter_;
+  return adopted || (past_grace && !removed_any);
 }
 
-Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
-  if (terminated_) {
-    Action a;
-    a.terminate = true;
-    return a;
+void DPhaseLoop::finish_phase(const Round& now) {
+  agreeing_ = false;
+  work_entered_ = false;
+  last_sent_.reset();  // the done broadcast is never folded back in
+  const std::uint64_t old_alive = t_->count();
+  s_ = sn_.flattened();  // a cut survives only when no view was heard
+  t_ = tn_;
+  PhaseEnd end = end_phase(old_alive, *s_.base, *t_, self_, now);
+  if (end.kind == PhaseEnd::Kind::kNextPhase) {
+    ++phase_;
+  } else {
+    revert_ = std::move(end.revert);
+    terminated_ = !revert_;
   }
-  if (phase_kind_ == PhaseKind::kRevertA) return revert_->on_round(ctx, inbox);
+}
+
+Round DPhaseLoop::next_wake(const Round& now) const {
+  if (terminated_) return never_round();
+  if (revert_) return revert_->next_wake(now);
+  if (agreeing_ || !work_entered_ || cursor_ < slice_.size()) return now;
+  return work_end_ > now ? work_end_ : now;
+}
+
+ProtocolDProcess::ProtocolDProcess(const DoAllConfig& cfg, int self,
+                                   std::shared_ptr<AgreeMergeCache> merge_cache,
+                                   SharedBits all_units, SharedBits all_procs)
+    : t_(cfg.t),
+      loop_(cfg, self, std::move(all_units), std::move(all_procs)),
+      merge_cache_(std::move(merge_cache)) {}
+
+Action ProtocolDProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
+  if (loop_.retired()) return loop_.retired_round(ctx, inbox);
 
   // The round's ledger index, when this process has a run-shared cache and
   // mail (a non-empty view always has a record vector).
   std::shared_ptr<const AgreeMergeCache::Index> idx;
   if (merge_cache_ && !inbox.empty()) idx = merge_cache_->index(ctx.round, *inbox.records(), t_);
 
-  if (phase_kind_ == PhaseKind::kWork) {
+  if (!loop_.agreeing()) {
     // Early arrivals of this phase (a peer finished the previous agreement
     // first) are stashed for the agreement phase; a ledger carrying no
     // record of this phase has none to stash.
-    if (!inbox.empty() && (!idx || idx->carries(phase_))) walk(inbox);
-    if (!work_entered_) {
-      work_entered_ = true;
-      enter_work_phase(ctx.round);
-    }
-    if (ctx.round < work_end_) {
-      Action a;
-      if (slice_pos_ < my_slice_.size()) a.work = my_slice_[slice_pos_++];
-      return a;
-    }
-    phase_kind_ = PhaseKind::kAgree;
-    enter_agree_phase(ctx.round);
-    return agree_broadcast(false);  // iteration-0 broadcast
+    if (!inbox.empty() && (!idx || idx->carries(loop_.phase()))) walk(inbox);
+    if (std::optional<Action> a = loop_.work_round(ctx.round)) return std::move(*a);
+    loop_.start_agree();
+    return loop_.broadcast(false);  // iteration-0 broadcast
   }
 
-  // Agreement phase, receive-check for iteration iter_ (peers' iteration-k
-  // broadcasts arrive one simulator round after they were sent).
-  const bool served =
-      idx && early_retained_.empty() && idx->serves(self_, phase_, last_sent_.get());
+  // Agreement phase, receive-check for the current iteration (peers'
+  // iteration-k broadcasts arrive one simulator round after they were
+  // sent).  Phase 1 starts in lockstep; later phases allow one grace
+  // iteration for the <=1 round skew left by done-adoption.
+  const int grace = loop_.phase() == 1 ? 0 : 1;
+  const bool served = idx && early_retained_.empty() &&
+                      idx->serves(loop_.self(), loop_.phase(), loop_.last_sent());
   if (merge_cache_) merge_cache_->count(served);
-  bool removed_any = false;
-  bool adopted = false;
+  bool over = false;
   if (served) {
     // The walk would have stashed exactly idx->msgs minus our own slot.
-    adopted = agree_receive(idx->fold, self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
+    over = loop_.receive(idx->fold, grace);
   } else {
     walk(inbox);
-    adopted = agree_receive(fold_views(seen_), self_, iter_ >= grace_, sn_, tn_, u_, removed_any);
+    over = loop_.receive(fold_views(seen_), grace);
     std::fill(seen_.begin(), seen_.end(), nullptr);
     early_retained_.clear();
   }
-  if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
-  const bool stable = !removed_any && iter_ >= grace_;
-  ++iter_;
-
-  if (adopted || stable) {
-    Action a = agree_broadcast(true);  // line 20: final view, done = true
-    finish_agree(ctx.round);
-    if (terminated_) a.terminate = true;
-    return a;
-  }
-  return agree_broadcast(false);
+  if (!over) return loop_.broadcast(false);
+  Action a = loop_.broadcast(true);  // line 20: final view, done = true
+  loop_.finish_phase(ctx.round);
+  a.terminate = loop_.terminated();
+  return a;
 }
 
 void ProtocolDProcess::walk(const InboxView& inbox) {
@@ -362,27 +375,12 @@ void ProtocolDProcess::walk(const InboxView& inbox) {
   // agreement-round arrivals are consumed before on_round returns (see the
   // seen_ comment in the header).
   if (seen_.empty()) seen_.assign(static_cast<std::size_t>(t_), nullptr);
-  stash_views(inbox, phase_, seen_, phase_kind_ == PhaseKind::kWork ? &early_retained_ : nullptr);
-}
-
-Round ProtocolDProcess::next_wake(const Round& now) const {
-  if (terminated_) return never_round();
-  switch (phase_kind_) {
-    case PhaseKind::kRevertA:
-      return revert_->next_wake(now);
-    case PhaseKind::kWork:
-      if (!work_entered_ || slice_pos_ < my_slice_.size()) return now;
-      return work_end_ > now ? work_end_ : now;
-    case PhaseKind::kAgree:
-      return now;
-    case PhaseKind::kFinished:
-      return now;  // wake once more to emit the terminate action
-  }
-  return never_round();
+  stash_views(inbox, loop_.phase(), seen_, loop_.agreeing() ? nullptr : &early_retained_);
 }
 
 std::string ProtocolDProcess::describe() const {
-  return "ProtocolD[" + std::to_string(self_) + ",phase=" + std::to_string(phase_) + "]";
+  return "ProtocolD[" + std::to_string(loop_.self()) + ",phase=" + std::to_string(loop_.phase()) +
+         "]";
 }
 
 }  // namespace dowork

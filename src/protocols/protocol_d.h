@@ -26,12 +26,17 @@
 // The phase core below (work_slice, the AgreeFold receive -- fold_views,
 // stash_views, drop_silent, agree_receive -- end_phase and RevertToA) is
 // shared with the coordinator variant and the dynamic-workload extension.
+// DPhaseLoop, built on it, is the process shell D and the coordinator
+// variant both run: the work phase, the broadcast agreement and the phase
+// end.  What stays in ProtocolDProcess is how a receive gets its fold: from
+// the merge cache's ledger index (served) or from its own inbox (walked).
 #pragma once
 
 #include <atomic>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "core/work.h"
@@ -73,10 +78,10 @@ struct SView {
 };
 
 // Ownership: the views are immutable and shared.  A broadcast aliases the
-// sender's current (sn_, tn_) instead of copying n + t bits, and a process
+// sender's current (sn, tn) instead of copying n + t bits, and a process
 // whose merge leaves a view unchanged -- or equal to the fold it merged --
 // keeps aliasing that object (AgreeFold::merge_into).  No view is copied on
-// write in iteration 0: enter_work_phase's S \ S' records its cut on the
+// write in iteration 0: work_round's S \ S' records its cut on the
 // shared S, so a phase's iteration-0 views are t cuts of one base.  A view
 // is copied only by a merge that yields new bits, and flattened only when a
 // process ends its agreement with a cut still standing (it heard no view).
@@ -187,6 +192,118 @@ struct PhaseEnd {
 PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset& alive, int self,
                    const Round& now);
 
+// One Protocol D process's phase loop (Figure 4), shared by D and D_coord:
+// the agreed (S, T), the work phase, the broadcast agreement and the phase
+// end.  The owning process calls it from on_round in this shape:
+//
+//   retired()   -> retired_round(): the terminate action, or the embedded
+//                  Protocol A's round once reverted;
+//   !agreeing() -> work_round(): the slice's next unit, entering the phase
+//                  on its first round; nullopt at work_end, where the
+//                  process calls start_agree();
+//   agreeing()  -> receive(fold, grace) over its fold of the phase's views,
+//                  then broadcast(done) to u \ {self}, and finish_phase()
+//                  once the agreement is over.
+//
+// D runs the agreement every round, at grace 0 in phase 1 and 1 after.
+// D_coord runs its own coordinator rounds on the same (sn, tn) -- merge(),
+// adopt(), and the final and re-broadcast views sent to u \ {self}, which
+// is T \ {self} then -- and the loop's agreement, at grace 2, only as its
+// fallback.  So ROADMAP item 4's two per-process checks each have one
+// site: the (S, T) a survivor agrees on is decided in receive(), and
+// "revert exactly when more than half were lost" in finish_phase().
+class DPhaseLoop {
+ public:
+  // `all_units` (n bits, all set) and `all_procs` (t bits, all set) are the
+  // starting (S, T); null builds a private pair.
+  DPhaseLoop(const DoAllConfig& cfg, int self, SharedBits all_units = nullptr,
+             SharedBits all_procs = nullptr);
+
+  bool terminated() const { return terminated_; }
+  bool reverted() const { return revert_ != nullptr; }
+  bool retired() const { return terminated_ || revert_; }
+  // A retired process's round: the terminate action, or the embedded A's.
+  Action retired_round(const RoundContext& ctx, const InboxView& inbox);
+
+  // A work-phase round.  The first one enters the phase: the slice
+  // (work_slice), work_end = now + ceil(|S|/|T|) so everyone's agreement
+  // starts aligned (line 7), and line 8's S := S \ S' -- if we live to
+  // broadcast, the slice was performed -- as a cut of the shared S (see
+  // SView).  Each round before work_end performs the slice's next unit, if
+  // any; at work_end the result is nullopt.
+  std::optional<Action> work_round(const Round& now);
+
+  // Starts the agreement: u = T, sn = S, tn = {self}, iteration 0.
+  void start_agree();
+  // Sends (sn, tn, done) to u \ {self}.  The audience is one shared
+  // immutable set that the ledger records alias (sim/message.h), rebuilt
+  // only after u changes, so a stable agreement's broadcasts share one
+  // object.  No message is built when the audience is empty.
+  Action broadcast(bool done);
+  // The receive-check of the agreement's current iteration over `fold`
+  // (agree_receive; silent members are dropped from iteration `grace` on).
+  // True when the agreement is over: a done view was adopted, or an
+  // iteration past grace dropped no one.
+  bool receive(const AgreeFold& fold, int grace);
+  // D_coord's coordinator rounds: merge a fold of reports into (sn, tn),
+  // or adopt a final view whole.
+  void merge(const AgreeFold& fold) { fold.merge_into(sn_, tn_); }
+  void adopt(const AgreeMsg& view) {
+    sn_ = view.s_left;
+    tn_ = view.t_alive;
+  }
+  // The phase end (Figure 4 lines 9-13): (S, T) := (sn, tn), then
+  // end_phase decides the next phase, termination or the revert to A.
+  // Leaves the agreement either way; the next work_round enters a fresh
+  // work phase.
+  void finish_phase(const Round& now);
+
+  // The wake of a working or retired process (monotone, process.h); now
+  // while agreeing.
+  Round next_wake(const Round& now) const;
+
+  int self() const { return self_; }
+  int phase() const { return phase_; }  // 1-based
+  bool agreeing() const { return agreeing_; }
+  // The agreed views, shared and immutable (see AgreeMsg): after an
+  // agreement phase every survivor that agreed aliases the same objects.
+  // s() is uncut between phases and cut by this process's slice during one.
+  const SView& s() const { return s_; }
+  const SharedBits& t() const { return t_; }
+  const DynBitset& u() const { return u_; }
+  const SView& sn() const { return sn_; }
+  const SharedBits& tn() const { return tn_; }
+  // This agreement's latest broadcast (null before the first, after a round
+  // that sent none, and after the phase end).  Owned, not raw: the merge
+  // cache's pointer comparison (Index::serves) must not be fooled by a
+  // freed record (the network may drop the whole audience).
+  const AgreeMsg* last_sent() const { return last_sent_.get(); }
+
+ private:
+  int self_;
+  int phase_ = 1;
+  SView s_;  // outstanding units (unit u -> bit u-1)
+  SharedBits t_;
+
+  // Work phase.
+  bool work_entered_ = false;
+  std::vector<std::int64_t> slice_;
+  std::size_t cursor_ = 0;
+  Round work_end_;  // the round the agreement starts
+
+  // Agreement (pipelined; see the header comment).
+  bool agreeing_ = false;
+  DynBitset u_;    // not yet known faulty this phase
+  SharedBits tn_;  // T being accumulated; each broadcast aliases it
+  SView sn_;       // S being intersected; each broadcast aliases it
+  std::shared_ptr<const RecipientBits> audience_;  // u_ \ {self}; null = stale
+  int iter_ = 0;
+  std::shared_ptr<const AgreeMsg> last_sent_;
+
+  std::unique_ptr<RevertToA> revert_;  // set once reverted
+  bool terminated_ = false;
+};
+
 // Run-scoped memoization of an agreement round's receive.  Every recipient
 // of an agreement round reads the SAME broadcast ledger: walked one by one,
 // that is Theta(t) inbox entries and view merges per recipient, Theta(t^2)
@@ -197,11 +314,11 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // fold instead of on the fold of its own stash.
 //
 // One fold serves everyone because a process's own message is idempotent
-// in its own view: agree_broadcast sends the sender's current (sn_, tn_),
-// and nothing touches either until the next receive, so sn_ &= own.s_left
-// and tn_ |= own.t_alive change nothing -- "everyone except me" equals
-// "everyone", provided the ledger's record from me carries exactly my
-// last_sent_ (Index::serves compares the pointers).
+// in its own view: DPhaseLoop::broadcast sends the sender's current
+// (sn, tn), and nothing touches either until the next receive, so
+// sn &= own.s_left and tn |= own.t_alive change nothing -- "everyone except
+// me" equals "everyone", provided the ledger's record from me carries
+// exactly my last_sent() (Index::serves compares the pointers).
 //
 // The model boundary: a recipient only uses records its own delivery
 // predicate admits.  The index therefore marks a recipient *eligible* when
@@ -214,16 +331,15 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 // differs only in the own slot, which drop_silent never drops.  Everything
 // else walks as before: cut-out or dropped recipients, mixed-phase ledgers,
 // two records from one sender, early arrivals already stashed, an own
-// message missing from the ledger (a socket worker's one-recipient mailbox
-// never carries one), and processes built without a cache.  protocol_d_test pins
+// message missing from the ledger, and processes built without a cache (a
+// socket worker's one process among them).  protocol_d_test pins
 // cache and cache-free runs to identical metrics, and pins that a
 // crash-free run serves every agreement receive.
 //
 // Keying: an index is identified by (round, record vector address).  That
-// is sound because, within one round, each record vector a cache-sharing
-// process reads is a single vector, never refilled or replaced at the same
-// address: the simulator's ledger, or a socket worker's mailbox (each
-// worker hosts one process).  The wrappers that build their own records
+// is sound because, within one round, the record vector cache-sharing
+// processes read is the simulator's ledger, never refilled or replaced at
+// the same address.  The wrappers that build their own records
 // (revert-to-A, the Byzantine layer) wrap only A, B and C, which build no
 // index.
 //
@@ -258,7 +374,7 @@ class AgreeMergeCache {
     // broadcast is `own` (null if none) and who has stashed no early
     // arrivals, may be served from the index instead of walking.  Its own
     // slot is then never the fold's done adoptee: own is not a done message
-    // (finish_agree drops it), and the check keeps that explicit.
+    // (finish_phase drops it), and the check keeps that explicit.
     bool serves(int self, int phase, const AgreeMsg* own) const {
       return foldable() && phase_lo == phase && eligible.test(static_cast<std::size_t>(self)) &&
              msgs[static_cast<std::size_t>(self)] == own && (own == nullptr || fold.done != own);
@@ -291,19 +407,19 @@ class AgreeMergeCache {
 
 class ProtocolDProcess final : public IProcess {
  public:
-  // `all_units` (n bits, all set) and `all_procs` (t bits, all set) are the
-  // starting (S, T); a run passes one pair to every process, so its t
-  // processes start on one S and one T.  Null builds a private pair.
+  // `all_units`/`all_procs`: the starting (S, T) (see DPhaseLoop); a run
+  // passes one pair to every process, so its t processes start on one S
+  // and one T.
   ProtocolDProcess(const DoAllConfig& cfg, int self,
                    std::shared_ptr<AgreeMergeCache> merge_cache = nullptr,
                    SharedBits all_units = nullptr, SharedBits all_procs = nullptr);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
-  Round next_wake(const Round& now) const override;
+  Round next_wake(const Round& now) const override { return loop_.next_wake(now); }
   std::string describe() const override;
 
-  int phases_completed() const { return phase_ - 1; }
-  bool reverted_to_a() const { return phase_kind_ == PhaseKind::kRevertA; }
+  int phases_completed() const { return loop_.phase() - 1; }
+  bool reverted_to_a() const { return loop_.reverted(); }
 
   // Observability accessor (process.h): units outside the outstanding set S
   // are exactly the ones this process knows done (performed by itself or
@@ -311,50 +427,15 @@ class ProtocolDProcess final : public IProcess {
   // revert-time value — the embedded Protocol A instance works on virtual
   // ids, so its extra knowledge is not translated back.
   std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(s_.size() - s_.count());
+    return static_cast<std::int64_t>(loop_.s().size() - loop_.s().count());
   }
 
  private:
-  enum class PhaseKind { kWork, kAgree, kRevertA, kFinished };
-
-  void enter_work_phase(const Round& now);
-  void enter_agree_phase(const Round& now);
-  Action agree_broadcast(bool done);
   // Stashes this phase's agreement messages from `inbox` into seen_.
   void walk(const InboxView& inbox);
-  void finish_agree(const Round& now);
 
-  std::int64_t n_;
   int t_;
-  int self_;
-
-  PhaseKind phase_kind_ = PhaseKind::kWork;
-  int phase_ = 1;
-  // The agreed views, shared and immutable (see AgreeMsg): after an
-  // agreement phase every survivor that agreed aliases the same objects.
-  // s_ is uncut between phases and cut by this process's slice during one.
-  SView s_;  // outstanding units (unit u -> bit u-1)
-  SharedBits t_alive_;
-
-  // Work-phase state (the slice comes from work_slice).
-  std::vector<std::int64_t> my_slice_;
-  std::size_t slice_pos_ = 0;
-  Round work_end_;  // round at which the agreement phase starts
-  bool work_entered_ = false;
-
-  // Agreement-phase state (pipelined; see header comment).
-  DynBitset u_;    // not yet known faulty this phase
-  SharedBits tn_;  // T being accumulated; each broadcast aliases it
-  SView sn_;       // S being intersected; each broadcast aliases it
-  // The broadcast audience (u_ minus self) as the shared immutable set the
-  // ledger records alias (sim/message.h).  Rebuilt lazily whenever u_
-  // changes; between changes -- every iteration of a stable agreement --
-  // consecutive broadcasts share one object, so a full agreement phase
-  // allocates O(changes) audience sets, not O(iterations).
-  std::shared_ptr<const RecipientBits> audience_;
-  int iter_ = 0;
-  int grace_ = 0;
-  bool done_ = false;
+  DPhaseLoop loop_;
   // This phase's broadcasts, indexed by sender (null = silent), filled by
   // the inbox walk; a flat array instead of a map keeps the per-iteration
   // bookkeeping O(t) with no node allocation.  Allocated on the first walk:
@@ -368,15 +449,7 @@ class ProtocolDProcess final : public IProcess {
   // messages).
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> early_retained_;
-  // This agreement phase's latest broadcast (null before the first and
-  // after a round that sent none), the own slot of the cache's index.
-  // Owned, not raw: the pointer comparison in Index::serves must not be
-  // fooled by a freed record (the network may drop the whole audience).
-  std::shared_ptr<const AgreeMsg> last_sent_;
   std::shared_ptr<AgreeMergeCache> merge_cache_;  // run-shared; null = always walk
-
-  std::unique_ptr<RevertToA> revert_;  // set once phase_kind_ is kRevertA
-  bool terminated_ = false;
 };
 
 }  // namespace dowork

@@ -26,12 +26,15 @@
 // messages = 2(t-1), at a constant number of extra (message-free) rounds
 // relative to the broadcast variant -- the trade the paper describes.
 //
-// Only who the agreement messages go to differs from Protocol D; the rest is
-// D's phase core (protocol_d.h): work_slice cuts each work phase's slice,
-// stash_views keeps the inbox's views, the coordinator merge and the await
-// adoption read their fold_views, the fallback's receive-check is
-// agree_receive with grace 2, and end_phase with its RevertToA wrapper
-// decides terminate, next phase or revert.
+// Only who the agreement messages go to differs from Protocol D, and only
+// that is written here: the coordinator's collect and finalize rounds, the
+// await-and-adopt rounds, the listen and re-broadcast rounds, and their
+// fixed offsets.  Everything else is D's own phase loop (DPhaseLoop,
+// protocol_d.h): the work phase with its S \ S' cut, the agreement start,
+// the broadcasts to u \ {self} through one cached audience (the final
+// view and a re-broadcast go to T \ {self}, since u = T until a fallback
+// drops someone), the fallback's receive-check at grace 2, and the phase
+// end that terminates, starts the next phase or reverts to Protocol A.
 #pragma once
 
 #include "protocols/protocol_d.h"
@@ -47,49 +50,27 @@ class ProtocolDCoordProcess final : public IProcess {
   Round next_wake(const Round& now) const override;
   std::string describe() const override;
 
+  // The shared phase loop, for tests: its (S, T), u and phase.
+  const DPhaseLoop& loop() const { return loop_; }
+
  private:
-  enum class PhaseKind { kWork, kAgrCoord, kAgrAwait, kAgrListen, kAgrFallback, kRevertA,
-                         kFinished };
+  // Where this process is in the agreement window (read while
+  // loop_.agreeing()).
+  enum class Stage { kCoord, kAwait, kListen, kFallback };
 
   int coordinator() const;  // lowest-id process believed alive
-  void enter_work_phase(const Round& now);
-  // Starts a view exchange from this phase's S: sn_ = s_, tn_ = {self}.
-  void reset_views();
-  // Sends (sn_, tn_, done) to every member of `who` except self.
-  Action broadcast_view(const DynBitset& who, bool done);
   void clear_seen();
-  void finish_phase(const Round& now);
 
-  std::int64_t n_;
-  int t_;
-  int self_;
-
-  PhaseKind phase_kind_ = PhaseKind::kWork;
-  int phase_ = 1;
-  SView s_;  // shared immutable views, as in protocol_d.h
-  SharedBits t_alive_;
-
-  std::vector<std::int64_t> my_slice_;
-  std::size_t slice_pos_ = 0;
-  Round work_end_;  // == this phase's agreement entry round R
-  bool work_entered_ = false;
-
-  // Agreement state; broadcasts alias sn_ and tn_.
-  DynBitset u_;
-  SharedBits tn_;
-  SView sn_;
+  DPhaseLoop loop_;
+  Stage stage_ = Stage::kCoord;
   // This phase's messages, indexed by sender (null = silent), as
   // fold_views reads them; held_ keeps their payloads alive, since the
   // coordinator's reports and the awaited final view span several rounds.
   std::vector<const AgreeMsg*> seen_;
   std::vector<std::shared_ptr<const Payload>> held_;
-  Round agr_entry_;        // R
+  Round agr_entry_;  // R
   bool responded_ = false;
-  int iter_ = 0;           // fallback iteration counter
-  Round resume_at_;        // next work-phase entry round
-
-  std::unique_ptr<RevertToA> revert_;  // set once phase_kind_ is kRevertA
-  bool terminated_ = false;
+  Round resume_at_;  // next work-phase entry round
 };
 
 }  // namespace dowork

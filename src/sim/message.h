@@ -297,9 +297,8 @@ class InboxView {
   // records its own delivers_to admits, and retains nothing from the
   // vector past the round -- the vector is recycled like the view itself
   // (process.h's inbox reuse contract).  The key holds because, within one
-  // round, each record vector a cache-sharing process reads is a single
-  // vector, never refilled or replaced at the same address (AgreeMergeCache
-  // lists the vectors that reach it).
+  // round, the record vector cache-sharing processes read is the
+  // simulator's ledger, never refilled or replaced at the same address.
   const std::vector<DeliveryRecord>* records() const { return recs_; }
 
   class const_iterator {

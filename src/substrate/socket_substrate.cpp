@@ -133,11 +133,10 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
   DoAllConfig cfg{n, t};
   std::unique_ptr<IProcess> proc;
   try {
-    // Same deterministic construction as the coordinator's model run; any
-    // run-shared state (D's merge cache) serves just this one process here,
-    // since the siblings live in other address spaces.
-    auto procs = make_processes(find_protocol(protocol), cfg, param);
-    proc = std::move(procs.at(static_cast<std::size_t>(self)));
+    // Same deterministic construction as the coordinator's model run, for
+    // this worker's one process: its siblings live in other address spaces.
+    if (self < 0 || self >= t) throw std::out_of_range("process id " + std::to_string(self));
+    proc = make_process(find_protocol(protocol), cfg, self, param);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dowork socket worker %d: bad setup: %s\n", self, e.what());
     return 2;
@@ -161,8 +160,7 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
       return 4;
 
     // The round's mailbox: one record per delivered frame, addressed to
-    // self.  It is this process's whole ledger, so D's merge cache may
-    // index it like the simulator's.
+    // self -- this process's whole ledger.
     std::vector<DeliveryRecord> mail;
     wire::FrameReader reader;
     char buf[65536];

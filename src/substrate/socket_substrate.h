@@ -6,9 +6,8 @@
 //
 // Topology per run: the coordinator keeps the real Simulator + the
 // unmodified FaultSpec/adversary/verifier stack; its process objects are
-// thin socket proxies.  Each worker process re-instantiates the protocol
-// roster from the registry (deterministic construction) and keeps only its
-// own process object.  One round = the coordinator ships each stepped
+// thin socket proxies.  Each worker process builds only its own process
+// object from the registry (make_process: deterministic construction).  One round = the coordinator ships each stepped
 // worker its mail (one kDeliver frame per message, the frame bytes built
 // once per broadcast) plus a kStep, then pumps replies under the watchdog
 // deadline.  Under the deterministic schedule the commit order is

@@ -67,6 +67,22 @@ TEST(Registry, MakeProcessesBuildsTDistinctProcesses) {
   for (const auto& p : procs) EXPECT_NE(p, nullptr);
 }
 
+// A param needs a parameterized factory whether a run builds one process
+// (a socket worker) or all of them, and D's whole-run factory does not
+// lift the rule.
+TEST(Registry, ParamIsRejectedWithoutAParameterizedFactory) {
+  const DoAllConfig cfg{10, 5};
+  for (const char* name : {"A", "D"}) {
+    const ProtocolInfo& info = find_protocol(name);
+    ASSERT_FALSE(info.make_proc_param) << name;
+    EXPECT_THROW(make_process(info, cfg, 0, 3), std::invalid_argument) << name;
+    EXPECT_THROW(make_processes(info, cfg, 3), std::invalid_argument) << name;
+  }
+  const ProtocolInfo& ckpt = find_protocol("baseline_checkpoint");
+  EXPECT_NE(make_process(ckpt, cfg, 4, 3), nullptr);
+  EXPECT_EQ(make_processes(ckpt, cfg, 3).size(), 5u);
+}
+
 TEST(Verifier, FlagsMissingUnits) {
   DoAllConfig cfg{3, 2};
   RunMetrics m;

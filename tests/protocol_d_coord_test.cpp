@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "core/runner.h"
+#include "sim/simulator.h"
 
 namespace dowork {
 namespace {
@@ -113,6 +118,102 @@ TEST(ProtocolDCoord, RevertedRunTakesOverOnProtocolASchedule) {
   EXPECT_EQ(r.metrics.work_total, 79u);
   EXPECT_EQ(r.metrics.messages_total, 11u);
   EXPECT_EQ(r.metrics.last_retire_round, Round{108u});
+}
+
+// One agreement send and its sender's phase loop right after the round that
+// sent it (no D_coord round both sends and ends its phase).
+struct AudienceSend {
+  int from;
+  int phase;
+  bool done;
+  std::shared_ptr<const RecipientBits> to;  // null for a report's unicast
+  DynBitset u, t;
+};
+
+class AudienceRecorder final : public IProcess {
+ public:
+  AudienceRecorder(std::unique_ptr<ProtocolDCoordProcess> inner, std::vector<AudienceSend>& out)
+      : inner_(std::move(inner)), out_(out) {}
+
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    Action a = inner_->on_round(ctx, inbox);
+    for (const Outgoing& o : a.sends)
+      if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
+        out_.push_back(AudienceSend{ctx.self, m->phase, m->done, o.to.shared_bits(),
+                                    inner_->loop().u(), *inner_->loop().t()});
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
+
+ private:
+  std::unique_ptr<ProtocolDCoordProcess> inner_;
+  std::vector<AudienceSend>& out_;
+};
+
+// Every agreement send of a serial run, in send order.
+std::vector<AudienceSend> record_audiences(const DoAllConfig& cfg,
+                                           std::vector<ScheduledFaults::Entry> entries) {
+  std::vector<AudienceSend> sent;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < cfg.t; ++i)
+    procs.push_back(std::make_unique<AudienceRecorder>(
+        std::make_unique<ProtocolDCoordProcess>(cfg, i), sent));
+  Simulator::Options opts;
+  opts.strict_one_op = true;
+  opts.n_units = cfg.n;
+  Simulator sim(std::move(procs), std::make_unique<ScheduledFaults>(std::move(entries)), opts);
+  EXPECT_TRUE(sim.run().all_retired);
+  return sent;
+}
+
+DynBitset without(DynBitset bits, int self) {
+  bits.reset(static_cast<std::size_t>(self));
+  return bits;
+}
+
+// D_coord's agreement sends go through the phase loop's one cached
+// audience.  A sender that never falls back (the coordinator's final view,
+// an adopter's re-broadcast) sends to T \ {self}; a fallback sender's
+// broadcasts each go to u \ {self} and alias one RecipientBits object until
+// its u drops a member.  Two coordinator deaths: mid final broadcast (T10's
+// coordinator-dies row: the two adopters answer the fallback) and before it
+// (no adopters: the fallback drops the silent coordinator).
+TEST(ProtocolDCoord, AgreementSendsShareTheLoopsAudience) {
+  struct Shape {
+    DoAllConfig cfg;
+    ScheduledFaults::Entry crash;
+  };
+  std::size_t finals = 0, rebroadcasts = 0, aliased = 0, rebuilt = 0;
+  for (const Shape& shape : {Shape{{128, 8}, {0, 17, CrashPlan{false, 2}}},
+                             Shape{{64, 8}, {0, 8, CrashPlan{true, 0}}}}) {
+    const std::vector<AudienceSend> sent = record_audiences(shape.cfg, {shape.crash});
+    std::set<std::pair<int, int>> fallback;  // (sender, phase)
+    for (const AudienceSend& s : sent)
+      if (s.to && !s.done) fallback.emplace(s.from, s.phase);
+    std::map<std::pair<int, int>, const AudienceSend*> last;
+    for (const AudienceSend& s : sent) {
+      if (!s.to) continue;  // a report to the coordinator
+      const std::pair<int, int> key{s.from, s.phase};
+      if (!fallback.count(key)) {
+        EXPECT_TRUE(s.done);
+        EXPECT_EQ(s.to->bits, without(s.t, s.from)) << "from " << s.from;
+        const bool coordinator = s.t.find_next(0) == static_cast<std::size_t>(s.from);
+        ++(coordinator ? finals : rebroadcasts);
+        continue;
+      }
+      EXPECT_EQ(s.to->bits, without(s.u, s.from)) << "from " << s.from;
+      if (const AudienceSend* prev = last[key]) {
+        const bool same_u = prev->u == s.u;
+        EXPECT_EQ(prev->to == s.to, same_u) << "from " << s.from;
+        ++(same_u ? aliased : rebuilt);
+      }
+      last[key] = &s;
+    }
+  }
+  EXPECT_EQ(finals, 2u);        // the dying coordinator's, and a later phase's
+  EXPECT_EQ(rebroadcasts, 2u);  // the first shape's adopters, processes 1 and 2
+  EXPECT_GT(aliased, 0u);
+  EXPECT_EQ(rebuilt, 7u);  // each survivor of the second shape drops process 0 once
 }
 
 struct SweepCase {

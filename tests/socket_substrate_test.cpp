@@ -37,9 +37,9 @@ RunOptions socket_options(Transport transport = Transport::kUds) {
 }
 
 // One differential case with the socket backend as the non-oracle leg.
-void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, int t,
-                                   const FaultSpec& spec,
-                                   Transport transport = Transport::kUds) {
+DiffResult expect_socket_differential_ok(const std::string& protocol, std::int64_t n, int t,
+                                         const FaultSpec& spec,
+                                         Transport transport = Transport::kUds) {
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
@@ -49,6 +49,7 @@ void expect_socket_differential_ok(const std::string& protocol, std::int64_t n, 
                               << spec.to_string() << " transport " << to_string(transport);
   EXPECT_FALSE(d.live.stats.leaked);
   EXPECT_EQ(d.live.stats.threads, t);  // one worker PROCESS per protocol process
+  return d;
 }
 
 FaultSpec chunk_cascade(std::int64_t n, int t) {
@@ -93,6 +94,19 @@ TEST(SocketSubstrateTest, DifferentialAdaptiveAdversaries) {
   expect_socket_differential_ok("A", 64, 8, FaultSpec::adaptive("greedy", 7, /*seed=*/3));
   expect_socket_differential_ok("B", 64, 8, FaultSpec::adaptive("chain", 7, /*seed=*/3));
   expect_socket_differential_ok("D", 64, 8, FaultSpec::adaptive("greedy", 3, /*seed=*/3));
+}
+
+TEST(SocketSubstrateTest, DCoordRevertMatchesAcrossTheWorkerBoundary) {
+  // D_coord's majority-loss revert (protocol_d_coord_test's schedule): in
+  // its revert round a process still cuts a fresh D slice and may perform
+  // one unit before Protocol A starts.  No experiment row runs it, so this
+  // pins that round across the worker boundary.
+  std::vector<ScheduledFaults::Entry> entries;
+  for (int p = 1; p < 6; ++p) entries.push_back({p, 2, CrashPlan{true, 0}});
+  const DiffResult d =
+      expect_socket_differential_ok("D_coord", 64, 8, FaultSpec::scheduled(std::move(entries)));
+  EXPECT_GT(d.live.metrics.messages_of(MsgKind::kCheckpoint), 0u);  // Protocol A ran
+  EXPECT_EQ(d.live.metrics.work_total, 77u);
 }
 
 TEST(SocketSubstrateTest, TcpTransportMatchesToo) {
