@@ -431,11 +431,15 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // entry as a lower bound: adaptive adversaries read committed state between
 // steps, so it pins the step order of A, B, C and D under them, C's promoted
 // (>2^64) deadlines through fast-forward included.
+// protocol_a, protocol_b, time_a_vs_b and async were captured before A, B and
+// asynchronous A moved onto one checkpoint core: they pin the A/B takeover
+// resume paths, B's go-ahead probes and the async failure-detector trigger.
 INSTANTIATE_TEST_SUITE_P(PreOptimizationCaptures, GoldenJson,
                          ::testing::Values("smoke", "checkpoint_sweep", "protocol_c",
                                            "protocol_d", "dynamic", "wan_latency",
                                            "lossy_link", "partition_heal", "byzantine",
-                                           "live_throughput", "adversary_search"),
+                                           "live_throughput", "adversary_search", "protocol_a",
+                                           "protocol_b", "time_a_vs_b", "async"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace
