@@ -3,83 +3,48 @@
 namespace dowork {
 
 AsyncProtocolAProcess::AsyncProtocolAProcess(const DoAllConfig& cfg, int self)
-    : layout_(GroupLayout::for_sqrt(cfg.t)),
-      part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
-      self_(self) {
-  cfg.validate();
-}
-
-void AsyncProtocolAProcess::ingest(int from, const Payload* payload) {
-  const int last_sub = part_.num_subchunks();
-  if (const auto* p = dynamic_cast<const CkptPartial*>(payload)) {
-    if (p->c == last_sub) completion_seen_ = true;
-    last_ = LastCheckpoint{p->c, std::nullopt, from, Round{0}, false};
-  } else if (const auto* f = dynamic_cast<const CkptFull*>(payload)) {
-    if (f->c == last_sub && f->g == layout_.group_of(self_)) completion_seen_ = true;
-    last_ = LastCheckpoint{f->c, f->g, from, Round{0}, false};
-  }
-}
+    : core_(cfg, self) {}
 
 bool AsyncProtocolAProcess::lower_processes_all_retired() const {
-  for (int p = 0; p < self_; ++p)
+  for (int p = 0; p < core_.self(); ++p)
     if (retired_known_.find(p) == retired_known_.end()) return false;
   return true;
 }
 
-AsyncAction AsyncProtocolAProcess::pop_plan() {
-  AsyncAction a;
-  if (plan_.empty()) {
-    a.terminate = true;
-    done_ = true;
-    return a;
-  }
-  ActiveOp op = plan_.pop();
-  if (op.work) {
-    a.work = op.work;
-  } else {
-    a.sends.push_back(Outgoing{op.recipients, MsgKind::kCheckpoint, std::move(op.payload)});
-  }
-  if (plan_.empty()) {
-    a.terminate = true;
-    done_ = true;
-  } else {
-    a.timer = 1;  // pace one operation per step
-  }
-  return a;
+namespace {
+
+// The synchronous core's step, paced one operation per timer tick.
+AsyncAction paced(Action a) {
+  AsyncAction out{std::move(a.work), std::move(a.sends), a.terminate, std::nullopt};
+  if (!out.terminate) out.timer = 1;
+  return out;
 }
 
+}  // namespace
+
 AsyncAction AsyncProtocolAProcess::on_event(ATime, const AsyncEvent& event) {
-  if (done_) return {};
+  if (core_.done()) return {};
 
   switch (event.kind) {
     case AsyncEvent::Kind::kMessage:
-      if (!active_) {
-        ingest(event.from, event.payload.get());
-        if (completion_seen_) {
-          AsyncAction a;
-          a.terminate = true;
-          done_ = true;
-          return a;
-        }
-      }
-      return {};
+      // The detector, not a deadline, drives takeover: the receipt round is
+      // never read, so every checkpoint is taken in at round 0.
+      if (core_.active()) return {};
+      core_.ingest(event.payload.get(), event.from, Round{0});
+      return core_.completion_seen() ? paced(core_.retire()) : AsyncAction{};
     case AsyncEvent::Kind::kRetireNotice:
       retired_known_.insert(event.retired_proc);
       break;
     case AsyncEvent::Kind::kStart:
       break;
     case AsyncEvent::Kind::kTimer:
-      if (active_) return pop_plan();
-      return {};
+      return core_.active() ? paced(core_.step()) : AsyncAction{};
   }
 
-  // kStart / kRetireNotice: maybe take over.
-  if (!active_ && !completion_seen_ && lower_processes_all_retired()) {
-    active_ = true;
-    plan_ = ActivePlan(layout_, part_, self_, last_, nullptr);
-    return pop_plan();
-  }
-  return {};
+  // kStart / kRetireNotice: take over once every lower process retired.
+  if (core_.active() || !lower_processes_all_retired()) return {};
+  core_.activate();
+  return paced(core_.step());
 }
 
 AsyncMetrics run_async_protocol_a(const DoAllConfig& cfg, AsyncSim::Options options,

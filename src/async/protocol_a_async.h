@@ -1,10 +1,12 @@
 // Asynchronous Protocol A (paper Section 2.1, final remark).
 //
-// Identical checkpointing structure to the synchronous Protocol A, but
-// process j becomes active when the failure detector has reported that every
-// process below j crashed or terminated, instead of waiting for the absolute
-// deadline DD(j).  Work and message complexity are unchanged; time depends
-// only on actual delays and detector latency, not on worst-case deadlines.
+// The synchronous Protocol A's CheckpointCore (protocols/protocol_a.h),
+// unchanged: only the takeover rule differs.  Process j becomes active when
+// the failure detector has reported that every process below j crashed or
+// terminated, instead of waiting for the absolute deadline DD(j), and an
+// active process paces the core's steps one per timer tick.  Work and
+// message complexity are unchanged; time depends only on actual delays and
+// detector latency, not on worst-case deadlines.
 #pragma once
 
 #include <set>
@@ -22,20 +24,10 @@ class AsyncProtocolAProcess final : public IAsyncProcess {
   AsyncAction on_event(ATime now, const AsyncEvent& event) override;
 
  private:
-  void ingest(int from, const Payload* payload);
   bool lower_processes_all_retired() const;
-  AsyncAction pop_plan();
 
-  GroupLayout layout_;
-  WorkPartition part_;
-  int self_;
-
-  bool active_ = false;
-  bool done_ = false;
-  bool completion_seen_ = false;
-  LastCheckpoint last_;
+  CheckpointCore core_;
   std::set<int> retired_known_;
-  ActivePlan plan_;
 };
 
 // Convenience harness mirroring run_do_all for the async model.

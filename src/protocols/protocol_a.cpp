@@ -1,5 +1,7 @@
 #include "protocols/protocol_a.h"
 
+#include <algorithm>
+
 namespace dowork {
 
 ActivePlan::ActivePlan(const GroupLayout& layout, const WorkPartition& part, int self,
@@ -139,119 +141,100 @@ std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPart
   return plan;
 }
 
-bool is_completion_notice(const GroupLayout& layout, const WorkPartition& part, int self,
-                          const Msg& msg) {
-  const int last_sub = part.num_subchunks();
-  if (const auto* p = msg.as<CkptPartial>()) return p->c == last_sub;
-  if (const auto* f = msg.as<CkptFull>())
-    return f->c == last_sub && f->g == layout.group_of(self);
-  return false;
-}
-
-ProtocolAProcess::ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round,
-                                   std::vector<std::int64_t> unit_map)
+CheckpointCore::CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round,
+                               std::vector<std::int64_t> unit_map)
     : layout_(GroupLayout::for_sqrt(cfg.t)),
       part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
-      n_(cfg.n),
-      t_(cfg.t),
       self_(self),
-      start_round_(start_round),
-      unit_map_(std::move(unit_map)) {
+      unit_map_(std::move(unit_map)),
+      last_{0, layout_.group_of(self), 0, start_round, true} {
   cfg.validate();
 }
 
-Round ProtocolAProcess::takeover_deadline() const {
-  // DD(j) = j * (n + 3t): by then processes 0..j-1 have retired (Lemma 2.2;
-  // each active process lives < n + 3t rounds, Lemma 2.1).
-  return start_round_ + Round{static_cast<std::uint64_t>(self_)} *
-                            static_cast<std::uint64_t>(n_ + 3 * static_cast<std::int64_t>(t_));
+bool CheckpointCore::ingest(const Payload* payload, int from, const Round& received_round) {
+  const int last_sub = part_.num_subchunks();
+  if (const auto* p = detail::payload_as<CkptPartial>(payload)) {
+    if (p->c == last_sub) completion_seen_ = true;
+    last_ = LastCheckpoint{p->c, std::nullopt, from, received_round, false};
+    return true;
+  }
+  if (const auto* f = detail::payload_as<CkptFull>(payload)) {
+    // Only the direct form addressed to our group; an echo (t, g) names a
+    // higher group and tells a group mate nothing final.
+    if (f->c == last_sub && f->g == layout_.group_of(self_)) completion_seen_ = true;
+    last_ = LastCheckpoint{f->c, f->g, from, received_round, false};
+    return true;
+  }
+  return false;
 }
 
-void ProtocolAProcess::ingest(const Msg& msg) {
-  if (is_completion_notice(layout_, part_, self_, msg)) completion_seen_ = true;
-  if (const auto* p = msg.as<CkptPartial>()) {
-    last_ = LastCheckpoint{p->c, std::nullopt, msg.from, msg.sent_round() + Round{1}, false};
-  } else if (const auto* f = msg.as<CkptFull>()) {
-    last_ = LastCheckpoint{f->c, f->g, msg.from, msg.sent_round() + Round{1}, false};
-  }
+void CheckpointCore::activate() {
+  phase_ = Phase::kActive;
+  plan_ = ActivePlan(layout_, part_, self_, last_, unit_map_.empty() ? nullptr : &unit_map_);
 }
 
-Action ProtocolAProcess::pop_plan() {
-  if (plan_.empty()) {
-    state_ = State::kDone;
-    Action a;
-    a.terminate = true;
-    return a;
-  }
-  ActiveOp op = plan_.pop();
+Action CheckpointCore::step() {
   Action a;
-  if (op.work) {
-    a.work = op.work;
-    if (unit_map_.empty() && *op.work > top_unit_) top_unit_ = *op.work;
-  } else {
-    // The whole group broadcast is ONE range-addressed send; the delivery
-    // plane never materializes per-recipient messages.
-    a.sends.push_back(Outgoing{op.recipients, MsgKind::kCheckpoint, std::move(op.payload)});
+  if (!plan_.empty()) {
+    ActiveOp op = plan_.pop();
+    if (op.work) {
+      a.work = op.work;
+      if (unit_map_.empty() && *op.work > top_unit_) top_unit_ = *op.work;
+    } else {
+      // The whole group broadcast is ONE range-addressed send; the delivery
+      // plane never materializes per-recipient messages.
+      a.sends.push_back(Outgoing{op.recipients, MsgKind::kCheckpoint, std::move(op.payload)});
+    }
   }
+  // Terminate in the same round as the final operation.
   if (plan_.empty()) {
-    // Terminate in the same round as the final operation.
     a.terminate = true;
-    state_ = State::kDone;
+    phase_ = Phase::kDone;
   }
   return a;
 }
 
-Action ProtocolAProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
-  for (const Msg& msg : inbox) ingest(msg);
-
-  if (state_ == State::kDone) {
-    Action a;
-    a.terminate = true;
-    return a;
-  }
-
-  if (state_ == State::kPassive) {
-    if (completion_seen_) {
-      state_ = State::kDone;
-      Action a;
-      a.terminate = true;
-      return a;
-    }
-    if (ctx.round >= takeover_deadline()) {
-      state_ = State::kActive;
-      plan_ = ActivePlan(layout_, part_, self_, last_,
-                         unit_map_.empty() ? nullptr : &unit_map_);
-    } else {
-      return Action::none();
-    }
-  }
-  return pop_plan();
+Action CheckpointCore::retire() {
+  phase_ = Phase::kDone;
+  Action a;
+  a.terminate = true;
+  return a;
 }
 
-std::int64_t ProtocolAProcess::known_done_units() const {
+std::int64_t CheckpointCore::known_done_units() const {
   if (!unit_map_.empty()) return 0;  // virtual ids; the D wrapper answers
   const int c = std::min(last_.c, part_.num_subchunks());
   const std::int64_t from_ckpt = c >= 1 ? part_.sub_end(c) : 0;
   return std::max(from_ckpt, top_unit_);
 }
 
+ProtocolAProcess::ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round,
+                                   std::vector<std::int64_t> unit_map)
+    : core_(cfg, self, start_round, std::move(unit_map)),
+      // DD(j) = j * (n + 3t): by then processes 0..j-1 have retired (Lemma
+      // 2.2; each active process lives < n + 3t rounds, Lemma 2.1).
+      deadline_(start_round + Round{static_cast<std::uint64_t>(self)} *
+                                  static_cast<std::uint64_t>(cfg.n + 3 * std::int64_t{cfg.t})) {}
+
+Action ProtocolAProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
+  for (const Msg& msg : inbox) core_.ingest(msg);
+  if (core_.active()) return core_.step();
+  if (core_.done() || core_.completion_seen()) return core_.retire();
+  if (ctx.round < deadline_) return Action::none();
+  core_.activate();
+  return core_.step();
+}
+
 Round ProtocolAProcess::next_wake(const Round& now) const {
-  switch (state_) {
-    case State::kPassive: {
-      if (completion_seen_) return now;  // wake to retire
-      Round dd = takeover_deadline();
-      return dd > now ? dd : now;
-    }
-    case State::kActive:
-      return now;  // acts every round until the plan is drained
-    case State::kDone:
-      return never_round();
-  }
-  return never_round();
+  if (core_.done()) return never_round();
+  // Active: act every round until the script is drained; a completion
+  // notice: wake to retire.
+  if (core_.active() || core_.completion_seen()) return now;
+  return deadline_ > now ? deadline_ : now;
 }
 
 std::string ProtocolAProcess::describe() const {
-  return "ProtocolA[" + std::to_string(self_) + "]";
+  return "ProtocolA[" + std::to_string(core_.self()) + "]";
 }
 
 }  // namespace dowork

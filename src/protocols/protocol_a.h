@@ -13,6 +13,11 @@
 // Guarantees (Theorem 2.3): work <= 3n', messages <= 9*t*sqrt(t), all
 // processes retired by round n't + 3t^2, where n' = max(n, t) (with n < t a
 // subchunk may be empty but is still checkpointed).
+//
+// Everything but the takeover rule lives in CheckpointCore below, which
+// Protocol B (protocol_b.h) and asynchronous A (async/protocol_a_async.h)
+// share: checkpoint intake and the completion rule, the active script, and
+// the units a process knows are done.  ProtocolAProcess adds only DD(j).
 #pragma once
 
 #include <deque>
@@ -67,8 +72,8 @@ struct ActiveOp {
 
 // The active process's remaining script (DoWork in Figure 1), generated
 // lazily: resume/complete the interrupted checkpoint, then work
-// subchunk-by-subchunk with partial/full checkpoints.  Shared by Protocols A
-// and B.
+// subchunk-by-subchunk with partial/full checkpoints.  CheckpointCore owns
+// one per process.
 //
 // Laziness matters under takeover cascades: the eager builder materialized
 // O(n + t) ops per takeover while the adversary lets each active process
@@ -122,12 +127,70 @@ std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPart
                                        int self, const LastCheckpoint& last,
                                        const std::vector<std::int64_t>* unit_map);
 
-// True when a received checkpoint tells `self` that all work is complete
-// ("(t)" or a direct "(t, g_self)").  Takes the non-owning message view;
-// a DeliveryRecord converts implicitly.
-bool is_completion_notice(const GroupLayout& layout, const WorkPartition& part, int self,
-                          const Msg& msg);
+// The checkpoint core shared by Protocols A and B and asynchronous A (and,
+// through RevertToA, Protocol D's revert): everything a process does with
+// checkpoints, whatever its takeover rule.  It takes checkpoints in, keeps
+// the last one for a takeover, runs the active script (Figure 1's DoWork)
+// once activated, and answers what the process knows is done.  The owning
+// process decides only *when* to activate -- A at DD(j), B after its
+// timeouts and probes, asynchronous A when the failure detector reports
+// every lower process retired.
+class CheckpointCore {
+ public:
+  // `unit_map`, if non-empty, remaps virtual unit v (1-based) to
+  // unit_map[v-1] (Protocol D's revert on the leftover work set).  Every
+  // process starts from Protocol B's fictitious ordinary message (0, g_self)
+  // from process 0, received at `start_round`; A and asynchronous A never
+  // read its round or group.
+  CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round = Round{0},
+                 std::vector<std::int64_t> unit_map = {});
 
+  // Takes in one received payload: the one decoder of "(c)" and "(c, g)"
+  // and the one completion rule -- "(t)" or a direct "(t, g_self)" means
+  // all work is done.  Returns whether the payload was a checkpoint.
+  bool ingest(const Payload* payload, int from, const Round& received_round);
+  // Synchronous receipt: a message sent in round r is received in r + 1.
+  bool ingest(const Msg& msg) {
+    return ingest(msg.payload().get(), msg.from, msg.sent_round() + Round{1});
+  }
+
+  // Becomes the active process, resuming from the last checkpoint taken in.
+  void activate();
+  // The active script's next op; `terminate` is set on the op that drains
+  // the script (at once when a resumed script is already empty).
+  Action step();
+  // Retires without (further) work: the terminate action.
+  Action retire();
+
+  bool active() const { return phase_ == Phase::kActive; }
+  bool done() const { return phase_ == Phase::kDone; }
+  bool completion_seen() const { return completion_seen_; }
+  const LastCheckpoint& last() const { return last_; }
+  const GroupLayout& layout() const { return layout_; }
+  const WorkPartition& part() const { return part_; }
+  int self() const { return self_; }
+
+  // Units known done: the last checkpoint heard (work is sequential, so
+  // subchunk c done means units 1..sub_end(c) are done) or the last unit
+  // performed.  Unit-mapped cores report 0 -- their ids are virtual and
+  // Protocol D's wrapper exposes its own knowledge instead.
+  std::int64_t known_done_units() const;
+
+ private:
+  enum class Phase : std::uint8_t { kPassive, kActive, kDone };
+
+  GroupLayout layout_;
+  WorkPartition part_;
+  int self_;
+  std::vector<std::int64_t> unit_map_;
+  Phase phase_ = Phase::kPassive;
+  bool completion_seen_ = false;
+  LastCheckpoint last_;
+  ActivePlan plan_;
+  std::int64_t top_unit_ = 0;  // highest unit performed (unmapped cores only)
+};
+
+// Protocol A's takeover rule: become active at the deadline DD(self).
 class ProtocolAProcess final : public IProcess {
  public:
   // `unit_map`, if non-empty, remaps virtual unit v (1-based) to
@@ -140,36 +203,12 @@ class ProtocolAProcess final : public IProcess {
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
   std::string describe() const override;
-
-  bool is_active() const { return state_ == State::kActive; }
-
-  // Observability accessor (process.h): units known done = the last
-  // checkpoint heard (work is sequential, so subchunk c done means units
-  // 1..sub_end(c) are done) or, when active, the last unit performed.
-  // Unit-mapped instances (Protocol D's revert) report 0 — their ids are
-  // virtual and the wrapper exposes its own knowledge instead.
-  std::int64_t known_done_units() const override;
+  // Observability accessor (process.h): the core's knowledge.
+  std::int64_t known_done_units() const override { return core_.known_done_units(); }
 
  private:
-  enum class State { kPassive, kActive, kDone };
-
-  Round takeover_deadline() const;  // start_round + DD(self)
-  void ingest(const Msg& msg);
-  Action pop_plan();
-
-  GroupLayout layout_;
-  WorkPartition part_;
-  std::int64_t n_;
-  int t_;
-  int self_;
-  Round start_round_;
-  std::vector<std::int64_t> unit_map_;
-
-  State state_ = State::kPassive;
-  bool completion_seen_ = false;
-  LastCheckpoint last_;
-  ActivePlan plan_;
-  std::int64_t top_unit_ = 0;  // highest unit performed (unmapped runs only)
+  CheckpointCore core_;
+  Round deadline_;  // start_round + DD(self)
 };
 
 }  // namespace dowork

@@ -1,190 +1,109 @@
 #include "protocols/protocol_b.h"
 
-#include <algorithm>
-
 namespace dowork {
 
 ProtocolBProcess::ProtocolBProcess(const DoAllConfig& cfg, int self, Round start_round)
-    : layout_(GroupLayout::for_sqrt(cfg.t)),
-      part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
-      n_(cfg.n),
-      t_(cfg.t),
-      self_(self),
-      start_round_(start_round) {
-  cfg.validate();
-  // PTO - 1 bounds the silence a process can see from an active process in
-  // its own group: one subchunk of work (<= ceil(n/t) rounds) plus the
-  // partial-checkpoint round plus delivery.
-  pto_ = static_cast<std::uint64_t>(ceil_div(n_, t_)) + 2;
-  // The paper's convention: a fictitious ordinary message (0, g_j) from
-  // process 0 at round 0 seeds every timeout.
-  last_ = LastCheckpoint{0, layout_.group_of(self_), 0, start_round_, true};
-}
+    // The core starts from the paper's convention: a fictitious ordinary
+    // message (0, g_j) from process 0 at the start round seeds every timeout.
+    : core_(cfg, self, start_round),
+      sub_len_(static_cast<std::uint64_t>(ceil_div(cfg.n, cfg.t))),
+      // PTO - 1 bounds the silence a process can see from an active process
+      // in its own group: one subchunk of work (<= ceil(n/t) rounds) plus
+      // the partial-checkpoint round plus delivery.
+      pto_(sub_len_ + 2),
+      start_round_(start_round) {}
 
 std::uint64_t ProtocolBProcess::gto(int i) const {
   // GTO(i) - 1 bounds the silence before a higher group hears from group g_i
   // while any process >= i there is active: one chunk of work, its partial
   // checkpoints, and the per-process takeover probes.
-  const std::uint64_t s = static_cast<std::uint64_t>(layout_.group_size());
-  const std::uint64_t chunk_work = s * static_cast<std::uint64_t>(ceil_div(n_, t_));
-  const std::uint64_t ibar = static_cast<std::uint64_t>(layout_.pos_in_group(i));
-  return chunk_work + 3 * s + (s - ibar - 1) * pto_ + 1;
+  const GroupLayout& layout = core_.layout();
+  const std::uint64_t s = static_cast<std::uint64_t>(layout.group_size());
+  const std::uint64_t ibar = static_cast<std::uint64_t>(layout.pos_in_group(i));
+  return s * sub_len_ + 3 * s + (s - ibar - 1) * pto_ + 1;
 }
 
 std::uint64_t ProtocolBProcess::ddb(int i) const {
-  const int gi = layout_.group_of(i);
-  const int gj = layout_.group_of(self_);
+  const int gi = core_.layout().group_of(i);
+  const int gj = core_.layout().group_of(core_.self());
   if (gi == gj) return pto_;
   return gto(i) + static_cast<std::uint64_t>(gj - gi - 1) * gto(0);
 }
 
 Round ProtocolBProcess::passive_deadline() const {
-  if (self_ == 0) return start_round_;  // process 0 is active from the start
-  return last_.received_round + Round{ddb(last_.from)};
+  if (core_.self() == 0) return start_round_;  // process 0 is active from the start
+  return core_.last().received_round + Round{ddb(core_.last().from)};
 }
 
-void ProtocolBProcess::ingest(const Msg& msg) {
-  if (msg.as<GoAhead>()) {
-    go_ahead_pending_ = true;
-    return;
-  }
-  if (is_completion_notice(layout_, part_, self_, msg)) completion_seen_ = true;
-  if (const auto* p = msg.as<CkptPartial>()) {
-    last_ = LastCheckpoint{p->c, std::nullopt, msg.from, msg.sent_round() + Round{1}, false};
-    if (state_ == State::kPreactive) state_ = State::kPassive;  // someone is alive below us
-  } else if (const auto* f = msg.as<CkptFull>()) {
-    last_ = LastCheckpoint{f->c, f->g, msg.from, msg.sent_round() + Round{1}, false};
-    if (state_ == State::kPreactive) state_ = State::kPassive;
-  }
-}
-
-void ProtocolBProcess::activate() {
-  state_ = State::kActive;
-  plan_ = ActivePlan(layout_, part_, self_, last_, nullptr);
+Round ProtocolBProcess::probe_due() const {
+  // next_probe_ never passes the target count, so once every probe is out
+  // this is the activation round.
+  return preactive_start_ + Round{pto_} * next_probe_;
 }
 
 void ProtocolBProcess::enter_preactive(const Round& now) {
-  state_ = State::kPreactive;
+  preactive_ = true;
   preactive_start_ = now;
   probe_targets_.clear();
   next_probe_ = 0;
-  const int gj = layout_.group_of(self_);
   // Probe the lower-numbered group members that might still be alive: all of
   // them if the last ordinary message came from another group, only those
   // above the (known retired) sender otherwise.
-  int first = layout_.group_of(last_.from) == gj ? last_.from + 1 : layout_.first_of_group(gj);
-  for (int k = first; k < self_; ++k) probe_targets_.push_back(k);
-}
-
-Action ProtocolBProcess::pop_plan() {
-  if (plan_.empty()) {
-    state_ = State::kDone;
-    Action a;
-    a.terminate = true;
-    return a;
-  }
-  ActiveOp op = plan_.pop();
-  Action a;
-  if (op.work) {
-    a.work = op.work;
-    if (*op.work > top_unit_) top_unit_ = *op.work;
-  } else {
-    a.sends.push_back(Outgoing{op.recipients, MsgKind::kCheckpoint, std::move(op.payload)});
-  }
-  if (plan_.empty()) {
-    a.terminate = true;
-    state_ = State::kDone;
-  }
-  return a;
-}
-
-std::int64_t ProtocolBProcess::known_done_units() const {
-  const int c = std::min(last_.c, part_.num_subchunks());
-  const std::int64_t from_ckpt = c >= 1 ? part_.sub_end(c) : 0;
-  return std::max(from_ckpt, top_unit_);
+  const GroupLayout& layout = core_.layout();
+  const int self = core_.self();
+  const int from = core_.last().from;
+  const int gj = layout.group_of(self);
+  int first = layout.group_of(from) == gj ? from + 1 : layout.first_of_group(gj);
+  for (int k = first; k < self; ++k) probe_targets_.push_back(k);
 }
 
 Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
-  go_ahead_pending_ = false;
-  for (const Msg& msg : inbox) ingest(msg);
-
-  if (state_ == State::kDone) {
-    Action a;
-    a.terminate = true;
-    return a;
+  bool go_ahead = false;
+  for (const Msg& msg : inbox) {
+    if (msg.as<GoAhead>()) {
+      go_ahead = true;
+    } else if (core_.ingest(msg)) {
+      preactive_ = false;  // a checkpoint: someone is alive below us
+    }
   }
-  if (state_ == State::kActive) return pop_plan();
-
+  if (core_.active()) return core_.step();
   // Passive/preactive: a completion notice retires us immediately.
-  if (completion_seen_) {
-    state_ = State::kDone;
-    Action a;
-    a.terminate = true;
-    return a;
-  }
+  if (core_.done() || core_.completion_seen()) return core_.retire();
+
   // A go-ahead makes us active on the spot, provided we do not already know
   // the last subchunk finished (c = t means only the tail of a full
   // checkpoint remains; the prober will time out and finish it itself).
-  if (go_ahead_pending_ && last_.c < part_.num_subchunks()) {
-    activate();
-    return pop_plan();
+  if (go_ahead && core_.last().c < core_.part().num_subchunks()) {
+    core_.activate();
+    return core_.step();
   }
-
-  if (state_ == State::kPassive) {
-    if (ctx.round >= passive_deadline()) {
-      enter_preactive(ctx.round);
-      // Fall through to emit the first probe (or activate if none needed).
-    } else {
-      return Action::none();
-    }
+  if (!preactive_) {
+    if (ctx.round < passive_deadline()) return Action::none();
+    enter_preactive(ctx.round);  // then emit the first probe (or activate if none needed)
   }
-
   // Preactive probing: go-aheads PTO rounds apart; once every target has
   // been probed and a further PTO of silence passed, become active.
-  if (state_ == State::kPreactive) {
-    Round activation = preactive_start_ + Round{pto_} * probe_targets_.size();
-    if (ctx.round >= activation) {
-      activate();
-      return pop_plan();
-    }
-    if (next_probe_ < probe_targets_.size()) {
-      Round due = preactive_start_ + Round{pto_} * next_probe_;
-      if (ctx.round >= due) {
-        Action a;
-        a.sends.push_back(
-            Outgoing{probe_targets_[next_probe_], MsgKind::kGoAhead, std::make_shared<GoAhead>()});
-        ++next_probe_;
-        return a;
-      }
-    }
-    return Action::none();
+  if (ctx.round >= preactive_start_ + Round{pto_} * probe_targets_.size()) {
+    core_.activate();
+    return core_.step();
   }
-  return Action::none();
+  if (next_probe_ >= probe_targets_.size() || ctx.round < probe_due()) return Action::none();
+  Action a;
+  a.sends.push_back(
+      Outgoing{probe_targets_[next_probe_], MsgKind::kGoAhead, std::make_shared<GoAhead>()});
+  ++next_probe_;
+  return a;
 }
 
 Round ProtocolBProcess::next_wake(const Round& now) const {
-  switch (state_) {
-    case State::kPassive: {
-      if (completion_seen_) return now;
-      Round dd = passive_deadline();
-      return dd > now ? dd : now;
-    }
-    case State::kPreactive: {
-      Round due = next_probe_ < probe_targets_.size()
-                      ? preactive_start_ + Round{pto_} * next_probe_
-                      : preactive_start_ + Round{pto_} * probe_targets_.size();
-      return due > now ? due : now;
-    }
-    case State::kActive:
-      return now;
-    case State::kDone:
-      return never_round();
-  }
-  return never_round();
+  if (core_.done()) return never_round();
+  if (core_.active() || (!preactive_ && core_.completion_seen())) return now;
+  const Round due = preactive_ ? probe_due() : passive_deadline();
+  return due > now ? due : now;
 }
 
 std::string ProtocolBProcess::describe() const {
-  return "ProtocolB[" + std::to_string(self_) + "]";
+  return "ProtocolB[" + std::to_string(core_.self()) + "]";
 }
 
 }  // namespace dowork

@@ -1,7 +1,8 @@
 // Protocol B (paper Section 2.3-2.4).
 //
-// Identical to Protocol A once a process is active, but takeovers are driven
-// by message-relative timeouts instead of the absolute deadlines DD(j), which
+// Identical to Protocol A once a process is active -- both run the same
+// CheckpointCore (protocol_a.h) -- but takeovers are driven by
+// message-relative timeouts instead of the absolute deadlines DD(j), which
 // cuts the running time from O(nt + t^2) to O(n + t):
 //
 //   * PTO ("process time out") bounds the gap between messages a process
@@ -17,7 +18,8 @@
 // PTO rounds apart.  A live recipient becomes active (its first checkpoint
 // broadcast reaches j, sending j back to passive); if all probes go
 // unanswered j becomes active itself.  By convention every process starts
-// with a fictitious ordinary message (0, g_j) from process 0 at round 0.
+// with a fictitious ordinary message (0, g_j) from process 0 at round 0 (the
+// core's initial last checkpoint).
 //
 // Guarantees (Theorem 2.8): work <= 3n, messages <= 10*t*sqrt(t), all
 // processes retired by round 3n + 8t.
@@ -30,6 +32,8 @@ namespace dowork {
 
 struct GoAhead final : Payload {};
 
+// Protocol B's takeover rule over the shared CheckpointCore: PTO/GTO/DDB
+// silence deadlines, preactive probing and the go-ahead.
 class ProtocolBProcess final : public IProcess {
  public:
   ProtocolBProcess(const DoAllConfig& cfg, int self, Round start_round = 0);
@@ -37,12 +41,8 @@ class ProtocolBProcess final : public IProcess {
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
   std::string describe() const override;
-
-  bool is_active() const { return state_ == State::kActive; }
-
-  // Observability accessor (process.h): same knowledge notion as Protocol A
-  // — the last checkpoint heard or the last unit performed.
-  std::int64_t known_done_units() const override;
+  // Observability accessor (process.h): the core's knowledge, as for A.
+  std::int64_t known_done_units() const override { return core_.known_done_units(); }
 
   // Timeout functions, exposed for tests (all in rounds).
   std::uint64_t pto() const { return pto_; }
@@ -50,30 +50,17 @@ class ProtocolBProcess final : public IProcess {
   std::uint64_t ddb(int i) const;  // DDB(self, i)
 
  private:
-  enum class State { kPassive, kPreactive, kActive, kDone };
-
-  void ingest(const Msg& msg);
-  void activate();
   void enter_preactive(const Round& now);
-  Action pop_plan();
   Round passive_deadline() const;
+  Round probe_due() const;  // next go-ahead, or activation once all are sent
 
-  GroupLayout layout_;
-  WorkPartition part_;
-  std::int64_t n_;
-  int t_;
-  int self_;
-  Round start_round_;
+  CheckpointCore core_;
+  std::uint64_t sub_len_;  // ceil(n/t): rounds of work in one subchunk
   std::uint64_t pto_;
+  Round start_round_;
 
-  State state_ = State::kPassive;
-  bool completion_seen_ = false;
-  bool go_ahead_pending_ = false;  // received this round, handled in on_round
-  LastCheckpoint last_;
-  ActivePlan plan_;
-  std::int64_t top_unit_ = 0;  // highest unit performed
-
-  // Preactive probing state.
+  // Preactive probing state (meaningful while passive only).
+  bool preactive_ = false;
   Round preactive_start_;
   std::vector<int> probe_targets_;
   std::size_t next_probe_ = 0;

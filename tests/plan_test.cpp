@@ -1,5 +1,6 @@
 // Unit tests for the shared active-process plan builder (Figure 1's DoWork)
-// used by Protocols A and B and by Protocol D's revert path.
+// and the checkpoint core around it, used by Protocols A and B, asynchronous
+// A and Protocol D's revert path.
 #include <gtest/gtest.h>
 
 #include "protocols/protocol_a.h"
@@ -144,27 +145,155 @@ TEST(PlanEdge, EmptySubchunksStillCheckpointed) {
   EXPECT_EQ(s.partial_ckpts.size(), 9u);  // one per subchunk, even empty ones
 }
 
+// --- CheckpointCore: the one checkpoint intake, step and progress rule ----
+
+struct NotACheckpoint final : Payload {};
+
+class CoreFixture : public ::testing::Test {
+ protected:
+  // Same shape as PlanFixture: t = 9 (groups of 3), n = 36 (subchunks of 4).
+  const DoAllConfig cfg_{36, 9};
+  const Round at_{7};
+  bool take(CheckpointCore& core, std::shared_ptr<const Payload> p, int from) {
+    return core.ingest(p.get(), from, at_);
+  }
+};
+
+TEST_F(CoreFixture, StartsFromTheFictitiousMessage) {
+  CheckpointCore core(cfg_, /*self=*/4, Round{3});
+  EXPECT_TRUE(core.last().fictitious);
+  EXPECT_EQ(core.last().c, 0);
+  EXPECT_EQ(core.last().g, 1);  // (0, g_self) from process 0
+  EXPECT_EQ(core.last().from, 0);
+  EXPECT_EQ(core.last().received_round, Round{3});
+  EXPECT_FALSE(core.active());
+  EXPECT_FALSE(core.done());
+}
+
+TEST_F(CoreFixture, IngestsPartialCheckpoint) {
+  CheckpointCore core(cfg_, 4);
+  EXPECT_TRUE(take(core, std::make_shared<CkptPartial>(5), 3));
+  EXPECT_FALSE(core.last().fictitious);
+  EXPECT_EQ(core.last().c, 5);
+  EXPECT_FALSE(core.last().g.has_value());
+  EXPECT_EQ(core.last().from, 3);
+  EXPECT_EQ(core.last().received_round, at_);
+  EXPECT_FALSE(core.completion_seen());
+}
+
+TEST_F(CoreFixture, IngestsDirectAndEchoFullCheckpoints) {
+  CheckpointCore core(cfg_, 4);
+  EXPECT_TRUE(take(core, std::make_shared<CkptFull>(3, 1), 0));  // direct, to group 1
+  EXPECT_EQ(core.last().c, 3);
+  EXPECT_EQ(core.last().g, 1);
+  EXPECT_EQ(core.last().from, 0);
+  EXPECT_TRUE(take(core, std::make_shared<CkptFull>(6, 2), 3));  // echo from a group mate
+  EXPECT_EQ(core.last().c, 6);
+  EXPECT_EQ(core.last().g, 2);
+  EXPECT_EQ(core.last().from, 3);
+  EXPECT_FALSE(core.completion_seen());
+}
+
+TEST_F(CoreFixture, NonCheckpointPayloadLeavesTheCoreAlone) {
+  CheckpointCore core(cfg_, 4);
+  ASSERT_TRUE(take(core, std::make_shared<CkptPartial>(2), 3));
+  EXPECT_FALSE(take(core, std::make_shared<NotACheckpoint>(), 5));
+  EXPECT_FALSE(core.ingest(nullptr, 5, at_));
+  EXPECT_EQ(core.last().c, 2);
+  EXPECT_EQ(core.last().from, 3);
+  EXPECT_FALSE(core.completion_seen());
+}
+
 TEST(CompletionNotice, RecognizesOnlyTrueCompletions) {
-  GroupLayout layout = GroupLayout::for_sqrt(9);
-  WorkPartition part = WorkPartition::for_protocol_a(36, 9);
-  auto rec_partial = [&](int c) {
-    DeliveryRecord r;
-    r.from = 0;
-    r.payload = std::make_shared<CkptPartial>(c);
-    return r;
+  // self = 4 is in group 1; the last subchunk is 9.
+  const DoAllConfig cfg{36, 9};
+  auto completes = [&](std::shared_ptr<const Payload> p) {
+    CheckpointCore core(cfg, 4);
+    core.ingest(p.get(), 0, Round{1});
+    return core.completion_seen();
   };
-  auto rec_full = [&](int c, int g) {
-    DeliveryRecord r;
-    r.from = 0;
-    r.payload = std::make_shared<CkptFull>(c, g);
-    return r;
-  };
-  // self = 4 is in group 1.
-  EXPECT_TRUE(is_completion_notice(layout, part, 4, rec_partial(9)));
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_partial(8)));
-  EXPECT_TRUE(is_completion_notice(layout, part, 4, rec_full(9, 1)));
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_full(9, 2)));  // echo form
-  EXPECT_FALSE(is_completion_notice(layout, part, 4, rec_full(3, 1)));
+  EXPECT_TRUE(completes(std::make_shared<CkptPartial>(9)));
+  EXPECT_FALSE(completes(std::make_shared<CkptPartial>(8)));
+  EXPECT_TRUE(completes(std::make_shared<CkptFull>(9, 1)));
+  EXPECT_FALSE(completes(std::make_shared<CkptFull>(9, 2)));  // echo form
+  EXPECT_FALSE(completes(std::make_shared<CkptFull>(3, 1)));
+}
+
+TEST(CompletionNotice, IsStickyAcrossLaterCheckpoints) {
+  CheckpointCore core(DoAllConfig{36, 9}, 4);
+  core.ingest(std::make_shared<CkptPartial>(9).get(), 3, Round{1});
+  core.ingest(std::make_shared<CkptPartial>(2).get(), 3, Round{2});
+  EXPECT_TRUE(core.completion_seen());
+  EXPECT_EQ(core.last().c, 2);  // the last checkpoint is still the latest heard
+}
+
+TEST_F(CoreFixture, KnownDoneUnitsFollowsCheckpointsAndWork) {
+  CheckpointCore core(cfg_, 4);
+  EXPECT_EQ(core.known_done_units(), 0);
+  take(core, std::make_shared<CkptPartial>(2), 3);
+  EXPECT_EQ(core.known_done_units(), 8);  // subchunks 1..2 of 4 units
+  core.activate();
+  // Resume: the partial checkpoint of 2 to process 5, then unit 9.
+  EXPECT_FALSE(core.step().work.has_value());
+  EXPECT_EQ(core.step().work, 9);
+  EXPECT_EQ(core.known_done_units(), 9);
+}
+
+TEST_F(CoreFixture, KnownDoneUnitsClampsAtTheLastSubchunk) {
+  CheckpointCore core(cfg_, 4);
+  take(core, std::make_shared<CkptPartial>(12), 3);  // past t = 9 subchunks
+  EXPECT_EQ(core.known_done_units(), 36);
+}
+
+TEST_F(CoreFixture, UnitMappedCoreReportsNoKnowledge) {
+  std::vector<std::int64_t> map;
+  for (std::int64_t u = 2; u <= 72; u += 2) map.push_back(u);
+  CheckpointCore core(cfg_, 0, Round{0}, map);
+  take(core, std::make_shared<CkptPartial>(4), 0);
+  EXPECT_EQ(core.known_done_units(), 0);
+  core.activate();
+  EXPECT_FALSE(core.step().work.has_value());  // completes the partial checkpoint of 4
+  EXPECT_EQ(core.step().work, 34);              // virtual unit 17 -> 34
+  EXPECT_EQ(core.known_done_units(), 0);
+}
+
+TEST_F(CoreFixture, StepTerminatesOnExactlyTheDrainingOp) {
+  // The core's ops are the plan's ops, one per step, and only the last
+  // step carries terminate.
+  LastCheckpoint fresh;
+  const GroupLayout layout = GroupLayout::for_sqrt(cfg_.t);
+  const WorkPartition part = WorkPartition::for_protocol_a(cfg_.n, cfg_.t);
+  const std::size_t ops = build_active_plan(layout, part, 4, fresh, nullptr).size();
+  ASSERT_GT(ops, 1u);
+  CheckpointCore core(cfg_, 4);
+  core.activate();
+  for (std::size_t i = 1; i <= ops; ++i) {
+    ASSERT_TRUE(core.active()) << "op " << i;
+    const Action a = core.step();
+    EXPECT_TRUE(a.work.has_value() || !a.sends.empty()) << "op " << i;
+    EXPECT_EQ(a.terminate, i == ops) << "op " << i;
+  }
+  EXPECT_TRUE(core.done());
+}
+
+TEST_F(CoreFixture, EmptyResumedScriptTerminatesAtOnce) {
+  // Process 8 is last in the last group: an echo (9, 2) leaves it nothing to
+  // inform and no work, so its first step only terminates.
+  CheckpointCore core(cfg_, 8);
+  take(core, std::make_shared<CkptFull>(9, 2), 7);
+  core.activate();
+  const Action a = core.step();
+  EXPECT_TRUE(a.terminate);
+  EXPECT_FALSE(a.work.has_value());
+  EXPECT_TRUE(a.sends.empty());
+  EXPECT_TRUE(core.done());
+}
+
+TEST_F(CoreFixture, RetireEndsThePassiveCore) {
+  CheckpointCore core(cfg_, 4);
+  EXPECT_TRUE(core.retire().terminate);
+  EXPECT_TRUE(core.done());
+  EXPECT_FALSE(core.active());
 }
 
 }  // namespace
