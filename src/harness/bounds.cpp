@@ -13,9 +13,15 @@ std::vector<std::pair<std::string, std::int64_t>> paper_bounds(const std::string
   const std::int64_t tt = t;
   if (protocol == "A" || protocol == "B") {
     const std::int64_t s = int_sqrt_ceil(t);
+    // Theorem 2.8(c)'s 3n + 8t counts the n in t subchunks of n/t rounds
+    // each.  When t does not divide n, B's timeouts budget ceil(n/t) rounds
+    // per subchunk (PTO, and GTO's chunk term), so the same account reads
+    // 3t * ceil(n/t) + 8t -- exactly 3n + 8t whenever t | n (DESIGN.md,
+    // "Protocol B's round bound on ragged shapes").
+    const std::int64_t b_rounds = 3 * tt * ceil_div(n, tt) + 8 * tt;
     return {{"bound_work_3n", 3 * n},
             {"bound_msgs", (protocol == "A" ? 9 : 10) * tt * s},
-            {"bound_rounds", protocol == "A" ? n * tt + 3 * tt * tt : 3 * n + 8 * tt}};
+            {"bound_rounds", protocol == "A" ? n * tt + 3 * tt * tt : b_rounds}};
   }
   if (protocol == "C" || protocol == "C_batch") {
     const std::int64_t T = pow2_ceil(t);

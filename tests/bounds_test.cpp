@@ -48,6 +48,37 @@ TEST(BoundsTest, ProtocolBDiffersFromAInMsgsAndRounds) {
   EXPECT_EQ(b.at("bound_rounds"), 3 * 16 + 8 * 4);   // 3n + 8t
 }
 
+TEST(BoundsTest, ProtocolBRoundsReadNAsWholeSubchunks) {
+  // t | n: Theorem 2.8(c)'s 3n + 8t exactly.
+  EXPECT_EQ(bounds_of("B", 16, 4, 3).at("bound_rounds"), 3 * 16 + 8 * 4);
+  EXPECT_EQ(bounds_of("B", 43 * 5, 43, 6).at("bound_rounds"), 3 * 215 + 8 * 43);
+  // t does not divide n: each of the t subchunks is budgeted ceil(n/t)
+  // rounds, so n reads as t * ceil(n/t) (ceil(181/43) = 5).
+  EXPECT_EQ(bounds_of("B", 181, 43, 6).at("bound_rounds"), 3 * 43 * 5 + 8 * 43);
+  // Protocol A's nt + 3t^2 is untouched.
+  EXPECT_EQ(bounds_of("A", 181, 43, 6).at("bound_rounds"), 181 * 43 + 3 * 43 * 43);
+}
+
+TEST(BoundsTest, ProtocolBRaggedShapeFromTheFuzzCampaign) {
+  // dowork_fuzz --cases 13000 --seed 5, case05748/B as shrunk: at n = 181,
+  // t = 43 the last process retires in round 892, past 3n + 8t = 887 but
+  // within 3t * ceil(n/t) + 8t = 989.
+  Scenario s;
+  s.id = "case05748/B";
+  s.protocol = "B";
+  s.cfg = DoAllConfig{181, 43};
+  s.faults = FaultSpec::parse("random(p=0.02,crashes=6,seed=280580)");
+  s.seed = 823468570;
+  s.params["assert_bounds"] = 1;
+  for (const auto& [key, value] : paper_bounds("B", 181, 43, fuzz::crash_budget_of(s.faults)))
+    s.params[key] = value;
+  const std::vector<ScenarioResult> rows = run_scenario("bounds", s);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].ok) << rows[0].violation;
+  EXPECT_EQ(rows[0].rounds, "892");
+  EXPECT_GT(rows[0].last_round, Round{3 * 181 + 8 * 43});
+}
+
 TEST(BoundsTest, ProtocolCAtNEqualsT) {
   // n = t = 4: T = 4, log T = 2; work n + 2t, msgs n + 8 T log T; and no
   // rounds bound -- C's deadlines are exponential by design.
