@@ -144,9 +144,11 @@ std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPart
 CheckpointCore::CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round,
                                std::vector<std::int64_t> unit_map)
     : layout_(GroupLayout::for_sqrt(cfg.t)),
-      part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
       self_(self),
-      unit_map_(std::move(unit_map)),
+      part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
+      unit_map_(unit_map.empty() ? nullptr
+                                 : std::make_unique<const std::vector<std::int64_t>>(
+                                       std::move(unit_map))),
       last_{0, layout_.group_of(self), 0, start_round, true} {
   cfg.validate();
 }
@@ -170,7 +172,7 @@ bool CheckpointCore::ingest(const Payload* payload, int from, const Round& recei
 
 void CheckpointCore::activate() {
   phase_ = Phase::kActive;
-  plan_ = ActivePlan(layout_, part_, self_, last_, unit_map_.empty() ? nullptr : &unit_map_);
+  plan_ = ActivePlan(layout_, part_, self_, last_, unit_map_.get());
 }
 
 Action CheckpointCore::step() {
@@ -179,7 +181,7 @@ Action CheckpointCore::step() {
     ActiveOp op = plan_.pop();
     if (op.work) {
       a.work = op.work;
-      if (unit_map_.empty() && *op.work > top_unit_) top_unit_ = *op.work;
+      if (!unit_map_ && *op.work > top_unit_) top_unit_ = *op.work;
     } else {
       // The whole group broadcast is ONE range-addressed send; the delivery
       // plane never materializes per-recipient messages.
@@ -202,7 +204,7 @@ Action CheckpointCore::retire() {
 }
 
 std::int64_t CheckpointCore::known_done_units() const {
-  if (!unit_map_.empty()) return 0;  // virtual ids; the D wrapper answers
+  if (unit_map_) return 0;  // virtual ids; the D wrapper answers
   const int c = std::min(last_.c, part_.num_subchunks());
   const std::int64_t from_ckpt = c >= 1 ? part_.sub_end(c) : 0;
   return std::max(from_ckpt, top_unit_);

@@ -179,15 +179,19 @@ class CheckpointCore {
  private:
   enum class Phase : std::uint8_t { kPassive, kActive, kDone };
 
+  // Field order packs the core tightly: the A/B scale rows hold one per
+  // process.
   GroupLayout layout_;
-  WorkPartition part_;
   int self_;
-  std::vector<std::int64_t> unit_map_;
-  Phase phase_ = Phase::kPassive;
-  bool completion_seen_ = false;
+  WorkPartition part_;
+  // Null when unmapped.  On the heap, so the plan's pointer into it
+  // survives a move of the core.
+  std::unique_ptr<const std::vector<std::int64_t>> unit_map_;
   LastCheckpoint last_;
   ActivePlan plan_;
   std::int64_t top_unit_ = 0;  // highest unit performed (unmapped cores only)
+  Phase phase_ = Phase::kPassive;
+  bool completion_seen_ = false;
 };
 
 // Protocol A's takeover rule: become active at the deadline DD(self).

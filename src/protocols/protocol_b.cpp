@@ -6,11 +6,10 @@ ProtocolBProcess::ProtocolBProcess(const DoAllConfig& cfg, int self, Round start
     // The core starts from the paper's convention: a fictitious ordinary
     // message (0, g_j) from process 0 at the start round seeds every timeout.
     : core_(cfg, self, start_round),
-      sub_len_(static_cast<std::uint64_t>(ceil_div(cfg.n, cfg.t))),
       // PTO - 1 bounds the silence a process can see from an active process
       // in its own group: one subchunk of work (<= ceil(n/t) rounds) plus
       // the partial-checkpoint round plus delivery.
-      pto_(sub_len_ + 2),
+      pto_(static_cast<std::uint64_t>(ceil_div(cfg.n, cfg.t)) + 2),
       start_round_(start_round) {}
 
 std::uint64_t ProtocolBProcess::gto(int i) const {
@@ -19,8 +18,9 @@ std::uint64_t ProtocolBProcess::gto(int i) const {
   // checkpoints, and the per-process takeover probes.
   const GroupLayout& layout = core_.layout();
   const std::uint64_t s = static_cast<std::uint64_t>(layout.group_size());
+  const std::uint64_t chunk_work = s * (pto_ - 2);  // s subchunks of ceil(n/t)
   const std::uint64_t ibar = static_cast<std::uint64_t>(layout.pos_in_group(i));
-  return s * sub_len_ + 3 * s + (s - ibar - 1) * pto_ + 1;
+  return chunk_work + 3 * s + (s - ibar - 1) * pto_ + 1;
 }
 
 std::uint64_t ProtocolBProcess::ddb(int i) const {

@@ -55,15 +55,14 @@ class ProtocolBProcess final : public IProcess {
   Round probe_due() const;  // next go-ahead, or activation once all are sent
 
   CheckpointCore core_;
-  std::uint64_t sub_len_;  // ceil(n/t): rounds of work in one subchunk
   std::uint64_t pto_;
   Round start_round_;
 
   // Preactive probing state (meaningful while passive only).
-  bool preactive_ = false;
   Round preactive_start_;
   std::vector<int> probe_targets_;
   std::size_t next_probe_ = 0;
+  bool preactive_ = false;
 };
 
 }  // namespace dowork
