@@ -22,7 +22,9 @@
 // core's initial last checkpoint).
 //
 // Guarantees (Theorem 2.8): work <= 3n, messages <= 10*t*sqrt(t), all
-// processes retired by round 3n + 8t.
+// processes retired by round 3n + 8t -- read as 3t*ceil(n/t) + 8t when t
+// does not divide n, since the timeouts budget ceil(n/t) rounds per
+// subchunk (DESIGN.md, "Protocol B's round bound on ragged shapes").
 #pragma once
 
 #include "core/work.h"
