@@ -12,7 +12,10 @@
 //
 // Only the operations the protocols need are provided; all of them keep the
 // invariant that bits at positions >= size() are zero, so whole-word
-// equality, popcount and merge never see garbage.
+// equality, popcount and merge never see garbage.  The word loops that
+// dominate Protocol D -- the AND/OR merges, counting and selection -- are
+// out of line in bitset.cpp, dispatched at run time to the widest ISA the
+// machine has.
 #pragma once
 
 #include <algorithm>
@@ -25,11 +28,20 @@
 namespace dowork {
 
 namespace detail {
-// Out-of-line bulk word merges (bitset.cpp), compiled with target_clones
-// when the toolchain supports it so the hot agreement merge runs at the
-// widest vector width the machine has.
+// Out-of-line word kernels (bitset.cpp), compiled with target_clones when
+// the toolchain supports it: the bulk merges run at the widest vector width
+// the machine has, and the counting kernels on the popcnt instruction
+// instead of libgcc's software popcount (the library targets baseline
+// x86-64, which has no popcnt).  Every phase, each Protocol D survivor
+// counts |S| and |T|, ranks itself in T and selects its slice of S
+// (work_slice) through them.
 void and_words(std::uint64_t* a, const std::uint64_t* b, std::size_t n);
 void or_words(std::uint64_t* a, const std::uint64_t* b, std::size_t n);
+// Number of set bits at positions [lo, hi) of the words at w.
+std::uint64_t count_bits(const std::uint64_t* w, std::size_t lo, std::size_t hi);
+// Position of the k-th (0-based) set bit in the n words at w; n * 64 when
+// fewer than k+1 bits are set.
+std::size_t select_bit(const std::uint64_t* w, std::size_t n, std::uint64_t k);
 }  // namespace detail
 
 class DynBitset {
@@ -51,37 +63,21 @@ class DynBitset {
   void reset_all() { std::fill(w_.begin(), w_.end(), 0); }
 
   // Number of set bits.
-  std::uint64_t count() const {
-    std::uint64_t c = 0;
-    for (std::uint64_t w : w_) c += static_cast<std::uint64_t>(std::popcount(w));
-    return c;
-  }
+  std::uint64_t count() const { return detail::count_bits(w_.data(), 0, n_); }
 
   // Number of set bits at positions < k (k <= size()).  The protocols use
   // this for "my rank among the live processes".
-  std::uint64_t count_prefix(std::size_t k) const {
-    std::uint64_t c = 0;
-    std::size_t full = k / 64;
-    for (std::size_t i = 0; i < full; ++i)
-      c += static_cast<std::uint64_t>(std::popcount(w_[i]));
-    if (k % 64)
-      c += static_cast<std::uint64_t>(
-          std::popcount(w_[full] & ((std::uint64_t{1} << (k % 64)) - 1)));
-    return c;
-  }
+  std::uint64_t count_prefix(std::size_t k) const { return detail::count_bits(w_.data(), 0, k); }
 
   // Number of set bits at positions in [lo, hi) (lo <= hi <= size()), and
   // clearing them: word by word, the two edge words masked.  Protocol D's S
   // views are a shared S with one such range cleared (protocol_d.h).
   std::uint64_t count_range(std::size_t lo, std::size_t hi) const {
-    std::uint64_t c = 0;
-    for_range(lo, hi, [&](std::size_t wi, std::uint64_t m) {
-      c += static_cast<std::uint64_t>(std::popcount(w_[wi] & m));
-    });
-    return c;
+    return detail::count_bits(w_.data(), lo, hi);
   }
   void reset_range(std::size_t lo, std::size_t hi) {
-    for_range(lo, hi, [&](std::size_t wi, std::uint64_t m) { w_[wi] &= ~m; });
+    if (lo >= hi) return;
+    for (std::size_t wi = lo / 64; wi <= (hi - 1) / 64; ++wi) w_[wi] &= ~range_mask(wi, lo, hi);
   }
   // Word i with the positions in [lo, hi) cleared (the wire codec writes a
   // cut view this way, with no n-bit temporary).
@@ -100,16 +96,8 @@ class DynBitset {
   // when fewer than k+1 bits are set.  Protocol D uses this to locate its
   // work-phase slice without materializing the whole outstanding set.
   std::size_t select(std::uint64_t k) const {
-    for (std::size_t wi = 0; wi < w_.size(); ++wi) {
-      const auto pc = static_cast<std::uint64_t>(std::popcount(w_[wi]));
-      if (k < pc) {
-        std::uint64_t w = w_[wi];
-        for (; k > 0; --k) w &= w - 1;  // drop the k lowest set bits
-        return wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-      }
-      k -= pc;
-    }
-    return n_;
+    // Bits >= size() are zero, so a found position is below size().
+    return std::min(detail::select_bit(w_.data(), w_.size(), k), n_);
   }
 
   // Index of the first set bit at position >= from; size() when there is
@@ -177,13 +165,6 @@ class DynBitset {
     const std::uint64_t below_lo = lo > first ? (std::uint64_t{1} << (lo - first)) - 1 : 0;
     const std::uint64_t from_hi = hi < first + 64 ? ~std::uint64_t{0} << (hi - first) : 0;
     return ~(below_lo | from_hi);
-  }
-  // Calls f(word index, mask of that word's bits in [lo, hi)) for every word
-  // the range touches.
-  template <typename F>
-  void for_range(std::size_t lo, std::size_t hi, F&& f) const {
-    if (lo >= hi) return;
-    for (std::size_t wi = lo / 64; wi <= (hi - 1) / 64; ++wi) f(wi, range_mask(wi, lo, hi));
   }
 
   void mask_tail() {

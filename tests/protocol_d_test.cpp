@@ -13,6 +13,7 @@
 #include "core/runner.h"
 #include "sim/round_pool.h"
 #include "substrate/differential.h"
+#include "util/rng.h"
 
 namespace dowork {
 namespace {
@@ -182,6 +183,50 @@ TEST(ProtocolDPhaseCore, WorkSliceCutsOutstandingByRankInT) {
   EXPECT_TRUE(known.none());
   EXPECT_EQ(work_slice(known, alive, 0, slice), 0);
   EXPECT_TRUE(slice.empty());
+}
+
+// work_slice counts |S| and |T|, ranks self in T and selects into S through
+// the bitset's counting kernels; this pins it to the definition (Figure 4:
+// flatten S, give the survivor of rank r the r-th block of ceil(|S|/|T|)
+// units) over seeded random S and T on ragged shapes, for every self.
+TEST(ProtocolD, WorkSliceMatchesFlattenedReference) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {70, 3}, {129, 7}, {1000, 65}, {4103, 130}};
+  for (auto [n, t] : shapes) {
+    for (double density : {0.0, 0.05, 0.5, 1.0}) {
+      Rng rng(n * 31 + t + static_cast<std::size_t>(density * 100));
+      DynBitset s(n);
+      DynBitset alive(t);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.chance(density)) s.set(i);
+      for (std::size_t p = 0; p < t; ++p)
+        if (rng.chance(0.7)) alive.set(p);
+      if (t > 1) alive.reset(rng.uniform(0, t - 1));  // at least one self outside T
+      std::vector<std::int64_t> flat;  // S flattened to unit ids, in order
+      for (std::size_t i = 0; i < n; ++i)
+        if (s.test(i)) flat.push_back(static_cast<std::int64_t>(i) + 1);
+      std::vector<int> live;
+      for (std::size_t p = 0; p < t; ++p)
+        if (alive.test(p)) live.push_back(static_cast<int>(p));
+      const auto left = static_cast<std::int64_t>(flat.size());
+      const auto procs = static_cast<std::int64_t>(std::max<std::size_t>(1, live.size()));
+      const std::int64_t w = (left + procs - 1) / procs;
+      for (std::size_t self = 0; self < t; ++self) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << ", t " << t << ", density " << density
+                                          << ", self " << self);
+        std::vector<std::int64_t> want;
+        const auto it = std::find(live.begin(), live.end(), static_cast<int>(self));
+        if (it != live.end()) {
+          const std::int64_t from = (it - live.begin()) * w;
+          for (std::int64_t k = from; k < std::min(from + w, left); ++k)
+            want.push_back(flat[static_cast<std::size_t>(k)]);
+        }
+        std::vector<std::int64_t> slice{-1};
+        ASSERT_EQ(work_slice(s, alive, static_cast<int>(self), slice), w);
+        ASSERT_EQ(slice, want);
+      }
+    }
+  }
 }
 
 TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) {

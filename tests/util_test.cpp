@@ -1,5 +1,5 @@
 // Tests for util/: the table printer, number formatting, the seeded RNG and
-// the bitset's subset test and range operations.
+// the bitset's subset test, range operations and counting kernels.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -151,6 +151,45 @@ TEST(DynBitset, RangeOpsMatchBitByBit) {
   }
   EXPECT_EQ(full.count_range(0, 200), full.count());
   EXPECT_EQ(ragged.count_range(0, 70), 69u);
+}
+
+// The counting kernels (count, count_prefix, count_range, select) against a
+// bit-by-bit reference, at sizes around the word edges and one long ragged
+// size, each empty, full and seeded-random.  Whichever ISA clone the loader
+// picks must agree with the reference bit for bit.
+TEST(DynBitset, CountSelectMatchBitByBit) {
+  for (std::size_t n : {0, 1, 63, 64, 65, 128, 129, 4103}) {
+    Rng rng(n);
+    DynBitset random(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.chance(0.5)) random.set(i);
+    for (const DynBitset& b : {DynBitset(n), DynBitset(n, true), random}) {
+      SCOPED_TRACE(::testing::Message() << "size " << n << ", " << b.count() << " set");
+      std::vector<std::uint64_t> prefix{0};  // prefix[k]: set bits below k
+      std::vector<std::size_t> ones;         // positions of the set bits
+      for (std::size_t i = 0; i < n; ++i) {
+        prefix.push_back(prefix.back() + (b.test(i) ? 1 : 0));
+        if (b.test(i)) ones.push_back(i);
+      }
+      EXPECT_EQ(b.count(), ones.size());
+      for (std::size_t k = 0; k <= n; ++k) ASSERT_EQ(b.count_prefix(k), prefix[k]) << "k " << k;
+      // Every range between two word-edge positions (and the ends).
+      std::vector<std::size_t> edges;
+      for (std::size_t e : std::vector<std::size_t>{0, 1, 62, 63, 64, 65, 127, 128, 129, n / 2,
+                                                    n - 1, n})
+        if (e <= n) edges.push_back(e);  // n - 1 wraps past n when n is 0
+      for (std::size_t lo : edges) {
+        for (std::size_t hi : edges) {
+          if (lo > hi) continue;
+          ASSERT_EQ(b.count_range(lo, hi), prefix[hi] - prefix[lo])
+              << "[" << lo << ", " << hi << ")";
+        }
+      }
+      for (std::size_t k = 0; k < ones.size(); ++k) ASSERT_EQ(b.select(k), ones[k]) << "k " << k;
+      EXPECT_EQ(b.select(ones.size()), n);
+      EXPECT_EQ(b.select(ones.size() + 64), n);
+    }
+  }
 }
 
 }  // namespace
