@@ -114,5 +114,68 @@ TEST_P(DynamicDRandom, RandomCrashesNeverLoseAnnouncedWork) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicDRandom, ::testing::Range(0u, 20u));
 
+// Byte referees for dynamic D's agreement.  The properties above hold for
+// many implementations; these pin the exact metrics of the implementation
+// they were captured from, so a refactor of the phase loop must reproduce
+// every run.  The sweep reaches both hazards of sharing D's loop: slices
+// whose position range holds units outside the slice (an arrival site
+// crashed before it gossiped, so its unit ids sit between known ranges),
+// and phase ends that lose more than half of T (dynamic D never reverts to
+// Protocol A).
+
+// Six batches of 2t consecutive ids, one every 9 rounds, at sites 3b mod t.
+DynamicConfig sweep_batches(int t) {
+  DynamicConfig cfg;
+  cfg.t = t;
+  cfg.max_units = 12 * static_cast<std::int64_t>(t);
+  cfg.horizon = 62;
+  std::int64_t next = 1;
+  for (int b = 0; b < 6; ++b) {
+    Arrival a{static_cast<std::uint64_t>(9 * b), (3 * b) % t, {}};
+    for (int k = 0; k < 2 * t; ++k) a.units.push_back(next++);
+    cfg.arrivals.push_back(std::move(a));
+  }
+  return cfg;
+}
+
+TEST(DynamicDPinned, SeededSweepMetricsDigest) {
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a over every run's metrics
+  std::uint64_t work = 0, lost = 0;
+  auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  };
+  for (int t : {4, 8, 16}) {
+    const DynamicConfig cfg = sweep_batches(t);
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      const DynamicRunResult r =
+          run_dynamic_do_all(cfg, std::make_unique<RandomFaults>(0.05, t - 1, seed));
+      ASSERT_TRUE(r.metrics.all_retired && r.all_known_work_done) << "t " << t << " seed " << seed;
+      mix(r.metrics.work_total);
+      mix(r.metrics.messages_total);
+      mix(r.metrics.last_retire_round.to_u64_saturating());
+      mix(r.lost_units.size());
+      work += r.metrics.work_total;
+      lost += r.lost_units.size();
+    }
+  }
+  EXPECT_EQ(work, 33303u);
+  EXPECT_EQ(lost, 36432u);
+  EXPECT_EQ(digest, 8733179509404007846u);
+}
+
+// DynamicDRandom's seed 1, whose T shrinks from 7 processes to 3 in phase 3.
+TEST(DynamicDPinned, RandomSeedOneMetrics) {
+  const DynamicRunResult r =
+      run_dynamic_do_all(three_batches(8), std::make_unique<RandomFaults>(0.04, 5, 1));
+  EXPECT_EQ(r.metrics.work_total, 20u);
+  EXPECT_EQ(r.metrics.messages_total, 534u);
+  EXPECT_EQ(r.metrics.last_retire_round.to_u64_saturating(), 63u);
+  EXPECT_EQ(r.metrics.crashes, 5u);
+  EXPECT_EQ(r.lost_units.size(), 10u);
+}
+
 }  // namespace
 }  // namespace dowork
