@@ -6,11 +6,10 @@
 // (an IBM patent, Dwork-Halpern-Strong, covers such a variant).  This
 // module implements that modification: units of work *arrive* at individual
 // processes over time; the processes keep alternating work phases with
-// agreement phases, and the agreement now gossips two monotone sets -- the
-// units KNOWN to exist and the units DONE -- both merged by union (the
-// static protocol's outstanding-set intersection is the complement of the
-// same lattice).  A process terminates once an agreement establishes that
-// (a) every known unit is done and (b) every participant entered the
+// agreement phases, and the agreement now also gossips the units KNOWN to
+// exist, merged by union, beside D's S ("not yet done", merged by
+// intersection) and T.  A process terminates once an agreement establishes
+// that (a) every known unit is done and (b) every participant entered the
 // agreement past the announced arrival horizon (merged by AND so nobody
 // leaves while a peer might still be carrying fresh work).
 //
@@ -18,20 +17,20 @@
 // site's next agreement broadcast is lost with the site, exactly as a real
 // job queue on a reclaimed workstation would be; clients must resubmit.
 //
-// Only the lattice differs from Protocol D: the work slice is D's work_slice
-// (protocols/protocol_d.h) over the agreed known \ done, and the views are
-// DynBitsets like D's.  The receive-check merges this lattice, so its merge is
-// local, but it drops silent processes by D's drop_silent.
+// Only the lattice differs from Protocol D, and the lattice is D's own
+// AgreeView with a known set (protocols/protocol_d.h): a process runs D's
+// DPhaseLoop -- the work slice over the agreed S and known, the broadcast
+// agreement and its one receive, agree_receive.  What is written here is
+// arrival absorption (the local known set, contributed when an agreement
+// starts) and the phase-end rule, which never reverts to Protocol A.
+// Dynamic runs execute on the serial simulator only (run_dynamic_do_all).
 #pragma once
 
-#include <map>
 #include <memory>
 
-#include "core/work.h"
+#include "protocols/protocol_d.h"
 #include "sim/fault_injector.h"
 #include "sim/metrics.h"
-#include "sim/process.h"
-#include "util/bitset.h"
 
 namespace dowork {
 
@@ -52,55 +51,30 @@ struct DynamicConfig {
   void validate() const;
 };
 
-struct DynAgreeMsg final : Payload {
-  int phase;
-  DynBitset known;    // units known to exist, indexed unit-1
-  DynBitset done;     // units performed, indexed unit-1
-  DynBitset t_alive;  // processes believed correct
-  bool past_horizon;  // AND-merged: every participant entered past the horizon
-  bool finished;      // sender has decided this phase's final view
-};
-
 class DynamicDProcess final : public IProcess {
  public:
-  DynamicDProcess(const DynamicConfig& cfg, int self);
+  // `cfg` is the run's one schedule, validated by the caller.
+  DynamicDProcess(std::shared_ptr<const DynamicConfig> cfg, int self);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
-  Round next_wake(const Round& now) const override;
+  Round next_wake(const Round& now) const override { return loop_.next_wake(now); }
   std::string describe() const override;
+  std::int64_t known_done_units() const override { return loop_.known_done_units(); }
 
  private:
-  enum class PhaseKind { kWork, kAgree, kFinished };
-
-  void absorb_arrivals(const Round& now);
-  void enter_work_phase(const Round& now);
-  Action agree_broadcast(bool finished);
-  void finish_agree();
-
-  DynamicConfig cfg_;
-  int self_;
-
-  PhaseKind phase_kind_ = PhaseKind::kWork;
-  int phase_ = 1;
-  DynBitset known_, done_, t_alive_;
-  // Slices and phase lengths must be computed from the *agreed* view only:
-  // fresh local arrivals are not yet common knowledge and would desynchronize
-  // the phase structure (different W at different sites).  They are gossiped
-  // in the next agreement and become workable one phase later.
-  DynBitset agreed_known_, agreed_done_;
-  std::size_t next_arrival_ = 0;  // index into cfg_.arrivals
-
-  std::vector<std::int64_t> my_slice_;
-  std::size_t slice_pos_ = 0;
-  Round work_end_;
-  bool work_entered_ = false;
-
-  DynBitset u_, tn_, kn_, dn_;
-  bool agree_past_horizon_ = false;
-  int iter_ = 0;
-  int grace_ = 0;
-  std::map<int, std::shared_ptr<const DynAgreeMsg>> seen_;
-  bool terminated_ = false;
+  std::shared_ptr<const DynamicConfig> cfg_;
+  DPhaseLoop loop_;
+  // Units that arrived here.  Slices and phase lengths come from the
+  // *agreed* view only: fresh arrivals are not yet common knowledge and
+  // would desynchronize the phase structure (different W at different
+  // sites), so they are contributed at the next agreement's start and
+  // become workable one phase later.
+  DynBitset arrived_;
+  std::size_t next_arrival_ = 0;  // index into cfg_->arrivals
+  // This phase's views by sender (null = silent); held_ keeps them alive,
+  // since views of this phase can arrive while this process still works.
+  std::vector<const AgreeMsg*> seen_;
+  std::vector<std::shared_ptr<const Payload>> held_;
 };
 
 struct DynamicRunResult {

@@ -53,25 +53,31 @@ void merge_shared(SharedBits& held, const SharedBits& fold, bool intersect) {
 
 }  // namespace
 
-void AgreeFold::merge_into(SView& sn_held, SharedBits& tn_held) const {
+void AgreeFold::merge_into(AgreeView& held) const {
   if (!sn) return;
   // The AND equals the fold when the fold is within the held view: within
   // its base and clear of its cut.
-  if ((sn_held.base == sn || sn->is_subset_of(*sn_held.base)) &&
-      sn->count_range(sn_held.lo, sn_held.hi) == 0) {
-    sn_held = SView(sn);
+  SView& s = held.s_left;
+  if ((s.base == sn || sn->is_subset_of(*s.base)) && sn->count_range(s.lo, s.hi) == 0) {
+    s = SView(sn);
   } else {
-    SharedBits held = sn_held.flattened().base;
-    keep_or_merge(held, sn, /*intersect=*/true);
-    sn_held = SView(std::move(held));
+    SharedBits flat = s.flattened().base;
+    keep_or_merge(flat, sn, /*intersect=*/true);
+    s = SView(std::move(flat));
   }
-  merge_shared(tn_held, tn, /*intersect=*/false);
+  merge_shared(held.t_alive, tn, /*intersect=*/false);
+  if (held.known && kn)
+    merge_shared(held.known, kn, /*intersect=*/false);
+  else
+    held.known = nullptr;  // either side knows every unit
+  held.past_horizon = held.past_horizon && past_horizon;
 }
 
 AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
   AgreeFold f;
   f.heard = DynBitset(by_sender.size());
-  DynBitset sn, tn;
+  DynBitset sn, tn, kn;
+  bool every_unit = false;
   const DynBitset* last_base = nullptr;
   for (std::size_t i = 0; i < by_sender.size(); ++i) {
     const AgreeMsg* msg = by_sender[i];
@@ -86,6 +92,13 @@ AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
       tn |= *msg->t_alive;
     }
     last_base = base;
+    if (!msg->known)
+      every_unit = true;
+    else if (kn.size() == 0)
+      kn = *msg->known;
+    else
+      kn |= *msg->known;
+    f.past_horizon = f.past_horizon && msg->past_horizon;
     if (msg->done && !f.done) f.done = msg;
   }
   if (!last_base) return f;
@@ -93,6 +106,7 @@ AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
     if (msg && msg->s_left.cut()) sn.reset_range(msg->s_left.lo, msg->s_left.hi);
   f.sn = share_bits(std::move(sn));
   f.tn = share_bits(std::move(tn));
+  if (!every_unit) f.kn = share_bits(std::move(kn));
   return f;
 }
 
@@ -115,14 +129,13 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self) {
   return u.count() != before;
 }
 
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SView& sn, SharedBits& tn,
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& held,
                    DynBitset& u, bool& removed_any) {
   if (fold.done) {
-    sn = fold.done->s_left;
-    tn = fold.done->t_alive;
+    held = *fold.done;
     return true;
   }
-  fold.merge_into(sn, tn);
+  fold.merge_into(held);
   if (past_grace && drop_silent(u, fold.heard, self)) removed_any = true;
   return false;
 }
@@ -225,8 +238,8 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
 }
 
 DPhaseLoop::DPhaseLoop(const DoAllConfig& cfg, int self, SharedBits all_units,
-                       SharedBits all_procs)
-    : self_(self) {
+                       SharedBits all_procs, SharedBits known)
+    : self_(self), k_(std::move(known)) {
   cfg.validate();
   s_ = all_units ? std::move(all_units)
                  : share_bits(DynBitset(static_cast<std::size_t>(cfg.n), true));
@@ -244,14 +257,27 @@ Action DPhaseLoop::retired_round(const RoundContext& ctx, const InboxView& inbox
 std::optional<Action> DPhaseLoop::work_round(const Round& now) {
   if (!work_entered_) {
     work_entered_ = true;
-    const std::int64_t w = work_slice(*s_.base, *t_, self_, slice_);  // s_ is uncut
+    const DynBitset& s = *s_.base;  // s_ is uncut
+    DynBitset outstanding;
+    if (k_) {
+      outstanding = *k_;
+      outstanding &= s;
+    }
+    const std::int64_t w =
+        std::max<std::int64_t>(1, work_slice(k_ ? outstanding : s, *t_, self_, slice_));
     cursor_ = 0;
     work_end_ = now + Round{static_cast<std::uint64_t>(w)};
-    // The slice is a run of consecutive members of S, so S \ S' is the
-    // shared S with the slice's position range cut.
-    if (!slice_.empty())
-      s_ = SView(s_.base, static_cast<std::size_t>(slice_.front() - 1),
-                 static_cast<std::size_t>(slice_.back()));
+    if (!slice_.empty()) {
+      const std::size_t lo = static_cast<std::size_t>(slice_.front() - 1);
+      const std::size_t hi = static_cast<std::size_t>(slice_.back());
+      if (s.count_range(lo, hi) == slice_.size()) {
+        s_ = SView(s_.base, lo, hi);
+      } else {  // the range also holds units not yet known
+        DynBitset cut = s;
+        for (std::int64_t unit : slice_) cut.reset(static_cast<std::size_t>(unit - 1));
+        s_ = share_bits(std::move(cut));
+      }
+    }
   }
   if (now >= work_end_) return std::nullopt;
   Action a;
@@ -259,14 +285,21 @@ std::optional<Action> DPhaseLoop::work_round(const Round& now) {
   return a;
 }
 
-void DPhaseLoop::start_agree() {
+void DPhaseLoop::start_agree(bool past_horizon, const DynBitset* arrived) {
   agreeing_ = true;
   u_ = *t_;
   audience_.reset();  // u_ changed; the shared audience set is stale
   DynBitset tn(t_->size());
   tn.set(static_cast<std::size_t>(self_));
-  tn_ = share_bits(std::move(tn));
-  sn_ = s_;
+  view_.s_left = s_;
+  view_.t_alive = share_bits(std::move(tn));
+  view_.known = k_;
+  if (arrived && !arrived->is_subset_of(*k_)) {
+    DynBitset known = *k_;
+    known |= *arrived;
+    view_.known = share_bits(std::move(known));
+  }
+  view_.past_horizon = past_horizon;
   iter_ = 0;
 }
 
@@ -278,7 +311,8 @@ Action DPhaseLoop::broadcast(bool done) {
     audience_ = make_recipient_bits(std::move(bits));
   }
   if (audience_->count > 0) {
-    auto msg = std::make_shared<AgreeMsg>(phase_, sn_, tn_, done);
+    auto msg = std::make_shared<AgreeMsg>(phase_, view_.s_left, view_.t_alive, done, view_.known,
+                                          view_.past_horizon);
     last_sent_ = msg;
     a.sends.push_back(Outgoing{audience_, MsgKind::kAgreement, std::move(msg)});
   } else {
@@ -290,24 +324,32 @@ Action DPhaseLoop::broadcast(bool done) {
 bool DPhaseLoop::receive(const AgreeFold& fold, int grace) {
   const bool past_grace = iter_ >= grace;
   bool removed_any = false;
-  const bool adopted = agree_receive(fold, self_, past_grace, sn_, tn_, u_, removed_any);
+  const bool adopted = agree_receive(fold, self_, past_grace, view_, u_, removed_any);
   if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
   ++iter_;
   return adopted || (past_grace && !removed_any);
 }
 
 void DPhaseLoop::finish_phase(const Round& now) {
+  const std::uint64_t old_alive = t_->count();
+  close_agreement();
+  end(end_phase(old_alive, *s_.base, *t_, self_, now));
+}
+
+void DPhaseLoop::close_agreement() {
   agreeing_ = false;
   work_entered_ = false;
   last_sent_.reset();  // the done broadcast is never folded back in
-  const std::uint64_t old_alive = t_->count();
-  s_ = sn_.flattened();  // a cut survives only when no view was heard
-  t_ = tn_;
-  PhaseEnd end = end_phase(old_alive, *s_.base, *t_, self_, now);
-  if (end.kind == PhaseEnd::Kind::kNextPhase) {
+  s_ = view_.s_left.flattened();  // a cut survives only when no view was heard
+  t_ = view_.t_alive;
+  k_ = view_.known;
+}
+
+void DPhaseLoop::end(PhaseEnd e) {
+  if (e.kind == PhaseEnd::Kind::kNextPhase) {
     ++phase_;
   } else {
-    revert_ = std::move(end.revert);
+    revert_ = std::move(e.revert);
     terminated_ = !revert_;
   }
 }

@@ -24,12 +24,14 @@
 // the <=1 round of skew left by done-adoption (the paper's "grace round").
 //
 // The phase core below (work_slice, the AgreeFold receive -- fold_views,
-// stash_views, drop_silent, agree_receive -- end_phase and RevertToA) is
-// shared with the coordinator variant and the dynamic-workload extension.
-// DPhaseLoop, built on it, is the process shell D and the coordinator
-// variant both run: the work phase, the broadcast agreement and the phase
-// end.  What stays in ProtocolDProcess is how a receive gets its fold: from
-// the merge cache's ledger index (served) or from its own inbox (walked).
+// stash_views, drop_silent, agree_receive -- end_phase and RevertToA) and
+// DPhaseLoop, the process shell built on it (the work phase, the broadcast
+// agreement and the phase end), are shared by D, the coordinator variant
+// and the dynamic-workload extension.  The agreed view is one lattice for
+// all three: static D's S is dynamic D's "not yet done" with the known set
+// fixed to every unit (AgreeView).  What stays in ProtocolDProcess is how a
+// receive gets its fold: from the merge cache's ledger index (served) or
+// from its own inbox (walked).
 #pragma once
 
 #include <atomic>
@@ -51,11 +53,13 @@ namespace dowork {
 // sweep's t = 1024 shape affordable.
 //
 // An S view: the immutable shared `base` with the positions [lo, hi)
-// cleared.  Figure 4 line 8's S \ S' is one: the slice work_slice assigns
-// is a block of consecutive ranks in S, so every member of S inside
-// [first unit - 1, last unit) belongs to the slice, and the view is the
-// phase's shared S plus that range instead of a private n-bit copy.
-// Outside iteration 0 the range is empty.
+// cleared.  Figure 4 line 8's S \ S' is one when every member of S inside
+// [first unit - 1, last unit) belongs to the slice: the view is then the
+// phase's shared S plus that range instead of a private n-bit copy.  Static
+// D's slice is a block of consecutive ranks in S, so it always is; dynamic
+// D's slice is a block of S and its known set, and S may hold unknown units
+// between them (see DPhaseLoop::work_round).  Outside iteration 0 the range
+// is empty.
 struct SView {
   SharedBits base;
   std::size_t lo = 0, hi = 0;
@@ -87,13 +91,24 @@ struct SView {
 // process ends its agreement with a cut still standing (it heard no view).
 // Theorem 4.1's agreement property is then also a memory property:
 // survivors that agree hold one (S, T).
-struct AgreeMsg final : Payload {
-  int phase;           // work/agreement phase number, 1-based
-  SView s_left;        // outstanding units, indexed unit-1
-  SharedBits t_alive;  // processes believed correct
+//
+// One agreement view: S merged by AND, T and the known set by OR, and the
+// horizon flag by AND.  Static D's known set is every unit (null), so its
+// outstanding set is S; the dynamic extension's is S and known, where
+// known grows as arrivals are gossiped and S is "not yet done" over every
+// unit id.
+struct AgreeView {
+  SView s_left;              // units not yet done, indexed unit-1
+  SharedBits t_alive;        // processes believed correct
+  SharedBits known;          // units known to exist; null = every unit
+  bool past_horizon = true;  // every contributor entered past the arrival horizon
+};
+
+struct AgreeMsg final : Payload, AgreeView {
   bool done;
-  AgreeMsg(int ph, SView s, SharedBits t, bool d)
-      : phase(ph), s_left(std::move(s)), t_alive(std::move(t)), done(d) {}
+  int phase;  // work/agreement phase number, 1-based
+  AgreeMsg(int ph, SView s, SharedBits t, bool d, SharedBits k = nullptr, bool past = true)
+      : AgreeView{std::move(s), std::move(t), std::move(k), past}, done(d), phase(ph) {}
 };
 
 // --- The phase core shared by D, D_coord and dynamic D --------------------
@@ -110,24 +125,27 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
                         std::vector<std::int64_t>& slice);
 
 // The one fold of an agreement phase's views (paper Section 4): the AND of
-// S, the OR of T and the senders heard over every view -- done views
-// included -- plus the lowest sender's done view.  `sn`/`tn` are built once
-// per fold, flat, and null when no view was folded; then merge_into changes
-// nothing.
+// S, the OR of T and of known, the AND of the horizon flags and the senders
+// heard over every view -- done views included -- plus the lowest sender's
+// done view.  `sn`/`tn`/`kn` are built once per fold, flat; `sn` and `tn`
+// are null when no view was folded, and then merge_into changes nothing.
+// `kn` is null when some view knows every unit.
 struct AgreeFold {
-  SharedBits sn, tn;
+  SharedBits sn, tn, kn;
+  bool past_horizon = true;
   DynBitset heard;                 // senders whose slot holds a view
   const AgreeMsg* done = nullptr;  // lowest sender's done view; null = none
 
-  // sn_held &= sn, tn_held |= tn, sharing by content: when the result
-  // equals the fold's view the holder takes the fold's object, when it
-  // equals the held view the holder keeps its own, and only otherwise is
-  // the AND/OR allocated.  Every served recipient merges the same fold, so
-  // a served round leaves its survivors on one S and one T object.  A cut
-  // held S is asked first in its cut form (sn within base, and missing the
-  // range), so the common iteration-0 merge adopts the fold without
-  // flattening; only otherwise is it flattened before the rule above.
-  void merge_into(SView& sn_held, SharedBits& tn_held) const;
+  // held.s_left &= sn, held.t_alive |= tn, held.known |= kn, sharing by
+  // content: when a result equals the fold's set the holder takes the
+  // fold's object, when it equals the held set the holder keeps its own,
+  // and only otherwise is the AND/OR allocated.  Every served recipient
+  // merges the same fold, so a served round leaves its survivors on one S
+  // and one T object.  A cut held S is asked first in its cut form (sn
+  // within base, and missing the range), so the common iteration-0 merge
+  // adopts the fold without flattening; only otherwise is it flattened
+  // before the rule above.
+  void merge_into(AgreeView& held) const;
 };
 
 // The fold of `by_sender`, a phase's views indexed by sender (null = silent).
@@ -148,13 +166,14 @@ void stash_views(const InboxView& inbox, int phase, std::vector<const AgreeMsg*>
 bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
 
 // One iteration of the agreement receive-check (Figure 4 lines 15-19) over
-// the fold of the phase's views: adopt the fold's done view into (sn, tn) and
-// return true; otherwise merge the fold in (S by AND, T by OR) and, once
-// past_grace, drop_silent from u, setting removed_any.  The one seam at
-// which D's survivors decide the (S, T) they agree on: a walked receive
-// passes the fold of its own inbox, a served one the ledger index's fold
-// (see AgreeMergeCache); D_coord's fallback passes the fold of its stash.
-bool agree_receive(const AgreeFold& fold, int self, bool past_grace, SView& sn, SharedBits& tn,
+// the fold of the phase's views: adopt the fold's done view into `held` and
+// return true; otherwise merge the fold in and, once past_grace,
+// drop_silent from u, setting removed_any.  The one seam at which D's
+// survivors decide the (S, T) they agree on: a walked receive passes the
+// fold of its own inbox, a served one the ledger index's fold (see
+// AgreeMergeCache); D_coord's fallback and dynamic D pass the fold of their
+// stash.
+bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& held,
                    DynBitset& u, bool& removed_any);
 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
@@ -192,9 +211,10 @@ struct PhaseEnd {
 PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset& alive, int self,
                    const Round& now);
 
-// One Protocol D process's phase loop (Figure 4), shared by D and D_coord:
-// the agreed (S, T), the work phase, the broadcast agreement and the phase
-// end.  The owning process calls it from on_round in this shape:
+// One Protocol D process's phase loop (Figure 4), shared by D, D_coord and
+// dynamic D: the agreed (S, T, known), the work phase, the broadcast
+// agreement and the phase end.  The owning process calls it from on_round
+// in this shape:
 //
 //   retired()   -> retired_round(): the terminate action, or the embedded
 //                  Protocol A's round once reverted;
@@ -205,19 +225,22 @@ PhaseEnd end_phase(std::uint64_t old_alive, const DynBitset& s, const DynBitset&
 //                  then broadcast(done) to u \ {self}, and finish_phase()
 //                  once the agreement is over.
 //
-// D runs the agreement every round, at grace 0 in phase 1 and 1 after.
-// D_coord runs its own coordinator rounds on the same (sn, tn) -- merge(),
-// adopt(), and the final and re-broadcast views sent to u \ {self}, which
-// is T \ {self} then -- and the loop's agreement, at grace 2, only as its
-// fallback.  So ROADMAP item 4's two per-process checks each have one
-// site: the (S, T) a survivor agrees on is decided in receive(), and
-// "revert exactly when more than half were lost" in finish_phase().
+// D and dynamic D run the agreement every round, at grace 0 in phase 1 and
+// 1 after; dynamic D contributes its arrivals at start_agree and ends its
+// phases by its own rule (close_agreement, then end).  D_coord runs its own
+// coordinator rounds on the same view -- merge(), adopt(), and the final
+// and re-broadcast views sent to u \ {self}, which is T \ {self} then --
+// and the loop's agreement, at grace 2, only as its fallback.  So ROADMAP
+// item 4's two per-process checks each have one site: the (S, T) a
+// survivor agrees on is decided in receive(), and "revert exactly when more
+// than half were lost" in finish_phase().
 class DPhaseLoop {
  public:
   // `all_units` (n bits, all set) and `all_procs` (t bits, all set) are the
-  // starting (S, T); null builds a private pair.
+  // starting (S, T); null builds a private pair.  `known` is the starting
+  // known set; null = every unit, fixed (static D).
   DPhaseLoop(const DoAllConfig& cfg, int self, SharedBits all_units = nullptr,
-             SharedBits all_procs = nullptr);
+             SharedBits all_procs = nullptr, SharedBits known = nullptr);
 
   bool terminated() const { return terminated_; }
   bool reverted() const { return revert_ != nullptr; }
@@ -226,16 +249,23 @@ class DPhaseLoop {
   Action retired_round(const RoundContext& ctx, const InboxView& inbox);
 
   // A work-phase round.  The first one enters the phase: the slice
-  // (work_slice), work_end = now + ceil(|S|/|T|) so everyone's agreement
-  // starts aligned (line 7), and line 8's S := S \ S' -- if we live to
-  // broadcast, the slice was performed -- as a cut of the shared S (see
-  // SView).  Each round before work_end performs the slice's next unit, if
-  // any; at work_end the result is nullopt.
+  // (work_slice over the outstanding S and known), work_end = now +
+  // max(1, ceil(|outstanding|/|T|)) so everyone's agreement starts aligned
+  // (line 7), and line 8's S := S \ S' -- if we live to broadcast, the
+  // slice was performed -- as a cut of the shared S when the slice's range
+  // holds nothing else (see SView), else as a copy without the slice.  A
+  // phase lasts at least one round so that an idle dynamic system keeps
+  // gossiping arrivals; static D never has an empty S here.  Each round
+  // before work_end performs the slice's next unit, if any; at work_end the
+  // result is nullopt.
   std::optional<Action> work_round(const Round& now);
 
-  // Starts the agreement: u = T, sn = S, tn = {self}, iteration 0.
-  void start_agree();
-  // Sends (sn, tn, done) to u \ {self}.  The audience is one shared
+  // Starts the agreement: u = T, the view's S = S, T = {self}, known =
+  // known plus `arrived` (units this process learned of outside any
+  // agreement; null = none, and then known may be null), past_horizon as
+  // given; iteration 0.
+  void start_agree(bool past_horizon = true, const DynBitset* arrived = nullptr);
+  // Sends the view and `done` to u \ {self}.  The audience is one shared
   // immutable set that the ledger records alias (sim/message.h), rebuilt
   // only after u changes, so a stable agreement's broadcasts share one
   // object.  No message is built when the audience is empty.
@@ -245,18 +275,18 @@ class DPhaseLoop {
   // True when the agreement is over: a done view was adopted, or an
   // iteration past grace dropped no one.
   bool receive(const AgreeFold& fold, int grace);
-  // D_coord's coordinator rounds: merge a fold of reports into (sn, tn),
+  // D_coord's coordinator rounds: merge a fold of reports into the view,
   // or adopt a final view whole.
-  void merge(const AgreeFold& fold) { fold.merge_into(sn_, tn_); }
-  void adopt(const AgreeMsg& view) {
-    sn_ = view.s_left;
-    tn_ = view.t_alive;
-  }
-  // The phase end (Figure 4 lines 9-13): (S, T) := (sn, tn), then
-  // end_phase decides the next phase, termination or the revert to A.
-  // Leaves the agreement either way; the next work_round enters a fresh
-  // work phase.
+  void merge(const AgreeFold& fold) { fold.merge_into(view_); }
+  void adopt(const AgreeView& view) { view_ = view; }
+  // The phase end (Figure 4 lines 9-13): close_agreement, then end_phase
+  // decides the next phase, termination or the revert to A.
   void finish_phase(const Round& now);
+  // finish_phase's halves, for a variant with its own phase-end rule:
+  // (S, T, known) := the agreed view, leaving the agreement (the next
+  // work_round enters a fresh work phase), then the decision.
+  void close_agreement();
+  void end(PhaseEnd e);
 
   // The wake of a working or retired process (monotone, process.h); now
   // while agreeing.
@@ -270,9 +300,15 @@ class DPhaseLoop {
   // s() is uncut between phases and cut by this process's slice during one.
   const SView& s() const { return s_; }
   const SharedBits& t() const { return t_; }
+  const SharedBits& known() const { return k_; }  // null = every unit
   const DynBitset& u() const { return u_; }
-  const SView& sn() const { return sn_; }
-  const SharedBits& tn() const { return tn_; }
+  // The agreement's view: the agreed one once the agreement is closed.
+  const AgreeView& view() const { return view_; }
+  // Units outside S: performed by this process or learned done through an
+  // agreement (process.h's observability accessor).
+  std::int64_t known_done_units() const {
+    return static_cast<std::int64_t>(s_.size() - s_.count());
+  }
   // This agreement's latest broadcast (null before the first, after a round
   // that sent none, and after the phase end).  Owned, not raw: the merge
   // cache's pointer comparison (Index::serves) must not be fooled by a
@@ -282,26 +318,26 @@ class DPhaseLoop {
  private:
   int self_;
   int phase_ = 1;
-  SView s_;  // outstanding units (unit u -> bit u-1)
+  SView s_;  // units not yet done (unit u -> bit u-1)
   SharedBits t_;
+  SharedBits k_;  // known units; null = every unit
 
   // Work phase.
-  bool work_entered_ = false;
   std::vector<std::int64_t> slice_;
   std::size_t cursor_ = 0;
   Round work_end_;  // the round the agreement starts
+  bool work_entered_ = false;
+  bool terminated_ = false;
 
   // Agreement (pipelined; see the header comment).
   bool agreeing_ = false;
-  DynBitset u_;    // not yet known faulty this phase
-  SharedBits tn_;  // T being accumulated; each broadcast aliases it
-  SView sn_;       // S being intersected; each broadcast aliases it
-  std::shared_ptr<const RecipientBits> audience_;  // u_ \ {self}; null = stale
   int iter_ = 0;
+  DynBitset u_;     // not yet known faulty this phase
+  AgreeView view_;  // the view being merged; each broadcast aliases its sets
+  std::shared_ptr<const RecipientBits> audience_;  // u_ \ {self}; null = stale
   std::shared_ptr<const AgreeMsg> last_sent_;
 
   std::unique_ptr<RevertToA> revert_;  // set once reverted
-  bool terminated_ = false;
 };
 
 // Run-scoped memoization of an agreement round's receive.  Every recipient
@@ -314,11 +350,11 @@ class DPhaseLoop {
 // fold instead of on the fold of its own stash.
 //
 // One fold serves everyone because a process's own message is idempotent
-// in its own view: DPhaseLoop::broadcast sends the sender's current
-// (sn, tn), and nothing touches either until the next receive, so
-// sn &= own.s_left and tn |= own.t_alive change nothing -- "everyone except
-// me" equals "everyone", provided the ledger's record from me carries
-// exactly my last_sent() (Index::serves compares the pointers).
+// in its own view: DPhaseLoop::broadcast sends the sender's current view,
+// and nothing touches it until the next receive, so merging own back in
+// changes nothing -- "everyone except me" equals "everyone", provided the
+// ledger's record from me carries exactly my last_sent() (Index::serves
+// compares the pointers).
 //
 // The model boundary: a recipient only uses records its own delivery
 // predicate admits.  The index therefore marks a recipient *eligible* when
@@ -421,14 +457,10 @@ class ProtocolDProcess final : public IProcess {
   int phases_completed() const { return loop_.phase() - 1; }
   bool reverted_to_a() const { return loop_.reverted(); }
 
-  // Observability accessor (process.h): units outside the outstanding set S
-  // are exactly the ones this process knows done (performed by itself or
-  // learned via agreement views).  After a revert, S is frozen at the
-  // revert-time value — the embedded Protocol A instance works on virtual
-  // ids, so its extra knowledge is not translated back.
-  std::int64_t known_done_units() const override {
-    return static_cast<std::int64_t>(loop_.s().size() - loop_.s().count());
-  }
+  // Observability accessor (process.h), the loop's.  After a revert, S is
+  // frozen at the revert-time value: the embedded Protocol A instance works
+  // on virtual ids, so its extra knowledge is not translated back.
+  std::int64_t known_done_units() const override { return loop_.known_done_units(); }
 
  private:
   // Stashes this phase's agreement messages from `inbox` into seen_.

@@ -43,9 +43,10 @@ Action ProtocolDCoordProcess::on_round(const RoundContext& ctx, const InboxView&
     }
     stage_ = Stage::kAwait;
     Action a;
+    const AgreeView& view = loop_.view();
     a.sends.push_back(Outgoing{coordinator(), MsgKind::kAgreement,
-                               std::make_shared<AgreeMsg>(loop_.phase(), loop_.sn(), loop_.tn(),
-                                                          false)});
+                               std::make_shared<AgreeMsg>(loop_.phase(), view.s_left,
+                                                          view.t_alive, false)});
     return a;
   }
 

@@ -113,7 +113,11 @@ void Writer::payload(const Payload* p) {
     i32(m->phase);
     bitset(*m->s_left.base, m->s_left.lo, m->s_left.hi);
     bitset(*m->t_alive);
-    u8(m->done ? 1 : 0);
+    // Flags: done, before the horizon, carries a known set.  A static view
+    // (every unit known, past the horizon) encodes as the bare done byte.
+    u8(static_cast<std::uint8_t>((m->done ? 1 : 0) | (m->past_horizon ? 0 : 2) |
+                                 (m->known ? 4 : 0)));
+    if (m->known) bitset(*m->known);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kBaselineCkpt));
     i64(m->done);
@@ -240,8 +244,11 @@ std::shared_ptr<const Payload> BodyReader::payload() {
       const int phase = i32();
       SView s(share_bits(bitset()));  // uncut
       SharedBits t = share_bits(bitset());
-      const bool done = u8() != 0;
-      return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), done);
+      const std::uint8_t flags = u8();
+      if (flags > 7) throw WireError("bad agreement flags");
+      SharedBits known = (flags & 4) != 0 ? share_bits(bitset()) : nullptr;
+      return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), (flags & 1) != 0,
+                                        std::move(known), (flags & 2) == 0);
     }
     case PayloadTag::kBaselineCkpt:
       return std::make_shared<BaselineCkpt>(i64());

@@ -127,11 +127,6 @@ class DynBitset {
     detail::or_words(w_.data(), o.w_.data(), w_.size());
     return *this;
   }
-  // Set difference (this &= ~o); sizes must match.
-  DynBitset& and_not(const DynBitset& o) {
-    for (std::size_t i = 0; i < w_.size(); ++i) w_[i] &= ~o.w_[i];
-    return *this;
-  }
 
   // True when every set bit of this is set in o (this & ~o is empty);
   // sizes must match.  Protocol D's shared-view merge asks it to learn

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dynamic/dynamic_d.h"
+#include "sim/simulator.h"
 
 namespace dowork {
 namespace {
@@ -52,6 +53,41 @@ TEST(DynamicD, WorkArrivingMidPhaseIsPickedUpNextPhase) {
   DynamicRunResult r = run_dynamic_do_all(cfg, std::make_unique<NoFaults>());
   EXPECT_TRUE(r.all_known_work_done);
   EXPECT_EQ(r.metrics.work_total, 6u);
+}
+
+// Unit ids need not arrive in order.  Phase 2 works {1, 3, 5, 7} while
+// {2, 4, 6, 8}, arrived mid-phase-1, are not yet agreed: each slice's id
+// range holds units of the later batch, which S \ S' must not clear.
+TEST(DynamicD, InterleavedIdsArrivingLaterAreStillPerformed) {
+  DynamicConfig cfg;
+  cfg.t = 2;
+  cfg.max_units = 8;
+  cfg.horizon = 30;
+  cfg.arrivals = {{0, 0, {1, 3, 5, 7}}, {2, 1, {2, 4, 6, 8}}};
+  DynamicRunResult r = run_dynamic_do_all(cfg, std::make_unique<NoFaults>());
+  EXPECT_TRUE(r.all_known_work_done);
+  EXPECT_EQ(r.metrics.work_total, 8u);
+  for (std::size_t u = 0; u < 8; ++u) EXPECT_EQ(r.metrics.unit_multiplicity[u], 1u) << u;
+}
+
+// Dynamic D announces the units its view holds done (process.h's
+// observability accessor, which progress-watching adversaries read): none
+// at the start, and after the last agreement all 30, of which each process
+// performed only its own slices.
+TEST(DynamicD, KnownDoneUnitsCountsTheAgreedDoneUnits) {
+  const auto schedule = std::make_shared<const DynamicConfig>(three_batches(3));
+  std::vector<std::unique_ptr<IProcess>> procs;
+  std::vector<const IProcess*> views;
+  for (int i = 0; i < schedule->t; ++i) {
+    procs.push_back(std::make_unique<DynamicDProcess>(schedule, i));
+    views.push_back(procs.back().get());
+    EXPECT_EQ(views.back()->known_done_units(), 0);
+  }
+  Simulator::Options opts;
+  opts.n_units = schedule->max_units;
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), opts);
+  ASSERT_EQ(sim.run().work_total, 30u);
+  for (const IProcess* p : views) EXPECT_EQ(p->known_done_units(), 30);
 }
 
 TEST(DynamicD, SingleProcess) {

@@ -176,10 +176,10 @@ TEST(ProtocolDPhaseCore, WorkSliceCutsOutstandingByRankInT) {
   EXPECT_EQ(slice, (std::vector<std::int64_t>{8}));
   work_slice(s, alive, 1, slice);  // outside T: no slice
   EXPECT_TRUE(slice.empty());
-  // Dynamic D's outstanding set is known \ done; with nothing outstanding
-  // w is 0 (dynamic D stretches the phase to one round itself).
+  // Dynamic D's outstanding set is S and known; with nothing outstanding
+  // w is 0 (DPhaseLoop stretches the phase to one round itself).
   DynBitset known = bits(8, {1, 4});
-  known.and_not(bits(8, {1, 4, 5}));
+  known &= bits(8, {0, 2, 3, 6, 7});  // S: units 2 and 5 done
   EXPECT_TRUE(known.none());
   EXPECT_EQ(work_slice(known, alive, 0, slice), 0);
   EXPECT_TRUE(slice.empty());
@@ -236,22 +236,23 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   const AgreeMsg d3(1, shared(6, {4}), shared(4, {3}), true);
   // Self is 0; process 3 is silent.
   std::vector<const AgreeMsg*> seen{nullptr, &a, &b, nullptr};
-  SView sn = share_bits(DynBitset(6, true));
-  SharedBits tn = shared(4, {0});
+  AgreeView v{share_bits(DynBitset(6, true)), shared(4, {0}), nullptr};
+  SView& sn = v.s_left;
+  SharedBits& tn = v.t_alive;
   DynBitset u(4, true);
   bool removed = false;
-  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, sn, tn, u, removed));
+  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, v, u, removed));
   EXPECT_EQ(sn.flat(), bits(6, {1, 2}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2}));
   EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
   EXPECT_EQ(u, DynBitset(4, true));
-  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, v, u, removed));
   EXPECT_TRUE(removed);
   EXPECT_EQ(u, bits(4, {0, 1, 2}));  // self stays, though it sent itself nothing
   // Two done views: the lowest sender's is adopted whole, nothing merged.
   seen = {nullptr, &a, &d2, &d3};
   removed = false;
-  EXPECT_TRUE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, sn, tn, u, removed));
+  EXPECT_TRUE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, v, u, removed));
   EXPECT_EQ(sn.flat(), d2.s_left.flat());
   EXPECT_EQ(*tn, *d2.t_alive);
   EXPECT_FALSE(removed);
@@ -267,9 +268,10 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_EQ(*f.sn, bits(6, {1}));
   EXPECT_EQ(*f.tn, bits(4, {0, 1, 2, 3}));
   EXPECT_EQ(f.heard, bits(5, {1, 2, 3}));
-  SView sn = share_bits(DynBitset(6, true));
-  SharedBits tn = shared(4, {0});
-  f.merge_into(sn, tn);
+  AgreeView v{share_bits(DynBitset(6, true)), shared(4, {0}), nullptr};
+  SView& sn = v.s_left;
+  SharedBits& tn = v.t_alive;
+  f.merge_into(v);
   EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
 
@@ -278,7 +280,7 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_EQ(none.done, nullptr);
   EXPECT_TRUE(none.heard.none());
   EXPECT_EQ(none.heard.size(), 4u);
-  none.merge_into(sn, tn);
+  none.merge_into(v);
   EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
   DynBitset u(4, true);
@@ -301,9 +303,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   // the fold's T (OR = fold): both adopt the fold's objects.
   {
     const AgreeFold f = fold_of(shared(70, {1, 64}), shared(5, {0, 2, 4}));
-    SView sn = shared(70, {1, 2, 64, 69});
-    SharedBits tn = shared(5, {2});
-    f.merge_into(sn, tn);
+    AgreeView v{shared(70, {1, 2, 64, 69}), shared(5, {2}), nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    f.merge_into(v);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
@@ -312,9 +315,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   {
     const AgreeFold f = fold_of(shared(70, {1, 2, 64, 69}), shared(5, {2}));
     const SharedBits own_s = shared(70, {1, 64}), own_t = shared(5, {0, 2, 4});
-    SView sn = own_s;
-    SharedBits tn = own_t;
-    f.merge_into(sn, tn);
+    AgreeView v{own_s, own_t, nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    f.merge_into(v);
     EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
@@ -323,9 +327,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   {
     const AgreeFold f = fold_of(shared(70, {1, 64, 69}), shared(5, {0, 2}));
     const SharedBits own_s = shared(70, {2, 64, 69}), own_t = shared(5, {2, 3});
-    SView sn = own_s;
-    SharedBits tn = own_t;
-    f.merge_into(sn, tn);
+    AgreeView v{own_s, own_t, nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    f.merge_into(v);
     EXPECT_NE(sn.base, own_s);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_NE(tn, own_t);
@@ -341,9 +346,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
   // holder that merges one fold converges on one object.
   {
     const AgreeFold f = fold_of(shared(70, {3}), shared(5, {1}));
-    SView sn = shared(70, {3});
-    SharedBits tn = shared(5, {1});
-    f.merge_into(sn, tn);
+    AgreeView v{shared(70, {3}), shared(5, {1}), nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    f.merge_into(v);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
@@ -353,9 +359,10 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     EXPECT_EQ(none.sn, nullptr);
     EXPECT_EQ(none.tn, nullptr);
     const SharedBits own_s = shared(70, {5}), own_t = shared(5, {4});
-    SView sn = own_s;
-    SharedBits tn = own_t;
-    none.merge_into(sn, tn);
+    AgreeView v{own_s, own_t, nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    none.merge_into(v);
     EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
@@ -424,17 +431,18 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
   f.tn = shared(5, {0});
   const SharedBits base = shared(70, {1, 2, 30, 64, 69});
   {  // the cut [20, 40) holds none of the fold: adopt
-    SView sn(base, 20, 40);
-    SharedBits tn = shared(5, {1});
-    f.merge_into(sn, tn);
+    AgreeView v{SView(base, 20, 40), shared(5, {1}), nullptr};
+    SView& sn = v.s_left;
+    SharedBits& tn = v.t_alive;
+    f.merge_into(v);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_FALSE(sn.cut());
     EXPECT_EQ(*tn, bits(5, {0, 1}));
   }
   {  // the cut [60, 66) removes 64 from the held view: flatten, exact AND
-    SView sn(base, 60, 66);
-    SharedBits tn = shared(5, {0});
-    f.merge_into(sn, tn);
+    AgreeView v{SView(base, 60, 66), shared(5, {0}), nullptr};
+    SView& sn = v.s_left;
+    f.merge_into(v);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_NE(sn.base, base);
     EXPECT_FALSE(sn.cut());
@@ -442,9 +450,9 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
     EXPECT_EQ(*base, bits(70, {1, 2, 30, 64, 69}));  // the shared base is untouched
   }
   {  // the fold's own object, cut so that it misses one of its bits: flatten
-    SView sn(f.sn, 0, 2);
-    SharedBits tn = shared(5, {0});
-    f.merge_into(sn, tn);
+    AgreeView v{SView(f.sn, 0, 2), shared(5, {0}), nullptr};
+    SView& sn = v.s_left;
+    f.merge_into(v);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_EQ(*sn.base, bits(70, {64, 69}));
   }
@@ -456,12 +464,13 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsACutDoneView) {
   const SharedBits base = shared(70, {1, 2, 64, 65, 69});
   const AgreeMsg a(1, shared(70, {1, 2, 64}), shared(4, {1}), false);
   const AgreeMsg d(1, SView(base, 60, 65), shared(4, {0, 2}), true);
-  SView sn = share_bits(DynBitset(70, true));
-  SharedBits tn = shared(4, {3});
+  AgreeView v{share_bits(DynBitset(70, true)), shared(4, {3}), nullptr};
+  SView& sn = v.s_left;
+  SharedBits& tn = v.t_alive;
   DynBitset u(4, true);
   bool removed = false;
   EXPECT_TRUE(
-      agree_receive(fold_views({nullptr, &a, &d, nullptr}), 3, true, sn, tn, u, removed));
+      agree_receive(fold_views({nullptr, &a, &d, nullptr}), 3, true, v, u, removed));
   EXPECT_EQ(sn.base, base);
   EXPECT_EQ(sn.lo, 60u);
   EXPECT_EQ(sn.hi, 65u);

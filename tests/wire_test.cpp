@@ -153,6 +153,43 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
   EXPECT_TRUE(ga->t_alive->test(7));
 }
 
+// Both kinds of agreement view round-trip: a static one (every unit known,
+// past the horizon) and a dynamic one carrying its known set and a false
+// horizon flag.  Flag bits beyond the three defined ones are rejected.
+TEST(WireTest, AgreeViewRoundTripsKnownSetAndHorizonFlag) {
+  DynBitset s(70, true);
+  s.reset(3);
+  DynBitset known(70);
+  known.set(2);
+  known.set(3);
+  known.set(66);
+  const SharedBits alive = share_bits(DynBitset(5, true));
+  const AgreeMsg as_static(4, share_bits(s), alive, true);
+  const AgreeMsg as_dynamic(4, share_bits(s), alive, false, share_bits(known), false);
+  for (const AgreeMsg* sent : {&as_static, &as_dynamic}) {
+    const std::string frame = encode_deliver(1, MsgKind::kAgreement, Round{9}, sent);
+    auto [type, body] = read_one(frame, true);
+    const DeliveryRecord rec = decode_deliver(body, 0);
+    const auto* got = Msg(rec).as<AgreeMsg>();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->phase, 4);
+    EXPECT_EQ(got->done, sent->done);
+    EXPECT_EQ(got->past_horizon, sent->past_horizon);
+    EXPECT_EQ(*got->s_left.base, s);
+    EXPECT_EQ(*got->t_alive, *alive);
+    ASSERT_EQ(got->known == nullptr, sent->known == nullptr);
+    if (sent->known) {
+      EXPECT_EQ(*got->known, known);
+    }
+  }
+  // The static view's flags are its body's last byte.
+  std::string frame = encode_deliver(1, MsgKind::kAgreement, Round{9}, &as_static);
+  ASSERT_EQ(frame.back(), 1);
+  frame.back() = 8;
+  auto [type, body] = read_one(frame, false);
+  EXPECT_THROW(decode_deliver(body, 0), WireError);
+}
+
 // A cut S view goes on the wire as the bitset it stands for: the same
 // frame bytes as its flat equivalent, decoded uncut.
 TEST(WireTest, CutAgreeViewEncodesAsItsFlatEquivalent) {
