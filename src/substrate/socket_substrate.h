@@ -1,4 +1,4 @@
-// The socket-process substrate (ROADMAP item 2): the same IProcess protocol
+// The socket-process substrate: the same IProcess protocol
 // objects, each running in its OWN OS PROCESS, speaking the length-prefixed
 // wire format (substrate/wire.h) over localhost Unix-domain or TCP sockets
 // to a coordinator that implements the simulator's deterministic round

@@ -418,8 +418,9 @@ TEST_P(GoldenJson, ByteIdenticalToPreOptimizationCapture) {
 // compare, format and order exactly as the flat 512-bit representation did.
 // protocol_d and dynamic were captured before D_coord and dynamic D were
 // moved onto Protocol D's shared phase core (work slice, agreement receive,
-// revert-to-A wrapper): they pin D's T5b revert, D_coord's coordinator-dies
-// fallback and the dynamic extension's byte-packed views.  wan_latency,
+// revert-to-A wrapper) and its phase loop: they pin D's T5b revert,
+// D_coord's coordinator-dies fallback and every dynamic row, whose views
+// are now D's own agreement views with a known set.  wan_latency,
 // lossy_link, partition_heal and byzantine were captured before the sent
 // round moved into DeliveryRecord: they pin the latency-delayed record path
 // (records arriving with their own sent rounds), loss- and
