@@ -53,7 +53,7 @@ void merge_shared(SharedBits& held, const SharedBits& fold, bool intersect) {
 
 }  // namespace
 
-void AgreeFold::merge_into(AgreeView& held) const {
+void AgreeFold::merge_into(AgreeView& held, int self) const {
   if (!sn) return;
   // The AND equals the fold when the fold is within the held view: within
   // its base and clear of its cut.
@@ -65,7 +65,15 @@ void AgreeFold::merge_into(AgreeView& held) const {
     keep_or_merge(flat, sn, /*intersect=*/true);
     s = SView(std::move(flat));
   }
-  merge_shared(held.t_alive, tn, /*intersect=*/false);
+  if (held.t_alive) {
+    merge_shared(held.t_alive, tn, /*intersect=*/false);
+  } else if (tn->test(static_cast<std::size_t>(self))) {
+    held.t_alive = tn;  // {self} | tn is tn
+  } else {
+    DynBitset t = *tn;
+    t.set(static_cast<std::size_t>(self));
+    held.t_alive = share_bits(std::move(t));
+  }
   if (held.known && kn)
     merge_shared(held.known, kn, /*intersect=*/false);
   else
@@ -75,22 +83,23 @@ void AgreeFold::merge_into(AgreeView& held) const {
 
 AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
   AgreeFold f;
-  f.heard = DynBitset(by_sender.size());
+  DynBitset heard(by_sender.size());
   DynBitset sn, tn, kn;
   bool every_unit = false;
   const DynBitset* last_base = nullptr;
   for (std::size_t i = 0; i < by_sender.size(); ++i) {
     const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
-    f.heard.set(i);
+    heard.set(i);
     const DynBitset* base = msg->s_left.base.get();
     if (!last_base) {
       sn = *base;
-      tn = *msg->t_alive;
+      tn = msg->t_alive ? *msg->t_alive : DynBitset(by_sender.size());
     } else {
       if (base != last_base) sn &= *base;
-      tn |= *msg->t_alive;
+      if (msg->t_alive) tn |= *msg->t_alive;
     }
+    if (!msg->t_alive) tn.set(i);  // the implicit {sender}
     last_base = base;
     if (!msg->known)
       every_unit = true;
@@ -101,6 +110,7 @@ AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
     f.past_horizon = f.past_horizon && msg->past_horizon;
     if (msg->done && !f.done) f.done = msg;
   }
+  f.heard = share_bits(std::move(heard));
   if (!last_base) return f;
   for (const AgreeMsg* msg : by_sender)
     if (msg && msg->s_left.cut()) sn.reset_range(msg->s_left.lo, msg->s_left.hi);
@@ -120,22 +130,32 @@ void stash_views(const InboxView& inbox, int phase, std::vector<const AgreeMsg*>
   }
 }
 
-bool drop_silent(DynBitset& u, const DynBitset& heard, int self) {
+bool drop_silent(SharedBits& u, const SharedBits& heard, int self) {
+  if (u == heard) return false;
   const std::size_t me = static_cast<std::size_t>(self);
-  const bool self_in = u.test(me);
-  const std::uint64_t before = u.count();
-  u &= heard;
-  if (self_in) u.set(me);
-  return u.count() != before;
+  const bool self_in = u->test(me);
+  if (heard->is_subset_of(*u) && (!self_in || heard->test(me))) {
+    // (u & heard) | ({self} & u) is heard itself: equal counts mean u
+    // already is, else take the shared object.
+    if (heard->count() == u->count()) return false;
+    u = heard;
+    return true;
+  }
+  DynBitset kept = *u;
+  kept &= *heard;
+  if (self_in) kept.set(me);
+  if (kept.count() == u->count()) return false;
+  u = share_bits(std::move(kept));
+  return true;
 }
 
 bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& held,
-                   DynBitset& u, bool& removed_any) {
+                   SharedBits& u, bool& removed_any) {
   if (fold.done) {
     held = *fold.done;
     return true;
   }
-  fold.merge_into(held);
+  fold.merge_into(held, self);
   if (past_grace && drop_silent(u, fold.heard, self)) removed_any = true;
   return false;
 }
@@ -221,9 +241,10 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
     // among the recipients this record actually reached.
     const std::size_t from = static_cast<std::size_t>(rec.from);
     const bool keep = idx.eligible.test(from) && !rec.delivers_to(rec.from);
-    const RecipientBits* aud = rec.to.shared_bits().get();
-    if (aud && rec.cut >= aud->count && aud->bits.size() == procs) {
-      idx.eligible &= aud->bits;  // D's uncut broadcast
+    const SharedBits& aud = rec.to.shared_bits();
+    if (aud && rec.cut >= rec.to.size() && aud->size() == procs) {
+      idx.eligible &= *aud;  // D's uncut broadcast: u, less its sender
+      if (rec.to.excluded() >= 0) idx.eligible.reset(static_cast<std::size_t>(rec.to.excluded()));
     } else {
       if (reached.size() == 0) reached = DynBitset(procs);
       reached.reset_all();
@@ -287,12 +308,9 @@ std::optional<Action> DPhaseLoop::work_round(const Round& now) {
 
 void DPhaseLoop::start_agree(bool past_horizon, const DynBitset* arrived) {
   agreeing_ = true;
-  u_ = *t_;
-  audience_.reset();  // u_ changed; the shared audience set is stale
-  DynBitset tn(t_->size());
-  tn.set(static_cast<std::size_t>(self_));
+  u_ = t_;
   view_.s_left = s_;
-  view_.t_alive = share_bits(std::move(tn));
+  view_.t_alive = nullptr;  // {self}
   view_.known = k_;
   if (arrived && !arrived->is_subset_of(*k_)) {
     DynBitset known = *k_;
@@ -305,12 +323,9 @@ void DPhaseLoop::start_agree(bool past_horizon, const DynBitset* arrived) {
 
 Action DPhaseLoop::broadcast(bool done) {
   Action a;
-  if (!audience_) {
-    DynBitset bits = u_;
-    if (bits.test(static_cast<std::size_t>(self_))) bits.reset(static_cast<std::size_t>(self_));
-    audience_ = make_recipient_bits(std::move(bits));
-  }
-  if (audience_->count > 0) {
+  if (audience_.shared_bits() != u_) audience_ = RecipientSet(u_, self_);
+  if (!audience_.empty()) {
+    if (done && !view_.t_alive) view_.t_alive = only_self();
     auto msg = std::make_shared<AgreeMsg>(phase_, view_.s_left, view_.t_alive, done, view_.known,
                                           view_.past_horizon);
     last_sent_ = msg;
@@ -325,7 +340,6 @@ bool DPhaseLoop::receive(const AgreeFold& fold, int grace) {
   const bool past_grace = iter_ >= grace;
   bool removed_any = false;
   const bool adopted = agree_receive(fold, self_, past_grace, view_, u_, removed_any);
-  if (removed_any) audience_.reset();  // u_ changed; rebuild on next broadcast
   ++iter_;
   return adopted || (past_grace && !removed_any);
 }
@@ -341,8 +355,14 @@ void DPhaseLoop::close_agreement() {
   work_entered_ = false;
   last_sent_.reset();  // the done broadcast is never folded back in
   s_ = view_.s_left.flattened();  // a cut survives only when no view was heard
-  t_ = view_.t_alive;
+  t_ = view_.t_alive ? view_.t_alive : only_self();  // heard no view: T = {self}
   k_ = view_.known;
+}
+
+SharedBits DPhaseLoop::only_self() const {
+  DynBitset t(t_->size());
+  t.set(static_cast<std::size_t>(self_));
+  return share_bits(std::move(t));
 }
 
 void DPhaseLoop::end(PhaseEnd e) {

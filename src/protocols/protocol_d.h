@@ -86,11 +86,18 @@ struct SView {
 // whose merge leaves a view unchanged -- or equal to the fold it merged --
 // keeps aliasing that object (AgreeFold::merge_into).  No view is copied on
 // write in iteration 0: work_round's S \ S' records its cut on the
-// shared S, so a phase's iteration-0 views are t cuts of one base.  A view
-// is copied only by a merge that yields new bits, and flattened only when a
-// process ends its agreement with a cut still standing (it heard no view).
-// Theorem 4.1's agreement property is then also a memory property:
-// survivors that agree hold one (S, T).
+// shared S, so a phase's iteration-0 views are t cuts of one base, and
+// iteration 0's T = {self} is carried as a null t_alive, no bitset at all.
+// A view is copied only by a merge that yields new bits, and flattened or
+// materialised only when a process ends its agreement having heard no
+// view.  The agreement's other per-process sets follow the same rule:
+// u starts as an alias of the agreed T and, when the silence rule drops
+// members, adopts the fold's heard set whenever that is the result
+// (drop_silent); the broadcast audience is u itself with the sender
+// excluded (sim/message.h's RecipientSet).  Theorem 4.1's agreement
+// property is then also a memory property: survivors that agree hold one
+// (S, T), and a served round leaves them on one u, so a D process holds no
+// t-bit set of its own on the served path.
 //
 // One agreement view: S merged by AND, T and the known set by OR, and the
 // horizon flag by AND.  Static D's known set is every unit (null), so its
@@ -98,8 +105,10 @@ struct SView {
 // known grows as arrivals are gossiped and S is "not yet done" over every
 // unit id.
 struct AgreeView {
-  SView s_left;              // units not yet done, indexed unit-1
-  SharedBits t_alive;        // processes believed correct
+  SView s_left;  // units not yet done, indexed unit-1
+  // Processes believed correct; null = only the view's owner (the sender
+  // of a message, self in a held view) -- iteration 0's T = {self}.
+  SharedBits t_alive;
   SharedBits known;          // units known to exist; null = every unit
   bool past_horizon = true;  // every contributor entered past the arrival horizon
 };
@@ -129,11 +138,13 @@ std::int64_t work_slice(const DynBitset& outstanding, const DynBitset& alive, in
 // heard over every view -- done views included -- plus the lowest sender's
 // done view.  `sn`/`tn`/`kn` are built once per fold, flat; `sn` and `tn`
 // are null when no view was folded, and then merge_into changes nothing.
-// `kn` is null when some view knows every unit.
+// A view with an implicit T contributes its sender's bit to `tn`.  `kn` is
+// null when some view knows every unit.  `heard` is shared so that the
+// silence rule can hand it to every process it leaves with that set.
 struct AgreeFold {
   SharedBits sn, tn, kn;
   bool past_horizon = true;
-  DynBitset heard;                 // senders whose slot holds a view
+  SharedBits heard;                // senders whose slot holds a view
   const AgreeMsg* done = nullptr;  // lowest sender's done view; null = none
 
   // held.s_left &= sn, held.t_alive |= tn, held.known |= kn, sharing by
@@ -144,8 +155,9 @@ struct AgreeFold {
   // and one T object.  A cut held S is asked first in its cut form (sn
   // within base, and missing the range), so the common iteration-0 merge
   // adopts the fold without flattening; only otherwise is it flattened
-  // before the rule above.
-  void merge_into(AgreeView& held) const;
+  // before the rule above.  A held implicit T is {self}: the fold's T is
+  // adopted when it holds self, and only otherwise copied with self added.
+  void merge_into(AgreeView& held, int self) const;
 };
 
 // The fold of `by_sender`, a phase's views indexed by sender (null = silent).
@@ -162,8 +174,11 @@ void stash_views(const InboxView& inbox, int phase, std::vector<const AgreeMsg*>
                  std::vector<std::shared_ptr<const Payload>>* retained);
 
 // The silence rule: drops from u every member other than self that is not
-// in `heard` (silent => crashed); returns whether any was dropped.
-bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
+// in `heard` (silent => crashed); returns whether any was dropped.  By
+// content, like merge_into: u takes the `heard` object when that is the
+// result (heard within u, and holding self if u does -- a served receive),
+// keeps its own when nothing is dropped, and is allocated only otherwise.
+bool drop_silent(SharedBits& u, const SharedBits& heard, int self);
 
 // One iteration of the agreement receive-check (Figure 4 lines 15-19) over
 // the fold of the phase's views: adopt the fold's done view into `held` and
@@ -174,7 +189,7 @@ bool drop_silent(DynBitset& u, const DynBitset& heard, int self);
 // AgreeMergeCache); D_coord's fallback and dynamic D pass the fold of their
 // stash.
 bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& held,
-                   DynBitset& u, bool& removed_any);
+                   SharedBits& u, bool& removed_any);
 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
 // The paper's case-2 bounds assume it runs over the agreed survivors only, so
@@ -260,15 +275,17 @@ class DPhaseLoop {
   // result is nullopt.
   std::optional<Action> work_round(const Round& now);
 
-  // Starts the agreement: u = T, the view's S = S, T = {self}, known =
-  // known plus `arrived` (units this process learned of outside any
-  // agreement; null = none, and then known may be null), past_horizon as
-  // given; iteration 0.
+  // Starts the agreement: u = T (an alias), the view's S = S, T = {self}
+  // (implicit: a null t_alive), known = known plus `arrived` (units this
+  // process learned of outside any agreement; null = none, and then known
+  // may be null), past_horizon as given; iteration 0.
   void start_agree(bool past_horizon = true, const DynBitset* arrived = nullptr);
-  // Sends the view and `done` to u \ {self}.  The audience is one shared
-  // immutable set that the ledger records alias (sim/message.h), rebuilt
-  // only after u changes, so a stable agreement's broadcasts share one
-  // object.  No message is built when the audience is empty.
+  // Sends the view and `done` to u \ {self}.  The audience is u itself
+  // with self excluded (sim/message.h), so the ledger records alias u's
+  // object and survivors on one u share one audience.  No message is built
+  // when the audience is empty.  A done view always carries its T: an
+  // implicit {self} is materialised first, since adopters take the view
+  // whole.
   Action broadcast(bool done);
   // The receive-check of the agreement's current iteration over `fold`
   // (agree_receive; silent members are dropped from iteration `grace` on).
@@ -277,14 +294,15 @@ class DPhaseLoop {
   bool receive(const AgreeFold& fold, int grace);
   // D_coord's coordinator rounds: merge a fold of reports into the view,
   // or adopt a final view whole.
-  void merge(const AgreeFold& fold) { fold.merge_into(view_); }
+  void merge(const AgreeFold& fold) { fold.merge_into(view_, self_); }
   void adopt(const AgreeView& view) { view_ = view; }
   // The phase end (Figure 4 lines 9-13): close_agreement, then end_phase
   // decides the next phase, termination or the revert to A.
   void finish_phase(const Round& now);
   // finish_phase's halves, for a variant with its own phase-end rule:
   // (S, T, known) := the agreed view, leaving the agreement (the next
-  // work_round enters a fresh work phase), then the decision.
+  // work_round enters a fresh work phase; T = {self} is materialised only
+  // for a process that heard no view), then the decision.
   void close_agreement();
   void end(PhaseEnd e);
 
@@ -301,7 +319,8 @@ class DPhaseLoop {
   const SView& s() const { return s_; }
   const SharedBits& t() const { return t_; }
   const SharedBits& known() const { return k_; }  // null = every unit
-  const DynBitset& u() const { return u_; }
+  // Not yet known faulty this phase; shared like the views.
+  const SharedBits& u() const { return u_; }
   // The agreement's view: the agreed one once the agreement is closed.
   const AgreeView& view() const { return view_; }
   // Units outside S: performed by this process or learned done through an
@@ -332,12 +351,15 @@ class DPhaseLoop {
   // Agreement (pipelined; see the header comment).
   bool agreeing_ = false;
   int iter_ = 0;
-  DynBitset u_;     // not yet known faulty this phase
-  AgreeView view_;  // the view being merged; each broadcast aliases its sets
-  std::shared_ptr<const RecipientBits> audience_;  // u_ \ {self}; null = stale
+  SharedBits u_;           // not yet known faulty this phase
+  AgreeView view_;         // the view being merged; each broadcast aliases its sets
+  RecipientSet audience_;  // u_ \ {self}; stale when it holds another object than u_
   std::shared_ptr<const AgreeMsg> last_sent_;
 
   std::unique_ptr<RevertToA> revert_;  // set once reverted
+
+  // A fresh T = {self}, for a view whose implicit T must become explicit.
+  SharedBits only_self() const;
 };
 
 // Run-scoped memoization of an agreement round's receive.  Every recipient
@@ -384,9 +406,9 @@ class DPhaseLoop {
 // in any order, take the same path.  It holds raw pointers into the ledger,
 // dereferenced only during its own round.  Memory: one table of t pointers,
 // two t-bit sets and one n-bit and one t-bit fold -- and the fold's views
-// are the objects served recipients adopt (AgreeFold::merge_into), so a
-// served round's survivors hold one S and one T between them instead of
-// one n-bit copy each.
+// and heard set are the objects served recipients adopt
+// (AgreeFold::merge_into, drop_silent), so a served round's survivors hold
+// one S, one T and one u between them instead of a copy each.
 class AgreeMergeCache {
  public:
   struct Index {
@@ -456,6 +478,7 @@ class ProtocolDProcess final : public IProcess {
 
   int phases_completed() const { return loop_.phase() - 1; }
   bool reverted_to_a() const { return loop_.reverted(); }
+  const DPhaseLoop& loop() const { return loop_; }
 
   // Observability accessor (process.h), the loop's.  After a revert, S is
   // frozen at the revert-time value: the embedded Protocol A instance works

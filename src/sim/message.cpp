@@ -24,17 +24,20 @@ const char* to_string(MsgKind k) {
   return "?";
 }
 
-std::shared_ptr<const RecipientBits> make_recipient_bits(DynBitset bits) {
-  auto out = std::make_shared<RecipientBits>();
-  out->count = bits.count();
-  out->bits = std::move(bits);
-  return out;
+RecipientSet::RecipientSet(SharedBits bits, int excluded) : bits_(std::move(bits)) {
+  // Only a member is recorded as excluded, so rank_of can discount it
+  // without testing it.
+  const bool member = excluded >= 0 && static_cast<std::size_t>(excluded) < bits_->size() &&
+                      bits_->test(static_cast<std::size_t>(excluded));
+  hi_ = member ? excluded : -1;
+  lo_ = static_cast<int>(bits_->count()) - (member ? 1 : 0);
 }
 
 int RecipientSet::lowest() const {
   if (bits_) {
-    const std::size_t i = bits_->bits.find_next(0);
-    return i < bits_->bits.size() ? static_cast<int>(i) : -1;
+    std::size_t i = bits_->find_next(0);
+    if (static_cast<int>(i) == hi_) i = bits_->find_next(i + 1);
+    return i < bits_->size() ? static_cast<int>(i) : -1;
   }
   return hi_ > lo_ ? lo_ : -1;
 }
@@ -43,7 +46,7 @@ bool RecipientSet::within(int t) const {
   if (bits_)
     // The invariant that bits at positions >= size() are zero makes the size
     // check sufficient for the upper bound; negative ids cannot be encoded.
-    return bits_->bits.size() <= static_cast<std::size_t>(t);
+    return bits_->size() <= static_cast<std::size_t>(t);
   return lo_ >= 0 && hi_ <= t;
 }
 
@@ -71,7 +74,7 @@ Outgoing broadcast(const std::vector<int>& recipients, MsgKind kind,
   DynBitset bits(max_id);
   for (int r : recipients)
     if (r >= 0) bits.set(static_cast<std::size_t>(r));
-  return Outgoing{make_recipient_bits(std::move(bits)), kind, std::move(payload)};
+  return Outgoing{share_bits(std::move(bits)), kind, std::move(payload)};
 }
 
 RecipientSet remap_recipients(const RecipientSet& set, const std::vector<int>& map, int t) {
@@ -81,7 +84,7 @@ RecipientSet remap_recipients(const RecipientSet& set, const std::vector<int>& m
   set.for_each_prefix(set.size(), [&](int id) {
     bits.set(static_cast<std::size_t>(map[static_cast<std::size_t>(id)]));
   });
-  return make_recipient_bits(std::move(bits));
+  return share_bits(std::move(bits));
 }
 
 }  // namespace dowork

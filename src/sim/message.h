@@ -113,23 +113,18 @@ struct IdRange {
   std::size_t size() const { return empty() ? 0 : static_cast<std::size_t>(end - first); }
 };
 
-// Immutable audience for a set-addressed broadcast (Protocol D's "everyone I
-// still believe correct"): a bitset over process ids plus its cached
-// popcount.  Shared by reference -- the sender builds it once (and may cache
-// it across rounds while the audience is unchanged); every ledger record of
-// the broadcast aliases the same object.
-struct RecipientBits {
-  DynBitset bits;
-  std::uint64_t count = 0;
-};
-
-std::shared_ptr<const RecipientBits> make_recipient_bits(DynBitset bits);
-
 // The audience of one send: a single process (unicasts, poll replies), a
-// contiguous id range (group checkpoints), or a shared bit set (Protocol D's
-// believed-correct set).  Recipients are always enumerated in ascending id
-// order; that order defines the "first k recipients" a mid-broadcast crash
-// prefix cut delivers to (sim/fault_injector.h).
+// contiguous id range (group checkpoints), or a shared bit set minus at
+// most one excluded member (Protocol D's "everyone I still believe correct
+// but me").  The set form holds the immutable bitset by reference
+// (util/bitset.h's SharedBits), so the sender names its audience with no
+// copy -- Protocol D passes its shared u and itself as the excluded id --
+// and every ledger record of the broadcast aliases the same object.  It
+// leaves the range endpoints unused, so they hold its cached member count
+// and the excluded id (-1 = none; only a member is ever excluded).
+// Recipients are always enumerated in ascending id order, skipping the
+// excluded id; that order defines the "first k recipients" a
+// mid-broadcast crash prefix cut delivers to (sim/fault_injector.h).
 class RecipientSet {
  public:
   // Default: a single invalid recipient (id -1), like the old unaddressed
@@ -138,26 +133,27 @@ class RecipientSet {
   RecipientSet(int to) : lo_(to), hi_(to + 1) {}  // NOLINT(runtime/explicit)
   RecipientSet(IdRange r)                          // NOLINT(runtime/explicit)
       : lo_(r.first), hi_(r.empty() ? r.first : r.end) {}
-  RecipientSet(std::shared_ptr<const RecipientBits> bits)  // NOLINT(runtime/explicit)
-      : bits_(std::move(bits)) {}
+  // The members of `bits` other than `excluded` (-1 = none).
+  RecipientSet(SharedBits bits, int excluded = -1);  // NOLINT(runtime/explicit)
 
   std::size_t size() const {
-    if (bits_) return static_cast<std::size_t>(bits_->count);
+    if (bits_) return static_cast<std::size_t>(lo_);
     return hi_ > lo_ ? static_cast<std::size_t>(hi_ - lo_) : 0;
   }
   bool empty() const { return size() == 0; }
 
   bool contains(int id) const {
     if (bits_)
-      return id >= 0 && static_cast<std::size_t>(id) < bits_->bits.size() &&
-             bits_->bits.test(static_cast<std::size_t>(id));
+      return id >= 0 && static_cast<std::size_t>(id) < bits_->size() && id != hi_ &&
+             bits_->test(static_cast<std::size_t>(id));
     return lo_ <= id && id < hi_;
   }
 
   // Position of `id` in the ascending enumeration; only meaningful when
   // contains(id).  Used to test membership in a crash-truncated prefix.
   std::size_t rank_of(int id) const {
-    if (bits_) return bits_->bits.count_prefix(static_cast<std::size_t>(id));
+    if (bits_)
+      return bits_->count_prefix(static_cast<std::size_t>(id)) - (0 <= hi_ && hi_ < id ? 1 : 0);
     return static_cast<std::size_t>(id - lo_);
   }
 
@@ -171,10 +167,13 @@ class RecipientSet {
   template <typename F>
   void for_each_prefix(std::size_t k, F&& f) const {
     if (bits_) {
-      const DynBitset& b = bits_->bits;
-      std::size_t i = b.find_next(0);
-      for (std::size_t done = 0; done < k && i < b.size(); ++done, i = b.find_next(i + 1))
+      const DynBitset& b = *bits_;
+      std::size_t done = 0;
+      for (std::size_t i = b.find_next(0); done < k && i < b.size(); i = b.find_next(i + 1)) {
+        if (static_cast<int>(i) == hi_) continue;
         f(static_cast<int>(i));
+        ++done;
+      }
       return;
     }
     // Clamp before narrowing: a huge k (the SIZE_MAX "all" convention)
@@ -184,28 +183,38 @@ class RecipientSet {
   }
 
   // Sets the bits of the first `k` members in `dst` (sized >= every member
-  // id + 1).  Word-level OR when the audience is a full bit set of matching
-  // size -- the Protocol D hot path -- per-member bits otherwise.
+  // id + 1).  Word-level OR when the audience is a whole set of matching
+  // size -- the Protocol D hot path -- restoring the excluded bit to what
+  // it was; per-member bits otherwise.
   void mark_prefix(DynBitset& dst, std::size_t k) const {
-    if (bits_ && k >= bits_->count && bits_->bits.size() == dst.size()) {
-      dst |= bits_->bits;
+    if (bits_ && k >= size() && bits_->size() == dst.size()) {
+      const bool keep = hi_ >= 0 && dst.test(static_cast<std::size_t>(hi_));
+      dst |= *bits_;
+      if (hi_ >= 0 && !keep) dst.reset(static_cast<std::size_t>(hi_));
       return;
     }
     for_each_prefix(k, [&dst](int id) { dst.set(static_cast<std::size_t>(id)); });
   }
 
-  // The shared audience object, when set-addressed (null otherwise); lets
-  // wrappers that remap ids detect the representation.
-  const std::shared_ptr<const RecipientBits>& shared_bits() const { return bits_; }
+  // The shared bitset when set-addressed (null otherwise), and the member
+  // of it the set excludes (-1 = none); lets wrappers that remap ids and
+  // the wire codec detect the representation.
+  const SharedBits& shared_bits() const { return bits_; }
+  int excluded() const { return bits_ ? hi_ : -1; }
   // The [first, end) range when range/single-addressed (empty when
   // set-addressed).
   IdRange range() const { return bits_ ? IdRange{} : IdRange{lo_, hi_}; }
 
  private:
+  // Range form: [lo_, hi_).  Set form: lo_ = member count, hi_ = excluded.
   int lo_ = -1;
   int hi_ = 0;  // default: single recipient -1
-  std::shared_ptr<const RecipientBits> bits_;
+  SharedBits bits_;
 };
+
+// The audience is three words, so that the broadcast ledger's records stay
+// as small as when it held only a range or one shared pointer.
+static_assert(sizeof(RecipientSet) <= 24);
 
 // A message as handed to the simulator by a process (audience chosen, round
 // filled in by the simulator).  A broadcast is ONE Outgoing whose `to` names
@@ -237,6 +246,10 @@ struct DeliveryRecord {
     return to.contains(id) && (cut >= to.size() || to.rank_of(id) < cut);
   }
 };
+
+// Every send of A and B is one ledger record (a t = 16384 run commits
+// millions), so the record must not grow with the audience forms.
+static_assert(sizeof(DeliveryRecord) == 72 || sizeof(void*) != 8);
 
 // A non-owning view of one delivered message, as yielded by InboxView
 // iteration.  Copying the underlying payload reference (for retention past
@@ -350,7 +363,7 @@ class InboxView {
 };
 
 // Helper: one broadcast Outgoing addressed to an explicit recipient list
-// (converted to a shared RecipientBits; ids need not be sorted).
+// (converted to a shared bit set; ids need not be sorted).
 Outgoing broadcast(const std::vector<int>& recipients, MsgKind kind,
                    std::shared_ptr<const Payload> payload);
 

@@ -268,7 +268,7 @@ void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
     });
     if (kept == 0) return;
     if (lost_any) {
-      rec.to = make_recipient_bits(std::move(survivors));
+      rec.to = RecipientSet(share_bits(std::move(survivors)));
       rec.cut = kept;
     }
   }

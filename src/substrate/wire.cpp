@@ -58,10 +58,14 @@ class Writer {
     for (std::size_t i = 0; i < b.word_count(); ++i) u64(b.word_without(i, lo, hi));
   }
 
+  // A set-form audience goes out as its members: the shared bitset with
+  // the excluded id cleared, so the decoder needs no exclusion of its own.
   void recipients(const RecipientSet& to) {
-    if (const auto& bits = to.shared_bits()) {
+    if (const SharedBits& bits = to.shared_bits()) {
       u8(1);
-      bitset(bits->bits);
+      const int ex = to.excluded();
+      bitset(*bits, ex < 0 ? 0 : static_cast<std::size_t>(ex),
+             ex < 0 ? 0 : static_cast<std::size_t>(ex) + 1);
     } else {
       const IdRange r = to.range();
       u8(0);
@@ -112,11 +116,13 @@ void Writer::payload(const Payload* p) {
     u8(static_cast<std::uint8_t>(PayloadTag::kAgree));
     i32(m->phase);
     bitset(*m->s_left.base, m->s_left.lo, m->s_left.hi);
-    bitset(*m->t_alive);
-    // Flags: done, before the horizon, carries a known set.  A static view
-    // (every unit known, past the horizon) encodes as the bare done byte.
+    // Flags: done, before the horizon, carries a known set, and T is the
+    // implicit {sender} of iteration 0 (no T bitset follows).  A static
+    // view (every unit known, past the horizon) with a T encodes as the
+    // bare done byte.
     u8(static_cast<std::uint8_t>((m->done ? 1 : 0) | (m->past_horizon ? 0 : 2) |
-                                 (m->known ? 4 : 0)));
+                                 (m->known ? 4 : 0) | (m->t_alive ? 0 : 8)));
+    if (m->t_alive) bitset(*m->t_alive);
     if (m->known) bitset(*m->known);
   } else if (const auto* m = detail::payload_as<BaselineCkpt>(p)) {
     u8(static_cast<std::uint8_t>(PayloadTag::kBaselineCkpt));
@@ -177,7 +183,7 @@ class BodyReader {
       return RecipientSet{IdRange{first, end}};
     }
     if (tag != 1) throw WireError("bad recipient-set tag");
-    return RecipientSet{make_recipient_bits(bitset())};
+    return RecipientSet{share_bits(bitset())};
   }
 
   MsgKind kind() {
@@ -243,9 +249,9 @@ std::shared_ptr<const Payload> BodyReader::payload() {
     case PayloadTag::kAgree: {
       const int phase = i32();
       SView s(share_bits(bitset()));  // uncut
-      SharedBits t = share_bits(bitset());
       const std::uint8_t flags = u8();
-      if (flags > 7) throw WireError("bad agreement flags");
+      if (flags > 15) throw WireError("bad agreement flags");
+      SharedBits t = (flags & 8) != 0 ? nullptr : share_bits(bitset());
       SharedBits known = (flags & 4) != 0 ? share_bits(bitset()) : nullptr;
       return std::make_shared<AgreeMsg>(phase, std::move(s), std::move(t), (flags & 1) != 0,
                                         std::move(known), (flags & 2) == 0);

@@ -4,6 +4,8 @@
 // per-recipient work in steady state).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -19,10 +21,10 @@ struct TagPayload final : Payload {
   explicit TagPayload(int t) : tag(t) {}
 };
 
-std::shared_ptr<const RecipientBits> bits_of(std::vector<int> ids, int t) {
+SharedBits bits_of(std::vector<int> ids, int t) {
   DynBitset b(static_cast<std::size_t>(t));
   for (int id : ids) b.set(static_cast<std::size_t>(id));
-  return make_recipient_bits(std::move(b));
+  return share_bits(std::move(b));
 }
 
 // --- RecipientSet ------------------------------------------------------------
@@ -84,6 +86,83 @@ TEST(RecipientSet, MarkPrefixMatchesForEach) {
   EXPECT_TRUE(cut.test(2));
   EXPECT_FALSE(cut.test(5));
   EXPECT_FALSE(cut.test(7));
+}
+
+// A set with one excluded member (Protocol D's "u less me") behaves exactly
+// like the plain set of its other members, under every prefix cut: none,
+// the first member, just below and just above the excluded id's position,
+// everyone, and the SIZE_MAX convention.
+TEST(RecipientSet, ExcludedMemberActsAsAbsent) {
+  const SharedBits u = bits_of({0, 2, 5, 7, 9, 12}, 16);
+  const RecipientSet aud(u, 7);
+  const RecipientSet plain(bits_of({0, 2, 5, 9, 12}, 16));
+  EXPECT_EQ(aud.shared_bits(), u);  // held by reference, not copied
+  EXPECT_EQ(aud.excluded(), 7);
+  EXPECT_EQ(aud.size(), 5u);
+  EXPECT_EQ(aud.lowest(), 0);
+  EXPECT_TRUE(aud.within(16));
+  EXPECT_FALSE(aud.within(15));
+  EXPECT_FALSE(aud.contains(7));
+  EXPECT_TRUE(aud.contains(5));
+  EXPECT_TRUE(aud.contains(9));
+  EXPECT_EQ(aud.rank_of(5), 2u);
+  EXPECT_EQ(aud.rank_of(9), 3u);  // 7 is not counted below 9
+  EXPECT_EQ(aud.rank_of(12), 4u);
+  for (int id = -1; id <= 17; ++id) {
+    EXPECT_EQ(aud.contains(id), plain.contains(id)) << id;
+    if (plain.contains(id)) {
+      EXPECT_EQ(aud.rank_of(id), plain.rank_of(id)) << id;
+    }
+  }
+  // 5 is the last member below the excluded 7, 9 the first above it.
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+                        std::size_t{5}, SIZE_MAX}) {
+    std::vector<int> got, want;
+    aud.for_each_prefix(k, [&](int id) { got.push_back(id); });
+    plain.for_each_prefix(k, [&](int id) { want.push_back(id); });
+    EXPECT_EQ(got, want) << "k " << k;
+    if (k == 4) {
+      EXPECT_EQ(got, (std::vector<int>{0, 2, 5, 9}));  // 7 skipped
+    }
+    const DeliveryRecord cut_aud{7, MsgKind::kAgreement, std::min(k, aud.size()), aud, nullptr, {}};
+    const DeliveryRecord cut_plain{7, MsgKind::kAgreement, std::min(k, plain.size()), plain,
+                                   nullptr, {}};
+    for (int id = 0; id < 16; ++id)
+      EXPECT_EQ(cut_aud.delivers_to(id), cut_plain.delivers_to(id)) << "k " << k << ", id " << id;
+  }
+
+  // Excluding the lowest member moves lowest(); excluding a non-member is
+  // no exclusion at all.
+  EXPECT_EQ(RecipientSet(bits_of({3, 5}, 8), 3).lowest(), 5);
+  EXPECT_EQ(RecipientSet(bits_of({3}, 8), 3).lowest(), -1);
+  EXPECT_TRUE(RecipientSet(bits_of({3}, 8), 3).empty());
+  const RecipientSet not_member(bits_of({1, 2}, 8), 4);
+  EXPECT_EQ(not_member.excluded(), -1);
+  EXPECT_EQ(not_member.size(), 2u);
+  EXPECT_EQ(not_member.rank_of(2), 1u);
+}
+
+// mark_prefix's word-OR path ORs in the whole shared set and must leave the
+// excluded bit as it found it: set when another record already marked it,
+// clear otherwise.  The member loop of a cut marks the same bits as the
+// plain set's.
+TEST(RecipientSet, MarkPrefixRestoresTheExcludedBit) {
+  const RecipientSet aud(bits_of({0, 2, 5, 7, 9, 12}, 16), 7);
+  DynBitset clear(16);
+  aud.mark_prefix(clear, aud.size());
+  EXPECT_EQ(clear, *bits_of({0, 2, 5, 9, 12}, 16));
+  DynBitset marked(16);
+  marked.set(7);  // another record reached 7
+  marked.set(14);
+  aud.mark_prefix(marked, aud.size());
+  EXPECT_EQ(marked, *bits_of({0, 2, 5, 7, 9, 12, 14}, 16));
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+    DynBitset cut(16);
+    aud.mark_prefix(cut, k);
+    DynBitset want(16);
+    RecipientSet(bits_of({0, 2, 5, 9, 12}, 16)).mark_prefix(want, k);
+    EXPECT_EQ(cut, want) << "k " << k;
+  }
 }
 
 TEST(RecipientSet, RemapTranslatesMembers) {

@@ -126,8 +126,16 @@ struct AudienceSend {
   int from;
   int phase;
   bool done;
-  std::shared_ptr<const RecipientBits> to;  // null for a report's unicast
+  RecipientSet to;  // set-addressed, or a report's unicast
   DynBitset u, t;
+
+  bool broadcast() const { return to.shared_bits() != nullptr; }
+  // The audience's members as one bitset.
+  DynBitset members() const {
+    DynBitset b(t.size());
+    to.mark_prefix(b, to.size());
+    return b;
+  }
 };
 
 class AudienceRecorder final : public IProcess {
@@ -139,8 +147,8 @@ class AudienceRecorder final : public IProcess {
     Action a = inner_->on_round(ctx, inbox);
     for (const Outgoing& o : a.sends)
       if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
-        out_.push_back(AudienceSend{ctx.self, m->phase, m->done, o.to.shared_bits(),
-                                    inner_->loop().u(), *inner_->loop().t()});
+        out_.push_back(AudienceSend{ctx.self, m->phase, m->done, o.to, *inner_->loop().u(),
+                                    *inner_->loop().t()});
     return a;
   }
   Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
@@ -174,8 +182,8 @@ DynBitset without(DynBitset bits, int self) {
 // D_coord's agreement sends go through the phase loop's one cached
 // audience.  A sender that never falls back (the coordinator's final view,
 // an adopter's re-broadcast) sends to T \ {self}; a fallback sender's
-// broadcasts each go to u \ {self} and alias one RecipientBits object until
-// its u drops a member.  Two coordinator deaths: mid final broadcast (T10's
+// broadcasts each go to u \ {self} and alias one bitset, its u, until its u
+// drops a member.  Two coordinator deaths: mid final broadcast (T10's
 // coordinator-dies row: the two adopters answer the fallback) and before it
 // (no adopters: the fallback drops the silent coordinator).
 TEST(ProtocolDCoord, AgreementSendsShareTheLoopsAudience) {
@@ -189,22 +197,22 @@ TEST(ProtocolDCoord, AgreementSendsShareTheLoopsAudience) {
     const std::vector<AudienceSend> sent = record_audiences(shape.cfg, {shape.crash});
     std::set<std::pair<int, int>> fallback;  // (sender, phase)
     for (const AudienceSend& s : sent)
-      if (s.to && !s.done) fallback.emplace(s.from, s.phase);
+      if (s.broadcast() && !s.done) fallback.emplace(s.from, s.phase);
     std::map<std::pair<int, int>, const AudienceSend*> last;
     for (const AudienceSend& s : sent) {
-      if (!s.to) continue;  // a report to the coordinator
+      if (!s.broadcast()) continue;  // a report to the coordinator
       const std::pair<int, int> key{s.from, s.phase};
       if (!fallback.count(key)) {
         EXPECT_TRUE(s.done);
-        EXPECT_EQ(s.to->bits, without(s.t, s.from)) << "from " << s.from;
+        EXPECT_EQ(s.members(), without(s.t, s.from)) << "from " << s.from;
         const bool coordinator = s.t.find_next(0) == static_cast<std::size_t>(s.from);
         ++(coordinator ? finals : rebroadcasts);
         continue;
       }
-      EXPECT_EQ(s.to->bits, without(s.u, s.from)) << "from " << s.from;
+      EXPECT_EQ(s.members(), without(s.u, s.from)) << "from " << s.from;
       if (const AudienceSend* prev = last[key]) {
         const bool same_u = prev->u == s.u;
-        EXPECT_EQ(prev->to == s.to, same_u) << "from " << s.from;
+        EXPECT_EQ(prev->to.shared_bits() == s.to.shared_bits(), same_u) << "from " << s.from;
         ++(same_u ? aliased : rebuilt);
       }
       last[key] = &s;

@@ -239,16 +239,16 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsLowestDoneElseMergesThenDropsSilent) 
   AgreeView v{share_bits(DynBitset(6, true)), shared(4, {0}), nullptr};
   SView& sn = v.s_left;
   SharedBits& tn = v.t_alive;
-  DynBitset u(4, true);
+  SharedBits u = share_bits(DynBitset(4, true));
   bool removed = false;
   EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/false, v, u, removed));
   EXPECT_EQ(sn.flat(), bits(6, {1, 2}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2}));
   EXPECT_FALSE(removed);  // inside the grace iteration silence is forgiven
-  EXPECT_EQ(u, DynBitset(4, true));
+  EXPECT_EQ(*u, DynBitset(4, true));
   EXPECT_FALSE(agree_receive(fold_views(seen), 0, /*past_grace=*/true, v, u, removed));
   EXPECT_TRUE(removed);
-  EXPECT_EQ(u, bits(4, {0, 1, 2}));  // self stays, though it sent itself nothing
+  EXPECT_EQ(*u, bits(4, {0, 1, 2}));  // self stays, though it sent itself nothing
   // Two done views: the lowest sender's is adopted whole, nothing merged.
   seen = {nullptr, &a, &d2, &d3};
   removed = false;
@@ -267,25 +267,25 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   // Done views are folded too: D_coord's coordinator merges every report.
   EXPECT_EQ(*f.sn, bits(6, {1}));
   EXPECT_EQ(*f.tn, bits(4, {0, 1, 2, 3}));
-  EXPECT_EQ(f.heard, bits(5, {1, 2, 3}));
+  EXPECT_EQ(*f.heard, bits(5, {1, 2, 3}));
   AgreeView v{share_bits(DynBitset(6, true)), shared(4, {0}), nullptr};
   SView& sn = v.s_left;
   SharedBits& tn = v.t_alive;
-  f.merge_into(v);
+  f.merge_into(v, 0);
   EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
 
   // No views: nothing heard, no done view, and the merge changes nothing.
   const AgreeFold none = fold_views({nullptr, nullptr, nullptr, nullptr});
   EXPECT_EQ(none.done, nullptr);
-  EXPECT_TRUE(none.heard.none());
-  EXPECT_EQ(none.heard.size(), 4u);
-  none.merge_into(v);
+  EXPECT_TRUE(none.heard->none());
+  EXPECT_EQ(none.heard->size(), 4u);
+  none.merge_into(v, 0);
   EXPECT_EQ(sn.flat(), bits(6, {1}));
   EXPECT_EQ(*tn, bits(4, {0, 1, 2, 3}));
-  DynBitset u(4, true);
+  SharedBits u = share_bits(DynBitset(4, true));
   EXPECT_TRUE(drop_silent(u, none.heard, 2));  // all silent: only self stays
-  EXPECT_EQ(u, bits(4, {2}));
+  EXPECT_EQ(*u, bits(4, {2}));
   EXPECT_FALSE(drop_silent(u, none.heard, 2));
 }
 
@@ -306,7 +306,7 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     AgreeView v{shared(70, {1, 2, 64, 69}), shared(5, {2}), nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
@@ -318,7 +318,7 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     AgreeView v{own_s, own_t, nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
@@ -330,7 +330,7 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     AgreeView v{own_s, own_t, nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_NE(sn.base, own_s);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_NE(tn, own_t);
@@ -349,7 +349,7 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     AgreeView v{shared(70, {3}), shared(5, {1}), nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_EQ(tn, f.tn);
   }
@@ -362,7 +362,7 @@ TEST(ProtocolDPhaseCore, MergeIntoAdoptsTheFoldKeepsItsOwnOrAllocatesTheResult) 
     AgreeView v{own_s, own_t, nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    none.merge_into(v);
+    none.merge_into(v, 0);
     EXPECT_EQ(sn.base, own_s);
     EXPECT_EQ(tn, own_t);
   }
@@ -434,7 +434,7 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
     AgreeView v{SView(base, 20, 40), shared(5, {1}), nullptr};
     SView& sn = v.s_left;
     SharedBits& tn = v.t_alive;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_EQ(sn.base, f.sn);
     EXPECT_FALSE(sn.cut());
     EXPECT_EQ(*tn, bits(5, {0, 1}));
@@ -442,7 +442,7 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
   {  // the cut [60, 66) removes 64 from the held view: flatten, exact AND
     AgreeView v{SView(base, 60, 66), shared(5, {0}), nullptr};
     SView& sn = v.s_left;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_NE(sn.base, base);
     EXPECT_FALSE(sn.cut());
@@ -452,7 +452,7 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
   {  // the fold's own object, cut so that it misses one of its bits: flatten
     AgreeView v{SView(f.sn, 0, 2), shared(5, {0}), nullptr};
     SView& sn = v.s_left;
-    f.merge_into(v);
+    f.merge_into(v, 0);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_EQ(*sn.base, bits(70, {64, 69}));
   }
@@ -467,7 +467,7 @@ TEST(ProtocolDPhaseCore, AgreeReceiveAdoptsACutDoneView) {
   AgreeView v{share_bits(DynBitset(70, true)), shared(4, {3}), nullptr};
   SView& sn = v.s_left;
   SharedBits& tn = v.t_alive;
-  DynBitset u(4, true);
+  SharedBits u = share_bits(DynBitset(4, true));
   bool removed = false;
   EXPECT_TRUE(
       agree_receive(fold_views({nullptr, &a, &d, nullptr}), 3, true, v, u, removed));
@@ -746,6 +746,119 @@ TEST(ProtocolD, RegistryProcessesStartFromOneST) {
   }
 }
 
+// Forwards to a ProtocolDProcess and records, for every agreement broadcast
+// it sends, the view's T, its loop's u and the audience right after the
+// step.
+// The records keep both objects alive, so equal pointers mean one object.
+class LoopRecorder final : public IProcess {
+ public:
+  struct Sent {
+    Round round;
+    int from;
+    int phase;
+    SharedBits t;  // null = the implicit {from}
+    SharedBits u;
+    RecipientSet to;
+  };
+  LoopRecorder(std::unique_ptr<ProtocolDProcess> inner, std::vector<Sent>& out)
+      : inner_(std::move(inner)), out_(out) {}
+
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    Action a = inner_->on_round(ctx, inbox);
+    for (const Outgoing& o : a.sends)
+      if (const auto* m = detail::payload_as<AgreeMsg>(o.payload.get()))
+        out_.push_back(Sent{ctx.round, ctx.self, m->phase, m->t_alive, inner_->loop().u(), o.to});
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
+
+ private:
+  std::unique_ptr<ProtocolDProcess> inner_;
+  std::vector<Sent>& out_;
+};
+
+// A t = 64 D run on one starting (S, T) and one merge cache, every process
+// recorded by a LoopRecorder; returns the agreement broadcasts in send order.
+std::vector<LoopRecorder::Sent> record_loops(const DoAllConfig& cfg,
+                                             const std::shared_ptr<AgreeMergeCache>& cache,
+                                             const SharedBits& all_procs,
+                                             std::unique_ptr<FaultInjector> faults) {
+  const SharedBits all_units = share_bits(DynBitset(static_cast<std::size_t>(cfg.n), true));
+  std::vector<LoopRecorder::Sent> sent;
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (int i = 0; i < cfg.t; ++i)
+    procs.push_back(std::make_unique<LoopRecorder>(
+        std::make_unique<ProtocolDProcess>(cfg, i, cache, all_units, all_procs), sent));
+  Simulator::Options opts;
+  opts.strict_one_op = true;
+  opts.n_units = cfg.n;
+  Simulator sim(std::move(procs), std::move(faults), opts);
+  EXPECT_TRUE(sim.run().all_retired);
+  return sent;
+}
+
+// Survivors that agree hold no t-bit set of their own: in a failure-free
+// run every process's u is the run's one starting T, iteration 0's
+// included, and every agreement record aliases that object as its
+// audience (u less the sender), with exactly t - 1 members.  Iteration 0's
+// views carry T = {self} as no bitset at all, and the done views one
+// shared T.
+TEST(ProtocolD, FailureFreeSurvivorsShareOneUAndOneAudience) {
+  const DoAllConfig cfg{64 * 16, 64};
+  auto cache = std::make_shared<AgreeMergeCache>();
+  const SharedBits all_procs = share_bits(DynBitset(static_cast<std::size_t>(cfg.t), true));
+  const std::vector<LoopRecorder::Sent> sent =
+      record_loops(cfg, cache, all_procs, std::make_unique<NoFaults>());
+  EXPECT_EQ(cache->walked(), 0u);
+  ASSERT_EQ(sent.size(), 2u * static_cast<std::size_t>(cfg.t));  // iteration 0, then done
+  for (const LoopRecorder::Sent& m : sent) {
+    EXPECT_EQ(m.u, all_procs) << "from " << m.from;
+    EXPECT_EQ(m.to.shared_bits(), all_procs) << "from " << m.from;
+    EXPECT_EQ(m.to.excluded(), m.from);
+    EXPECT_EQ(m.to.size(), static_cast<std::size_t>(cfg.t - 1));
+    EXPECT_FALSE(m.to.contains(m.from));
+  }
+  const std::size_t t = static_cast<std::size_t>(cfg.t);
+  for (std::size_t i = 0; i < t; ++i) EXPECT_EQ(sent[i].t, nullptr) << "from " << sent[i].from;
+  ASSERT_NE(sent[t].t, nullptr);
+  EXPECT_EQ(*sent[t].t, *all_procs);
+  for (std::size_t i = t; i < 2 * t; ++i) EXPECT_EQ(sent[i].t, sent[t].t) << "from " << sent[i].from;
+}
+
+// A crash in phase 1's work leaves one process silent in iteration 0.
+// Every survivor is served, drops it by adopting the fold's heard set, and
+// so ends the phase on one u object without it, which its later
+// broadcasts alias; each later phase's u is that phase's agreed T, again
+// one object.
+TEST(ProtocolD, ServedSurvivorsThatDropACrashShareOneU) {
+  const DoAllConfig cfg{64 * 16, 64};
+  constexpr int kCrashed = 5;
+  auto cache = std::make_shared<AgreeMergeCache>();
+  const SharedBits all_procs = share_bits(DynBitset(static_cast<std::size_t>(cfg.t), true));
+  const std::vector<LoopRecorder::Sent> sent = record_loops(
+      cfg, cache, all_procs,
+      std::make_unique<ScheduledFaults>(
+          std::vector<ScheduledFaults::Entry>{{kCrashed, 3, CrashPlan{false, 0}}}));
+  EXPECT_EQ(cache->walked(), 0u);
+  DynBitset without_crashed(static_cast<std::size_t>(cfg.t), true);
+  without_crashed.reset(kCrashed);
+  std::map<int, std::set<SharedBits>> u_of_phase;  // phase 1: all_procs excluded
+  std::set<int> droppers;
+  for (const LoopRecorder::Sent& m : sent) {
+    EXPECT_NE(m.from, kCrashed);
+    EXPECT_EQ(m.to.shared_bits(), m.u) << "from " << m.from;
+    if (m.phase == 1 && m.u == all_procs) continue;  // iteration 0, before the drop
+    EXPECT_FALSE(m.to.contains(kCrashed));
+    EXPECT_EQ(*m.u, without_crashed) << "phase " << m.phase << ", from " << m.from;
+    EXPECT_EQ(m.to.size(), static_cast<std::size_t>(cfg.t - 2));
+    u_of_phase[m.phase].insert(m.u);
+    if (m.phase == 1) droppers.insert(m.from);
+  }
+  EXPECT_EQ(droppers.size(), static_cast<std::size_t>(cfg.t - 1));  // every survivor
+  ASSERT_GT(u_of_phase.size(), 1u);
+  for (const auto& [phase, us] : u_of_phase) EXPECT_EQ(us.size(), 1u) << "phase " << phase;
+}
+
 // known_done_units() reads the cut form; it must count exactly the units
 // outside a materialized S \ S' -- at work entry, and in every phase of a
 // run whose crashes leave later phases an uneven S.
@@ -798,6 +911,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolDRandom, ::testing::Range(0u, 25u));
 // counters say which path the cached process took.
 struct LedgerFixture {
   static constexpr int t = 12;
+  // The members of a set-addressed audience as one bitset.
+  static DynBitset members(const RecipientSet& to) {
+    DynBitset b(static_cast<std::size_t>(t));
+    to.mark_prefix(b, to.size());
+    return b;
+  }
+
   static constexpr int silent = 6;  // crashed before broadcasting
   const DoAllConfig cfg{t, t};
   std::shared_ptr<AgreeMergeCache> cache = std::make_shared<AgreeMergeCache>();
@@ -900,9 +1020,12 @@ struct LedgerFixture {
       ASSERT_TRUE(g != nullptr && w != nullptr) << why;
       EXPECT_EQ(g->phase, w->phase) << why;
       EXPECT_EQ(g->s_left.flat(), w->s_left.flat()) << why;
-      EXPECT_EQ(*g->t_alive, *w->t_alive) << why;
+      ASSERT_EQ(g->t_alive == nullptr, w->t_alive == nullptr) << why;
+      if (g->t_alive) {
+        EXPECT_EQ(*g->t_alive, *w->t_alive) << why;
+      }
       EXPECT_EQ(g->done, w->done) << why;
-      EXPECT_EQ(got.sends[k].to.shared_bits()->bits, want.sends[k].to.shared_bits()->bits) << why;
+      EXPECT_EQ(members(got.sends[k].to), members(want.sends[k].to)) << why;
     }
   }
 };
@@ -950,9 +1073,9 @@ TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
       {"network-dropped recipient", -1,
        [](LedgerFixture& fx) {
          DeliveryRecord& r = fx.record_of(5);
-         DynBitset bits = r.to.shared_bits()->bits;
+         DynBitset bits = LedgerFixture::members(r.to);
          bits.reset(8);
-         r.to = make_recipient_bits(std::move(bits));
+         r.to = RecipientSet(share_bits(std::move(bits)));
          r.cut = r.to.size();
        },
        {8}},
@@ -972,9 +1095,9 @@ TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
       {"self-addressed record", -1,
        [](LedgerFixture& fx) {
          DeliveryRecord& r = fx.record_of(4);
-         DynBitset bits = r.to.shared_bits()->bits;
+         DynBitset bits = LedgerFixture::members(r.to);
          bits.set(4);
-         r.to = make_recipient_bits(std::move(bits));
+         r.to = RecipientSet(share_bits(std::move(bits)));
          r.cut = r.to.size();
        },
        {4}},

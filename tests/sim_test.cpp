@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 #include "sim/fault_injector.h"
 
@@ -606,6 +607,63 @@ class PayloadObserver final : public IProcess {
   std::shared_ptr<const Payload>* slot_;
   long* use_count_;
 };
+
+// Broadcasts once at round 0 to a shared set less itself (Protocol D's
+// audience form), logs which rounds brought it mail, and terminates at
+// round 2 either way.
+class ExcludingBroadcaster final : public IProcess {
+ public:
+  ExcludingBroadcaster(SharedBits audience, int self, std::vector<int>& heard_by)
+      : audience_(std::move(audience)), self_(self), heard_by_(heard_by) {}
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    Action a;
+    if (ctx.round == Round{0u} && audience_)
+      a.sends.push_back(
+          Outgoing{RecipientSet(audience_, self_), MsgKind::kOther, std::make_shared<IntPayload>(1)});
+    if (!inbox.empty()) heard_by_.push_back(self_);
+    a.terminate = ctx.round >= Round{2u};
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return now; }
+
+ private:
+  SharedBits audience_;
+  int self_;
+  std::vector<int>& heard_by_;
+};
+
+// The network's loss rewrite of an audience with an excluded member: a
+// partition severs the links across the split and loss draws thin the
+// rest, one draw per remaining member, never for the excluded sender, and
+// the rewritten audience reaches exactly the members the network let
+// through.
+TEST(Simulator, NetworkLossRewritesAnExcludedMemberAudience) {
+  constexpr int t = 8;
+  constexpr int sender = 3;
+  for (double drop : {0.0, 0.5}) {
+    std::vector<int> heard_by;
+    std::vector<std::unique_ptr<IProcess>> procs;
+    for (int i = 0; i < t; ++i)
+      procs.push_back(std::make_unique<ExcludingBroadcaster>(
+          i == sender ? share_bits(DynBitset(t, true)) : nullptr, i, heard_by));
+    Simulator::Options opts;
+    opts.net.partitions = {PartitionWindow{0, 2, 5}};  // {0..4} | {5..7}
+    opts.net.drop = drop;
+    opts.net.seed = 11;
+    Simulator sim(std::move(procs), std::make_unique<NoFaults>(), opts);
+    const RunMetrics m = sim.run();
+    EXPECT_TRUE(m.all_retired);
+    EXPECT_EQ(m.net_blocked, 3u) << "drop " << drop;  // 5, 6, 7; never the sender
+    EXPECT_EQ(heard_by.size() + m.net_dropped, 4u) << "drop " << drop;  // 0, 1, 2, 4
+    for (int id : heard_by) {
+      EXPECT_LT(id, 5) << "drop " << drop;
+      EXPECT_NE(id, sender) << "drop " << drop;
+    }
+    if (drop == 0.0) {
+      EXPECT_EQ(heard_by, (std::vector<int>{0, 1, 2, 4}));
+    }
+  }
+}
 
 TEST(PayloadSharing, BroadcastAllocatesOncePerBroadcastNotPerRecipient) {
   constexpr int t = 17;

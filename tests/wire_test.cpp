@@ -155,7 +155,7 @@ TEST(WireTest, DeliverPreservesPayloadFields) {
 
 // Both kinds of agreement view round-trip: a static one (every unit known,
 // past the horizon) and a dynamic one carrying its known set and a false
-// horizon flag.  Flag bits beyond the three defined ones are rejected.
+// horizon flag.  Flag bits beyond the four defined ones are rejected.
 TEST(WireTest, AgreeViewRoundTripsKnownSetAndHorizonFlag) {
   DynBitset s(70, true);
   s.reset(3);
@@ -182,10 +182,11 @@ TEST(WireTest, AgreeViewRoundTripsKnownSetAndHorizonFlag) {
       EXPECT_EQ(*got->known, known);
     }
   }
-  // The static view's flags are its body's last byte.
-  std::string frame = encode_deliver(1, MsgKind::kAgreement, Round{9}, &as_static);
-  ASSERT_EQ(frame.back(), 1);
-  frame.back() = 8;
+  // A static view with an implicit T ends in its flags byte (done, no T).
+  const AgreeMsg implicit_t(4, share_bits(s), nullptr, true);
+  std::string frame = encode_deliver(1, MsgKind::kAgreement, Round{9}, &implicit_t);
+  ASSERT_EQ(frame.back(), 9);
+  frame.back() = 16 | 9;
   auto [type, body] = read_one(frame, false);
   EXPECT_THROW(decode_deliver(body, 0), WireError);
 }
@@ -213,6 +214,43 @@ TEST(WireTest, CutAgreeViewEncodesAsItsFlatEquivalent) {
   }
 }
 
+// Iteration 0's view carries T = {sender} implicitly: no T bitset goes on
+// the wire, and the decoded view's T is null again.
+TEST(WireTest, ImplicitTAgreeViewRoundTripsWithoutABitset) {
+  const SharedBits s = share_bits(DynBitset(70, true));
+  const AgreeMsg implicit_t(1, SView(s, 10, 20), nullptr, false);
+  const AgreeMsg explicit_t(1, SView(s, 10, 20), share_bits(DynBitset(64, true)), false);
+  const std::string frame = encode_deliver(4, MsgKind::kAgreement, Round{3}, &implicit_t);
+  EXPECT_EQ(frame.size() + 8 + 8,  // the T bitset: its size word and one word
+            encode_deliver(4, MsgKind::kAgreement, Round{3}, &explicit_t).size());
+  auto [type, body] = read_one(frame, true);
+  const DeliveryRecord rec = decode_deliver(body, 0);
+  const auto* got = Msg(rec).as<AgreeMsg>();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->phase, 1);
+  EXPECT_FALSE(got->done);
+  EXPECT_EQ(got->t_alive, nullptr);
+  EXPECT_EQ(*got->s_left.base, implicit_t.s_left.flat());
+}
+
+// A set-form audience less one member goes out as its members and decodes
+// to the same members: the excluded id stays out, everyone else is in.
+TEST(WireTest, ExcludedMemberAudienceRoundTripsItsMembers) {
+  DynBitset u(130, true);  // three words, a ragged tail
+  u.reset(70);
+  for (int self : {0, 63, 64, 129}) {
+    const RecipientSet aud(share_bits(u), self);
+    Action a;
+    a.sends.push_back({aud, MsgKind::kAgreement, std::make_shared<PollC>()});
+    auto [type, body] = read_one(encode_reply(a, Round{2}, 0), false);
+    const RecipientSet got = decode_reply(body).action.sends.at(0).to;
+    EXPECT_EQ(got.size(), aud.size()) << "self " << self;
+    EXPECT_EQ(got.size(), 128u) << "self " << self;
+    for (int id = 0; id < 130; ++id) EXPECT_EQ(got.contains(id), aud.contains(id)) << id;
+    EXPECT_FALSE(got.contains(self));
+  }
+}
+
 TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
   Action a;
   a.work = 41;
@@ -236,7 +274,7 @@ TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
   b.sends.push_back(
       {RecipientSet{IdRange{4, 9}}, MsgKind::kCheckpoint, std::make_shared<CkptPartial>(2)});
   const SharedBits all = share_bits(everyone);
-  b.sends.push_back({RecipientSet{make_recipient_bits(everyone)}, MsgKind::kAgreement,
+  b.sends.push_back({RecipientSet{share_bits(everyone)}, MsgKind::kAgreement,
                      std::make_shared<AgreeMsg>(1, all, all, false)});
   auto [type1, body1] = read_one(encode_reply(b, Round{9}, 0), false);
   ReplyMsg m1 = decode_reply(body1);
