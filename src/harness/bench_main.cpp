@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "harness/experiments.h"
@@ -27,13 +28,15 @@ void print_usage(const char* argv0) {
       "                      or 'socket' (one worker OS process per protocol\n"
       "                      process over localhost sockets, deterministic\n"
       "                      schedule: report rows are identical to sim's, with\n"
-      "                      real units/sec under --timing)\n"
+      "                      real units/sec under --timing); a selection with no\n"
+      "                      sync scenario rejects 'socket' (see --list)\n"
       "  --transport WHICH   socket-backend transport: 'uds' (default) or 'tcp'\n"
       "                      (127.0.0.1); requires --backend socket\n"
       "  --sim-threads N     round-parallel evaluation inside each simulator run\n"
       "                      (default 1 = serial; reports are byte-identical at\n"
       "                      any value, so this only moves wall clock -- best for\n"
-      "                      one big run, where --jobs has nothing to fan out)\n"
+      "                      one big run, where --jobs has nothing to fan out);\n"
+      "                      like --backend, it applies to sync scenarios only\n"
       "  --timing            include wall-clock timing in the JSON report\n"
       "                      (machine-dependent; breaks byte-identity across runs)\n"
       "  --list              list experiments and exit\n"
@@ -188,10 +191,10 @@ int bench_main(int argc, char** argv) {
     }
   }
 
-  ParallelScenarioRunner runner(opt.jobs);
-  std::vector<std::string> json_docs;
-  bool all_ok = true;
+  // Each selected experiment with its scenarios, filtered.
+  std::vector<std::pair<const ExperimentInfo*, std::vector<Scenario>>> runs;
   bool filter_matched_any = false;
+  bool any_sync = false;
   for (const ExperimentInfo* e : selected) {
     std::vector<Scenario> scenarios = e->scenarios();
     if (!opt.filter.empty()) {
@@ -211,6 +214,30 @@ int bench_main(int argc, char** argv) {
       }
       filter_matched_any = true;
     }
+    for (const Scenario& s : scenarios) any_sync = any_sync || s.substrate == Substrate::kSync;
+    runs.emplace_back(e, std::move(scenarios));
+  }
+  if (!opt.filter.empty() && selected.size() > 1 && !filter_matched_any) {
+    std::fprintf(stderr, "%s: --filter '%s' matches no scenario of any experiment\n", argv[0],
+                 opt.filter.c_str());
+    return 2;
+  }
+  // --backend and --sim-threads apply to sync scenarios only: a selection
+  // with none would run exactly as without the flag, so a cmp against a
+  // sim or serial report would compare a run with itself.
+  if (!any_sync && opt.experiment != "all" &&
+      (opt.backend != Backend::kSim || opt.sim_threads > 1)) {
+    std::fprintf(stderr,
+                 "%s: %s applies to sync scenarios only, and '%s' has none (see --list)\n",
+                 argv[0], opt.backend != Backend::kSim ? "--backend" : "--sim-threads",
+                 opt.experiment.c_str());
+    return 2;
+  }
+
+  ParallelScenarioRunner runner(opt.jobs);
+  std::vector<std::string> json_docs;
+  bool all_ok = true;
+  for (auto& [e, scenarios] : runs) {
     if (opt.backend != Backend::kSim)
       for (Scenario& s : scenarios)
         if (s.substrate == Substrate::kSync) {
@@ -240,11 +267,6 @@ int bench_main(int argc, char** argv) {
     if (!opt.json_path.empty()) json_docs.push_back(to_json(e->name, rows, opt.timing));
   }
 
-  if (!opt.filter.empty() && selected.size() > 1 && !filter_matched_any) {
-    std::fprintf(stderr, "%s: --filter '%s' matches no scenario of any experiment\n", argv[0],
-                 opt.filter.c_str());
-    return 2;
-  }
 
   if (!opt.json_path.empty()) {
     std::string doc;
