@@ -55,6 +55,15 @@ void merge_shared(SharedBits& held, const SharedBits& fold, bool intersect) {
 
 void AgreeFold::merge_into(AgreeView& held, int self) const {
   if (!sn) return;
+  if (holds_own_view && heard->test(static_cast<std::size_t>(self))) {
+    // held is one of the folded views: the fold's AND is within it and its
+    // ORs hold it, so every result is the fold's set as it stands.
+    held.s_left = SView(sn);
+    held.t_alive = tn;
+    held.known = kn;
+    held.past_horizon = past_horizon;
+    return;
+  }
   // The AND equals the fold when the fold is within the held view: within
   // its base and clear of its cut.
   SView& s = held.s_left;
@@ -226,6 +235,9 @@ std::shared_ptr<const AgreeMergeCache::Index> AgreeMergeCache::index(
   if (idx->foldable()) {
     mark_eligible(*idx, records, procs);
     idx->fold = fold_views(idx->msgs);
+    // serves() admits a recipient only when its slot holds its last
+    // broadcast, which aliases its held view.
+    idx->fold.holds_own_view = true;
   }
   current_ = idx;
   return idx;

@@ -146,17 +146,27 @@ struct AgreeFold {
   bool past_horizon = true;
   SharedBits heard;                // senders whose slot holds a view
   const AgreeMsg* done = nullptr;  // lowest sender's done view; null = none
+  // True when every merger that is in `heard` merges its own held view:
+  // its slot holds its latest broadcast, which aliases that view.  The
+  // merge cache's index sets it (Index::serves checks the slot); a walked
+  // fold, D_coord's and dynamic D's never do, since a process does not
+  // hear its own broadcast.
+  bool holds_own_view = false;
 
   // held.s_left &= sn, held.t_alive |= tn, held.known |= kn, sharing by
   // content: when a result equals the fold's set the holder takes the
   // fold's object, when it equals the held set the holder keeps its own,
-  // and only otherwise is the AND/OR allocated.  Every served recipient
-  // merges the same fold, so a served round leaves its survivors on one S
-  // and one T object.  A cut held S is asked first in its cut form (sn
-  // within base, and missing the range), so the common iteration-0 merge
-  // adopts the fold without flattening; only otherwise is it flattened
-  // before the rule above.  A held implicit T is {self}: the fold's T is
-  // adopted when it holds self, and only otherwise copied with self added.
+  // and only otherwise is the AND/OR allocated.  A merger whose own view
+  // is folded in (holds_own_view, self in heard: a served receive) takes
+  // the fold's objects without looking at a bit: the AND of views that
+  // include its own is within its S, and the ORs hold its T and known set.
+  // Every served recipient merges the same fold, so a served round leaves
+  // its survivors on one S and one T object.  Any other merger decides by
+  // scanning: a cut held S is asked first in its cut form (sn within base,
+  // and missing the range), so the common iteration-0 merge adopts the fold
+  // without flattening; only otherwise is it flattened before the rule
+  // above.  A held implicit T is {self}: the fold's T is adopted when it
+  // holds self, and only otherwise copied with self added.
   void merge_into(AgreeView& held, int self) const;
 };
 
@@ -376,7 +386,11 @@ class DPhaseLoop {
 // and nothing touches it until the next receive, so merging own back in
 // changes nothing -- "everyone except me" equals "everyone", provided the
 // ledger's record from me carries exactly my last_sent() (Index::serves
-// compares the pointers).
+// compares the pointers).  The same fact spares the merge itself: the
+// fold's S is then within my S and its T and known set hold mine, so a
+// served recipient adopts the fold's objects without a scan
+// (AgreeFold::holds_own_view), and the per-survivor cost of a served
+// receive no longer grows with n.
 //
 // The model boundary: a recipient only uses records its own delivery
 // predicate admits.  The index therefore marks a recipient *eligible* when
@@ -408,7 +422,9 @@ class DPhaseLoop {
 // two t-bit sets and one n-bit and one t-bit fold -- and the fold's views
 // and heard set are the objects served recipients adopt
 // (AgreeFold::merge_into, drop_silent), so a served round's survivors hold
-// one S, one T and one u between them instead of a copy each.
+// one S, one T and one u between them instead of a copy each.  Those
+// objects are sealed with their popcounts (share_bits), so the |S|, |T|
+// and |u| every survivor asks of them afterwards are reads.
 class AgreeMergeCache {
  public:
   struct Index {

@@ -27,6 +27,14 @@
 
 namespace dowork {
 
+class DynBitset;
+
+// An immutable view shared by reference: Protocol D's agreed (S, T) are
+// held and broadcast this way, so survivors that agree alias one object and
+// a change allocates a fresh one (copy on write, never mutation in place).
+// Built only by share_bits, which also stores the set's popcount.
+using SharedBits = std::shared_ptr<const DynBitset>;
+
 namespace detail {
 // Out-of-line word kernels (bitset.cpp), compiled with target_clones when
 // the toolchain supports it: the bulk merges run at the widest vector width
@@ -62,8 +70,10 @@ class DynBitset {
   // is reused round over round).
   void reset_all() { std::fill(w_.begin(), w_.end(), 0); }
 
-  // Number of set bits.
-  std::uint64_t count() const { return detail::count_bits(w_.data(), 0, n_); }
+  // Number of set bits: read, not recounted, on a set sealed by share_bits.
+  std::uint64_t count() const {
+    return count_.known() ? count_.value : detail::count_bits(w_.data(), 0, n_);
+  }
 
   // Number of set bits at positions < k (k <= size()).  The protocols use
   // this for "my rank among the live processes".
@@ -86,6 +96,7 @@ class DynBitset {
   }
 
   bool none() const {
+    if (count_.known()) return count_.value == 0;
     for (std::uint64_t w : w_)
       if (w) return false;
     return true;
@@ -138,7 +149,10 @@ class DynBitset {
     return true;
   }
 
-  friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
+  // Content only: a sealed count is a cache, not part of the value.
+  friend bool operator==(const DynBitset& a, const DynBitset& b) {
+    return a.n_ == b.n_ && a.w_ == b.w_;
+  }
 
   // Raw word access for serialization (the socket substrate's wire codec
   // ships view bitsets word-for-word; bit-at-a-time framing would be 64x
@@ -166,16 +180,40 @@ class DynBitset {
     if (n_ % 64 && !w_.empty()) w_.back() &= (std::uint64_t{1} << (n_ % 64)) - 1;
   }
 
+  // The popcount share_bits stores in the set it seals, before any other
+  // thread can see it: Protocol D's survivors ask |S|, |T|, |u| and "is S
+  // empty" of the same shared objects every phase, and each question would
+  // otherwise be an O(size / 64) scan per survivor.  A copy or move never
+  // carries it (the copy may be mutated), so the mutators need not clear
+  // it, and a mutable set -- the simulator's mail mask -- pays one
+  // predictable branch in count() and none() and nothing anywhere else.
+  struct SealedCount {
+    static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+    std::uint64_t value = kUnknown;
+    SealedCount() = default;
+    SealedCount(const SealedCount&) noexcept {}
+    SealedCount& operator=(const SealedCount&) noexcept {
+      value = kUnknown;
+      return *this;
+    }
+    bool known() const { return value != kUnknown; }
+  };
+
+  friend SharedBits share_bits(DynBitset b);
+
   std::size_t n_ = 0;
   std::vector<std::uint64_t> w_;
+  SealedCount count_;
 };
 
-// An immutable view shared by reference: Protocol D's agreed (S, T) are
-// held and broadcast this way, so survivors that agree alias one object and
-// a change allocates a fresh one (copy on write, never mutation in place).
-using SharedBits = std::shared_ptr<const DynBitset>;
+// Seals b into an immutable shared set with its popcount stored, so that
+// count(), none() and any() on it are reads (see DynBitset::SealedCount).
+// Counting once here costs what one survivor's count used to; every other
+// survivor that shares the object then asks for free.
 inline SharedBits share_bits(DynBitset b) {
-  return std::make_shared<const DynBitset>(std::move(b));
+  auto sealed = std::make_shared<DynBitset>(std::move(b));
+  sealed->count_.value = sealed->count();
+  return sealed;
 }
 
 }  // namespace dowork

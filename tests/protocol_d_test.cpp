@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -455,6 +456,174 @@ TEST(ProtocolDPhaseCore, MergeIntoACutHeldViewAdoptsOrFlattens) {
     f.merge_into(v, 0);
     EXPECT_NE(sn.base, f.sn);
     EXPECT_EQ(*sn.base, bits(70, {64, 69}));
+  }
+}
+
+// The exact lattice merge of `held` (owned by `self`) with every view of
+// `views`, as flat sets: S by AND, T by OR (a null T is its owner alone),
+// known by OR (null when either side knows every unit).
+struct FlatView {
+  DynBitset s, t;
+  std::optional<DynBitset> known;
+};
+FlatView lattice(const AgreeView& held, int self, const std::vector<const AgreeMsg*>& views) {
+  const std::size_t procs = views.size();
+  FlatView out{held.s_left.flat(), held.t_alive ? *held.t_alive : bits(procs, {}), std::nullopt};
+  if (!held.t_alive) out.t.set(static_cast<std::size_t>(self));
+  if (held.known) out.known = *held.known;
+  bool every_unit = !held.known;
+  for (std::size_t i = 0; i < procs; ++i) {
+    const AgreeMsg* m = views[i];
+    if (!m) continue;
+    out.s &= m->s_left.flat();
+    if (m->t_alive)
+      out.t |= *m->t_alive;
+    else
+      out.t.set(i);
+    if (!m->known)
+      every_unit = true;
+    else if (out.known)
+      *out.known |= *m->known;
+  }
+  if (every_unit) out.known.reset();
+  return out;
+}
+
+void expect_lattice(const AgreeView& merged, const FlatView& want) {
+  EXPECT_EQ(merged.s_left.flat(), want.s);
+  ASSERT_NE(merged.t_alive, nullptr);
+  EXPECT_EQ(*merged.t_alive, want.t);
+  EXPECT_EQ(merged.known != nullptr, want.known.has_value());
+  if (merged.known && want.known) {
+    EXPECT_EQ(*merged.known, *want.known);
+  }
+}
+
+// A served receive merges a fold that holds the recipient's own current
+// view (its last broadcast, aliasing the held view).  It adopts the fold's
+// objects without scanning, and they are exactly the objects the scanning
+// rule arrives at: over seeded random views, cut and uncut held S, implicit
+// and explicit T, known sets or every unit.
+TEST(ProtocolDPhaseCore, ServedMergeAdoptsTheObjectsTheScanWouldTake) {
+  constexpr std::size_t kProcs = 9;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const std::size_t n = std::vector<std::size_t>{70, 130, 4103}[seed % 3];
+    const int self = static_cast<int>(rng.uniform(0, kProcs - 1));
+    const auto random_bits = [&](std::size_t size, double p) {
+      DynBitset b(size);
+      for (std::size_t i = 0; i < size; ++i)
+        if (rng.chance(p)) b.set(i);
+      return b;
+    };
+    const SharedBits base = share_bits(random_bits(n, 0.8));
+    const bool with_known = rng.chance(0.5);
+    const auto random_view = [&](bool own) {
+      AgreeView v;
+      const std::size_t lo = static_cast<std::size_t>(rng.uniform(0, n - 1));
+      const std::size_t hi = std::min(n, lo + static_cast<std::size_t>(rng.uniform(1, 80)));
+      switch (rng.uniform(0, 2)) {
+        case 0: v.s_left = SView(base); break;
+        case 1: v.s_left = SView(base, lo, hi); break;
+        default: {
+          DynBitset s = *base;
+          s &= random_bits(n, 0.9);
+          v.s_left = rng.chance(0.5) ? SView(share_bits(s)) : SView(share_bits(s), lo, hi);
+        }
+      }
+      if (rng.chance(0.5)) {
+        DynBitset t = random_bits(kProcs, 0.6);
+        if (own) t.set(static_cast<std::size_t>(self));
+        v.t_alive = share_bits(t);
+      }
+      if (with_known && rng.chance(0.85)) v.known = share_bits(random_bits(n, 0.7));
+      v.past_horizon = rng.chance(0.7);
+      return v;
+    };
+    const AgreeView held = random_view(true);
+    // The own broadcast aliases the held view, as DPhaseLoop::broadcast's.
+    const AgreeMsg own(1, held.s_left, held.t_alive, false, held.known, held.past_horizon);
+    std::vector<std::shared_ptr<AgreeMsg>> others;
+    std::vector<const AgreeMsg*> by_sender(kProcs, nullptr);
+    by_sender[static_cast<std::size_t>(self)] = &own;
+    for (std::size_t i = 0; i < kProcs; ++i) {
+      if (static_cast<int>(i) == self || rng.chance(0.3)) continue;
+      AgreeView v = random_view(false);
+      others.push_back(std::make_shared<AgreeMsg>(1, v.s_left, v.t_alive, false, v.known,
+                                                  v.past_horizon));
+      by_sender[i] = others.back().get();
+    }
+    AgreeFold fold = fold_views(by_sender);
+    EXPECT_FALSE(fold.holds_own_view);  // only the merge cache's index says so
+    AgreeView scanned = held;
+    fold.merge_into(scanned, self);
+    fold.holds_own_view = true;
+    AgreeView adopted = held;
+    fold.merge_into(adopted, self);
+    EXPECT_EQ(adopted.s_left.base, fold.sn);
+    EXPECT_EQ(adopted.s_left.base, scanned.s_left.base);
+    EXPECT_FALSE(scanned.s_left.cut());
+    EXPECT_FALSE(adopted.s_left.cut());
+    EXPECT_EQ(adopted.t_alive, fold.tn);
+    EXPECT_EQ(adopted.t_alive, scanned.t_alive);
+    EXPECT_EQ(adopted.known, scanned.known);
+    EXPECT_EQ(adopted.past_horizon, scanned.past_horizon);
+    expect_lattice(adopted, lattice(held, self, by_sender));
+  }
+}
+
+// Every fold that lacks the merger's current view keeps the scanning rule
+// and holds the exact merge, not the fold's objects: the walked fold (no
+// own slot, or a stale one from a record that reached its own sender),
+// D_coord's coordinator merging reports, dynamic D's stash, and a served
+// recipient that sent nothing (the index's fold, with self not heard).
+TEST(ProtocolDPhaseCore, FoldWithoutTheOwnViewMergesByScanning) {
+  const SharedBits base = shared(70, {1, 2, 30, 64, 65, 69});
+  const SharedBits t_all = shared(4, {0, 1, 2, 3});
+  const auto msg = [](SView s, SharedBits t, SharedBits known = nullptr) {
+    return std::make_shared<AgreeMsg>(1, std::move(s), std::move(t), false, std::move(known));
+  };
+  const auto check = [](AgreeFold fold, const AgreeView& held, int self,
+                        const std::vector<const AgreeMsg*>& by_sender, const char* what) {
+    SCOPED_TRACE(what);
+    AgreeView merged = held;
+    fold.merge_into(merged, self);
+    expect_lattice(merged, lattice(held, self, by_sender));
+    EXPECT_NE(merged.s_left.flat(), *fold.sn);  // the fold's S would be wrong
+  };
+  {  // walked: the peers' views only; ours has performed [60, 66)
+    const auto a = msg(SView(base), t_all), b = msg(SView(base, 0, 2), nullptr);
+    const std::vector<const AgreeMsg*> views{nullptr, a.get(), b.get(), nullptr};
+    const AgreeView held{SView(base, 60, 66), nullptr, nullptr};
+    check(fold_views(views), held, 0, views, "walked");
+  }
+  {  // walked with our own earlier view stashed: we have since merged more
+    const auto stale = msg(SView(base), nullptr), a = msg(SView(base, 28, 31), t_all);
+    const std::vector<const AgreeMsg*> views{stale.get(), a.get(), nullptr, nullptr};
+    const AgreeView held{shared(70, {1, 2, 64, 69}), shared(4, {0, 1}), nullptr};
+    check(fold_views(views), held, 0, views, "walked, stale own slot");
+  }
+  {  // D_coord: the coordinator folds the reports of the others
+    const auto a = msg(SView(base), shared(4, {1})), b = msg(SView(base), shared(4, {2}));
+    const std::vector<const AgreeMsg*> views{nullptr, a.get(), b.get(), nullptr};
+    const AgreeView held{shared(70, {2, 64}), shared(4, {0, 3}), nullptr};
+    check(fold_views(views), held, 0, views, "coordinator");
+  }
+  {  // dynamic D: our known set holds arrivals no peer has heard of
+    const SharedBits known = shared(70, {1, 2, 30});
+    const auto a = msg(SView(base), nullptr, known), b = msg(SView(base, 1, 3), nullptr, known);
+    const std::vector<const AgreeMsg*> views{a.get(), nullptr, b.get(), nullptr};
+    const AgreeView held{shared(70, {1, 30, 64}), nullptr, shared(70, {1, 2, 30, 64})};
+    check(fold_views(views), held, 3, views, "dynamic");
+  }
+  {  // the index's fold, merged by a recipient whose slot is empty
+    const auto a = msg(SView(base), nullptr), b = msg(SView(base), shared(4, {2}));
+    const std::vector<const AgreeMsg*> views{nullptr, a.get(), b.get(), nullptr};
+    AgreeFold fold = fold_views(views);
+    fold.holds_own_view = true;
+    const AgreeView held{SView(base, 0, 3), shared(4, {0, 3}), nullptr};
+    check(fold, held, 0, views, "served, sent nothing");
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for util/: the table printer, number formatting, the seeded RNG and
-// the bitset's subset test, range operations and counting kernels.
+// the bitset's subset test, range operations, counting kernels and the
+// popcount a shared set stores.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -188,6 +189,63 @@ TEST(DynBitset, CountSelectMatchBitByBit) {
       for (std::size_t k = 0; k < ones.size(); ++k) ASSERT_EQ(b.select(k), ones[k]) << "k " << k;
       EXPECT_EQ(b.select(ones.size()), n);
       EXPECT_EQ(b.select(ones.size() + 64), n);
+    }
+  }
+}
+
+std::uint64_t count_bit_by_bit(const DynBitset& b) {
+  std::uint64_t c = 0;
+  for (std::size_t i = 0; i < b.size(); ++i) c += b.test(i) ? 1 : 0;
+  return c;
+}
+
+void expect_counts(const DynBitset& b, const char* what) {
+  const std::uint64_t ref = count_bit_by_bit(b);
+  EXPECT_EQ(b.count(), ref) << what;
+  EXPECT_EQ(b.none(), ref == 0) << what;
+  EXPECT_EQ(b.any(), ref != 0) << what;
+}
+
+// share_bits stores the popcount in the set it seals; count/none/any read
+// it.  A copy of a sealed set is mutable, so it must count its own bits
+// after every mutator, never report the sealed value.
+TEST(DynBitset, SharedCountMatchesBitByBitAndCopiesRecount) {
+  for (std::size_t n : {0, 1, 63, 64, 65, 4103}) {
+    Rng rng(n + 7);
+    DynBitset random(n), other(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.chance(0.5)) random.set(i);
+      if (rng.chance(0.5)) other.set(i);
+    }
+    for (const DynBitset& b : {DynBitset(n), DynBitset(n, true), random}) {
+      SCOPED_TRACE(::testing::Message() << "size " << n << ", " << count_bit_by_bit(b) << " set");
+      const SharedBits shared = share_bits(b);
+      expect_counts(*shared, "sealed");
+      EXPECT_EQ(*shared, b);  // the stored count is no part of the value
+      const auto mutated = [&](const char* what, auto&& mutate) {
+        DynBitset copy = *shared;
+        mutate(copy);
+        expect_counts(copy, what);
+        DynBitset assigned(n);
+        assigned = *shared;
+        mutate(assigned);
+        expect_counts(assigned, what);
+        expect_counts(*share_bits(copy), what);
+      };
+      mutated("unchanged copy", [](DynBitset&) {});
+      mutated("reset_all", [](DynBitset& c) { c.reset_all(); });
+      mutated("&=", [&](DynBitset& c) { c &= other; });
+      mutated("|=", [&](DynBitset& c) { c |= other; });
+      mutated("reset_range", [&](DynBitset& c) { c.reset_range(n / 3, n - n / 4); });
+      if (n == 0) continue;
+      for (std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+        mutated("set", [i](DynBitset& c) { c.set(i); });
+        mutated("reset", [i](DynBitset& c) { c.reset(i); });
+      }
+      mutated("assign_word", [](DynBitset& c) { c.assign_word(0, 0x5); });
+      mutated("assign_word tail", [](DynBitset& c) {
+        c.assign_word(c.word_count() - 1, ~std::uint64_t{0});
+      });
     }
   }
 }
