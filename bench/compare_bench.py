@@ -8,7 +8,9 @@ A report is one dowork_bench document or a JSON array of them.  Each
 document's rows[i] is joined with its timing.rows[i] (the two must agree on
 id and rep), so every repetition carries its experiment, group, protocol,
 wall_ms, units_per_sec (live rows only) and abort state.  Rows are matched
-across the two reports by (experiment, id, rep).
+across the two reports by (experiment, id, rep).  The section's other key,
+peak_rss_mb (the process's peak over the whole document), is not per row
+and is not diffed here; CI's memory guard reads it.
 
 With two reports the script prints, in order:
   * the matched rows: wall_ms on both sides and, where both sides measured

@@ -3,8 +3,9 @@
 
 Covers the one mode end to end: the matched-row diff and its --threshold
 (on wall_ms, with the 1 ms absolute guard, and on units/s), one-sided
-rows, multi-document arrays, the rows/timing.rows join, rollups summed
-over matched rows only, the missing-timing error, the abort census (alone
+rows, multi-document arrays, the rows/timing.rows join, the timing
+section's peak_rss_mb, rollups summed over matched rows only, the
+missing-timing error, the abort census (alone
 for one report, after the diff for two), the rejected legacy flags, and a
 self-diff of the committed BENCH_scale.json.  Run directly or via CTest
 (compare_bench_test).
@@ -32,9 +33,9 @@ def row(row_id, wall_ms, rep=0, ups=None, violation="", extra=None):
             "wall_ms": wall_ms, "units_per_sec": ups}
 
 
-def report(experiment, rows, timed=True):
+def report(experiment, rows, timed=True, peak_rss_mb=None):
     """One dowork_bench document, with the --timing section unless timed
-    is False."""
+    is False; peak_rss_mb, when given, is the section's process peak."""
     keys = ("id", "group", "protocol", "rep", "violation", "extra")
     doc = {"experiment": experiment, "rows": [{k: r[k] for k in keys} for r in rows]}
     if timed:
@@ -45,6 +46,8 @@ def report(experiment, rows, timed=True):
                 t["units_per_sec"] = r["units_per_sec"]
             timing.append(t)
         doc["timing"] = {"rows": timing}
+        if peak_rss_mb is not None:
+            doc["timing"]["peak_rss_mb"] = peak_rss_mb
     return doc
 
 
@@ -164,6 +167,18 @@ class CompareBenchTest(unittest.TestCase):
         r = self.run_script(base, cur)
         self.assertNotEqual(r.returncode, 0)
         self.assertIn("no 'timing' section", r.stderr)
+
+    def test_timing_peak_rss_is_accepted_on_either_side(self):
+        # dowork_bench --timing closes the section with the process's peak
+        # RSS; the diff joins rows only, so a report with it diffs against
+        # one without it (an older committed baseline).
+        base = self.write("b.json", report("scale", [row("t=64/D/none", 4.0)]))
+        cur = self.write("c.json", report("scale", [row("t=64/D/none", 2.0)],
+                                          peak_rss_mb=8.812))
+        for args in ((base, cur), (cur, base), (cur,)):
+            r = self.run_script(*args)
+            self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertEqual(rollup(self.run_script(base, cur).stdout, "scale"), (4.0, 2.0, 2.0))
 
     def test_timing_rows_must_match_rows_by_id_and_rep(self):
         doc = report("scale", [row("t=64/A/none", 1.0), row("t=64/B/none", 1.0)])

@@ -37,7 +37,8 @@ void print_usage(const char* argv0) {
       "                      any value, so this only moves wall clock -- best for\n"
       "                      one big run, where --jobs has nothing to fan out);\n"
       "                      like --backend, it applies to sync scenarios only\n"
-      "  --timing            include wall-clock timing in the JSON report\n"
+      "  --timing            include wall-clock timing and the process's peak RSS\n"
+      "                      in the JSON report\n"
       "                      (machine-dependent; breaks byte-identity across runs)\n"
       "  --list              list experiments and exit\n"
       "  --quiet             suppress the tables\n"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 #include "util/strings.h"
 
@@ -50,6 +52,18 @@ std::string format_ms(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", ms);
   return buf;
+}
+
+// Peak resident set of this process so far, in MB: VmHWM, not RUSAGE_SELF's
+// ru_maxrss, which keeps the high-water mark of the process that exec'd this
+// one (benchmark/dowork_perf.cpp reads it the same way).  0 where
+// /proc/self/status is absent.
+double peak_rss_mb() {
+  long kb = 0;
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) kb = std::strtol(line.c_str() + 6, nullptr, 10);
+  return static_cast<double>(kb) / 1024.0;
 }
 
 }  // namespace
@@ -259,7 +273,8 @@ std::string to_json(const std::string& experiment, const std::vector<ScenarioRes
     // Machine-dependent by design; excluded from the determinism contract
     // (see report.h).  Positional: timing.rows[i] is rows[i]'s wall clock,
     // carrying its id and rep so bench/compare_bench.py can check the join.
-    // Every rollup (group, protocol, experiment) is derived there.
+    // Every rollup (group, protocol, experiment) is derived there.  Then
+    // the process's peak resident set so far (CI's memory guard reads it).
     out += ",\"timing\":{\"rows\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (i) out += ',';
@@ -272,7 +287,7 @@ std::string to_json(const std::string& experiment, const std::vector<ScenarioRes
         out += ",\"units_per_sec\":" + format_ms(rows[i].units_per_sec);
       out += '}';
     }
-    out += "]}";
+    out += "],\"peak_rss_mb\":" + format_ms(peak_rss_mb()) + '}';
   }
   out += '}';
   return out;

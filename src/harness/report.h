@@ -39,10 +39,12 @@ std::string render_table(const std::vector<GroupAggregate>& groups);
 // Deterministic JSON document: {"experiment", "rows": [...], "aggregates":
 // [...]} with no timestamps or machine-dependent fields, so --jobs 1 and
 // --jobs N produce byte-identical output.  With include_timing, a trailing
-// "timing" key is appended ({"rows": [{id, rep, wall_ms[, units_per_sec]}]},
-// timing.rows[i] measuring rows[i]) -- the one machine-dependent section,
-// used for perf artifacts like BENCH_scale.json; CI's determinism diff runs
-// without it and stays byte-exact.  Group, protocol and experiment sums are
+// "timing" key is appended ({"rows": [{id, rep, wall_ms[, units_per_sec]}],
+// "peak_rss_mb"}, timing.rows[i] measuring rows[i], peak_rss_mb the
+// process's own VmHWM when the document is written) -- the one
+// machine-dependent section, used for perf artifacts like BENCH_scale.json
+// and CI's memory guard; CI's determinism diff runs without it and stays
+// byte-exact.  Group, protocol and experiment sums are
 // not emitted: bench/compare_bench.py derives them from the rows.
 std::string to_json(const std::string& experiment, const std::vector<ScenarioResult>& rows,
                     bool include_timing = false);

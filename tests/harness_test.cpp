@@ -355,9 +355,9 @@ TEST(Report, TimingSectionIsOptInAndRowsStayClean) {
   // deterministic prefix is byte-identical.
   const std::string prefix = plain.substr(0, plain.size() - 1);  // drop the closing '}'
   ASSERT_EQ(timed.compare(0, prefix.size(), prefix), 0);
-  // The section is per-row measurements and nothing else:
-  // {"rows":[{"id","rep","wall_ms"[,"units_per_sec"]}...]}, timing.rows[i]
-  // carrying rows[i]'s id and rep -- the positional join
+  // The section is per-row measurements and the process's peak RSS:
+  // {"rows":[{"id","rep","wall_ms"[,"units_per_sec"]}...],"peak_rss_mb"},
+  // timing.rows[i] carrying rows[i]'s id and rep -- the positional join
   // bench/compare_bench.py checks before deriving every rollup.
   const auto is_decimal = [](const std::string& s) {
     return !s.empty() && s.find_first_not_of("0123456789.") == std::string::npos;
@@ -381,7 +381,18 @@ TEST(Report, TimingSectionIsOptInAndRowsStayClean) {
         << "unexpected timing fields in row " << i << ": " << fields;
     pos = close + 1;
   }
-  EXPECT_EQ(section.substr(pos), "]}}");
+  const std::string peak = "],\"peak_rss_mb\":";
+  ASSERT_EQ(section.compare(pos, peak.size(), peak), 0) << section.substr(pos);
+  const std::string tail = section.substr(pos + peak.size());
+  ASSERT_GE(tail.size(), 2u);
+  EXPECT_EQ(tail.substr(tail.size() - 2), "}}");
+  const std::string mb = tail.substr(0, tail.size() - 2);
+  EXPECT_TRUE(is_decimal(mb)) << mb;
+#ifdef __linux__
+  // This process's VmHWM: a test binary that ran the smoke family holds
+  // more than a megabyte.
+  EXPECT_GT(std::stod(mb), 1.0) << mb;
+#endif
 }
 
 // --- golden JSON: the simulator optimisations must be unobservable ----------
