@@ -7,22 +7,17 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/registry.h"
-#include "sim/simulator.h"
+#include "core/runner.h"
 
 namespace {
 
 dowork::RunMetrics render_farm(int frames, int machines, int reclaimed,
                                std::vector<std::uint64_t>* per_machine) {
   using namespace dowork;
-  DoAllConfig cfg{frames, machines};
-  Simulator::Options opts;
-  opts.n_units = frames;
-  opts.strict_one_op = true;
   // Users reclaim `reclaimed` machines, each after it rendered 5 frames.
-  Simulator sim(make_processes(find_protocol("D"), cfg),
-                std::make_unique<WorkCascadeFaults>(5, reclaimed, 0), opts);
-  RunMetrics m = sim.run();
+  RunMetrics m = run_do_all("D", DoAllConfig{frames, machines},
+                            std::make_unique<WorkCascadeFaults>(5, reclaimed, 0))
+                     .metrics;
   if (per_machine) *per_machine = m.work_by_proc;
   return m;
 }

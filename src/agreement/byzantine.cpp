@@ -1,11 +1,11 @@
 #include "agreement/byzantine.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "protocols/protocol_a.h"
 #include "protocols/protocol_b.h"
 #include "protocols/protocol_c.h"
-#include "sim/simulator.h"
 
 namespace dowork {
 
@@ -31,25 +31,19 @@ Round work_protocol_time_bound(const std::string& protocol, const DoAllConfig& c
 
 namespace {
 
-// Collects decisions (owned by the harness, outlives the simulator).
-struct Blackboard {
-  std::vector<std::optional<std::int64_t>> decisions;
-};
-
 // Wraps a process of the underlying work protocol (senders) or nothing
 // (pure receivers), maintaining the current value for the general and
 // deciding at the predetermined round.
 class ByzantineProcess final : public IProcess {
  public:
   ByzantineProcess(int self, std::int64_t initial_value, std::unique_ptr<IProcess> inner,
-                   bool wrap_values, int num_senders, Round decide_at, Blackboard* board)
+                   bool wrap_values, int num_senders, Round decide_at)
       : self_(self),
         value_(initial_value),
         inner_(std::move(inner)),
         wrap_values_(wrap_values),
         num_senders_(num_senders),
-        decide_at_(decide_at),
-        board_(board) {}
+        decide_at_(decide_at) {}
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
     // Adopt values and strip piggybacks before handing mail to the inner
@@ -97,7 +91,7 @@ class ByzantineProcess final : public IProcess {
     }
 
     if (ctx.round >= decide_at_) {
-      board_->decisions[static_cast<std::size_t>(self_)] = value_;
+      decision_ = value_;
       out.terminate = true;
     }
     return out;
@@ -113,6 +107,8 @@ class ByzantineProcess final : public IProcess {
     return w > now ? w : now;
   }
 
+  std::optional<std::int64_t> decision() const override { return decision_; }
+
   std::string describe() const override {
     return "Byzantine[" + std::to_string(self_) + (inner_ ? ",sender]" : "]");
   }
@@ -125,7 +121,7 @@ class ByzantineProcess final : public IProcess {
   bool wrap_values_;
   int num_senders_;
   Round decide_at_;
-  Blackboard* board_;
+  std::optional<std::int64_t> decision_;
 };
 
 std::unique_ptr<IProcess> make_inner(const std::string& protocol, const DoAllConfig& cfg,
@@ -137,54 +133,53 @@ std::unique_ptr<IProcess> make_inner(const std::string& protocol, const DoAllCon
   throw std::invalid_argument("run_byzantine: unknown protocol " + protocol);
 }
 
+// A process either crashes or decides at its terminate commit, so agreement
+// holds iff every process that did not crash decided v, the largest decision
+// (nullopt sorts first).  `violation` names a failed verdict.
+ByzantineResult judge(const RunMetrics& m, const ByzantineConfig& cfg) {
+  ByzantineResult r;
+  r.decisions = m.decisions;
+  r.decisions.resize(static_cast<std::size_t>(cfg.n_procs));
+  const std::vector<int>& crashed = m.crashed_procs;
+  r.general_crashed = std::find(crashed.begin(), crashed.end(), 0) != crashed.end();
+  const std::optional<std::int64_t> v = *std::max_element(r.decisions.begin(), r.decisions.end());
+  r.agreement = v && std::count(r.decisions.begin(), r.decisions.end(), v) +
+                             static_cast<std::ptrdiff_t>(crashed.size()) == cfg.n_procs;
+  r.validity = r.general_crashed || (r.agreement && v == cfg.value);
+  if (!r.agreement) r.violation = "byzantine agreement violated";
+  else if (!r.validity) r.violation = "byzantine validity violated";
+  return r;
+}
+
 }  // namespace
 
-ByzantineResult run_byzantine(const ByzantineConfig& cfg, std::unique_ptr<FaultInjector> faults) {
+ByzantineResult run_byzantine(const ByzantineConfig& cfg, std::unique_ptr<FaultInjector> faults,
+                              const RunOptions& opts) {
   if (cfg.n_procs < 1) throw std::invalid_argument("run_byzantine: n_procs >= 1 required");
   if (cfg.t_faults < 0 || cfg.t_faults + 1 > cfg.n_procs)
     throw std::invalid_argument("run_byzantine: need 0 <= t_faults < n_procs");
+  if (cfg.value == 0)  // everyone starts at 0: validity would hold without the general
+    throw std::invalid_argument("run_byzantine: value must be != 0");
 
   const int num_senders = cfg.t_faults + 1;
   // The senders perform n units of work: unit j informs process j-1.
   DoAllConfig work_cfg{cfg.n_procs, num_senders};
   const Round decide_at = Round{1} + work_protocol_time_bound(cfg.protocol, work_cfg) + Round{4};
-  const bool wrap = cfg.protocol == "C";
 
-  Blackboard board;
-  board.decisions.assign(static_cast<std::size_t>(cfg.n_procs), std::nullopt);
-
-  std::vector<std::unique_ptr<IProcess>> procs;
-  for (int i = 0; i < cfg.n_procs; ++i) {
-    std::unique_ptr<IProcess> inner =
-        i < num_senders ? make_inner(cfg.protocol, work_cfg, i) : nullptr;
-    std::int64_t init = (i == 0) ? cfg.value : 0;
-    procs.push_back(std::make_unique<ByzantineProcess>(i, init, std::move(inner), wrap,
-                                                       num_senders, decide_at, &board));
-  }
-
-  Simulator::Options opts;
-  opts.strict_one_op = false;  // performing a unit *is* sending a message here
-  opts.n_units = cfg.n_procs;
-  Simulator sim(std::move(procs), std::move(faults), opts);
-  ByzantineResult result;
-  result.metrics = sim.run();
-  result.decisions = board.decisions;
-  result.general_crashed = sim.state_of(0) == ProcState::kCrashed;
-
-  result.agreement = true;
-  std::optional<std::int64_t> first;
-  for (int i = 0; i < cfg.n_procs; ++i) {
-    if (sim.state_of(i) == ProcState::kCrashed) continue;
-    const auto& d = result.decisions[static_cast<std::size_t>(i)];
-    if (!d) {
-      result.agreement = false;  // survivor without a decision
-      continue;
-    }
-    if (!first) first = *d;
-    else if (*first != *d) result.agreement = false;
-  }
-  result.validity = result.general_crashed ||
-                    (result.agreement && first && *first == cfg.value);
+  ProtocolInfo info;
+  info.name = "byzantine/" + cfg.protocol;
+  info.sequential = true;  // only the senders work, and they run A, B or C
+  info.strict_one_op = false;  // performing a unit *is* sending a message here
+  info.make_proc = [cfg, work_cfg, num_senders, decide_at](const DoAllConfig&, int self) {
+    return std::make_unique<ByzantineProcess>(
+        self, self == 0 ? cfg.value : 0,
+        self < num_senders ? make_inner(cfg.protocol, work_cfg, self) : nullptr,
+        cfg.protocol == "C", num_senders, decide_at);
+  };
+  info.check_outcome = [cfg](const RunMetrics& m) { return judge(m, cfg).violation; };
+  RunResult run = run_do_all(info, DoAllConfig{cfg.n_procs, cfg.n_procs}, std::move(faults), opts);
+  ByzantineResult result = judge(run.metrics, cfg);
+  static_cast<RunResult&>(result) = std::move(run);
   return result;
 }
 

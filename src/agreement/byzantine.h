@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "core/runner.h"
 #include "core/work.h"
 #include "sim/fault_injector.h"
-#include "sim/metrics.h"
 #include "sim/process.h"
 
 namespace dowork {
@@ -51,12 +51,11 @@ struct ValuedPayload final : Payload {
 struct ByzantineConfig {
   int n_procs = 0;            // processes that must agree
   int t_faults = 0;           // tolerated crash faults; senders = 0..t_faults
-  std::int64_t value = 1;     // the general's input (must be != 0, the default)
+  std::int64_t value = 1;     // the general's input: != 0, the value everyone starts at
   std::string protocol = "B"; // work protocol run by the senders: "A", "B" or "C"
 };
 
-struct ByzantineResult {
-  RunMetrics metrics;
+struct ByzantineResult : RunResult {
   // Decision of each process; nullopt = crashed before deciding.
   std::vector<std::optional<std::int64_t>> decisions;
   bool general_crashed = false;
@@ -71,7 +70,9 @@ struct ByzantineResult {
 // used as the predetermined decision round.
 Round work_protocol_time_bound(const std::string& protocol, const DoAllConfig& cfg);
 
-ByzantineResult run_byzantine(const ByzantineConfig& cfg,
-                              std::unique_ptr<FaultInjector> faults);
+// Throws std::invalid_argument for a bad config (value == 0 included) and
+// for the socket backend, whose workers build registry protocols by name.
+ByzantineResult run_byzantine(const ByzantineConfig& cfg, std::unique_ptr<FaultInjector> faults,
+                              const RunOptions& opts = {});
 
 }  // namespace dowork

@@ -20,7 +20,7 @@ const std::vector<ProtocolInfo>& all_protocols() {
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
           return std::make_unique<BaselineAllProcess>(cfg, self);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "baseline_checkpoint", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
@@ -30,25 +30,25 @@ const std::vector<ProtocolInfo>& all_protocols() {
             -> std::unique_ptr<IProcess> {
           return std::make_unique<BaselineCheckpointProcess>(cfg, self, units_per_ckpt);
         },
-        .make_procs = {}});
+        .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "A", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
           return std::make_unique<ProtocolAProcess>(cfg, self);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "B", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
           return std::make_unique<ProtocolBProcess>(cfg, self);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "C", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
           return std::make_unique<ProtocolCProcess>(cfg, self);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "C_batch", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
@@ -56,7 +56,7 @@ const std::vector<ProtocolInfo>& all_protocols() {
           o.batch_reports = true;
           return std::make_unique<ProtocolCProcess>(cfg, self, o);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "naive_C", .sequential = true, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
@@ -64,7 +64,7 @@ const std::vector<ProtocolInfo>& all_protocols() {
           o.fault_detection = false;
           return std::make_unique<ProtocolCProcess>(cfg, self, o);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "D", .sequential = false, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
@@ -85,13 +85,14 @@ const std::vector<ProtocolInfo>& all_protocols() {
             procs.push_back(
                 std::make_unique<ProtocolDProcess>(cfg, i, cache, all_units, all_procs));
           return procs;
-        }});
+        },
+        .check_outcome = {}});
     v.push_back(ProtocolInfo{
         .name = "D_coord", .sequential = false, .strict_one_op = true,
         .make_proc = [](const DoAllConfig& cfg, int self) -> std::unique_ptr<IProcess> {
           return std::make_unique<ProtocolDCoordProcess>(cfg, self);
         },
-        .make_proc_param = {}, .make_procs = {}});
+        .make_proc_param = {}, .make_procs = {}, .check_outcome = {}});
     return v;
   }();
   return kProtocols;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/work.h"
+#include "sim/metrics.h"
 #include "sim/process.h"
 
 namespace dowork {
@@ -34,6 +35,9 @@ struct ProtocolInfo {
   // from any thread).  When set, make_processes uses this instead of t
   // make_proc calls; make_process (one process alone) never does.
   std::function<std::vector<std::unique_ptr<IProcess>>(const DoAllConfig&)> make_procs;
+  // Replaces verify_run's every-unit rule for run-scoped protocols with
+  // another goal (run_byzantine, run_dynamic_do_all): "" or the violation.
+  std::function<std::string(const RunMetrics&)> check_outcome;
 };
 
 // All registered protocols (baselines, A, B, C, C_batch, naive_C, D, D_coord).

@@ -1,7 +1,8 @@
 // One-call run harness: instantiate a protocol, execute it under a fault
 // injector on the chosen executor, verify the outcome, and return the
-// metrics.  run_do_all is the only entry point that runs a registry
-// protocol, whichever backend evaluates its rounds.
+// metrics.  run_do_all is the one entry point of every synchronous run: the
+// registry protocols, and the run-scoped ProtocolInfos of run_byzantine and
+// run_dynamic_do_all, whichever backend evaluates their rounds.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +81,7 @@ struct RunResult {
 
 struct RunOptions {
   std::uint64_t max_stepped_rounds = 50'000'000;
-  // Override the protocol's declared strictness (e.g. the Byzantine layer
-  // legitimately pairs work with a value send).
+  // Override the protocol's declared strictness (ProtocolInfo::strict_one_op).
   bool enforce_strict = true;
   // Scenario hook: tunable protocol parameter, forwarded to the registry's
   // make_proc_param factory (e.g. baseline_checkpoint's units-per-checkpoint).

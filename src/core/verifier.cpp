@@ -10,7 +10,7 @@ std::string verify_run(const ProtocolInfo& info, const DoAllConfig& cfg,
   if (!metrics.all_retired) return "run ended with unretired processes";
   if (static_cast<std::int64_t>(metrics.unit_multiplicity.size()) != cfg.n)
     return "metrics not configured with n units";
-  for (std::int64_t u = 0; u < cfg.n; ++u) {
+  for (std::int64_t u = 0; !info.check_outcome && u < cfg.n; ++u) {
     if (metrics.unit_multiplicity[static_cast<std::size_t>(u)] == 0)
       return "unit " + std::to_string(u + 1) + " was never performed";
   }
@@ -24,7 +24,7 @@ std::string verify_run(const ProtocolInfo& info, const DoAllConfig& cfg,
   if (!weather && info.sequential && metrics.max_concurrent_workers > 1)
     return "sequential protocol had " + std::to_string(metrics.max_concurrent_workers) +
            " concurrent workers";
-  return {};
+  return info.check_outcome ? info.check_outcome(metrics) : std::string();
 }
 
 }  // namespace dowork

@@ -12,7 +12,7 @@ namespace dowork {
 // (and the protocol's declared invariants), otherwise a description of the
 // first violation:
 //   * the run must end with every process retired (no deadlock, no cap),
-//   * every unit 1..n must have been performed at least once,
+//   * every unit 1..n must have been performed, or check_outcome must pass,
 //   * sequential protocols must never have two workers in one round --
 //     unless the network interfered with delivery (metrics.net_*), which
 //     voids the reliable-delivery premise that invariant rests on.

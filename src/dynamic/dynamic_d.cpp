@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/simulator.h"
-
 namespace dowork {
 
 void DynamicConfig::validate() const {
@@ -77,30 +75,35 @@ std::string DynamicDProcess::describe() const {
 }
 
 DynamicRunResult run_dynamic_do_all(const DynamicConfig& cfg,
-                                    std::unique_ptr<FaultInjector> faults) {
+                                    std::unique_ptr<FaultInjector> faults,
+                                    const RunOptions& opts) {
   cfg.validate();
   const auto schedule = std::make_shared<const DynamicConfig>(cfg);
-  std::vector<std::unique_ptr<IProcess>> procs;
-  for (int i = 0; i < cfg.t; ++i) procs.push_back(std::make_unique<DynamicDProcess>(schedule, i));
-  Simulator::Options opts;
-  opts.strict_one_op = true;
-  opts.n_units = cfg.max_units;
-  Simulator sim(std::move(procs), std::move(faults), opts);
-
-  DynamicRunResult result;
-  result.metrics = sim.run();
-
-  // A unit may legitimately go unperformed only if its arrival site crashed
-  // (the job died with the workstation).
-  result.all_known_work_done = true;
-  for (const Arrival& a : cfg.arrivals) {
-    for (std::int64_t u : a.units) {
-      if (result.metrics.unit_multiplicity[static_cast<std::size_t>(u - 1)] == 0) {
-        result.lost_units.push_back(u);
-        if (sim.state_of(a.proc) != ProcState::kCrashed) result.all_known_work_done = false;
+  // A unit may go unperformed only if its arrival site crashed (the job died).
+  auto judge = [schedule](const RunMetrics& m) {
+    DynamicRunResult r;
+    r.all_known_work_done = true;
+    const std::vector<int>& crashed = m.crashed_procs;
+    for (const Arrival& a : schedule->arrivals) {
+      for (std::int64_t u : a.units) {
+        if (m.unit_multiplicity[static_cast<std::size_t>(u - 1)] != 0) continue;
+        r.lost_units.push_back(u);
+        r.all_known_work_done &= std::find(crashed.begin(), crashed.end(), a.proc) != crashed.end();
       }
     }
-  }
+    if (!r.all_known_work_done) r.violation = "a unit that arrived at a surviving site was lost";
+    return r;
+  };
+  ProtocolInfo info;
+  info.name = "D_dynamic";
+  info.strict_one_op = true;
+  info.make_proc = [schedule](const DoAllConfig&, int self) {
+    return std::make_unique<DynamicDProcess>(schedule, self);
+  };
+  info.check_outcome = [judge](const RunMetrics& m) { return judge(m).violation; };
+  RunResult run = run_do_all(info, DoAllConfig{cfg.max_units, cfg.t}, std::move(faults), opts);
+  DynamicRunResult result = judge(run.metrics);
+  static_cast<RunResult&>(result) = std::move(run);
   return result;
 }
 

@@ -23,14 +23,14 @@
 // agreement and its one receive, agree_receive.  What is written here is
 // arrival absorption (the local known set, contributed when an agreement
 // starts) and the phase-end rule, which never reverts to Protocol A.
-// Dynamic runs execute on the serial simulator only (run_dynamic_do_all).
+// run_dynamic_do_all runs it through run_do_all, off the socket backend.
 #pragma once
 
 #include <memory>
 
+#include "core/runner.h"
 #include "protocols/protocol_d.h"
 #include "sim/fault_injector.h"
-#include "sim/metrics.h"
 
 namespace dowork {
 
@@ -77,8 +77,7 @@ class DynamicDProcess final : public IProcess {
   std::vector<std::shared_ptr<const Payload>> held_;
 };
 
-struct DynamicRunResult {
-  RunMetrics metrics;
+struct DynamicRunResult : RunResult {
   // Units that arrived at a site which crashed before propagating them; they
   // are legitimately lost (must be resubmitted by the client).
   std::vector<std::int64_t> lost_units;
@@ -87,6 +86,7 @@ struct DynamicRunResult {
 };
 
 DynamicRunResult run_dynamic_do_all(const DynamicConfig& cfg,
-                                    std::unique_ptr<FaultInjector> faults);
+                                    std::unique_ptr<FaultInjector> faults,
+                                    const RunOptions& opts = {});
 
 }  // namespace dowork

@@ -36,7 +36,7 @@ void print_usage(const char* argv0) {
       "                      (default 1 = serial; reports are byte-identical at\n"
       "                      any value, so this only moves wall clock -- best for\n"
       "                      one big run, where --jobs has nothing to fan out);\n"
-      "                      like --backend, it applies to sync scenarios only\n"
+      "                      it applies to sync, byzantine and dynamic scenarios\n"
       "  --timing            include wall-clock timing and the process's peak RSS\n"
       "                      in the JSON report\n"
       "                      (machine-dependent; breaks byte-identity across runs)\n"
@@ -195,7 +195,7 @@ int bench_main(int argc, char** argv) {
   // Each selected experiment with its scenarios, filtered.
   std::vector<std::pair<const ExperimentInfo*, std::vector<Scenario>>> runs;
   bool filter_matched_any = false;
-  bool any_sync = false;
+  bool any_sync = false, any_threaded = false;
   for (const ExperimentInfo* e : selected) {
     std::vector<Scenario> scenarios = e->scenarios();
     if (!opt.filter.empty()) {
@@ -215,7 +215,19 @@ int bench_main(int argc, char** argv) {
       }
       filter_matched_any = true;
     }
-    for (const Scenario& s : scenarios) any_sync = any_sync || s.substrate == Substrate::kSync;
+    // --backend reaches sync rows only: socket workers build registry protocols.
+    for (Scenario& s : scenarios) {
+      if (s.substrate == Substrate::kSync) {
+        any_sync = true;
+        s.backend = opt.backend;
+        if (opt.transport_tcp) s.params["transport_tcp"] = 1;
+      }
+      if (s.substrate == Substrate::kSync || s.substrate == Substrate::kByzantine ||
+          s.substrate == Substrate::kDynamic) {
+        any_threaded = true;
+        s.sim_threads = opt.sim_threads;
+      }
+    }
     runs.emplace_back(e, std::move(scenarios));
   }
   if (!opt.filter.empty() && selected.size() > 1 && !filter_matched_any) {
@@ -223,31 +235,21 @@ int bench_main(int argc, char** argv) {
                  opt.filter.c_str());
     return 2;
   }
-  // --backend and --sim-threads apply to sync scenarios only: a selection
-  // with none would run exactly as without the flag, so a cmp against a
-  // sim or serial report would compare a run with itself.
-  if (!any_sync && opt.experiment != "all" &&
-      (opt.backend != Backend::kSim || opt.sim_threads > 1)) {
+  // A flag that reaches no selected scenario runs exactly as without it,
+  // so a cmp against a sim or serial report would compare a run with itself.
+  const bool idle_backend = opt.backend != Backend::kSim && !any_sync;
+  if (opt.experiment != "all" && (idle_backend || (opt.sim_threads > 1 && !any_threaded))) {
     std::fprintf(stderr,
-                 "%s: %s applies to sync scenarios only, and '%s' has none (see --list)\n",
-                 argv[0], opt.backend != Backend::kSim ? "--backend" : "--sim-threads",
-                 opt.experiment.c_str());
+                 "%s: %s applies to %s scenarios only, and '%s' has none (see --list)\n",
+                 argv[0], idle_backend ? "--backend" : "--sim-threads",
+                 idle_backend ? "sync" : "sync, byzantine and dynamic", opt.experiment.c_str());
     return 2;
   }
 
   ParallelScenarioRunner runner(opt.jobs);
   std::vector<std::string> json_docs;
   bool all_ok = true;
-  for (auto& [e, scenarios] : runs) {
-    if (opt.backend != Backend::kSim)
-      for (Scenario& s : scenarios)
-        if (s.substrate == Substrate::kSync) {
-          s.backend = opt.backend;
-          if (opt.transport_tcp) s.params["transport_tcp"] = 1;
-        }
-    if (opt.sim_threads > 1)
-      for (Scenario& s : scenarios)
-        if (s.substrate == Substrate::kSync) s.sim_threads = opt.sim_threads;
+  for (const auto& [e, scenarios] : runs) {
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ScenarioResult> rows = runner.run(e->name, scenarios);
     const double secs =

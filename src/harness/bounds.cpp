@@ -58,4 +58,17 @@ bool has_paper_bounds(const std::string& protocol) {
          protocol == "D";
 }
 
+std::int64_t byzantine_msgs_bound(const std::string& protocol, std::int64_t n, int t) {
+  const std::int64_t senders = t + 1;
+  if (protocol == "A" || protocol == "B") {
+    const std::int64_t q = int_sqrt_ceil(t + 1);
+    return n + 10 * senders * q + 10 * q * q + senders;
+  }
+  if (protocol == "C") {
+    const std::int64_t T = pow2_ceil(t + 1);
+    return n + 8 * T * log2_of_pow2(static_cast<int>(T)) + 4 * T + senders;
+  }
+  throw std::invalid_argument("byzantine_msgs_bound: no bound for protocol '" + protocol + "'");
+}
+
 }  // namespace dowork::harness

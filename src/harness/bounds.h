@@ -56,4 +56,15 @@ std::vector<std::pair<std::string, std::int64_t>> paper_bounds(const std::string
 // True iff paper_bounds knows `protocol` (A, B, C, C_batch, D).
 bool has_paper_bounds(const std::string& protocol);
 
+// The `byzantine` family's bound_msgs column: Section 5's Byzantine
+// agreement among n processes tolerating t crashes, whose s = t + 1
+// senders run `protocol` (A, B or C) on n units:
+//   A, B  n + 10s*q + 10q^2 + s, with q = ceil(sqrt(s))
+//   C     n + 8T log T + 4T + s, over the padded sender count T = pow2_ceil(s)
+// The failure-free bill is exact (n value messages, the general's t, the
+// inner protocol's messages); the redo slack is a reference, not a theorem
+// for every shape -- DESIGN.md "Byzantine agreement's message bound" derives
+// each term.  Throws std::invalid_argument for any other protocol.
+std::int64_t byzantine_msgs_bound(const std::string& protocol, std::int64_t n, int t);
+
 }  // namespace dowork::harness

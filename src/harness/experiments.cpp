@@ -464,16 +464,7 @@ std::vector<Scenario> byzantine_scenarios() {
     for (const char* proto : {"A", "B", "C"}) {
       const std::string group =
           "n=" + std::to_string(sh.n) + "/t=" + std::to_string(sh.t) + "/" + proto;
-      // Message bounds from the deleted bench: senders = t+1 run the work
-      // protocol, so the A/B bound is n + O(senders^1.5) and the C bound is
-      // n + O(T log T) over the padded sender count.
-      const std::int64_t senders = sh.t + 1;
-      const std::int64_t sq = int_sqrt_ceil(sh.t + 1);
-      const std::int64_t T = pow2_ceil(sh.t + 1);
-      const std::int64_t L = log2_of_pow2(T);
-      const std::int64_t bound_msgs = std::string("C") == proto
-                                          ? sh.n + 8 * T * L + 4 * T + senders
-                                          : sh.n + 10 * senders * sq + 10 * sq * sq + senders;
+      const std::int64_t bound_msgs = byzantine_msgs_bound(proto, sh.n, sh.t);
       auto add = [&](FaultSpec faults, int reps = 1) {
         Scenario s;
         s.group = group;

@@ -65,9 +65,9 @@ std::unique_ptr<FaultInjector> make_injector(const Scenario& s, int rep) {
   return s.injector_override ? s.injector_override(r) : s.faults.make(r);
 }
 
-// RunOptions shared by every execution of a registry protocol, whichever
-// backend runs it (sync, live, or the differential pair).
-RunOptions sync_run_options(const Scenario& s, int rep) {
+// RunOptions shared by every run_do_all execution, whichever backend runs
+// it: sync, live, the differential pair, Byzantine and dynamic.
+RunOptions run_options(const Scenario& s, int rep) {
   RunOptions opts;
   if (auto it = s.params.find("protocol_param"); it != s.params.end())
     opts.protocol_param = it->second;
@@ -88,7 +88,7 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
   switch (s.substrate) {
     case Substrate::kSync:
     case Substrate::kLive: {
-      RunResult r = run_do_all(s.protocol, s.cfg, make_injector(s, rep), sync_run_options(s, rep));
+      RunResult r = run_do_all(s.protocol, s.cfg, make_injector(s, rep), run_options(s, rep));
       fill_sync_metrics(r.metrics, row);
       row.ok = r.ok();
       row.violation = r.violation;
@@ -106,7 +106,7 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
     case Substrate::kDifferential: {
       substrate::DiffResult d = substrate::run_differential(
           find_protocol(s.protocol), s.cfg, [&] { return make_injector(s, rep); },
-          sync_run_options(s, rep));
+          run_options(s, rep));
       // The row reports the sim leg's metrics (either leg would do: a
       // divergence fails the row before anyone reads them).
       fill_sync_metrics(d.sim.metrics, row);
@@ -116,18 +116,15 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       return;
     }
     case Substrate::kByzantine: {
-      // The Byzantine (and dynamic) substrates run their own internal sims
-      // and ignore the FaultSpec's network component; only sync and async
-      // model network weather.
       ByzantineConfig cfg;
       cfg.n_procs = static_cast<int>(s.cfg.n);
       cfg.t_faults = s.cfg.t;
       cfg.value = s.param_or("value", 5);
       cfg.protocol = s.protocol;
-      ByzantineResult r = run_byzantine(cfg, make_injector(s, rep));
+      ByzantineResult r = run_byzantine(cfg, make_injector(s, rep), run_options(s, rep));
       fill_sync_metrics(r.metrics, row);
-      row.ok = r.agreement && r.validity;
-      if (!row.ok) row.violation = "byzantine agreement/validity violated";
+      row.ok = r.ok();
+      row.violation = r.violation;
       row.extra.emplace_back("agreement", r.agreement ? "yes" : "NO");
       row.extra.emplace_back("validity", r.validity ? "yes" : "NO");
       row.extra.emplace_back("general_crashed", r.general_crashed ? "yes" : "no");
@@ -202,15 +199,15 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
         for (std::int64_t k = 0; k < per_batch; ++k) a.units.push_back(next++);
         cfg.arrivals.push_back(a);
       }
-      DynamicRunResult r = run_dynamic_do_all(cfg, make_injector(s, rep));
+      DynamicRunResult r = run_dynamic_do_all(cfg, make_injector(s, rep), run_options(s, rep));
       row.work = r.metrics.work_total;
       row.messages = r.metrics.messages_total;
       row.effort = r.metrics.effort();
       row.crashes = r.metrics.crashes;
       row.last_round = r.metrics.last_retire_round;
       row.rounds = format_round(r.metrics.last_retire_round);
-      row.ok = r.metrics.all_retired && r.all_known_work_done;
-      if (!row.ok) row.violation = "dynamic run lost announced work";
+      row.ok = r.ok();
+      row.violation = r.violation;
       row.extra.emplace_back("lost_units", std::to_string(r.lost_units.size()));
       return;
     }

@@ -23,14 +23,15 @@
 namespace dowork::harness {
 
 // Which simulation substrate executes the scenario.  kSync covers every
-// registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord); the
-// others are the paper's model variants with their own simulators -- except
-// the last two, which run the same registry protocols on the live backend
-// Scenario::backend names (src/substrate/): kLive is a kSync row that also
-// reports the kill-point census (params["free_sched"] = 1 selects the free
-// commit schedule), and kDifferential runs the case on the simulator AND
-// the live backend under the deterministic schedule and fails the row on
-// any metric divergence (the simulator as oracle).
+// registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord),
+// kByzantine and kDynamic run their model variants through run_do_all too,
+// and kAsync and kSharedMem have their own simulators.  The last two run
+// registry protocols on the live backend Scenario::backend names
+// (src/substrate/): kLive is a kSync row that also reports the kill-point
+// census (params["free_sched"] = 1 selects the free commit schedule), and
+// kDifferential runs the case on the simulator AND the live backend under
+// the deterministic schedule and fails the row on any metric divergence
+// (the simulator as oracle).
 enum class Substrate : std::uint8_t {
   kSync, kByzantine, kAsync, kSharedMem, kDynamic, kLive, kDifferential
 };
@@ -57,9 +58,8 @@ struct Scenario {
   // Section 5 naming).  kDynamic derives its workload from params instead.
   DoAllConfig cfg;
   // The declarative adversary (see fault_spec.h for the grammar).  Drives
-  // the kSync and kDynamic substrates directly; kByzantine feeds it to the
-  // underlying synchronous run; kAsync/kSharedMem build their crash specs
-  // from params instead.
+  // the kSync, kByzantine and kDynamic runs, network weather included;
+  // kAsync/kSharedMem build their crash specs from params instead.
   FaultSpec faults;
   // Base seed for anything stochastic: repetition r uses seed + r (random
   // adversaries, async delivery delays).  Purely deterministic scenarios
@@ -98,8 +98,8 @@ struct Scenario {
   // units_per_sec betrays it.
   Backend backend = Backend::kSim;
   // CLI hook (dowork_bench --sim-threads N): round-parallel evaluation for
-  // this kSync scenario's simulator runs (RunOptions::sim_threads).  Byte-
-  // identical row data at any value -- the round pool's ordered-commit
+  // this kSync, kByzantine or kDynamic scenario (RunOptions::sim_threads).
+  // Byte-identical row data at any value -- the round pool's ordered-commit
   // contract, checked by the CI --sim-threads determinism diff -- so, like
   // --jobs, it is purely a wall-clock knob.  dowork_fuzz --diff pool sets
   // it on its live leg.  Never set by the experiment registry.

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,9 @@ struct RunMetrics {
   std::vector<std::uint64_t> unit_multiplicity;  // index = unit-1
   std::vector<std::uint64_t> work_by_proc;
   std::vector<std::uint64_t> messages_by_proc;
+  // Recorded at crash and terminate commits, never per step.
+  std::vector<int> crashed_procs;  // in commit order
+  std::vector<std::optional<std::int64_t>> decisions;  // by process; empty if nobody decides
 
   // --- outcome --------------------------------------------------------------
   bool all_retired = false;   // run ended with every process crashed/terminated

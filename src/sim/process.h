@@ -99,6 +99,10 @@ class IProcess {
   // speculate about in-flight mail.  Purely diagnostic default: 0.
   virtual std::int64_t known_done_units() const { return 0; }
 
+  // The value this process decided (Byzantine agreement), recorded at its
+  // terminate commit in RunMetrics::decisions.  Default: none.
+  virtual std::optional<std::int64_t> decision() const { return std::nullopt; }
+
   // Diagnostic label.
   virtual std::string describe() const { return "process"; }
 };

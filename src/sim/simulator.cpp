@@ -210,6 +210,7 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
   if (plan) {
     retire(p, ProcState::kCrashed);
     ++metrics_.crashes;
+    metrics_.crashed_procs.push_back(static_cast<int>(p));
     // Classify the kill point (metrics.h documents the taxonomy) for the
     // census and for the executor: the socket substrate stops the worker
     // process where the adversary's plan cut the execution.
@@ -220,6 +221,10 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
   } else if (a.terminate) {
     retire(p, ProcState::kTerminated);
     ++metrics_.terminated;
+    if (std::optional<std::int64_t> d = procs_[p]->decision()) {
+      if (metrics_.decisions.empty()) metrics_.decisions.resize(procs_.size());
+      metrics_.decisions[p] = d;
+    }
     if (executor_ != nullptr)
       executor_->on_retire(static_cast<int>(p), ProcState::kTerminated, KillPoint::kNone);
   } else {

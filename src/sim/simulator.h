@@ -43,7 +43,7 @@
 //     bitset (word-level ORs of shared audience sets) to drive the step
 //     list and O(1) empty-inbox checks.  Message metrics are bumped
 //     arithmetically per record (audience size), never per pair.
-//   * alive_count() is an O(1) counter maintained on crash/terminate, not a
+//   * the live-process count is an O(1) counter kept on crash/terminate, not a
 //     scan; it is consulted once per stepping process for the fault
 //     injector's SimSnapshot.
 // None of this changes observable behavior: scheduling decisions, delivery
@@ -155,7 +155,7 @@ class Simulator final : public SimObservable, public StepEval {
   };
 
   // Called whenever a unit of work is actually performed (post fault
-  // filtering).  Used by the Byzantine layer to attach effects to units.
+  // filtering).  Used by examples/reactor_valves.cpp to attach effects to units.
   using WorkSink = std::function<void(int proc, std::int64_t unit, const Round& round)>;
 
   Simulator(std::vector<std::unique_ptr<IProcess>> processes,
@@ -175,11 +175,6 @@ class Simulator final : public SimObservable, public StepEval {
 
   // Runs to completion and returns the metrics.  May be called once.
   RunMetrics run();
-
-  // Post-run inspection.
-  ProcState state_of(int proc) const { return state_[static_cast<std::size_t>(proc)]; }
-  int alive_count() const { return alive_; }
-  const RunMetrics& metrics() const { return metrics_; }
 
   // SimObservable: the adaptive adversary's committed-state window
   // (sim/observable.h documents the contract).

@@ -17,15 +17,19 @@ std::string diff_round(const char* field, const Round& a, const Round& b) {
   return std::string(field) + ": sim=" + a.to_string() + " live=" + b.to_string();
 }
 
-std::string diff_vec(const char* field, const std::vector<std::uint64_t>& a,
-                     const std::vector<std::uint64_t>& b) {
+template <class T>
+std::string show(const T& v) { return std::to_string(v); }
+std::string show(const std::optional<std::int64_t>& v) { return v ? std::to_string(*v) : "none"; }
+
+template <class T>
+std::string diff_vec(const char* field, const std::vector<T>& a, const std::vector<T>& b) {
   if (a.size() != b.size())
     return std::string(field) + ".size: sim=" + std::to_string(a.size()) +
            " live=" + std::to_string(b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     if (a[i] != b[i])
-      return std::string(field) + "[" + std::to_string(i) + "]: sim=" + std::to_string(a[i]) +
-             " live=" + std::to_string(b[i]);
+      return std::string(field) + "[" + std::to_string(i) + "]: sim=" + show(a[i]) +
+             " live=" + show(b[i]);
   return "";
 }
 
@@ -72,6 +76,8 @@ std::string compare_metrics(const RunMetrics& sim, const RunMetrics& live) {
   if (!(d = diff_vec("work_by_proc", sim.work_by_proc, live.work_by_proc)).empty()) return d;
   if (!(d = diff_vec("messages_by_proc", sim.messages_by_proc, live.messages_by_proc)).empty())
     return d;
+  if (!(d = diff_vec("crashed_procs", sim.crashed_procs, live.crashed_procs)).empty()) return d;
+  if (!(d = diff_vec("decisions", sim.decisions, live.decisions)).empty()) return d;
   if (sim.all_retired != live.all_retired)
     return std::string("all_retired: sim=") + (sim.all_retired ? "1" : "0") +
            " live=" + (live.all_retired ? "1" : "0");

@@ -693,6 +693,7 @@ void SocketExecutor::shutdown() {
 RunMetrics run_socket(const ProtocolInfo& info, const DoAllConfig& cfg,
                       std::unique_ptr<FaultInjector> faults, const RunOptions& opts,
                       RunStats& stats) {
+  (void)find_protocol(info.name);  // workers build by registry name: run-scoped infos throw
   SocketExecutor executor(info, cfg, opts.protocol_param, opts.live);
   RunMetrics metrics;
   try {

@@ -203,5 +203,28 @@ TEST(BoundsTest, EveryRegisteredBoundParamCarriesTheOraclesValue) {
   EXPECT_GE(checked, 935);  // every family that states one of these bounds
 }
 
+TEST(BoundsTest, ByzantineMessageBoundAtOneShapePerProtocol) {
+  // s = 9 senders: q = 3, T = 16, log T = 4.
+  EXPECT_EQ(byzantine_msgs_bound("A", 64, 8), 64 + 270 + 90 + 9);
+  EXPECT_EQ(byzantine_msgs_bound("B", 64, 8), 64 + 270 + 90 + 9);
+  EXPECT_EQ(byzantine_msgs_bound("C", 64, 8), 64 + 512 + 64 + 9);
+  EXPECT_THROW(byzantine_msgs_bound("D", 64, 8), std::invalid_argument);
+}
+
+TEST(BoundsTest, EveryByzantineRowCarriesTheOraclesMessageBound) {
+  int checked = 0;
+  for (const ExperimentInfo& e : all_experiments()) {
+    for (const Scenario& s : e.scenarios()) {
+      if (s.substrate != Substrate::kByzantine) continue;
+      const auto it = s.params.find("bound_msgs");
+      if (it == s.params.end()) continue;
+      ++checked;
+      EXPECT_EQ(it->second, byzantine_msgs_bound(s.protocol, s.cfg.n, s.cfg.t))
+          << e.name << " " << s.id;
+    }
+  }
+  EXPECT_EQ(checked, 48);  // the byzantine family: 4 shapes x A/B/C x 4 adversaries
+}
+
 }  // namespace
 }  // namespace dowork::harness

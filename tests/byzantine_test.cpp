@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "substrate/differential.h"
+
 namespace dowork {
 namespace {
 
@@ -116,6 +118,44 @@ TEST(Byzantine, RejectsBadConfigs) {
   cfg.n_procs = 4;
   cfg.t_faults = 4;  // t+1 senders > n
   EXPECT_THROW(run_byzantine(cfg, std::make_unique<NoFaults>()), std::invalid_argument);
+  // Everyone starts at 0, so a 0 would be "decided" without the general.
+  cfg.t_faults = 2;
+  cfg.value = 0;
+  EXPECT_THROW(run_byzantine(cfg, std::make_unique<NoFaults>()), std::invalid_argument);
+  // Socket workers build registry protocols by name; this run is not one.
+  cfg.value = 1;
+  RunOptions socket;
+  socket.backend = Backend::kSocket;
+  EXPECT_THROW(run_byzantine(cfg, std::make_unique<NoFaults>(), socket), std::invalid_argument);
+}
+
+// The run goes through run_do_all, so the round pool and the supervised pool
+// (deterministic schedule) must reproduce the serial run: every metric, the
+// recorded crashes and decisions included, and the verdict.
+TEST(Byzantine, RoundPoolAndSupervisedPoolMatchTheSerialRun) {
+  RunOptions threads;
+  threads.sim_threads = 4;
+  RunOptions pool;
+  pool.backend = Backend::kPool;
+  for (const char* proto : {"A", "B", "C"}) {
+    ByzantineConfig cfg;
+    cfg.n_procs = 18;
+    cfg.t_faults = 5;
+    cfg.value = 11;
+    cfg.protocol = proto;
+    auto faults = [&] { return std::make_unique<RandomFaults>(0.05, cfg.t_faults, 2); };
+    const ByzantineResult serial = run_byzantine(cfg, faults());
+    ASSERT_EQ(serial.violation, "") << proto;
+    ASSERT_GT(serial.metrics.crashes, 0u) << proto;
+    ASSERT_EQ(serial.metrics.decisions.size(), 18u) << proto;
+    for (const RunOptions& opts : {threads, pool}) {
+      const ByzantineResult r = run_byzantine(cfg, faults(), opts);
+      EXPECT_EQ(substrate::compare_metrics(serial.metrics, r.metrics), "") << proto;
+      EXPECT_EQ(r.decisions, serial.decisions) << proto;
+      EXPECT_EQ(r.violation, serial.violation) << proto;
+      EXPECT_EQ(r.general_crashed, serial.general_crashed) << proto;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "dynamic/dynamic_d.h"
 #include "sim/simulator.h"
+#include "substrate/differential.h"
 
 namespace dowork {
 namespace {
@@ -149,6 +150,28 @@ TEST_P(DynamicDRandom, RandomCrashesNeverLoseAnnouncedWork) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicDRandom, ::testing::Range(0u, 20u));
+
+// The run goes through run_do_all, so the round pool and the supervised pool
+// (deterministic schedule) must reproduce the serial run: every metric, the
+// recorded crashes included, and the lost units.  Seed 1 crashes 5 of 8
+// processes and loses 10 units at crashed sites.
+TEST(DynamicD, RoundPoolAndSupervisedPoolMatchTheSerialRun) {
+  auto faults = [] { return std::make_unique<RandomFaults>(0.04, 5, 1); };
+  const DynamicRunResult serial = run_dynamic_do_all(three_batches(8), faults());
+  ASSERT_EQ(serial.violation, "");
+  ASSERT_EQ(serial.metrics.crashed_procs.size(), 5u);
+  RunOptions threads;
+  threads.sim_threads = 4;
+  RunOptions pool;
+  pool.backend = Backend::kPool;
+  for (const RunOptions& opts : {threads, pool}) {
+    const DynamicRunResult r = run_dynamic_do_all(three_batches(8), faults(), opts);
+    EXPECT_EQ(substrate::compare_metrics(serial.metrics, r.metrics), "");
+    EXPECT_EQ(r.lost_units, serial.lost_units);
+    EXPECT_EQ(r.all_known_work_done, serial.all_known_work_done);
+    EXPECT_EQ(r.violation, serial.violation);
+  }
+}
 
 // Byte referees for dynamic D's agreement.  The properties above hold for
 // many implementations; these pin the exact metrics of the implementation

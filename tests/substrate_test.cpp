@@ -103,6 +103,18 @@ TEST(SubstrateTest, CompareMetricsReportsFirstDivergence) {
   b = a;
   b.kills.count(KillPoint::kMidBroadcast);
   EXPECT_EQ(compare_metrics(a, b), "kills.mid_broadcast: sim=0 live=1");
+  b = a;
+  b.crashed_procs = {3};
+  EXPECT_EQ(compare_metrics(a, b), "crashed_procs.size: sim=0 live=1");
+  a.crashed_procs = {2};
+  EXPECT_EQ(compare_metrics(a, b), "crashed_procs[0]: sim=2 live=3");
+  b = a;
+  b.decisions = {std::nullopt, 5};
+  EXPECT_EQ(compare_metrics(a, b), "decisions.size: sim=0 live=2");
+  a.decisions = {std::nullopt, std::nullopt};
+  EXPECT_EQ(compare_metrics(a, b), "decisions[1]: sim=none live=5");
+  a.decisions = {std::nullopt, 4};
+  EXPECT_EQ(compare_metrics(a, b), "decisions[1]: sim=4 live=5");
 }
 
 TEST(SubstrateTest, KillPointCensusMatchesCrashCount) {

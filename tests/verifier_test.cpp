@@ -134,5 +134,27 @@ TEST(VerifierTest, WeatherDoesNotWaiveCompletionOrCoverage) {
             "run ended with unretired processes");
 }
 
+TEST(VerifierTest, OutcomeCheckReplacesTheEveryUnitRule) {
+  RunMetrics m = clean_metrics(4);
+  m.unit_multiplicity[2] = 0;
+  // Without a hook the every-unit rule applies...
+  ProtocolInfo info = sequential_info();
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "unit 3 was never performed");
+  // ...with one, its verdict stands instead, whatever units went undone.
+  info.check_outcome = [](const RunMetrics&) { return std::string(); };
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "");
+  info.check_outcome = [](const RunMetrics& r) {
+    return r.crashed_procs.empty() ? std::string("nobody crashed") : std::string();
+  };
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "nobody crashed");
+  m.crashed_procs = {1};
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "");
+  // The completion rules still come first and sequentiality still applies.
+  m.max_concurrent_workers = 2;
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "sequential protocol had 2 concurrent workers");
+  m.all_retired = false;
+  EXPECT_EQ(verify_run(info, config(4, 2), m), "run ended with unretired processes");
+}
+
 }  // namespace
 }  // namespace dowork
