@@ -60,7 +60,10 @@ void ProtocolBProcess::enter_preactive(const Round& now) {
 Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
   bool go_ahead = false;
   for (const Msg& msg : inbox) {
-    if (msg.as<GoAhead>()) {
+    // The kind test first: every GoAhead is sent as kGoAhead, and it spares
+    // each checkpoint the out-of-line type_info comparison a mismatched
+    // as<> pays.
+    if (msg.kind == MsgKind::kGoAhead && msg.as<GoAhead>()) {
       go_ahead = true;
     } else if (core_.ingest(msg)) {
       preactive_ = false;  // a checkpoint: someone is alive below us

@@ -33,8 +33,9 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
       opt_(std::move(options)),
       net_model_(opt_.net),
       net_rng_(opt_.net.seed) {
-  // The two-tier Round exists so heap entries stay this small; 3 per cache
-  // line instead of the 72 bytes the flat 512-bit representation cost.
+  // The two-tier Round exists so promoted-tier entries stay this small; 3
+  // per cache line instead of the 72 bytes the flat 512-bit representation
+  // cost.
   static_assert(sizeof(WakeEntry) <= 24);
   const std::size_t t = procs_.size();
   state_.assign(t, ProcState::kAlive);
@@ -43,9 +44,10 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
   consumed_epoch_.assign(t, 0);
   wake_.assign(t, Round{});
   queued_.assign(t, 0);
-  heap_has_.assign(t, 0);
-  heap_key_.assign(t, Round{});
-  heap_.reserve(t + 16);
+  head_.fill(-1);
+  next_.assign(t, -1);
+  prev_.assign(t, -1);
+  bucket_.assign(t, kUnqueued);
   metrics_.work_by_proc.assign(t, 0);
   metrics_.messages_by_proc.assign(t, 0);
   metrics_.unit_multiplicity.assign(static_cast<std::size_t>(opt_.n_units), 0);
@@ -54,6 +56,30 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
 void Simulator::retire(std::size_t p, ProcState to) {
   state_[p] = to;
   --alive_;
+  dequeue(p);
+}
+
+void Simulator::link(std::size_t p, std::uint8_t b) {
+  const std::int32_t h = head_[b];
+  next_[p] = h;
+  prev_[p] = -1;
+  if (h >= 0) prev_[static_cast<std::size_t>(h)] = static_cast<std::int32_t>(p);
+  head_[b] = static_cast<std::int32_t>(p);
+  bucket_[p] = b;
+}
+
+void Simulator::dequeue(std::size_t p) {
+  const std::uint8_t b = bucket_[p];
+  if (b == kUnqueued) return;
+  bucket_[p] = kUnqueued;
+  if (b == kPromoted) return;  // its heap entry is dead from here on
+  const std::int32_t n = next_[p];
+  const std::int32_t pv = prev_[p];
+  if (pv >= 0)
+    next_[static_cast<std::size_t>(pv)] = n;
+  else
+    head_[b] = n;
+  if (n >= 0) prev_[static_cast<std::size_t>(n)] = pv;
 }
 
 std::size_t Simulator::inbox_size(int proc) const {
@@ -74,49 +100,110 @@ void Simulator::reschedule(std::size_t p, const Round& now) {
   if (w < now) w = now;  // a process may not schedule itself in the past
   if (w == now) {
     // Fast path for the overwhelmingly common answer "step me again next
-    // round" (every active process): a plain list instead of heap traffic.
-    // Any previous heap entry for p turns dead (heap_has_ is cleared).
+    // round" (every active process): a plain list instead of the calendar.
+    dequeue(p);
     wake_[p] = std::move(w);
-    heap_has_[p] = 0;
     if (!queued_[p]) {
       queued_[p] = 1;
       next_step_.push_back(static_cast<int>(p));
     }
     return;
   }
-  // p's live entry, if any, only has to be a lower bound on its wake: a
-  // deadline re-armed later (a passive Protocol B process re-arms on every
-  // checkpoint it receives) just updates the cache, and peek_min_wake
-  // re-keys the entry once it reaches the top.  A fresh entry is pushed
-  // only when p has none or its wake moved before the entry's key; the
-  // old entry is then dead (its key no longer matches heap_key_[p]).
-  // Purely reactive processes (wake == never) with no entry get none.
-  if (!(heap_has_[p] && heap_key_[p] <= w) && w != never()) {
-    heap_key_[p] = w;
-    heap_.push_back(WakeEntry{w, static_cast<int>(p)});
-    std::push_heap(heap_.begin(), heap_.end(), WakeLater{});
-    heap_has_[p] = 1;
+  if (w.fits_u64()) {
+    // w > now >= floor_.  A deadline re-armed within its bucket (a passive
+    // Protocol B process re-arms on every checkpoint it receives) is just
+    // the cache write.
+    const std::uint8_t b = bucket_of(w.to_u64_saturating());
+    if (bucket_[p] != b) {
+      dequeue(p);
+      link(p, b);
+    }
+  } else if (w == never()) {
+    dequeue(p);  // purely reactive from here on: mail-only
+  } else if (bucket_[p] != kPromoted || w < wake_[p]) {
+    // p's live promoted entries are lower bounds on its wake, so one
+    // re-armed later pushes nothing; peek_promoted re-keys it at the top.
+    dequeue(p);
+    promoted_.push_back(WakeEntry{w, static_cast<int>(p)});
+    std::push_heap(promoted_.begin(), promoted_.end(), WakeLater{});
+    bucket_[p] = kPromoted;
   }
   wake_[p] = std::move(w);
 }
 
-const Round* Simulator::peek_min_wake() {
-  while (!heap_.empty()) {
-    const WakeEntry& top = heap_.front();
-    const std::size_t p = static_cast<std::size_t>(top.proc);
-    const bool live =
-        state_[p] == ProcState::kAlive && heap_has_[p] && top.wake == heap_key_[p];
-    if (live && top.wake == wake_[p]) return &top.wake;
-    std::pop_heap(heap_.begin(), heap_.end(), WakeLater{});
-    if (live && wake_[p] != never()) {
-      // A lower bound below the cached wake: re-key it once, in place.
-      heap_key_[p] = wake_[p];
-      heap_.back().wake = wake_[p];
-      std::push_heap(heap_.begin(), heap_.end(), WakeLater{});
-      continue;
+void Simulator::pop_due(const Round& r) {
+  auto enqueue = [this](std::size_t p) {
+    if (!queued_[p]) {
+      queued_[p] = 1;
+      step_list_.push_back(static_cast<int>(p));
     }
-    if (live) heap_has_[p] = 0;  // re-armed to never: mail-only from here on
-    heap_.pop_back();
+  };
+  if (!r.fits_u64()) {
+    // Past 2^64 every queued wake is promoted (each is >= r).
+    while (const Round* w = peek_promoted()) {
+      if (*w > r) return;
+      const std::size_t p = static_cast<std::size_t>(promoted_.front().proc);
+      std::pop_heap(promoted_.begin(), promoted_.end(), WakeLater{});
+      promoted_.pop_back();
+      bucket_[p] = kUnqueued;
+      enqueue(p);
+    }
+    return;
+  }
+  const std::uint64_t now = r.to_u64_saturating();
+  if (now != floor_) {
+    // Rebase.  A bucket above the one r falls in keeps every member (they
+    // share r's bits above their own); buckets below it hold only wakes
+    // < r, which cannot exist.  So only r's bucket is redistributed, each
+    // member into a strictly lower bucket relative to the new floor.
+    const std::uint8_t h = bucket_of(now);
+    std::int32_t q = head_[h];
+    head_[h] = -1;
+    floor_ = now;
+    while (q >= 0) {
+      const std::size_t p = static_cast<std::size_t>(q);
+      q = next_[p];
+      link(p, bucket_of(wake_[p].to_u64_saturating()));
+    }
+  }
+  for (std::int32_t q = head_[0]; q >= 0; q = next_[static_cast<std::size_t>(q)]) {
+    bucket_[static_cast<std::size_t>(q)] = kUnqueued;
+    enqueue(static_cast<std::size_t>(q));
+  }
+  head_[0] = -1;
+}
+
+const Round* Simulator::peek_min_wake() {
+  for (int b = 0; b < kBuckets; ++b) {
+    std::int32_t q = head_[b];
+    if (q < 0) continue;
+    // Bucket ranges ascend, so the first non-empty bucket holds the
+    // minimum; a fast-forward is rare enough to scan it.
+    std::size_t best = static_cast<std::size_t>(q);
+    for (q = next_[best]; q >= 0; q = next_[static_cast<std::size_t>(q)])
+      if (wake_[static_cast<std::size_t>(q)] < wake_[best]) best = static_cast<std::size_t>(q);
+    return &wake_[best];
+  }
+  return peek_promoted();
+}
+
+const Round* Simulator::peek_promoted() {
+  while (!promoted_.empty()) {
+    const WakeEntry& top = promoted_.front();
+    const std::size_t p = static_cast<std::size_t>(top.proc);
+    if (bucket_[p] == kPromoted) {
+      const std::strong_ordering vs_wake = top.wake <=> wake_[p];
+      if (vs_wake == 0) return &top.wake;
+      if (vs_wake < 0) {
+        // A lower bound below the cached wake: re-key it once, in place.
+        std::pop_heap(promoted_.begin(), promoted_.end(), WakeLater{});
+        promoted_.back().wake = wake_[p];
+        std::push_heap(promoted_.begin(), promoted_.end(), WakeLater{});
+        continue;
+      }
+    }
+    std::pop_heap(promoted_.begin(), promoted_.end(), WakeLater{});
+    promoted_.pop_back();
   }
   return nullptr;
 }
@@ -412,17 +499,7 @@ RunMetrics Simulator::run() {
     }
 
     // Processes whose wake time arrived join the recipients of mail.
-    while (const Round* min_wake = peek_min_wake()) {
-      if (*min_wake > r) break;
-      const int p = heap_.front().proc;
-      std::pop_heap(heap_.begin(), heap_.end(), WakeLater{});
-      heap_.pop_back();
-      heap_has_[static_cast<std::size_t>(p)] = 0;
-      if (!queued_[static_cast<std::size_t>(p)]) {
-        queued_[static_cast<std::size_t>(p)] = 1;
-        step_list_.push_back(p);
-      }
-    }
+    pop_due(r);
     // Steps must run in ascending id order (the round contract).  The list
     // is usually already sorted -- next_step_ fills in step order, mail in
     // ascending id order -- so check before paying for a sort.
@@ -460,8 +537,8 @@ RunMetrics Simulator::run() {
       continue;
     }
     // Fast-forward: jump to the earliest wake time over live processes.
-    // Every live cached wake is > r here (due entries were popped above and
-    // next-round steppers were just checked), so the heap top is the exact
+    // Every live cached wake is > r here (the due set was popped above and
+    // next-round steppers were just checked), so peek_min_wake is the exact
     // minimum the old per-process scan computed.  Arithmetic runs in place
     // on r / one gap temporary: with Protocol C's promoted round numbers a
     // by-value formulation cost three heap clones per jump.  With the

@@ -19,20 +19,20 @@
 //   * Scheduling is wake-queue driven, not scan driven.  IProcess::next_wake
 //     is monotone and only changes when the process is stepped (the contract
 //     in process.h), so the simulator queries it exactly once per step,
-//     caches the result in wake_[p], and keeps a lazy min-heap of
-//     (wake, proc) entries.  A round steps only the processes that received
-//     mail plus those popped from the heap -- O(steps * log t) instead of
-//     O(t) virtual calls per round -- and heap compares are one u64 compare
-//     in the common case (Round's inline tier; see util/round.h, which also
-//     keeps a WakeEntry at 24 bytes instead of 72).  Fast-forward peeks the
-//     heap instead of rescanning every process.
-//     Each live process has at most one live heap entry, keyed at a lower
-//     bound on its cached wake: a deadline re-armed later only updates
-//     wake_[p], and the entry is re-keyed once when it reaches the top, so
-//     the heap stays O(t) however often timeouts move (Protocol B's
-//     message-relative timeouts move on every checkpoint received).  Dead
-//     entries (process retired, entry superseded by an earlier wake) are
-//     dropped when they reach the top.
+//     caches the result in wake_[p], and files p in a monotone wake
+//     calendar (a radix heap: Ahuja, Mehlhorn, Orlin and Tarjan, 1990).
+//     A round steps only the processes that received mail plus the
+//     calendar's due set -- O(steps) amortized instead of O(t) virtual
+//     calls per round -- and fast-forward scans one bucket instead of
+//     rescanning every process.
+//     Each process with a u64 wake sits in exactly one of 65 buckets, the
+//     one of its exact cached wake relative to floor_ (the round the last
+//     due pop reached): no lower-bound keys, no stale or dead entries.  A
+//     deadline re-armed within its bucket (Protocol B's message-relative
+//     timeouts move on every checkpoint received) is one cache write;
+//     across buckets, an O(1) relink.  Wakes at or past 2^64 (Protocol
+//     C's eons) sit in a lazy min-heap instead, keyed at lower bounds that
+//     are re-keyed when they reach the top; dead entries are dropped there.
 //   * Delivery is a broadcast ledger, not per-pair envelopes: each send is
 //     recorded ONCE (DeliveryRecord: audience + moved payload reference +
 //     the crash prefix cut + sent round), so a round costs
@@ -52,6 +52,8 @@
 // byte-for-byte).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -215,10 +217,19 @@ class Simulator final : public SimObservable, public StepEval {
   }
 
  private:
-  // One lazy min-heap entry.  It is p's live entry while p is alive,
-  // heap_has_[p] is set and wake == heap_key_[p]; its key is then a lower
-  // bound on wake_[p].  Any other entry is dead and is dropped when it
-  // reaches the top, never eagerly removed.
+  // The calendar's 65 buckets: bucket 0 holds wake == floor_, bucket i >= 1
+  // the wakes whose highest bit differing from floor_ is bit i - 1.  Every
+  // queued wake is >= floor_, so bucket ranges ascend with i.
+  static constexpr int kBuckets = 65;
+  // bucket_[p] beyond the bucket indexes: p is in the promoted tier, or
+  // queued nowhere (next-round list, mail-only, or retired).
+  static constexpr std::uint8_t kPromoted = 0xFE;
+  static constexpr std::uint8_t kUnqueued = 0xFF;
+
+  // One entry of the promoted tier's lazy min-heap.  It is live while
+  // bucket_[p] == kPromoted and its key is at or below wake_[p] (a lower
+  // bound, re-keyed when it reaches the top); any other entry is dead and
+  // is dropped when it reaches the top, never eagerly removed.
   struct WakeEntry {
     Round wake;
     int proc;
@@ -248,21 +259,35 @@ class Simulator final : public SimObservable, public StepEval {
   // files it in the ledger or the future buffer.
   void commit_record(DeliveryRecord rec, const Round& r);
   void validate_strict(int proc, const Action& a) const;
+  // Marks p crashed or terminated and takes it off the wake queue.
   void retire(std::size_t p, ProcState to);
   // Re-queries next_wake(now) for p (clamped forward to `now`) and updates
   // the cache.  "Run again next round" answers go straight onto next_step_
-  // (no heap traffic -- the common case for active processes).  Otherwise
-  // p's live entry is kept while its key is at or before the new wake (a
-  // lower bound); a push happens only when p has no live entry or the wake
-  // moved before the entry's key.  wake == never with no live entry means
-  // mail-only: no entry at all.
+  // (the common case for active processes) and take p off the calendar;
+  // so does never (mail-only).  A u64 wake that stays in p's bucket only
+  // writes wake_[p]; one that changes bucket relinks p.  A promoted wake
+  // pushes an entry when p enters the tier or its wake moves earlier.
   void reschedule(std::size_t p, const Round& now);
+  // Appends every process whose wake is at or before round r to the step
+  // list, taking it off the queue.  Every queued wake is >= r here, so the
+  // due set is the wakes equal to r: rebasing floor_ to r relinks the one
+  // bucket that straddles r, after which bucket 0 is exactly that set.
+  void pop_due(const Round& r);
   // Exact min wake over live processes, or null when no live process has a
-  // timer.  Drops dead entries; a live entry keyed below its process's wake
-  // is re-keyed to that wake (or dropped at never) and sifted down, so the
-  // top is returned only once its key equals wake_[p] -- the minimum the
-  // per-process scan would compute.
+  // timer: the minimum of the first non-empty bucket (bucket ranges
+  // ascend), else peek_promoted.
   const Round* peek_min_wake();
+  // Exact min wake of the promoted tier, or null.  Drops dead entries; a
+  // live top keyed below its process's wake is re-keyed to that wake and
+  // sifted down, so the top is returned only once its key equals wake_[p].
+  const Round* peek_promoted();
+  // The calendar bucket of u64 wake w >= floor_.
+  std::uint8_t bucket_of(std::uint64_t w) const {
+    return w == floor_ ? 0 : static_cast<std::uint8_t>(64 - __builtin_clzll(w ^ floor_));
+  }
+  void link(std::size_t p, std::uint8_t b);
+  // Takes p out of whichever tier holds it (a no-op when unqueued).
+  void dequeue(std::size_t p);
 
   std::vector<std::unique_ptr<IProcess>> procs_;
   std::unique_ptr<FaultInjector> faults_;
@@ -302,12 +327,17 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<std::uint64_t> consumed_epoch_;
   std::uint64_t epoch_ = 0;
   std::vector<Round> wake_;                   // cached next_wake per process
-  std::vector<WakeEntry> heap_;               // lazy min-heap, <= 1 live entry per p
+  // The wake calendar: each bucket an intrusive doubly linked list threaded
+  // through next_/prev_ (-1 ends a list), headed by head_[b].
+  std::uint64_t floor_ = 0;                   // round of the last due pop
+  std::array<std::int32_t, kBuckets> head_;
+  std::vector<std::int32_t> next_;
+  std::vector<std::int32_t> prev_;
+  std::vector<std::uint8_t> bucket_;          // p's bucket, kPromoted or kUnqueued
+  std::vector<WakeEntry> promoted_;           // lazy min-heap of wakes >= 2^64
   std::vector<int> step_list_;                // processes to step this round; reused
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
-  std::vector<std::uint8_t> heap_has_;        // p has a live heap entry
-  std::vector<Round> heap_key_;               // its key, a lower bound on wake_[p]
   Round cur_round_;                           // round being stepped (observable)
   RunMetrics metrics_;
   bool ran_ = false;

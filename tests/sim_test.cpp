@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "sim/fault_injector.h"
+#include "sim/round_pool.h"
 
 namespace dowork {
 namespace {
@@ -309,7 +312,7 @@ struct DeadlineScript {
 
   // `next` is the round the simulator re-queries next_wake at.
   void draw(const Round& next) {
-    const std::uint64_t kind = rng.uniform(0, 19);
+    const std::uint64_t kind = rng.uniform(0, 27);
     if (kind < 5) {
       deadline = next;  // run again
     } else if (kind < 10) {
@@ -325,16 +328,27 @@ struct DeadlineScript {
       }
     } else if (kind < 19) {
       deadline = mail_only ? never_round() : next + Round{rng.uniform(50, 90)};
-    } else {
+    } else if (kind < 20) {
       Round big = Round::pow2(64);  // at or past 2^64: the promoted tier
       if (big < next) big = next;
       deadline = big + Round{rng.uniform(0, 40)};
+    } else if (kind < 24) {
+      // A gap of 2^k: every calendar bucket, the top one included.
+      const unsigned k = static_cast<unsigned>(rng.uniform(0, 62));
+      deadline = next + Round::pow2(k) + Round{rng.uniform(0, 3)};
+    } else {
+      // Astride 2^64, so wakes cross between the tiers both ways.
+      deadline = Round::pow2(64) - Round{40} + Round{rng.uniform(0, 80)};
+      if (deadline < next) deadline = next;
     }
   }
 
   Move step(const Round& r) {
     Move m;
-    if (--steps_left == 0) {
+    // Stepped by mail with a far deadline armed: sometimes retire here, so
+    // the queue drops a wake that never came due.
+    const bool far_armed = deadline != never_round() && deadline > r + Round{40};
+    if (--steps_left == 0 || (far_armed && rng.uniform(0, 3) == 0)) {
       m.terminate = true;
       return m;
     }
@@ -434,36 +448,80 @@ BruteForceRun brute_force(std::vector<DeadlineScript> s) {
   }
 }
 
+std::vector<DeadlineScript> deadline_scripts(std::uint64_t seed) {
+  const int t = static_cast<int>(2 + seed % 23);
+  std::vector<DeadlineScript> scripts;
+  for (int p = 0; p < t; ++p)
+    scripts.emplace_back(seed * 1000 + static_cast<std::uint64_t>(p), p, t, seed % 2 == 0);
+  return scripts;
+}
+
+// Runs the scripts on the simulator; with `threads` > 1 the round's
+// evaluations are sharded over a RoundPool, each process logging its own
+// steps, and the returned log is their merge in (round, id) order -- the
+// order the serial run logs in.  A script run takes at most a few
+// thousand stepped rounds, so the cap ends a broken queue's run quickly.
+RunMetrics run_scripts(const std::vector<DeadlineScript>& scripts, StepLog& log,
+                       int threads = 1) {
+  std::vector<StepLog> own(threads > 1 ? scripts.size() : 0);
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (std::size_t p = 0; p < scripts.size(); ++p)
+    procs.push_back(std::make_unique<ScriptedProcess>(scripts[p], threads > 1 ? &own[p] : &log));
+  Simulator::Options opts;
+  opts.max_stepped_rounds = 100'000;
+  if (threads <= 1) return run_simulation(std::move(procs), std::make_unique<NoFaults>(), opts);
+  RoundPool pool(threads, /*min_steps_per_shard=*/1);
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), opts);
+  sim.set_step_executor(&pool);
+  const RunMetrics m = sim.run();
+  pool.shutdown();
+  for (const StepLog& l : own) log.insert(log.end(), l.begin(), l.end());
+  std::sort(log.begin(), log.end());
+  return m;
+}
+
+std::string describe_step(const StepLog& log, std::size_t i) {
+  return i < log.size() ? to_string(log[i].first) + "/p" + std::to_string(log[i].second) : "-";
+}
+
 TEST(WakeQueue, MatchesBruteForceSchedulerOnRandomDeadlines) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const int t = static_cast<int>(2 + seed % 23);
-    std::vector<DeadlineScript> scripts;
-    for (int p = 0; p < t; ++p)
-      scripts.emplace_back(seed * 1000 + static_cast<std::uint64_t>(p), p, t, seed % 2 == 0);
+    const std::vector<DeadlineScript> scripts = deadline_scripts(seed);
     const BruteForceRun want = brute_force(scripts);
-
     StepLog got;
-    std::vector<std::unique_ptr<IProcess>> procs;
-    for (const DeadlineScript& s : scripts)
-      procs.push_back(std::make_unique<ScriptedProcess>(s, &got));
-    const RunMetrics m = run_simulation(std::move(procs), std::make_unique<NoFaults>(), {});
+    const RunMetrics m = run_scripts(scripts, got);
 
-    SCOPED_TRACE("seed " + std::to_string(seed) + ", t " + std::to_string(t));
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", t " + std::to_string(scripts.size()));
     const std::size_t common = std::min(got.size(), want.log.size());
     std::size_t i = 0;
     while (i < common && got[i] == want.log[i]) ++i;
-    ASSERT_EQ(i, want.log.size())
-        << "first divergence at step " << i << ": simulator "
-        << (i < got.size() ? to_string(got[i].first) + "/p" + std::to_string(got[i].second) : "-")
-        << ", brute force "
-        << (i < want.log.size()
-                ? to_string(want.log[i].first) + "/p" + std::to_string(want.log[i].second)
-                : "-");
+    ASSERT_EQ(i, want.log.size()) << "first divergence at step " << i << ": simulator "
+                                  << describe_step(got, i) << ", brute force "
+                                  << describe_step(want.log, i);
     ASSERT_EQ(got.size(), want.log.size());
+    EXPECT_FALSE(m.hit_round_cap);
     EXPECT_EQ(m.all_retired, want.all_retired);
     EXPECT_EQ(m.deadlocked, want.deadlocked);
     EXPECT_EQ(m.stepped_rounds, want.stepped_rounds);
     EXPECT_EQ(m.fast_forward_jumps, want.fast_forward_jumps);
+  }
+}
+
+TEST(WakeQueue, RoundPoolStepsTheSerialScheduleOnRandomDeadlines) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const std::vector<DeadlineScript> scripts = deadline_scripts(seed);
+    StepLog serial;
+    StepLog pooled;
+    const RunMetrics ms = run_scripts(scripts, serial);
+    const RunMetrics mp = run_scripts(scripts, pooled, /*threads=*/4);
+
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", t " + std::to_string(scripts.size()));
+    ASSERT_FALSE(ms.hit_round_cap);
+    ASSERT_EQ(pooled, serial);
+    EXPECT_EQ(mp.stepped_rounds, ms.stepped_rounds);
+    EXPECT_EQ(mp.fast_forward_jumps, ms.fast_forward_jumps);
+    EXPECT_EQ(mp.deadlocked, ms.deadlocked);
+    EXPECT_EQ(mp.all_retired, ms.all_retired);
   }
 }
 
