@@ -172,13 +172,13 @@ bool CheckpointCore::ingest(const Payload* payload, int from, const Round& recei
 
 void CheckpointCore::activate() {
   phase_ = Phase::kActive;
-  plan_ = ActivePlan(layout_, part_, self_, last_, unit_map_.get());
+  plan_ = std::make_unique<ActivePlan>(layout_, part_, self_, last_, unit_map_.get());
 }
 
 Action CheckpointCore::step() {
   Action a;
-  if (!plan_.empty()) {
-    ActiveOp op = plan_.pop();
+  if (plan_ && !plan_->empty()) {
+    ActiveOp op = plan_->pop();
     if (op.work) {
       a.work = op.work;
       if (!unit_map_ && *op.work > top_unit_) top_unit_ = *op.work;
@@ -188,10 +188,12 @@ Action CheckpointCore::step() {
       a.sends.push_back(Outgoing{op.recipients, MsgKind::kCheckpoint, std::move(op.payload)});
     }
   }
-  // Terminate in the same round as the final operation.
-  if (plan_.empty()) {
+  // Terminate in the same round as the final operation, and free the
+  // drained plan: top_unit_ keeps what it performed.
+  if (!plan_ || plan_->empty()) {
     a.terminate = true;
     phase_ = Phase::kDone;
+    plan_.reset();
   }
   return a;
 }

@@ -72,8 +72,9 @@ struct ActiveOp {
 
 // The active process's remaining script (DoWork in Figure 1), generated
 // lazily: resume/complete the interrupted checkpoint, then work
-// subchunk-by-subchunk with partial/full checkpoints.  CheckpointCore owns
-// one per process.
+// subchunk-by-subchunk with partial/full checkpoints.  CheckpointCore builds
+// one when its process activates and frees it once drained, so a passive
+// process carries none.
 //
 // Laziness matters under takeover cascades: the eager builder materialized
 // O(n + t) ops per takeover while the adversary lets each active process
@@ -84,7 +85,6 @@ struct ActiveOp {
 // plan_test.cpp pins the sequence with.
 class ActivePlan {
  public:
-  ActivePlan() = default;
   // `unit_map` (optional) must outlive the plan; it is the owning process's
   // member vector.
   ActivePlan(const GroupLayout& layout, const WorkPartition& part, int self,
@@ -103,9 +103,9 @@ class ActivePlan {
   bool produce(ActiveOp* out);
   void advance_subchunk();  // move to subchunk c_ + 1 (or kDone past the last)
 
-  GroupLayout layout_{1, 1};
-  WorkPartition part_{0, 1, 1};
-  int self_ = 0;
+  GroupLayout layout_;
+  WorkPartition part_;
+  int self_;
   int gj_ = 0;        // own group index
   IdRange own_rest_;  // "remainder of the own group": ids in (self_, end of group)
   const std::vector<std::int64_t>* unit_map_ = nullptr;
@@ -180,7 +180,9 @@ class CheckpointCore {
   enum class Phase : std::uint8_t { kPassive, kActive, kDone };
 
   // Field order packs the core tightly: the A/B scale rows hold one per
-  // process.
+  // process, and all but one of them are passive.  A passive core holds
+  // what the paper's passive process keeps -- the last checkpoint -- plus
+  // its shape; the plan exists only from activation until it is drained.
   GroupLayout layout_;
   int self_;
   WorkPartition part_;
@@ -188,11 +190,14 @@ class CheckpointCore {
   // survives a move of the core.
   std::unique_ptr<const std::vector<std::int64_t>> unit_map_;
   LastCheckpoint last_;
-  ActivePlan plan_;
+  std::unique_ptr<ActivePlan> plan_;  // set while active, freed when drained
   std::int64_t top_unit_ = 0;  // highest unit performed (unmapped cores only)
   Phase phase_ = Phase::kPassive;
   bool completion_seen_ = false;
 };
+
+// One core per process at t = 65536 is 65536 cores: pin their size.
+static_assert(sizeof(CheckpointCore) <= 104 || sizeof(void*) != 8);
 
 // Protocol A's takeover rule: become active at the deadline DD(self).
 class ProtocolAProcess final : public IProcess {
@@ -214,5 +219,7 @@ class ProtocolAProcess final : public IProcess {
   CheckpointCore core_;
   Round deadline_;  // start_round + DD(self)
 };
+
+static_assert(sizeof(ProtocolAProcess) <= 128 || sizeof(void*) != 8);
 
 }  // namespace dowork

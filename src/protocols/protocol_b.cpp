@@ -1,5 +1,7 @@
 #include "protocols/protocol_b.h"
 
+#include <algorithm>
+
 namespace dowork {
 
 ProtocolBProcess::ProtocolBProcess(const DoAllConfig& cfg, int self, Round start_round)
@@ -10,7 +12,8 @@ ProtocolBProcess::ProtocolBProcess(const DoAllConfig& cfg, int self, Round start
       // in its own group: one subchunk of work (<= ceil(n/t) rounds) plus
       // the partial-checkpoint round plus delivery.
       pto_(static_cast<std::uint64_t>(ceil_div(cfg.n, cfg.t)) + 2),
-      start_round_(start_round) {}
+      // Process 0 is active from the start.
+      deadline_(self == 0 ? start_round : passive_deadline()) {}
 
 std::uint64_t ProtocolBProcess::gto(int i) const {
   // GTO(i) - 1 bounds the silence before a higher group hears from group g_i
@@ -31,34 +34,34 @@ std::uint64_t ProtocolBProcess::ddb(int i) const {
 }
 
 Round ProtocolBProcess::passive_deadline() const {
-  if (core_.self() == 0) return start_round_;  // process 0 is active from the start
   return core_.last().received_round + Round{ddb(core_.last().from)};
 }
 
 Round ProtocolBProcess::probe_due() const {
   // next_probe_ never passes the target count, so once every probe is out
   // this is the activation round.
-  return preactive_start_ + Round{pto_} * next_probe_;
+  return preactive_start_ + Round{pto_} * static_cast<std::uint64_t>(next_probe_);
 }
 
 void ProtocolBProcess::enter_preactive(const Round& now) {
   preactive_ = true;
   preactive_start_ = now;
-  probe_targets_.clear();
   next_probe_ = 0;
   // Probe the lower-numbered group members that might still be alive: all of
   // them if the last ordinary message came from another group, only those
-  // above the (known retired) sender otherwise.
+  // above the (known retired) sender otherwise.  Process 0's fictitious
+  // sender is itself, which leaves it no one to probe.
   const GroupLayout& layout = core_.layout();
   const int self = core_.self();
   const int from = core_.last().from;
   const int gj = layout.group_of(self);
-  int first = layout.group_of(from) == gj ? from + 1 : layout.first_of_group(gj);
-  for (int k = first; k < self; ++k) probe_targets_.push_back(k);
+  const int first = layout.group_of(from) == gj ? from + 1 : layout.first_of_group(gj);
+  first_probe_ = std::min(first, self);
 }
 
 Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
   bool go_ahead = false;
+  bool ingested = false;
   for (const Msg& msg : inbox) {
     // The kind test first: every GoAhead is sent as kGoAhead, and it spares
     // each checkpoint the out-of-line type_info comparison a mismatched
@@ -67,8 +70,10 @@ Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbo
       go_ahead = true;
     } else if (core_.ingest(msg)) {
       preactive_ = false;  // a checkpoint: someone is alive below us
+      ingested = true;
     }
   }
+  if (ingested && core_.self() != 0) deadline_ = passive_deadline();
   if (core_.active()) return core_.step();
   // Passive/preactive: a completion notice retires us immediately.
   if (core_.done() || core_.completion_seen()) return core_.retire();
@@ -81,19 +86,20 @@ Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbo
     return core_.step();
   }
   if (!preactive_) {
-    if (ctx.round < passive_deadline()) return Action::none();
+    if (ctx.round < deadline_) return Action::none();
     enter_preactive(ctx.round);  // then emit the first probe (or activate if none needed)
   }
   // Preactive probing: go-aheads PTO rounds apart; once every target has
   // been probed and a further PTO of silence passed, become active.
-  if (ctx.round >= preactive_start_ + Round{pto_} * probe_targets_.size()) {
+  const int probes = core_.self() - first_probe_;
+  if (ctx.round >= preactive_start_ + Round{pto_} * static_cast<std::uint64_t>(probes)) {
     core_.activate();
     return core_.step();
   }
-  if (next_probe_ >= probe_targets_.size() || ctx.round < probe_due()) return Action::none();
+  if (next_probe_ >= probes || ctx.round < probe_due()) return Action::none();
   Action a;
   a.sends.push_back(
-      Outgoing{probe_targets_[next_probe_], MsgKind::kGoAhead, std::make_shared<GoAhead>()});
+      Outgoing{first_probe_ + next_probe_, MsgKind::kGoAhead, std::make_shared<GoAhead>()});
   ++next_probe_;
   return a;
 }
@@ -101,7 +107,8 @@ Action ProtocolBProcess::on_round(const RoundContext& ctx, const InboxView& inbo
 Round ProtocolBProcess::next_wake(const Round& now) const {
   if (core_.done()) return never_round();
   if (core_.active() || (!preactive_ && core_.completion_seen())) return now;
-  const Round due = preactive_ ? probe_due() : passive_deadline();
+  if (!preactive_) return deadline_ > now ? deadline_ : now;
+  const Round due = probe_due();
   return due > now ? due : now;
 }
 

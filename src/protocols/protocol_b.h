@@ -53,18 +53,26 @@ class ProtocolBProcess final : public IProcess {
 
  private:
   void enter_preactive(const Round& now);
+  // r' + DDB(self, i) for the last checkpoint's round r' and sender i.
   Round passive_deadline() const;
   Round probe_due() const;  // next go-ahead, or activation once all are sent
 
   CheckpointCore core_;
   std::uint64_t pto_;
-  Round start_round_;
+  // The passive deadline, cached: passive_deadline() as of the last
+  // checkpoint taken in.  Process 0 keeps the start round -- it is active
+  // from the start and never re-arms.
+  Round deadline_;
 
-  // Preactive probing state (meaningful while passive only).
+  // Preactive probing state (meaningful while passive only).  The targets
+  // are the contiguous ids [first_probe_, self).
   Round preactive_start_;
-  std::vector<int> probe_targets_;
-  std::size_t next_probe_ = 0;
+  int first_probe_ = 0;
+  int next_probe_ = 0;  // probes sent so far
   bool preactive_ = false;
 };
+
+// Every process is one of these, and all but one are passive: pin its size.
+static_assert(sizeof(ProtocolBProcess) <= 176 || sizeof(void*) != 8);
 
 }  // namespace dowork

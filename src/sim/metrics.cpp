@@ -15,7 +15,7 @@ void KillCensus::count(KillPoint kp) {
 }
 
 bool RunMetrics::all_units_done() const {
-  for (std::uint64_t m : unit_multiplicity)
+  for (std::uint32_t m : unit_multiplicity)
     if (m == 0) return false;
   return true;
 }

@@ -68,8 +68,10 @@ struct RunMetrics {
   std::uint64_t net_blocked = 0;  // recipients severed by a partition window
   std::uint64_t net_delayed = 0;  // records delivered later than the next round
   // Per-unit multiplicity (how often each unit of work was performed); the
-  // work-optimality proofs bound sum(multiplicity) <= c*n + c'*t.
-  std::vector<std::uint64_t> unit_multiplicity;  // index = unit-1
+  // work-optimality proofs bound sum(multiplicity) <= c*n + c'*t.  32 bits:
+  // one count per unit is the largest per-run array at n = 16t, and a count
+  // that would pass 2^32 - 1 throws instead of wrapping.
+  std::vector<std::uint32_t> unit_multiplicity;  // index = unit-1
   std::vector<std::uint64_t> work_by_proc;
   std::vector<std::uint64_t> messages_by_proc;
   // Recorded at crash and terminate commits, never per step.

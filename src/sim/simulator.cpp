@@ -4,6 +4,7 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace dowork {
 
@@ -259,8 +260,14 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
   if (work_done) {
     ++metrics_.work_total;
     ++metrics_.work_by_proc[p];
-    if (*a.work >= 1 && *a.work <= opt_.n_units)
-      ++metrics_.unit_multiplicity[static_cast<std::size_t>(*a.work - 1)];
+    if (*a.work >= 1 && *a.work <= opt_.n_units) {
+      std::uint32_t& mult = metrics_.unit_multiplicity[static_cast<std::size_t>(*a.work - 1)];
+      // Like Round, a count that cannot be represented fails loudly.
+      if (mult == std::numeric_limits<std::uint32_t>::max())
+        throw std::overflow_error("unit_multiplicity: unit " + std::to_string(*a.work) +
+                                  " performed more than 2^32 - 1 times");
+      ++mult;
+    }
     if (work_sink_) work_sink_(static_cast<int>(p), *a.work, r);
   }
 

@@ -267,13 +267,18 @@ TEST_F(CoreFixture, StepTerminatesOnExactlyTheDrainingOp) {
   ASSERT_GT(ops, 1u);
   CheckpointCore core(cfg_, 4);
   core.activate();
+  std::int64_t last_unit = 0;
   for (std::size_t i = 1; i <= ops; ++i) {
     ASSERT_TRUE(core.active()) << "op " << i;
     const Action a = core.step();
     EXPECT_TRUE(a.work.has_value() || !a.sends.empty()) << "op " << i;
     EXPECT_EQ(a.terminate, i == ops) << "op " << i;
+    if (a.work) last_unit = *a.work;
   }
   EXPECT_TRUE(core.done());
+  // The draining step freed the plan; the core still knows what it did.
+  EXPECT_EQ(last_unit, cfg_.n);
+  EXPECT_EQ(core.known_done_units(), last_unit);
 }
 
 TEST_F(CoreFixture, EmptyResumedScriptTerminatesAtOnce) {

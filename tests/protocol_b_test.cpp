@@ -37,6 +37,121 @@ TEST(ProtocolB, TimeoutFunctionsMatchDefinitions) {
   EXPECT_EQ(p13.ddb(2), p13.gto(2) + 2u * p13.gto(0));
 }
 
+// A single ProtocolBProcess driven by hand, as the simulator would: called
+// with its mail, or at next_wake() with an empty inbox.  t = 16, n = 64:
+// groups {0..3} {4..7} {8..11} {12..15}, PTO = 6.
+class BProcessFixture : public ::testing::Test {
+ protected:
+  const DoAllConfig cfg_{64, 16};
+
+  // Delivers one checkpoint sent by `from` in round `sent` (received in
+  // sent + 1, the round the call is made in).
+  static Action receive(ProtocolBProcess& p, int self, int from,
+                        std::shared_ptr<const Payload> payload, std::uint64_t sent) {
+    const std::vector<DeliveryRecord> recs{
+        DeliveryRecord{from, MsgKind::kCheckpoint, 1, self, std::move(payload), Round{sent}}};
+    return p.on_round(RoundContext{Round{sent + 1}, self}, InboxView(recs, self, true));
+  }
+
+  struct Probe {
+    int to;
+    Round round;
+  };
+  // Runs the silent process wake by wake from `now` until it activates;
+  // returns the go-aheads it sent and sets *activated to the round of its
+  // first active step.
+  static std::vector<Probe> run_silent(ProtocolBProcess& p, int self, Round now,
+                                       Round* activated) {
+    const std::vector<DeliveryRecord> none;
+    std::vector<Probe> probes;
+    for (int guard = 0; guard < 100; ++guard) {
+      now = p.next_wake(now + Round{1});
+      const Action a = p.on_round(RoundContext{now, self}, InboxView(none, self, false));
+      bool probed = false;
+      for (const Outgoing& o : a.sends) {
+        if (o.kind != MsgKind::kGoAhead) continue;
+        EXPECT_EQ(o.to.size(), 1u);
+        probes.push_back(Probe{o.to.lowest(), now});
+        probed = true;
+      }
+      if (!probed && (a.work.has_value() || !a.sends.empty() || a.terminate)) {
+        *activated = now;
+        return probes;
+      }
+    }
+    ADD_FAILURE() << "process " << self << " never activated";
+    return probes;
+  }
+};
+
+TEST_F(BProcessFixture, WakeFollowsEachIngestedCheckpoint) {
+  ProtocolBProcess p(cfg_, 7);
+  // The fictitious (0, g_7) from process 0 at round 0 seeds the deadline.
+  EXPECT_EQ(p.next_wake(Round{0}), Round{p.ddb(0)});
+  // A group mate's partial checkpoint re-arms it to PTO after receipt.
+  EXPECT_TRUE(receive(p, 7, 5, std::make_shared<CkptPartial>(6), 20).sends.empty());
+  EXPECT_EQ(p.next_wake(Round{21}), Round{21 + p.ddb(5)});
+  EXPECT_EQ(p.ddb(5), p.pto());
+  // A lower group's direct full checkpoint re-arms it to DDB(7, 2).
+  EXPECT_TRUE(receive(p, 7, 2, std::make_shared<CkptFull>(8, 1), 24).sends.empty());
+  EXPECT_EQ(p.next_wake(Round{25}), Round{25 + p.ddb(2)});
+  EXPECT_EQ(p.ddb(2), p.gto(2));
+  // And an echo from a group mate back to PTO.
+  EXPECT_TRUE(receive(p, 7, 4, std::make_shared<CkptFull>(8, 2), 30).sends.empty());
+  EXPECT_EQ(p.next_wake(Round{31}), Round{31 + p.pto()});
+}
+
+TEST_F(BProcessFixture, GroupMateCheckpointProbesTheIdsAboveTheSender) {
+  ProtocolBProcess p(cfg_, 7);
+  receive(p, 7, 4, std::make_shared<CkptPartial>(6), 40);
+  const Round deadline = Round{41 + p.pto()};
+  Round activated;
+  const std::vector<Probe> probes = run_silent(p, 7, Round{41}, &activated);
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_EQ(probes[0].to, 5);
+  EXPECT_EQ(probes[0].round, deadline);
+  EXPECT_EQ(probes[1].to, 6);
+  EXPECT_EQ(probes[1].round, deadline + Round{p.pto()});
+  // A further PTO of silence after the last probe, then it takes over.
+  EXPECT_EQ(activated, deadline + Round{2 * p.pto()});
+}
+
+TEST_F(BProcessFixture, LowerGroupCheckpointProbesTheWholeGroupBelowSelf) {
+  ProtocolBProcess p(cfg_, 7);
+  receive(p, 7, 1, std::make_shared<CkptFull>(4, 1), 50);
+  const Round deadline = Round{51 + p.ddb(1)};
+  Round activated;
+  const std::vector<Probe> probes = run_silent(p, 7, Round{51}, &activated);
+  ASSERT_EQ(probes.size(), 3u);
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    EXPECT_EQ(probes[k].to, 4 + static_cast<int>(k)) << k;
+    EXPECT_EQ(probes[k].round, deadline + Round{p.pto() * k}) << k;
+  }
+  EXPECT_EQ(activated, deadline + Round{3 * p.pto()});
+}
+
+TEST_F(BProcessFixture, FirstOfItsGroupProbesNobody) {
+  ProtocolBProcess p(cfg_, 8);
+  receive(p, 8, 3, std::make_shared<CkptFull>(4, 2), 60);
+  Round activated;
+  EXPECT_TRUE(run_silent(p, 8, Round{61}, &activated).empty());
+  EXPECT_EQ(activated, Round{61 + p.ddb(3)});
+}
+
+TEST_F(BProcessFixture, ProcessZeroKeepsTheStartRound) {
+  ProtocolBProcess p(cfg_, 0, Round{5});
+  EXPECT_EQ(p.next_wake(Round{0}), Round{5});
+  // A checkpoint does not re-arm process 0: it is active from the start.
+  EXPECT_TRUE(receive(p, 0, 1, std::make_shared<CkptPartial>(1), 2).sends.empty());
+  EXPECT_EQ(p.next_wake(Round{3}), Round{5});
+  const std::vector<DeliveryRecord> none;
+  // At the start round it takes over at once: nobody below it to probe.
+  const Action a = p.on_round(RoundContext{Round{5}, 0}, InboxView(none, 0, false));
+  ASSERT_FALSE(a.sends.empty());  // resuming: it completes the partial checkpoint (1)
+  for (const Outgoing& o : a.sends) EXPECT_EQ(o.kind, MsgKind::kCheckpoint);
+  EXPECT_EQ(p.next_wake(Round{5}), Round{5});  // active: acts every round
+}
+
 TEST(ProtocolB, FailureFreeMatchesProtocolA) {
   DoAllConfig cfg{64, 16};
   RunResult r = run_do_all("B", cfg, std::make_unique<NoFaults>());
