@@ -95,21 +95,26 @@ AgreeFold fold_views(const std::vector<const AgreeMsg*>& by_sender) {
   DynBitset heard(by_sender.size());
   DynBitset sn, tn, kn;
   bool every_unit = false;
+  // Survivors share their S base and their T, so a view whose object is the
+  // previous view's adds nothing to the AND or the OR and is skipped.
   const DynBitset* last_base = nullptr;
+  const DynBitset* last_t = nullptr;
   for (std::size_t i = 0; i < by_sender.size(); ++i) {
     const AgreeMsg* msg = by_sender[i];
     if (!msg) continue;
     heard.set(i);
     const DynBitset* base = msg->s_left.base.get();
+    const DynBitset* t = msg->t_alive.get();
     if (!last_base) {
       sn = *base;
-      tn = msg->t_alive ? *msg->t_alive : DynBitset(by_sender.size());
+      tn = t ? *t : DynBitset(by_sender.size());
     } else {
       if (base != last_base) sn &= *base;
-      if (msg->t_alive) tn |= *msg->t_alive;
+      if (t && t != last_t) tn |= *t;
     }
-    if (!msg->t_alive) tn.set(i);  // the implicit {sender}
+    if (!t) tn.set(i);  // the implicit {sender}
     last_base = base;
+    last_t = t;
     if (!msg->known)
       every_unit = true;
     else if (kn.size() == 0)

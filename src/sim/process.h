@@ -44,8 +44,11 @@ struct Action {
   }
 };
 
+// The round a step runs in.  `round` refers to the caller's round (the
+// simulator's cur_round_, a socket worker's decoded step), which outlives
+// the on_round call; a process that keeps it copies the Round.
 struct RoundContext {
-  Round round;  // current round number (starts at 0)
+  const Round& round;  // current round number (starts at 0)
   int self = -1;
 };
 

@@ -244,7 +244,7 @@ Action Simulator::eval_step(int proc) {
   return eval_one(static_cast<std::size_t>(proc), cur_round_);
 }
 
-void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, Action a) {
+void Simulator::commit_step(std::size_t p, const Round& r, Action a) {
   // The mail (if any) is consumed with the on_round call, but the
   // observable effect is committed here so adaptive adversaries inspecting
   // a later process in this round see exactly the serial interleaving
@@ -322,7 +322,7 @@ void Simulator::commit_step(std::size_t p, const Round& r, const Round& next_r, 
     if (executor_ != nullptr)
       executor_->on_retire(static_cast<int>(p), ProcState::kTerminated, KillPoint::kNone);
   } else {
-    reschedule(p, next_r);
+    reschedule(p, next_round_);
   }
 }
 
@@ -384,7 +384,10 @@ void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
 
 void Simulator::step_round(const Round& r) {
   const std::uint64_t workers_before = metrics_.work_total;
-  const Round next_r = r + Round{1};  // one 512-bit add per round, not per step
+  // One add per round, not per step, and in place: a promoted round reuses
+  // next_round_'s block instead of building r + 1 anew.
+  next_round_ = r;
+  next_round_ += 1;
   if (executor_ != nullptr) {
     // Executor path: hand the alive step subset to the executor for the
     // evaluation phase (possibly concurrent, possibly aborted by its
@@ -408,7 +411,7 @@ void Simulator::step_round(const Round& r) {
       executor_->run_steps(*this, r, live_steps_, ready_);  // may throw AbortRun
       for (StepExecutor::Ready& rd : ready_) {
         held_progress_[static_cast<std::size_t>(rd.proc)] = kNotHeld;
-        commit_step(static_cast<std::size_t>(rd.proc), r, next_r, std::move(rd.action));
+        commit_step(static_cast<std::size_t>(rd.proc), r, std::move(rd.action));
       }
     }
     metrics_.max_concurrent_workers =
@@ -419,8 +422,7 @@ void Simulator::step_round(const Round& r) {
   for (int p : step_list_) {
     queued_[static_cast<std::size_t>(p)] = 0;
     if (state_[static_cast<std::size_t>(p)] != ProcState::kAlive) continue;
-    commit_step(static_cast<std::size_t>(p), r, next_r,
-                eval_one(static_cast<std::size_t>(p), r));
+    commit_step(static_cast<std::size_t>(p), r, eval_one(static_cast<std::size_t>(p), r));
   }
   // All steps of a round are independent (sends land next round), so the
   // concurrent-worker count is simply the work performed this round.

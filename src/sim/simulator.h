@@ -252,7 +252,8 @@ class Simulator final : public SimObservable, public StepEval {
   // commit_step per process -- observably identical to the historical
   // single-function step.
   Action eval_one(std::size_t p, const Round& r);
-  void commit_step(std::size_t p, const Round& r, const Round& next_r, Action a);
+  // commit_step reschedules p from next_round_ (r + 1).
+  void commit_step(std::size_t p, const Round& r, Action a);
   // Network delivery path (net_active_ only): runs the committed record
   // through the injector's message hook, the partition filter, the loss
   // draws and the latency draw (network_model.h documents the order), then
@@ -339,6 +340,7 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
   Round cur_round_;                           // round being stepped (observable)
+  Round next_round_;                          // cur_round_ + 1, updated in place
   RunMetrics metrics_;
   bool ran_ = false;
 };

@@ -183,9 +183,10 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
           if (self == hang_proc)
             for (;;) ::pause();
           if (self == exit_proc) ::_exit(7);
-          const RoundContext ctx{wire::decode_step(body), self};
-          const Action action = proc->on_round(ctx, InboxView(mail, self, !mail.empty()));
-          Round next = ctx.round;
+          const Round round = wire::decode_step(body);
+          const Action action =
+              proc->on_round(RoundContext{round, self}, InboxView(mail, self, !mail.empty()));
+          Round next = round;
           ++next;
           if (!write_all(fd, wire::encode_reply(action, proc->next_wake(next),
                                                 proc->known_done_units())))

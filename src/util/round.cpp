@@ -1,30 +1,112 @@
 #include "util/round.h"
 
+#include <cstddef>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
+// Listed blocks are poisoned under AddressSanitizer, so a use of a destroyed
+// promoted Round still reports although its block was not freed.
+#if defined(__SANITIZE_ADDRESS__)
+#define DOWORK_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DOWORK_ASAN 1
+#endif
+#endif
+
+#ifdef DOWORK_ASAN
+#include <sanitizer/asan_interface.h>
+#define DOWORK_POISON_BLOCK(p) ASAN_POISON_MEMORY_REGION((p), sizeof(BigUint))
+#define DOWORK_UNPOISON_BLOCK(p) ASAN_UNPOISON_MEMORY_REGION((p), sizeof(BigUint))
+#else
+#define DOWORK_POISON_BLOCK(p) static_cast<void>(p)
+#define DOWORK_UNPOISON_BLOCK(p) static_cast<void>(p)
+#endif
+
 namespace dowork {
+
+namespace {
+
+// A promoted block on its thread's free list; the link lives in the block.
+struct FreeBlock {
+  FreeBlock* next;
+};
+static_assert(sizeof(FreeBlock) <= sizeof(BigUint));
+
+// Trivially destructible, so it stays usable for the whole thread (static
+// destructors that free a Round run after thread-local destruction).
+struct FreeList {
+  FreeBlock* head = nullptr;
+  std::size_t count = 0;
+};
+thread_local FreeList t_free;
+
+// Returns the thread's listed blocks at thread exit and closes the list, so
+// a Round destroyed later on this thread frees its block directly.
+struct FreeListDrain {
+  ~FreeListDrain() {
+    while (FreeBlock* b = t_free.head) {
+      DOWORK_UNPOISON_BLOCK(b);
+      t_free.head = b->next;
+      ::operator delete(b, sizeof(BigUint));
+    }
+    t_free.count = Round::kMaxFreeBlocks;
+  }
+};
+thread_local FreeListDrain t_drain;
+
+// Registers the drain for this thread (a thread-local destructor is armed
+// by the thread's first use of the variable).  Called before a thread lists
+// its first block, and again whenever its list has emptied: cheap beside
+// the allocation the list saves.
+[[gnu::noinline]] void arm_drain() { static_cast<void>(&t_drain); }
+
+}  // namespace
+
+BigUint* Round::clone(const BigUint& b) {
+  void* mem;
+  if (FreeBlock* blk = t_free.head) {
+    DOWORK_UNPOISON_BLOCK(blk);
+    t_free.head = blk->next;
+    --t_free.count;
+    mem = blk;
+  } else {
+    mem = ::operator new(sizeof(BigUint));
+  }
+  return ::new (mem) BigUint(b);
+}
+
+void Round::free_block(BigUint* b) noexcept {
+  if (t_free.count >= kMaxFreeBlocks) {
+    ::operator delete(b, sizeof(BigUint));
+    return;
+  }
+  if (t_free.count == 0) arm_drain();
+  FreeBlock* blk = ::new (static_cast<void*>(b)) FreeBlock{t_free.head};
+  DOWORK_POISON_BLOCK(blk);
+  t_free.head = blk;
+  ++t_free.count;
+}
 
 Round::Round(const BigUint& v) : lo_(0), big_(nullptr) {
   if (v.fits_u64()) lo_ = v.to_u64_saturating();
-  else big_ = new BigUint(v);
+  else big_ = clone(v);
 }
 
-Round& Round::operator=(const Round& o) {
+Round& Round::assign_slow(const Round& o) {
   if (this == &o) return *this;
   lo_ = o.lo_;
   if (o.big_ == nullptr) {
-    delete big_;
+    if (big_ != nullptr) free_block(big_);
     big_ = nullptr;
   } else if (big_ == nullptr) {
-    big_ = new BigUint(*o.big_);
+    big_ = clone(*o.big_);
   } else {
     *big_ = *o.big_;  // reuse the existing allocation
   }
   return *this;
 }
-
-BigUint* Round::clone(const BigUint& b) { return new BigUint(b); }
 
 // Same message BigUint throws: a run that underflows produces the identical
 // violation text whether the operands were inline or promoted.
@@ -40,11 +122,11 @@ Round Round::pow2(unsigned e) {
 void Round::set_big(BigUint&& b) {
   if (b.fits_u64()) {  // demote: keep the representation canonical
     lo_ = b.to_u64_saturating();
-    delete big_;
+    if (big_ != nullptr) free_block(big_);
     big_ = nullptr;
     return;
   }
-  if (big_ == nullptr) big_ = new BigUint(std::move(b));
+  if (big_ == nullptr) big_ = clone(b);
   else *big_ = std::move(b);
 }
 

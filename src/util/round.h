@@ -4,10 +4,11 @@
 // Theorem 2.8) to ~2^(n+t) rounds (Protocol C, Corollary 3.9).  Round covers
 // that span with two tiers: a uint64_t stored inline -- every round number
 // Protocols A/B/D, the wake heap, the fault injector and the metrics ever
-// see -- and an exact, automatic promotion to a heap-backed 512-bit BigUint
-// (util/biguint.h) the moment a value crosses 2^64, which only Protocol C's
-// deadline arithmetic does.  Promotion never saturates and never rounds: the
-// promoted value is the exact integer the inline computation overflowed to.
+// see -- and an exact, automatic promotion to a 512-bit BigUint
+// (util/biguint.h) held in a separate 64-byte block the moment a value
+// crosses 2^64, which only Protocol C's deadline arithmetic does.
+// Promotion never saturates and never rounds: the promoted value is the
+// exact integer the inline computation overflowed to.
 //
 // Promotion contract:
 //   * Representation invariant: the value is stored inline (big_ == nullptr)
@@ -34,9 +35,22 @@
 // at 16 bytes a Round keeps WakeEntry at 24 bytes instead of the 72 the
 // 512-bit representation cost.  Slow paths (anything involving a promoted
 // operand or a carry out of the inline word) live in round.cpp.
+//
+// Promoted blocks: every block is taken by clone() and given back by
+// free_block(), the one allocation pair (round.cpp).  A freed block goes
+// onto its thread's free list and the next promotion on that thread reuses
+// it, so copying or destroying a promoted Round -- Protocol C's every
+// deadline, wake and ledger stamp past 2^64 -- costs a 64-byte copy, not a
+// malloc/free round trip.  The list holds at most kMaxFreeBlocks (a block
+// freed past that goes to ::operator delete, so blocks allocated on one
+// thread and freed on another cannot pile up) and is returned at thread
+// exit.  Under AddressSanitizer a listed block is poisoned until reused, so
+// reading a destroyed promoted Round still reports.  Inline rounds never
+// reach the pair: the destructor's null check stays inline.
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -52,17 +66,34 @@ class Round {
 
   Round(const Round& o) : lo_(o.lo_), big_(o.big_ ? clone(*o.big_) : nullptr) {}
   Round(Round&& o) noexcept : lo_(o.lo_), big_(o.big_) { o.big_ = nullptr; }
-  Round& operator=(const Round& o);
+  Round& operator=(const Round& o) {
+    if (big_ == nullptr && o.big_ == nullptr) [[likely]] {
+      lo_ = o.lo_;
+      return *this;
+    }
+    return assign_slow(o);
+  }
   Round& operator=(Round&& o) noexcept {
     if (this != &o) {
-      delete big_;
+      if (big_ != nullptr) free_block(big_);
       lo_ = o.lo_;
       big_ = o.big_;
       o.big_ = nullptr;
     }
     return *this;
   }
-  ~Round() { delete big_; }
+  ~Round() {
+    if (big_ != nullptr) free_block(big_);
+  }
+
+  // Promoted blocks one thread keeps for reuse (256 KB).  Measured uncapped
+  // on serial runs, a thread never listed more than 1,169 blocks at once: a
+  // benchmark fuzz_mix pass (seeds 1, 4, 11), the protocol_c and byzantine
+  // experiments ~1,170, the scale family 779.  What grows a list past that
+  // is blocks made on RoundPool workers and freed on the simulator's thread
+  // (--experiment all reached 5,026), so past the cap a freed block goes
+  // back to ::operator delete.
+  static constexpr std::size_t kMaxFreeBlocks = 4096;
 
   // 2^e: inline for e < 64, promoted above.  Throws std::overflow_error for
   // e >= 512 (the promoted representation's limit).
@@ -110,11 +141,28 @@ class Round {
     return shl_slow(sh);
   }
 
-  friend Round operator+(Round a, const Round& b) { return a += b; }
-  friend Round operator-(Round a, const Round& b) { return a -= b; }
-  friend Round operator*(Round a, std::uint64_t b) { return a *= b; }
-  friend Round operator*(std::uint64_t a, Round b) { return b *= a; }
-  friend Round operator<<(Round a, unsigned sh) { return a <<= sh; }
+  // Each returns its by-value operand by name, so the result is moved out:
+  // `return a += b` would copy the promoted block.
+  friend Round operator+(Round a, const Round& b) {
+    a += b;
+    return a;
+  }
+  friend Round operator-(Round a, const Round& b) {
+    a -= b;
+    return a;
+  }
+  friend Round operator*(Round a, std::uint64_t b) {
+    a *= b;
+    return a;
+  }
+  friend Round operator*(std::uint64_t a, Round b) {
+    b *= a;
+    return b;
+  }
+  friend Round operator<<(Round a, unsigned sh) {
+    a <<= sh;
+    return a;
+  }
 
   Round& operator++() { return *this += Round{1}; }
 
@@ -148,7 +196,11 @@ class Round {
   BigUint as_big() const { return big_ ? *big_ : BigUint{lo_}; }
 
  private:
+  // The one allocation pair behind big_ ("Promoted blocks" above).
   static BigUint* clone(const BigUint& b);
+  static void free_block(BigUint* b) noexcept;
+  // Copy assignment with a promoted side: reuses, takes or frees big_.
+  Round& assign_slow(const Round& o);
   [[noreturn]] static void throw_sub_underflow();
   Round& add_slow(const Round& rhs);
   Round& sub_slow(const Round& rhs);

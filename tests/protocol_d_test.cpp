@@ -290,6 +290,28 @@ TEST(ProtocolDPhaseCore, FoldViewsAndsOrsEveryViewAndPicksLowestDoneSender) {
   EXPECT_FALSE(drop_silent(u, none.heard, 2));
 }
 
+// Survivors' views share T objects: fold_views ORs each object once per run
+// of senders holding it, and the implicit {sender} between runs still
+// counts.  The fold equals the naive OR either way.
+TEST(ProtocolDPhaseCore, FoldViewsOverSharedTObjectsMatchesTheNaiveOr) {
+  const SharedBits s = shared(6, {0, 1, 2, 3, 4, 5});
+  const SharedBits x = shared(7, {0, 3});
+  const SharedBits y = shared(7, {5});
+  const AgreeMsg ax(1, s, x, false), ay(1, s, y, false), implicit(1, s, nullptr, false);
+  const std::vector<const AgreeMsg*> views{&ax, &ax, &implicit, nullptr, &ax, &ay, &ax};
+  DynBitset naive(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    if (!views[i]) continue;
+    if (views[i]->t_alive)
+      naive |= *views[i]->t_alive;
+    else
+      naive.set(i);
+  }
+  const AgreeFold f = fold_views(views);
+  EXPECT_EQ(*f.tn, naive);
+  EXPECT_EQ(*f.tn, bits(7, {0, 2, 3, 5}));
+}
+
 // merge_into shares by content: S is the AND, T the OR, and each side ends
 // on the fold's object, on the held object, or on a fresh one holding the
 // exact result -- never on a copy of an operand it could have aliased.
