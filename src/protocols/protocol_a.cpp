@@ -5,55 +5,24 @@
 namespace dowork {
 
 ActivePlan::ActivePlan(const GroupLayout& layout, const WorkPartition& part, int self,
-                       const LastCheckpoint& last, const std::vector<std::int64_t>* unit_map)
-    : layout_(layout), part_(part), self_(self), unit_map_(unit_map) {
+                       const LastCheckpoint& last)
+    : layout_(layout), part_(part), self_(self) {
   gj_ = layout_.group_of(self_);
   own_rest_ =
       IdRange{std::max(layout_.first_of_group(gj_), self_ + 1), layout_.end_of_group(gj_)};
 
-  // The resume section (Figure 1, DoWork lines 1-9) is O(groups): build it
-  // eagerly.  An empty broadcast conveys nothing and the paper does not
-  // charge a round for it, so empty recipient ranges emit no op.
-  auto push_broadcast = [&](IdRange recipients, std::shared_ptr<const Payload> payload) {
-    if (recipients.empty()) return;
-    prefix_.push_back(ActiveOp{std::nullopt, recipients, std::move(payload)});
-  };
-  // Partialcheckpoint(c): inform the remainder of the own group.
-  auto partial_ckpt = [&](int c) { push_broadcast(own_rest_, std::make_shared<CkptPartial>(c)); };
-  // Fullcheckpoint(c, l): for each group g = l..G-1, inform group g and then
-  // checkpoint that fact to the remainder of the own group.
-  auto full_ckpt = [&](int c, int from_g) {
-    for (int g = from_g; g < layout_.num_groups(); ++g) {
-      push_broadcast(IdRange{layout_.first_of_group(g), layout_.end_of_group(g)},
-                     std::make_shared<CkptFull>(c, g));
-      push_broadcast(own_rest_, std::make_shared<CkptFull>(c, g));
-    }
-  };
-  if (!last.fictitious) {
-    if (last.g.has_value()) {
-      if (layout_.group_of(last.from) != gj_) {
-        // Direct full checkpoint (c, g_j) from an earlier group: complete the
-        // partial checkpoint, then the full checkpoint from the next group.
-        partial_ckpt(last.c);
-        full_ckpt(last.c, gj_ + 1);
-      } else {
-        // Echo (c, g) with g > g_j from a group mate: make sure the own group
-        // knows group g was informed, then continue from group g+1.
-        push_broadcast(own_rest_, std::make_shared<CkptFull>(last.c, *last.g));
-        full_ckpt(last.c, *last.g + 1);
-      }
-    } else {
-      // Partial checkpoint (c): complete it; if c closed a chunk, the full
-      // checkpoint may also have been cut short -- redo it.
-      partial_ckpt(last.c);
-      if (part_.is_chunk_boundary(last.c)) full_ckpt(last.c, gj_ + 1);
-    }
-  }
-
-  // Position the lazy main loop (lines 10-14) at subchunk last.c + 1 and
-  // prime the lookahead.
+  // The takeover's entry state (Figure 1, DoWork lines 1-9): finish the
+  // checkpoint of last.c where the predecessor may have been cut off, then
+  // the main loop resumes at subchunk last.c + 1.
   c_ = last.c;
-  advance_subchunk();
+  if (c_ == 0) {
+    advance_subchunk();  // nothing received: a fresh start
+  } else if (last.g.has_value() && layout_.group_of(last.from) == gj_) {
+    g_ = *last.g;  // echo (c, g), g > g_j, from a group mate
+    stage_ = Stage::kFullEcho;
+  } else {
+    stage_ = Stage::kPartial;  // partial (c), or direct (c, g_j) at a chunk boundary
+  }
   ActiveOp op;
   if (produce(&op)) next_ = std::move(op);
 }
@@ -75,10 +44,7 @@ bool ActivePlan::produce(ActiveOp* out) {
         return false;
       case Stage::kUnits: {
         if (u_ <= part_.sub_end(c_)) {
-          const std::int64_t unit =
-              unit_map_ ? (*unit_map_)[static_cast<std::size_t>(u_ - 1)] : u_;
-          ++u_;
-          *out = ActiveOp{unit, {}, nullptr};
+          *out = ActiveOp{u_++, {}, nullptr};
           return true;
         }
         stage_ = Stage::kPartial;
@@ -124,7 +90,6 @@ bool ActivePlan::produce(ActiveOp* out) {
 }
 
 ActiveOp ActivePlan::pop() {
-  if (prefix_pos_ < prefix_.size()) return std::move(prefix_[prefix_pos_++]);
   ActiveOp out = std::move(*next_);
   next_.reset();
   ActiveOp refill;
@@ -133,38 +98,36 @@ ActiveOp ActivePlan::pop() {
 }
 
 std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPartition& part,
-                                       int self, const LastCheckpoint& last,
-                                       const std::vector<std::int64_t>* unit_map) {
-  ActivePlan cursor(layout, part, self, last, unit_map);
+                                       int self, const LastCheckpoint& last) {
+  ActivePlan cursor(layout, part, self, last);
   std::deque<ActiveOp> plan;
   while (!cursor.empty()) plan.push_back(cursor.pop());
   return plan;
 }
 
-CheckpointCore::CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round,
-                               std::vector<std::int64_t> unit_map)
+CheckpointCore::CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round)
     : layout_(GroupLayout::for_sqrt(cfg.t)),
       self_(self),
       part_(WorkPartition::for_protocol_a(cfg.n, cfg.t)),
-      unit_map_(unit_map.empty() ? nullptr
-                                 : std::make_unique<const std::vector<std::int64_t>>(
-                                       std::move(unit_map))),
-      last_{0, layout_.group_of(self), 0, start_round, true} {
+      last_{0, layout_.group_of(self), 0, start_round} {
   cfg.validate();
 }
 
 bool CheckpointCore::ingest(const Payload* payload, int from, const Round& received_round) {
+  // A real checkpoint names a subchunk c >= 1 (c == 0 means nothing
+  // received), and a full one always a chunk boundary, which is what lets
+  // ActivePlan resume a direct (c, g_self) through its partial stage.
   const int last_sub = part_.num_subchunks();
   if (const auto* p = detail::payload_as<CkptPartial>(payload)) {
     if (p->c == last_sub) completion_seen_ = true;
-    last_ = LastCheckpoint{p->c, std::nullopt, from, received_round, false};
+    last_ = LastCheckpoint{p->c, std::nullopt, from, received_round};
     return true;
   }
   if (const auto* f = detail::payload_as<CkptFull>(payload)) {
     // Only the direct form addressed to our group; an echo (t, g) names a
     // higher group and tells a group mate nothing final.
     if (f->c == last_sub && f->g == layout_.group_of(self_)) completion_seen_ = true;
-    last_ = LastCheckpoint{f->c, f->g, from, received_round, false};
+    last_ = LastCheckpoint{f->c, f->g, from, received_round};
     return true;
   }
   return false;
@@ -172,7 +135,7 @@ bool CheckpointCore::ingest(const Payload* payload, int from, const Round& recei
 
 void CheckpointCore::activate() {
   phase_ = Phase::kActive;
-  plan_ = std::make_unique<ActivePlan>(layout_, part_, self_, last_, unit_map_.get());
+  plan_ = std::make_unique<ActivePlan>(layout_, part_, self_, last_);
 }
 
 Action CheckpointCore::step() {
@@ -181,7 +144,7 @@ Action CheckpointCore::step() {
     ActiveOp op = plan_->pop();
     if (op.work) {
       a.work = op.work;
-      if (!unit_map_ && *op.work > top_unit_) top_unit_ = *op.work;
+      if (*op.work > top_unit_) top_unit_ = *op.work;
     } else {
       // The whole group broadcast is ONE range-addressed send; the delivery
       // plane never materializes per-recipient messages.
@@ -206,15 +169,13 @@ Action CheckpointCore::retire() {
 }
 
 std::int64_t CheckpointCore::known_done_units() const {
-  if (unit_map_) return 0;  // virtual ids; the D wrapper answers
   const int c = std::min(last_.c, part_.num_subchunks());
   const std::int64_t from_ckpt = c >= 1 ? part_.sub_end(c) : 0;
   return std::max(from_ckpt, top_unit_);
 }
 
-ProtocolAProcess::ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round,
-                                   std::vector<std::int64_t> unit_map)
-    : core_(cfg, self, start_round, std::move(unit_map)),
+ProtocolAProcess::ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round)
+    : core_(cfg, self, start_round),
       // DD(j) = j * (n + 3t): by then processes 0..j-1 have retired (Lemma
       // 2.2; each active process lives < n + 3t rounds, Lemma 2.1).
       deadline_(start_round + Round{static_cast<std::uint64_t>(self)} *

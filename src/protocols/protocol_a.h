@@ -23,7 +23,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/work.h"
 #include "protocols/groups.h"
@@ -47,15 +46,14 @@ struct CkptFull final : Payload {
 };
 
 // The information a passive process retains for takeover: the content and
-// sender of the last checkpoint message it received.  `fictitious` marks the
-// initial state (nothing received; Protocol B's convention of a round-0
-// message (0, g_j) from process 0).
+// sender of the last checkpoint message it received.  No real checkpoint
+// names subchunk 0, so c == 0 is exactly the initial state: nothing received
+// (Protocol B's convention of a fictitious message (0, g_j) from process 0).
 struct LastCheckpoint {
   int c = 0;
   std::optional<int> g;  // set for (c, g) messages
   int from = 0;
   Round received_round = 0;
-  bool fictitious = true;
 };
 
 // One round of the active process's remaining script: either perform a work
@@ -71,35 +69,39 @@ struct ActiveOp {
 };
 
 // The active process's remaining script (DoWork in Figure 1), generated
-// lazily: resume/complete the interrupted checkpoint, then work
-// subchunk-by-subchunk with partial/full checkpoints.  CheckpointCore builds
-// one when its process activates and frees it once drained, so a passive
-// process carries none.
+// lazily one op at a time.  CheckpointCore builds one when its process
+// activates and frees it once drained, so a passive process carries none.
 //
-// Laziness matters under takeover cascades: the eager builder materialized
-// O(n + t) ops per takeover while the adversary lets each active process
-// consume only a chunk's worth, which made plan construction the dominant
-// cost of the A/B scale rows.  The cursor snapshots the takeover state
-// (`last`) at construction, so the op sequence is exactly the one the eager
-// builder produced -- build_active_plan() below drains a cursor and is what
+// A takeover is an entry state of the one script, chosen from the last
+// checkpoint (`last`) by the constructor: nothing received (c = 0) enters
+// the main loop (lines 10-14) at subchunk 1; an echo (c, g) from a group
+// mate re-echoes g and continues the full checkpoint at group g + 1; a
+// partial (c), or a direct (c, g_self) from an earlier group, repeats the
+// partial checkpoint of c and, at a chunk boundary, the full checkpoint
+// from the next group.  So the resume (lines 1-9) finishes exactly the
+// checkpoint the predecessor interrupted, and no level is paid twice.  The
+// direct entry is exact because every CkptFull names a chunk-boundary c:
+// full checkpoints are entered only from the partial stage at a boundary.
+//
+// Laziness matters under takeover cascades: an eager script is O(n + t) ops
+// per takeover while the adversary lets each active process consume only a
+// chunk's worth.  build_active_plan() below drains a cursor and is what
 // plan_test.cpp pins the sequence with.
 class ActivePlan {
  public:
-  // `unit_map` (optional) must outlive the plan; it is the owning process's
-  // member vector.
   ActivePlan(const GroupLayout& layout, const WorkPartition& part, int self,
-             const LastCheckpoint& last, const std::vector<std::int64_t>* unit_map);
+             const LastCheckpoint& last);
 
-  bool empty() const { return prefix_pos_ >= prefix_.size() && !next_.has_value(); }
+  bool empty() const { return !next_.has_value(); }
   // Next op of the script; must not be called when empty().
   ActiveOp pop();
 
  private:
   enum class Stage : std::uint8_t { kUnits, kPartial, kFullDirect, kFullEcho, kDone };
 
-  // Emits the next main-loop op into *out and advances the state machine;
-  // false when the script is exhausted.  Skips the ops the eager builder
-  // skipped (empty broadcasts convey nothing and cost no round).
+  // Emits the next op into *out and advances the state machine; false when
+  // the script is exhausted.  Empty broadcasts convey nothing and the paper
+  // charges no round for them, so they emit no op.
   bool produce(ActiveOp* out);
   void advance_subchunk();  // move to subchunk c_ + 1 (or kDone past the last)
 
@@ -108,10 +110,7 @@ class ActivePlan {
   int self_;
   int gj_ = 0;        // own group index
   IdRange own_rest_;  // "remainder of the own group": ids in (self_, end of group)
-  const std::vector<std::int64_t>* unit_map_ = nullptr;
 
-  std::vector<ActiveOp> prefix_;  // resume section, O(groups), built eagerly
-  std::size_t prefix_pos_ = 0;
   // One-op lookahead so empty() is exact even when the remaining tail emits
   // nothing (e.g. a last-in-group process with no higher groups).
   std::optional<ActiveOp> next_;
@@ -124,8 +123,7 @@ class ActivePlan {
 // The eager form of the script -- a drained ActivePlan -- used by the plan
 // unit tests and anyone who wants the ops as data.
 std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPartition& part,
-                                       int self, const LastCheckpoint& last,
-                                       const std::vector<std::int64_t>* unit_map);
+                                       int self, const LastCheckpoint& last);
 
 // The checkpoint core shared by Protocols A and B and asynchronous A (and,
 // through RevertToA, Protocol D's revert): everything a process does with
@@ -137,13 +135,10 @@ std::deque<ActiveOp> build_active_plan(const GroupLayout& layout, const WorkPart
 // every lower process retired.
 class CheckpointCore {
  public:
-  // `unit_map`, if non-empty, remaps virtual unit v (1-based) to
-  // unit_map[v-1] (Protocol D's revert on the leftover work set).  Every
-  // process starts from Protocol B's fictitious ordinary message (0, g_self)
-  // from process 0, received at `start_round`; A and asynchronous A never
-  // read its round or group.
-  CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round = Round{0},
-                 std::vector<std::int64_t> unit_map = {});
+  // Every process starts from Protocol B's fictitious ordinary message
+  // (0, g_self) from process 0, received at `start_round`; A and
+  // asynchronous A never read its round or group.
+  CheckpointCore(const DoAllConfig& cfg, int self, const Round& start_round = Round{0});
 
   // Takes in one received payload: the one decoder of "(c)" and "(c, g)"
   // and the one completion rule -- "(t)" or a direct "(t, g_self)" means
@@ -172,8 +167,7 @@ class CheckpointCore {
 
   // Units known done: the last checkpoint heard (work is sequential, so
   // subchunk c done means units 1..sub_end(c) are done) or the last unit
-  // performed.  Unit-mapped cores report 0 -- their ids are virtual and
-  // Protocol D's wrapper exposes its own knowledge instead.
+  // performed.
   std::int64_t known_done_units() const;
 
  private:
@@ -186,28 +180,23 @@ class CheckpointCore {
   GroupLayout layout_;
   int self_;
   WorkPartition part_;
-  // Null when unmapped.  On the heap, so the plan's pointer into it
-  // survives a move of the core.
-  std::unique_ptr<const std::vector<std::int64_t>> unit_map_;
   LastCheckpoint last_;
   std::unique_ptr<ActivePlan> plan_;  // set while active, freed when drained
-  std::int64_t top_unit_ = 0;  // highest unit performed (unmapped cores only)
+  std::int64_t top_unit_ = 0;         // highest unit performed
   Phase phase_ = Phase::kPassive;
   bool completion_seen_ = false;
 };
 
 // One core per process at t = 65536 is 65536 cores: pin their size.
-static_assert(sizeof(CheckpointCore) <= 104 || sizeof(void*) != 8);
+static_assert(sizeof(CheckpointCore) <= 88 || sizeof(void*) != 8);
 
 // Protocol A's takeover rule: become active at the deadline DD(self).
 class ProtocolAProcess final : public IProcess {
  public:
-  // `unit_map`, if non-empty, remaps virtual unit v (1-based) to
-  // unit_map[v-1]; used when Protocol D reverts to Protocol A on the
-  // leftover work set.  `start_round` offsets every deadline (the protocol
-  // may be started mid-simulation, e.g. by the Byzantine layer).
-  ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round = 0,
-                   std::vector<std::int64_t> unit_map = {});
+  // `start_round` offsets every deadline (the protocol may be started
+  // mid-simulation, e.g. by the Byzantine layer or Protocol D's revert,
+  // which translates units and ids around it).
+  ProtocolAProcess(const DoAllConfig& cfg, int self, Round start_round = 0);
 
   Action on_round(const RoundContext& ctx, const InboxView& inbox) override;
   Round next_wake(const Round& now) const override;
@@ -220,6 +209,6 @@ class ProtocolAProcess final : public IProcess {
   Round deadline_;  // start_round + DD(self)
 };
 
-static_assert(sizeof(ProtocolAProcess) <= 128 || sizeof(void*) != 8);
+static_assert(sizeof(ProtocolAProcess) <= 112 || sizeof(void*) != 8);
 
 }  // namespace dowork

@@ -73,6 +73,6 @@ class ProtocolBProcess final : public IProcess {
 };
 
 // Every process is one of these, and all but one are passive: pin its size.
-static_assert(sizeof(ProtocolBProcess) <= 176 || sizeof(void*) != 8);
+static_assert(sizeof(ProtocolBProcess) <= 152 || sizeof(void*) != 8);
 
 }  // namespace dowork

@@ -176,16 +176,15 @@ bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& 
 
 RevertToA::RevertToA(const DynBitset& s, const DynBitset& alive, int self, const Round& start)
     : id_to_rank_(alive.size(), -1) {
-  std::vector<std::int64_t> units;
   for (std::size_t i = s.find_next(0); i < s.size(); i = s.find_next(i + 1))
-    units.push_back(static_cast<std::int64_t>(i) + 1);
+    units_.push_back(static_cast<std::int64_t>(i) + 1);
   for (std::size_t i = alive.find_next(0); i < alive.size(); i = alive.find_next(i + 1)) {
     id_to_rank_[i] = static_cast<int>(rank_to_id_.size());
     rank_to_id_.push_back(static_cast<int>(i));
   }
   rank_ = id_to_rank_[static_cast<std::size_t>(self)];
-  DoAllConfig sub{static_cast<std::int64_t>(units.size()), static_cast<int>(rank_to_id_.size())};
-  a_ = std::make_unique<ProtocolAProcess>(sub, rank_, start, std::move(units));
+  DoAllConfig sub{static_cast<std::int64_t>(units_.size()), static_cast<int>(rank_to_id_.size())};
+  a_ = std::make_unique<ProtocolAProcess>(sub, rank_, start);
 }
 
 Action RevertToA::on_round(const RoundContext& ctx, const InboxView& inbox) {
@@ -199,6 +198,7 @@ Action RevertToA::on_round(const RoundContext& ctx, const InboxView& inbox) {
                                         1, rank_, msg.payload(), msg.sent_round()});
   }
   Action a = a_->on_round(ctx, InboxView(translated, rank_, !translated.empty()));
+  if (a.work) a.work = units_[static_cast<std::size_t>(*a.work - 1)];
   // The embedded Protocol A addresses rank-space ranges; map them back to
   // real ids (generally non-contiguous, so ranges become bit sets).
   const int t = static_cast<int>(id_to_rank_.size());

@@ -204,8 +204,10 @@ bool agree_receive(const AgreeFold& fold, int self, bool past_grace, AgreeView& 
 // Figure 4 lines 11-13's escape hatch: Protocol A on the leftover units.
 // The paper's case-2 bounds assume it runs over the agreed survivors only, so
 // the embedded instance uses rank-in-T ids (its deadlines scale with |T|:
-// Theorem 4.1 case 2 applies Theorem 2.3 with t/2 processes); on_round
-// translates between ranks and real process ids in both directions.
+// Theorem 4.1 case 2 applies Theorem 2.3 with t/2 processes) and works on
+// virtual units 1..|S|.  This wrapper owns both translations: on_round maps
+// ranks to and from real process ids, and virtual unit v to the v-th unit
+// of S.
 class RevertToA {
  public:
   // Protocol A over the agreed (s, alive) -- self must be in alive --
@@ -217,6 +219,7 @@ class RevertToA {
 
  private:
   int rank_ = -1;  // self's id in the embedded A
+  std::vector<std::int64_t> units_;  // virtual unit v is units_[v - 1]
   std::vector<int> rank_to_id_;
   std::vector<int> id_to_rank_;  // -1 for processes outside the agreed T
   std::unique_ptr<ProtocolAProcess> a_;

@@ -3,6 +3,10 @@
 // A and Protocol D's revert path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <vector>
+
 #include "protocols/protocol_a.h"
 
 namespace dowork {
@@ -44,8 +48,8 @@ class PlanFixture : public ::testing::Test {
 };
 
 TEST_F(PlanFixture, FreshStartCoversEverythingInOrder) {
-  LastCheckpoint fresh;  // fictitious
-  auto plan = build_active_plan(layout_, part_, /*self=*/0, fresh, nullptr);
+  LastCheckpoint fresh;  // nothing received
+  auto plan = build_active_plan(layout_, part_, /*self=*/0, fresh);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.work_units, 36);
   EXPECT_EQ(s.first_unit, 1);
@@ -62,8 +66,8 @@ TEST_F(PlanFixture, FreshStartCoversEverythingInOrder) {
 
 TEST_F(PlanFixture, ResumeFromPartialCheckpointSkipsDoneWork) {
   // Process 4 heard (5) from process 3 (same group): resume at subchunk 6.
-  LastCheckpoint last{5, std::nullopt, 3, Round{10}, false};
-  auto plan = build_active_plan(layout_, part_, 4, last, nullptr);
+  LastCheckpoint last{5, std::nullopt, 3, Round{10}};
+  auto plan = build_active_plan(layout_, part_, 4, last);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.first_unit, 21);  // subchunk 6 starts at unit 21
   EXPECT_EQ(s.work_units, 16);  // units 21..36
@@ -74,8 +78,8 @@ TEST_F(PlanFixture, ResumeFromPartialCheckpointSkipsDoneWork) {
 TEST_F(PlanFixture, ResumeFromChunkBoundaryPartialRedoesFullCheckpoint) {
   // (6) is a chunk boundary: the crashed process may have died mid full
   // checkpoint, so the taker redoes it from its own next group.
-  LastCheckpoint last{6, std::nullopt, 3, Round{10}, false};
-  auto plan = build_active_plan(layout_, part_, 4, last, nullptr);
+  LastCheckpoint last{6, std::nullopt, 3, Round{10}};
+  auto plan = build_active_plan(layout_, part_, 4, last);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.first_unit, 25);
   ASSERT_GE(s.full_ckpts.size(), 2u);
@@ -85,8 +89,8 @@ TEST_F(PlanFixture, ResumeFromChunkBoundaryPartialRedoesFullCheckpoint) {
 TEST_F(PlanFixture, ResumeFromDirectFullCheckpoint) {
   // Process 4 (group 1) heard (3, 1) from process 0 (group 0): complete the
   // partial checkpoint of 3, then the full checkpoint from group 2.
-  LastCheckpoint last{3, 1, 0, Round{5}, false};
-  auto plan = build_active_plan(layout_, part_, 4, last, nullptr);
+  LastCheckpoint last{3, 1, 0, Round{5}};
+  auto plan = build_active_plan(layout_, part_, 4, last);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.partial_ckpts.front(), 3);
   EXPECT_EQ(s.full_ckpts.front(), (std::pair<int, int>{3, 2}));
@@ -96,8 +100,8 @@ TEST_F(PlanFixture, ResumeFromDirectFullCheckpoint) {
 TEST_F(PlanFixture, ResumeFromEchoContinuesAfterEchoedGroup) {
   // Process 1 (group 0) heard the echo (3, 1) from group mate 0: re-echo to
   // its own remainder, then continue the full checkpoint at group 2.
-  LastCheckpoint last{3, 1, 0, Round{5}, false};
-  auto plan = build_active_plan(layout_, part_, 1, last, nullptr);
+  LastCheckpoint last{3, 1, 0, Round{5}};
+  auto plan = build_active_plan(layout_, part_, 1, last);
   PlanSummary s = summarize(plan);
   ASSERT_FALSE(s.full_ckpts.empty());
   EXPECT_EQ(s.full_ckpts[0], (std::pair<int, int>{3, 1}));  // the re-echo
@@ -106,8 +110,8 @@ TEST_F(PlanFixture, ResumeFromEchoContinuesAfterEchoedGroup) {
 }
 
 TEST_F(PlanFixture, TakeoverAtLastSubchunkOnlyFinishesCheckpointing) {
-  LastCheckpoint last{9, 2, 0, Round{50}, false};  // direct full ckpt (9, 2) to group 2
-  auto plan = build_active_plan(layout_, part_, 7, last, nullptr);
+  LastCheckpoint last{9, 2, 0, Round{50}};  // direct full ckpt (9, 2) to group 2
+  auto plan = build_active_plan(layout_, part_, 7, last);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.work_units, 0);  // nothing left to do but informing
   EXPECT_GT(s.broadcasts, 0);
@@ -115,7 +119,7 @@ TEST_F(PlanFixture, TakeoverAtLastSubchunkOnlyFinishesCheckpointing) {
 
 TEST_F(PlanFixture, LastGroupMemberSendsNoFullCheckpoints) {
   LastCheckpoint fresh;
-  auto plan = build_active_plan(layout_, part_, /*self=*/8, fresh, nullptr);
+  auto plan = build_active_plan(layout_, part_, /*self=*/8, fresh);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.work_units, 36);
   EXPECT_TRUE(s.full_ckpts.empty());      // no higher group, no own remainder
@@ -123,26 +127,130 @@ TEST_F(PlanFixture, LastGroupMemberSendsNoFullCheckpoints) {
   EXPECT_EQ(s.messages, 0);
 }
 
-TEST_F(PlanFixture, UnitMapRemapsWork) {
-  std::vector<std::int64_t> map;
-  for (std::int64_t u = 2; u <= 72; u += 2) map.push_back(u);  // 36 even units
-  LastCheckpoint fresh;
-  auto plan = build_active_plan(layout_, part_, 0, fresh, &map);
-  PlanSummary s = summarize(plan);
-  EXPECT_EQ(s.work_units, 36);
-  EXPECT_EQ(s.first_unit, 2);
-  EXPECT_EQ(s.last_unit, 72);
-}
-
 TEST(PlanEdge, EmptySubchunksStillCheckpointed) {
   // n < t: subchunks may be empty but the checkpoint cadence survives.
   GroupLayout layout = GroupLayout::for_sqrt(9);
   WorkPartition part = WorkPartition::for_protocol_a(4, 9);
   LastCheckpoint fresh;
-  auto plan = build_active_plan(layout, part, 0, fresh, nullptr);
+  auto plan = build_active_plan(layout, part, 0, fresh);
   PlanSummary s = summarize(plan);
   EXPECT_EQ(s.work_units, 4);
   EXPECT_EQ(s.partial_ckpts.size(), 9u);  // one per subchunk, even empty ones
+}
+
+// --- Resume equivalence: the lazy script against Figure 1, transcribed ----
+
+// One op of a script, flattened for comparison: a unit, or a partial or full
+// checkpoint (c, g) broadcast to the ids [lo, hi).
+struct FlatOp {
+  enum Kind : std::uint8_t { kUnit, kPartial, kFull } kind;
+  std::int64_t value;  // the unit, or c
+  int g = -1;
+  int lo = 0, hi = 0;
+  bool operator==(const FlatOp&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const FlatOp& op) {
+  return os << "{" << int{op.kind} << "," << op.value << "," << op.g << ",[" << op.lo << ","
+            << op.hi << ")}";
+}
+
+std::vector<FlatOp> flatten(const std::deque<ActiveOp>& plan) {
+  std::vector<FlatOp> out;
+  for (const ActiveOp& op : plan) {
+    if (op.work) {
+      out.push_back({FlatOp::kUnit, *op.work});
+    } else if (const auto* f = dynamic_cast<const CkptFull*>(op.payload.get())) {
+      out.push_back({FlatOp::kFull, f->c, f->g, op.recipients.first, op.recipients.end});
+    } else {
+      const auto& p = dynamic_cast<const CkptPartial&>(*op.payload);
+      out.push_back({FlatOp::kPartial, p.c, -1, op.recipients.first, op.recipients.end});
+    }
+  }
+  return out;
+}
+
+// Figure 1's DoWork for process `self` holding `last`, eagerly: lines 1-9
+// finish the interrupted checkpoint, lines 10-14 do the rest.  Empty
+// broadcasts are skipped, as the paper charges no round for them.
+std::vector<FlatOp> figure1_dowork(const GroupLayout& layout, const WorkPartition& part,
+                                   int self, const LastCheckpoint& last) {
+  const int gj = layout.group_of(self);
+  const int rest_lo = std::max(layout.first_of_group(gj), self + 1);
+  const int rest_hi = layout.end_of_group(gj);
+  std::vector<FlatOp> out;
+  auto send = [&](FlatOp::Kind kind, int c, int g, int lo, int hi) {
+    if (lo < hi) out.push_back({kind, c, g, lo, hi});
+  };
+  auto partial = [&](int c) { send(FlatOp::kPartial, c, -1, rest_lo, rest_hi); };
+  auto full = [&](int c, int from_g) {
+    for (int g = from_g; g < layout.num_groups(); ++g) {
+      send(FlatOp::kFull, c, g, layout.first_of_group(g), layout.end_of_group(g));
+      send(FlatOp::kFull, c, g, rest_lo, rest_hi);
+    }
+  };
+  if (last.c > 0) {
+    if (last.g && layout.group_of(last.from) == gj) {  // echo (c, g) from a group mate
+      send(FlatOp::kFull, last.c, *last.g, rest_lo, rest_hi);
+      full(last.c, *last.g + 1);
+    } else if (last.g) {  // direct (c, g_j) from an earlier group
+      partial(last.c);
+      full(last.c, gj + 1);
+    } else {  // partial (c)
+      partial(last.c);
+      if (part.is_chunk_boundary(last.c)) full(last.c, gj + 1);
+    }
+  }
+  for (int c = last.c + 1; c <= part.num_subchunks(); ++c) {
+    for (std::int64_t u = part.sub_begin(c); u <= part.sub_end(c); ++u)
+      out.push_back({FlatOp::kUnit, u});
+    partial(c);
+    if (part.is_chunk_boundary(c)) full(c, gj + 1);
+  }
+  return out;
+}
+
+TEST(ResumeEquivalence, EveryEntryStateMatchesFigureOne) {
+  int scripts = 0;
+  for (int t : {1, 2, 3, 4, 5, 9, 10, 16, 17}) {
+    for (std::int64_t n : {std::int64_t{1}, std::int64_t{t} - 1, std::int64_t{t},
+                           3 * std::int64_t{t} + 2}) {
+      if (n < 1) continue;
+      const GroupLayout layout = GroupLayout::for_sqrt(t);
+      const WorkPartition part = WorkPartition::for_protocol_a(n, t);
+      for (int self = 0; self < t; ++self) {
+        const int gj = layout.group_of(self);
+        // Every checkpoint `self` can hold: nothing received; each partial
+        // c (its sender does not steer the script); at each chunk
+        // boundary, each direct (c, g_j) from an earlier group and each
+        // echo (c, g > g_j) from a group mate.
+        std::vector<LastCheckpoint> held{LastCheckpoint{0, gj, 0, Round{0}}};
+        for (int c = 1; c <= part.num_subchunks(); ++c) {
+          held.push_back(LastCheckpoint{c, std::nullopt, layout.first_of_group(gj), Round{1}});
+          if (!part.is_chunk_boundary(c)) continue;
+          for (int from = 0; from < layout.first_of_group(gj); ++from)
+            held.push_back(LastCheckpoint{c, gj, from, Round{1}});
+          for (int from = layout.first_of_group(gj); from < layout.end_of_group(gj); ++from) {
+            if (from == self) continue;
+            for (int g = gj + 1; g < layout.num_groups(); ++g)
+              held.push_back(LastCheckpoint{c, g, from, Round{1}});
+          }
+        }
+        for (const LastCheckpoint& last : held) {
+          const std::vector<FlatOp> lazy = flatten(build_active_plan(layout, part, self, last));
+          ASSERT_EQ(lazy, figure1_dowork(layout, part, self, last))
+              << "n=" << n << " t=" << t << " self=" << self << " last=(" << last.c << ","
+              << last.g.value_or(-1) << ") from " << last.from;
+          // Every full checkpoint names a chunk boundary: the invariant
+          // that makes the direct entry through the partial stage exact.
+          for (const FlatOp& op : lazy)
+            ASSERT_TRUE(op.kind != FlatOp::kFull || part.is_chunk_boundary(op.value));
+          ++scripts;
+        }
+      }
+    }
+  }
+  EXPECT_GT(scripts, 1000);
 }
 
 // --- CheckpointCore: the one checkpoint intake, step and progress rule ----
@@ -161,8 +269,7 @@ class CoreFixture : public ::testing::Test {
 
 TEST_F(CoreFixture, StartsFromTheFictitiousMessage) {
   CheckpointCore core(cfg_, /*self=*/4, Round{3});
-  EXPECT_TRUE(core.last().fictitious);
-  EXPECT_EQ(core.last().c, 0);
+  EXPECT_EQ(core.last().c, 0);  // c = 0: nothing received
   EXPECT_EQ(core.last().g, 1);  // (0, g_self) from process 0
   EXPECT_EQ(core.last().from, 0);
   EXPECT_EQ(core.last().received_round, Round{3});
@@ -173,7 +280,6 @@ TEST_F(CoreFixture, StartsFromTheFictitiousMessage) {
 TEST_F(CoreFixture, IngestsPartialCheckpoint) {
   CheckpointCore core(cfg_, 4);
   EXPECT_TRUE(take(core, std::make_shared<CkptPartial>(5), 3));
-  EXPECT_FALSE(core.last().fictitious);
   EXPECT_EQ(core.last().c, 5);
   EXPECT_FALSE(core.last().g.has_value());
   EXPECT_EQ(core.last().from, 3);
@@ -245,25 +351,13 @@ TEST_F(CoreFixture, KnownDoneUnitsClampsAtTheLastSubchunk) {
   EXPECT_EQ(core.known_done_units(), 36);
 }
 
-TEST_F(CoreFixture, UnitMappedCoreReportsNoKnowledge) {
-  std::vector<std::int64_t> map;
-  for (std::int64_t u = 2; u <= 72; u += 2) map.push_back(u);
-  CheckpointCore core(cfg_, 0, Round{0}, map);
-  take(core, std::make_shared<CkptPartial>(4), 0);
-  EXPECT_EQ(core.known_done_units(), 0);
-  core.activate();
-  EXPECT_FALSE(core.step().work.has_value());  // completes the partial checkpoint of 4
-  EXPECT_EQ(core.step().work, 34);              // virtual unit 17 -> 34
-  EXPECT_EQ(core.known_done_units(), 0);
-}
-
 TEST_F(CoreFixture, StepTerminatesOnExactlyTheDrainingOp) {
   // The core's ops are the plan's ops, one per step, and only the last
   // step carries terminate.
   LastCheckpoint fresh;
   const GroupLayout layout = GroupLayout::for_sqrt(cfg_.t);
   const WorkPartition part = WorkPartition::for_protocol_a(cfg_.n, cfg_.t);
-  const std::size_t ops = build_active_plan(layout, part, 4, fresh, nullptr).size();
+  const std::size_t ops = build_active_plan(layout, part, 4, fresh).size();
   ASSERT_GT(ops, 1u);
   CheckpointCore core(cfg_, 4);
   core.activate();

@@ -689,6 +689,27 @@ TEST(ProtocolDPhaseCore, EndPhaseRevertsExactlyWhenMoreThanHalfWereLost) {
   EXPECT_EQ(end_phase(3, left, alive, 0, Round{10}).kind, PhaseEnd::Kind::kTerminate);
 }
 
+TEST(ProtocolDPhaseCore, RevertToAPerformsRealUnitsAndAddressesRealIds) {
+  // S = units {2, 5, 9}, T = {1, 3, 4}: the embedded A runs n = 3 virtual
+  // units over ranks {0, 1, 2}.  Self = 1 is rank 0, active at the start.
+  const DynBitset s = bits(10, {1, 4, 8});
+  const DynBitset alive = bits(5, {1, 3, 4});
+  RevertToA revert(s, alive, 1, Round{10});
+  std::vector<std::int64_t> performed;
+  std::set<int> addressed;
+  bool terminated = false;
+  for (Round r{10}; !terminated && r < Round{60}; r += 1) {
+    const Action a = revert.on_round(RoundContext{r, 1}, InboxView());
+    if (a.work) performed.push_back(*a.work);
+    for (const Outgoing& o : a.sends)
+      o.to.for_each_prefix(SIZE_MAX, [&](int id) { addressed.insert(id); });
+    terminated = a.terminate;
+  }
+  EXPECT_TRUE(terminated);
+  EXPECT_EQ(performed, (std::vector<std::int64_t>{2, 5, 9}));
+  EXPECT_EQ(addressed, (std::set<int>{3, 4}));  // the other members of T, never ranks
+}
+
 struct SweepCase {
   std::int64_t n;
   int t;
