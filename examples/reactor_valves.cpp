@@ -47,7 +47,7 @@ int main() {
     rechecks += checks.size() - 1;
     std::string who;
     for (const Check& c : checks)
-      who += "c" + std::to_string(c.controller) + "@" + c.round + " ";
+      who.append("c").append(std::to_string(c.controller)).append("@").append(c.round).append(" ");
     if (v < 12 || checks.size() > 1)
       std::printf("%-8d %-10zu %s\n", v + 1, checks.size(), who.c_str());
   }

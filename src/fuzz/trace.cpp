@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 #include "harness/fault_spec.h"
 
@@ -42,7 +43,7 @@ bool parse_bool(const std::string& tok, const std::string& line) {
 
 std::string Trace::to_string() const {
   std::ostringstream out;
-  out << "dowork-trace v1\n";
+  out << "dowork-trace v2\n";
   out << "id " << id << "\n";
   out << "substrate " << substrate << "\n";
   out << "protocol " << protocol << "\n";
@@ -51,12 +52,10 @@ std::string Trace::to_string() const {
   out << "seed " << seed << "\n";
   out << "faults " << faults << "\n";
   for (const auto& [key, value] : params) out << "param " << key << " " << value << "\n";
-  out << "wants_msg_faults " << (wants_message_faults ? 1 : 0) << "\n";
-  for (const TraceCrash& c : crashes)
-    out << "crash " << c.inspect_idx << " " << c.proc << " " << (c.work_completes ? 1 : 0)
-        << " " << c.deliver_prefix << "\n";
-  for (const TraceMessageFault& f : message_faults)
-    out << "msgfault " << f.msg_idx << " " << (f.drop ? 1 : 0) << " " << f.delay << "\n";
+  out << "crashes " << harness::FaultSpec::scheduled(crashes).to_string() << "\n";
+  for (const ScheduledFaults::MessageEntry& m : message_faults)
+    out << "msgfault " << m.from << " " << m.on_nth_message << " " << (m.fault.drop ? 1 : 0)
+        << " " << m.fault.delay << "\n";
   out << "result ok " << (outcome.ok ? 1 : 0) << "\n";
   out << "result work " << outcome.work << "\n";
   out << "result msgs " << outcome.messages << "\n";
@@ -73,8 +72,12 @@ std::string Trace::to_string() const {
 Trace Trace::parse(const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != "dowork-trace v1")
-    throw std::invalid_argument("trace: missing 'dowork-trace v1' header");
+  if (std::getline(in, line) && line == "dowork-trace v1")
+    throw std::invalid_argument(
+        "trace: a 'dowork-trace v1' trace keys decisions by whole-run call ordinal and no "
+        "longer replays; re-record it with this build (dowork_fuzz --trace-dir)");
+  if (line != "dowork-trace v2")
+    throw std::invalid_argument("trace: missing 'dowork-trace v2' header");
   Trace tr;
   bool saw_end = false;
   while (std::getline(in, line)) {
@@ -117,21 +120,19 @@ Trace Trace::parse(const std::string& text) {
       // Params are int64 but always non-negative in practice; reuse the u64
       // parser and narrow.
       tr.params[key] = static_cast<std::int64_t>(parse_u64(value, line));
-    } else if (tag == "wants_msg_faults") {
-      tr.wants_message_faults = parse_bool(next(), line);
-    } else if (tag == "crash") {
-      TraceCrash c;
-      c.inspect_idx = parse_u64(next(), line);
-      c.proc = static_cast<int>(parse_u64(next(), line));
-      c.work_completes = parse_bool(next(), line);
-      c.deliver_prefix = static_cast<std::size_t>(parse_u64(next(), line));
-      tr.crashes.push_back(c);
+    } else if (tag == "crashes") {
+      // FaultSpec's own scheduled(...) grammar, crash component only.
+      const harness::FaultSpec spec = harness::FaultSpec::parse(next());
+      const auto* sched = std::get_if<harness::ScheduledSpec>(&spec.crash);
+      if (sched == nullptr || !spec.net.is_noop()) bad_line(line);
+      tr.crashes = sched->entries;
     } else if (tag == "msgfault") {
-      TraceMessageFault f;
-      f.msg_idx = parse_u64(next(), line);
-      f.drop = parse_bool(next(), line);
-      f.delay = parse_u64(next(), line);
-      tr.message_faults.push_back(f);
+      ScheduledFaults::MessageEntry m;
+      m.from = static_cast<int>(parse_u64(next(), line));
+      m.on_nth_message = parse_u64(next(), line);
+      m.fault.drop = parse_bool(next(), line);
+      m.fault.delay = parse_u64(next(), line);
+      tr.message_faults.push_back(m);
     } else if (tag == "result") {
       const std::string field = next();
       if (field == "ok") {
@@ -174,11 +175,10 @@ harness::Scenario Trace::to_scenario(bool frozen) const {
   s.repetitions = 1;
   s.params = params;
   if (frozen && s.substrate == harness::Substrate::kSync) {
-    // Copy the trace by value into the closure: the scenario stays
+    // Copy the decisions by value into the closure: the scenario stays
     // self-contained after the Trace goes away.
-    const Trace self = *this;
-    s.injector_override = [self](std::uint64_t) {
-      return std::make_unique<ReplayFaults>(self);
+    s.injector_override = [crashes = crashes, messages = message_faults](std::uint64_t) {
+      return std::make_unique<ScheduledFaults>(crashes, messages);
     };
   }
   return s;
@@ -188,7 +188,6 @@ harness::Scenario Trace::to_scenario(bool frozen) const {
 
 RecordingFaults::RecordingFaults(std::unique_ptr<FaultInjector> inner, Trace* out)
     : inner_(std::move(inner)), out_(out) {
-  out_->wants_message_faults = inner_->wants_message_faults();
   out_->crashes.clear();
   out_->message_faults.clear();
 }
@@ -200,57 +199,27 @@ void RecordingFaults::on_round_start(const Round& round) { inner_->on_round_star
 std::optional<CrashPlan> RecordingFaults::inspect(int proc, const Round& round,
                                                   const Action& action,
                                                   const SimSnapshot& snap) {
-  const std::uint64_t idx = inspect_calls_++;
   std::optional<CrashPlan> plan = inner_->inspect(proc, round, action, snap);
-  if (plan)
-    out_->crashes.push_back(TraceCrash{idx, proc, plan->work_completes, plan->deliver_prefix});
+  if (action.idle()) {
+    if (plan)
+      throw std::logic_error("RecordingFaults: crash plan for process " + std::to_string(proc) +
+                             "'s idle action (sim/fault_injector.h: plans are for steps)");
+    return plan;
+  }
+  const std::uint64_t nth = actions_.next(proc);
+  if (plan) out_->crashes.push_back({proc, nth, *plan});
   return plan;
 }
 
 std::optional<MessageFault> RecordingFaults::on_message(int from, const Round& round,
                                                         const DeliveryRecord& rec) {
-  const std::uint64_t idx = msg_calls_++;
+  const std::uint64_t nth = commits_.next(from);
   std::optional<MessageFault> fault = inner_->on_message(from, round, rec);
-  if (fault) out_->message_faults.push_back(TraceMessageFault{idx, fault->drop, fault->delay});
+  if (fault) out_->message_faults.push_back({from, nth, *fault});
   return fault;
 }
 
 bool RecordingFaults::wants_message_faults() const { return inner_->wants_message_faults(); }
-
-// --- ReplayFaults -----------------------------------------------------------
-
-ReplayFaults::ReplayFaults(const Trace& trace)
-    : crashes_(trace.crashes),
-      message_faults_(trace.message_faults),
-      wants_message_faults_(trace.wants_message_faults) {}
-
-std::optional<CrashPlan> ReplayFaults::inspect(int proc, const Round&, const Action&,
-                                               const SimSnapshot&) {
-  const std::uint64_t idx = inspect_calls_++;
-  if (next_crash_ >= crashes_.size()) return std::nullopt;
-  const TraceCrash& c = crashes_[next_crash_];
-  if (c.inspect_idx != idx) return std::nullopt;
-  ++next_crash_;
-  if (c.proc != proc)
-    throw std::runtime_error("trace divergence: recorded crash of process " +
-                             std::to_string(c.proc) + " at inspect call " +
-                             std::to_string(idx) + " but process " + std::to_string(proc) +
-                             " is stepping");
-  return CrashPlan{c.work_completes, c.deliver_prefix};
-}
-
-std::optional<MessageFault> ReplayFaults::on_message(int, const Round&,
-                                                     const DeliveryRecord&) {
-  const std::uint64_t idx = msg_calls_++;
-  if (next_msg_fault_ >= message_faults_.size()) return std::nullopt;
-  const TraceMessageFault& f = message_faults_[next_msg_fault_];
-  if (f.msg_idx != idx) return std::nullopt;
-  ++next_msg_fault_;
-  MessageFault out;
-  out.drop = f.drop;
-  out.delay = f.delay;
-  return out;
-}
 
 // --- record / replay entry points -------------------------------------------
 
@@ -263,7 +232,6 @@ harness::Scenario with_recording(const harness::Scenario& s, Trace* out) {
   out->seed = s.seed;
   out->faults = s.faults.to_string();
   out->params = s.params;
-  out->wants_message_faults = false;
   out->crashes.clear();
   out->message_faults.clear();
   harness::Scenario wrapped = s;

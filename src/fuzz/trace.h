@@ -6,24 +6,25 @@
 // the CrashPlans returned from inspect() and the MessageFaults returned from
 // on_message() -- plus the NetSpec-seeded network draws, which are already
 // re-derivable from the spec.  So a run is fully determined by (scenario
-// fields, the ordinal-indexed decisions actually taken), regardless of how
-// much hidden state or randomness the strategy consulted to take them.
+// fields, the decisions actually taken), regardless of how much hidden
+// state or randomness the strategy consulted to take them.
 //
-// RecordingFaults wraps the scenario's own injector and writes every
-// non-null decision, keyed by the ordinal of the decision-point call, into a
-// Trace.  ReplayFaults plays a frozen Trace back: at inspect() call #k it
-// returns exactly the recorded plan (verifying the victim process matches --
-// a mismatch means the execution diverged and the trace is stale) and never
-// consults a strategy at all.  Replaying a trace through the unchanged
-// simulator therefore reproduces the recorded run bit-for-bit: same rows,
-// same margins, same violation text.
+// A decision is addressed the way the paper's adversary picks it: a crash
+// by (process, its k-th non-idle action) -- a ScheduledFaults::Entry -- and
+// a message fault by (sender, its k-th on_message call).  RecordingFaults
+// wraps the scenario's own injector and writes every non-null decision into
+// a Trace under that key; a frozen trace replays through a plain
+// ScheduledFaults that never consults a strategy.  Idle inspections carry
+// no key, so a change that adds or skips them moves no recorded decision.
+// Replaying a trace through the unchanged simulator reproduces the recorded
+// run bit-for-bit: same rows, same margins, same violation text.
 //
 // Traces serialize to a line-oriented text format (docs/FUZZING.md) so a CI
 // campaign artifact can be replayed locally:  `dowork_fuzz --replay FILE`.
 //
 // The async substrate takes no injector decisions (its crash schedule and
 // delays are pure functions of the scenario params and seed), so an async
-// trace has empty decision streams and replay(frozen) == rerun.
+// trace has no decisions and replay(frozen) == rerun.
 #pragma once
 
 #include <cstdint>
@@ -36,25 +37,6 @@
 #include "sim/fault_injector.h"
 
 namespace dowork::fuzz {
-
-// One crash decision: inspect() call number `inspect_idx` (0-based, counted
-// over the whole run) returned a CrashPlan for process `proc`.
-struct TraceCrash {
-  std::uint64_t inspect_idx = 0;
-  int proc = -1;
-  bool work_completes = false;
-  std::size_t deliver_prefix = 0;
-  friend bool operator==(const TraceCrash&, const TraceCrash&) = default;
-};
-
-// One message-fault decision: on_message() call number `msg_idx` returned a
-// drop or delay verdict.
-struct TraceMessageFault {
-  std::uint64_t msg_idx = 0;
-  bool drop = false;
-  std::uint64_t delay = 0;
-  friend bool operator==(const TraceMessageFault&, const TraceMessageFault&) = default;
-};
 
 // The recorded outcome, for replay verification: a replay must reproduce
 // every field exactly (rounds is the formatted column, so Protocol C's
@@ -84,10 +66,9 @@ struct Trace {
   std::string faults;  // FaultSpec::to_string()
   std::map<std::string, std::int64_t> params;
 
-  // The decision streams.
-  bool wants_message_faults = false;
-  std::vector<TraceCrash> crashes;
-  std::vector<TraceMessageFault> message_faults;
+  // The frozen adversary, in decision order.
+  std::vector<ScheduledFaults::Entry> crashes;
+  std::vector<ScheduledFaults::MessageEntry> message_faults;
 
   TraceOutcome outcome;
 
@@ -98,17 +79,19 @@ struct Trace {
   static Trace parse(const std::string& text);
 
   // Rebuild the Scenario this trace describes.  With frozen = true the
-  // scenario's injector_override replays the recorded decision streams
-  // (sync substrate only -- async takes no decisions); with frozen = false
-  // the spec's own injector is rebuilt and the run is re-derived from seeds
-  // alone.  Both must reproduce `outcome` exactly.
+  // scenario's injector_override is a ScheduledFaults over the recorded
+  // decisions (sync substrate only -- async takes no decisions); with
+  // frozen = false the spec's own injector is rebuilt and the run is
+  // re-derived from seeds alone.  Both must reproduce `outcome` exactly.
   harness::Scenario to_scenario(bool frozen) const;
 
   friend bool operator==(const Trace&, const Trace&) = default;
 };
 
 // Wraps the scenario's injector, forwarding every call and recording the
-// non-null decisions into `out` (borrowed; must outlive the run).
+// non-null decisions into `out` (borrowed; must outlive the run).  Throws
+// std::logic_error when the inner injector returns a crash plan for an idle
+// action, which has no (process, k-th non-idle action) key.
 class RecordingFaults final : public FaultInjector {
  public:
   RecordingFaults(std::unique_ptr<FaultInjector> inner, Trace* out);
@@ -124,32 +107,8 @@ class RecordingFaults final : public FaultInjector {
  private:
   std::unique_ptr<FaultInjector> inner_;
   Trace* out_;
-  std::uint64_t inspect_calls_ = 0;
-  std::uint64_t msg_calls_ = 0;
-};
-
-// Replays a Trace's decision streams by call ordinal, never consulting a
-// strategy.  Throws std::runtime_error on divergence (a recorded crash's
-// victim differs from the process actually being inspected), which the
-// harness surfaces as an ok=false row.
-class ReplayFaults final : public FaultInjector {
- public:
-  explicit ReplayFaults(const Trace& trace);
-
-  std::optional<CrashPlan> inspect(int proc, const Round& round, const Action& action,
-                                   const SimSnapshot& snap) override;
-  std::optional<MessageFault> on_message(int from, const Round& round,
-                                         const DeliveryRecord& rec) override;
-  bool wants_message_faults() const override { return wants_message_faults_; }
-
- private:
-  std::vector<TraceCrash> crashes_;
-  std::vector<TraceMessageFault> message_faults_;
-  bool wants_message_faults_;
-  std::uint64_t inspect_calls_ = 0;
-  std::uint64_t msg_calls_ = 0;
-  std::size_t next_crash_ = 0;
-  std::size_t next_msg_fault_ = 0;
+  ProcOrdinals actions_;  // non-idle inspect() calls, as ScheduledFaults counts
+  ProcOrdinals commits_;  // on_message() calls
 };
 
 // Copy of `s` whose injector_override records into `out`; also fills the

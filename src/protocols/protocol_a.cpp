@@ -6,10 +6,10 @@ namespace dowork {
 
 ActivePlan::ActivePlan(const GroupLayout& layout, const WorkPartition& part, int self,
                        const LastCheckpoint& last)
-    : layout_(layout), part_(part), self_(self) {
-  gj_ = layout_.group_of(self_);
+    : layout_(layout), part_(part) {
+  gj_ = layout_.group_of(self);
   own_rest_ =
-      IdRange{std::max(layout_.first_of_group(gj_), self_ + 1), layout_.end_of_group(gj_)};
+      IdRange{std::max(layout_.first_of_group(gj_), self + 1), layout_.end_of_group(gj_)};
 
   // The takeover's entry state (Figure 1, DoWork lines 1-9): finish the
   // checkpoint of last.c where the predecessor may have been cut off, then

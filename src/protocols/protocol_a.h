@@ -107,9 +107,8 @@ class ActivePlan {
 
   GroupLayout layout_;
   WorkPartition part_;
-  int self_;
   int gj_ = 0;        // own group index
-  IdRange own_rest_;  // "remainder of the own group": ids in (self_, end of group)
+  IdRange own_rest_;  // "remainder of the own group": ids in (self, end of group)
 
   // One-op lookahead so empty() is exact even when the remaining tail emits
   // nothing (e.g. a last-in-group process with no higher groups).

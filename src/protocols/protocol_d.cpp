@@ -252,6 +252,9 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
                                     std::size_t procs) {
   idx.eligible = DynBitset(procs, true);
   DynBitset reached;
+  // Non-null when eligible is a subset of this audience: the previous
+  // record ANDed it in and its sender, the one bit set back, is a member.
+  const DynBitset* within = nullptr;
   for (const DeliveryRecord& rec : records) {
     if (detail::payload_as<AgreeMsg>(rec.payload.get()) == nullptr) continue;
     // A sender stays eligible unless it hears itself; everyone else must be
@@ -260,13 +263,17 @@ void AgreeMergeCache::mark_eligible(Index& idx, const std::vector<DeliveryRecord
     const bool keep = idx.eligible.test(from) && !rec.delivers_to(rec.from);
     const SharedBits& aud = rec.to.shared_bits();
     if (aud && rec.cut >= rec.to.size() && aud->size() == procs) {
-      idx.eligible &= *aud;  // D's uncut broadcast: u, less its sender
+      // D's uncut broadcast: u, less its sender.  Survivors sharing one u
+      // share its object, and ANDing it in again would change nothing.
+      if (aud.get() != within) idx.eligible &= *aud;
       if (rec.to.excluded() >= 0) idx.eligible.reset(static_cast<std::size_t>(rec.to.excluded()));
+      within = aud->test(from) ? aud.get() : nullptr;
     } else {
       if (reached.size() == 0) reached = DynBitset(procs);
       reached.reset_all();
       rec.to.mark_prefix(reached, rec.cut);
       idx.eligible &= reached;
+      within = nullptr;
     }
     if (keep)
       idx.eligible.set(from);

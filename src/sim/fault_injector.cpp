@@ -2,16 +2,24 @@
 
 namespace dowork {
 
-ScheduledFaults::ScheduledFaults(std::vector<Entry> entries) : entries_(std::move(entries)) {}
+ScheduledFaults::ScheduledFaults(std::vector<Entry> entries, std::vector<MessageEntry> messages)
+    : entries_(std::move(entries)), messages_(std::move(messages)) {}
 
 std::optional<CrashPlan> ScheduledFaults::inspect(int proc, const Round&, const Action& action,
                                                   const SimSnapshot&) {
   if (action.idle()) return std::nullopt;
-  if (action_count_.size() <= static_cast<std::size_t>(proc))
-    action_count_.resize(static_cast<std::size_t>(proc) + 1, 0);
-  std::uint64_t nth = ++action_count_[static_cast<std::size_t>(proc)];
+  const std::uint64_t nth = actions_.next(proc);
   for (const Entry& e : entries_) {
     if (e.proc == proc && e.on_nth_action == nth) return e.plan;
+  }
+  return std::nullopt;
+}
+
+std::optional<MessageFault> ScheduledFaults::on_message(int from, const Round&,
+                                                        const DeliveryRecord&) {
+  const std::uint64_t nth = commits_.next(from);
+  for (const MessageEntry& e : messages_) {
+    if (e.from == from && e.on_nth_message == nth) return e.fault;
   }
   return std::nullopt;
 }
@@ -27,10 +35,7 @@ std::optional<CrashPlan> WorkCascadeFaults::inspect(int proc, const Round&, cons
                                                     const SimSnapshot& snap) {
   if (snap.crashed_so_far >= max_crashes_) return std::nullopt;
   if (!action.work) return std::nullopt;
-  if (units_done_.size() <= static_cast<std::size_t>(proc))
-    units_done_.resize(static_cast<std::size_t>(proc) + 1, 0);
-  std::uint64_t done = ++units_done_[static_cast<std::size_t>(proc)];
-  if (done >= units_before_crash_) {
+  if (units_done_.next(proc) >= units_before_crash_) {
     CrashPlan plan;
     plan.work_completes = crash_completes_unit_;
     plan.deliver_prefix = deliver_prefix_;

@@ -40,6 +40,8 @@ struct CrashPlan {
 struct MessageFault {
   bool drop = false;
   std::uint64_t delay = 0;
+
+  friend bool operator==(const MessageFault&, const MessageFault&) = default;
 };
 
 struct SimSnapshot {
@@ -60,7 +62,13 @@ class SimObservable;
 //                         the paper's two mid-round degrees of freedom into
 //                         one decision — the mid-broadcast prefix cut
 //                         (deliver_prefix) and the crash-after-the-unit-but-
-//                         before-reporting-it choice (work_completes).
+//                         before-reporting-it choice (work_completes).  A
+//                         plan is only ever returned for a non-idle action
+//                         (Action::idle() false): the paper's adversary
+//                         crashes a process at one of its steps, so a crash
+//                         is addressed by (process, k-th non-idle action),
+//                         the key ScheduledFaults replays and fuzz traces
+//                         record (fuzz/trace.h checks it).
 //   4. on_message()     — per committed send (post crash cut), when the
 //                         injector opted in via wants_message_faults(): the
 //                         returned MessageFault drops the record or delays
@@ -70,8 +78,9 @@ class SimObservable;
 //                         injector sees the committed record and the same
 //                         SimObservable window it was attached with, nothing
 //                         more.
-// The scripted injectors below ignore hooks 1, 2 and 4 (the defaults are
-// no-ops), so existing executions are bit-for-bit unchanged.
+// The scripted injectors below ignore hooks 1 and 2 (the defaults are
+// no-ops), and only a ScheduledFaults given message entries takes hook 4,
+// so crash-only executions are bit-for-bit unchanged.
 class FaultInjector {
  public:
   virtual ~FaultInjector() = default;
@@ -106,9 +115,26 @@ class NoFaults final : public FaultInjector {
   }
 };
 
+// Per-process 1-based call ordinals: next(p) counts p's calls so far, this
+// one included.  ScheduledFaults keys its entries by them, and fuzz traces
+// record with the same counter.
+class ProcOrdinals {
+ public:
+  std::uint64_t next(int proc) {
+    const std::size_t p = static_cast<std::size_t>(proc);
+    if (counts_.size() <= p) counts_.resize(p + 1, 0);
+    return ++counts_[p];
+  }
+
+ private:
+  std::vector<std::uint64_t> counts_;
+};
+
 // Explicit schedule: kill `proc` on the k-th round in which it takes a
-// non-idle action (k counted from 1), with the given plan.  Used by tests to
-// craft exact adversarial executions.
+// non-idle action (k counted from 1), with the given plan, and fault the
+// k-th record `from` commits.  Used by tests to craft exact adversarial
+// executions and by fuzz traces (fuzz/trace.h) to replay a frozen
+// adversary.
 class ScheduledFaults final : public FaultInjector {
  public:
   struct Entry {
@@ -118,14 +144,27 @@ class ScheduledFaults final : public FaultInjector {
 
     friend bool operator==(const Entry&, const Entry&) = default;
   };
-  explicit ScheduledFaults(std::vector<Entry> entries);
+  struct MessageEntry {
+    int from = -1;
+    std::uint64_t on_nth_message = 1;  // 1 = the sender's first on_message call
+    MessageFault fault;
+
+    friend bool operator==(const MessageEntry&, const MessageEntry&) = default;
+  };
+  explicit ScheduledFaults(std::vector<Entry> entries, std::vector<MessageEntry> messages = {});
 
   std::optional<CrashPlan> inspect(int proc, const Round& round, const Action& action,
                                    const SimSnapshot& snap) override;
+  std::optional<MessageFault> on_message(int from, const Round& round,
+                                         const DeliveryRecord& rec) override;
+  // Only a schedule that faults messages routes records through the hook.
+  bool wants_message_faults() const override { return !messages_.empty(); }
 
  private:
   std::vector<Entry> entries_;
-  std::vector<std::uint64_t> action_count_;  // grown on demand, per process
+  std::vector<MessageEntry> messages_;
+  ProcOrdinals actions_;   // non-idle inspect() calls
+  ProcOrdinals commits_;   // on_message() calls
 };
 
 // Worst-case style adversary for the sequential protocols: lets whichever
@@ -146,7 +185,7 @@ class WorkCascadeFaults final : public FaultInjector {
   int max_crashes_;
   std::size_t deliver_prefix_;
   bool crash_completes_unit_;
-  std::vector<std::uint64_t> units_done_;  // per process, grown on demand
+  ProcOrdinals units_done_;
 };
 
 // Crashes any process the moment it performs the given work unit (the unit

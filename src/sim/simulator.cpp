@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dowork {
 
@@ -449,7 +450,8 @@ RunMetrics Simulator::run() {
   // step (the monotonicity contract in process.h makes the cache exact).
   for (std::size_t p = 0; p < procs_.size(); ++p) reschedule(p, Round{0});
 
-  Round r = 0;
+  // The loop steps cur_round_ itself (it backs rounds_elapsed()), starting
+  // at round 0.
   while (true) {
     // Terminate when every process has retired.
     if (alive_ == 0) {
@@ -478,7 +480,7 @@ RunMetrics Simulator::run() {
       // each carrying its own sent round.  (Delivery rounds are never
       // skipped: the loop advances one round at a time and fast-forward
       // clamps its jump to the earliest due bucket.)
-      for (auto it = future_.begin(); it != future_.end() && it->first == r;) {
+      for (auto it = future_.begin(); it != future_.end() && it->first == cur_round_;) {
         future_count_ -= it->second.size();
         std::move(it->second.begin(), it->second.end(), std::back_inserter(arriving_));
         it = future_.erase(it);
@@ -508,7 +510,7 @@ RunMetrics Simulator::run() {
     }
 
     // Processes whose wake time arrived join the recipients of mail.
-    pop_due(r);
+    pop_due(cur_round_);
     // Steps must run in ascending id order (the round contract).  The list
     // is usually already sorted -- next_step_ fills in step order, mail in
     // ascending id order -- so check before paying for a sort.
@@ -517,11 +519,10 @@ RunMetrics Simulator::run() {
 
     metrics_.available_processor_steps += Round{static_cast<std::uint64_t>(alive_)};
     // Crash-decision point 2: the round is about to step (delivery is done,
-    // so inbox sizes are observable).  cur_round_ backs rounds_elapsed().
-    cur_round_ = r;
-    faults_->on_round_start(r);
+    // so inbox sizes are observable).
+    faults_->on_round_start(cur_round_);
     try {
-      step_round(r);
+      step_round(cur_round_);
     } catch (AbortRun& abort) {
       // Structured degradation (an executor's watchdog): record
       // the reason and return normally with partial metrics -- the verifier
@@ -534,26 +535,28 @@ RunMetrics Simulator::run() {
       break;
     }
     ++metrics_.stepped_rounds;
-    metrics_.last_retire_round = r;
+    metrics_.last_retire_round = cur_round_;
 
     if (alive_ == 0) {
       metrics_.all_retired = true;
       break;
     }
 
+    // step_round left the stepped round + 1 in next_round_: swapping it in
+    // advances without an add.
     if (!ledger_.empty() || !next_step_.empty()) {
-      r += 1;
+      std::swap(cur_round_, next_round_);
       continue;
     }
     // Fast-forward: jump to the earliest wake time over live processes.
-    // Every live cached wake is > r here (the due set was popped above and
-    // next-round steppers were just checked), so peek_min_wake is the exact
-    // minimum the old per-process scan computed.  Arithmetic runs in place
-    // on r / one gap temporary: with Protocol C's promoted round numbers a
-    // by-value formulation cost three heap clones per jump.  With the
-    // network plane live, a latency-held record is as good as a timer: the
-    // jump clamps to the earliest due bucket, and pending records mean the
-    // run is not deadlocked.
+    // Every live cached wake is > cur_round_ here (the due set was popped
+    // above and next-round steppers were just checked), so peek_min_wake is
+    // the exact minimum the old per-process scan computed.  Arithmetic runs
+    // in place on cur_round_ / one gap temporary: with Protocol C's promoted
+    // round numbers a by-value formulation cost three heap clones per jump.
+    // With the network plane live, a latency-held record is as good as a
+    // timer: the jump clamps to the earliest due bucket, and pending records
+    // mean the run is not deadlocked.
     const Round* min_wake = peek_min_wake();
     if (!future_.empty()) {
       const Round& min_due = future_.begin()->first;
@@ -563,16 +566,16 @@ RunMetrics Simulator::run() {
       metrics_.deadlocked = true;  // live processes, no mail, no timers
       break;
     }
-    r += 1;  // the round after the one just stepped is the floor
-    if (*min_wake > r) {
+    std::swap(cur_round_, next_round_);  // the round after the one just stepped is the floor
+    if (*min_wake > cur_round_) {
       ++metrics_.fast_forward_jumps;
       // Idle processes are charged by the available-processor-steps measure
       // even across fast-forwarded stretches.
       Round gap = *min_wake;
-      gap -= r;
+      gap -= cur_round_;
       gap *= static_cast<std::uint64_t>(alive_);
       metrics_.available_processor_steps += gap;
-      r = *min_wake;
+      cur_round_ = *min_wake;
     }
   }
   return metrics_;

@@ -340,7 +340,7 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
   Round cur_round_;                           // round being stepped (observable)
-  Round next_round_;                          // cur_round_ + 1, updated in place
+  Round next_round_;                          // cur_round_ + 1 while stepping; swapped in
   RunMetrics metrics_;
   bool ran_ = false;
 };

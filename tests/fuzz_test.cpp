@@ -5,8 +5,13 @@
 // shrunk reproducer still fails the same way and replays bit-identically.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/campaign.h"
@@ -97,33 +102,168 @@ TEST(FuzzTraceTest, SerializationRoundTrips) {
   trace.seed = 12345;
   trace.faults = "cascade(units=3,crashes=2,prefix=all,completes=1)";
   trace.params = {{"assert_bounds", 1}, {"bound_work_3n", 72}};
-  trace.wants_message_faults = true;
-  trace.crashes = {{4, 2, true, 7}, {9, 0, false, 0}};
-  trace.message_faults = {{3, true, 0}, {11, false, 2}};
+  trace.crashes = {{2, 4, {true, 7}}, {0, 9, {false, SIZE_MAX}}};
+  trace.message_faults = {{3, 1, {true, 0}}, {3, 11, {false, 2}}};
   trace.outcome = {false, 80, 120, 200, 2, "~2^12", "work 80 exceeds bound_work_3n=72"};
-  const Trace back = Trace::parse(trace.to_string());
-  EXPECT_EQ(back, trace);
+  const std::string text = trace.to_string();
+  EXPECT_EQ(text.rfind("dowork-trace v2\n", 0), 0u) << text;
+  // The crashes are one line in FaultSpec's own scheduled(...) grammar.
+  EXPECT_NE(text.find("\ncrashes scheduled(2@4:1:7;0@9:0:all)\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nmsgfault 3 11 0 2\n"), std::string::npos) << text;
+  EXPECT_EQ(Trace::parse(text), trace);
 
-  // Malformed input is rejected, not silently absorbed.
+  // No decisions: an empty schedule, still one line.
+  Trace quiet = trace;
+  quiet.crashes.clear();
+  quiet.message_faults.clear();
+  EXPECT_NE(quiet.to_string().find("\ncrashes scheduled()\n"), std::string::npos);
+  EXPECT_EQ(Trace::parse(quiet.to_string()), quiet);
+
+  // A v1 trace (whole-run call ordinals) is refused with a pointer to
+  // re-record, not misread.
+  std::string v1 = text;
+  v1.replace(0, std::string("dowork-trace v2").size(), "dowork-trace v1");
+  try {
+    Trace::parse(v1);
+    ADD_FAILURE() << "v1 header accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("re-record"), std::string::npos) << e.what();
+  }
+
+  // Malformed input is rejected, not silently absorbed: a crashes line must
+  // be a bare schedule.
+  std::string cascade = text;
+  cascade.replace(cascade.find("scheduled(2@4:1:7;0@9:0:all)"),
+                  std::string("scheduled(2@4:1:7;0@9:0:all)").size(),
+                  "cascade(units=3,crashes=2,prefix=all,completes=1)");
+  EXPECT_THROW(Trace::parse(cascade), std::invalid_argument);
   EXPECT_THROW(Trace::parse("not a trace"), std::invalid_argument);
   EXPECT_THROW(Trace::parse(""), std::invalid_argument);
 }
 
+// Records `s`, round-trips the trace through its text form, and replays it
+// frozen and rerun; every execution must agree on every outcome field.
+Trace expect_replays_bit_identically(const Scenario& s) {
+  const RecordedRun rec = run_recorded(s);
+  EXPECT_EQ(outcome_of(rec.row), rec.trace.outcome) << s.id;
+  const Trace reparsed = Trace::parse(rec.trace.to_string());
+  EXPECT_EQ(reparsed, rec.trace) << s.id;
+  EXPECT_EQ(outcome_of(replay(reparsed, /*frozen=*/true)), rec.trace.outcome) << s.id;
+  EXPECT_EQ(outcome_of(replay(reparsed, /*frozen=*/false)), rec.trace.outcome) << s.id;
+  return rec.trace;
+}
+
+// A sync run of `protocol` at (n, t) under `faults`.
+Scenario sync_case(const std::string& protocol, DoAllConfig cfg, const FaultSpec& faults) {
+  Scenario s;
+  s.id = protocol + "/" + faults.to_string();
+  s.protocol = protocol;
+  s.cfg = cfg;
+  s.faults = faults;
+  s.seed = 7;
+  return s;
+}
+
 TEST(FuzzTraceTest, RecordReplayIsBitIdentical) {
   // Record real runs across the protocol mix and replay each trace both
-  // frozen (decision streams) and rebuilt (seeds); all three executions
-  // must agree on every outcome field.
+  // frozen (a ScheduledFaults over the decisions) and rebuilt (seeds).
   int replayed = 0;
   for (const Scenario& s : generate_cases({42, 100}, 30)) {
-    const RecordedRun rec = run_recorded(s);
-    EXPECT_EQ(outcome_of(rec.row), rec.trace.outcome) << s.id;
-    const Trace reparsed = Trace::parse(rec.trace.to_string());
-    EXPECT_EQ(reparsed, rec.trace) << s.id;
-    EXPECT_EQ(outcome_of(replay(reparsed, /*frozen=*/true)), rec.trace.outcome) << s.id;
-    EXPECT_EQ(outcome_of(replay(reparsed, /*frozen=*/false)), rec.trace.outcome) << s.id;
+    expect_replays_bit_identically(s);
     ++replayed;
   }
   EXPECT_EQ(replayed, 30);
+
+  // A jammer that spends its budget: the frozen schedule's message entries
+  // route the replay through the network path the recording took.
+  const FaultSpec jammer = FaultSpec::adaptive("jammer", 0, 0, /*jam=*/8);
+  const Trace jammed = expect_replays_bit_identically(sync_case("A", {48, 6}, jammer));
+  EXPECT_FALSE(jammed.message_faults.empty());
+  // A jammer with a budget it never spends (the checkpoint baseline
+  // announces no progress, so the jammer never targets it): the recording
+  // took the network path, the frozen replay (no message entries) the
+  // direct ledger path, and the two commit the same records.
+  const Trace idle_jam =
+      expect_replays_bit_identically(sync_case("baseline_checkpoint", {48, 6}, jammer));
+  EXPECT_TRUE(idle_jam.message_faults.empty());
+  EXPECT_GT(idle_jam.outcome.messages, 0u);
+  // An adaptive crash strategy.
+  const Trace greedy =
+      expect_replays_bit_identically(sync_case("B", {64, 8}, FaultSpec::adaptive("greedy", 3)));
+  EXPECT_FALSE(greedy.crashes.empty());
+}
+
+// Drives `inj` through `steps` in one round: (process, non-idle) pairs;
+// returns the indices of the steps it crashed.
+std::vector<int> crashed_steps(FaultInjector& inj, const std::vector<std::pair<int, bool>>& steps) {
+  Action work;
+  work.work = 1;
+  const Action idle = Action::none();
+  std::vector<int> out;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const auto [proc, busy] = steps[i];
+    if (inj.inspect(proc, Round{0u}, busy ? work : idle, SimSnapshot{3, 3, 0}))
+      out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
+
+TEST(FuzzTraceTest, IdleInspectionsDoNotMoveARecordedCrash) {
+  // Record process 1 crashing at its second step, then replay the frozen
+  // trace with idle inspections inserted before the crash: a crash is keyed
+  // by (process, k-th non-idle action), so it still lands on process 1's
+  // second step and nowhere else.
+  Trace trace;
+  trace.faults = "none";
+  RecordingFaults rec(std::make_unique<ScheduledFaults>(
+                          std::vector<ScheduledFaults::Entry>{{1, 2, CrashPlan{true, 0}}}),
+                      &trace);
+  EXPECT_EQ(crashed_steps(rec, {{0, true}, {1, true}, {0, true}, {1, true}}),
+            std::vector<int>{3});
+
+  std::unique_ptr<FaultInjector> frozen = trace.to_scenario(/*frozen=*/true).injector_override(0);
+  ASSERT_TRUE(frozen);
+  EXPECT_EQ(crashed_steps(*frozen, {{1, false},
+                                    {0, true},
+                                    {0, false},
+                                    {1, true},
+                                    {1, false},
+                                    {2, false},
+                                    {0, true},
+                                    {1, true}}),
+            std::vector<int>{7});
+}
+
+TEST(FuzzTraceTest, RecorderRejectsACrashPlanOnAnIdleAction) {
+  // An injector that crashes whatever steps breaks the FaultInjector
+  // contract on idle actions; the recorder refuses to key such a plan.
+  struct CrashEverything final : FaultInjector {
+    std::optional<CrashPlan> inspect(int, const Round&, const Action&,
+                                     const SimSnapshot&) override {
+      return CrashPlan{};
+    }
+  };
+  Trace trace;
+  RecordingFaults rec(std::make_unique<CrashEverything>(), &trace);
+  EXPECT_EQ(crashed_steps(rec, {{0, true}}), std::vector<int>{0});
+  EXPECT_THROW(crashed_steps(rec, {{1, false}}), std::logic_error);
+  EXPECT_EQ(trace.crashes, (std::vector<ScheduledFaults::Entry>{{0, 1, CrashPlan{}}}));
+}
+
+TEST(FuzzTraceTest, GoldenTracesReRecordByteIdentically) {
+  // Recording each committed trace's scenario again writes the file byte for
+  // byte, so tests/golden/replay_v2*.trace pin the v2 text and the
+  // recorder's keys; the fuzz_replay_v2* CTests replay them through the CLI.
+  for (const char* name : {"replay_v2", "replay_v2_jam"}) {
+    const std::string path = std::string(DOWORK_SOURCE_DIR) + "/tests/golden/" + name + ".trace";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Trace golden = Trace::parse(text.str());
+    EXPECT_EQ(run_recorded(golden.to_scenario(/*frozen=*/false)).trace.to_string(), text.str())
+        << name;
+  }
 }
 
 TEST(FuzzCampaignTest, SmokeCampaignIsCleanAndJobsIndependent) {

@@ -1347,6 +1347,66 @@ TEST(ProtocolDParallel, MergeCacheDeviationsFallBackUntouched) {
   }
 }
 
+// The index skips ANDing an audience object into its eligible set when the
+// previous record already did and that record's sender is a member.  Over
+// hand-built ledgers the set must still be the per-record computation: a
+// process is eligible iff its own records miss it and every other
+// agreement record reaches it.
+TEST(ProtocolDParallel, MergeCacheEligibleOverSharedAudiencesMatchesPerRecord) {
+  constexpr int t = LedgerFixture::t;
+  constexpr int outsider = LedgerFixture::silent;
+  DynBitset u(t, true);
+  u.reset(outsider);
+  const SharedBits shared = share_bits(u);
+  const SharedBits equal_copy = share_bits(u);  // same bits, another object
+  const SharedBits everyone = share_bits(DynBitset(t, true));
+  auto broadcast = [](int from, const SharedBits& aud, std::size_t cut = SIZE_MAX) {
+    RecipientSet to(aud, from);
+    cut = std::min(cut, to.size());
+    return DeliveryRecord{from, MsgKind::kAgreement, cut, std::move(to),
+                          LedgerFixture::view(DynBitset(t, true), from, false), Round{1u}};
+  };
+  auto ledger_of = [&](const std::vector<int>& senders,
+                       const std::function<DeliveryRecord(int)>& make) {
+    std::vector<DeliveryRecord> recs;
+    for (int from : senders) recs.push_back(make(from));
+    return recs;
+  };
+  std::vector<int> members;
+  for (int i = 0; i < t; ++i)
+    if (i != outsider) members.push_back(i);
+  std::vector<int> outsider_first = {outsider};
+  outsider_first.insert(outsider_first.end(), members.begin(), members.end());
+
+  const std::vector<std::pair<const char*, std::vector<DeliveryRecord>>> ledgers = {
+      {"one shared u", ledger_of(members, [&](int from) { return broadcast(from, shared); })},
+      {"sender outside the shared u first",
+       ledger_of(outsider_first, [&](int from) { return broadcast(from, shared); })},
+      {"alternating equal objects",
+       ledger_of(members,
+                 [&](int from) { return broadcast(from, from % 2 ? equal_copy : shared); })},
+      {"whole set, then the shared u",
+       ledger_of(members,
+                 [&](int from) { return broadcast(from, from < 3 ? everyone : shared); })},
+      {"prefix cut between shared records",
+       ledger_of(members,
+                 [&](int from) { return broadcast(from, shared, from == 5 ? 4 : SIZE_MAX); })},
+  };
+  for (const auto& [name, ledger] : ledgers) {
+    DynBitset want(t);
+    for (int i = 0; i < t; ++i) {
+      bool eligible = true;
+      for (const DeliveryRecord& r : ledger)
+        eligible = eligible && r.delivers_to(i) != (r.from == i);
+      if (eligible) want.set(static_cast<std::size_t>(i));
+    }
+    AgreeMergeCache cache;
+    const auto idx = cache.index(Round{2u}, ledger, t);
+    ASSERT_TRUE(idx->foldable()) << name;
+    EXPECT_EQ(idx->eligible, want) << name;
+  }
+}
+
 // End to end: the cache under a genuinely sharded simulator round must stay
 // observably invisible -- cached + sharded vs walking + serial, identical
 // metrics -- including the mid-broadcast cuts that force walks.
