@@ -1,10 +1,13 @@
 #include "fuzz/trace.h"
 
+#include <climits>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <variant>
 
 #include "harness/fault_spec.h"
+#include "util/strings.h"
 
 namespace dowork::fuzz {
 
@@ -20,15 +23,12 @@ harness::Substrate substrate_from(const std::string& name) {
   throw std::invalid_argument("trace: malformed line '" + line + "'");
 }
 
-std::uint64_t parse_u64(const std::string& tok, const std::string& line) {
+// The strict full-token parser (util/strings.h), reporting the whole line.
+std::uint64_t parse_u64(const std::string& tok, const std::string& line,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(tok, &used);
-    if (used != tok.size()) bad_line(line);
-    return v;
+    return dowork::parse_u64(tok, "trace", max);
   } catch (const std::invalid_argument&) {
-    bad_line(line);
-  } catch (const std::out_of_range&) {
     bad_line(line);
   }
 }
@@ -107,9 +107,9 @@ Trace Trace::parse(const std::string& text) {
     } else if (tag == "protocol") {
       tr.protocol = next();
     } else if (tag == "n") {
-      tr.n = static_cast<std::int64_t>(parse_u64(next(), line));
+      tr.n = static_cast<std::int64_t>(parse_u64(next(), line, INT64_MAX));
     } else if (tag == "t") {
-      tr.t = static_cast<int>(parse_u64(next(), line));
+      tr.t = static_cast<int>(parse_u64(next(), line, INT_MAX));
     } else if (tag == "seed") {
       tr.seed = parse_u64(next(), line);
     } else if (tag == "faults") {
@@ -119,7 +119,7 @@ Trace Trace::parse(const std::string& text) {
       const std::string value = next();
       // Params are int64 but always non-negative in practice; reuse the u64
       // parser and narrow.
-      tr.params[key] = static_cast<std::int64_t>(parse_u64(value, line));
+      tr.params[key] = static_cast<std::int64_t>(parse_u64(value, line, INT64_MAX));
     } else if (tag == "crashes") {
       // FaultSpec's own scheduled(...) grammar, crash component only.
       const harness::FaultSpec spec = harness::FaultSpec::parse(next());
@@ -128,7 +128,7 @@ Trace Trace::parse(const std::string& text) {
       tr.crashes = sched->entries;
     } else if (tag == "msgfault") {
       ScheduledFaults::MessageEntry m;
-      m.from = static_cast<int>(parse_u64(next(), line));
+      m.from = static_cast<int>(parse_u64(next(), line, INT_MAX));
       m.on_nth_message = parse_u64(next(), line);
       m.fault.drop = parse_bool(next(), line);
       m.fault.delay = parse_u64(next(), line);

@@ -1,11 +1,13 @@
 #include "harness/fault_spec.h"
 
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 #include "adversary/strategies.h"
+#include "util/strings.h"
 
 namespace dowork::harness {
 
@@ -40,9 +42,22 @@ std::string prefix_str(std::size_t prefix) {
   return prefix == SIZE_MAX ? "all" : std::to_string(prefix);
 }
 
+// Numbers are read whole and range-checked per field (util/strings.h), so a
+// near miss like "3x" or a count past its field's type is rejected, never
+// truncated.  SIZE_MAX is spelled "all", so a numeric prefix stays below it.
 std::size_t parse_prefix(const std::string& s) {
   if (s == "all") return SIZE_MAX;
-  return static_cast<std::size_t>(std::stoull(s));
+  return static_cast<std::size_t>(parse_u64(s, "FaultSpec prefix", SIZE_MAX - 1));
+}
+
+int parse_int(const std::string& s, const std::string& field) {
+  return static_cast<int>(parse_u64(s, "FaultSpec " + field, INT_MAX));
+}
+
+bool parse_bool(const std::string& s, const std::string& field) {
+  if (s != "0" && s != "1")
+    throw std::invalid_argument("FaultSpec " + field + ": '" + s + "' is not 0 or 1");
+  return s == "1";
 }
 
 // Shortest decimal form of p that parses back to the identical double.
@@ -150,26 +165,31 @@ FaultSpec::Crash crash_parse(const std::string& text) {
   if (name == "cascade") {
     const auto kvs = split_kv(body);
     CascadeSpec c;
-    c.units_before_crash = std::stoull(find_kv(kvs, "units"));
-    c.max_crashes = std::stoi(find_kv(kvs, "crashes"));
+    c.units_before_crash = parse_u64(find_kv(kvs, "units"), "FaultSpec units");
+    c.max_crashes = parse_int(find_kv(kvs, "crashes"), "crashes");
     c.deliver_prefix = parse_prefix(find_kv(kvs, "prefix"));
-    c.crash_completes_unit = find_kv(kvs, "completes") == "1";
+    c.crash_completes_unit = parse_bool(find_kv(kvs, "completes"), "completes");
     return c;
   }
   if (name == "on_unit") {
     const auto kvs = split_kv(body);
     OnUnitSpec c;
-    c.unit = std::stoll(find_kv(kvs, "unit"));
-    c.max_crashes = std::stoi(find_kv(kvs, "crashes"));
+    c.unit = static_cast<std::int64_t>(
+        parse_u64(find_kv(kvs, "unit"), "FaultSpec unit", INT64_MAX));
+    c.max_crashes = parse_int(find_kv(kvs, "crashes"), "crashes");
     c.deliver_prefix = parse_prefix(find_kv(kvs, "prefix"));
     return c;
   }
   if (name == "random") {
     const auto kvs = split_kv(body);
     RandomSpec c;
-    c.p = std::strtod(find_kv(kvs, "p").c_str(), nullptr);
-    c.max_crashes = std::stoi(find_kv(kvs, "crashes"));
-    c.seed = std::stoull(find_kv(kvs, "seed"));
+    const std::string p = find_kv(kvs, "p");
+    char* end = nullptr;
+    c.p = std::strtod(p.c_str(), &end);
+    if (p.empty() || end != p.c_str() + p.size())
+      throw std::invalid_argument("FaultSpec p: '" + p + "' is not a number");
+    c.max_crashes = parse_int(find_kv(kvs, "crashes"), "crashes");
+    c.seed = parse_u64(find_kv(kvs, "seed"), "FaultSpec seed");
     return c;
   }
   if (name.rfind("adaptive:", 0) == 0) {
@@ -178,13 +198,13 @@ FaultSpec::Crash crash_parse(const std::string& text) {
     c.strategy = name.substr(std::strlen("adaptive:"));
     if (!adversary::is_strategy(c.strategy))
       throw std::invalid_argument("FaultSpec: unknown adaptive strategy '" + c.strategy + "'");
-    c.max_crashes = std::stoi(find_kv(kvs, "crashes"));
+    c.max_crashes = parse_int(find_kv(kvs, "crashes"), "crashes");
     if (has_kv(kvs, "jam")) {
-      c.max_message_faults = std::stoi(find_kv(kvs, "jam"));
-      if (c.max_message_faults <= 0)
+      c.max_message_faults = parse_int(find_kv(kvs, "jam"), "jam");
+      if (c.max_message_faults == 0)
         throw std::invalid_argument("FaultSpec: jam budget must be positive (omit when 0)");
     }
-    c.seed = std::stoull(find_kv(kvs, "seed"));
+    c.seed = parse_u64(find_kv(kvs, "seed"), "FaultSpec seed");
     return c;
   }
   if (name == "scheduled") {
@@ -200,9 +220,9 @@ FaultSpec::Crash crash_parse(const std::string& text) {
       if (at == std::string::npos || c1 == std::string::npos || c2 == std::string::npos)
         throw std::invalid_argument("FaultSpec: malformed schedule entry '" + item + "'");
       ScheduledFaults::Entry e;
-      e.proc = std::stoi(item.substr(0, at));
-      e.on_nth_action = std::stoull(item.substr(at + 1, c1 - at - 1));
-      e.plan.work_completes = item.substr(c1 + 1, c2 - c1 - 1) == "1";
+      e.proc = parse_int(item.substr(0, at), "proc");
+      e.on_nth_action = parse_u64(item.substr(at + 1, c1 - at - 1), "FaultSpec action ordinal");
+      e.plan.work_completes = parse_bool(item.substr(c1 + 1, c2 - c1 - 1), "completes");
       e.plan.deliver_prefix = parse_prefix(item.substr(c2 + 1));
       c.entries.push_back(e);
       pos = semi + 1;

@@ -38,7 +38,10 @@
 //   window    := U64 ".." U64 "@" INT                    -- split..heal@cut
 //
 //   PREFIX   := "all" | U64    -- how many of the dying broadcast's sends
-//                                 escape; "all" round-trips SIZE_MAX
+//                                 escape; "all" round-trips SIZE_MAX, so a
+//                                 numeric prefix stays below it
+//   U64, I64, INT := decimal digits only (no sign, nothing after them), at
+//               most 2^64 - 1, 2^63 - 1 and 2^31 - 1 respectively
 //   BOOL     := "0" | "1"
 //   DOUBLE   := shortest %g form that re-parses to the identical double
 //   STRATEGY := a name registered in src/adversary/strategies.h ("chain",

@@ -495,7 +495,6 @@ class ProtocolDProcess final : public IProcess {
   Round next_wake(const Round& now) const override { return loop_.next_wake(now); }
   std::string describe() const override;
 
-  int phases_completed() const { return loop_.phase() - 1; }
   bool reverted_to_a() const { return loop_.reverted(); }
   const DPhaseLoop& loop() const { return loop_; }
 

@@ -2,8 +2,6 @@
 
 namespace dowork {
 
-std::atomic<std::uint64_t> Payload::alloc_count_{0};
-
 namespace detail {
 
 bool same_payload_type(const std::type_info& a, const std::type_info& b) { return a == b; }

@@ -14,7 +14,6 @@
 // t-recipient broadcast costs one ledger record, not t envelopes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -87,19 +86,7 @@ const T* payload_as(const Payload* p) {
 //     message's shared_ptr via Msg::payload() (see the inbox reuse contract
 //     in process.h).
 struct Payload {
-  Payload() { alloc_count_.fetch_add(1, std::memory_order_relaxed); }
-  Payload(const Payload&) { alloc_count_.fetch_add(1, std::memory_order_relaxed); }
   virtual ~Payload() = default;
-
-  // Number of Payload objects constructed so far, process-wide (relaxed
-  // atomic: scenario runs are thread-parallel).  Exists for the
-  // delivery-plane allocation tests ("one payload allocation per broadcast,
-  // zero per-recipient"); never read on a hot path -- one relaxed increment
-  // per broadcast, never per recipient.
-  static std::uint64_t allocations() { return alloc_count_.load(std::memory_order_relaxed); }
-
- private:
-  static std::atomic<std::uint64_t> alloc_count_;
 };
 
 // A contiguous process-id range [first, end).  Groups are consecutive id

@@ -5,30 +5,18 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/strings.h"
+
 namespace dowork {
 
 namespace {
 
-// Strict full-token numeric parsers: the composed grammar promises to reject
-// near-miss strings, so "1x" must not silently parse as 1 the way the
-// stdlib's stoull would have it.
-std::uint64_t parse_u64(const std::string& s) {
-  if (s.empty()) throw std::invalid_argument("NetSpec: empty number");
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("NetSpec: bad number '" + s + "'");
-  }
-  if (pos != s.size() || s[0] == '-' || s[0] == '+')
-    throw std::invalid_argument("NetSpec: bad number '" + s + "'");
-  return v;
-}
-
+// Numbers go through the strict full-token parser (util/strings.h): the
+// composed grammar promises to reject near-miss strings, so "1x" must not
+// silently parse as 1.
 int parse_split(const std::string& s) {
-  const std::uint64_t v = parse_u64(s);
-  if (v == 0 || v > 1u << 24) throw std::invalid_argument("NetSpec: bad split '" + s + "'");
+  const std::uint64_t v = parse_u64(s, "NetSpec split", 1u << 24);
+  if (v == 0) throw std::invalid_argument("NetSpec: bad split '" + s + "'");
   return static_cast<int>(v);
 }
 
@@ -51,13 +39,14 @@ std::string double_str(double v) {
   return buf;
 }
 
-// "LO..HI" with LO <= HI.
-std::pair<std::uint64_t, std::uint64_t> parse_range(const std::string& s) {
+// "LO..HI" with LO <= HI; `field` names the range in error messages.
+std::pair<std::uint64_t, std::uint64_t> parse_range(const std::string& s,
+                                                    const std::string& field) {
   const std::size_t dots = s.find("..");
   if (dots == std::string::npos)
     throw std::invalid_argument("NetSpec: malformed range '" + s + "'");
-  const std::uint64_t lo = parse_u64(s.substr(0, dots));
-  const std::uint64_t hi = parse_u64(s.substr(dots + 2));
+  const std::uint64_t lo = parse_u64(s.substr(0, dots), field);
+  const std::uint64_t hi = parse_u64(s.substr(dots + 2), field);
   if (hi < lo) throw std::invalid_argument("NetSpec: inverted range '" + s + "'");
   return {lo, hi};
 }
@@ -129,7 +118,7 @@ NetSpec NetSpec::parse(const std::string& text) {
     if (key == "lat") {
       if (saw_lat) throw std::invalid_argument("NetSpec: duplicate field 'lat'");
       saw_lat = true;
-      const auto [lo, hi] = parse_range(value);
+      const auto [lo, hi] = parse_range(value, "NetSpec lat");
       if (hi == 0) throw std::invalid_argument("NetSpec: lat=0..0 has no effect");
       spec.lat_min = lo;
       spec.lat_max = hi;
@@ -149,7 +138,7 @@ NetSpec NetSpec::parse(const std::string& text) {
         if (at == std::string::npos)
           throw std::invalid_argument("NetSpec: malformed window '" + wtext + "'");
         PartitionWindow w;
-        const auto [from, until] = parse_range(wtext.substr(0, at));
+        const auto [from, until] = parse_range(wtext.substr(0, at), "NetSpec part");
         if (until <= from)
           throw std::invalid_argument("NetSpec: empty window '" + wtext + "'");
         w.from = from;
@@ -162,7 +151,7 @@ NetSpec NetSpec::parse(const std::string& text) {
     } else if (key == "seed") {
       if (saw_seed) throw std::invalid_argument("NetSpec: duplicate field 'seed'");
       saw_seed = true;
-      spec.seed = parse_u64(value);
+      spec.seed = parse_u64(value, "NetSpec seed");
     } else {
       throw std::invalid_argument("NetSpec: unknown field '" + key + "'");
     }
@@ -179,12 +168,6 @@ bool NetworkModel::severed(int from, int to, std::uint64_t now) const {
     if ((from < w.split) != (to < w.split)) return true;
   }
   return false;
-}
-
-int NetworkModel::partition_side(int proc, std::uint64_t now) const {
-  for (const PartitionWindow& w : spec_.partitions)
-    if (now >= w.from && now < w.until) return proc < w.split ? 1 : 2;
-  return 0;
 }
 
 }  // namespace dowork

@@ -114,10 +114,6 @@ class NetworkModel {
   // True when some window in force at `now` puts `from` and `to` on
   // opposite sides of its cut.  Deterministic.
   bool severed(int from, int to, std::uint64_t now) const;
-  // 0 when no window is in force at `now`; otherwise 1 for ids below the
-  // first in-force window's split, 2 for the rest (the SimObservable
-  // partition-id convention, sim/observable.h).
-  int partition_side(int proc, std::uint64_t now) const;
 
  private:
   NetSpec spec_;

@@ -8,26 +8,25 @@
 //
 // ## What is observable, and why nothing more
 //
-// The accessors report committed run state — work units that actually
-// completed (post fault filtering), messages that actually escaped their
-// sender, retirements that already happened — plus each process's own
-// progress view (announced_progress below, which can additionally count a
-// unit the process is mid-performing; process.h has the exact contract).
-// The adversary never sees a protocol's private intentions beyond the
-// Action it is already handed at the existing inspect() decision point —
-// which is faithful to the model (the adversary controls the network and
-// the crash schedule, so everything here is information it could
-// reconstruct from the wire anyway) and is what keeps the harness
-// determinism contract intact: a run is a pure function of (scenario,
-// seed), strategies draw randomness only from scenario seeds, and no
-// accessor exposes cross-run or cross-thread state (each run owns its
-// simulator and injector; parallelism exists only across runs).
+// Four accessors, exactly what the strategies in src/adversary/ read: the
+// run's shape (num_procs, num_units), which processes are still active
+// (is_active: retirements that already happened), and each process's own
+// progress view (announced_progress, which can count a unit the process is
+// mid-performing; process.h has the exact contract).  Round numbers reach
+// the adversary through on_round_start and inspect, and the crash tally
+// through inspect's SimSnapshot (sim/fault_injector.h).  The adversary
+// never sees a protocol's private intentions beyond the Action it is
+// already handed at the existing inspect() decision point — which is
+// faithful to the model (the adversary controls the network and the crash
+// schedule, so everything here is information it could reconstruct from
+// the wire anyway) and is what keeps the harness determinism contract
+// intact: a run is a pure function of (scenario, seed), strategies draw
+// randomness only from scenario seeds, and no accessor exposes cross-run or
+// cross-thread state (each run owns its simulator and injector; parallelism
+// exists only across runs).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-
-#include "util/round.h"
 
 namespace dowork {
 
@@ -41,49 +40,13 @@ class SimObservable {
 
   // Liveness.  "Active" means neither crashed nor voluntarily terminated.
   virtual bool is_active(int proc) const = 0;
-  virtual int active_count() const = 0;
-  virtual std::uint64_t crashes_so_far() const = 0;
-
-  // Rounds elapsed: the round currently being stepped.
-  virtual const Round& rounds_elapsed() const = 0;
-
-  // Messages delivered to `proc` this round and not yet consumed by it:
-  // once `proc` has been stepped (its on_round call consumed the mail) the
-  // answer is 0 for the rest of the round, exactly as it was when delivery
-  // materialized per-process inbox buffers.  The broadcast-ledger delivery
-  // plane computes this lazily (a scan of the round's ledger), so only
-  // adaptive adversaries pay for it -- never the simulator hot path.
-  virtual std::size_t inbox_size(int proc) const = 0;
-
-  // Committed per-process tallies (exactly the run metrics' breakdowns).
-  virtual std::uint64_t units_done(int proc) const = 0;
-  virtual std::uint64_t messages_sent(int proc) const = 0;
-  virtual std::uint64_t total_units_done() const = 0;
 
   // The protocol-level observability accessor (IProcess::known_done_units):
   // how many units `proc` believes done — wire-derived knowledge plus the
   // process's own in-progress bookkeeping, which may run ahead of the
-  // committed units_done() tallies for units `proc` is mid-performing.
-  // See process.h for the exact contract and the per-protocol caveats.
+  // committed work for units `proc` is mid-performing.  See process.h for
+  // the exact contract and the per-protocol caveats.
   virtual std::int64_t announced_progress(int proc) const = 0;
-
-  // --- network visibility -----------------------------------------------
-  // Read-only view of the delivery plane, under the same committed-state
-  // rules as the crash accessors: both report state the adversary could
-  // reconstruct from the wire it already controls, and neither exposes
-  // anything about *future* draws of the network model.  Defaulted so
-  // substrates (and test doubles) without a network plane read as a calm
-  // network.
-  //
-  // Broadcast records committed to the delivery plane and not yet delivered:
-  // this round's ledger plus every record a latency draw or message fault
-  // holds for a later round.  Counted in records (a t-recipient broadcast is
-  // one), matching the ledger's own accounting.
-  virtual std::uint64_t in_flight_messages() const { return 0; }
-  // Partition id of `proc` at the round/time being stepped: 0 when no
-  // partition window is in force, 1 for ids below the in-force window's
-  // split, 2 for the rest (sim/network_model.h).
-  virtual int current_partition(int /*proc*/) const { return 0; }
 };
 
 }  // namespace dowork

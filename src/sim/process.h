@@ -98,7 +98,7 @@ class IProcess {
   // slice at phase entry, per the paper's line 8; A/B count the unit in
   // the current action), and a crash that vetoes the pending unit strands
   // a dead process's count high — the strictly committed per-process
-  // tallies live in SimObservable::units_done instead.  Must not
+  // tallies live in RunMetrics::work_by_proc instead.  Must not
   // speculate about in-flight mail.  Purely diagnostic default: 0.
   virtual std::int64_t known_done_units() const { return 0; }
 

@@ -43,7 +43,6 @@ Simulator::Simulator(std::vector<std::unique_ptr<IProcess>> processes,
   state_.assign(t, ProcState::kAlive);
   alive_ = static_cast<int>(t);
   mail_bits_ = DynBitset(t);
-  consumed_epoch_.assign(t, 0);
   wake_.assign(t, Round{});
   queued_.assign(t, 0);
   head_.fill(-1);
@@ -82,19 +81,6 @@ void Simulator::dequeue(std::size_t p) {
   else
     head_[b] = n;
   if (n >= 0) prev_[static_cast<std::size_t>(n)] = pv;
-}
-
-std::size_t Simulator::inbox_size(int proc) const {
-  const std::size_t p = static_cast<std::size_t>(proc);
-  // Mail exists only for live processes that have not consumed it yet this
-  // round (the step clears it, exactly as the per-process inbox buffers
-  // used to be cleared when on_round returned).
-  if (state_[p] != ProcState::kAlive || !mail_bits_.test(p)) return 0;
-  if (consumed_epoch_[p] == epoch_) return 0;
-  std::size_t c = 0;
-  for (const DeliveryRecord& rec : arriving_)
-    if (rec.delivers_to(proc)) ++c;
-  return c;
 }
 
 void Simulator::reschedule(std::size_t p, const Round& now) {
@@ -246,11 +232,6 @@ Action Simulator::eval_step(int proc) {
 }
 
 void Simulator::commit_step(std::size_t p, const Round& r, Action a) {
-  // The mail (if any) is consumed with the on_round call, but the
-  // observable effect is committed here so adaptive adversaries inspecting
-  // a later process in this round see exactly the serial interleaving
-  // regardless of how evaluations were scheduled.
-  consumed_epoch_[p] = epoch_;
   if (opt_.strict_one_op) validate_strict(static_cast<int>(p), a);
 
   SimSnapshot snap{static_cast<int>(procs_.size()), alive_, static_cast<int>(metrics_.crashes)};
@@ -380,7 +361,6 @@ void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
   ++metrics_.net_delayed;
   Round due = r + Round{extra_delay + 1};  // normal delivery is r + 1
   future_[std::move(due)].push_back(std::move(rec));
-  ++future_count_;
 }
 
 void Simulator::step_round(const Round& r) {
@@ -450,8 +430,7 @@ RunMetrics Simulator::run() {
   // step (the monotonicity contract in process.h makes the cache exact).
   for (std::size_t p = 0; p < procs_.size(); ++p) reschedule(p, Round{0});
 
-  // The loop steps cur_round_ itself (it backs rounds_elapsed()), starting
-  // at round 0.
+  // The loop steps cur_round_ itself, starting at round 0.
   while (true) {
     // Terminate when every process has retired.
     if (alive_ == 0) {
@@ -472,7 +451,6 @@ RunMetrics Simulator::run() {
     // past deliveries because we only jump when the ledger is empty).  The
     // ledger swap reuses both buffers' capacity round over round; the
     // records stay readable (through InboxView) for this whole round.
-    ++epoch_;
     arriving_.swap(ledger_);
     ledger_.clear();
     if (net_active_) {
@@ -481,7 +459,6 @@ RunMetrics Simulator::run() {
       // skipped: the loop advances one round at a time and fast-forward
       // clamps its jump to the earliest due bucket.)
       for (auto it = future_.begin(); it != future_.end() && it->first == cur_round_;) {
-        future_count_ -= it->second.size();
         std::move(it->second.begin(), it->second.end(), std::back_inserter(arriving_));
         it = future_.erase(it);
       }
@@ -518,8 +495,7 @@ RunMetrics Simulator::run() {
       std::sort(step_list_.begin(), step_list_.end());
 
     metrics_.available_processor_steps += Round{static_cast<std::uint64_t>(alive_)};
-    // Crash-decision point 2: the round is about to step (delivery is done,
-    // so inbox sizes are observable).
+    // Crash-decision point 2: the round is about to step (delivery is done).
     faults_->on_round_start(cur_round_);
     try {
       step_round(cur_round_);

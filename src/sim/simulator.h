@@ -136,9 +136,10 @@ class StepExecutor {
 };
 
 // The simulator is itself the SimObservable it hands the fault injector at
-// run start (FaultInjector::attach): every accessor reads committed state —
-// metrics breakdowns, retirement flags, this round's ledger — so adaptive
-// adversaries (src/adversary/) observe exactly what the model lets them.
+// run start (FaultInjector::attach).  Its four accessors read the run's
+// shape, the retirement flags and each process's announced progress, so
+// adaptive adversaries (src/adversary/) observe exactly what the model lets
+// them.
 class Simulator final : public SimObservable, public StepEval {
  public:
   struct Options {
@@ -185,20 +186,6 @@ class Simulator final : public SimObservable, public StepEval {
   bool is_active(int proc) const override {
     return state_[static_cast<std::size_t>(proc)] == ProcState::kAlive;
   }
-  int active_count() const override { return alive_; }
-  std::uint64_t crashes_so_far() const override { return metrics_.crashes; }
-  const Round& rounds_elapsed() const override { return cur_round_; }
-  // Counted lazily off the round's ledger (observable.h documents the
-  // "delivered this round and not yet consumed" semantics); only adaptive
-  // adversaries pay for it.
-  std::size_t inbox_size(int proc) const override;
-  std::uint64_t units_done(int proc) const override {
-    return metrics_.work_by_proc[static_cast<std::size_t>(proc)];
-  }
-  std::uint64_t messages_sent(int proc) const override {
-    return metrics_.messages_by_proc[static_cast<std::size_t>(proc)];
-  }
-  std::uint64_t total_units_done() const override { return metrics_.work_total; }
   // On the executor path a process is evaluated before its commit, so until
   // then the adversary reads the value held from before evaluation -- what
   // the serial loop shows for a process not yet stepped.
@@ -206,14 +193,6 @@ class Simulator final : public SimObservable, public StepEval {
     const std::size_t p = static_cast<std::size_t>(proc);
     if (!held_progress_.empty() && held_progress_[p] != kNotHeld) return held_progress_[p];
     return procs_[p]->known_done_units();
-  }
-  // Network visibility (observable.h): this round's ledger plus every
-  // latency-held record, counted in records.
-  std::uint64_t in_flight_messages() const override {
-    return static_cast<std::uint64_t>(ledger_.size()) + future_count_;
-  }
-  int current_partition(int proc) const override {
-    return net_model_.partition_side(proc, cur_round_.to_u64_saturating());
   }
 
  private:
@@ -246,11 +225,10 @@ class Simulator final : public SimObservable, public StepEval {
   // One step, split at the evaluation/commit boundary so an executor can
   // run evaluations concurrently while commits stay serial: eval_one runs
   // on_round against the round's inbox (thread-safe across distinct p);
-  // commit_step marks the mail consumed, validates, consults the fault
-  // injector, commits work and sends to the ledger, and retires or
-  // reschedules.  The serial path is eval_one immediately followed by
-  // commit_step per process -- observably identical to the historical
-  // single-function step.
+  // commit_step validates, consults the fault injector, commits work and
+  // sends to the ledger, and retires or reschedules.  The serial path is
+  // eval_one immediately followed by commit_step per process -- observably
+  // identical to the historical single-function step.
   Action eval_one(std::size_t p, const Round& r);
   // commit_step reschedules p from next_round_ (r + 1).
   void commit_step(std::size_t p, const Round& r, Action a);
@@ -316,17 +294,12 @@ class Simulator final : public SimObservable, public StepEval {
   // or adversarial message fault holds back, keyed by delivery round.  The
   // no-net path never touches it.
   std::map<Round, std::vector<DeliveryRecord>> future_;
-  std::uint64_t future_count_ = 0;
   NetworkModel net_model_;
   Rng net_rng_{0};
   bool net_active_ = false;        // net model live or injector faults messages
   bool wants_msg_faults_ = false;  // cached FaultInjector::wants_message_faults
   DynBitset mail_bits_;
   bool mail_dirty_ = false;  // mail_bits_ has set bits to clear next delivery
-  // Round-scoped step bookkeeping for the observable inbox_size: a process
-  // that already consumed its mail this round reads as empty.
-  std::vector<std::uint64_t> consumed_epoch_;
-  std::uint64_t epoch_ = 0;
   std::vector<Round> wake_;                   // cached next_wake per process
   // The wake calendar: each bucket an intrusive doubly linked list threaded
   // through next_/prev_ (-1 ends a list), headed by head_[b].
@@ -339,7 +312,7 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<int> step_list_;                // processes to step this round; reused
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
-  Round cur_round_;                           // round being stepped (observable)
+  Round cur_round_;                           // round being stepped
   Round next_round_;                          // cur_round_ + 1 while stepping; swapped in
   RunMetrics metrics_;
   bool ran_ = false;

@@ -1,7 +1,9 @@
 #include "util/strings.h"
 
+#include <charconv>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 namespace dowork {
 
@@ -54,6 +56,17 @@ std::string ratio(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2fx", v);
   return buf;
+}
+
+std::uint64_t parse_u64(const std::string& text, const std::string& field, std::uint64_t max) {
+  // from_chars takes no sign, blank or base prefix for an unsigned target.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || stop != end || v > max)
+    throw std::invalid_argument(field + ": '" + text + "' is not a number in [0, " +
+                                std::to_string(max) + "]");
+  return v;
 }
 
 }  // namespace dowork

@@ -159,6 +159,11 @@ TEST(FaultSpecFuzz, NearMissCorpusIsRejected) {
       "none;net=(lat=1..4,seed=0);none",              // three components
       "martian(x=1)",
       "crash=martian(x=1);net=(lat=1..4,seed=0)",
+      "cascade(units=3x,crashes=1,prefix=0,completes=1)",   // trailing junk
+      "scheduled(99999999999999999999@1:0:0)",              // proc past u64
+      "cascade(units=1,crashes=2147483648,prefix=0,completes=1)",  // past INT_MAX
+      "cascade(units=1,crashes=1,prefix=0,completes=2)",    // BOOL other than 0/1
+      "random(p=0.5x,crashes=1,seed=0)",                    // trailing junk on a DOUBLE
   };
   for (const std::string& text : corpus) {
     EXPECT_THROW(FaultSpec::parse(text), std::invalid_argument) << "'" << text << "'";

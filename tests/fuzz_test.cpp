@@ -137,6 +137,15 @@ TEST(FuzzTraceTest, SerializationRoundTrips) {
                   std::string("scheduled(2@4:1:7;0@9:0:all)").size(),
                   "cascade(units=3,crashes=2,prefix=all,completes=1)");
   EXPECT_THROW(Trace::parse(cascade), std::invalid_argument);
+  // A number past its field's range is rejected with FaultSpec's message.
+  std::string huge = text;
+  huge.replace(huge.find("2@4:1:7"), std::string("2@4:1:7").size(), "99999999999999999999@4:1:7");
+  try {
+    Trace::parse(huge);
+    ADD_FAILURE() << "out-of-range proc accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("FaultSpec proc"), std::string::npos) << e.what();
+  }
   EXPECT_THROW(Trace::parse("not a trace"), std::invalid_argument);
   EXPECT_THROW(Trace::parse(""), std::invalid_argument);
 }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "bitset_printer.h"
 #include "sim/fault_injector.h"
 #include "sim/message.h"
 #include "sim/simulator.h"
@@ -16,9 +17,13 @@
 namespace dowork {
 namespace {
 
+// Counts its constructions, copies included, so the allocation-contract
+// test below can assert one payload per broadcast.
 struct TagPayload final : Payload {
+  static inline std::uint64_t constructions = 0;
   int tag;
-  explicit TagPayload(int t) : tag(t) {}
+  explicit TagPayload(int t) : tag(t) { ++constructions; }
+  TagPayload(const TagPayload& o) : Payload(o), tag(o.tag) { ++constructions; }
 };
 
 SharedBits bits_of(std::vector<int> ids, int t) {
@@ -321,14 +326,14 @@ TEST(DeliveryPlane, OnePayloadAllocationPerBroadcastZeroPerRecipient) {
   procs.push_back(std::make_unique<RoundBroadcaster>(t, rounds));
   std::vector<int> seen(t, 0);
   for (int i = 1; i < t; ++i) procs.push_back(std::make_unique<Sink>(&seen[i]));
-  const std::uint64_t before = Payload::allocations();
+  const std::uint64_t before = TagPayload::constructions;
   RunMetrics m = run_simulation(std::move(procs), std::make_unique<NoFaults>(), {});
-  const std::uint64_t allocated = Payload::allocations() - before;
+  const std::uint64_t allocated = TagPayload::constructions - before;
 
   EXPECT_EQ(m.messages_total, static_cast<std::uint64_t>(rounds) * (t - 1));
-  // The instrumented Payload hook counts every Payload constructed anywhere
-  // in the run: exactly one per broadcast round -- zero per-recipient
-  // allocations or clones in steady state, whatever the fan-out.
+  // TagPayload counts every construction and copy in the run: exactly one
+  // per broadcast round -- zero per-recipient allocations or clones in
+  // steady state, whatever the fan-out.
   EXPECT_EQ(allocated, static_cast<std::uint64_t>(rounds));
   for (int i = 1; i < t; ++i) EXPECT_EQ(seen[i], rounds) << "recipient " << i;
 }

@@ -97,15 +97,6 @@ TEST(NetworkModel, SeveredRespectsWindowsAndSides) {
   EXPECT_FALSE(m.severed(5, 7, 15));  // same side (rest)
 }
 
-TEST(NetworkModel, PartitionSideMatchesObservableConvention) {
-  NetworkModel m(NetSpec::partition({{10, 20, 4}}, 0));
-  EXPECT_EQ(m.partition_side(0, 5), 0);  // no window in force
-  EXPECT_EQ(m.partition_side(0, 10), 1);
-  EXPECT_EQ(m.partition_side(3, 15), 1);
-  EXPECT_EQ(m.partition_side(4, 15), 2);
-  EXPECT_EQ(m.partition_side(0, 20), 0);  // healed
-}
-
 // --- synchronous substrate --------------------------------------------------
 
 RunResult run_sync(const char* proto, std::int64_t n, int t, NetSpec net) {
@@ -199,56 +190,6 @@ TEST(AsyncNetwork, PartitionWindowsSeverByEventTime) {
   EXPECT_TRUE(m.all_retired);
   EXPECT_TRUE(m.all_units_done());
   EXPECT_GT(m.net_blocked, 0u);
-}
-
-// --- observable network visibility ------------------------------------------
-
-// A fault injector that snoops the observable's network accessors during the
-// run: current_partition must track the scheduled windows round by round.
-// Results land in caller-owned storage (the injector dies with the
-// simulator inside run_do_all).
-class PartitionSpy final : public FaultInjector {
- public:
-  PartitionSpy(bool* saw_split, std::uint64_t* max_in_flight)
-      : saw_split_(saw_split), max_in_flight_(max_in_flight) {}
-
-  void attach(const SimObservable& sim) override { sim_ = &sim; }
-  void on_round_start(const Round& round) override {
-    if (!round.fits_u64()) return;
-    const std::uint64_t now = round.to_u64_saturating();
-    if (now >= 5 && now < 15) {
-      *saw_split_ = *saw_split_ || (sim_->current_partition(0) == 1 &&
-                                    sim_->current_partition(7) == 2);
-    } else {
-      EXPECT_EQ(sim_->current_partition(0), 0) << "round " << now;
-    }
-    *max_in_flight_ = std::max(*max_in_flight_, sim_->in_flight_messages());
-  }
-  std::optional<CrashPlan> inspect(int, const Round&, const Action&,
-                                   const SimSnapshot&) override {
-    return std::nullopt;
-  }
-
- private:
-  bool* saw_split_;
-  std::uint64_t* max_in_flight_;
-  const SimObservable* sim_ = nullptr;
-};
-
-TEST(SyncNetwork, ObservableSeesPartitionsAndInFlightMessages) {
-  bool saw_split = false;
-  std::uint64_t max_in_flight = 0;
-  RunOptions opts;
-  opts.net = NetSpec::partition({{5, 15, 4}}, 0);
-  // A latency component keeps records in flight across round boundaries, so
-  // the spy can observe a nonzero in_flight_messages() at round start.
-  opts.net.lat_min = 1;
-  opts.net.lat_max = 3;
-  RunResult r = run_do_all("B", DoAllConfig{64, 8},
-                           std::make_unique<PartitionSpy>(&saw_split, &max_in_flight), opts);
-  EXPECT_TRUE(r.ok()) << r.violation;
-  EXPECT_TRUE(saw_split);
-  EXPECT_GT(max_in_flight, 0u);
 }
 
 // --- per-record sent rounds ------------------------------------------------

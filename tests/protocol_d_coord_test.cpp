@@ -9,6 +9,7 @@
 #include <set>
 #include <utility>
 
+#include "bitset_printer.h"
 #include "core/runner.h"
 #include "sim/simulator.h"
 

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "bitset_printer.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "sim/round_pool.h"

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "bitset_printer.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -111,6 +112,13 @@ TEST(DynBitset, IsSubsetOf) {
   EXPECT_TRUE(DynBitset(70).is_subset_of(a));
   EXPECT_TRUE(DynBitset(70, true).is_subset_of(DynBitset(70, true)));
   EXPECT_FALSE(DynBitset(70, true).is_subset_of(a));
+}
+
+TEST(DynBitset, PrintsSizeAndSetBits) {
+  DynBitset b(70);
+  for (std::size_t i : {0, 63, 64, 69}) b.set(i);
+  EXPECT_EQ(::testing::PrintToString(b), "DynBitset(70){0, 63, 64, 69}");
+  EXPECT_EQ(::testing::PrintToString(DynBitset(3)), "DynBitset(3){}");
 }
 
 // count_range / reset_range / word_without against a bit-by-bit reference

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bitset_printer.h"
 #include "protocols/baseline_checkpoint.h"
 #include "protocols/protocol_a.h"
 #include "protocols/protocol_b.h"
