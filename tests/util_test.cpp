@@ -1,8 +1,9 @@
-// Tests for util/: the table printer, number formatting, the seeded RNG and
-// the bitset's subset test, range operations, counting kernels and the
-// popcount a shared set stores.
+// Tests for util/: the table printer, number formatting and parsing, the
+// seeded RNG and the bitset's subset test, range operations, counting
+// kernels and the popcount a shared set stores.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "bitset_printer.h"
@@ -45,6 +46,27 @@ TEST(Strings, WithCommas) {
 TEST(Strings, Ratio) {
   EXPECT_EQ(ratio(1.0), "1.00x");
   EXPECT_EQ(ratio(12.345), "12.35x");
+}
+
+TEST(Strings, ParseU64ReadsWholeTokensUpToMax) {
+  EXPECT_EQ(parse_u64("0", "f"), 0u);
+  EXPECT_EQ(parse_u64("007", "f"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615", "f"), 18446744073709551615ull);
+  EXPECT_EQ(parse_u64("2147483647", "f", 2147483647u), 2147483647u);
+}
+
+TEST(Strings, ParseU64RejectsPartialSignedAndOutOfRangeTokens) {
+  for (const char* bad : {"", "3x", " 3", "3 ", "-1", "+1", "0x10", "1.5",
+                          "18446744073709551616", "99999999999999999999"})
+    EXPECT_THROW(parse_u64(bad, "f"), std::invalid_argument) << "'" << bad << "'";
+  EXPECT_THROW(parse_u64("2147483648", "f", 2147483647u), std::invalid_argument);
+  // The message names the field, the token and the range.
+  try {
+    parse_u64("3x", "FaultSpec crashes", 10);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "FaultSpec crashes: '3x' is not a number in [0, 10]");
+  }
 }
 
 TEST(Rng, DeterministicForSeed) {
