@@ -22,7 +22,8 @@ void print_usage(const char* argv0) {
       "  --experiment NAMES  experiment(s) to run: one name, a comma-separated\n"
       "                      list, or 'all'; see --list\n"
       "  --jobs N            worker threads (default: hardware concurrency)\n"
-      "  --json PATH         write the machine-readable report to PATH ('-' = stdout)\n"
+      "  --json PATH         write the machine-readable report to PATH ('-' = stdout,\n"
+      "                      with the tables on stderr)\n"
       "  --filter SUBSTR     only run scenarios whose id contains SUBSTR\n"
       "  --backend WHICH     execution backend for sync scenarios: 'sim' (default)\n"
       "                      or 'socket' (one worker OS process per protocol\n"
@@ -246,6 +247,9 @@ int bench_main(int argc, char** argv) {
     return 2;
   }
 
+  // With the report on stdout, the tables go to stderr: stdout is then
+  // exactly one JSON document.
+  std::FILE* tables = opt.json_path == "-" ? stderr : stdout;
   ParallelScenarioRunner runner(opt.jobs);
   std::vector<std::string> json_docs;
   bool all_ok = true;
@@ -255,11 +259,11 @@ int bench_main(int argc, char** argv) {
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (!opt.quiet) {
-      std::printf("\n=== %s -- %s ===\n%s\n\n", e->name.c_str(), e->title.c_str(),
-                  e->claim.c_str());
-      std::printf("%s", render_table(aggregate(rows)).c_str());
-      std::printf("\n%zu scenarios, %zu runs on %d thread(s) in %.2fs\n", scenarios.size(),
-                  rows.size(), runner.jobs(), secs);
+      std::fprintf(tables, "\n=== %s -- %s ===\n%s\n\n", e->name.c_str(), e->title.c_str(),
+                   e->claim.c_str());
+      std::fprintf(tables, "%s", render_table(aggregate(rows)).c_str());
+      std::fprintf(tables, "\n%zu scenarios, %zu runs on %d thread(s) in %.2fs\n",
+                   scenarios.size(), rows.size(), runner.jobs(), secs);
     }
     for (const ScenarioResult& row : rows)
       if (!row.ok) {

@@ -59,7 +59,7 @@ bool ActivePlan::produce(ActiveOp* out) {
           advance_subchunk();
         }
         if (!own_rest_.empty()) {
-          *out = ActiveOp{std::nullopt, own_rest_, std::make_shared<CkptPartial>(c)};
+          *out = ActiveOp{std::nullopt, own_rest_, std::make_shared<Checkpoint>(c)};
           return true;
         }
         break;
@@ -71,7 +71,7 @@ bool ActivePlan::produce(ActiveOp* out) {
         }
         *out = ActiveOp{std::nullopt,
                         IdRange{layout_.first_of_group(g_), layout_.end_of_group(g_)},
-                        std::make_shared<CkptFull>(c_, g_)};
+                        std::make_shared<Checkpoint>(c_, g_)};
         stage_ = Stage::kFullEcho;
         return true;
       }
@@ -80,7 +80,7 @@ bool ActivePlan::produce(ActiveOp* out) {
         ++g_;
         stage_ = Stage::kFullDirect;
         if (!own_rest_.empty()) {
-          *out = ActiveOp{std::nullopt, own_rest_, std::make_shared<CkptFull>(c_, g)};
+          *out = ActiveOp{std::nullopt, own_rest_, std::make_shared<Checkpoint>(c_, g)};
           return true;
         }
         break;
@@ -117,20 +117,15 @@ bool CheckpointCore::ingest(const Payload* payload, int from, const Round& recei
   // A real checkpoint names a subchunk c >= 1 (c == 0 means nothing
   // received), and a full one always a chunk boundary, which is what lets
   // ActivePlan resume a direct (c, g_self) through its partial stage.
-  const int last_sub = part_.num_subchunks();
-  if (const auto* p = detail::payload_as<CkptPartial>(payload)) {
-    if (p->c == last_sub) completion_seen_ = true;
-    last_ = LastCheckpoint{p->c, std::nullopt, from, received_round};
-    return true;
-  }
-  if (const auto* f = detail::payload_as<CkptFull>(payload)) {
-    // Only the direct form addressed to our group; an echo (t, g) names a
-    // higher group and tells a group mate nothing final.
-    if (f->c == last_sub && f->g == layout_.group_of(self_)) completion_seen_ = true;
-    last_ = LastCheckpoint{f->c, f->g, from, received_round};
-    return true;
-  }
-  return false;
+  const auto* k = detail::payload_as<Checkpoint>(payload);
+  if (k == nullptr) return false;
+  // "(t)" completes; of the full forms only the direct one addressed to our
+  // group does: an echo (t, g) names a higher group and tells a group mate
+  // nothing final.
+  if (k->c == part_.num_subchunks() && (!k->g || *k->g == layout_.group_of(self_)))
+    completion_seen_ = true;
+  last_ = LastCheckpoint{k->c, k->g, from, received_round};
+  return true;
 }
 
 void CheckpointCore::activate() {

@@ -30,19 +30,15 @@
 
 namespace dowork {
 
-// "(c)" -- partial checkpoint: subchunk c has been completed.
-struct CkptPartial final : Payload {
+// A checkpoint message.  "(c)" -- partial: subchunk c has been completed.
+// "(c, g)" -- full, g set: subchunk c completed and group g (0-based)
+// informed, delivered either directly to members of group g or as an echo
+// to the sender's own group.  One payload type for both forms, as
+// LastCheckpoint stores them, so taking one in is one exact-type test.
+struct Checkpoint final : Payload {
   int c;
-  explicit CkptPartial(int c_in) : c(c_in) {}
-};
-
-// "(c, g)" -- full checkpoint: subchunk c completed and group g informed.
-// Delivered either directly to members of group g or as an echo to the
-// sender's own group.
-struct CkptFull final : Payload {
-  int c;
-  int g;  // 0-based group index
-  CkptFull(int c_in, int g_in) : c(c_in), g(g_in) {}
+  std::optional<int> g;
+  explicit Checkpoint(int c_in, std::optional<int> g_in = std::nullopt) : c(c_in), g(g_in) {}
 };
 
 // The information a passive process retains for takeover: the content and
@@ -80,7 +76,7 @@ struct ActiveOp {
 // partial checkpoint of c and, at a chunk boundary, the full checkpoint
 // from the next group.  So the resume (lines 1-9) finishes exactly the
 // checkpoint the predecessor interrupted, and no level is paid twice.  The
-// direct entry is exact because every CkptFull names a chunk-boundary c:
+// direct entry is exact because every full (c, g) names a chunk-boundary c:
 // full checkpoints are entered only from the partial stage at a boundary.
 //
 // Laziness matters under takeover cascades: an eager script is O(n + t) ops

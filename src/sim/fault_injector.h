@@ -58,7 +58,7 @@ class SimObservable;
 //                         valid for the whole run.
 //   2. on_round_start() — once per *stepped* round (fast-forwarded idle
 //                         stretches are skipped), before any process steps.
-//   3. inspect()        — per stepping process: the returned CrashPlan folds
+//   3. inspect()        — per non-idle step: the returned CrashPlan folds
 //                         the paper's two mid-round degrees of freedom into
 //                         one decision — the mid-broadcast prefix cut
 //                         (deliver_prefix) and the crash-after-the-unit-but-
@@ -68,7 +68,10 @@ class SimObservable;
 //                         crashes a process at one of its steps, so a crash
 //                         is addressed by (process, k-th non-idle action),
 //                         the key ScheduledFaults replays and fuzz traces
-//                         record (fuzz/trace.h checks it).
+//                         record (fuzz/trace.h checks it).  The simulator
+//                         never inspects an idle action: it commits one as
+//                         a bare reschedule.  Injectors keep their own
+//                         idle() guard for callers that do pass one.
 //   4. on_message()     — per committed send (post crash cut), when the
 //                         injector opted in via wants_message_faults(): the
 //                         returned MessageFault drops the record or delays

@@ -232,6 +232,13 @@ Action Simulator::eval_step(int proc) {
 }
 
 void Simulator::commit_step(std::size_t p, const Round& r, Action a) {
+  // An idle action (a passive A/B process recording a checkpoint, say) has
+  // nothing to commit, and decision point 3 (fault_injector.h) returns a
+  // plan only for a non-idle one: it commits as the reschedule alone.
+  if (a.idle()) {
+    reschedule(p, next_round_);
+    return;
+  }
   if (opt_.strict_one_op) validate_strict(static_cast<int>(p), a);
 
   SimSnapshot snap{static_cast<int>(procs_.size()), alive_, static_cast<int>(metrics_.crashes)};

@@ -7,7 +7,8 @@
 //      all sends land next round).
 //   3. The fault injector may crash a stepping process mid-round: the
 //      adversary decides whether its work unit completed and how much of its
-//      broadcast escaped (paper Section 2.1).
+//      broadcast escaped (paper Section 2.1).  Only a non-idle action is
+//      inspected; an idle one cannot be crashed (fault_injector.h).
 //   4. If no messages are in flight, the simulator jumps straight to the
 //      earliest wake time over live processes ("fast-forward"), which is what
 //      makes Protocol C's 2^(n+t)-round executions exactly simulable.
@@ -43,9 +44,15 @@
 //     bitset (word-level ORs of shared audience sets) to drive the step
 //     list and O(1) empty-inbox checks.  Message metrics are bumped
 //     arithmetically per record (audience size), never per pair.
+//   * An idle action commits as its reschedule alone: no strict check, no
+//     SimSnapshot, no inspect() call, no ledger or metric writes.  The fault
+//     injector never sees it (decision point 3 returns a plan only for a
+//     non-idle action), so in Protocols A and B, where nearly every step is
+//     a passive process recording a checkpoint, such a receipt costs its
+//     ingest plus one reschedule.
 //   * the live-process count is an O(1) counter kept on crash/terminate, not a
-//     scan; it is consulted once per stepping process for the fault
-//     injector's SimSnapshot.
+//     scan; it is consulted once per non-idle step for the fault injector's
+//     SimSnapshot.
 // None of this changes observable behavior: scheduling decisions, delivery
 // order and metrics are bit-for-bit those of the original O(t)-scan,
 // envelope-per-pair simulator (tests/golden/ pins the JSON reports

@@ -17,8 +17,8 @@ namespace {
 // Payload type tags (closed set -- wire.h documents the policy).
 enum class PayloadTag : std::uint8_t {
   kNull = 0,
-  kCkptPartial = 1,
-  kCkptFull = 2,
+  kCheckpointPartial = 1,  // "(c)"
+  kCheckpointFull = 2,     // "(c, g)"
   kGoAhead = 3,
   kOrdinaryC = 4,
   kPollC = 5,
@@ -96,13 +96,12 @@ void Writer::payload(const Payload* p) {
     u8(static_cast<std::uint8_t>(PayloadTag::kNull));
     return;
   }
-  if (const auto* m = detail::payload_as<CkptPartial>(p)) {
-    u8(static_cast<std::uint8_t>(PayloadTag::kCkptPartial));
+  if (const auto* m = detail::payload_as<Checkpoint>(p)) {
+    // One payload type, two frames: the form picks the tag.
+    u8(static_cast<std::uint8_t>(m->g ? PayloadTag::kCheckpointFull
+                                      : PayloadTag::kCheckpointPartial));
     i32(m->c);
-  } else if (const auto* m = detail::payload_as<CkptFull>(p)) {
-    u8(static_cast<std::uint8_t>(PayloadTag::kCkptFull));
-    i32(m->c);
-    i32(m->g);
+    if (m->g) i32(*m->g);
   } else if (detail::payload_as<GoAhead>(p) != nullptr) {
     u8(static_cast<std::uint8_t>(PayloadTag::kGoAhead));
   } else if (const auto* m = detail::payload_as<OrdinaryC>(p)) {
@@ -231,12 +230,12 @@ std::shared_ptr<const Payload> BodyReader::payload() {
   switch (static_cast<PayloadTag>(u8())) {
     case PayloadTag::kNull:
       return nullptr;
-    case PayloadTag::kCkptPartial:
-      return std::make_shared<CkptPartial>(i32());
-    case PayloadTag::kCkptFull: {
+    case PayloadTag::kCheckpointPartial:
+      return std::make_shared<Checkpoint>(i32());
+    case PayloadTag::kCheckpointFull: {
       const int c = i32();
       const int g = i32();
-      return std::make_shared<CkptFull>(c, g);
+      return std::make_shared<Checkpoint>(c, g);
     }
     case PayloadTag::kGoAhead:
       return std::make_shared<GoAhead>();

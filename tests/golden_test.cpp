@@ -27,6 +27,12 @@ struct Golden {
   const char* rounds;  // decimal, exact (0-based last retirement round)
 };
 
+// Names the CTest by its row, e.g. "GetParam() = A work=48 messages=48
+// rounds=68", not by the struct's raw bytes (string pointers included).
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << g.protocol << " work=" << g.work << " messages=" << g.messages << " rounds=" << g.rounds;
+}
+
 class GoldenFailureFree : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenFailureFree, ExactMetricsOnFixedInstance) {

@@ -91,6 +91,9 @@ struct PartitionCase {
   int t;
 };
 
+// CTest names end in "GetParam() = n=16 t=4", not in the struct's bytes.
+void PrintTo(const PartitionCase& c, std::ostream* os) { *os << "n=" << c.n << " t=" << c.t; }
+
 class PartitionSweep : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionSweep, SubchunksTileTheWorkExactly) {

@@ -25,6 +25,13 @@ struct CrashPosCase {
   std::uint64_t kth_action;
 };
 
+// GoogleTest printers for the sweep parameters: CTest names end in
+// "GetParam() = A k=3", not in the struct's raw bytes (heap pointers
+// included), so they are the same on every run.
+void PrintTo(const CrashPosCase& c, std::ostream* os) {
+  *os << c.protocol << " k=" << c.kth_action;
+}
+
 class CrashPositionSweep : public ::testing::TestWithParam<CrashPosCase> {};
 
 TEST_P(CrashPositionSweep, AnySingleCrashPositionCompletes) {
@@ -61,6 +68,10 @@ struct DoubleCrashCase {
   std::string protocol;
   std::uint64_t k0, k1;
 };
+
+void PrintTo(const DoubleCrashCase& c, std::ostream* os) {
+  *os << c.protocol << " k0=" << c.k0 << " k1=" << c.k1;
+}
 
 class DoubleCrashSweep : public ::testing::TestWithParam<DoubleCrashCase> {};
 

@@ -17,8 +17,8 @@ struct PlanSummary {
   std::int64_t first_unit = -1, last_unit = -1;
   int broadcasts = 0;
   int messages = 0;
-  std::vector<std::pair<int, int>> full_ckpts;  // (c, g) of CkptFull payloads
-  std::vector<int> partial_ckpts;               // c of CkptPartial payloads
+  std::vector<std::pair<int, int>> full_ckpts;  // (c, g) of full checkpoints
+  std::vector<int> partial_ckpts;               // c of partial checkpoints
 };
 
 PlanSummary summarize(const std::deque<ActiveOp>& plan) {
@@ -31,10 +31,12 @@ PlanSummary summarize(const std::deque<ActiveOp>& plan) {
     } else {
       ++s.broadcasts;
       s.messages += static_cast<int>(op.recipients.size());
-      if (const auto* f = dynamic_cast<const CkptFull*>(op.payload.get()))
-        s.full_ckpts.emplace_back(f->c, f->g);
-      else if (const auto* p = dynamic_cast<const CkptPartial*>(op.payload.get()))
-        s.partial_ckpts.push_back(p->c);
+      if (const auto* k = dynamic_cast<const Checkpoint*>(op.payload.get())) {
+        if (k->g)
+          s.full_ckpts.emplace_back(k->c, *k->g);
+        else
+          s.partial_ckpts.push_back(k->c);
+      }
     }
   }
   return s;
@@ -160,11 +162,10 @@ std::vector<FlatOp> flatten(const std::deque<ActiveOp>& plan) {
   for (const ActiveOp& op : plan) {
     if (op.work) {
       out.push_back({FlatOp::kUnit, *op.work});
-    } else if (const auto* f = dynamic_cast<const CkptFull*>(op.payload.get())) {
-      out.push_back({FlatOp::kFull, f->c, f->g, op.recipients.first, op.recipients.end});
+    } else if (const auto& k = dynamic_cast<const Checkpoint&>(*op.payload); k.g) {
+      out.push_back({FlatOp::kFull, k.c, *k.g, op.recipients.first, op.recipients.end});
     } else {
-      const auto& p = dynamic_cast<const CkptPartial&>(*op.payload);
-      out.push_back({FlatOp::kPartial, p.c, -1, op.recipients.first, op.recipients.end});
+      out.push_back({FlatOp::kPartial, k.c, -1, op.recipients.first, op.recipients.end});
     }
   }
   return out;
@@ -279,7 +280,7 @@ TEST_F(CoreFixture, StartsFromTheFictitiousMessage) {
 
 TEST_F(CoreFixture, IngestsPartialCheckpoint) {
   CheckpointCore core(cfg_, 4);
-  EXPECT_TRUE(take(core, std::make_shared<CkptPartial>(5), 3));
+  EXPECT_TRUE(take(core, std::make_shared<Checkpoint>(5), 3));
   EXPECT_EQ(core.last().c, 5);
   EXPECT_FALSE(core.last().g.has_value());
   EXPECT_EQ(core.last().from, 3);
@@ -289,11 +290,11 @@ TEST_F(CoreFixture, IngestsPartialCheckpoint) {
 
 TEST_F(CoreFixture, IngestsDirectAndEchoFullCheckpoints) {
   CheckpointCore core(cfg_, 4);
-  EXPECT_TRUE(take(core, std::make_shared<CkptFull>(3, 1), 0));  // direct, to group 1
+  EXPECT_TRUE(take(core, std::make_shared<Checkpoint>(3, 1), 0));  // direct, to group 1
   EXPECT_EQ(core.last().c, 3);
   EXPECT_EQ(core.last().g, 1);
   EXPECT_EQ(core.last().from, 0);
-  EXPECT_TRUE(take(core, std::make_shared<CkptFull>(6, 2), 3));  // echo from a group mate
+  EXPECT_TRUE(take(core, std::make_shared<Checkpoint>(6, 2), 3));  // echo from a group mate
   EXPECT_EQ(core.last().c, 6);
   EXPECT_EQ(core.last().g, 2);
   EXPECT_EQ(core.last().from, 3);
@@ -302,7 +303,7 @@ TEST_F(CoreFixture, IngestsDirectAndEchoFullCheckpoints) {
 
 TEST_F(CoreFixture, NonCheckpointPayloadLeavesTheCoreAlone) {
   CheckpointCore core(cfg_, 4);
-  ASSERT_TRUE(take(core, std::make_shared<CkptPartial>(2), 3));
+  ASSERT_TRUE(take(core, std::make_shared<Checkpoint>(2), 3));
   EXPECT_FALSE(take(core, std::make_shared<NotACheckpoint>(), 5));
   EXPECT_FALSE(core.ingest(nullptr, 5, at_));
   EXPECT_EQ(core.last().c, 2);
@@ -318,17 +319,17 @@ TEST(CompletionNotice, RecognizesOnlyTrueCompletions) {
     core.ingest(p.get(), 0, Round{1});
     return core.completion_seen();
   };
-  EXPECT_TRUE(completes(std::make_shared<CkptPartial>(9)));
-  EXPECT_FALSE(completes(std::make_shared<CkptPartial>(8)));
-  EXPECT_TRUE(completes(std::make_shared<CkptFull>(9, 1)));
-  EXPECT_FALSE(completes(std::make_shared<CkptFull>(9, 2)));  // echo form
-  EXPECT_FALSE(completes(std::make_shared<CkptFull>(3, 1)));
+  EXPECT_TRUE(completes(std::make_shared<Checkpoint>(9)));
+  EXPECT_FALSE(completes(std::make_shared<Checkpoint>(8)));
+  EXPECT_TRUE(completes(std::make_shared<Checkpoint>(9, 1)));
+  EXPECT_FALSE(completes(std::make_shared<Checkpoint>(9, 2)));  // echo form
+  EXPECT_FALSE(completes(std::make_shared<Checkpoint>(3, 1)));
 }
 
 TEST(CompletionNotice, IsStickyAcrossLaterCheckpoints) {
   CheckpointCore core(DoAllConfig{36, 9}, 4);
-  core.ingest(std::make_shared<CkptPartial>(9).get(), 3, Round{1});
-  core.ingest(std::make_shared<CkptPartial>(2).get(), 3, Round{2});
+  core.ingest(std::make_shared<Checkpoint>(9).get(), 3, Round{1});
+  core.ingest(std::make_shared<Checkpoint>(2).get(), 3, Round{2});
   EXPECT_TRUE(core.completion_seen());
   EXPECT_EQ(core.last().c, 2);  // the last checkpoint is still the latest heard
 }
@@ -336,7 +337,7 @@ TEST(CompletionNotice, IsStickyAcrossLaterCheckpoints) {
 TEST_F(CoreFixture, KnownDoneUnitsFollowsCheckpointsAndWork) {
   CheckpointCore core(cfg_, 4);
   EXPECT_EQ(core.known_done_units(), 0);
-  take(core, std::make_shared<CkptPartial>(2), 3);
+  take(core, std::make_shared<Checkpoint>(2), 3);
   EXPECT_EQ(core.known_done_units(), 8);  // subchunks 1..2 of 4 units
   core.activate();
   // Resume: the partial checkpoint of 2 to process 5, then unit 9.
@@ -347,7 +348,7 @@ TEST_F(CoreFixture, KnownDoneUnitsFollowsCheckpointsAndWork) {
 
 TEST_F(CoreFixture, KnownDoneUnitsClampsAtTheLastSubchunk) {
   CheckpointCore core(cfg_, 4);
-  take(core, std::make_shared<CkptPartial>(12), 3);  // past t = 9 subchunks
+  take(core, std::make_shared<Checkpoint>(12), 3);  // past t = 9 subchunks
   EXPECT_EQ(core.known_done_units(), 36);
 }
 
@@ -379,7 +380,7 @@ TEST_F(CoreFixture, EmptyResumedScriptTerminatesAtOnce) {
   // Process 8 is last in the last group: an echo (9, 2) leaves it nothing to
   // inform and no work, so its first step only terminates.
   CheckpointCore core(cfg_, 8);
-  take(core, std::make_shared<CkptFull>(9, 2), 7);
+  take(core, std::make_shared<Checkpoint>(9, 2), 7);
   core.activate();
   const Action a = core.step();
   EXPECT_TRUE(a.terminate);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.h"
+#include "sweep_case.h"
 
 namespace dowork {
 namespace {
@@ -87,13 +88,6 @@ TEST(ProtocolA, TakeoverFromFullCheckpointEcho) {
   EXPECT_EQ(r.metrics.work_total, 36u);  // chunk 1 known everywhere needed
   expect_theorem_2_3_bounds(cfg, r.metrics);
 }
-
-struct SweepCase {
-  std::int64_t n;
-  int t;
-  int fault_mode;  // 0 none, 1 cascade(1 unit), 2 cascade(subchunk), 3 random
-  unsigned seed;
-};
 
 class ProtocolASweep : public ::testing::TestWithParam<SweepCase> {};
 

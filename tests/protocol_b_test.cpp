@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.h"
+#include "sweep_case.h"
 
 namespace dowork {
 namespace {
@@ -89,21 +90,21 @@ TEST_F(BProcessFixture, WakeFollowsEachIngestedCheckpoint) {
   // The fictitious (0, g_7) from process 0 at round 0 seeds the deadline.
   EXPECT_EQ(p.next_wake(Round{0}), Round{p.ddb(0)});
   // A group mate's partial checkpoint re-arms it to PTO after receipt.
-  EXPECT_TRUE(receive(p, 7, 5, std::make_shared<CkptPartial>(6), 20).sends.empty());
+  EXPECT_TRUE(receive(p, 7, 5, std::make_shared<Checkpoint>(6), 20).sends.empty());
   EXPECT_EQ(p.next_wake(Round{21}), Round{21 + p.ddb(5)});
   EXPECT_EQ(p.ddb(5), p.pto());
   // A lower group's direct full checkpoint re-arms it to DDB(7, 2).
-  EXPECT_TRUE(receive(p, 7, 2, std::make_shared<CkptFull>(8, 1), 24).sends.empty());
+  EXPECT_TRUE(receive(p, 7, 2, std::make_shared<Checkpoint>(8, 1), 24).sends.empty());
   EXPECT_EQ(p.next_wake(Round{25}), Round{25 + p.ddb(2)});
   EXPECT_EQ(p.ddb(2), p.gto(2));
   // And an echo from a group mate back to PTO.
-  EXPECT_TRUE(receive(p, 7, 4, std::make_shared<CkptFull>(8, 2), 30).sends.empty());
+  EXPECT_TRUE(receive(p, 7, 4, std::make_shared<Checkpoint>(8, 2), 30).sends.empty());
   EXPECT_EQ(p.next_wake(Round{31}), Round{31 + p.pto()});
 }
 
 TEST_F(BProcessFixture, GroupMateCheckpointProbesTheIdsAboveTheSender) {
   ProtocolBProcess p(cfg_, 7);
-  receive(p, 7, 4, std::make_shared<CkptPartial>(6), 40);
+  receive(p, 7, 4, std::make_shared<Checkpoint>(6), 40);
   const Round deadline = Round{41 + p.pto()};
   Round activated;
   const std::vector<Probe> probes = run_silent(p, 7, Round{41}, &activated);
@@ -118,7 +119,7 @@ TEST_F(BProcessFixture, GroupMateCheckpointProbesTheIdsAboveTheSender) {
 
 TEST_F(BProcessFixture, LowerGroupCheckpointProbesTheWholeGroupBelowSelf) {
   ProtocolBProcess p(cfg_, 7);
-  receive(p, 7, 1, std::make_shared<CkptFull>(4, 1), 50);
+  receive(p, 7, 1, std::make_shared<Checkpoint>(4, 1), 50);
   const Round deadline = Round{51 + p.ddb(1)};
   Round activated;
   const std::vector<Probe> probes = run_silent(p, 7, Round{51}, &activated);
@@ -132,7 +133,7 @@ TEST_F(BProcessFixture, LowerGroupCheckpointProbesTheWholeGroupBelowSelf) {
 
 TEST_F(BProcessFixture, FirstOfItsGroupProbesNobody) {
   ProtocolBProcess p(cfg_, 8);
-  receive(p, 8, 3, std::make_shared<CkptFull>(4, 2), 60);
+  receive(p, 8, 3, std::make_shared<Checkpoint>(4, 2), 60);
   Round activated;
   EXPECT_TRUE(run_silent(p, 8, Round{61}, &activated).empty());
   EXPECT_EQ(activated, Round{61 + p.ddb(3)});
@@ -142,7 +143,7 @@ TEST_F(BProcessFixture, ProcessZeroKeepsTheStartRound) {
   ProtocolBProcess p(cfg_, 0, Round{5});
   EXPECT_EQ(p.next_wake(Round{0}), Round{5});
   // A checkpoint does not re-arm process 0: it is active from the start.
-  EXPECT_TRUE(receive(p, 0, 1, std::make_shared<CkptPartial>(1), 2).sends.empty());
+  EXPECT_TRUE(receive(p, 0, 1, std::make_shared<Checkpoint>(1), 2).sends.empty());
   EXPECT_EQ(p.next_wake(Round{3}), Round{5});
   const std::vector<DeliveryRecord> none;
   // At the start round it takes over at once: nobody below it to probe.
@@ -213,13 +214,6 @@ TEST(ProtocolB, MuchFasterThanProtocolAUnderCascade) {
   EXPECT_LT(rb.metrics.last_retire_round.to_u64_saturating() * 10,
             ra.metrics.last_retire_round.to_u64_saturating());
 }
-
-struct SweepCase {
-  std::int64_t n;
-  int t;
-  int fault_mode;
-  unsigned seed;
-};
 
 class ProtocolBSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.h"
+#include "sweep_case.h"
 
 namespace dowork {
 namespace {
@@ -179,13 +180,6 @@ TEST(NaiveC, SectionThreeCascadeRedoesQuadraticWork) {
   // Naive work grows quadratically: well above C's linear bound.
   EXPECT_GT(naive.metrics.work_total, 3 * u(cfg.n) + 2 * u(cfg.t));
 }
-
-struct SweepCase {
-  std::int64_t n;
-  int t;
-  int fault_mode;
-  unsigned seed;
-};
 
 class ProtocolCSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -12,6 +12,7 @@
 #include "bitset_printer.h"
 #include "core/runner.h"
 #include "sim/simulator.h"
+#include "sweep_case.h"
 
 namespace dowork {
 namespace {
@@ -224,13 +225,6 @@ TEST(ProtocolDCoord, AgreementSendsShareTheLoopsAudience) {
   EXPECT_GT(aliased, 0u);
   EXPECT_EQ(rebuilt, 7u);  // each survivor of the second shape drops process 0 once
 }
-
-struct SweepCase {
-  std::int64_t n;
-  int t;
-  int fault_mode;
-  unsigned seed;
-};
 
 class DCoordSweep : public ::testing::TestWithParam<SweepCase> {};
 

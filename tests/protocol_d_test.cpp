@@ -15,6 +15,7 @@
 #include "core/runner.h"
 #include "sim/round_pool.h"
 #include "substrate/differential.h"
+#include "sweep_case.h"
 #include "util/rng.h"
 
 namespace dowork {
@@ -710,13 +711,6 @@ TEST(ProtocolDPhaseCore, RevertToAPerformsRealUnitsAndAddressesRealIds) {
   EXPECT_EQ(performed, (std::vector<std::int64_t>{2, 5, 9}));
   EXPECT_EQ(addressed, (std::set<int>{3, 4}));  // the other members of T, never ranks
 }
-
-struct SweepCase {
-  std::int64_t n;
-  int t;
-  int fault_mode;
-  unsigned seed;
-};
 
 class ProtocolDSweep : public ::testing::TestWithParam<SweepCase> {};
 

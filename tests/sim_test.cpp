@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "core/registry.h"
+#include "core/runner.h"
+#include "core/verifier.h"
 #include "sim/fault_injector.h"
 #include "sim/round_pool.h"
+#include "substrate/differential.h"
 
 namespace dowork {
 namespace {
@@ -282,6 +288,85 @@ TEST(Simulator, RunTwiceThrows) {
   Simulator sim(std::move(procs), std::make_unique<NoFaults>(), {});
   sim.run();
   EXPECT_THROW(sim.run(), std::logic_error);
+}
+
+// --- idle steps commit without inspection -----------------------------------
+
+// Counts a wrapped process's idle and non-idle steps.  Atomic: on a round
+// pool, steps evaluate on worker threads.
+struct StepCounts {
+  std::atomic<std::uint64_t> idle{0};
+  std::atomic<std::uint64_t> busy{0};
+};
+
+class CountedProcess final : public IProcess {
+ public:
+  CountedProcess(std::unique_ptr<IProcess> inner, StepCounts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+  Action on_round(const RoundContext& ctx, const InboxView& inbox) override {
+    Action a = inner_->on_round(ctx, inbox);
+    ++(a.idle() ? counts_->idle : counts_->busy);
+    return a;
+  }
+  Round next_wake(const Round& now) const override { return inner_->next_wake(now); }
+  std::int64_t known_done_units() const override { return inner_->known_done_units(); }
+
+ private:
+  std::unique_ptr<IProcess> inner_;
+  StepCounts* counts_;
+};
+
+// Forwards to `inner`, counting inspect() calls; an idle action reaching it
+// fails the test.
+class NoIdleInspect final : public FaultInjector {
+ public:
+  NoIdleInspect(std::unique_ptr<FaultInjector> inner, std::uint64_t* calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+  std::optional<CrashPlan> inspect(int proc, const Round& round, const Action& action,
+                                   const SimSnapshot& snap) override {
+    ++*calls_;
+    EXPECT_FALSE(action.idle()) << "process " << proc << " inspected idle in round "
+                                << round.to_string();
+    return inner_->inspect(proc, round, action, snap);
+  }
+
+ private:
+  std::unique_ptr<FaultInjector> inner_;
+  std::uint64_t* calls_;
+};
+
+TEST(Simulator, IdleStepsCommitWithoutInspect) {
+  // t = 16: groups of 4, subchunks of n/t = 16 units, chunks of 64.  The
+  // cascade lets each active process finish about a chunk, so takeovers
+  // resume from every checkpoint form while passive processes receive them.
+  const DoAllConfig cfg{256, 16};
+  for (const char* name : {"A", "B"}) {
+    const ProtocolInfo& info = find_protocol(name);
+    RunMetrics runs[2];
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(name) + " on " + std::to_string(threads) + " thread(s)");
+      StepCounts counts;
+      std::uint64_t inspected = 0;
+      std::vector<std::unique_ptr<IProcess>> procs = make_processes(info, cfg);
+      for (auto& p : procs) p = std::make_unique<CountedProcess>(std::move(p), &counts);
+      Simulator sim(std::move(procs),
+                    std::make_unique<NoIdleInspect>(
+                        std::make_unique<WorkCascadeFaults>(65, cfg.t - 1, /*deliver_prefix=*/1),
+                        &inspected),
+                    simulator_options(info, cfg, RunOptions{}));
+      // A 2-thread RoundPool: the executor Backend::kPool installs, at a
+      // fixed thread count.  Its steps commit through the same path.
+      std::optional<RoundPool> pool;
+      if (threads > 1) sim.set_step_executor(&pool.emplace(threads, /*min_steps_per_shard=*/1));
+      RunMetrics& m = runs[threads - 1];
+      m = sim.run();
+      EXPECT_EQ(verify_run(info, cfg, m), "");
+      EXPECT_GT(m.crashes, 0u);
+      EXPECT_GT(counts.idle.load(), 0u);  // the receipts this path skips
+      EXPECT_EQ(inspected, counts.busy.load());
+    }
+    EXPECT_EQ(substrate::compare_metrics(runs[0], runs[1]), "") << name;
+  }
 }
 
 // --- wake queue vs a brute-force scheduler ----------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,8 +94,8 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
   };
   const std::vector<Case> cases = {
       {nullptr, MsgKind::kOther},
-      {std::make_shared<CkptPartial>(4), MsgKind::kCheckpoint},
-      {std::make_shared<CkptFull>(4, 2), MsgKind::kCheckpoint},
+      {std::make_shared<Checkpoint>(4), MsgKind::kCheckpoint},
+      {std::make_shared<Checkpoint>(4, 2), MsgKind::kCheckpoint},
       {std::make_shared<GoAhead>(), MsgKind::kGoAhead},
       {std::make_shared<OrdinaryC>(view), MsgKind::kOrdinary},
       {std::make_shared<PollC>(), MsgKind::kPoll},
@@ -123,15 +124,33 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
   }
 }
 
+// The two checkpoint forms share one payload type but keep their own frames:
+// the partial (c) is tag 1 and c, the full (c, g) tag 2, c and g.  Pinned
+// byte for byte, so sockets and recorded frames stay readable across
+// payload refactors.
+TEST(WireTest, CheckpointFramesArePinned) {
+  using namespace std::string_literals;
+  // u32 body length, kDeliver, from = 2, kCheckpoint, sent round 10 (u64 form).
+  const std::string head = "\x02\x02\x00\x00\x00\x01\x00\x0a\x00\x00\x00\x00\x00\x00\x00"s;
+  const Checkpoint partial(7);
+  const Checkpoint full(12, 3);
+  EXPECT_EQ(encode_deliver(2, MsgKind::kCheckpoint, Round{10}, &partial),
+            "\x14\x00\x00\x00"s + head + "\x01\x07\x00\x00\x00"s);
+  EXPECT_EQ(encode_deliver(2, MsgKind::kCheckpoint, Round{10}, &full),
+            "\x18\x00\x00\x00"s + head + "\x02\x0c\x00\x00\x00\x03\x00\x00\x00"s);
+}
+
 TEST(WireTest, DeliverPreservesPayloadFields) {
-  const auto full = std::make_shared<CkptFull>(13, 5);
-  auto [type, body] =
-      read_one(encode_deliver(0, MsgKind::kCheckpoint, Round{1}, full.get()), false);
-  const DeliveryRecord e = decode_deliver(body, 3);
-  const auto* got = Msg(e).as<CkptFull>();
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->c, 13);
-  EXPECT_EQ(got->g, 5);
+  for (const std::optional<int> g : {std::optional<int>{}, std::optional<int>{5}}) {
+    const auto ckpt = std::make_shared<Checkpoint>(13, g);
+    auto [type, body] =
+        read_one(encode_deliver(0, MsgKind::kCheckpoint, Round{1}, ckpt.get()), false);
+    const DeliveryRecord e = decode_deliver(body, 3);
+    const auto* got = Msg(e).as<Checkpoint>();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->c, 13);
+    EXPECT_EQ(got->g, g);
+  }
 
   DynBitset s(70);  // multi-word bitset with a ragged tail
   s.set(0);
@@ -273,7 +292,7 @@ TEST(WireTest, ReplyRoundTripsWorkSendsAndAudiences) {
   for (std::size_t i = 0; i < 64; ++i) everyone.set(i);
   b.sends.push_back({RecipientSet{3}, MsgKind::kPollReply, std::make_shared<PollReplyC>()});
   b.sends.push_back(
-      {RecipientSet{IdRange{4, 9}}, MsgKind::kCheckpoint, std::make_shared<CkptPartial>(2)});
+      {RecipientSet{IdRange{4, 9}}, MsgKind::kCheckpoint, std::make_shared<Checkpoint>(2)});
   const SharedBits all = share_bits(everyone);
   b.sends.push_back({RecipientSet{share_bits(everyone)}, MsgKind::kAgreement,
                      std::make_shared<AgreeMsg>(1, all, all, false)});
@@ -296,7 +315,7 @@ TEST(WireTest, ReplyPreservesPayloadSharingAcrossSends) {
   // payload shared by several Outgoing entries must decode back to one
   // object (the back-reference encoding), never to per-send copies.
   Action a;
-  const auto shared = std::make_shared<CkptFull>(3, 1);
+  const auto shared = std::make_shared<Checkpoint>(3, 1);
   a.sends.push_back({RecipientSet{IdRange{0, 4}}, MsgKind::kCheckpoint, shared});
   a.sends.push_back({RecipientSet{IdRange{8, 12}}, MsgKind::kCheckpoint, shared});
   a.sends.push_back({RecipientSet{5}, MsgKind::kPollReply, std::make_shared<PollReplyC>()});
