@@ -51,7 +51,7 @@ ProtocolCProcess::ProtocolCProcess(const DoAllConfig& cfg, int self, ProtocolCOp
   for (int i = t_; i < T_int; ++i) view_.retired[static_cast<std::size_t>(i)] = 1;
   view_.point0 = 1;
   view_.point.assign(static_cast<std::size_t>(tree_.num_groups()), 0);
-  view_.round.assign(static_cast<std::size_t>(tree_.num_groups()), Round{0});
+  view_.round.assign(static_cast<std::size_t>(tree_.num_groups()), 0);
   for (int h = 1; h <= tree_.levels(); ++h) {
     int sz = tree_.group_size(h);
     for (int base = 0; base < T_int; base += sz) {
@@ -111,13 +111,13 @@ std::optional<int> ProtocolCProcess::normalize_pointer(int h) {
   return v;
 }
 
-std::vector<Outgoing> ProtocolCProcess::report_to_level(int h, const Round& now) {
+std::vector<Outgoing> ProtocolCProcess::report_to_level(int h, std::uint64_t stamp) {
   const int idx = tree_.group_index(h, self_);
   auto target = first_valid(h, view_.point[static_cast<std::size_t>(idx)]);
   if (!target) return {};
   // The recipient learns of its own receipt, so the snapshot records this
-  // very send: round = now, point = the target's successor.
-  view_.round[static_cast<std::size_t>(idx)] = now;
+  // very send: round = this round, point = the target's successor.
+  view_.round[static_cast<std::size_t>(idx)] = stamp;
   const int base = tree_.group_base(h, self_);
   const int sz = tree_.group_size(h);
   auto succ = first_valid(h, base + (*target - base + 1) % sz);
@@ -147,7 +147,7 @@ Action ProtocolCProcess::active_step(const RoundContext& ctx, const InboxView& i
       view_.retired[static_cast<std::size_t>(target)] = 1;
       if (h_ != tree_.levels()) {
         // Report the newly detected failure one level up (Figure 3 line 9).
-        std::vector<Outgoing> sends = report_to_level(h_ + 1, r);
+        std::vector<Outgoing> sends = report_to_level(h_ + 1, ctx.stepped_index);
         if (!sends.empty()) {
           Action a;
           a.sends = std::move(sends);
@@ -178,7 +178,7 @@ Action ProtocolCProcess::active_step(const RoundContext& ctx, const InboxView& i
     report_due_ = false;
     since_report_ = 0;
     std::vector<Outgoing> sends =
-        tree_.levels() >= 1 ? report_to_level(1, r) : std::vector<Outgoing>{};
+        tree_.levels() >= 1 ? report_to_level(1, ctx.stepped_index) : std::vector<Outgoing>{};
     Action a;
     a.sends = std::move(sends);
     if (view_.point0 > n_) return finish(std::move(a));  // final report; halt
@@ -188,7 +188,7 @@ Action ProtocolCProcess::active_step(const RoundContext& ctx, const InboxView& i
   if (view_.point0 <= n_) {
     Action a;
     a.work = view_.point0;
-    view_.round0 = r;
+    view_.round0 = ctx.stepped_index;
     ++view_.point0;
     ++since_report_;
     if (since_report_ >= batch_size_ || view_.point0 > n_) report_due_ = true;

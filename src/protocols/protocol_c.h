@@ -20,6 +20,7 @@
 // so the most knowledgeable non-retired process always takes over first
 // (Lemma 3.4).  These deadlines overflow machine words; rounds here are
 // 512-bit integers and the simulator fast-forwards across the idle eons.
+// The view's round stamps are not: see ViewC.
 //
 // Guarantees (Theorem 3.8): work <= n + 2t, messages <= n + 8t log t, all
 // retired by round t(5t + 2 log t)(n+t)2^(n+t).
@@ -65,12 +66,20 @@ class LevelTree {
 // every group in the system the last reported position and when it was
 // reported.  Ordinary messages carry a full snapshot; merging keeps, per
 // group, the entry with the later round.
+//
+// "When" is stamped as the round's stepped index (RoundContext), not the
+// Round: a view round is only ever compared and assigned, and the index
+// orders stepped rounds exactly as their Round values do, so merges decide
+// identically while a stamp stays 8 bytes however wide the clock grows past
+// a takeover.  The initial stamp 0 sits below every real one (>= 1), as
+// Round{0} sat below every round C stamps at (DESIGN.md, "View stamps as
+// stepped-round indexes").
 struct ViewC {
   std::vector<std::uint8_t> retired;  // F, indexed by process id (incl. padding)
   std::int64_t point0 = 1;            // successor of the last unit known done
-  Round round0;
-  std::vector<int> point;    // per group index: a process id
-  std::vector<Round> round;  // per group index
+  std::uint64_t round0 = 0;
+  std::vector<int> point;            // per group index: a process id
+  std::vector<std::uint64_t> round;  // per group index
 
   void merge(const ViewC& other);
   // Reduced view: units known done + *real* failures known (virtual padding
@@ -121,9 +130,10 @@ class ProtocolCProcess final : public IProcess {
   std::optional<int> first_valid(int h, int start) const;
   std::optional<int> normalize_pointer(int h);  // updates point to the result
   // Send an ordinary message (with a fresh view snapshot) to the pointer
-  // target of the level-h group, advancing point/round; returns the sends
-  // (empty if the group has no live target).
-  std::vector<Outgoing> report_to_level(int h, const Round& now);
+  // target of the level-h group, advancing point and stamping its round
+  // with `stamp` (the current stepped index); returns the sends (empty if
+  // the group has no live target).
+  std::vector<Outgoing> report_to_level(int h, std::uint64_t stamp);
   Action active_step(const RoundContext& ctx, const InboxView& inbox);
   Action finish(Action a);
 

@@ -47,9 +47,21 @@ struct Action {
 // The round a step runs in.  `round` refers to the caller's round (the
 // simulator's cur_round_, a socket worker's decoded step), which outlives
 // the on_round call; a process that keeps it copies the Round.
+//
+// `stepped_index` is the 1-based index of this round among the run's
+// stepped rounds (fast-forwarded rounds are not counted).  It rises
+// strictly with `round` -- across fast-forward jumps and past 2^64 -- and
+// every process stepped in one round reads the same value, on every
+// executor (the socket substrate's step frame carries it).  So it orders
+// any two stepped rounds exactly as their Round values do: a process that
+// only compares and assigns round stamps (Protocol C's view) can keep the
+// u64 instead of a copy of the Round.  It is no substitute for round
+// arithmetic (deadlines, wakes).  0 means unset: a caller that drives
+// on_round by hand may leave it there.
 struct RoundContext {
   const Round& round;  // current round number (starts at 0)
   int self = -1;
+  std::uint64_t stepped_index = 0;
 };
 
 // A protocol participant.  Implementations are plain deterministic state

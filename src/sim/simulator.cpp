@@ -85,12 +85,12 @@ void Simulator::dequeue(std::size_t p) {
 
 void Simulator::reschedule(std::size_t p, const Round& now) {
   Round w = procs_[p]->next_wake(now);
-  if (w < now) w = now;  // a process may not schedule itself in the past
-  if (w == now) {
+  if (!(now < w)) {
     // Fast path for the overwhelmingly common answer "step me again next
     // round" (every active process): a plain list instead of the calendar.
+    // An answer in the past means the same (a process may not schedule
+    // itself there).  wake_[p] is left as it was: p is queued in no tier.
     dequeue(p);
-    wake_[p] = std::move(w);
     if (!queued_[p]) {
       queued_[p] = 1;
       next_step_.push_back(static_cast<int>(p));
@@ -108,6 +108,7 @@ void Simulator::reschedule(std::size_t p, const Round& now) {
     }
   } else if (w == never()) {
     dequeue(p);  // purely reactive from here on: mail-only
+    return;
   } else if (bucket_[p] != kPromoted || w < wake_[p]) {
     // p's live promoted entries are lower bounds on its wake, so one
     // re-armed later pushes nothing; peek_promoted re-keys it at the top.
@@ -217,7 +218,9 @@ void Simulator::validate_strict(int proc, const Action& a) const {
 }
 
 Action Simulator::eval_one(std::size_t p, const Round& r) {
-  RoundContext ctx{r, static_cast<int>(p)};
+  // stepped_rounds changes only on run()'s thread after step_round returns,
+  // so an executor's workers read a stable value.
+  RoundContext ctx{r, static_cast<int>(p), metrics_.stepped_rounds + 1};
   const bool has_mail = mail_bits_.test(p);
   InboxView inbox(arriving_, static_cast<int>(p), has_mail);
   return procs_[p]->on_round(ctx, inbox);
@@ -372,10 +375,14 @@ void Simulator::commit_record(DeliveryRecord rec, const Round& r) {
 
 void Simulator::step_round(const Round& r) {
   const std::uint64_t workers_before = metrics_.work_total;
-  // One add per round, not per step, and in place: a promoted round reuses
-  // next_round_'s block instead of building r + 1 anew.
-  next_round_ = r;
-  next_round_ += 1;
+  // r + 1, for reschedule: one add per round, not per step, and in place --
+  // a promoted round reuses next_round_'s block instead of building r + 1
+  // anew.  Until it is set, next_round_ still holds the round stepped last,
+  // which run() reports if an executor aborts this round.
+  auto advance = [this, &r] {
+    next_round_ = r;
+    next_round_ += 1;
+  };
   if (executor_ != nullptr) {
     // Executor path: hand the alive step subset to the executor for the
     // evaluation phase (possibly concurrent, possibly aborted by its
@@ -394,19 +401,20 @@ void Simulator::step_round(const Round& r) {
       live_steps_.push_back(p);
       held_progress_[sp] = procs_[sp]->known_done_units();
     }
-    if (!live_steps_.empty()) {
-      ready_.clear();
+    ready_.clear();
+    if (!live_steps_.empty())
       executor_->run_steps(*this, r, live_steps_, ready_);  // may throw AbortRun
-      for (StepExecutor::Ready& rd : ready_) {
-        held_progress_[static_cast<std::size_t>(rd.proc)] = kNotHeld;
-        commit_step(static_cast<std::size_t>(rd.proc), r, std::move(rd.action));
-      }
+    advance();
+    for (StepExecutor::Ready& rd : ready_) {
+      held_progress_[static_cast<std::size_t>(rd.proc)] = kNotHeld;
+      commit_step(static_cast<std::size_t>(rd.proc), r, std::move(rd.action));
     }
     metrics_.max_concurrent_workers =
         std::max(metrics_.max_concurrent_workers, metrics_.work_total - workers_before);
     step_list_.clear();
     return;
   }
+  advance();
   for (int p : step_list_) {
     queued_[static_cast<std::size_t>(p)] = 0;
     if (state_[static_cast<std::size_t>(p)] != ProcState::kAlive) continue;
@@ -439,13 +447,17 @@ RunMetrics Simulator::run() {
 
   // The loop steps cur_round_ itself, starting at round 0.
   while (true) {
-    // Terminate when every process has retired.
+    // Terminate when every process has retired.  At these two exits the
+    // round stepped last sits in next_round_ (the advance below swapped it
+    // out), as it does when an executor aborts a round.
     if (alive_ == 0) {
       metrics_.all_retired = true;
+      metrics_.last_retire_round = std::move(next_round_);
       break;
     }
     if (metrics_.stepped_rounds >= opt_.max_stepped_rounds) {
       metrics_.hit_round_cap = true;
+      metrics_.last_retire_round = std::move(next_round_);
       break;
     }
 
@@ -501,7 +513,14 @@ RunMetrics Simulator::run() {
     if (!std::is_sorted(step_list_.begin(), step_list_.end()))
       std::sort(step_list_.begin(), step_list_.end());
 
-    metrics_.available_processor_steps += Round{static_cast<std::uint64_t>(alive_)};
+    // The u64 sum is folded early only if it would overflow, which takes
+    // far more stepped rounds than any cap allows in practice.
+    const std::uint64_t alive = static_cast<std::uint64_t>(alive_);
+    if (stepped_alive_ > std::numeric_limits<std::uint64_t>::max() - alive) [[unlikely]] {
+      metrics_.available_processor_steps += Round{stepped_alive_};
+      stepped_alive_ = 0;
+    }
+    stepped_alive_ += alive;
     // Crash-decision point 2: the round is about to step (delivery is done).
     faults_->on_round_start(cur_round_);
     try {
@@ -515,13 +534,14 @@ RunMetrics Simulator::run() {
       metrics_.aborted = true;
       metrics_.aborted_reason = std::move(abort.reason);
       metrics_.abort_detail = std::move(abort.detail);
+      metrics_.last_retire_round = std::move(next_round_);
       break;
     }
     ++metrics_.stepped_rounds;
-    metrics_.last_retire_round = cur_round_;
 
     if (alive_ == 0) {
       metrics_.all_retired = true;
+      metrics_.last_retire_round = cur_round_;
       break;
     }
 
@@ -547,20 +567,25 @@ RunMetrics Simulator::run() {
     }
     if (min_wake == nullptr) {
       metrics_.deadlocked = true;  // live processes, no mail, no timers
+      metrics_.last_retire_round = cur_round_;
       break;
     }
     std::swap(cur_round_, next_round_);  // the round after the one just stepped is the floor
     if (*min_wake > cur_round_) {
       ++metrics_.fast_forward_jumps;
       // Idle processes are charged by the available-processor-steps measure
-      // even across fast-forwarded stretches.
+      // even across fast-forwarded stretches.  The stepped rounds' u64 sum
+      // rides along, so a jump is the only promoted add.
       Round gap = *min_wake;
       gap -= cur_round_;
       gap *= static_cast<std::uint64_t>(alive_);
+      gap += Round{stepped_alive_};
+      stepped_alive_ = 0;
       metrics_.available_processor_steps += gap;
       cur_round_ = *min_wake;
     }
   }
+  metrics_.available_processor_steps += Round{stepped_alive_};
   return metrics_;
 }
 

@@ -250,9 +250,11 @@ class Simulator final : public SimObservable, public StepEval {
   // Re-queries next_wake(now) for p (clamped forward to `now`) and updates
   // the cache.  "Run again next round" answers go straight onto next_step_
   // (the common case for active processes) and take p off the calendar;
-  // so does never (mail-only).  A u64 wake that stays in p's bucket only
-  // writes wake_[p]; one that changes bucket relinks p.  A promoted wake
-  // pushes an entry when p enters the tier or its wake moves earlier.
+  // so does never (mail-only).  Neither writes wake_[p]: it is read only
+  // for a process queued in a bucket or the promoted tier.  A u64 wake
+  // that stays in p's bucket only writes wake_[p]; one that changes bucket
+  // relinks p.  A promoted wake pushes an entry when p enters the tier or
+  // its wake moves earlier.
   void reschedule(std::size_t p, const Round& now);
   // Appends every process whose wake is at or before round r to the step
   // list, taking it off the queue.  Every queued wake is >= r here, so the
@@ -307,7 +309,9 @@ class Simulator final : public SimObservable, public StepEval {
   bool wants_msg_faults_ = false;  // cached FaultInjector::wants_message_faults
   DynBitset mail_bits_;
   bool mail_dirty_ = false;  // mail_bits_ has set bits to clear next delivery
-  std::vector<Round> wake_;                   // cached next_wake per process
+  // Cached next_wake per process; valid only while p is queued in a
+  // bucket or the promoted tier (bucket_[p] != kUnqueued).
+  std::vector<Round> wake_;
   // The wake calendar: each bucket an intrusive doubly linked list threaded
   // through next_/prev_ (-1 ends a list), headed by head_[b].
   std::uint64_t floor_ = 0;                   // round of the last due pop
@@ -320,7 +324,14 @@ class Simulator final : public SimObservable, public StepEval {
   std::vector<int> next_step_;                // fast path: wake == next round
   std::vector<std::uint8_t> queued_;          // step/next-step membership flags
   Round cur_round_;                           // round being stepped
-  Round next_round_;                          // cur_round_ + 1 while stepping; swapped in
+  // cur_round_ + 1 while stepping; swapped in to advance, so between rounds
+  // it holds the round stepped last (Round{0} before the first).
+  Round next_round_;
+  // Sum of alive_ over the stepped rounds not yet folded into
+  // RunMetrics::available_processor_steps: one u64 add per stepped round
+  // instead of a promoted one, folded at each fast-forward jump and when
+  // the loop exits.
+  std::uint64_t stepped_alive_ = 0;
   RunMetrics metrics_;
   bool ran_ = false;
 };

@@ -183,10 +183,10 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
           if (self == hang_proc)
             for (;;) ::pause();
           if (self == exit_proc) ::_exit(7);
-          const Round round = wire::decode_step(body);
-          const Action action =
-              proc->on_round(RoundContext{round, self}, InboxView(mail, self, !mail.empty()));
-          Round next = round;
+          const wire::StepMsg step = wire::decode_step(body);
+          const Action action = proc->on_round(RoundContext{step.round, self, step.stepped_index},
+                                               InboxView(mail, self, !mail.empty()));
+          Round next = step.round;
           ++next;
           if (!write_all(fd, wire::encode_reply(action, proc->next_wake(next),
                                                 proc->known_done_units())))
@@ -284,7 +284,7 @@ class SocketExecutor final : public StepExecutor {
   void on_retire(int proc, ProcState state, KillPoint kp) override;
 
   // Proxy hooks.
-  void post_step(int p, const Round& round, const InboxView& inbox);
+  void post_step(int p, const RoundContext& ctx, const InboxView& inbox);
   const Round& wake_of(int p) const { return conns_[static_cast<std::size_t>(p)].wake; }
   std::int64_t known_of(int p) const { return conns_[static_cast<std::size_t>(p)].known; }
 
@@ -329,7 +329,7 @@ class SocketExecutor final : public StepExecutor {
 };
 
 Action SocketProxyProcess::on_round(const RoundContext& ctx, const InboxView& inbox) {
-  coord_->post_step(self_, ctx.round, inbox);
+  coord_->post_step(self_, ctx, inbox);
   return Action{};  // placeholder; see class comment
 }
 
@@ -483,7 +483,7 @@ void SocketExecutor::start() {
   }
 }
 
-void SocketExecutor::post_step(int p, const Round& round, const InboxView& inbox) {
+void SocketExecutor::post_step(int p, const RoundContext& ctx, const InboxView& inbox) {
   std::string& out = outbox_[static_cast<std::size_t>(p)];
   for (const Msg& m : inbox) {
     const Payload* key = m.payload().get();
@@ -497,7 +497,7 @@ void SocketExecutor::post_step(int p, const Round& round, const InboxView& inbox
                .first;
     out += it->second;
   }
-  out += wire::encode_step(round);
+  out += wire::encode_step(ctx.round, ctx.stepped_index);
   pending_[static_cast<std::size_t>(p)] = 1;
   ++expected_;
 }

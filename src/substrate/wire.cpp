@@ -81,11 +81,11 @@ class Writer {
     u32(static_cast<std::uint32_t>(v.retired.size()));
     out_->append(reinterpret_cast<const char*>(v.retired.data()), v.retired.size());
     i64(v.point0);
-    round(v.round0);
+    u64(v.round0);
     u32(static_cast<std::uint32_t>(v.point.size()));
     for (int x : v.point) i32(x);
     u32(static_cast<std::uint32_t>(v.round.size()));
-    for (const Round& r : v.round) round(r);
+    for (std::uint64_t r : v.round) u64(r);
   }
 
   std::string* out_;
@@ -210,7 +210,7 @@ class BodyReader {
     std::memcpy(v.retired.data(), p_, nr);
     p_ += nr;
     v.point0 = i64();
-    v.round0 = round();
+    v.round0 = u64();
     const std::uint32_t np = u32();
     if (np > kMaxFrameLen) throw WireError("view size out of range");
     v.point.reserve(np);
@@ -218,7 +218,7 @@ class BodyReader {
     const std::uint32_t nq = u32();
     if (nq > kMaxFrameLen) throw WireError("view size out of range");
     v.round.reserve(nq);
-    for (std::uint32_t i = 0; i < nq; ++i) v.round.push_back(round());
+    for (std::uint32_t i = 0; i < nq; ++i) v.round.push_back(u64());
     return v;
   }
 
@@ -295,10 +295,11 @@ std::string encode_deliver(int from, MsgKind kind, const Round& sent_round,
   return frame(FrameType::kDeliver, body);
 }
 
-std::string encode_step(const Round& round) {
+std::string encode_step(const Round& round, std::uint64_t stepped_index) {
   std::string body;
   Writer w(&body);
   w.round(round);
+  w.u64(stepped_index);
   return frame(FrameType::kStep, body);
 }
 
@@ -367,11 +368,13 @@ DeliveryRecord decode_deliver(std::string_view body, int self) {
   return rec;
 }
 
-Round decode_step(std::string_view body) {
+StepMsg decode_step(std::string_view body) {
   BodyReader r(body);
-  Round round = r.round();
+  StepMsg m;
+  m.round = r.round();
+  m.stepped_index = r.u64();
   r.expect_end();
-  return round;
+  return m;
 }
 
 ReplyMsg decode_reply(std::string_view body) {

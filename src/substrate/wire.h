@@ -46,7 +46,7 @@ struct WireError : std::runtime_error {
 enum class FrameType : std::uint8_t {
   kHello = 1,    // worker -> coordinator: proc id, initial wake, known units
   kDeliver = 2,  // coordinator -> worker: one message of the round's mail
-  kStep = 3,     // coordinator -> worker: evaluate on_round for this round
+  kStep = 3,     // coordinator -> worker: evaluate on_round for this round and index
   kReply = 4,    // worker -> coordinator: the Action + next_wake + known units
   kKill = 5,     // coordinator -> worker: flush N torn bytes, then SIGKILL self
   kExit = 6,     // coordinator -> worker: clean shutdown
@@ -62,6 +62,12 @@ struct HelloMsg {
   std::int64_t known0 = 0;
 };
 
+// A step request: the round and its stepped index (RoundContext).
+struct StepMsg {
+  Round round;
+  std::uint64_t stepped_index = 0;
+};
+
 struct ReplyMsg {
   Action action;
   Round next_wake;
@@ -71,7 +77,7 @@ struct ReplyMsg {
 // Complete frames, ready to write.
 std::string encode_hello(const HelloMsg& h);
 std::string encode_deliver(int from, MsgKind kind, const Round& sent_round, const Payload* payload);
-std::string encode_step(const Round& round);
+std::string encode_step(const Round& round, std::uint64_t stepped_index);
 std::string encode_reply(const Action& action, const Round& next_wake, std::int64_t known);
 std::string encode_kill(std::uint32_t tear_bytes);
 std::string encode_exit();
@@ -82,7 +88,7 @@ HelloMsg decode_hello(std::string_view body);
 // Returns a record addressed to `self` alone (cut = 1) -- the wire does not
 // repeat the recipient id the coordinator already addressed the frame by.
 DeliveryRecord decode_deliver(std::string_view body, int self);
-Round decode_step(std::string_view body);
+StepMsg decode_step(std::string_view body);
 ReplyMsg decode_reply(std::string_view body);
 std::uint32_t decode_kill(std::string_view body);
 

@@ -49,19 +49,81 @@ TEST(ViewC, MergeKeepsFresherEntries) {
   a.retired = {0, 1, 0, 0};
   b.retired = {0, 0, 1, 0};
   a.point0 = 3;
-  a.round0 = Round{10};
+  a.round0 = 10;
   b.point0 = 5;
-  b.round0 = Round{20};
+  b.round0 = 20;
   a.point = {1, 2};
-  a.round = {Round{5}, Round{9}};
+  a.round = {5, 9};
   b.point = {3, 0};
-  b.round = {Round{7}, Round{2}};
+  b.round = {7, 2};
   a.merge(b);
   EXPECT_EQ(a.retired, (std::vector<std::uint8_t>{0, 1, 1, 0}));
   EXPECT_EQ(a.point0, 5);
   EXPECT_EQ(a.point[0], 3);  // b fresher
   EXPECT_EQ(a.point[1], 2);  // a fresher
   EXPECT_EQ(a.reduced(4), 5 - 1 + 2);
+}
+
+// Steps a hand-driven C process once: round `round`, stepped index `index`,
+// no mail.  Returns the OrdinaryC it reported, or null.
+std::shared_ptr<const Payload> step_alone(ProtocolCProcess& p, int self, const Round& round,
+                                          std::uint64_t index) {
+  const Action a = p.on_round(RoundContext{round, self, index}, InboxView());
+  for (const Outgoing& o : a.sends)
+    if (o.kind == MsgKind::kOrdinary) return o.payload;
+  return nullptr;
+}
+
+TEST(ProtocolC, MergeOrdersStampsAcrossSenders) {
+  // Naive C (no fault detection): a process works from its first active
+  // step and reports every unit into the level-1 group, so two reports are
+  // two steps.  t = 4, n = 4: process 3 takes over first, process 2 later.
+  const DoAllConfig cfg{4, 4};
+  const ProtocolCOptions naive{.batch_reports = false, .fault_detection = false};
+  ProtocolCProcess early(cfg, 3, naive);
+  ProtocolCProcess late(cfg, 2, naive);
+  const Round early_at = early.next_wake(Round{0});
+  const Round late_at = late.next_wake(Round{0});
+  ASSERT_LT(early_at, late_at);
+
+  // The early sender steps four times (units 1 and 2, each reported) at
+  // stepped rounds 10..13; the late one twice (unit 1, reported) at 20 and
+  // 21, knowing nothing of the first.  A per-process step count would stamp
+  // the early sender's last report 4 and the late sender's 2 -- the wrong
+  // order.
+  std::shared_ptr<const Payload> from_early;
+  Round r = early_at;
+  for (std::uint64_t i = 10; i <= 13; ++i, r += 1)
+    if (auto sent = step_alone(early, 3, r, i)) from_early = sent;
+  std::shared_ptr<const Payload> from_late;
+  r = late_at;
+  for (std::uint64_t i = 20; i <= 21; ++i, r += 1)
+    if (auto sent = step_alone(late, 2, r, i)) from_late = sent;
+  ASSERT_NE(from_early, nullptr);
+  ASSERT_NE(from_late, nullptr);
+  const ViewC& ve = dynamic_cast<const OrdinaryC&>(*from_early).view;
+  const ViewC& vl = dynamic_cast<const OrdinaryC&>(*from_late).view;
+  EXPECT_EQ(ve.round0, 12u);
+  EXPECT_EQ(ve.point0, 3);
+  EXPECT_EQ(vl.round0, 20u);
+  EXPECT_EQ(vl.point0, 2);
+  ASSERT_NE(ve.point[0], vl.point[0]);  // level 1: one group, index 0
+
+  // A passive receiver, process 0, gets both reports in one round, in
+  // either delivery order, and keeps the later-stamped entries.
+  for (bool late_first : {false, true}) {
+    SCOPED_TRACE(late_first ? "late report first" : "early report first");
+    ProtocolCProcess receiver(cfg, 0, naive);
+    std::vector<DeliveryRecord> recs{
+        DeliveryRecord{3, MsgKind::kOrdinary, 1, 0, from_early, Round{}},
+        DeliveryRecord{2, MsgKind::kOrdinary, 1, 0, from_late, Round{}}};
+    if (late_first) std::swap(recs[0], recs[1]);
+    receiver.on_round(RoundContext{r, 0, 22}, InboxView(recs, 0, true));
+    EXPECT_EQ(receiver.view().round0, 20u);
+    EXPECT_EQ(receiver.view().point0, 2);
+    EXPECT_EQ(receiver.view().round[0], 21u);
+    EXPECT_EQ(receiver.view().point[0], vl.point[0]);
+  }
 }
 
 TEST(ProtocolC, DeadlinesAreExponentiallySeparated) {

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -367,6 +370,197 @@ TEST(Simulator, IdleStepsCommitWithoutInspect) {
     }
     EXPECT_EQ(substrate::compare_metrics(runs[0], runs[1]), "") << name;
   }
+}
+
+// --- the stepped index and the per-round folds --------------------------------
+
+using IndexLog = std::vector<std::pair<Round, std::uint64_t>>;
+
+// Steps at the rounds of a fixed schedule, noting each step's (round,
+// stepped index) pair in its own slot of `logs` (slots are per process, so
+// pool workers never share one).  After its last scheduled round it
+// terminates, or with `linger` turns mail-only (no mail comes, so the run
+// deadlocks).  From `wedge_at` on, on_round spins until the round pool's
+// watchdog cancels the run.
+class ScheduleRecorder final : public IProcess {
+ public:
+  ScheduleRecorder(std::vector<Round> at, IndexLog* log, bool linger = false,
+                   std::optional<Round> wedge_at = std::nullopt)
+      : at_(std::move(at)), log_(log), linger_(linger), wedge_at_(std::move(wedge_at)) {}
+  Action on_round(const RoundContext& ctx, const InboxView&) override {
+    log_->emplace_back(ctx.round, ctx.stepped_index);
+    if (wedge_at_ && ctx.round >= *wedge_at_) {
+      while (!run_cancelled()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return Action::none();
+    }
+    while (next_ < at_.size() && at_[next_] <= ctx.round) ++next_;
+    Action a;
+    a.work = 1;
+    a.terminate = next_ == at_.size() && !linger_;
+    return a;
+  }
+  Round next_wake(const Round& now) const override {
+    if (next_ == at_.size()) return never_round();
+    return at_[next_] > now ? at_[next_] : now;
+  }
+
+ private:
+  std::vector<Round> at_;
+  std::size_t next_ = 0;
+  IndexLog* log_;
+  bool linger_;
+  std::optional<Round> wedge_at_;
+};
+
+// Three overlapping schedules whose stepped rounds are 0, 1, 2, 10,
+// 2^64 - 1, 2^64, 2^64 + 5, 2^64 + 6, 2^70 and 2^100: fast-forward jumps
+// below, across and past 2^64, and consecutive rounds on both sides of it.
+std::vector<std::vector<Round>> crossing_schedules() {
+  const Round big = Round::pow2(64);
+  return {{Round{0}, Round{1}, Round{2}, big + Round{5}, big + Round{6}, Round::pow2(70)},
+          {Round{1}, Round{10}, big + Round{6}, Round::pow2(100)},
+          {Round{2}, Round{UINT64_MAX}, big, big + Round{5}}};
+}
+
+// Runs one ScheduleRecorder per schedule, serially or on a RoundPool of
+// `threads`, and returns every process's log.
+std::vector<IndexLog> run_recorders(const std::vector<std::vector<Round>>& schedules,
+                                    int threads) {
+  std::vector<IndexLog> logs(schedules.size());
+  std::vector<std::unique_ptr<IProcess>> procs;
+  for (std::size_t p = 0; p < schedules.size(); ++p)
+    procs.push_back(std::make_unique<ScheduleRecorder>(schedules[p], &logs[p]));
+  Simulator sim(std::move(procs), std::make_unique<NoFaults>(), {});
+  std::optional<RoundPool> pool;
+  if (threads > 1) sim.set_step_executor(&pool.emplace(threads, /*min_steps_per_shard=*/1));
+  const RunMetrics m = sim.run();
+  EXPECT_TRUE(m.all_retired);
+  EXPECT_EQ(m.stepped_rounds, 10u);
+  return logs;
+}
+
+TEST(Simulator, SteppedIndexCountsSteppedRounds) {
+  const std::vector<IndexLog> serial = run_recorders(crossing_schedules(), 1);
+  // Merged in round order, the pairs number the stepped rounds 1..k: every
+  // process stepped in one round reads that round's index, and the index
+  // rises by one per stepped round however far the clock jumps.
+  std::map<Round, std::uint64_t> index_of;
+  for (const IndexLog& log : serial) {
+    for (const auto& [round, index] : log) {
+      const auto [it, fresh] = index_of.emplace(round, index);
+      EXPECT_EQ(it->second, index) << "round " << round.to_string();
+    }
+  }
+  ASSERT_EQ(index_of.size(), 10u);
+  std::uint64_t want = 1;
+  for (const auto& [round, index] : index_of) EXPECT_EQ(index, want++) << round.to_string();
+  EXPECT_EQ(index_of.rbegin()->first, Round::pow2(100));
+  // A process's own log is in step order, so its indexes rise too.
+  for (const IndexLog& log : serial)
+    for (std::size_t i = 1; i < log.size(); ++i) EXPECT_LT(log[i - 1].second, log[i].second);
+
+  // Pool workers read the same index the serial loop hands out.
+  EXPECT_EQ(run_recorders(crossing_schedules(), 2), serial);
+}
+
+// Keeps the per-round reference the simulator's folds must equal: the
+// stepped rounds in order, and available_processor_steps summed as the
+// simulator once did -- the live count at each stepped round, plus each
+// fast-forward gap times the live count across it.
+class FoldReference final : public FaultInjector {
+ public:
+  FoldReference(std::vector<Round>* rounds, Round* processor_steps)
+      : rounds_(rounds), steps_(processor_steps) {}
+  void attach(const SimObservable& sim) override { sim_ = &sim; }
+  void on_round_start(const Round& round) override {
+    std::uint64_t alive = 0;
+    for (int p = 0; p < sim_->num_procs(); ++p) alive += sim_->is_active(p) ? 1 : 0;
+    if (!rounds_->empty()) {
+      const Round floor = rounds_->back() + Round{1};
+      if (round > floor) *steps_ += (round - floor) * alive;
+    }
+    *steps_ += Round{alive};
+    rounds_->push_back(round);
+  }
+  std::optional<CrashPlan> inspect(int, const Round&, const Action&, const SimSnapshot&) override {
+    return std::nullopt;
+  }
+
+ private:
+  const SimObservable* sim_ = nullptr;
+  std::vector<Round>* rounds_;
+  Round* steps_;
+};
+
+TEST(Simulator, PerRoundFoldsAreExact) {
+  const Round big = Round::pow2(64);
+  struct Case {
+    std::string name;
+    std::vector<std::vector<Round>> schedules;
+    bool linger = false;
+    std::uint64_t cap = 50'000'000;
+  };
+  const std::vector<Case> cases = {
+      {"all retired", crossing_schedules()},
+      // The cap stops the run right after a promoted round.
+      {"round cap",
+       {{Round{0}, Round{1}, Round{5}, Round{6}, big + Round{1}, big + Round{2}, big + Round{3}},
+        {Round{2}, big + Round{2}, Round::pow2(80)}},
+       false,
+       7},
+      {"deadlock", {{Round{0}, Round{7}, Round::pow2(65)}, {Round{7}, Round{9}}}, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Round> rounds;
+    Round processor_steps;
+    std::vector<IndexLog> logs(c.schedules.size());
+    std::vector<std::unique_ptr<IProcess>> procs;
+    for (std::size_t p = 0; p < c.schedules.size(); ++p)
+      procs.push_back(std::make_unique<ScheduleRecorder>(c.schedules[p], &logs[p], c.linger));
+    Simulator::Options opts;
+    opts.max_stepped_rounds = c.cap;
+    Simulator sim(std::move(procs), std::make_unique<FoldReference>(&rounds, &processor_steps),
+                  opts);
+    const RunMetrics m = sim.run();
+    EXPECT_EQ(m.hit_round_cap, c.cap < 50'000'000);
+    EXPECT_EQ(m.deadlocked, c.linger);
+    ASSERT_EQ(m.stepped_rounds, rounds.size());
+    EXPECT_EQ(m.last_retire_round, rounds.back());
+    EXPECT_EQ(m.available_processor_steps, processor_steps);
+    EXPECT_GE(m.fast_forward_jumps, 2u);
+  }
+
+  // The watchdog-abort exit: the aborted round committed nothing, so the
+  // last round reported is the one stepped before it -- here a promoted
+  // round, reached by a jump past 2^64 -- while the aborted round's live
+  // processes still count as available (the round was entered).
+  SCOPED_TRACE("watchdog abort");
+  const std::vector<std::vector<Round>> schedules = {
+      {Round{0}, Round{1}, big + Round{9}, big + Round{10}},
+      {Round{1}, big + Round{9}, big + Round{10}}};
+  std::vector<IndexLog> logs(schedules.size());
+  ProtocolInfo info;
+  info.name = "wedge_after_a_jump";
+  info.make_proc = [&](const DoAllConfig&, int self) -> std::unique_ptr<IProcess> {
+    const std::size_t p = static_cast<std::size_t>(self);
+    return std::make_unique<ScheduleRecorder>(schedules[p], &logs[p], false,
+                                              big + Round{10});
+  };
+  std::vector<Round> rounds;
+  Round processor_steps;
+  RunOptions opts;
+  opts.backend = Backend::kPool;
+  opts.live.watchdog_ms = 200;
+  const RunResult r = run_do_all(info, DoAllConfig{2, 2},
+                                 std::make_unique<FoldReference>(&rounds, &processor_steps), opts);
+  ASSERT_TRUE(r.metrics.aborted) << r.metrics.aborted_reason;
+  EXPECT_FALSE(r.stats.leaked);
+  // on_round_start saw the aborted round too; stepped_rounds did not.
+  ASSERT_EQ(rounds.size(), r.metrics.stepped_rounds + 1);
+  EXPECT_EQ(rounds.back(), big + Round{10});
+  EXPECT_EQ(r.metrics.last_retire_round, big + Round{9});
+  EXPECT_EQ(r.metrics.available_processor_steps, processor_steps);
 }
 
 // --- wake queue vs a brute-force scheduler ----------------------------------

@@ -12,6 +12,7 @@
 // worker loop instead of re-running the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 
 #include "core/runner.h"
 #include "harness/fault_spec.h"
+#include "protocols/protocol_c.h"
 #include "substrate/differential.h"
 #include "substrate/socket_substrate.h"
 
@@ -107,6 +109,76 @@ TEST(SocketSubstrateTest, DCoordRevertMatchesAcrossTheWorkerBoundary) {
       expect_socket_differential_ok("D_coord", 64, 8, FaultSpec::scheduled(std::move(entries)));
   EXPECT_GT(d.live.metrics.messages_of(MsgKind::kCheckpoint), 0u);  // Protocol A ran
   EXPECT_EQ(d.live.metrics.work_total, 77u);
+}
+
+// Forwards every decision to `inner` and notes, for each ordinary message
+// a step commits, its round, the number of stepped rounds started so far,
+// and the freshest stamp its view carries.  A report stamps its own group
+// entry with the round's stepped index and every other stamp is older, so
+// the freshest stamp is the index of the round it was sent in.
+struct StampNote {
+  Round round;
+  std::uint64_t started = 0;
+  std::uint64_t freshest = 0;
+  bool operator==(const StampNote&) const = default;
+};
+
+class StampRecorder final : public FaultInjector {
+ public:
+  StampRecorder(std::unique_ptr<FaultInjector> inner, std::vector<StampNote>* notes)
+      : inner_(std::move(inner)), notes_(notes) {}
+  void attach(const SimObservable& sim) override { inner_->attach(sim); }
+  void on_round_start(const Round& round) override {
+    ++started_;
+    inner_->on_round_start(round);
+  }
+  std::optional<CrashPlan> inspect(int proc, const Round& round, const Action& action,
+                                   const SimSnapshot& snap) override {
+    for (const Outgoing& o : action.sends) {
+      const auto* m = detail::payload_as<OrdinaryC>(o.payload.get());
+      if (m == nullptr) continue;
+      std::uint64_t freshest = m->view.round0;
+      for (std::uint64_t stamp : m->view.round) freshest = std::max(freshest, stamp);
+      notes_->push_back(StampNote{round, started_, freshest});
+    }
+    return inner_->inspect(proc, round, action, snap);
+  }
+
+ private:
+  std::unique_ptr<FaultInjector> inner_;
+  std::vector<StampNote>* notes_;
+  std::uint64_t started_ = 0;
+};
+
+TEST(SocketSubstrateTest, SteppedIndexCrossesTheWorkerBoundary) {
+  // n + t = 64 puts C's first takeover past 2^64, and a cascade crashes
+  // two active processes in turn: the reports' rounds are promoted and
+  // fast-forward jumps separate them.  On every executor -- the serial
+  // simulator, the supervised round pool's worker threads, and worker OS
+  // processes reading the index from their step frames -- each report
+  // carries its round's stepped index, and all three note the same reports.
+  const DoAllConfig cfg{60, 4};
+  std::vector<StampNote> notes[3];
+  const Backend backends[3] = {Backend::kSim, Backend::kPool, Backend::kSocket};
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("backend " + std::to_string(i));
+    RunOptions opts;
+    opts.backend = backends[i];
+    const RunResult r = run_do_all(
+        "C", cfg,
+        std::make_unique<StampRecorder>(FaultSpec::cascade(3, 2, /*prefix=*/0).make(), &notes[i]),
+        opts);
+    EXPECT_EQ(r.violation, "");
+    EXPECT_GT(r.metrics.crashes, 0u);
+    if (backends[i] == Backend::kSocket) {
+      EXPECT_EQ(r.stats.threads, cfg.t);
+    }
+  }
+  ASSERT_GE(notes[0].size(), 10u);
+  EXPECT_FALSE(notes[0].back().round.fits_u64());
+  for (const StampNote& n : notes[0]) EXPECT_EQ(n.freshest, n.started) << n.round.to_string();
+  EXPECT_EQ(notes[1], notes[0]) << "round pool";
+  EXPECT_EQ(notes[2], notes[0]) << "socket";
 }
 
 TEST(SocketSubstrateTest, TcpTransportMatchesToo) {

@@ -56,9 +56,9 @@ TEST(WireTest, HelloRoundTripsIncludingPromotedWake) {
 
 TEST(WireTest, StepAndKillAndExitRoundTrip) {
   {
-    auto [type, body] = read_one(encode_step(Round{42}), true);
+    auto [type, body] = read_one(encode_step(Round{42}, 7), true);
     EXPECT_EQ(type, FrameType::kStep);
-    EXPECT_EQ(decode_step(body), Round{42});
+    EXPECT_EQ(decode_step(body).round, Round{42});
   }
   {
     auto [type, body] = read_one(encode_kill(17), true);
@@ -72,15 +72,40 @@ TEST(WireTest, StepAndKillAndExitRoundTrip) {
   }
 }
 
+// The worker's RoundContext gets the coordinator's stepped index, not one
+// of its own: the step frame carries it beside the round, including a
+// promoted round, and an index at the top of the u64 range.
+TEST(WireTest, StepFrameCarriesTheSteppedIndex) {
+  const std::pair<Round, std::uint64_t> cases[] = {
+      {Round{0}, 1},
+      {Round{42}, 7},
+      {Round::pow2(300) + Round{5}, 123456789},
+      {Round{UINT64_MAX}, UINT64_MAX},
+  };
+  for (const auto& [round, index] : cases) {
+    for (bool trickle : {false, true}) {
+      auto [type, body] = read_one(encode_step(round, index), trickle);
+      EXPECT_EQ(type, FrameType::kStep);
+      const StepMsg got = decode_step(body);
+      EXPECT_EQ(got.round, round);
+      EXPECT_EQ(got.stepped_index, index);
+    }
+  }
+  // A step frame without its index is truncated, not index 0.
+  std::string body = read_one(encode_step(Round{3}, 9), false).second;
+  body.resize(body.size() - 8);
+  EXPECT_THROW(decode_step(body), WireError);
+}
+
 // One deliver round-trip per payload of the closed set, including the
 // zero-field payloads (GoAhead, PollC, PollReplyC) and the null payload.
 TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
   ViewC view;
   view.retired = {1, 0, 0, 1};
   view.point0 = 9;
-  view.round0 = Round::pow2(90);  // Protocol C's exponential deadlines
+  view.round0 = 90;  // stamps are stepped-round indexes, however wide the clock
   view.point = {3, -1};
-  view.round = {Round{5}, Round::pow2(70) + Round{1}};
+  view.round = {5, UINT64_MAX};
 
   DynBitset s(5);
   s.set(0);
@@ -121,7 +146,33 @@ TEST(WireTest, DeliverRoundTripsEveryPayloadKind) {
     ASSERT_NE(e.payload, nullptr);
     // Exact dynamic type survives (payload_as is typeid-exact).
     EXPECT_EQ(typeid(*e.payload).name(), std::string(typeid(*c.payload).name()));
+    if (const auto* o = detail::payload_as<OrdinaryC>(e.payload.get())) {
+      EXPECT_EQ(o->view.retired, view.retired);
+      EXPECT_EQ(o->view.point0, view.point0);
+      EXPECT_EQ(o->view.round0, view.round0);
+      EXPECT_EQ(o->view.point, view.point);
+      EXPECT_EQ(o->view.round, view.round);
+    }
   }
+}
+
+// An ordinary message's view is the codec's one variable-length payload:
+// every proper prefix of its frame body must be rejected, never decoded
+// into a short view.
+TEST(WireTest, TruncatedViewFrameIsRejected) {
+  ViewC view;
+  view.retired = {0, 1, 0, 0};
+  view.point0 = 3;
+  view.round0 = 17;
+  view.point = {1, 3, 2};
+  view.round = {18, 4, 0};
+  const OrdinaryC ordinary(view);
+  const std::string body =
+      read_one(encode_deliver(1, MsgKind::kOrdinary, Round{2}, &ordinary), false).second;
+  ASSERT_NO_THROW(decode_deliver(body, 0));
+  for (std::size_t len = 0; len < body.size(); ++len)
+    EXPECT_THROW(decode_deliver(std::string_view(body).substr(0, len), 0), WireError)
+        << "truncated to " << len << " of " << body.size() << " bytes";
 }
 
 // The two checkpoint forms share one payload type but keep their own frames:
@@ -328,7 +379,7 @@ TEST(WireTest, ReplyPreservesPayloadSharingAcrossSends) {
 
 TEST(WireTest, FrameReaderReassemblesBackToBackFramesFromAnySplit) {
   const std::string stream =
-      encode_step(Round{1}) + encode_exit() + encode_kill(3) + encode_step(Round::pow2(80));
+      encode_step(Round{1}, 1) + encode_exit() + encode_kill(3) + encode_step(Round::pow2(80), 2);
   // Split the stream at every position: both halves fed separately must
   // yield the identical frame sequence.
   for (std::size_t split = 0; split <= stream.size(); ++split) {
@@ -388,7 +439,7 @@ TEST(WireTest, MalformedBytesAreStructuredErrors) {
   // Truncated body and trailing garbage at the decoder layer.
   EXPECT_THROW(decode_hello(std::string_view("ab")), WireError);
   {
-    auto [type, body] = read_one(encode_step(Round{3}), false);
+    auto [type, body] = read_one(encode_step(Round{3}, 1), false);
     body.push_back('\0');
     EXPECT_THROW(decode_step(body), WireError);
   }
