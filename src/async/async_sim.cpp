@@ -3,10 +3,10 @@
 namespace dowork {
 
 AsyncSim::AsyncSim(std::vector<std::unique_ptr<IAsyncProcess>> procs, Options options,
-                   std::vector<std::optional<CrashSpec>> crash_specs)
+                   std::unique_ptr<FaultInjector> faults)
     : procs_(std::move(procs)),
       opt_(options),
-      crash_specs_(std::move(crash_specs)),
+      faults_(std::move(faults)),
       rng_(options.seed),
       net_model_([&] {
         // Latency normalization: an unset latency component means the
@@ -21,8 +21,6 @@ AsyncSim::AsyncSim(std::vector<std::unique_ptr<IAsyncProcess>> procs, Options op
         return n;
       }()) {
   const std::size_t t = procs_.size();
-  crash_specs_.resize(t);
-  action_count_.assign(t, 0);
   retired_.assign(t, false);
   alive_ = static_cast<int>(t);
   metrics_.unit_multiplicity.assign(static_cast<std::size_t>(opt_.n_units), 0);
@@ -61,16 +59,17 @@ AsyncMetrics AsyncSim::run() {
     const std::size_t p = static_cast<std::size_t>(qe.target);
     if (retired_[p]) continue;
 
-    AsyncAction a = procs_[p]->on_event(qe.time, qe.event);
+    const AsyncAction step = procs_[p]->on_event(qe.time, qe.event);
+    const Action& a = step.action;
 
-    std::optional<CrashSpec> crash;
+    // A terminate-only action (a passive process retiring on completion) is
+    // never inspected, so it takes no (process, k-th action) ordinal.
+    std::optional<CrashPlan> crash;
     if (a.work || !a.sends.empty()) {
-      // Non-trivial action (work or sends): count it against the crash spec.
-      if (crash_specs_[p] && ++action_count_[p] >= crash_specs_[p]->on_nth_action &&
-          alive_ > 1) {
-        crash = crash_specs_[p];
-        crash_specs_[p].reset();
-      }
+      crash = faults_->inspect(static_cast<int>(p), Round{qe.time}, a,
+                               SimSnapshot{static_cast<int>(procs_.size()), alive_,
+                                           static_cast<int>(metrics_.crashes)});
+      if (crash && alive_ <= 1) crash.reset();  // the last survivor never crashes
     }
 
     if (a.work && (!crash || crash->work_completes)) {
@@ -121,10 +120,10 @@ AsyncMetrics AsyncSim::run() {
       retire(static_cast<int>(p), qe.time, /*crashed=*/true);
     } else if (a.terminate) {
       retire(static_cast<int>(p), qe.time, /*crashed=*/false);
-    } else if (a.timer) {
+    } else if (step.timer) {
       AsyncEvent e;
       e.kind = AsyncEvent::Kind::kTimer;
-      schedule(qe.time + *a.timer, static_cast<int>(p), std::move(e));
+      schedule(qe.time + *step.timer, static_cast<int>(p), std::move(e));
     }
     metrics_.end_time = qe.time;
   }

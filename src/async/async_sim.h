@@ -20,6 +20,7 @@
 #include <queue>
 #include <vector>
 
+#include "sim/fault_injector.h"
 #include "sim/message.h"
 #include "sim/network_model.h"
 #include "util/rng.h"
@@ -39,10 +40,9 @@ struct AsyncEvent {
   int retired_proc = -1;
 };
 
+// The synchronous Action (what the fault injector inspects) plus pacing.
 struct AsyncAction {
-  std::optional<std::int64_t> work;
-  std::vector<Outgoing> sends;
-  bool terminate = false;
+  Action action;
   // Request a kTimer event this many ticks from now (used by active
   // processes to pace one operation per step).
   std::optional<ATime> timer;
@@ -90,19 +90,11 @@ class AsyncSim {
     NetSpec net;
   };
 
-  // crash_after_actions[p] (if set) crashes process p on its k-th non-idle
-  // action; the crash suppresses that action's work and truncates its
-  // messages to the given prefix of the flattened recipient sequence
-  // (sends in order, each audience ascending -- the synchronous
-  // simulator's prefix-cut semantics).
-  struct CrashSpec {
-    std::uint64_t on_nth_action = 1;
-    std::size_t deliver_prefix = 0;
-    bool work_completes = false;
-  };
-
+  // `faults` inspects each action that works or sends (decision point 3
+  // only: no SimObservable, no message faults); its CrashPlan applies as on
+  // the synchronous simulator, and the last survivor never crashes.
   AsyncSim(std::vector<std::unique_ptr<IAsyncProcess>> procs, Options options,
-           std::vector<std::optional<CrashSpec>> crash_specs = {});
+           std::unique_ptr<FaultInjector> faults);
 
   AsyncMetrics run();
 
@@ -122,8 +114,7 @@ class AsyncSim {
 
   std::vector<std::unique_ptr<IAsyncProcess>> procs_;
   Options opt_;
-  std::vector<std::optional<CrashSpec>> crash_specs_;
-  std::vector<std::uint64_t> action_count_;
+  std::unique_ptr<FaultInjector> faults_;
   std::vector<bool> retired_;
   int alive_;
   Rng rng_;

@@ -15,9 +15,8 @@ namespace {
 
 // The synchronous core's step, paced one operation per timer tick.
 AsyncAction paced(Action a) {
-  AsyncAction out{std::move(a.work), std::move(a.sends), a.terminate, std::nullopt};
-  if (!out.terminate) out.timer = 1;
-  return out;
+  const bool terminate = a.terminate;
+  return AsyncAction{std::move(a), terminate ? std::nullopt : std::optional<ATime>{1}};
 }
 
 }  // namespace
@@ -48,11 +47,11 @@ AsyncAction AsyncProtocolAProcess::on_event(ATime, const AsyncEvent& event) {
 }
 
 AsyncMetrics run_async_protocol_a(const DoAllConfig& cfg, AsyncSim::Options options,
-                                  std::vector<std::optional<AsyncSim::CrashSpec>> crashes) {
+                                  std::unique_ptr<FaultInjector> faults) {
   options.n_units = cfg.n;
   std::vector<std::unique_ptr<IAsyncProcess>> procs;
   for (int i = 0; i < cfg.t; ++i) procs.push_back(std::make_unique<AsyncProtocolAProcess>(cfg, i));
-  AsyncSim sim(std::move(procs), options, std::move(crashes));
+  AsyncSim sim(std::move(procs), options, std::move(faults));
   return sim.run();
 }
 

@@ -31,7 +31,8 @@ class AsyncProtocolAProcess final : public IAsyncProcess {
 };
 
 // Convenience harness mirroring run_do_all for the async model.
-AsyncMetrics run_async_protocol_a(const DoAllConfig& cfg, AsyncSim::Options options,
-                                  std::vector<std::optional<AsyncSim::CrashSpec>> crashes = {});
+AsyncMetrics run_async_protocol_a(
+    const DoAllConfig& cfg, AsyncSim::Options options,
+    std::unique_ptr<FaultInjector> faults = std::make_unique<NoFaults>());
 
 }  // namespace dowork

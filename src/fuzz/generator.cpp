@@ -153,8 +153,6 @@ void attach_fuzz_bounds(Scenario& s, int tighten_pct) {
   }
   const int t = s.cfg.t;
   int budget = crash_budget_of(s.faults);
-  if (s.substrate == Substrate::kAsync)
-    budget = static_cast<int>(s.param_or("crashes", s.cfg.t - 1));
   if (s.protocol == "D") budget = std::min(budget, std::max(0, t / 2 - 1));
   const bool async = s.substrate == Substrate::kAsync;
   for (const auto& [key, bound] : harness::paper_bounds(bounds_protocol(s), s.cfg.n, t, budget)) {
@@ -188,8 +186,12 @@ Scenario generate_case(const GeneratorOptions& opts, int index) {
     const int max_delay = pick(rng, 2, 20);
     s.params["max_delay"] = max_delay;
     s.params["fd_delay"] = pick(rng, max_delay, 4 * max_delay);
-    s.params["crashes"] = pick(rng, 0, t - 1);
-    s.params["crash_after"] = pick(rng, 1, static_cast<int>(ceil_div(n, t)) + 4);
+    // Processes 0..crashes-1 each crash on their kth working or sending
+    // step, the unit completing and two sends escaping.
+    const int crashes = pick(rng, 0, t - 1);
+    const int kth = pick(rng, 1, static_cast<int>(ceil_div(n, t)) + 4);
+    s.faults =
+        FaultSpec::first_procs_crash(crashes, static_cast<std::uint64_t>(kth), CrashPlan{true, 2});
     // Async weather: latency only (it replaces the substrate's own delay
     // draw); loss against an asynchronous failure detector can starve the
     // run, so the generator leaves it to the directed network families.
@@ -198,7 +200,7 @@ Scenario generate_case(const GeneratorOptions& opts, int index) {
       net.lat_min = 1;
       net.lat_max = static_cast<std::uint64_t>(pick(rng, 2, 12));
       net.seed = rng.uniform(1, 100000);
-      s.faults = FaultSpec::none().with_net(net);
+      s.faults = s.faults.with_net(net);
     }
   } else {
     s.substrate = Substrate::kSync;

@@ -14,7 +14,6 @@ namespace {
 
 using harness::FaultSpec;
 using harness::Scenario;
-using harness::Substrate;
 
 // Apply `f` to the crash component's budget knob, whatever the kind.
 void map_budget(FaultSpec& spec, const std::function<int(int)>& f) {
@@ -48,7 +47,6 @@ std::int64_t size_of(const Scenario& s) {
   if (const auto* a = std::get_if<harness::AdaptiveSpec>(&s.faults.crash))
     sz += a->max_message_faults;
   sz += net_components(s.faults.net);
-  if (s.substrate == Substrate::kAsync) sz += s.param_or("crashes", s.cfg.t - 1);
   return sz;
 }
 
@@ -78,12 +76,6 @@ void normalize(Scenario& s, int tighten_pct) {
                 [](const PartitionWindow& w) { return w.until <= w.from; });
   for (PartitionWindow& w : s.faults.net.partitions)
     w.split = std::clamp(w.split, 1, std::max(1, t - 1));
-  if (s.substrate == Substrate::kAsync) {
-    if (auto it = s.params.find("crashes"); it != s.params.end())
-      it->second = std::clamp<std::int64_t>(it->second, 0, t - 1);
-    if (auto it = s.params.find("crash_after"); it != s.params.end())
-      it->second = std::max<std::int64_t>(1, it->second);
-  }
   attach_fuzz_bounds(s, tighten_pct);
 }
 
@@ -116,9 +108,6 @@ std::vector<Scenario> candidates(const Scenario& cur) {
   push([](Scenario& s) { s.faults.net.drop = 0.0; });
   push([](Scenario& s) { s.faults.net.lat_min = s.faults.net.lat_max = 0; });
   push([](Scenario& s) { s.faults.crash = std::monostate{}; });
-  push([](Scenario& s) {
-    if (auto it = s.params.find("crashes"); it != s.params.end()) it->second /= 2;
-  });
   return out;
 }
 

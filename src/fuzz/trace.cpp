@@ -174,7 +174,7 @@ harness::Scenario Trace::to_scenario(bool frozen) const {
   s.seed = seed;
   s.repetitions = 1;
   s.params = params;
-  if (frozen && s.substrate == harness::Substrate::kSync) {
+  if (frozen) {
     // Copy the decisions by value into the closure: the scenario stays
     // self-contained after the Trace goes away.
     s.injector_override = [crashes = crashes, messages = message_faults](std::uint64_t) {

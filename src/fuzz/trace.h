@@ -19,12 +19,12 @@
 // Replaying a trace through the unchanged simulator reproduces the recorded
 // run bit-for-bit: same rows, same margins, same violation text.
 //
+// The async substrate takes its crashes through the same decision point, so
+// an async trace carries them as well; its message delays are seeded, like
+// the network draws.
+//
 // Traces serialize to a line-oriented text format (docs/FUZZING.md) so a CI
 // campaign artifact can be replayed locally:  `dowork_fuzz --replay FILE`.
-//
-// The async substrate takes no injector decisions (its crash schedule and
-// delays are pure functions of the scenario params and seed), so an async
-// trace has no decisions and replay(frozen) == rerun.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,9 @@ struct Trace {
 
   // Rebuild the Scenario this trace describes.  With frozen = true the
   // scenario's injector_override is a ScheduledFaults over the recorded
-  // decisions (sync substrate only -- async takes no decisions); with
-  // frozen = false the spec's own injector is rebuilt and the run is
-  // re-derived from seeds alone.  Both must reproduce `outcome` exactly.
+  // decisions; with frozen = false the spec's own injector is rebuilt and
+  // the run is re-derived from seeds alone.  Both must reproduce `outcome`
+  // exactly.
   harness::Scenario to_scenario(bool frozen) const;
 
   friend bool operator==(const Trace&, const Trace&) = default;

@@ -53,6 +53,12 @@ FaultSpec chunk_cascade(std::int64_t n, int t) {
   return FaultSpec::cascade(u(ceil_div(n, int_sqrt_ceil(t)) + 1), t - 1, /*prefix=*/1);
 }
 
+// The async rows' schedule: processes 0..crashes-1 each die on their
+// (ceil(n/t) + 3)-th step, the unit completing and two sends escaping.
+FaultSpec async_crashes(std::int64_t n, int t, int crashes) {
+  return FaultSpec::first_procs_crash(crashes, u(ceil_div(n, t) + 3), CrashPlan{true, 2});
+}
+
 // --- F1: checkpoint-frequency sweep ----------------------------------------
 
 std::vector<Scenario> checkpoint_sweep_scenarios() {
@@ -325,11 +331,11 @@ std::vector<Scenario> adversary_search_scenarios() {
       s.protocol = "A_async";
       s.cfg = DoAllConfig{n, t};
       s.seed = u(900 + pct);
-      s.faults = FaultSpec::none().with_net(NetSpec::lossy(pct / 100.0, u(pct)));
-      s.id = s.group + "/" + s.faults.to_string();
+      const NetSpec net = NetSpec::lossy(pct / 100.0, u(pct));
+      s.id = s.group + "/" + FaultSpec::none().with_net(net).to_string();
+      s.faults = async_crashes(n, t, t / 2).with_net(net);
       s.repetitions = 2;
       s.params["max_delay"] = 10;
-      s.params["crashes"] = t / 2;
       s.params["report_bounds"] = 1;
       s.params["bound_work_3n"] = 3 * n;
       s.params["bound_msgs_9tsqrt"] = 9 * t * int_sqrt_ceil(t);
@@ -384,10 +390,9 @@ std::vector<Scenario> wan_latency_scenarios() {
     s.protocol = "A_async";
     s.cfg = DoAllConfig{n, t};
     s.seed = u(7000 + hi);
-    s.faults = FaultSpec::none().with_net(NetSpec::latency(1, hi, u(hi)));
-    s.id = s.group + "/" + s.faults.to_string();
-    s.params["crashes"] = t - 1;
-    s.params["crash_after"] = ceil_div(n, t) + 3;
+    const NetSpec net = NetSpec::latency(1, hi, u(hi));
+    s.id = s.group + "/" + FaultSpec::none().with_net(net).to_string();
+    s.faults = async_crashes(n, t, t - 1).with_net(net);
     s.params["report_bounds"] = 1;
     s.params["bound_work_3n"] = 3 * n;
     s.params["bound_msgs_9tsqrt"] = 9 * t * s_;
@@ -504,8 +509,7 @@ std::vector<Scenario> async_scenarios() {
       s.seed = u(delay * 1000 + fd);
       s.params["max_delay"] = delay;
       s.params["fd_delay"] = fd;
-      s.params["crashes"] = t - 1;
-      s.params["crash_after"] = ceil_div(n, t) + 3;
+      s.faults = async_crashes(n, t, t - 1);
       s.params["bound_work_3n"] = 3 * n;
       s.params["bound_msgs_9tsqrt"] = 9 * t * int_sqrt_ceil(t);
       out.push_back(std::move(s));
@@ -561,7 +565,7 @@ std::vector<Scenario> related_models_scenarios() {
     s.substrate = Substrate::kSharedMem;
     s.protocol = "write_all";
     s.cfg = DoAllConfig{n, t};
-    s.params["crashes"] = t - 1;
+    s.faults = FaultSpec::first_procs_crash(t - 1, u(2 * ceil_div(n, t) + 3), CrashPlan{true, 0});
     s.params["bound_effort_2n_3t"] = 2 * n + 3 * t;
     out.push_back(std::move(s));
   }
@@ -811,7 +815,7 @@ std::vector<Scenario> smoke_scenarios() {
     s.seed = 7;
     s.params["max_delay"] = 5;
     s.params["fd_delay"] = 10;
-    s.params["crashes"] = t / 2;
+    s.faults = async_crashes(n, t, t / 2);
     out.push_back(std::move(s));
   }
   {
@@ -821,7 +825,7 @@ std::vector<Scenario> smoke_scenarios() {
     s.substrate = Substrate::kSharedMem;
     s.protocol = "write_all";
     s.cfg = DoAllConfig{n, t};
-    s.params["crashes"] = t - 1;
+    s.faults = FaultSpec::first_procs_crash(t - 1, u(2 * ceil_div(n, t) + 3), CrashPlan{true, 0});
     out.push_back(std::move(s));
   }
   {

@@ -336,6 +336,13 @@ FaultSpec FaultSpec::scheduled(std::vector<ScheduledFaults::Entry> entries) {
   return s;
 }
 
+FaultSpec FaultSpec::first_procs_crash(int procs, std::uint64_t nth_action, CrashPlan plan) {
+  if (procs <= 0) return none();
+  std::vector<ScheduledFaults::Entry> entries;
+  for (int p = 0; p < procs; ++p) entries.push_back({p, nth_action, plan});
+  return scheduled(std::move(entries));
+}
+
 FaultSpec FaultSpec::adaptive(const std::string& strategy, int crashes, std::uint64_t seed,
                               int jam) {
   if (!adversary::is_strategy(strategy))

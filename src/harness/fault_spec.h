@@ -177,6 +177,9 @@ struct FaultSpec {
   static FaultSpec on_unit(std::int64_t unit, int crashes, std::size_t prefix = 0);
   static FaultSpec random(double p, int crashes, std::uint64_t seed);
   static FaultSpec scheduled(std::vector<ScheduledFaults::Entry> entries);
+  // Processes 0..procs-1 each crash on their nth_action-th non-idle action
+  // under `plan` (a scheduled spec); none() when procs <= 0.
+  static FaultSpec first_procs_crash(int procs, std::uint64_t nth_action, CrashPlan plan);
   // Throws std::invalid_argument for unregistered strategy names.  `jam` is
   // the message-fault budget (0 = crash-only adversary).
   static FaultSpec adaptive(const std::string& strategy, int crashes, std::uint64_t seed = 0,

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 
 #include "agreement/byzantine.h"
 #include "async/protocol_a_async.h"
@@ -139,15 +140,13 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       // Weather for the async substrate; draws come from the event seed
       // above, so repetitions already explore different weather.
       opts.net = s.faults.net;
-      const std::int64_t crash_count = s.param_or("crashes", s.cfg.t - 1);
-      const std::int64_t after =
-          s.param_or("crash_after", ceil_div(s.cfg.n, s.cfg.t) + 3);
-      std::vector<std::optional<AsyncSim::CrashSpec>> crashes(
-          static_cast<std::size_t>(s.cfg.t));
-      for (std::int64_t p = 0; p < crash_count; ++p)
-        crashes[static_cast<std::size_t>(p)] =
-            AsyncSim::CrashSpec{static_cast<std::uint64_t>(after), 2, true};
-      AsyncMetrics m = run_async_protocol_a(s.cfg, opts, std::move(crashes));
+      // AsyncSim serves no SimObservable and has no message-fault hook.
+      if (s.faults.kind() == FaultSpec::Kind::kAdaptive)
+        throw std::invalid_argument("async substrate: adaptive specs need a SimObservable");
+      std::unique_ptr<FaultInjector> faults = make_injector(s, rep);
+      if (faults->wants_message_faults())
+        throw std::invalid_argument("async substrate: message faults are not supported");
+      AsyncMetrics m = run_async_protocol_a(s.cfg, opts, std::move(faults));
       row.work = m.work_total;
       row.messages = m.messages_total;
       row.effort = m.work_total + m.messages_total;
@@ -162,14 +161,14 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
       return;
     }
     case Substrate::kSharedMem: {
-      const std::int64_t crash_count = s.param_or("crashes", s.cfg.t - 1);
-      const std::int64_t on_op =
-          s.param_or("crash_on_op", 2 * ceil_div(s.cfg.n, s.cfg.t) + 3);
-      std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(
-          static_cast<std::size_t>(s.cfg.t));
-      for (std::int64_t p = 0; p < crash_count; ++p)
-        crashes[static_cast<std::size_t>(p)] =
-            SharedMemSim::CrashSpec{static_cast<std::uint64_t>(on_op), true};
+      // A memory operation is not an Action: the simulator keys the kill list.
+      std::vector<ScheduledFaults::Entry> crashes;
+      if (const auto* sch = std::get_if<ScheduledSpec>(&s.faults.crash))
+        crashes = sch->entries;
+      else if (s.faults.kind() != FaultSpec::Kind::kNone)
+        throw std::invalid_argument("sharedmem substrate: takes only none or scheduled(...)");
+      if (!s.faults.net.is_noop())
+        throw std::invalid_argument("sharedmem substrate: network weather does not apply");
       SharedMetrics m = run_write_all(s.cfg, std::move(crashes));
       row.work = m.work_total;
       row.messages = m.reads + m.writes;  // memory ops play the message role

@@ -25,13 +25,13 @@ namespace dowork::harness {
 // Which simulation substrate executes the scenario.  kSync covers every
 // registry protocol (baselines, A, B, C, C_batch, naive_C, D, D_coord),
 // kByzantine and kDynamic run their model variants through run_do_all too,
-// and kAsync and kSharedMem have their own simulators.  The last two run
-// registry protocols on the live backend Scenario::backend names
-// (src/substrate/): kLive is a kSync row that also reports the kill-point
-// census (params["free_sched"] = 1 selects the free commit schedule), and
-// kDifferential runs the case on the simulator AND the live backend under
-// the deterministic schedule and fails the row on any metric divergence
-// (the simulator as oracle).
+// and kAsync and kSharedMem have their own simulators (crashed through
+// Scenario::faults too).  The last two run registry protocols on the live
+// backend Scenario::backend names (src/substrate/): kLive is a kSync row
+// that also reports the kill-point census (params["free_sched"] = 1 selects
+// the free commit schedule), and kDifferential runs the case on the
+// simulator AND the live backend under the deterministic schedule and fails
+// the row on any metric divergence (the simulator as oracle).
 enum class Substrate : std::uint8_t {
   kSync, kByzantine, kAsync, kSharedMem, kDynamic, kLive, kDifferential
 };
@@ -57,9 +57,10 @@ struct Scenario {
   // n = processes that must agree and t = tolerated faults (the paper's
   // Section 5 naming).  kDynamic derives its workload from params instead.
   DoAllConfig cfg;
-  // The declarative adversary (see fault_spec.h for the grammar).  Drives
-  // the kSync, kByzantine and kDynamic runs, network weather included;
-  // kAsync/kSharedMem build their crash specs from params instead.
+  // The declarative adversary (see fault_spec.h for the grammar), network
+  // weather included, on every substrate.  kAsync refuses adaptive specs and
+  // message faults, and kSharedMem takes only none or scheduled(...) and no
+  // weather: a refused spec ends in a violation row naming the substrate.
   FaultSpec faults;
   // Base seed for anything stochastic: repetition r uses seed + r (random
   // adversaries, async delivery delays).  Purely deterministic scenarios
@@ -68,21 +69,22 @@ struct Scenario {
   // Number of repetitions; each becomes its own ScenarioResult row with
   // rep = 0..repetitions-1.  Only useful when seed enters the run.
   int repetitions = 1;
-  // Substrate- and experiment-specific integer knobs (e.g. "max_delay",
-  // "fd_delay" for kAsync; "batches", "per_batch", "gap" for kDynamic;
-  // "protocol_param" tunes a registry protocol's constructor; "value" is
-  // the Byzantine general's value).  Keys prefixed "bound_" are paper-bound
-  // columns copied verbatim into the result rows for table/JSON output.
-  // With "assert_bounds" = 1 (the adversary_search family), bound_work* /
-  // bound_msgs* / bound_rounds* are additionally *checked* against the
-  // measured row (exceeding one is a violation) and reported as
+  // Substrate- and experiment-specific integer knobs, never crashes (e.g.
+  // "max_delay", "fd_delay" for kAsync; "batches", "per_batch", "gap" for
+  // kDynamic; "protocol_param" tunes a registry protocol's constructor;
+  // "value" is the Byzantine general's value).  Keys prefixed "bound_" are
+  // paper-bound columns copied verbatim into the result rows for table/JSON
+  // output.  With "assert_bounds" = 1 (the adversary_search family),
+  // bound_work* / bound_msgs* / bound_rounds* are additionally *checked*
+  // against the measured row (exceeding one is a violation) and reported as
   // bound_margin_* columns -- percent of the bound consumed, rounded up.
   // With "report_bounds" = 1 (the network families) the same bound_margin_*
   // columns appear but never flip ok: network faults sit outside the
   // crash-only theorems, so a >100% margin measures degradation there.
   std::map<std::string, std::int64_t> params;
   // Fuzz hook: when set, replaces faults.make(rep) as the crash-injector
-  // factory for the substrates that consult one (sync, byzantine, dynamic).
+  // factory for the substrates that consult one (all but kSharedMem, whose
+  // operations are not Actions).
   // The spec still supplies the network component and the row's faults
   // string; src/fuzz/ uses this to wrap the spec's injector in a decision
   // recorder or to replace it with a frozen-trace replayer.  Never set by

@@ -5,11 +5,9 @@
 namespace dowork {
 
 SharedMemSim::SharedMemSim(std::vector<std::unique_ptr<ISharedProcess>> procs, Options options,
-                           std::vector<std::optional<CrashSpec>> crash_specs)
-    : procs_(std::move(procs)), opt_(options), crash_specs_(std::move(crash_specs)) {
+                           std::vector<ScheduledFaults::Entry> crashes)
+    : procs_(std::move(procs)), opt_(options), crashes_(std::move(crashes)) {
   const std::size_t t = procs_.size();
-  crash_specs_.resize(t);
-  op_count_.assign(t, 0);
   retired_.assign(t, false);
   pending_read_.assign(t, std::nullopt);
   cells_.assign(static_cast<std::size_t>(opt_.n_cells), 0);
@@ -38,14 +36,15 @@ SharedMetrics SharedMemSim::run() {
       SharedOp op = procs_[p]->on_round(r, pending_read_[p]);
       pending_read_[p].reset();
 
-      std::optional<CrashSpec> crash;
+      std::optional<CrashPlan> crash;
       if (op.kind != SharedOp::Kind::kIdle && op.kind != SharedOp::Kind::kTerminate) {
-        if (crash_specs_[p] && ++op_count_[p] >= crash_specs_[p]->on_nth_op && alive > 1) {
-          crash = crash_specs_[p];
-          crash_specs_[p].reset();
-        }
+        const std::uint64_t nth = ops_.next(static_cast<int>(p));
+        for (const ScheduledFaults::Entry& e : crashes_)
+          if (!crash && e.proc == static_cast<int>(p) && e.on_nth_action == nth) crash = e.plan;
+        // The last survivor (counted at the start of the round) never crashes.
+        if (crash && alive <= 1) crash.reset();
       }
-      const bool effective = !crash || crash->op_completes;
+      const bool effective = !crash || crash->work_completes;
       switch (op.kind) {
         case SharedOp::Kind::kRead:
           if (effective && op.cell >= 0 && op.cell < opt_.n_cells) {
@@ -78,9 +77,8 @@ SharedMetrics SharedMemSim::run() {
         ++metrics_.crashes;
       }
     }
-    // Lowest id wins on write conflicts: apply in reverse id order so the
-    // earliest write lands last... writes were gathered in id order, so the
-    // first entry must win: iterate in reverse.
+    // Lowest id wins on write conflicts: writes were gathered in id order,
+    // so applying them in reverse makes the lowest id's write land last.
     for (auto it = writes.rbegin(); it != writes.rend(); ++it)
       cells_[static_cast<std::size_t>(it->first)] = it->second;
 

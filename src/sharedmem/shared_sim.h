@@ -15,13 +15,17 @@
 // in round r returns the cell value at the start of round r; if several
 // processes write one cell in the same round, the lowest id wins (any rule
 // works for the algorithms here).  Crashes may suppress the in-flight
-// operation.
+// operation: a crash is a ScheduledFaults entry keyed by (process, k-th
+// non-idle operation), whose plan's work_completes decides whether the
+// crashing operation takes effect.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
+
+#include "sim/fault_injector.h"
 
 namespace dowork {
 
@@ -73,21 +77,18 @@ class SharedMemSim {
     std::int64_t n_cells = 0;
     std::uint64_t max_rounds = 100'000'000;
   };
-  struct CrashSpec {
-    std::uint64_t on_nth_op = 1;  // crash on the k-th non-idle operation
-    bool op_completes = false;    // does that operation take effect?
-  };
 
+  // `crashes` is a ScheduledFaults kill list; the last survivor never dies.
   SharedMemSim(std::vector<std::unique_ptr<ISharedProcess>> procs, Options options,
-               std::vector<std::optional<CrashSpec>> crash_specs = {});
+               std::vector<ScheduledFaults::Entry> crashes = {});
 
   SharedMetrics run();
 
  private:
   std::vector<std::unique_ptr<ISharedProcess>> procs_;
   Options opt_;
-  std::vector<std::optional<CrashSpec>> crash_specs_;
-  std::vector<std::uint64_t> op_count_;
+  std::vector<ScheduledFaults::Entry> crashes_;
+  ProcOrdinals ops_;  // non-idle operations, as ScheduledFaults counts actions
   std::vector<bool> retired_;
   std::vector<std::int64_t> cells_;
   std::vector<std::optional<std::int64_t>> pending_read_;

@@ -42,8 +42,7 @@ std::uint64_t WriteAllCounterProcess::next_wake(std::uint64_t now) const {
   return now;
 }
 
-SharedMetrics run_write_all(const DoAllConfig& cfg,
-                            std::vector<std::optional<SharedMemSim::CrashSpec>> crashes) {
+SharedMetrics run_write_all(const DoAllConfig& cfg, std::vector<ScheduledFaults::Entry> crashes) {
   std::vector<std::unique_ptr<ISharedProcess>> procs;
   for (int i = 0; i < cfg.t; ++i)
     procs.push_back(std::make_unique<WriteAllCounterProcess>(cfg, i));

@@ -37,8 +37,9 @@ class WriteAllCounterProcess final : public ISharedProcess {
 };
 
 // Harness: run the counter algorithm on t processes with the given crash
-// schedule (crash process p on its k-th shared-memory/work operation).
+// schedule (each entry crashes its process on its k-th shared-memory/work
+// operation).
 SharedMetrics run_write_all(const DoAllConfig& cfg,
-                            std::vector<std::optional<SharedMemSim::CrashSpec>> crashes = {});
+                            std::vector<ScheduledFaults::Entry> crashes = {});
 
 }  // namespace dowork

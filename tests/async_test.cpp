@@ -7,6 +7,10 @@ namespace {
 
 std::uint64_t u(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
+std::unique_ptr<FaultInjector> schedule(std::vector<ScheduledFaults::Entry> entries) {
+  return std::make_unique<ScheduledFaults>(std::move(entries));
+}
+
 void expect_work_and_message_bounds(const DoAllConfig& cfg, const AsyncMetrics& m) {
   const std::int64_t n_prime = std::max(cfg.n, static_cast<std::int64_t>(cfg.t));
   const std::int64_t s = int_sqrt_ceil(cfg.t);
@@ -33,9 +37,8 @@ TEST(AsyncProtocolA, TakeoverIsDrivenByTheDetectorNotDeadlines) {
   AsyncSim::Options opts;
   opts.seed = 2;
   opts.fd_max_delay = 50;
-  std::vector<std::optional<AsyncSim::CrashSpec>> crashes(static_cast<std::size_t>(cfg.t));
-  crashes[0] = AsyncSim::CrashSpec{5, 0, true};  // process 0 dies on its 5th action
-  AsyncMetrics m = run_async_protocol_a(cfg, opts, std::move(crashes));
+  // Process 0 dies on its 5th action.
+  AsyncMetrics m = run_async_protocol_a(cfg, opts, schedule({{0, 5, CrashPlan{true, 0}}}));
   expect_work_and_message_bounds(cfg, m);
   EXPECT_EQ(m.crashes, 1u);
   EXPECT_GT(m.fd_notices, 0u);
@@ -45,11 +48,10 @@ TEST(AsyncProtocolA, CascadeOfCrashes) {
   DoAllConfig cfg{40, 8};
   AsyncSim::Options opts;
   opts.seed = 3;
-  std::vector<std::optional<AsyncSim::CrashSpec>> crashes(static_cast<std::size_t>(cfg.t));
+  std::vector<ScheduledFaults::Entry> crashes;
   // Each process dies shortly after becoming active (if it ever does).
-  for (int p = 0; p < cfg.t - 1; ++p)
-    crashes[static_cast<std::size_t>(p)] = AsyncSim::CrashSpec{3, 1, true};
-  AsyncMetrics m = run_async_protocol_a(cfg, opts, std::move(crashes));
+  for (int p = 0; p < cfg.t - 1; ++p) crashes.push_back({p, 3, CrashPlan{true, 1}});
+  AsyncMetrics m = run_async_protocol_a(cfg, opts, schedule(std::move(crashes)));
   expect_work_and_message_bounds(cfg, m);
   EXPECT_EQ(m.crashes, u(cfg.t - 1));
 }
@@ -65,11 +67,10 @@ TEST_P(AsyncDelaySweep, CompletionIsDelayInvariant) {
   opts.min_delay = 1 + GetParam() % 3;
   opts.max_delay = 5 + 17 * (GetParam() % 4);
   opts.fd_max_delay = 7 + 23 * (GetParam() % 3);
-  std::vector<std::optional<AsyncSim::CrashSpec>> crashes(static_cast<std::size_t>(cfg.t));
+  std::vector<ScheduledFaults::Entry> crashes;
   for (int p = 0; p < cfg.t - 1; p += 2)
-    crashes[static_cast<std::size_t>(p)] =
-        AsyncSim::CrashSpec{1 + GetParam() % 7, GetParam() % 3, (GetParam() % 2) == 0};
-  AsyncMetrics m = run_async_protocol_a(cfg, opts, std::move(crashes));
+    crashes.push_back({p, 1 + GetParam() % 7, CrashPlan{(GetParam() % 2) == 0, GetParam() % 3}});
+  AsyncMetrics m = run_async_protocol_a(cfg, opts, schedule(std::move(crashes)));
   expect_work_and_message_bounds(cfg, m);
 }
 

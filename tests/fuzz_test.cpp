@@ -263,7 +263,8 @@ TEST(FuzzTraceTest, GoldenTracesReRecordByteIdentically) {
   // Recording each committed trace's scenario again writes the file byte for
   // byte, so tests/golden/replay_v2*.trace pin the v2 text and the
   // recorder's keys; the fuzz_replay_v2* CTests replay them through the CLI.
-  for (const char* name : {"replay_v2", "replay_v2_jam"}) {
+  // replay_v2_async carries asynchronous A's crash decisions.
+  for (const char* name : {"replay_v2", "replay_v2_jam", "replay_v2_async"}) {
     const std::string path = std::string(DOWORK_SOURCE_DIR) + "/tests/golden/" + name + ".trace";
     std::ifstream in(path);
     ASSERT_TRUE(in) << path;
@@ -272,6 +273,9 @@ TEST(FuzzTraceTest, GoldenTracesReRecordByteIdentically) {
     const Trace golden = Trace::parse(text.str());
     EXPECT_EQ(run_recorded(golden.to_scenario(/*frozen=*/false)).trace.to_string(), text.str())
         << name;
+    for (bool frozen : {true, false})
+      EXPECT_EQ(outcome_of(replay(golden, frozen)), golden.outcome)
+          << name << " frozen=" << frozen;
   }
 }
 

@@ -166,6 +166,81 @@ TEST(ScenarioBounds, WithoutAssertBoundsParamsAreCopyThroughOnly) {
     EXPECT_EQ(k.rfind("bound_margin_", 0), std::string::npos) << k;
 }
 
+// --- async and shared-memory crashes come from the FaultSpec ---------------
+
+// Asynchronous A at the async family's shape, asserting its two bounds.
+Scenario async_case(const FaultSpec& faults) {
+  Scenario s;
+  s.id = s.group = "async/" + faults.to_string();
+  s.substrate = Substrate::kAsync;
+  s.protocol = "A_async";
+  s.cfg = DoAllConfig{256, 16};
+  s.seed = 11;
+  s.repetitions = 3;
+  s.faults = faults;
+  s.params["assert_bounds"] = 1;
+  s.params["bound_work_3n"] = 3 * 256;
+  s.params["bound_msgs_9tsqrt"] = 9 * 16 * 4;
+  return s;
+}
+
+TEST(SubstrateFaults, CrashingAsyncAndSharedMemRowsNameTheirAdversary) {
+  // A row that reports crashes names the adversary that caused them: its
+  // faults string has a crash component.
+  for (const char* name : {"async", "smoke", "wan_latency", "adversary_search"}) {
+    const ExperimentInfo* e = find_experiment(name);
+    ASSERT_NE(e, nullptr) << name;
+    for (const ScenarioResult& row : ParallelScenarioRunner(2).run(name, e->scenarios())) {
+      if (row.crashes == 0) continue;
+      EXPECT_NE(FaultSpec::parse(row.faults).kind(), FaultSpec::Kind::kNone)
+          << name << " " << row.id << ": " << row.faults;
+    }
+  }
+}
+
+TEST(SubstrateFaults, AsyncARunsUnderCascadeAndRandomSpecs) {
+  for (const FaultSpec& spec :
+       {FaultSpec::cascade(17, 15, 1), FaultSpec::cascade(3, 8, 0, false),
+        FaultSpec::random(0.05, 15, 3)}) {
+    for (const ScenarioResult& row : run_scenario("x", async_case(spec))) {
+      EXPECT_TRUE(row.ok) << row.faults << " rep " << row.rep << ": " << row.violation;
+      EXPECT_GT(row.crashes, 0u) << row.faults << " rep " << row.rep;
+    }
+  }
+}
+
+TEST(SubstrateFaults, UnservedSpecsEndInAViolationNamingTheSubstrate) {
+  auto expect_refused = [](Scenario s, const std::string& substrate) {
+    s.repetitions = 1;
+    const std::vector<ScenarioResult> rows = run_scenario("x", s);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_FALSE(rows[0].ok) << s.id;
+    EXPECT_NE(rows[0].violation.find(substrate + " substrate"), std::string::npos)
+        << rows[0].violation;
+  };
+  // Adaptive strategies read a SimObservable, which AsyncSim does not serve.
+  expect_refused(async_case(FaultSpec::adaptive("greedy", 3)), "async");
+  // A schedule that faults messages: AsyncSim has no message-fault hook.
+  Scenario jam = async_case(FaultSpec::none());
+  jam.injector_override = [](std::uint64_t) {
+    return std::make_unique<ScheduledFaults>(
+        std::vector<ScheduledFaults::Entry>{},
+        std::vector<ScheduledFaults::MessageEntry>{{0, 1, MessageFault{true, 0}}});
+  };
+  expect_refused(jam, "async");
+  // Shared memory takes scheduled kill lists only.
+  Scenario shared;
+  shared.id = shared.group = "sharedmem/cascade";
+  shared.substrate = Substrate::kSharedMem;
+  shared.protocol = "write_all";
+  shared.cfg = DoAllConfig{32, 4};
+  shared.faults = FaultSpec::cascade(2, 3);
+  expect_refused(shared, "sharedmem");
+  // ...and no weather: its memory operations take no network.
+  shared.faults = FaultSpec::none().with_net(NetSpec::latency(1, 4, 1));
+  expect_refused(shared, "sharedmem");
+}
+
 // --- MetricsAggregate -------------------------------------------------------
 
 TEST(MetricsAggregate, OrderIndependentReduction) {

@@ -57,10 +57,9 @@ TEST(WriteAll, FailureFreeEffortIsTwoNPlusReads) {
 
 TEST(WriteAll, EachCrashCostsAtMostOneRedoneUnit) {
   DoAllConfig cfg{40, 6};
-  std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(6);
+  std::vector<ScheduledFaults::Entry> crashes;
   // Crash each of processes 0..4 on its 9th op: mid work/write alternation.
-  for (int p = 0; p < 5; ++p) crashes[static_cast<std::size_t>(p)] =
-      SharedMemSim::CrashSpec{9, false};
+  for (int p = 0; p < 5; ++p) crashes.push_back({p, 9, CrashPlan{false, 0}});
   SharedMetrics m = run_write_all(cfg, std::move(crashes));
   EXPECT_TRUE(m.all_units_done());
   EXPECT_EQ(m.crashes, 5u);
@@ -71,11 +70,9 @@ TEST(WriteAll, EachCrashCostsAtMostOneRedoneUnit) {
 
 TEST(WriteAll, CrashBetweenWorkAndWriteRedoesExactlyThatUnit) {
   DoAllConfig cfg{10, 2};
-  std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(2);
   // Process 0: read(op1), work(op2), write(op3), work(op4)... crash on op4
   // (a work op whose write-back never happens).
-  crashes[0] = SharedMemSim::CrashSpec{4, true};
-  SharedMetrics m = run_write_all(cfg, std::move(crashes));
+  SharedMetrics m = run_write_all(cfg, {{0, 4, CrashPlan{true, 0}}});
   EXPECT_TRUE(m.all_units_done());
   EXPECT_EQ(m.unit_multiplicity[1], 2u);  // unit 2 done twice
   EXPECT_EQ(m.unit_multiplicity[0], 1u);
@@ -84,9 +81,8 @@ TEST(WriteAll, CrashBetweenWorkAndWriteRedoesExactlyThatUnit) {
 
 TEST(WriteAll, SurvivorFinishesWhenEveryoneElseDiesInstantly) {
   DoAllConfig cfg{25, 5};
-  std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(5);
-  for (int p = 0; p < 4; ++p)
-    crashes[static_cast<std::size_t>(p)] = SharedMemSim::CrashSpec{1, false};
+  std::vector<ScheduledFaults::Entry> crashes;
+  for (int p = 0; p < 4; ++p) crashes.push_back({p, 1, CrashPlan{false, 0}});
   SharedMetrics m = run_write_all(cfg, std::move(crashes));
   EXPECT_TRUE(m.all_units_done());
   EXPECT_EQ(m.crashes, 4u);
@@ -94,9 +90,8 @@ TEST(WriteAll, SurvivorFinishesWhenEveryoneElseDiesInstantly) {
 
 TEST(WriteAll, TimeIsOrderNT) {
   DoAllConfig cfg{30, 4};
-  std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(4);
-  for (int p = 0; p < 3; ++p)
-    crashes[static_cast<std::size_t>(p)] = SharedMemSim::CrashSpec{7, true};
+  std::vector<ScheduledFaults::Entry> crashes;
+  for (int p = 0; p < 3; ++p) crashes.push_back({p, 7, CrashPlan{true, 0}});
   SharedMetrics m = run_write_all(cfg, std::move(crashes));
   EXPECT_TRUE(m.all_units_done());
   // Deadline-staggered: last retire within t * (2n + 4) + 2n rounds.
@@ -108,9 +103,8 @@ TEST(WriteAll, TimeIsOrderNT) {
 // away with the 2n+O(t) counter discipline.
 TEST(WriteAll, SharedMemoryEffortBeatsMessagePassing) {
   DoAllConfig cfg{128, 16};
-  std::vector<std::optional<SharedMemSim::CrashSpec>> crashes(16);
-  for (int p = 0; p < 15; ++p)
-    crashes[static_cast<std::size_t>(p)] = SharedMemSim::CrashSpec{17, true};
+  std::vector<ScheduledFaults::Entry> crashes;
+  for (int p = 0; p < 15; ++p) crashes.push_back({p, 17, CrashPlan{true, 0}});
   SharedMetrics shared = run_write_all(cfg, std::move(crashes));
   EXPECT_TRUE(shared.all_units_done());
   EXPECT_LE(shared.effort(), 2u * (128u + 15u) + 16u + 15u);
