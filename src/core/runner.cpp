@@ -8,14 +8,6 @@
 
 namespace dowork {
 
-const char* to_string(Transport t) {
-  switch (t) {
-    case Transport::kUds: return "uds";
-    case Transport::kTcp: return "tcp";
-  }
-  return "?";
-}
-
 Simulator::Options simulator_options(const ProtocolInfo& info, const DoAllConfig& cfg,
                                      const RunOptions& opts) {
   Simulator::Options sim_opts;

@@ -24,16 +24,9 @@ namespace dowork {
 //                RoundPool when RunOptions::sim_threads > 1;
 //   * kPool   -- the simulator on a supervised RoundPool (sim/round_pool.h)
 //                with the LiveOptions schedule and watchdog;
-//   * kSocket -- one worker OS process per protocol process over localhost
+//   * kSocket -- one worker OS process per protocol process over Unix-domain
 //                sockets (substrate/socket_substrate.h).
 enum class Backend : std::uint8_t { kSim, kPool, kSocket };
-
-// Which localhost transport the socket backend speaks.  UDS is the default
-// (lower per-frame latency, no port allocation); TCP exercises the same
-// framing over a real INET stack (127.0.0.1, TCP_NODELAY).
-enum class Transport : std::uint8_t { kUds, kTcp };
-
-const char* to_string(Transport t);
 
 // Supervision knobs of the live backends (kPool, kSocket); kSim ignores them.
 struct LiveOptions {
@@ -58,9 +51,6 @@ struct LiveOptions {
   // escalating to SIGKILL (processes, unlike threads, can always be reaped
   // -- the socket backend never leaks).
   std::uint64_t join_grace_ms = 2'000;
-
-  // Socket backend only: the transport between coordinator and workers.
-  Transport transport = Transport::kUds;
 };
 
 // What the run measured beyond the deterministic RunMetrics: wall clock,

@@ -27,12 +27,10 @@ void print_usage(const char* argv0) {
       "  --filter SUBSTR     only run scenarios whose id contains SUBSTR\n"
       "  --backend WHICH     execution backend for sync scenarios: 'sim' (default)\n"
       "                      or 'socket' (one worker OS process per protocol\n"
-      "                      process over localhost sockets, deterministic\n"
+      "                      process over Unix-domain sockets, deterministic\n"
       "                      schedule: report rows are identical to sim's, with\n"
       "                      real units/sec under --timing); a selection with no\n"
       "                      sync scenario rejects 'socket' (see --list)\n"
-      "  --transport WHICH   socket-backend transport: 'uds' (default) or 'tcp'\n"
-      "                      (127.0.0.1); requires --backend socket\n"
       "  --sim-threads N     round-parallel evaluation inside each simulator run\n"
       "                      (default 1 = serial; reports are byte-identical at\n"
       "                      any value, so this only moves wall clock -- best for\n"
@@ -109,17 +107,6 @@ int bench_main(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
-    } else if (arg == "--transport") {
-      const std::string value = next();
-      if (value == "tcp") {
-        opt.transport_tcp = true;
-      } else if (value == "uds") {
-        opt.transport_tcp = false;
-      } else {
-        std::fprintf(stderr, "%s: --transport wants 'uds' or 'tcp', got '%s'\n", argv[0],
-                     value.c_str());
-        return 2;
-      }
     } else if (arg == "--sim-threads") {
       const char* value = next();
       char* end = nullptr;
@@ -145,10 +132,6 @@ int bench_main(int argc, char** argv) {
     }
   }
 
-  if (opt.transport_tcp && opt.backend != Backend::kSocket) {
-    std::fprintf(stderr, "%s: --transport requires --backend socket\n", argv[0]);
-    return 2;
-  }
   if (opt.sim_threads > 1 && opt.backend == Backend::kSocket) {
     std::fprintf(stderr,
                  "%s: --sim-threads does not apply to --backend socket (it shards "
@@ -221,7 +204,6 @@ int bench_main(int argc, char** argv) {
       if (s.substrate == Substrate::kSync) {
         any_sync = true;
         s.backend = opt.backend;
-        if (opt.transport_tcp) s.params["transport_tcp"] = 1;
       }
       if (s.substrate == Substrate::kSync || s.substrate == Substrate::kByzantine ||
           s.substrate == Substrate::kDynamic) {

@@ -650,54 +650,59 @@ std::vector<Scenario> sim_microbench_scenarios() {
 
 // --- differential / live_throughput: the live backends ----------------------
 
+// One shape's deterministic oracle rows: each case runs on the simulator
+// and on `backend`, and any metric divergence fails the row.
+void add_det_rows(std::vector<Scenario>& out, const std::string& group, int t, Backend backend) {
+  auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
+    Scenario s = sync_scenario(group + "/" + proto, proto, n, t, std::move(faults));
+    s.substrate = Substrate::kDifferential;
+    s.backend = backend;
+    out.push_back(std::move(s));
+  };
+  const std::int64_t n = 16 * t;
+  const int f = std::max(1, t / 2 - 1);
+  add("A", n, chunk_cascade(n, t));
+  add("A", n, FaultSpec::adaptive("greedy", t - 1, /*seed=*/1));
+  add("B", n, chunk_cascade(n, t));
+  add("B", n, FaultSpec::adaptive("chain", t - 1, /*seed=*/1));
+  // C's shape keeps n + t inside the 512-bit deadline budget; its
+  // exponential idle stretches fast-forward identically on both backends.
+  add("C", 4 * t, chunk_cascade(4 * t, t));
+  add("D", n, FaultSpec::cascade(2, f, 0));
+  add("D", n, FaultSpec::adaptive("greedy", f, /*seed=*/1));
+}
+
+// One shape's free-schedule rows on `backend`: no equality oracle, so each
+// row asserts its paper bounds and the verifier instead.
+void add_free_rows(std::vector<Scenario>& out, const std::string& group, int t, Backend backend) {
+  auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
+    Scenario s = sync_scenario(group + "/" + proto, proto, n, t, std::move(faults));
+    s.substrate = Substrate::kLive;
+    s.backend = backend;
+    s.params["free_sched"] = 1;
+    s.params["assert_bounds"] = 1;
+    add_paper_bounds(s);
+    out.push_back(std::move(s));
+  };
+  const std::int64_t n = 16 * t;
+  const int f = std::max(1, t / 2 - 1);
+  add("A", n, chunk_cascade(n, t));
+  add("B", n, chunk_cascade(n, t));
+  add("C", 4 * t, chunk_cascade(4 * t, t));
+  add("D", n, FaultSpec::cascade(2, f, 0));
+}
+
 // The simulator as differential oracle (src/substrate/differential.h): the
 // deterministic groups run every case on the simulator and a live backend
 // (det/: the supervised round pool) and fail the row on any metric
 // divergence; the free groups surrender the commit order to the OS
-// scheduler (free/: the pool's free schedule) -- no equality oracle exists
-// there, so each row asserts its paper bounds and the verifier instead.
-// Free rows are nondeterministic by design: keep this family out of
-// byte-identity comparisons.
+// scheduler (free/: the pool's free schedule).  Free rows are
+// nondeterministic by design: keep this family out of byte-identity
+// comparisons.
 std::vector<Scenario> differential_scenarios() {
   std::vector<Scenario> out;
-  for (int t : {16, 64}) {
-    const std::string ts = "det/t=" + std::to_string(t);
-    auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
-      Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
-      s.substrate = Substrate::kDifferential;
-      s.backend = Backend::kPool;
-      out.push_back(std::move(s));
-    };
-    const std::int64_t n = 16 * t;
-    const int f = std::max(1, t / 2 - 1);
-    add("A", n, chunk_cascade(n, t));
-    add("A", n, FaultSpec::adaptive("greedy", t - 1, /*seed=*/1));
-    add("B", n, chunk_cascade(n, t));
-    add("B", n, FaultSpec::adaptive("chain", t - 1, /*seed=*/1));
-    // C's shape keeps n + t inside the 512-bit deadline budget; its
-    // exponential idle stretches fast-forward identically on both backends.
-    add("C", 4 * t, chunk_cascade(4 * t, t));
-    add("D", n, FaultSpec::cascade(2, f, 0));
-    add("D", n, FaultSpec::adaptive("greedy", f, /*seed=*/1));
-  }
-  for (int t : {16, 64}) {
-    const std::string ts = "free/t=" + std::to_string(t);
-    auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
-      Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
-      s.substrate = Substrate::kLive;
-      s.backend = Backend::kPool;
-      s.params["free_sched"] = 1;
-      s.params["assert_bounds"] = 1;
-      add_paper_bounds(s);
-      out.push_back(std::move(s));
-    };
-    const std::int64_t n = 16 * t;
-    const int f = std::max(1, t / 2 - 1);
-    add("A", n, chunk_cascade(n, t));
-    add("B", n, chunk_cascade(n, t));
-    add("C", 4 * t, chunk_cascade(4 * t, t));
-    add("D", n, FaultSpec::cascade(2, f, 0));
-  }
+  for (int t : {16, 64}) add_det_rows(out, "det/t=" + std::to_string(t), t, Backend::kPool);
+  for (int t : {16, 64}) add_free_rows(out, "free/t=" + std::to_string(t), t, Backend::kPool);
   // Socket-process legs of the same oracle: identical shapes and
   // adversaries, but the non-oracle leg runs one worker OS process per
   // protocol process (Backend::kSocket), so crashes are real SIGKILLs
@@ -705,52 +710,10 @@ std::vector<Scenario> differential_scenarios() {
   // "det-tN"/"free-tN" (no slash after det/free): --filter det/ and
   // --filter free/ keep selecting the pool rows only, --filter socket/
   // selects exactly these.
-  for (int t : {16, 64}) {
-    const std::string ts = "socket/det-t" + std::to_string(t);
-    auto add = [&](const std::string& name, const char* proto, std::int64_t n,
-                   FaultSpec faults) {
-      Scenario s = sync_scenario(ts + "/" + name, proto, n, t, std::move(faults));
-      s.substrate = Substrate::kDifferential;
-      s.backend = Backend::kSocket;
-      out.push_back(std::move(s));
-    };
-    const std::int64_t n = 16 * t;
-    const int f = std::max(1, t / 2 - 1);
-    add("A", "A", n, chunk_cascade(n, t));
-    add("A", "A", n, FaultSpec::adaptive("greedy", t - 1, /*seed=*/1));
-    add("B", "B", n, chunk_cascade(n, t));
-    add("B", "B", n, FaultSpec::adaptive("chain", t - 1, /*seed=*/1));
-    add("C", "C", 4 * t, chunk_cascade(4 * t, t));
-    add("D", "D", n, FaultSpec::cascade(2, f, 0));
-    add("D", "D", n, FaultSpec::adaptive("greedy", f, /*seed=*/1));
-    // One TCP row per shape keeps the 127.0.0.1 transport honest in the
-    // same sweep (everything else defaults to Unix-domain sockets).
-    {
-      Scenario s = sync_scenario(ts + "/B-tcp", "B", n, t, chunk_cascade(n, t));
-      s.substrate = Substrate::kDifferential;
-      s.backend = Backend::kSocket;
-      s.params["transport_tcp"] = 1;
-      out.push_back(std::move(s));
-    }
-  }
-  for (int t : {16, 64}) {
-    const std::string ts = "socket/free-t" + std::to_string(t);
-    auto add = [&](const char* proto, std::int64_t n, FaultSpec faults) {
-      Scenario s = sync_scenario(ts + "/" + proto, proto, n, t, std::move(faults));
-      s.substrate = Substrate::kLive;
-      s.backend = Backend::kSocket;
-      s.params["free_sched"] = 1;
-      s.params["assert_bounds"] = 1;
-      add_paper_bounds(s);
-      out.push_back(std::move(s));
-    };
-    const std::int64_t n = 16 * t;
-    const int f = std::max(1, t / 2 - 1);
-    add("A", n, chunk_cascade(n, t));
-    add("B", n, chunk_cascade(n, t));
-    add("C", 4 * t, chunk_cascade(4 * t, t));
-    add("D", n, FaultSpec::cascade(2, f, 0));
-  }
+  for (int t : {16, 64})
+    add_det_rows(out, "socket/det-t" + std::to_string(t), t, Backend::kSocket);
+  for (int t : {16, 64})
+    add_free_rows(out, "socket/free-t" + std::to_string(t), t, Backend::kSocket);
   return out;
 }
 

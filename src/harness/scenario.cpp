@@ -81,7 +81,6 @@ RunOptions run_options(const Scenario& s, int rep) {
   opts.sim_threads = s.sim_threads;
   opts.backend = s.backend;
   if (s.param_or("free_sched", 0) == 1) opts.live.schedule = LiveOptions::Schedule::kFree;
-  if (s.param_or("transport_tcp", 0) == 1) opts.live.transport = Transport::kTcp;
   return opts;
 }
 

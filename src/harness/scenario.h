@@ -92,8 +92,7 @@ struct Scenario {
   std::function<std::unique_ptr<FaultInjector>(std::uint64_t rep)> injector_override;
   // Which executor runs the registry protocol (RunOptions::backend): the
   // simulator by default.  kLive and kDifferential registry rows name
-  // their live backend (kPool or kSocket; params["transport_tcp"] = 1
-  // selects TCP over the default UDS).  dowork_bench --backend socket and
+  // their live backend (kPool or kSocket).  dowork_bench --backend socket and
   // dowork_fuzz --diff socket move kSync rows onto the socket backend; row
   // data is byte-identical on every backend (the oracle contract, checked
   // by the CI sim-vs-socket JSON diff) and only the timing section's

@@ -1,9 +1,6 @@
 #include "substrate/socket_substrate.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -58,11 +55,6 @@ bool write_all(int fd, const void* data, std::size_t len) {
 
 bool write_all(int fd, const std::string& bytes) { return write_all(fd, bytes.data(), bytes.size()); }
 
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
 const std::string& self_exe_path() {
   static const std::string path = [] {
     char buf[4096];
@@ -73,47 +65,29 @@ const std::string& self_exe_path() {
   return path;
 }
 
-// Transport address as passed on the worker command line:
-//   uds:<path>   or   tcp:<port>   (always 127.0.0.1)
-int connect_to(const std::string& addr) {
-  if (addr.rfind("uds:", 0) == 0) {
-    const std::string path = addr.substr(4);
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    if (path.size() >= sizeof sa.sun_path) return -1;
-    std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
+// `path` is the coordinator's Unix-domain socket, as passed on the worker
+// command line.
+int connect_to(const std::string& path) {
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  if (path.size() >= sizeof sa.sun_path) return -1;
+  std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
+    ::close(fd);
+    return -1;
   }
-  if (addr.rfind("tcp:", 0) == 0) {
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<std::uint16_t>(std::atoi(addr.c_str() + 4)));
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    set_nodelay(fd);
-    return fd;
-  }
-  return -1;
+  return fd;
 }
 
 // Bounded retry + backoff: the coordinator's listener races the exec, so
 // the first connect attempts may find nothing bound yet.
-int connect_with_retry(const std::string& addr, std::uint64_t deadline_ms) {
+int connect_with_retry(const std::string& path, std::uint64_t deadline_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
   std::uint64_t backoff_us = 2'000;
   for (;;) {
-    const int fd = connect_to(addr);
+    const int fd = connect_to(path);
     if (fd >= 0) return fd;
     if (Clock::now() >= deadline) return -1;
     ::usleep(static_cast<useconds_t>(backoff_us));
@@ -128,7 +102,7 @@ int env_int(const char* name, int fallback) {
 
 // --- worker side ------------------------------------------------------------
 
-int socket_worker_main(const std::string& addr, int self, const std::string& protocol,
+int socket_worker_main(const std::string& path, int self, const std::string& protocol,
                        std::int64_t n, int t, std::optional<std::int64_t> param) {
   DoAllConfig cfg{n, t};
   std::unique_ptr<IProcess> proc;
@@ -142,9 +116,9 @@ int socket_worker_main(const std::string& addr, int self, const std::string& pro
     return 2;
   }
 
-  const int fd = connect_with_retry(addr, kSetupTimeoutMs);
+  const int fd = connect_with_retry(path, kSetupTimeoutMs);
   if (fd < 0) {
-    std::fprintf(stderr, "dowork socket worker %d: connect failed (%s)\n", self, addr.c_str());
+    std::fprintf(stderr, "dowork socket worker %d: connect failed (%s)\n", self, path.c_str());
     return 3;
   }
 
@@ -289,7 +263,7 @@ class SocketExecutor final : public StepExecutor {
   std::int64_t known_of(int p) const { return conns_[static_cast<std::size_t>(p)].known; }
 
  private:
-  void spawn_workers(const std::string& addr);
+  void spawn_workers();
   [[noreturn]] void abort_run(const std::string& reason, const std::string& detail) {
     throw AbortRun{reason, detail};
   }
@@ -310,7 +284,6 @@ class SocketExecutor final : public StepExecutor {
 
   int listen_fd_ = -1;
   std::string uds_path_;
-  std::string addr_;
   bool started_ = false;
   bool shut_down_ = false;
 
@@ -340,7 +313,7 @@ Round SocketProxyProcess::next_wake(const Round& now) const {
 
 std::int64_t SocketProxyProcess::known_done_units() const { return coord_->known_of(self_); }
 
-void SocketExecutor::spawn_workers(const std::string& addr) {
+void SocketExecutor::spawn_workers() {
   // argv is fully materialized BEFORE fork: the scenario runner is
   // multi-threaded, so the child may only make async-signal-safe calls
   // until exec.
@@ -349,7 +322,7 @@ void SocketExecutor::spawn_workers(const std::string& addr) {
   for (int p = 0; p < cfg_.t; ++p) {
     std::vector<std::string> args = {exe,
                                      kWorkerFlag,
-                                     addr,
+                                     uds_path_,
                                      std::to_string(p),
                                      info_.name,
                                      std::to_string(cfg_.n),
@@ -375,38 +348,22 @@ void SocketExecutor::spawn_workers(const std::string& addr) {
 void SocketExecutor::start() {
   started_ = true;
 
-  if (opts_.transport == Transport::kUds) {
-    static std::atomic<std::uint64_t> seq{0};
-    const char* tmp = std::getenv("TMPDIR");
-    uds_path_ = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") + "/dowork-skt-" +
-                std::to_string(::getpid()) + "-" + std::to_string(seq.fetch_add(1));
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    if (uds_path_.size() >= sizeof sa.sun_path)
-      abort_run("socket substrate: TMPDIR path too long for AF_UNIX", "cause=spawn");
-    std::memcpy(sa.sun_path, uds_path_.c_str(), uds_path_.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0 || ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0 ||
-        ::listen(listen_fd_, cfg_.t) != 0)
-      abort_run("socket substrate: UDS listen failed: " + std::string(std::strerror(errno)),
-                "cause=spawn errno=" + std::to_string(errno));
-    addr_ = "uds:" + uds_path_;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = 0;  // ephemeral
-    socklen_t slen = sizeof sa;
-    if (listen_fd_ < 0 || ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0 ||
-        ::listen(listen_fd_, cfg_.t) != 0 ||
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&sa), &slen) != 0)
-      abort_run("socket substrate: TCP listen failed: " + std::string(std::strerror(errno)),
-                "cause=spawn errno=" + std::to_string(errno));
-    addr_ = "tcp:" + std::to_string(ntohs(sa.sin_port));
-  }
+  static std::atomic<std::uint64_t> seq{0};
+  const char* tmp = std::getenv("TMPDIR");
+  uds_path_ = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") + "/dowork-skt-" +
+              std::to_string(::getpid()) + "-" + std::to_string(seq.fetch_add(1));
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  if (uds_path_.size() >= sizeof sa.sun_path)
+    abort_run("socket substrate: TMPDIR path too long for AF_UNIX", "cause=spawn");
+  std::memcpy(sa.sun_path, uds_path_.c_str(), uds_path_.size() + 1);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0 || ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0 ||
+      ::listen(listen_fd_, cfg_.t) != 0)
+    abort_run("socket substrate: UDS listen failed: " + std::string(std::strerror(errno)),
+              "cause=spawn errno=" + std::to_string(errno));
 
-  spawn_workers(addr_);
+  spawn_workers();
 
   // Accept + hello under the setup deadline.  Connections identify
   // themselves by the proc id in their kHello, so accept order is free.
@@ -440,10 +397,7 @@ void SocketExecutor::start() {
     if (static_cast<int>(pending.size()) + hellos < cfg_.t) {
       if ((pfds[0].revents & POLLIN) != 0) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd >= 0) {
-          if (opts_.transport == Transport::kTcp) set_nodelay(fd);
-          pending.push_back(PendingConn{fd, {}});
-        }
+        if (fd >= 0) pending.push_back(PendingConn{fd, {}});
       }
       pi = 1;
     }
@@ -722,11 +676,11 @@ RunMetrics run_socket(const ProtocolInfo& info, const DoAllConfig& cfg,
 int maybe_socket_worker(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], kWorkerFlag) != 0) return -1;
   if (argc != 8) {
-    std::fprintf(stderr, "usage: %s %s <addr> <proc> <protocol> <n> <t> <param|->\n", argv[0],
+    std::fprintf(stderr, "usage: %s %s <socket-path> <proc> <protocol> <n> <t> <param|->\n", argv[0],
                  kWorkerFlag);
     return 2;
   }
-  const std::string addr = argv[2];
+  const std::string path = argv[2];
   const int self = std::atoi(argv[3]);
   const std::string protocol = argv[4];
   const std::int64_t n = std::atoll(argv[5]);
@@ -738,7 +692,7 @@ int maybe_socket_worker(int argc, char** argv) {
                  static_cast<long long>(n), t);
     return 2;
   }
-  return socket_worker_main(addr, self, protocol, n, t, param);
+  return socket_worker_main(path, self, protocol, n, t, param);
 }
 
 }  // namespace dowork::substrate

@@ -1,8 +1,8 @@
 // The socket-process substrate: the same IProcess protocol
 // objects, each running in its OWN OS PROCESS, speaking the length-prefixed
-// wire format (substrate/wire.h) over localhost Unix-domain or TCP sockets
-// to a coordinator that implements the simulator's deterministic round
-// barrier across a process boundary.
+// wire format (substrate/wire.h) over Unix-domain sockets to a coordinator
+// that implements the simulator's deterministic round barrier across a
+// process boundary.
 //
 // Topology per run: the coordinator keeps the real Simulator + the
 // unmodified FaultSpec/adversary/verifier stack; its process objects are
@@ -35,8 +35,8 @@ namespace dowork::substrate {
 
 // run_do_all's kSocket body (core/runner.h): the protocol roster runs
 // across real OS processes, one per protocol process, supervised as above.
-// opts.live.transport picks UDS (default) or TCP.  A setup failure (spawn,
-// accept, hello) comes back as aborted metrics, like a mid-run abort.
+// A setup failure (spawn, accept, hello) comes back as aborted metrics,
+// like a mid-run abort.
 // Fills stats.threads (the worker count); processes are always reaped, so
 // stats.leaked stays false.
 RunMetrics run_socket(const ProtocolInfo& info, const DoAllConfig& cfg,

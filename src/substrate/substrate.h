@@ -10,7 +10,7 @@
 //                         hung run.
 //   * Backend::kSocket -- run_socket (substrate/socket_substrate.h): one
 //                         worker OS process per protocol process over
-//                         localhost UDS/TCP, crash = SIGKILL at the
+//                         Unix-domain sockets, crash = SIGKILL at the
 //                         kill-point taxonomy, process-grade supervision
 //                         (connect/accept/read deadlines, waitpid reaping).
 //

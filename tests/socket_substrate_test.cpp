@@ -1,10 +1,9 @@
 // The socket-process substrate against the simulator as differential
 // oracle (src/substrate/socket_substrate.h): metric-for-metric equality
 // across a real OS-process boundary for A/B/C/D under scripted and
-// adaptive adversaries, real SIGKILLs at every kill-point class, both
-// transports, and process-grade supervision -- a hung or unexpectedly dead
-// worker degrades into a structured abort row within the deadline, never a
-// hung test.
+// adaptive adversaries, real SIGKILLs at every kill-point class, and
+// process-grade supervision -- a hung or unexpectedly dead worker degrades
+// into a structured abort row within the deadline, never a hung test.
 //
 // This binary doubles as its own worker image: main() defers to
 // maybe_socket_worker() before gtest, so the coordinator's
@@ -31,24 +30,21 @@ namespace {
 using harness::FaultSpec;
 
 // Options for one run on the socket backend.
-RunOptions socket_options(Transport transport = Transport::kUds) {
+RunOptions socket_options() {
   RunOptions opts;
   opts.backend = Backend::kSocket;
-  opts.live.transport = transport;
   return opts;
 }
 
 // One differential case with the socket backend as the non-oracle leg.
 DiffResult expect_socket_differential_ok(const std::string& protocol, std::int64_t n, int t,
-                                         const FaultSpec& spec,
-                                         Transport transport = Transport::kUds) {
+                                         const FaultSpec& spec) {
   DoAllConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  DiffResult d =
-      run_differential(protocol, cfg, [&] { return spec.make(); }, socket_options(transport));
+  DiffResult d = run_differential(protocol, cfg, [&] { return spec.make(); }, socket_options());
   EXPECT_EQ(d.divergence, "") << protocol << " n=" << n << " t=" << t << " faults "
-                              << spec.to_string() << " transport " << to_string(transport);
+                              << spec.to_string();
   EXPECT_FALSE(d.live.stats.leaked);
   EXPECT_EQ(d.live.stats.threads, t);  // one worker PROCESS per protocol process
   return d;
@@ -179,10 +175,6 @@ TEST(SocketSubstrateTest, SteppedIndexCrossesTheWorkerBoundary) {
   for (const StampNote& n : notes[0]) EXPECT_EQ(n.freshest, n.started) << n.round.to_string();
   EXPECT_EQ(notes[1], notes[0]) << "round pool";
   EXPECT_EQ(notes[2], notes[0]) << "socket";
-}
-
-TEST(SocketSubstrateTest, TcpTransportMatchesToo) {
-  expect_socket_differential_ok("B", 64, 8, chunk_cascade(64, 8), Transport::kTcp);
 }
 
 TEST(SocketSubstrateTest, KillPointCensusMatchesRoundPool) {
