@@ -8,7 +8,6 @@
 // The campaign exits 0 iff no case violated a bound or an invariant; the
 // JSON report (--json) is byte-identical at any --jobs value.  See
 // docs/FUZZING.md for the trace format and the replay workflow.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,11 +15,13 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "fuzz/campaign.h"
 #include "fuzz/trace.h"
 #include "substrate/socket_substrate.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -91,33 +92,20 @@ int replay_mode(const std::string& file, bool frozen) {
   return 1;
 }
 
-// Checked decimal parse of a flag's value (std::stoi would throw outside
-// main's try and abort): the whole token must be an integer in [lo, hi],
+// A flag's value through the shared strict parser (util/strings.h), which
+// throws outside main's try: the whole token must be a decimal in [lo, hi],
 // else print what was wrong and exit 2.
-long long parse_int(const std::string& flag, const std::string& text, long long lo,
-                    long long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "dowork_fuzz: %s wants an integer in [%lld, %lld], got '%s'\n",
-                 flag.c_str(), lo, hi, text.c_str());
-    std::exit(2);
+std::uint64_t parse_flag(const std::string& flag, const std::string& text, std::uint64_t lo,
+                         std::uint64_t hi) {
+  try {
+    const std::uint64_t v = dowork::parse_u64(text, flag, hi);
+    if (v >= lo) return v;
+  } catch (const std::invalid_argument&) {
   }
-  return v;
-}
-
-// The same for the 64-bit seed, which strtoll cannot span.
-std::uint64_t parse_seed(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || text[0] == '-' || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "dowork_fuzz: --seed wants an unsigned integer, got '%s'\n",
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
+  std::fprintf(stderr, "dowork_fuzz: %s wants an integer in [%llu, %llu], got '%s'\n",
+               flag.c_str(), static_cast<unsigned long long>(lo),
+               static_cast<unsigned long long>(hi), text.c_str());
+  std::exit(2);
 }
 
 }  // namespace
@@ -131,7 +119,7 @@ int main(int argc, char** argv) {
   std::string json_file;
   std::string replay_file;
   bool rerun = false;
-  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -143,13 +131,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--cases") {
-      opts.cases = static_cast<int>(parse_int(arg, value(), 1, kIntMax));
+      opts.cases = static_cast<int>(parse_flag(arg, value(), 1, kIntMax));
     } else if (arg == "--seed") {
-      opts.seed = parse_seed(value());
+      opts.seed = parse_flag(arg, value(), 0, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--jobs") {
-      opts.jobs = static_cast<int>(parse_int(arg, value(), 0, kIntMax));
+      opts.jobs = static_cast<int>(parse_flag(arg, value(), 0, kIntMax));
     } else if (arg == "--tighten") {
-      opts.tighten_pct = static_cast<int>(parse_int(arg, value(), 1, kIntMax));
+      opts.tighten_pct = static_cast<int>(parse_flag(arg, value(), 1, kIntMax));
     } else if (arg == "--json") {
       json_file = value();
     } else if (arg == "--trace-dir") {

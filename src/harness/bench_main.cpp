@@ -1,9 +1,11 @@
 #include "harness/bench_main.h"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "harness/parallel_runner.h"
 #include "harness/report.h"
 #include "substrate/socket_substrate.h"
+#include "util/strings.h"
 
 namespace dowork::harness {
 
@@ -43,6 +46,17 @@ void print_usage(const char* argv0) {
       "  --quiet             suppress the tables\n"
       "  --help              this text\n",
       argv0);
+}
+
+// Reads `text` into *out through the shared strict parser (util/strings.h):
+// false unless the whole token is a decimal in [lo, INT_MAX].
+bool parse_count(const char* text, int lo, int* out) {
+  try {
+    *out = static_cast<int>(parse_u64(text, "count", INT_MAX));
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return *out >= lo;
 }
 
 void list_experiments() {
@@ -79,9 +93,7 @@ int bench_main(int argc, char** argv) {
       opt.experiment = next();
     } else if (arg == "--jobs") {
       const char* value = next();
-      char* end = nullptr;
-      opt.jobs = static_cast<int>(std::strtol(value, &end, 10));
-      if (end == value || *end != '\0' || opt.jobs < 0) {
+      if (!parse_count(value, 0, &opt.jobs)) {
         std::fprintf(stderr, "%s: --jobs wants a non-negative integer, got '%s'\n", argv[0],
                      value);
         return 2;
@@ -109,9 +121,7 @@ int bench_main(int argc, char** argv) {
       }
     } else if (arg == "--sim-threads") {
       const char* value = next();
-      char* end = nullptr;
-      opt.sim_threads = static_cast<int>(std::strtol(value, &end, 10));
-      if (end == value || *end != '\0' || opt.sim_threads < 1) {
+      if (!parse_count(value, 1, &opt.sim_threads)) {
         std::fprintf(stderr, "%s: --sim-threads wants a positive integer, got '%s'\n", argv[0],
                      value);
         return 2;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 
 #include "sim/simulator.h"
 #include "substrate/wire.h"
+#include "util/strings.h"
 
 namespace dowork::substrate {
 
@@ -681,13 +683,21 @@ int maybe_socket_worker(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[2];
-  const int self = std::atoi(argv[3]);
   const std::string protocol = argv[4];
-  const std::int64_t n = std::atoll(argv[5]);
-  const int t = std::atoi(argv[6]);
+  int self = 0, t = 0;
+  std::int64_t n = 0;
   std::optional<std::int64_t> param;
-  if (std::strcmp(argv[7], "-") != 0) param = std::atoll(argv[7]);
-  if (self < 0 || self >= t || n < 1) {
+  try {
+    self = static_cast<int>(parse_u64(argv[3], "proc", INT_MAX));
+    n = static_cast<std::int64_t>(parse_u64(argv[5], "n", INT64_MAX));
+    t = static_cast<int>(parse_u64(argv[6], "t", INT_MAX));
+    if (std::strcmp(argv[7], "-") != 0)
+      param = static_cast<std::int64_t>(parse_u64(argv[7], "param", INT64_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "dowork socket worker: bad argv: %s\n", e.what());
+    return 2;
+  }
+  if (self >= t || n < 1) {
     std::fprintf(stderr, "dowork socket worker: bad shape (proc=%d n=%lld t=%d)\n", self,
                  static_cast<long long>(n), t);
     return 2;
