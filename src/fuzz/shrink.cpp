@@ -38,9 +38,12 @@ int net_components(const NetSpec& net) {
 }
 
 // Scalar size metric the greedy loop strictly decreases: shape, crash
-// budget, schedule length, network clauses, jam budget.
+// component present, crash budget, schedule length, network clauses, jam
+// budget.  Presence counts on its own, so an emptied `scheduled()` or a
+// zero-budget cascade still shrinks to `none`.
 std::int64_t size_of(const Scenario& s) {
   std::int64_t sz = s.cfg.t + s.cfg.n;
+  if (s.faults.kind() != FaultSpec::Kind::kNone) ++sz;
   sz += crash_budget_of(s.faults);
   if (const auto* sch = std::get_if<harness::ScheduledSpec>(&s.faults.crash))
     sz += static_cast<std::int64_t>(sch->entries.size());

@@ -423,6 +423,19 @@ TEST(FuzzShrinkTest, PlantedViolationShrinksAndReplays) {
   EXPECT_FALSE(v.shrunk_trace_file.empty());
 }
 
+TEST(FuzzShrinkTest, EmptiedCrashComponentShrinksToNone) {
+  // Case 52 of {seed 42, tighten 40} violates a bound that holds without
+  // any crash.  Its kill list shrinks to no entries; the crash component
+  // that is left must still count as size, or `scheduled()` and `none`
+  // score alike and the reproducer keeps the empty component.
+  const Scenario failing = generate_case({42, 40}, 52);
+  ShrinkOptions opts;
+  opts.tighten_pct = 40;
+  const ShrinkOutcome out = shrink(failing, opts);
+  EXPECT_EQ(out.minimal.faults.kind(), FaultSpec::Kind::kNone)
+      << out.minimal.faults.to_string();
+}
+
 TEST(FuzzShrinkTest, ShrinkRejectsAPassingCase) {
   for (const Scenario& s : generate_cases({42, 100}, 5)) {
     if (!s.params.count("assert_bounds")) continue;
