@@ -132,7 +132,6 @@ void run_one_rep(const Scenario& s, int rep, ScenarioResult& row) {
     }
     case Substrate::kAsync: {
       AsyncSim::Options opts;
-      opts.min_delay = static_cast<ATime>(s.param_or("min_delay", 1));
       opts.max_delay = static_cast<ATime>(s.param_or("max_delay", 10));
       opts.fd_max_delay = static_cast<ATime>(s.param_or("fd_delay", 30));
       opts.seed = s.seed + static_cast<std::uint64_t>(rep);
