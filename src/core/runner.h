@@ -45,8 +45,8 @@ struct LiveOptions {
   std::uint64_t watchdog_ms = 10'000;
 
   // Teardown grace: how long the pool waits for its workers to exit after
-  // cancellation before declaring them leaked (a step ignoring the
-  // cooperative cancel token; see run_cancelled() in sim/round_pool.h).
+  // cancellation before declaring them leaked (a step that never returns;
+  // see CancelToken in sim/round_pool.h).
   // The socket backend uses the same budget for its waitpid reap before
   // escalating to SIGKILL (processes, unlike threads, can always be reaped
   // -- the socket backend never leaks).

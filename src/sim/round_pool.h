@@ -71,7 +71,9 @@ struct LiveOptions;  // core/runner.h
 
 // Cooperative cancellation flag, shared by every worker of one pool.  A
 // std::thread cannot be killed from outside, so the watchdog publishes
-// intent here and long-running protocol code polls run_cancelled().
+// intent here, and once it is set the pool's workers start no further
+// shard or step.  A step already running is not interrupted: no protocol
+// code polls the flag.
 class CancelToken {
  public:
   void cancel() { flag_.store(true, std::memory_order_release); }
@@ -82,9 +84,9 @@ class CancelToken {
 };
 
 // True when the calling thread is a pool worker whose run has been
-// cancelled (watchdog abort or teardown).  Protocol code that loops inside
-// on_round should poll this and return; everywhere else (the serial
-// simulator, tests, the main thread) it is false.
+// cancelled (watchdog abort or teardown); everywhere else (the serial
+// simulator, tests, the main thread) it is false.  Tests poll it to model
+// a wedged step that still cooperates, one that returns once cancelled.
 bool run_cancelled();
 
 namespace detail {
