@@ -92,9 +92,10 @@ int replay_mode(const std::string& file, bool frozen) {
   return 1;
 }
 
-// A flag's value through the shared strict parser (util/strings.h), which
-// throws outside main's try: the whole token must be a decimal in [lo, hi],
-// else print what was wrong and exit 2.
+// A flag's value through the shared strict parser (util/strings.h): the
+// whole token must be a decimal in [lo, hi], else print what was wrong and
+// exit 2.  Flags are read outside main's try, so the parser's exception
+// stops here.
 std::uint64_t parse_flag(const std::string& flag, const std::string& text, std::uint64_t lo,
                          std::uint64_t hi) {
   try {
